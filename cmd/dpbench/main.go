@@ -7,10 +7,6 @@
 // With no exhibit arguments every exhibit runs. Exhibit names follow
 // the paper: fig4 fig6 fig7 fig8 fig11 fig12 fig13 fig14 fig15
 // table1..table6 sec3d sec5.
-//
-// `dpbench -benchjson DIR` instead runs the analyzer and noising
-// micro-benchmarks and writes BENCH_analyzer.json / BENCH_noise.json
-// into DIR, for perf-regression tracking across changes.
 package main
 
 import (
@@ -29,15 +25,7 @@ func main() {
 	list := flag.Bool("list", false, "list exhibit names and exit")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	dataDir := flag.String("data", "", "directory of real dataset CSVs (see cmd/datagen for the format)")
-	benchDir := flag.String("benchjson", "", "run micro-benchmarks and write BENCH_*.json into this directory, then exit")
 	flag.Parse()
-
-	if *benchDir != "" {
-		if err := writeBenchJSON(*benchDir); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *list {
 		for _, n := range ulpdp.ExperimentNames() {

@@ -363,11 +363,11 @@ func parseSchedule(s string) ([]int, error) {
 }
 
 func printRun(name string, r fleet.Result, verbose bool) {
-	fmt.Printf("%s: aggregate %d reports over %d nodes, sum %d; link{sent %d dropped %d dup %d reordered %d corrupt %d overflow %d}; collector{accepted %d dup %d shed %d breaker-drops %d fail-closed %d recoveries %d checkpoint-words %d}\n",
+	fmt.Printf("%s: aggregate %d reports over %d nodes, sum %d; link{sent %d dropped %d dup %d reordered %d corrupt %d overflow %d}; collector{accepted %d dup %d breaker-drops %d fail-closed %d recoveries %d checkpoint-words %d}\n",
 		name, r.Aggregate.Reports, r.Aggregate.Nodes, r.Aggregate.Sum,
 		r.Link.Sent, r.Link.Dropped, r.Link.Duplicated, r.Link.Reordered,
 		r.Link.CorruptedInFlight, r.Link.Overflow,
-		r.Collector.Accepted, r.Collector.Duplicates, r.Collector.Backpressure,
+		r.Collector.Accepted, r.Collector.Duplicates,
 		r.Collector.BreakerDrops, r.Collector.FailClosed,
 		r.CollectorRecoveries, r.CheckpointWords)
 	if !verbose {

@@ -48,7 +48,7 @@ func ExampleNewFxPDist() {
 	d, _ := ulpdp.NewFxPDist(par)
 	_, hasHoles := d.FirstZeroHole()
 	fmt.Println("tail has zero-probability holes:", hasHoles)
-	fmt.Printf("max representable noise: %.1f\n", d.Params().MaxNoise())
+	fmt.Printf("max representable noise: %.1f\n", par.FxP().MaxNoise())
 	// Output:
 	// tail has zero-probability holes: true
 	// max representable noise: 235.7

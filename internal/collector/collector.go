@@ -88,11 +88,6 @@ type Config struct {
 	// and owns the dedup/breaker/stats state of the nodes hashed to
 	// it. Per-node results are bit-identical for any shard count.
 	Shards int
-	// QueueCap is retained for configuration compatibility. The
-	// event-driven reactor has no shared ingest queue — pending
-	// frames wait in each link's own bounded receive queue — so the
-	// value is ignored.
-	QueueCap int
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// node's breaker (default 8).
 	BreakerThreshold int
@@ -121,11 +116,6 @@ type Stats struct {
 	// Duplicates counts re-deliveries of an already-recorded
 	// (node, seq); they are re-ACKed but change nothing.
 	Duplicates uint64
-	// Backpressure counts reports shed by the legacy shared ingest
-	// queue. The sharded reactor has no such queue — backpressure now
-	// surfaces as transport.Stats.Overflow on the link — so this is
-	// always 0; the field survives for schema compatibility.
-	Backpressure uint64
 	// BreakerDrops counts reports discarded by an open breaker.
 	BreakerDrops uint64
 	// Timeouts counts per-node idle ticks (a node delivering nothing
@@ -142,7 +132,6 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.Accepted += o.Accepted
 	s.Duplicates += o.Duplicates
-	s.Backpressure += o.Backpressure
 	s.BreakerDrops += o.BreakerDrops
 	s.Timeouts += o.Timeouts
 	s.FailClosed += o.FailClosed

@@ -1,7 +1,7 @@
 package core
 
 // Differential tests: the optimized kernels (kernels.go) against the
-// closure reference kernel (kernels_legacy.go), over randomized
+// closure reference kernel (kernels_legacy_test.go), over randomized
 // parameters, thresholds and synthetic PMFs — including PMFs with
 // interior zero-mass entries, the grid holes whose detection the
 // sliding-window pass must preserve bit for bit. Reports must agree

@@ -15,8 +15,8 @@ package core
 // with the normalization tables hoisted out of the inner loop.
 //
 // Exactness contract: every kernel evaluates the same float64
-// expressions as the legacy closure kernel (kernels_legacy.go), in an
-// order that preserves its tie-break semantics — among equal extrema
+// expressions as the legacy closure kernel (kernels_legacy_test.go),
+// in an order that preserves its tie-break semantics — among equal extrema
 // the smallest x wins, and the smallest worst output wins overall —
 // so optimized, legacy, sequential and parallel runs return identical
 // LossReports bit for bit. kernel_diff_test.go asserts this.

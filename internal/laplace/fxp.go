@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"ulpdp/internal/cordic"
+	"ulpdp/internal/noisedist"
 	"ulpdp/internal/urng"
 )
 
@@ -57,6 +58,22 @@ func (p FxPParams) MaxK() int64 {
 		return cap
 	}
 	return k
+}
+
+// Dist is the exact output distribution of the fixed-point Laplace
+// RNG, the closed form of eq. 11, computed by the generic engine in
+// internal/noisedist.
+type Dist = noisedist.Dist
+
+// NewDist returns the exact distribution of the RNG with parameters
+// par. It panics on invalid parameters.
+func NewDist(par FxPParams) Dist {
+	if err := par.Validate(); err != nil {
+		panic(err)
+	}
+	// Validate checks every geometry field, so this cannot fail.
+	d, _ := noisedist.NewDist(noisedist.Laplace{Lambda: par.Lambda}, noisedist.Geometry{Bu: par.Bu, By: par.By, Delta: par.Delta})
+	return d
 }
 
 // LogUnit is the log datapath the sampler uses: the CORDIC core, the

@@ -4,15 +4,13 @@
 // whose quantized, bounded output is the root cause of the infinite
 // privacy loss the paper demonstrates.
 //
-// The fixed-point RNG is modelled twice, deliberately:
-//
-//   - Sampler draws concrete noise values through a hardware-faithful
-//     datapath (Tausworthe URNG → log unit → scale → round → sign).
-//   - Dist is the exact probability mass function of that datapath
-//     (the closed form of eq. 11), computed without sampling. The
-//     privacy analysis in internal/core consumes Dist; tests check
-//     Sampler and Dist agree bit-for-bit by enumerating the URNG
-//     input space.
+// Sampler draws concrete noise values through a hardware-faithful
+// datapath (Tausworthe URNG → log unit → scale → round → sign). Dist,
+// the exact probability mass function of that datapath (the closed
+// form of eq. 11), is the Laplace member of internal/noisedist's
+// exact-PMF engine, the one every analysis consumes. The tests check
+// that Sampler and Dist agree bit-for-bit by enumerating the URNG
+// input space.
 package laplace
 
 import (

@@ -117,8 +117,15 @@ func (d Dist) TailMag(k int64) float64 {
 }
 
 // MaxK returns the largest magnitude step with non-zero probability.
+// The walk down past the zero-count rounding fringe starts one step
+// above the magnitude of the draw m = 1, the largest the inverse CDF
+// reaches, or at the saturation step if that is lower.
 func (d Dist) MaxK() int64 {
 	k := d.geo.KCap()
+	top := math.Round(d.fam.Quantile(math.Ldexp(1, -d.geo.Bu))/d.geo.Delta) + 1
+	if top < float64(k) {
+		k = int64(top)
+	}
 	for k > 0 && d.CountMag(k) == 0 {
 		k--
 	}

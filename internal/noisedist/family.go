@@ -7,6 +7,10 @@
 // ideal magnitude distribution, Dist derives the exact PMF of its
 // inverse-CDF fixed-point implementation, and the tests show the
 // bounded-support/tail-hole pathology for every family.
+//
+// Dist is the repo's only exact-PMF engine: with the Laplace family it
+// is also the PMF the analyzer, the DP-Box and the budget certify the
+// paper's own RNG against (laplace.Dist is an alias).
 package noisedist
 
 import (

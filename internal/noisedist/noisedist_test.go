@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ulpdp/internal/core"
-	"ulpdp/internal/laplace"
 	"ulpdp/internal/urng"
 )
 
@@ -109,25 +107,6 @@ func TestTotalMassIsOne(t *testing.T) {
 	}
 }
 
-func TestLaplaceMatchesSpecializedDist(t *testing.T) {
-	// The generic machinery must agree exactly with the specialized
-	// closed form in internal/laplace.
-	par := laplace.FxPParams{Bu: geo.Bu, By: geo.By, Delta: geo.Delta, Lambda: 16}
-	spec := laplace.NewDist(par)
-	gen, err := NewDist(Laplace{Lambda: 16}, geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := int64(0); k <= geo.KCap(); k++ {
-		if a, b := gen.CountMag(k), spec.CountMag(k); a != b {
-			t.Fatalf("CountMag(%d): generic %g vs specialized %g", k, a, b)
-		}
-	}
-	if a, b := gen.MaxK(), spec.MaxK(); a != b {
-		t.Errorf("MaxK: %d vs %d", a, b)
-	}
-}
-
 func TestSamplerMatchesDistExhaustive(t *testing.T) {
 	small := Geometry{Bu: 11, By: 10, Delta: 0.5}
 	for _, fam := range families() {
@@ -173,42 +152,6 @@ func TestEveryFamilyHasFinitePrecisionPathology(t *testing.T) {
 		if _, ok := d.FirstZeroHole(); !ok {
 			t.Errorf("%s: expected tail holes", fam.Name())
 		}
-	}
-}
-
-// TestNaiveMechanismLeaksForEveryFamily runs the exact analyzer over
-// each family's PMF: the unguarded mechanism has infinite loss, and
-// an exact-search threshold restores a certified bound.
-func TestNaiveMechanismLeaksForEveryFamily(t *testing.T) {
-	par := core.Params{Lo: 0, Hi: 8, Eps: 0.5, Bu: geo.Bu, By: geo.By, Delta: geo.Delta}
-	for _, fam := range families() {
-		fam := fam
-		t.Run(fam.Name(), func(t *testing.T) {
-			d, err := NewDist(fam, geo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pmf, maxK := d.PMF()
-			an := core.NewAnalyzerFromPMF(par, pmf, maxK)
-			if rep := an.BaselineLoss(); !rep.Infinite {
-				t.Fatalf("naive %s loss should be infinite, got %g", fam.Name(), rep.MaxLoss)
-			}
-			// Exact-search a certified thresholding guard at 2ε.
-			target := 2 * par.Eps
-			var best int64 = -1
-			for step := maxK; step >= 1; step-- {
-				if rep := an.ThresholdingLoss(step); rep.Bounded(target) {
-					best = step
-					break
-				}
-			}
-			if best < 1 {
-				t.Fatalf("%s: no certified threshold found", fam.Name())
-			}
-			if rep := an.ThresholdingLoss(best); !rep.Bounded(target) {
-				t.Fatalf("%s: threshold %d not certified", fam.Name(), best)
-			}
-		})
 	}
 }
 

@@ -242,7 +242,7 @@ func CertifyConstantTime(par Params, threshold int64, candidates int) (LossRepor
 }
 
 // FxPDist is the exact output distribution of the fixed-point Laplace
-// RNG (eq. 11's closed form).
+// RNG (eq. 11's closed form): the FamilyDist of LaplaceFamily.
 type FxPDist = laplace.Dist
 
 // NewFxPDist returns the exact RNG distribution for par.
