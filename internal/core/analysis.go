@@ -175,7 +175,9 @@ func mergeLoss(a, b LossReport) LossReport {
 func (a *Analyzer) BaselineLoss() LossReport {
 	yLo := a.par.LoSteps() - a.maxK
 	yHi := a.par.HiSteps() + a.maxK
-	return a.parallelScan(yLo, yHi, a.scanShiftRange)
+	return a.parallelScan(yLo, yHi, func(lo, hi int64, _ *lossFloor) LossReport {
+		return a.scanShiftRange(lo, hi)
+	})
 }
 
 // ResamplingLoss computes the exact worst-case loss of the resampling
@@ -193,8 +195,9 @@ func (a *Analyzer) ResamplingLoss(t int64) LossReport {
 	for x := xLo; x <= xHi; x++ {
 		z[x-xLo] = a.massBetween(yLo-x, yHi-x)
 	}
-	return a.parallelScan(yLo, yHi, func(lo, hi int64) LossReport {
-		return a.scanResamplingRange(z, lo, hi)
+	zMin, zMax := extrema(z)
+	return a.parallelScan(yLo, yHi, func(lo, hi int64, floor *lossFloor) LossReport {
+		return a.scanResamplingRange(z, zMin, zMax, floor, lo, hi)
 	})
 }
 
@@ -208,7 +211,7 @@ func (a *Analyzer) ThresholdingLoss(t int64) LossReport {
 	}
 	yLo := a.par.LoSteps() - t
 	yHi := a.par.HiSteps() + t
-	return a.parallelScan(yLo, yHi, func(lo, hi int64) LossReport {
+	return a.parallelScan(yLo, yHi, func(lo, hi int64, _ *lossFloor) LossReport {
 		return a.scanThresholdingRange(yLo, yHi, lo, hi)
 	})
 }
@@ -257,10 +260,11 @@ func (a *Analyzer) ConstantTimeLoss(t int64, k int) LossReport {
 	// factor scaling every interior cell and the clamp atoms the two
 	// boundary outputs add. The atoms repeat the legacy kernel's
 	// multiplication order (q^(k−1) by running product, then the
-	// one-sided mass) so the sums are bit-identical.
-	accept := make([]float64, len(miss))
-	atomLo := make([]float64, len(miss))
-	atomHi := make([]float64, len(miss))
+	// one-sided mass) so the sums are bit-identical. The three tables
+	// share one allocation: a threshold search builds them per probe.
+	n := len(miss)
+	tabs := make([]float64, 3*n)
+	accept, atomLo, atomHi := tabs[:n:n], tabs[n:2*n:2*n], tabs[2*n:]
 	for i, m := range miss {
 		accept[i] = m.accept
 		qk := 1.0
@@ -270,8 +274,9 @@ func (a *Analyzer) ConstantTimeLoss(t int64, k int) LossReport {
 		atomLo[i] = m.lo * qk
 		atomHi[i] = m.hi * qk
 	}
-	return a.parallelScan(yLo, yHi, func(lo, hi int64) LossReport {
-		return a.scanConstantTimeRange(yLo, yHi, accept, atomLo, atomHi, lo, hi)
+	aMin, aMax := extrema(accept)
+	return a.parallelScan(yLo, yHi, func(lo, hi int64, floor *lossFloor) LossReport {
+		return a.scanConstantTimeRange(yLo, yHi, accept, aMin, aMax, atomLo, atomHi, floor, lo, hi)
 	})
 }
 

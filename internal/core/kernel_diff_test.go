@@ -4,13 +4,16 @@ package core
 // closure reference kernel (kernels_legacy_test.go), over randomized
 // parameters, thresholds and synthetic PMFs — including PMFs with
 // interior zero-mass entries, the grid holes whose detection the
-// sliding-window pass must preserve bit for bit. Reports must agree
+// sliding-window pass must preserve bit for bit, and plateau PMFs
+// whose tied losses the bound-and-prune kernels must neither skip nor
+// reorder. Reports must agree
 // field for field, WorstOutput/WorstX1/WorstX2 tie-breaks included.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -169,5 +172,103 @@ func TestKernelProfileMatchesLossAt(t *testing.T) {
 	}
 	if got := an.InteriorLoss(th); got != worst {
 		t.Errorf("InteriorLoss %g != per-output max %g", got, worst)
+	}
+}
+
+// plateauPMF builds a symmetric synthetic PMF shaped like the
+// fixed-point count PMFs: integer counts from a small set, non-
+// increasing in |k| with long plateaus, and zero-count holes in the
+// tail. Equal counts make many outputs tie on the loss, which
+// exercises the prune margin and the WorstOutput/WorstX tie-breaks.
+func plateauPMF(rng *rand.Rand, maxK int64) []float64 {
+	counts := make([]int, maxK+1)
+	c := 2 + rng.Intn(4)
+	for k := range counts {
+		counts[k] = c
+		if c > 1 && rng.Intn(8) == 0 {
+			c--
+		}
+	}
+	// Holes only in the outer quarter, like the sparse count tail.
+	for k := 3 * maxK / 4; k <= maxK; k++ {
+		if rng.Intn(6) == 0 {
+			counts[k] = 0
+		}
+	}
+	counts[maxK] = 1 // the support edge stays reachable
+	total := counts[0]
+	for _, n := range counts[1:] {
+		total += 2 * n
+	}
+	pmf := make([]float64, 2*maxK+1)
+	for k, n := range counts {
+		p := float64(n) / float64(total)
+		pmf[maxK+int64(k)], pmf[maxK-int64(k)] = p, p
+	}
+	return pmf
+}
+
+func TestKernelDifferentialPlateauPMF(t *testing.T) {
+	rng := rand.New(rand.NewSource(1306))
+	for trial := 0; trial < 80; trial++ {
+		par := randomParams(rng)
+		maxK := 1 + rng.Int63n(96)
+		an := NewAnalyzerFromPMF(par, plateauPMF(rng, maxK), maxK)
+		diffAllMechanisms(t, fmt.Sprintf("plateau trial %d %+v maxK=%d", trial, par, maxK), rng, an)
+	}
+}
+
+// TestKernelDifferentialPlateauParallel runs plateau PMFs on output
+// windows past parallelCutoff with four Ps, so the chunks — and the
+// pruning floor they share — race on tied losses.
+func TestKernelDifferentialPlateauParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(2691))
+	for trial := 0; trial < 6; trial++ {
+		par := randomParams(rng)
+		maxK := int64(parallelCutoff) + rng.Int63n(1024)
+		an := NewAnalyzerFromPMF(par, plateauPMF(rng, maxK), maxK)
+		what := fmt.Sprintf("plateau parallel trial %d %+v maxK=%d", trial, par, maxK)
+		// Thresholds wide enough for the parallel path, some past the
+		// first tail hole (Infinite) and some inside the hole-free bulk.
+		for _, th := range []int64{parallelCutoff / 2, maxK / 2, 3 * maxK / 4, maxK} {
+			diffCompare(t, fmt.Sprintf("%s/resampling(t=%d)", what, th),
+				an.ResamplingLoss(th), an.legacyResamplingLoss(th))
+			k := 1 + rng.Intn(4)
+			diffCompare(t, fmt.Sprintf("%s/consttime(t=%d,k=%d)", what, th, k),
+				an.ConstantTimeLoss(th, k), an.legacyConstantTimeLoss(th, k))
+		}
+	}
+}
+
+// TestExactThresholdSearchMatchesLegacy pins the threshold searches,
+// which probe the bound-and-prune kernels about log2(MaxK) times, to
+// the same bisection driven by the legacy reference kernels.
+func TestExactThresholdSearchMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(1812))
+	for trial := 0; trial < 30; trial++ {
+		par := randomParams(rng)
+		mult := 1.1 + 2*rng.Float64()
+		k := 1 + rng.Intn(4)
+		an := NewAnalyzer(par)
+		what := fmt.Sprintf("trial %d %+v mult=%g", trial, par, mult)
+
+		got, err := ExactResamplingThreshold(par, mult)
+		want, wantErr := searchThreshold(par, func(th int64) bool {
+			return an.legacyResamplingLoss(th).Bounded(mult * par.Eps)
+		})
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: resampling threshold %d (err %v), legacy bisection %d (err %v)",
+				what, got, err, want, wantErr)
+		}
+
+		got, err = ExactConstantTimeThreshold(par, mult, k)
+		want, wantErr = searchThreshold(par, func(th int64) bool {
+			return an.legacyConstantTimeLoss(th, k).Bounded(mult * par.Eps)
+		})
+		if got != want || (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: constant-time(k=%d) threshold %d (err %v), legacy bisection %d (err %v)",
+				what, k, got, err, want, wantErr)
+		}
 	}
 }

@@ -6,20 +6,29 @@ package core
 // and every grid input x — O(|Y|·|X|) with a closure call per cell.
 // Every mechanism in this package shares one structural fact, though:
 // away from the boundary-atom columns the conditional is translation
-// invariant, P(y|x) = pmf[y−x]. The per-output extrema over x are
-// then sliding-window extrema over a fixed-width window of the PMF,
-// which a monotonic-deque pass computes in O(|Y|+|X|) total. The
-// kernels below exploit that for the baseline and thresholding
-// conditionals, and devirtualize the remaining per-x-normalized
-// conditionals (resampling, constant-time) into direct slice indexing
-// with the normalization tables hoisted out of the inner loop.
+// invariant up to a per-input factor, P(y|x) = pmf[y−x]·f(x). The
+// per-output extrema of pmf[y−x] over x are then sliding-window
+// extrema over a fixed-width window of the PMF, which a
+// monotonic-deque pass computes in O(|Y|+|X|) total.
+//
+// The baseline and thresholding conditionals have f ≡ 1, so the
+// window extrema are the column extrema and those kernels are linear.
+// The resampling (f = 1/z) and constant-time (f = accept) conditionals
+// are renormalized per input, which breaks the window's argmax, so
+// their kernels bound and prune instead: the window extrema times the
+// hoisted extrema of f bound every cell of an output, and the exact
+// O(|X|) column runs only for outputs whose bounded loss could still
+// reach the running maximum (the chunk's, or a floor the chunks of a
+// parallel scan share). Worst case they stay O(|Y|·|X|); in practice
+// a few percent of the outputs are scanned.
 //
 // Exactness contract: every kernel evaluates the same float64
 // expressions as the legacy closure kernel (kernels_legacy_test.go),
 // in an order that preserves its tie-break semantics — among equal extrema
 // the smallest x wins, and the smallest worst output wins overall —
 // so optimized, legacy, sequential and parallel runs return identical
-// LossReports bit for bit. kernel_diff_test.go asserts this.
+// LossReports bit for bit. A pruned output provably can neither win
+// nor tie (see pruner). kernel_diff_test.go asserts this.
 
 import (
 	"math"
@@ -53,17 +62,34 @@ type shiftWindow struct {
 	minHead  int
 }
 
-// newShiftWindow primes a window so the first step call may be for
-// output yStart.
+// windowPool recycles shiftWindow deque buffers. Every certification
+// call and every DP-Box construction's Segments/InteriorLoss sweep
+// opens fresh windows, so pooling them keeps the deques off the
+// allocation path.
+var windowPool = sync.Pool{New: func() any { return new(shiftWindow) }}
+
+// newShiftWindow primes a pooled window so the first step call may be
+// for output yStart. Callers release it when the scan ends.
 func (a *Analyzer) newShiftWindow(yStart int64) *shiftWindow {
-	w := &shiftWindow{a: a, xLo: a.par.LoSteps(), xHi: a.par.HiSteps()}
-	width := int(w.xHi - w.xLo + 1)
-	w.maxDq = make([]kv, 0, width+1)
-	w.minDq = make([]kv, 0, width+1)
+	w := windowPool.Get().(*shiftWindow)
+	w.a, w.xLo, w.xHi = a, a.par.LoSteps(), a.par.HiSteps()
+	w.maxHead, w.minHead = 0, 0
+	if width := int(w.xHi - w.xLo + 1); cap(w.maxDq) < width+1 || cap(w.minDq) < width+1 {
+		w.maxDq = make([]kv, 0, width+1)
+		w.minDq = make([]kv, 0, width+1)
+	}
+	w.maxDq, w.minDq = w.maxDq[:0], w.minDq[:0]
 	for k := yStart - w.xHi; k < yStart-w.xLo; k++ {
 		w.push(k)
 	}
 	return w
+}
+
+// release returns the window's buffers to the pool. The window must
+// not be used afterwards.
+func (w *shiftWindow) release() {
+	w.a = nil
+	windowPool.Put(w)
 }
 
 // push admits noise step k into both deques. Zero-mass steps (grid
@@ -149,6 +175,7 @@ func colExtrema(xLo, xHi int64, f func(x int64) float64) (pMax float64, xMax int
 func (a *Analyzer) scanShiftRange(lo, hi int64) LossReport {
 	rep := LossReport{}
 	w := a.newShiftWindow(lo)
+	defer w.release()
 	for y := lo; y <= hi; y++ {
 		pMax, xMax, pMin, xMin := w.step(y)
 		if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
@@ -183,9 +210,11 @@ func (a *Analyzer) scanThresholdingRange(yLo, yHi, lo, hi int64) LossReport {
 		for y := lo; y <= last; y++ {
 			pMax, xMax, pMin, xMin := w.step(y)
 			if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
+				w.release()
 				return rep
 			}
 		}
+		w.release()
 	}
 	if hi == yHi {
 		pMax, xMax, pMin, xMin := colExtrema(xLo, xHi, func(x int64) float64 {
@@ -196,17 +225,116 @@ func (a *Analyzer) scanThresholdingRange(yLo, yHi, lo, hi int64) LossReport {
 	return rep
 }
 
-// scanResamplingRange is the devirtualized resampling kernel: still
-// O(|Y|·|X|) — the per-input renormalization breaks translation
-// invariance — but with direct slice indexing and the normalization
-// table z hoisted out of the inner loop. The division (not a
-// reciprocal multiply) keeps the probabilities bit-identical to the
-// legacy kernel's.
-func (a *Analyzer) scanResamplingRange(z []float64, lo, hi int64) LossReport {
+// lossFloor is the pruning floor one bound-and-prune certification
+// shares across its parallel chunks: the largest finite loss any
+// chunk has found so far. Losses are non-negative, and non-negative
+// float64s order like their bit patterns, so the floor is one atomic
+// word raised by compare-and-swap.
+type lossFloor struct{ bits atomic.Uint64 }
+
+func (f *lossFloor) load() float64 { return math.Float64frombits(f.bits.Load()) }
+
+func (f *lossFloor) raise(loss float64) {
+	nb := math.Float64bits(loss)
+	for {
+		cur := f.bits.Load()
+		if nb <= cur || f.bits.CompareAndSwap(cur, nb) {
+			return
+		}
+	}
+}
+
+// pruner decides, per output, whether a bound-and-prune kernel may
+// skip the exact column. An output whose every cell lies in [lb, ub]
+// is skipped when ub/lb < limit = exp(best − 2·lossTol(best)), best
+// being the larger of the chunk's running MaxLoss and the floor
+// shared by a parallel scan's chunks (nil when the scan runs
+// sequentially).
+//
+// Why the report stays bit-identical. Correctly rounded * and / are
+// monotone on non-negative operands, so bounds built from the window
+// extrema and the per-input factor extrema never understate a cell:
+// pMin ≥ lb and pMax ≤ ub, hence the column's computed pMax/pMin is at
+// most the computed ub/lb. math.Exp and math.Log are not correctly
+// rounded, but their errors are below an ulp, far inside the
+// 2·lossTol(best) margin, so a skipped output's loss ln(pMax/pMin) is
+// strictly below best: it can neither win nor tie. Against the
+// chunk's own MaxLoss that leaves the chunk's report unchanged.
+// Against the floor — some scanned output's exact loss, so at most
+// the final MaxLoss — a skipped output is strictly below the final
+// maximum; a chunk whose report it would have changed holds no output
+// reaching the floor and loses the merge either way, so the merged
+// report is unchanged however the chunks interleave. A zero lb (a
+// possibly one-sided, Infinite column) and NaN or infinite ratios (a
+// zero normalization) always fall through to the exact scan.
+type pruner struct {
+	floor       *lossFloor
+	best, limit float64
+}
+
+func newPruner(floor *lossFloor) pruner {
+	return pruner{floor: floor, limit: pruneLimit(0)}
+}
+
+func pruneLimit(best float64) float64 { return math.Exp(best - 2*lossTol(best)) }
+
+func (p *pruner) setBest(best float64) {
+	p.best, p.limit = best, pruneLimit(best)
+}
+
+// skip reports whether an output whose cells lie in [lb, ub] provably
+// cannot change the merged report.
+func (p *pruner) skip(lb, ub float64) bool {
+	if p.floor != nil {
+		if f := p.floor.load(); f > p.best {
+			p.setBest(f)
+		}
+	}
+	return lb > 0 && ub/lb < p.limit
+}
+
+// found records the chunk report after a scanned output, publishing a
+// raised finite MaxLoss to the shared floor.
+func (p *pruner) found(rep LossReport) {
+	if !rep.Infinite && rep.MaxLoss > p.best {
+		p.setBest(rep.MaxLoss)
+		if p.floor != nil {
+			p.floor.raise(rep.MaxLoss)
+		}
+	}
+}
+
+// extrema returns the smallest and largest entries of a non-empty
+// slice.
+func extrema(f []float64) (lo, hi float64) {
+	lo, hi = f[0], f[0]
+	for _, v := range f[1:] {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	return lo, hi
+}
+
+// scanResamplingRange is the bound-and-prune resampling kernel over
+// the outputs [lo, hi]. The per-input renormalization P(y|x) =
+// pmf[y−x]/z[x] breaks translation invariance, so the window extrema
+// are not the column extrema; they do bound them, though, by
+// [wMin/zMax, wMax/zMin], and the exact O(|X|) column (direct slice
+// indexing, the division — not a reciprocal multiply — kept
+// bit-identical to the legacy kernel's) runs only where the pruner
+// cannot skip it. zMin and zMax are the extrema of z; floor is the
+// parallel scan's shared floor, nil on the sequential path.
+func (a *Analyzer) scanResamplingRange(z []float64, zMin, zMax float64, floor *lossFloor, lo, hi int64) LossReport {
 	rep := LossReport{}
 	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
 	pmf := a.pmf
+	pr := newPruner(floor)
+	w := a.newShiftWindow(lo)
+	defer w.release()
 	for y := lo; y <= hi; y++ {
+		wMax, _, wMin, _ := w.step(y)
+		if pr.skip(wMin/zMax, wMax/zMin) {
+			continue
+		}
 		pMax, pMin := math.Inf(-1), math.Inf(1)
 		var xMax, xMin int64
 		base := y + a.maxK
@@ -225,27 +353,37 @@ func (a *Analyzer) scanResamplingRange(z []float64, lo, hi int64) LossReport {
 		if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
 			return rep
 		}
+		pr.found(rep)
 	}
 	return rep
 }
 
-// scanConstantTimeRange is the devirtualized constant-time kernel:
+// scanConstantTimeRange is the bound-and-prune constant-time kernel:
 // the acceptance factors and the k-th-power clamp atoms are hoisted
-// into per-x tables, leaving one multiply per interior cell.
-func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, accept, atomLo, atomHi []float64, lo, hi int64) LossReport {
+// into per-x tables, leaving one multiply per interior cell. Interior
+// cells pmf[y−x]·accept[x] are bounded by [wMin·aMin, wMax·aMax] with
+// aMin and aMax the extrema of accept, and pruned by the pruner; the
+// two clamp-atom outputs yLo and yHi are always scanned exactly.
+func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, accept []float64, aMin, aMax float64, atomLo, atomHi []float64, floor *lossFloor, lo, hi int64) LossReport {
 	rep := LossReport{}
 	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
 	pmf := a.pmf
+	pr := newPruner(floor)
+	w := a.newShiftWindow(lo)
+	defer w.release()
 	for y := lo; y <= hi; y++ {
-		pMax, pMin := math.Inf(-1), math.Inf(1)
-		var xMax, xMin int64
-		base := y + a.maxK
+		wMax, _, wMin, _ := w.step(y)
 		var atom []float64
 		if y == yLo {
 			atom = atomLo
 		} else if y == yHi {
 			atom = atomHi
+		} else if pr.skip(wMin*aMin, wMax*aMax) {
+			continue
 		}
+		pMax, pMin := math.Inf(-1), math.Inf(1)
+		var xMax, xMin int64
+		base := y + a.maxK
 		for x := xLo; x <= xHi; x++ {
 			p := 0.0
 			if i := base - x; uint64(i) < uint64(len(pmf)) {
@@ -264,6 +402,7 @@ func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, accept, atomLo, atomHi 
 		if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
 			return rep
 		}
+		pr.found(rep)
 	}
 	return rep
 }
@@ -295,17 +434,19 @@ func (a *Analyzer) chunkSpan(outputs int64, workers int) int64 {
 }
 
 // parallelScan runs scan over [yLo, yHi]. Large ranges are split into
-// cache-sized chunks distributed over the machine's cores via a
-// work-stealing counter; the merge is deterministic (smallest worst
-// output wins ties), so parallel and sequential runs agree exactly.
-// Once a chunk reports an infinite loss, chunks strictly after it are
+// cache-sized chunks distributed over GOMAXPROCS workers — the Ps the
+// process may actually run on — via a work-stealing counter; the merge
+// is deterministic (smallest worst output wins ties), so parallel and
+// sequential runs agree exactly. The chunks share one pruning floor
+// for the bound-and-prune kernels (nil on the sequential path). Once a
+// chunk reports an infinite loss, chunks strictly after it are
 // skipped — their results can never win the merge against an earlier
 // infinite report.
-func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64) LossReport) LossReport {
+func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64, floor *lossFloor) LossReport) LossReport {
 	outputs := yHi - yLo + 1
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if outputs < parallelCutoff || workers < 2 {
-		return scan(yLo, yHi)
+		return scan(yLo, yHi, nil)
 	}
 	chunk := a.chunkSpan(outputs, workers)
 	nchunks := (outputs + chunk - 1) / chunk
@@ -315,6 +456,7 @@ func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64) LossRepo
 	parts := make([]LossReport, nchunks)
 	var next atomic.Int64
 	var firstInf atomic.Int64
+	var floor lossFloor
 	firstInf.Store(nchunks)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -334,7 +476,7 @@ func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64) LossRepo
 				if hi > yHi {
 					hi = yHi
 				}
-				rep := scan(lo, hi)
+				rep := scan(lo, hi, &floor)
 				parts[c] = rep
 				if rep.Infinite {
 					for {
@@ -391,6 +533,7 @@ func (a *Analyzer) lossSweep(t int64) (yLo int64, losses []float64) {
 		pMax, _, pMin, _ := w.step(y)
 		set(y, pMax, pMin)
 	}
+	w.release()
 	pMax, _, pMin, _ = colExtrema(xLo, xHi, func(x int64) float64 {
 		return a.tailAtLeast(yHi - x)
 	})

@@ -134,8 +134,9 @@ func clampThreshold(par Params, k float64, capSteps int64) (int64, error) {
 // ExactResamplingThreshold searches for the largest threshold whose
 // exact worst-case loss (per the Analyzer) is at most mult·ε. It is
 // the tight counterpart of ResamplingThreshold, useful to quantify
-// how conservative the closed form is. The search is monotone-bisection
-// over [0, MaxK].
+// how conservative the closed form is. The search bisects over
+// [1, MaxK], assuming the loss is monotone in the threshold; an error
+// is returned when threshold 1 already exceeds the target.
 func ExactResamplingThreshold(par Params, mult float64) (int64, error) {
 	if err := par.Validate(); err != nil {
 		return 0, err
