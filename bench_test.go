@@ -311,7 +311,8 @@ func benchDPBoxObs(b *testing.B, enabled bool) {
 func BenchmarkDPBoxObsDisabled(b *testing.B) { benchDPBoxObs(b, false) }
 
 // BenchmarkDPBoxObsEnabled has the full plane attached (counters,
-// odometer, trace ring) for comparison.
+// histograms, odometer) for comparison; CI pins it at 0 allocs/op
+// too.
 func BenchmarkDPBoxObsEnabled(b *testing.B) { benchDPBoxObs(b, true) }
 
 // benchReportSpan is the flight-recorder overhead guard: one full

@@ -25,7 +25,7 @@
 // and sequence numbering all survive the restart.
 //
 // -metrics attaches the telemetry plane (privacy odometer, counters,
-// trace ring) and prints its final JSON snapshot when the session
+// histograms) and prints its final JSON snapshot when the session
 // ends. -debug additionally serves the plane on /debug/vars (expvar),
 // Prometheus text exposition on /metrics, and /debug/pprof at ADDR
 // for the session's lifetime.

@@ -83,7 +83,7 @@ func run() int {
 	maxDelay := flag.Int("maxdelay", 3, "max reorder holdback in frames")
 	crashEvery := flag.Int("crash-every", 0, "crash-recover each node after every k-th report (0 = never)")
 	durable := flag.Bool("durable", false, "run the collector on a durable checkpoint store")
-	nvmdir := flag.String("nvmdir", "", "back the chaos run's durable state with file-based NVM under this directory; rerunning resumes a killed run")
+	nvmdir := flag.String("nvmdir", "", "back the chaos run's durable state with file-based NVM under this directory (implies -durable); rerunning resumes a killed run")
 	collectorCrash := flag.String("collectorcrash", "", "comma-separated checkpoint word-write counts at which the collector crashes and recovers (implies -durable)")
 	workers := flag.Int("workers", 0, "node worker-pool size (0 = 8x GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "collector ingest shards (0 = GOMAXPROCS)")
@@ -139,7 +139,7 @@ func run() int {
 		Workers:          *workers,
 		Shards:           *shards,
 		Deadline:         *deadline,
-		Durable:          *durable || len(crashSchedule) > 0,
+		Durable:          *durable || *nvmdir != "" || len(crashSchedule) > 0,
 		NVMDir:           *nvmdir,
 		CollectorCrashes: crashSchedule,
 		Link: fault.LinkProfile{
@@ -296,15 +296,7 @@ func writeTrace(path string, r fleet.Result, durable bool) int {
 		fmt.Fprintln(os.Stderr, "fleetsim: span chain:", v)
 		bad++
 	}
-	var alerts []obs.Event
-	if r.Obs != nil {
-		for _, e := range r.Obs.Traces["trace"].Events {
-			if e.Kind == obs.EvBurnAlert {
-				alerts = append(alerts, e)
-			}
-		}
-	}
-	data, err := obs.PerfettoJSON(r.Flight, alerts)
+	data, err := obs.PerfettoJSON(r.Flight, r.Burn)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim: trace export:", err)
 		return bad + 1

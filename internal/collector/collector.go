@@ -670,13 +670,13 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 			sh.stats.BreakerDrops++
 			if m != nil {
 				m.BreakerDrops.Inc()
-				m.transition(int64(id), BreakerHalfOpen, BreakerOpen)
+				m.transition(BreakerHalfOpen, BreakerOpen)
 			}
 			return
 		}
 		ns.breaker = BreakerClosed
 		ns.consecFail = 0
-		m.transition(int64(id), BreakerHalfOpen, BreakerClosed)
+		m.transition(BreakerHalfOpen, BreakerClosed)
 	case BreakerClosed:
 		if unhealthy {
 			ns.consecFail++
@@ -686,7 +686,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 				sh.stats.BreakerDrops++
 				if m != nil {
 					m.BreakerDrops.Inc()
-					m.transition(int64(id), BreakerClosed, BreakerOpen)
+					m.transition(BreakerClosed, BreakerOpen)
 				}
 				return
 			}
@@ -793,7 +793,7 @@ func (sh *shard) compactLocked() {
 func (sh *shard) idleTick() {
 	m := sh.c.cfg.Obs
 	sh.mu.Lock()
-	for id, ns := range sh.nodes {
+	for _, ns := range sh.nodes {
 		if ns.end == nil {
 			continue // recovered, not yet re-attached: no link to tick
 		}
@@ -812,13 +812,13 @@ func (sh *shard) idleTick() {
 			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
 				ns.breaker = BreakerOpen
 				ns.openLeft = sh.c.cfg.OpenTicks
-				m.transition(int64(id), BreakerClosed, BreakerOpen)
+				m.transition(BreakerClosed, BreakerOpen)
 			}
 		case BreakerOpen:
 			ns.openLeft--
 			if ns.openLeft <= 0 {
 				ns.breaker = BreakerHalfOpen
-				m.transition(int64(id), BreakerOpen, BreakerHalfOpen)
+				m.transition(BreakerOpen, BreakerHalfOpen)
 			}
 		case BreakerHalfOpen:
 			// Still silent; keep waiting for the probe.

@@ -2,11 +2,6 @@ package collector
 
 import "ulpdp/internal/obs"
 
-// EvBreaker is the trace event for a circuit-breaker transition:
-// Node = the node id, A = state before, B = state after (BreakerState
-// values).
-const EvBreaker = "collector.breaker"
-
 // Metrics is the collector's slice of the telemetry plane. The
 // transition counters make the breaker's full lifecycle observable:
 // Opened counts closed→open trips, HalfOpened open→half-open
@@ -41,7 +36,6 @@ type Metrics struct {
 	RecoverReplayed *obs.Counter
 
 	QueueDepth *obs.Gauge
-	Trace      *obs.Trace
 
 	// Flight, when non-nil, receives shard-admit and checkpoint-commit
 	// span stamps keyed by (node, seq). Wired by the fleet; nil keeps
@@ -69,12 +63,11 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RecoverReplayed: r.Counter("collector.recover_reports_replayed"),
 
 		QueueDepth: r.Gauge("collector.queue_depth"),
-		Trace:      r.Trace("trace", 1024),
 	}
 }
 
 // transition records one breaker state change on the plane.
-func (m *Metrics) transition(node int64, from, to BreakerState) {
+func (m *Metrics) transition(from, to BreakerState) {
 	if m == nil {
 		return
 	}
@@ -88,5 +81,4 @@ func (m *Metrics) transition(node int64, from, to BreakerState) {
 	case from == BreakerHalfOpen && to == BreakerOpen:
 		m.Reopened.Inc()
 	}
-	m.Trace.Emit(EvBreaker, 0, node, int64(from), int64(to))
 }

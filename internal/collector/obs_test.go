@@ -8,82 +8,112 @@ import (
 	"ulpdp/internal/transport"
 )
 
+// breakerArcs accumulates one node's breaker transition sequence from
+// its query-view state sampled after every scripted phase. A phase
+// that moves the breaker at most once leaves every arc visible.
+type breakerArcs struct {
+	last BreakerState // starts closed, as every attached node does
+	arcs [][2]BreakerState
+}
+
+func (b *breakerArcs) sample(s BreakerState) {
+	if s != b.last {
+		b.arcs = append(b.arcs, [2]BreakerState{b.last, s})
+		b.last = s
+	}
+}
+
+// fullBreakerLifecycle is the arc sequence of a breaker tripped by
+// silence or bad reports, re-opened by a failed probe, and closed by a
+// healthy one.
+var fullBreakerLifecycle = [][2]BreakerState{
+	{BreakerClosed, BreakerOpen},
+	{BreakerOpen, BreakerHalfOpen},
+	{BreakerHalfOpen, BreakerOpen},
+	{BreakerOpen, BreakerHalfOpen},
+	{BreakerHalfOpen, BreakerClosed},
+}
+
+// checkArcs fails unless got is exactly want.
+func checkArcs(t *testing.T, node int, got, want [][2]BreakerState) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("node %d: breaker arcs %v, want %v", node, got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("node %d arc %d: %v→%v, want %v→%v", node, k, got[k][0], got[k][1], want[k][0], want[k][1])
+		}
+	}
+}
+
 // TestBreakerTransitionMetrics drives a breaker through its full
 // lifecycle — closed → open → half-open → (failed probe) open →
 // half-open → closed — and asserts every transition is visible in the
-// counters and the trace ring, in order.
+// counters and in the node's query view, in order. Silence is
+// advanced with tickAll, never the wall clock, so each phase stops on
+// exactly one transition.
 func TestBreakerTransitionMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2, Obs: m})
+	col := New(Config{PollTimeout: time.Hour, BreakerThreshold: 3, OpenTicks: 2, Obs: m})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
-	end := link.NodeEnd()
-
-	end.Send(transport.Packet{Kind: transport.KindReport, Node: 5, Seq: 0, Value: 40})
 	if err := col.Attach(5, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
-	state := func() NodeView {
+	end := link.NodeEnd()
+
+	var arcs breakerArcs
+	sample := func() {
 		v, ok := col.Node(5)
 		if !ok {
 			t.Fatal("node 5 not attached")
 		}
-		return v
+		arcs.sample(v.Breaker)
 	}
-	waitFor(t, 5*time.Second, "first report", func() bool { return state().Have })
+	// tickUntil advances silence until counter c reaches want.
+	tickUntil := func(what string, c *obs.Counter, want uint64) {
+		t.Helper()
+		for k := 0; c.Value() < want; k++ {
+			if k > 16 {
+				t.Fatalf("%s: %d idle ticks without the transition", what, k)
+			}
+			col.tickAll()
+		}
+		sample()
+	}
 
-	// Silence trips the breaker: closed → open, once. Transitions are
-	// awaited on the monotonic counters, not by sampling the breaker
-	// state — at PollTimeout granularity the open window lasts only a
-	// few milliseconds and a descheduled poller can miss it entirely.
-	waitFor(t, 5*time.Second, "breaker open", func() bool { return m.Opened.Value() == 1 })
+	end.Send(transport.Packet{Kind: transport.KindReport, Node: 5, Seq: 0, Value: 40})
+	waitFor(t, 5*time.Second, "first report", func() bool { v, _ := col.Node(5); return v.Have })
+	sample()
+
+	// Silence trips the breaker: closed → open, once.
+	tickUntil("breaker open", m.Opened, 1)
 	if m.Timeouts.Value() == 0 {
 		t.Fatal("breaker tripped with no timeout counted")
 	}
 
 	// Cooldown half-opens it; a failed (unhealthy) probe re-opens.
-	waitFor(t, 5*time.Second, "half-open", func() bool { return m.HalfOpened.Value() == 1 })
+	tickUntil("half-open", m.HalfOpened, 1)
 	end.Send(transport.Packet{
 		Kind: transport.KindReport, Node: 5, Seq: 1, Value: 41,
 		Flags: transport.FlagUnhealthy,
 	})
 	waitFor(t, 5*time.Second, "re-open after bad probe", func() bool { return m.Reopened.Value() == 1 })
+	sample()
 	if m.BreakerDrops.Value() == 0 {
 		t.Fatal("failed probe was not counted as a breaker drop")
 	}
 
 	// Second cooldown; a healthy probe closes the breaker.
-	waitFor(t, 5*time.Second, "half-open again", func() bool { return m.HalfOpened.Value() == 2 })
+	tickUntil("half-open again", m.HalfOpened, 2)
 	end.Send(transport.Packet{Kind: transport.KindReport, Node: 5, Seq: 1, Value: 50})
-	waitFor(t, 5*time.Second, "closed after probe", func() bool { return state().Breaker == BreakerClosed })
-	if got := m.Closed.Value(); got != 1 {
-		t.Fatalf("closed = %d, want 1", got)
-	}
+	waitFor(t, 5*time.Second, "closed after probe", func() bool { return m.Closed.Value() == 1 })
+	sample()
 	if got := m.Opened.Value(); got != 1 {
 		t.Fatalf("opened grew to %d after recovery, want 1", got)
 	}
 
-	// The trace ring replays the exact transition sequence for node 5.
-	want := [][2]BreakerState{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
-	}
-	var got [][2]BreakerState
-	for _, ev := range m.Trace.Events() {
-		if ev.Kind == EvBreaker && ev.Node == 5 {
-			got = append(got, [2]BreakerState{BreakerState(ev.A), BreakerState(ev.B)})
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("trace has %d breaker transitions %v, want %d", len(got), got, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("transition %d = %v→%v, want %v→%v", i, got[i][0], got[i][1], want[i][0], want[i][1])
-		}
-	}
+	checkArcs(t, 5, arcs.arcs, fullBreakerLifecycle)
 }

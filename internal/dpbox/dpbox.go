@@ -178,11 +178,11 @@ type Config struct {
 	// an adversarial URNG can then stall noising indefinitely).
 	WatchdogDisabled bool
 	// Obs is an optional telemetry plane (counters, histograms, the
-	// privacy odometer, the trace ring). Nil costs one nil check per
+	// privacy odometer, the flight recorder). Nil costs one nil check per
 	// hook site and zero allocations on the noising hot path.
 	Obs *Metrics
 	// ObsChannel labels this box's telemetry: it indexes the privacy
-	// odometer and tags trace events (a Bank channel index or a fleet
+	// odometer and keys flight spans (a Bank channel index or a fleet
 	// node id). Ignored when Obs is nil.
 	ObsChannel int
 }
@@ -270,19 +270,10 @@ type DPBox struct {
 	armedSeq  uint64 // that seq
 
 	// Telemetry plane (nil = disabled) and this box's odometer
-	// channel / trace label.
+	// channel / flight-recorder node label.
 	obs      *Metrics
 	obsCh    int
 	lastBand int64 // charge band of the last chargeUnitsFor call
-
-	// Per-cycle telemetry event wires, mirrored into the VCD trace as
-	// marker signals so waveform dumps line up with the trace ring.
-	// Reset at every clock edge; independent of obs so waveforms carry
-	// markers even without a Metrics attached.
-	evResample    int   // resample count this cycle (0 = none)
-	evCharge      bool  // a budget charge committed this cycle
-	evChargeUnits int64 // its size in sixteenth-nat units
-	evDegrade     bool  // the resample watchdog tripped this cycle
 
 	tracer Tracer
 }
@@ -412,9 +403,6 @@ func (l *budgetLedger) tick() bool {
 			if l.j != nil {
 				m.JournalReplenishes.Inc()
 			}
-			// The ledger has no clock of its own; refill events from a
-			// shared (Bank) ledger carry cycle 0.
-			m.Trace.Emit(EvReplenish, 0, -1, l.initial, 0)
 		}
 	}
 	return true
@@ -634,14 +622,10 @@ func (b *DPBox) healthGate() bool {
 		b.healthy = err == nil && urng.Passed(res)
 		if m := b.obs; m != nil {
 			m.BatteryRuns.Inc()
-			z := worstZ(res)
-			m.BatteryWorstZ.Set(z)
-			pass := int64(1)
+			m.BatteryWorstZ.Set(worstZ(res))
 			if !b.healthy {
-				pass = 0
 				m.BatteryFails.Inc()
 			}
-			m.Trace.Emit(EvBattery, b.cycles, int64(b.obsCh), pass, z)
 		}
 	}
 	return b.healthy
@@ -868,9 +852,6 @@ func (b *DPBox) Step() {
 // plane's power schedule and the replenishment timer.
 func (b *DPBox) tick() {
 	b.cycles++
-	// Telemetry event wires are combinational: they pulse for the
-	// cycle that produced them and clear at the next edge.
-	b.evResample, b.evCharge, b.evChargeUnits, b.evDegrade = 0, false, 0, false
 	if b.fp != nil && b.fp.Tick() {
 		b.powerFail()
 		return
@@ -895,7 +876,6 @@ func (b *DPBox) powerFail() {
 	}
 	if m := b.obs; m != nil {
 		m.PowerLosses.Inc()
-		m.Trace.Emit(EvPowerLoss, b.cycles, int64(b.obsCh), 0, 0)
 	}
 }
 
@@ -940,10 +920,8 @@ func (b *DPBox) noisingCycle() {
 		}
 		if y < lo || y > hi {
 			b.resamples++
-			b.evResample = b.resamples
 			if m := b.obs; m != nil {
 				m.Resamples.Inc()
-				m.Trace.Emit(EvResample, b.cycles, int64(b.obsCh), int64(b.resamples), 0)
 			}
 			if b.resampleCap > 0 && b.resamples >= b.resampleCap {
 				b.degrade(y)
@@ -986,10 +964,8 @@ func (b *DPBox) noisingCycle() {
 // cache.
 func (b *DPBox) degrade(y int64) {
 	b.degraded = true
-	b.evDegrade = true
 	if m := b.obs; m != nil {
 		m.Degraded.Inc()
-		m.Trace.Emit(EvDegrade, b.cycles, int64(b.obsCh), int64(b.resamples), 0)
 	}
 	if !b.degradeOK {
 		if b.haveCache {
@@ -1067,20 +1043,15 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 	b.out = y
 	b.ready = true
 	b.phase = PhaseWaiting
-	if !fromCache {
-		b.evCharge, b.evChargeUnits = true, chargeU
-	}
 	if m := b.obs; m != nil {
 		m.Transactions.Inc()
 		m.ResamplesPerTxn.Observe(int64(b.resamples))
 		if fromCache {
 			m.CacheReplays.Inc()
-			m.Trace.Emit(EvCacheReplay, b.cycles, int64(b.obsCh), 0, y)
 		} else {
 			m.ChargeUnits.Observe(chargeU)
 			m.ChargeBands.Observe(b.lastBand)
 			m.Odometer.Charge(b.obsCh, float64(chargeU)*chargeUnit)
-			m.Trace.Emit(EvCharge, b.cycles, int64(b.obsCh), chargeU, y)
 		}
 	}
 }
@@ -1172,7 +1143,6 @@ func (b *DPBox) NoiseValueSeq(seq uint64, x int64) (NoiseResult, error) {
 	if rel, ok := b.releases[seq]; ok {
 		if m := b.obs; m != nil {
 			m.SeqReplays.Inc()
-			m.Trace.Emit(EvSeqReplay, b.cycles, int64(b.obsCh), int64(seq), rel.Value)
 			m.Flight.Record(int64(b.obsCh), seq, obs.StageReplayed)
 		}
 		return NoiseResult{

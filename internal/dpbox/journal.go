@@ -412,7 +412,6 @@ func Recover(cfg Config, j *Journal) (*DPBox, error) {
 	b.phase = PhaseWaiting
 	if m := b.obs; m != nil {
 		m.JournalRecovers.Inc()
-		m.Trace.Emit(EvRecover, 0, int64(b.obsCh), st.Units, int64(len(st.Releases)))
 	}
 	return b, nil
 }

@@ -6,36 +6,6 @@ import (
 	"ulpdp/internal/urng"
 )
 
-// Telemetry event kinds emitted to the shared trace ring. They are
-// package-level constants so emission never allocates; operand
-// semantics are documented in docs/observability.md.
-const (
-	// EvResample: one resample cycle. A = resample count so far this
-	// transaction.
-	EvResample = "dpbox.resample"
-	// EvCharge: a budget charge committed. A = charge in sixteenth-nat
-	// units, B = released output in steps.
-	EvCharge = "budget.charge"
-	// EvDegrade: the resample watchdog tripped. A = resamples burned.
-	EvDegrade = "dpbox.degrade"
-	// EvCacheReplay: an output served from the exhausted-budget /
-	// health-gate cache at zero charge. B = replayed value.
-	EvCacheReplay = "dpbox.cache_replay"
-	// EvSeqReplay: a sequence-labelled request replayed its journaled
-	// release. A = report seq, B = replayed value.
-	EvSeqReplay = "dpbox.seq_replay"
-	// EvPowerLoss: the power rail failed; the module is dead.
-	EvPowerLoss = "dpbox.power_loss"
-	// EvBattery: an online URNG battery run. A = 1 healthy / 0 failing,
-	// B = worst |z| statistic in milli-sigma.
-	EvBattery = "urng.battery"
-	// EvRecover: secure boot replayed the journal. A = recovered
-	// balance in units, B = recovered release count.
-	EvRecover = "budget.recover"
-	// EvReplenish: the replenishment timer refilled the ledger.
-	EvReplenish = "budget.replenish"
-)
-
 // Metrics is the DP-Box's slice of the telemetry plane: every
 // instrument the module and its budget ledger touch, pre-registered so
 // hook sites are single atomic operations. A nil *Metrics disables the
@@ -44,7 +14,7 @@ const (
 //
 // One Metrics may be shared by many boxes — a Bank's channels or a
 // fleet's nodes — distinguished by Config.ObsChannel, which indexes
-// the privacy odometer and labels trace events.
+// the privacy odometer and labels flight-recorder spans.
 type Metrics struct {
 	// Transaction counters.
 	Transactions    *obs.Counter   // completed noising transactions
@@ -78,9 +48,6 @@ type Metrics struct {
 	JournalCommits     *obs.Counter
 	JournalReplenishes *obs.Counter
 	JournalRecovers    *obs.Counter
-
-	// Trace is the shared event ring (kinds Ev*).
-	Trace *obs.Trace
 
 	// Flight, when non-nil, receives per-report span stamps (journal
 	// commit, replay) keyed by (ObsChannel, seq). It is wired by the
@@ -118,8 +85,6 @@ func NewMetrics(r *obs.Registry, channels int) *Metrics {
 		JournalCommits:     r.Counter("budget.journal.commits"),
 		JournalReplenishes: r.Counter("budget.journal.replenishes"),
 		JournalRecovers:    r.Counter("budget.journal.recovers"),
-
-		Trace: r.Trace("trace", 1024),
 	}
 }
 

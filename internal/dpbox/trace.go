@@ -21,13 +21,6 @@ type TraceState struct {
 	Degraded bool
 	// Healthy mirrors the online URNG battery verdict.
 	Healthy bool
-	// Telemetry event wires, valid for this cycle only (cleared at
-	// the next edge): they mirror the obs trace-ring events so VCD
-	// markers and the ring line up cycle for cycle.
-	EvResample    int   // resample count after this cycle's miss (0 = no miss)
-	EvCharge      bool  // a budget charge committed this cycle
-	EvChargeUnits int64 // its size in sixteenth-nat units
-	EvDegrade     bool  // the resample watchdog tripped this cycle
 }
 
 // Tracer observes the module cycle by cycle.
@@ -45,19 +38,15 @@ func (b *DPBox) trace() {
 		return
 	}
 	b.tracer.Cycle(b.cycles, TraceState{
-		Phase:         b.phase,
-		Ready:         b.ready,
-		Out:           b.out,
-		Sensor:        b.sensor,
-		BudgetUnits:   b.ledger.units,
-		Resampling:    b.resampling,
-		FromCache:     b.fromCache,
-		Degraded:      b.degraded,
-		Healthy:       b.Healthy(),
-		EvResample:    b.evResample,
-		EvCharge:      b.evCharge,
-		EvChargeUnits: b.evChargeUnits,
-		EvDegrade:     b.evDegrade,
+		Phase:       b.phase,
+		Ready:       b.ready,
+		Out:         b.out,
+		Sensor:      b.sensor,
+		BudgetUnits: b.ledger.units,
+		Resampling:  b.resampling,
+		FromCache:   b.fromCache,
+		Degraded:    b.degraded,
+		Healthy:     b.Healthy(),
 	})
 }
 
@@ -74,33 +63,22 @@ type VCDTracer struct {
 	cache  *vcd.Signal
 	degr   *vcd.Signal
 	health *vcd.Signal
-	// Telemetry marker signals mirroring the obs trace ring: each
-	// event pulses for exactly the cycle it occurred in, so a waveform
-	// viewer lines up with the ring's Cycle stamps.
-	evResamp *vcd.Signal // resample count this cycle (0 between misses)
-	evCharge *vcd.Signal // 1-cycle pulse per committed charge
-	chargeU  *vcd.Signal // charge size (units) during the pulse
-	evDegr   *vcd.Signal // 1-cycle pulse per watchdog trip
 }
 
 // NewVCDTracer builds a tracer writing a waveform to out.
 func NewVCDTracer(out io.Writer) (*VCDTracer, error) {
 	w := vcd.New(out, "dpbox")
 	t := &VCDTracer{
-		w:        w,
-		phase:    w.Signal("phase", 2),
-		ready:    w.Signal("ready", 1),
-		out:      w.Signal("noised_out", 20),
-		sensor:   w.Signal("sensor", 20),
-		budget:   w.Signal("budget_units", 32),
-		resamp:   w.Signal("mode_resampling", 1),
-		cache:    w.Signal("from_cache", 1),
-		degr:     w.Signal("degraded", 1),
-		health:   w.Signal("urng_healthy", 1),
-		evResamp: w.Signal("evt_resample", 16),
-		evCharge: w.Signal("evt_charge", 1),
-		chargeU:  w.Signal("evt_charge_units", 32),
-		evDegr:   w.Signal("evt_degrade", 1),
+		w:      w,
+		phase:  w.Signal("phase", 2),
+		ready:  w.Signal("ready", 1),
+		out:    w.Signal("noised_out", 20),
+		sensor: w.Signal("sensor", 20),
+		budget: w.Signal("budget_units", 32),
+		resamp: w.Signal("mode_resampling", 1),
+		cache:  w.Signal("from_cache", 1),
+		degr:   w.Signal("degraded", 1),
+		health: w.Signal("urng_healthy", 1),
 	}
 	if err := w.Begin(); err != nil {
 		return nil, err
@@ -120,10 +98,6 @@ func (t *VCDTracer) Cycle(cycle uint64, s TraceState) {
 	t.cache.Set(boolBit(s.FromCache))
 	t.degr.Set(boolBit(s.Degraded))
 	t.health.Set(boolBit(s.Healthy))
-	t.evResamp.Set(uint64(s.EvResample) & 0xFFFF)
-	t.evCharge.Set(boolBit(s.EvCharge))
-	t.chargeU.Set(uint64(s.EvChargeUnits) & 0xFFFFFFFF)
-	t.evDegr.Set(boolBit(s.EvDegrade))
 }
 
 // Close flushes the waveform.

@@ -419,7 +419,7 @@ func Run(cfg Config) (Result, error) {
 			colM.Flight = cfg.Flight
 		}
 		if cfg.Burn != nil {
-			cfg.Burn.Bind(burnM, boxM.Trace)
+			cfg.Burn.Bind(burnM)
 			boxM.Odometer.SetBurn(cfg.Burn)
 		}
 	}

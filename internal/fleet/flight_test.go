@@ -85,26 +85,29 @@ func TestFlightRecorderTransparency(t *testing.T) {
 	}
 }
 
-// TestFleetBurnAlertTripsBeforeEnvelope drives a synthetic overspend
-// fault: the alerter is configured as if the certified n·ε envelope
-// were planned to last 1000× more charges than the run issues, so the
-// fleet's real charge stream (≥ 1/16 nat each) burns three orders of
-// magnitude above plan. The alert must latch before the cumulative
-// spend reaches the envelope — the operator hears about the overspend
-// while there is still budget left to save.
-func TestFleetBurnAlertTripsBeforeEnvelope(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := Config{Nodes: 4, Reports: 6, Seed: gridSeed(t), Obs: reg}
-	envelope := obs.MicroNats(float64(cfg.Nodes*cfg.Reports) * PerReportCapNats)
+// overspendConfig wires a synthetic overspend fault: the alerter is
+// configured as if the certified n·ε envelope were planned to last
+// 1000× more charges than the run issues, so the fleet's real charge
+// stream (≥ 1/16 nat each) burns three orders of magnitude above
+// plan. It returns the config and the envelope in µnats.
+func overspendConfig(t *testing.T, nodes, reports int) (Config, int64) {
+	t.Helper()
+	cfg := Config{Nodes: nodes, Reports: reports, Seed: gridSeed(t), Obs: obs.NewRegistry()}
+	envelope := obs.MicroNats(float64(nodes*reports) * PerReportCapNats)
 	burn, err := obs.NewBurnAlerter(obs.BurnConfig{
 		EnvelopeMicroNats: envelope,
-		HorizonCharges:    uint64(cfg.Nodes*cfg.Reports) * 1000,
+		HorizonCharges:    uint64(nodes*reports) * 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Burn = burn
+	return cfg, envelope
+}
 
+// runClean runs cfg and fails the test on an error or a violation.
+func runClean(t *testing.T, cfg Config) Result {
+	t.Helper()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +115,16 @@ func TestFleetBurnAlertTripsBeforeEnvelope(t *testing.T) {
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
 	}
+	return res
+}
+
+// TestFleetBurnAlertTripsBeforeEnvelope drives the synthetic
+// overspend fault. The alert must latch before the cumulative spend
+// reaches the envelope — the operator hears about the overspend while
+// there is still budget left to save.
+func TestFleetBurnAlertTripsBeforeEnvelope(t *testing.T) {
+	cfg, envelope := overspendConfig(t, 4, 6)
+	res := runClean(t, cfg)
 	if !res.BurnAlert {
 		t.Fatal("synthetic overspend did not trip BurnAlert")
 	}
@@ -124,16 +137,45 @@ func TestFleetBurnAlertTripsBeforeEnvelope(t *testing.T) {
 	if res.Obs.Counters["burn.alerts"] == 0 {
 		t.Error("burn.alerts counter is 0 despite a tripped alert")
 	}
-	// The alert event must be visible in the shared trace ring.
-	found := false
-	for _, e := range res.Obs.Traces["trace"].Events {
-		if e.Kind == obs.EvBurnAlert {
-			found = true
-			break
+}
+
+// TestFleetBurnAlertReachesPerfetto pins that a large fleet's alert
+// survives into the Perfetto export: 64 nodes × 16 reports under the
+// synthetic overspend emit thousands of telemetry facts, and the one
+// latched burn.alert must still render exactly once, from the
+// alerter's snapshot.
+func TestFleetBurnAlertReachesPerfetto(t *testing.T) {
+	cfg, _ := overspendConfig(t, 64, 16)
+	cfg.Flight = obs.NewFlightRecorder(cfg.Nodes * cfg.Reports * 2)
+	res := runClean(t, cfg)
+	if !res.BurnAlert {
+		t.Fatal("synthetic overspend did not trip BurnAlert")
+	}
+	data, err := obs.PerfettoJSON(res.Flight, res.Burn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	alerts := 0
+	for _, e := range f.TraceEvents {
+		if e.Name != "burn.alert" {
+			continue
+		}
+		alerts++
+		if got := e.Args["spent_micro_nats"]; got != float64(res.Burn.TrippedAtMicroNats) {
+			t.Errorf("burn.alert spent_micro_nats = %v, want %d", got, res.Burn.TrippedAtMicroNats)
 		}
 	}
-	if !found {
-		t.Error("no burn.alert event in the trace ring")
+	if alerts != 1 {
+		t.Fatalf("Perfetto export has %d burn.alert instants, want 1", alerts)
 	}
 }
 
@@ -167,21 +209,9 @@ func TestFleetPerfettoGolden(t *testing.T) {
 	cfg := chaosFlightConfig(gridSeed(t))
 	cfg.Obs = obs.NewRegistry()
 	cfg.Flight = obs.NewFlightRecorder(cfg.Nodes * cfg.Reports * 2)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 0 {
-		t.Fatalf("violations: %v", res.Violations)
-	}
+	res := runClean(t, cfg)
 
-	var alerts []obs.Event
-	for _, e := range res.Obs.Traces["trace"].Events {
-		if e.Kind == obs.EvBurnAlert {
-			alerts = append(alerts, e)
-		}
-	}
-	data, err := obs.PerfettoJSON(res.Flight, alerts)
+	data, err := obs.PerfettoJSON(res.Flight, res.Burn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,6 @@ var goldenNames = []string{
 	"nvm.banks",
 	"nvm.compactions",
 	"nvm.durable_words",
-	"trace",
 	"transport.corrupted",
 	"transport.delivered",
 	"transport.dropped",
@@ -104,7 +103,7 @@ func TestFleetMetricSchemaGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("snapshot is not a JSON object: %v", err)
 	}
-	for _, key := range []string{"counters", "gauges", "histograms", "odometers", "traces"} {
+	for _, key := range []string{"counters", "gauges", "histograms", "odometers"} {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("snapshot JSON missing %q section", key)
 		}

@@ -166,7 +166,6 @@ func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error
 	a.next = seq + 1
 	if m := a.cfg.Obs; m != nil {
 		m.Reports.Inc()
-		m.Trace.Emit(EvNoised, a.box.Cycles(), int64(a.cfg.ID), int64(seq), res.Value)
 		if res.Degraded {
 			m.Flight.Record(int64(a.cfg.ID), seq, obs.StageDegraded)
 		}
@@ -187,9 +186,7 @@ func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error
 	out.Attempts = attempts
 	if m := a.cfg.Obs; m != nil && err == nil {
 		// The (node, seq) span closes: noise drawn → ACK recorded.
-		lat := time.Since(noisedAt).Microseconds()
-		m.LatencyUs.Observe(lat)
-		m.Trace.Emit(EvAcked, a.box.Cycles(), int64(a.cfg.ID), int64(seq), lat)
+		m.LatencyUs.Observe(time.Since(noisedAt).Microseconds())
 	}
 	return out, err
 }
@@ -248,7 +245,6 @@ func (a *ReportAgent) deliver(ctx context.Context, pkt transport.Packet, budget 
 		}
 		if err != nil {
 			m.Abandoned.Inc()
-			m.Trace.Emit(EvAbandoned, a.box.Cycles(), int64(a.cfg.ID), int64(pkt.Seq), int64(attempts))
 			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAbandoned)
 		} else {
 			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAck)

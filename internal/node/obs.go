@@ -2,23 +2,8 @@ package node
 
 import "ulpdp/internal/obs"
 
-// Trace event kinds for the report span: a report's life from noising
-// to ACK is traced by its (node, seq) pair, so the ring shows the
-// end-to-end path of every recent report.
-const (
-	// EvNoised: a report's noise was drawn (or replayed) and delivery
-	// begins. A = report seq, B = noised value.
-	EvNoised = "report.noised"
-	// EvAcked: the collector's ACK arrived. A = report seq,
-	// B = end-to-end latency in µs since noising.
-	EvAcked = "report.acked"
-	// EvAbandoned: delivery gave up (attempts exhausted or context
-	// expired). A = report seq, B = attempts made.
-	EvAbandoned = "report.abandoned"
-)
-
 // Metrics is the node agent's slice of the telemetry plane, shared by
-// every agent of a fleet (trace events carry the node id).
+// every agent of a fleet (flight spans carry the node id).
 type Metrics struct {
 	Reports     *obs.Counter   // reports entered (noised or replayed)
 	Resumes     *obs.Counter   // post-crash Resume deliveries
@@ -26,7 +11,6 @@ type Metrics struct {
 	Abandoned   *obs.Counter   // deliveries that gave up
 	BackoffNs   *obs.Counter   // total backoff slept, nanoseconds
 	LatencyUs   *obs.Histogram // noise → ACK end-to-end span, µs
-	Trace       *obs.Trace
 
 	// Flight, when non-nil, receives per-report span stamps (noised,
 	// tx attempts, ack, degraded, abandoned) keyed by (node, seq).
@@ -43,6 +27,5 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Abandoned:   r.Counter("node.abandoned"),
 		BackoffNs:   r.Counter("node.backoff_ns"),
 		LatencyUs:   r.Histogram("node.report_latency_us", []int64{50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 1_000_000}),
-		Trace:       r.Trace("trace", 1024),
 	}
 }

@@ -5,12 +5,6 @@ import (
 	"sync"
 )
 
-// EvBurnAlert: the privacy burn-rate alerter tripped. Node = the
-// channel whose charge crossed the threshold, A = fast-window burn
-// rate in milli-multiples of the planned rate, B = cumulative spend in
-// µnats at the trip.
-const EvBurnAlert = "burn.alert"
-
 // BurnConfig parameterises the burn-rate alerter. The planned spend
 // rate is EnvelopeMicroNats / HorizonCharges: the certified n·ε
 // envelope amortised over the expected charge count. Burn is the
@@ -56,7 +50,6 @@ type BurnAlerter struct {
 	alerts    uint64
 
 	metrics *BurnMetrics
-	trace   *Trace
 }
 
 // NewBurnAlerter validates the config (applying defaults) and builds
@@ -89,15 +82,13 @@ func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
 	return &BurnAlerter{cfg: cfg, ring: make([]int64, cfg.SlowWindow)}, nil
 }
 
-// Bind attaches registry instruments and the trace ring that alert
-// events are emitted into. Either may be nil.
-func (b *BurnAlerter) Bind(m *BurnMetrics, t *Trace) {
+// Bind attaches registry instruments (nil detaches them).
+func (b *BurnAlerter) Bind(m *BurnMetrics) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	b.metrics = m
-	b.trace = t
 	b.mu.Unlock()
 }
 
@@ -106,7 +97,7 @@ func (b *BurnAlerter) Config() BurnConfig { return b.cfg }
 
 // observe folds one charge into the windows; called by the Odometer
 // with the charge size and the new cumulative total.
-func (b *BurnAlerter) observe(ch int, micro, total int64) {
+func (b *BurnAlerter) observe(micro, total int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
@@ -154,9 +145,6 @@ func (b *BurnAlerter) observe(ch int, micro, total int64) {
 		if m := b.metrics; m != nil {
 			m.Alerts.Inc()
 			m.AlertActive.Set(1)
-		}
-		if t := b.trace; t != nil {
-			t.Emit(EvBurnAlert, 0, int64(ch), int64(fastBurn*1000), total)
 		}
 	}
 	if !active && b.active {

@@ -22,7 +22,7 @@ func newTestAlerter(t *testing.T) *BurnAlerter {
 func TestBurnAlerterOnPlanNeverTrips(t *testing.T) {
 	ba := newTestAlerter(t)
 	r := NewRegistry()
-	ba.Bind(NewBurnMetrics(r), nil)
+	ba.Bind(NewBurnMetrics(r))
 	odo := r.Odometer("budget.odometer", 4)
 	odo.SetBurn(ba)
 	for i := 0; i < 1000; i++ {
@@ -47,8 +47,7 @@ func TestBurnAlerterOnPlanNeverTrips(t *testing.T) {
 func TestBurnAlerterOverspendTripsBeforeEnvelope(t *testing.T) {
 	ba := newTestAlerter(t)
 	r := NewRegistry()
-	trace := r.Trace("trace", 64)
-	ba.Bind(NewBurnMetrics(r), trace)
+	ba.Bind(NewBurnMetrics(r))
 	odo := r.Odometer("budget.odometer", 1)
 	odo.SetBurn(ba)
 
@@ -66,18 +65,18 @@ func TestBurnAlerterOverspendTripsBeforeEnvelope(t *testing.T) {
 	if s.Alerts == 0 || !s.Active {
 		t.Fatalf("snapshot: %+v", s)
 	}
-	// The alert event must land in the trace ring.
-	found := false
-	for _, e := range trace.Events() {
-		if e.Kind == EvBurnAlert {
-			found = true
-			if e.B != s.TrippedAtMicroNats {
-				t.Errorf("alert event B = %d, want trip spend %d", e.B, s.TrippedAtMicroNats)
-			}
-		}
+	// The latched snapshot renders as exactly one burn.alert instant
+	// carrying the trip spend.
+	data, err := PerfettoJSON(NewFlightRecorder(16).Snapshot(), s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatal("no burn.alert event in the trace ring")
+	alerts := burnAlerts(t, data)
+	if len(alerts) != 1 {
+		t.Fatalf("export has %d burn.alert instants, want 1", len(alerts))
+	}
+	if got := alerts[0].Args["spent_micro_nats"]; got != float64(s.TrippedAtMicroNats) {
+		t.Errorf("burn.alert spent_micro_nats = %v, want trip spend %d", got, s.TrippedAtMicroNats)
 	}
 	snap := r.Snapshot()
 	if snap.Counters["burn.alerts"] != s.Alerts {

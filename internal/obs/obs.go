@@ -1,7 +1,7 @@
 // Package obs is the telemetry plane: atomic counters, fixed-bucket
-// histograms, a ring-buffer event tracer, and a privacy odometer,
-// collected in a process-wide Registry snapshotable to JSON and
-// expvar.
+// histograms, and a privacy odometer, collected in a process-wide
+// Registry snapshotable to JSON and expvar, plus the per-report
+// flight recorder and the privacy burn-rate alerter.
 //
 // The package follows the same zero-cost-when-nil hook discipline as
 // internal/fault: a component holds a pointer to its (pre-registered)
@@ -141,7 +141,7 @@ func (o *Odometer) Charge(ch int, nats float64) {
 	t := o.total.Add(u)
 	o.charges.Add(1)
 	if ba := o.burn.Load(); ba != nil {
-		ba.observe(ch, u, t)
+		ba.observe(u, t)
 	}
 }
 
@@ -197,75 +197,6 @@ func (o *Odometer) snapshot() OdometerSnapshot {
 	return s
 }
 
-// Event is one entry in a trace ring: a named occurrence with its
-// emitter's clock and three small operands whose meaning is
-// per-kind (documented in docs/observability.md).
-type Event struct {
-	// Seq is the event's global position in the ring's history
-	// (monotone even after the ring wraps).
-	Seq uint64 `json:"seq"`
-	// Cycle is the emitter's clock at emission (device cycles for
-	// DP-Box events, 0 where the emitter has no cycle counter).
-	Cycle uint64 `json:"cycle"`
-	// Kind names the event (a package-level constant string, so
-	// emission does not allocate).
-	Kind string `json:"kind"`
-	// Node identifies the channel/node the event belongs to (-1 when
-	// not applicable).
-	Node int64 `json:"node"`
-	// A and B are per-kind operands (a charge in budget units, a
-	// sequence number, a latency, ...).
-	A int64 `json:"a"`
-	B int64 `json:"b"`
-}
-
-// Trace is a fixed-capacity ring buffer of events: the most recent
-// capacity events survive, older ones are overwritten. Emission is a
-// mutex-guarded copy into a preallocated slot — no allocation, and
-// cheap enough to leave on in production.
-type Trace struct {
-	mu   sync.Mutex
-	buf  []Event
-	next uint64 // total events ever emitted
-}
-
-// Emit appends one event to the ring.
-func (t *Trace) Emit(kind string, cycle uint64, node, a, b int64) {
-	t.mu.Lock()
-	i := t.next % uint64(len(t.buf))
-	t.buf[i] = Event{Seq: t.next, Cycle: cycle, Kind: kind, Node: node, A: a, B: b}
-	t.next++
-	t.mu.Unlock()
-}
-
-// Emitted returns the total number of events ever emitted.
-func (t *Trace) Emitted() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
-}
-
-// Events returns the surviving events, oldest first.
-func (t *Trace) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.next
-	cap64 := uint64(len(t.buf))
-	count := n
-	if count > cap64 {
-		count = cap64
-	}
-	out := make([]Event, 0, count)
-	for i := n - count; i < n; i++ {
-		out = append(out, t.buf[i%cap64])
-	}
-	return out
-}
-
-func (t *Trace) snapshot() TraceSnapshot {
-	return TraceSnapshot{Emitted: t.Emitted(), Events: t.Events()}
-}
-
 // Registry is the process-wide instrument namespace. All methods are
 // safe for concurrent use; instrument registration is idempotent by
 // (name, kind, shape).
@@ -275,7 +206,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	odos     map[string]*Odometer
-	traces   map[string]*Trace
 }
 
 // NewRegistry returns an empty registry.
@@ -285,7 +215,6 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		odos:     make(map[string]*Odometer),
-		traces:   make(map[string]*Trace),
 	}
 }
 
@@ -296,7 +225,6 @@ func (r *Registry) checkFresh(name, kind string) {
 		"gauge":     r.gauges[name] != nil,
 		"histogram": r.hists[name] != nil,
 		"odometer":  r.odos[name] != nil,
-		"trace":     r.traces[name] != nil,
 	} {
 		if taken && k != kind {
 			panic(fmt.Sprintf("obs: metric %q already registered as a %s, requested as a %s", name, k, kind))
@@ -385,31 +313,13 @@ func (r *Registry) Odometer(name string, channels int) *Odometer {
 	return o
 }
 
-// Trace returns (registering if needed) the named trace ring with the
-// given capacity (minimum 16; the first registration wins the
-// capacity, later ones reuse the ring).
-func (r *Registry) Trace(name string, capacity int) *Trace {
-	if capacity < 16 {
-		capacity = 16
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t := r.traces[name]; t != nil {
-		return t
-	}
-	r.checkFresh(name, "trace")
-	t := &Trace{buf: make([]Event, capacity)}
-	r.traces[name] = t
-	return t
-}
-
 // Names returns every registered metric name, sorted — the schema the
 // golden test pins.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	names := make([]string, 0,
-		len(r.counters)+len(r.gauges)+len(r.hists)+len(r.odos)+len(r.traces))
+		len(r.counters)+len(r.gauges)+len(r.hists)+len(r.odos))
 	for n := range r.counters {
 		names = append(names, n)
 	}
@@ -420,9 +330,6 @@ func (r *Registry) Names() []string {
 		names = append(names, n)
 	}
 	for n := range r.odos {
-		names = append(names, n)
-	}
-	for n := range r.traces {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -540,14 +447,6 @@ type OdometerSnapshot struct {
 	Replenishes uint64 `json:"replenishes"`
 }
 
-// TraceSnapshot is one trace ring's frozen state.
-type TraceSnapshot struct {
-	// Emitted is the total number of events ever emitted.
-	Emitted uint64 `json:"emitted"`
-	// Events are the surviving events, oldest first.
-	Events []Event `json:"events"`
-}
-
 // Snapshot is a point-in-time copy of every instrument in a registry.
 // Counters and gauges are plain values; maps marshal with sorted keys,
 // so the JSON form is deterministic given deterministic values.
@@ -556,7 +455,6 @@ type Snapshot struct {
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	Odometers  map[string]OdometerSnapshot  `json:"odometers,omitempty"`
-	Traces     map[string]TraceSnapshot     `json:"traces,omitempty"`
 }
 
 // Snapshot freezes the registry. Instruments keep counting afterwards;
@@ -584,12 +482,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Odometers = make(map[string]OdometerSnapshot, len(r.odos))
 		for n, o := range r.odos {
 			s.Odometers[n] = o.snapshot()
-		}
-	}
-	if len(r.traces) > 0 {
-		s.Traces = make(map[string]TraceSnapshot, len(r.traces))
-		for n, t := range r.traces {
-			s.Traces[n] = t.snapshot()
 		}
 	}
 	return s

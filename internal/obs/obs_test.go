@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -16,7 +15,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	g := r.Gauge("g")
 	h := r.Histogram("h", []int64{1, 2, 4, 8})
 	o := r.Odometer("o", 4)
-	tr := r.Trace("t", 32)
 
 	const (
 		workers = 8
@@ -32,7 +30,6 @@ func TestConcurrentInstruments(t *testing.T) {
 				g.Add(1)
 				h.Observe(int64(i % 10))
 				o.Charge(w%4, 0.0625)
-				tr.Emit("tick", uint64(i), int64(w), int64(i), 0)
 				// Concurrent re-registration must return the same
 				// instruments, not fresh ones.
 				if r.Counter("c") != c || r.Odometer("o", 4) != o {
@@ -60,9 +57,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	if o.TotalMicro() != wantMicro {
 		t.Fatalf("odometer total %d µnat, want %d", o.TotalMicro(), wantMicro)
 	}
-	if tr.Emitted() != workers*iters {
-		t.Fatalf("trace emitted %d, want %d", tr.Emitted(), workers*iters)
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -79,27 +73,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if s.Count != 8 || s.Sum != -5+0+1+10+11+100+101+5000 {
 		t.Fatalf("count/sum %d/%d", s.Count, s.Sum)
-	}
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	r := NewRegistry()
-	tr := r.Trace("ring", 16)
-	for i := 0; i < 40; i++ {
-		tr.Emit("e", uint64(i), 0, int64(i), 0)
-	}
-	ev := tr.Events()
-	if len(ev) != 16 {
-		t.Fatalf("ring kept %d events, want 16", len(ev))
-	}
-	for i, e := range ev {
-		wantSeq := uint64(40 - 16 + i)
-		if e.Seq != wantSeq || e.A != int64(wantSeq) {
-			t.Fatalf("event %d: %+v, want seq %d", i, e, wantSeq)
-		}
-	}
-	if tr.Emitted() != 40 {
-		t.Fatalf("emitted %d, want 40", tr.Emitted())
 	}
 }
 
@@ -163,9 +136,8 @@ func TestNamesSortedAndSnapshotJSON(t *testing.T) {
 	r.Gauge("a.gauge")
 	r.Histogram("c.hist", []int64{1})
 	r.Odometer("d.odo", 1).Charge(0, 0.5)
-	r.Trace("e.trace", 16).Emit("boot", 7, 1, 2, 3)
 
-	want := []string{"a.gauge", "b.count", "c.hist", "d.odo", "e.trace"}
+	want := []string{"a.gauge", "b.count", "c.hist", "d.odo"}
 	if got := r.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
@@ -181,9 +153,6 @@ func TestNamesSortedAndSnapshotJSON(t *testing.T) {
 	if back.Odometers["d.odo"].TotalMicroNats != 500000 {
 		t.Fatalf("odometer lost in JSON: %s", raw)
 	}
-	if ev := back.Traces["e.trace"].Events; len(ev) != 1 || ev[0].Kind != "boot" || ev[0].Cycle != 7 {
-		t.Fatalf("trace lost in JSON: %s", raw)
-	}
 	// Marshalling twice yields identical bytes (sorted map keys), the
 	// property the golden schema test relies on.
 	raw2, _ := json.Marshal(r)
@@ -198,23 +167,4 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	// Publishing twice must not panic (expvar.Publish would).
 	r.PublishExpvar("ulpdp-test")
 	r.PublishExpvar("ulpdp-test")
-}
-
-// TestTraceEventsOldestFirst pins the ordering contract before the
-// ring wraps too.
-func TestTraceEventsOldestFirst(t *testing.T) {
-	r := NewRegistry()
-	tr := r.Trace("small", 16)
-	for i := 0; i < 5; i++ {
-		tr.Emit(fmt.Sprintf("k%d", i), uint64(i), 0, 0, 0)
-	}
-	ev := tr.Events()
-	if len(ev) != 5 {
-		t.Fatalf("got %d events", len(ev))
-	}
-	for i, e := range ev {
-		if e.Kind != fmt.Sprintf("k%d", i) {
-			t.Fatalf("event %d out of order: %+v", i, e)
-		}
-	}
 }

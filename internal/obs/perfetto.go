@@ -36,10 +36,10 @@ const perfettoPid = 1
 // per traversed chain stage (noised → journal → tx → link rx → admit
 // → checkpoint, each lasting until the next stamped stage), an instant
 // for the ACK, and instants for the terminal degraded / replayed /
-// abandoned stages. Burn-alert events from the shared trace ring may
-// be appended with alerts (nil is fine). Events are ordered by
+// abandoned stages. A tripped burn alerter's latched snapshot adds one
+// global "burn.alert" instant (burn may be nil). Events are ordered by
 // (track, ts) so per-track timestamps are monotone by construction.
-func PerfettoJSON(fs *FlightSnapshot, alerts []Event) ([]byte, error) {
+func PerfettoJSON(fs *FlightSnapshot, burn *BurnSnapshot) ([]byte, error) {
 	if fs == nil {
 		return nil, fmt.Errorf("obs: nil flight snapshot")
 	}
@@ -95,16 +95,17 @@ func PerfettoJSON(fs *FlightSnapshot, alerts []Event) ([]byte, error) {
 			}
 		}
 	}
-	for _, e := range alerts {
-		if e.Kind != EvBurnAlert {
-			continue
-		}
+	if burn != nil && burn.Tripped {
 		events = append(events, perfettoEvent{
-			Name: EvBurnAlert, Cat: "privacy", Ph: "i",
-			// Trace events carry no flight-recorder clock; order them
-			// by ring sequence at the track origin.
-			Ts: float64(e.Seq), Pid: perfettoPid, Tid: -1, S: "g",
-			Args: map[string]any{"fast_burn_milli": e.A, "spent_micro_nats": e.B},
+			// The alerter counts charges, not time: the latched trip
+			// sits at the track origin (ts 0).
+			Name: "burn.alert", Cat: "privacy", Ph: "i",
+			Pid: perfettoPid, Tid: -1, S: "g",
+			Args: map[string]any{
+				"spent_micro_nats": burn.TrippedAtMicroNats,
+				"fast_burn_milli":  burn.FastBurnMilli,
+				"slow_burn_milli":  burn.SlowBurnMilli,
+			},
 		})
 	}
 	// Metadata first, then (track, ts): per-track monotonicity is the

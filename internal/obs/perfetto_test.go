@@ -25,8 +25,8 @@ func TestPerfettoJSONShape(t *testing.T) {
 			recordChain(fr, n, s, int(n))
 		}
 	}
-	alerts := []Event{{Kind: EvBurnAlert, Seq: 1, Node: 0, A: 5000, B: 123}}
-	data, err := PerfettoJSON(fr.Snapshot(), alerts)
+	burn := &BurnSnapshot{Tripped: true, Alerts: 1, TrippedAtMicroNats: 123, FastBurnMilli: 5000, SlowBurnMilli: 2500}
+	data, err := PerfettoJSON(fr.Snapshot(), burn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPerfettoJSONShape(t *testing.T) {
 			meta++
 		case e.Name == "ack":
 			acks++
-		case e.Name == EvBurnAlert:
+		case e.Name == "burn.alert":
 			burns++
 		}
 	}
@@ -63,6 +63,31 @@ func TestPerfettoJSONShape(t *testing.T) {
 	if burns != 1 {
 		t.Errorf("burn instants = %d, want 1", burns)
 	}
+
+	// An untripped alerter adds nothing.
+	burn.Tripped = false
+	if data, err = PerfettoJSON(fr.Snapshot(), burn); err != nil {
+		t.Fatal(err)
+	}
+	if got := burnAlerts(t, data); len(got) != 0 {
+		t.Errorf("untripped alerter exported %d burn.alert instants", len(got))
+	}
+}
+
+// burnAlerts returns the burn.alert instants of an exported trace.
+func burnAlerts(t *testing.T, data []byte) []perfettoEvent {
+	t.Helper()
+	var f perfettoFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	var out []perfettoEvent
+	for _, e := range f.TraceEvents {
+		if e.Name == "burn.alert" {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func TestValidatePerfettoJSONCatchesDisorder(t *testing.T) {

@@ -36,10 +36,9 @@ func promName(name string) string {
 // WritePrometheus renders a registry snapshot in the Prometheus text
 // exposition format (version 0.0.4): counters and gauges as plain
 // samples, histograms as cumulative `_bucket{le=…}` series plus
-// `_sum`/`_count`, odometers as per-channel labeled series, and trace
-// rings as their emitted-event counters. Families are emitted in
-// sorted name order, so the output is deterministic for a
-// deterministic snapshot.
+// `_sum`/`_count`, and odometers as per-channel labeled series.
+// Families are emitted in sorted name order, so the output is
+// deterministic for a deterministic snapshot.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	for _, name := range sortedKeys(s.Counters) {
 		n := promName(name)
@@ -87,13 +86,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 				"# TYPE %s_charges counter\n%s_charges %d\n"+
 				"# TYPE %s_replenishes counter\n%s_replenishes %d\n",
 			n, n, o.TotalMicroNats, n, n, o.Charges, n, n, o.Replenishes); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Traces) {
-		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s_events_emitted counter\n%s_events_emitted %d\n",
-			n, n, s.Traces[name].Emitted); err != nil {
 			return err
 		}
 	}

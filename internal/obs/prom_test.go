@@ -17,7 +17,6 @@ func TestWritePrometheus(t *testing.T) {
 	o.Charge(0, 0.5)
 	o.Charge(1, 0.25)
 	o.Replenish()
-	r.Trace("trace", 16).Emit("x", 0, 0, 0, 0)
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, r.Snapshot()); err != nil {
@@ -39,7 +38,6 @@ func TestWritePrometheus(t *testing.T) {
 		"budget_odometer_total_micro_nats 750000\n",
 		"budget_odometer_charges 2\n",
 		"budget_odometer_replenishes 1\n",
-		"# TYPE trace_events_emitted counter\ntrace_events_emitted 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n---\n%s", want, out)

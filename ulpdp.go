@@ -401,7 +401,7 @@ func NewVCDTracer(out io.Writer) (*VCDTracer, error) {
 }
 
 // ObsRegistry is the process-wide telemetry registry: counters,
-// gauges, histograms, the privacy odometer, and the event trace ring.
+// gauges, histograms, and the privacy odometer.
 // See docs/observability.md for the metric name schema.
 type ObsRegistry = obs.Registry
 
