@@ -47,6 +47,7 @@ import (
 
 	"ulpdp/internal/nvm"
 	"ulpdp/internal/obs"
+	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 )
 
@@ -75,10 +76,13 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", uint8(s))
 }
 
+// DefaultPollTimeout is Config.PollTimeout's default idle-tick period.
+const DefaultPollTimeout = 2 * time.Millisecond
+
 // Config parameterizes a Collector. The zero value gets
 // simulation-friendly defaults.
 type Config struct {
-	// PollTimeout is each shard's idle-tick period (default 2ms). A
+	// PollTimeout is the idle-tick period (default 2ms). A
 	// tick in which a node delivered nothing is one breaker failure
 	// tick for that node — the event-driven equivalent of the old
 	// per-node empty 2ms poll.
@@ -102,6 +106,10 @@ type Config struct {
 	// Obs is an optional telemetry plane. Nil costs one nil check per
 	// event.
 	Obs *Metrics
+	// Clock times the idle ticks (nil = wall time). On a virtual clock
+	// the ticker and each shard reactor are participants: counted
+	// while they run, parked between batches.
+	Clock simclock.Clock
 
 	// procDelay stalls a shard per report; tests use it to force
 	// slow-consumer backpressure deterministically.
@@ -264,12 +272,6 @@ type Aggregate struct {
 	Degraded int
 }
 
-// ackOut is one batched ACK awaiting writeback.
-type ackOut struct {
-	end *transport.Endpoint
-	pkt transport.Packet
-}
-
 // shard owns a hash partition of the fleet: its nodes' dedup and
 // breaker state, a stripe of the stats, and one reactor goroutine.
 type shard struct {
@@ -280,19 +282,23 @@ type shard struct {
 	stats Stats
 
 	// ready is the coalesced readiness queue (each node at most once,
-	// enforced by nodeState.pending); wake is its level-triggered
-	// doorbell. awake is set while the reactor is draining so pushes
-	// landing mid-drain skip the doorbell send — the reactor re-checks
-	// the queue before parking, so no wakeup is lost.
+	// enforced by nodeState.pending); wake is its doorbell, a waiter on
+	// the collector's clock. awake is set while the reactor is draining
+	// so pushes landing mid-drain skip the doorbell — the reactor
+	// re-checks the queue before parking, so no wakeup is lost.
 	readyMu sync.Mutex
 	ready   []transport.NodeID
-	wake    chan struct{}
+	wake    simclock.Waiter
 	awake   atomic.Bool
+	// pause times procDelay stalls (nil unless procDelay is set).
+	pause simclock.Waiter
 
 	// Reactor-goroutine scratch, reused across batches so the
-	// steady-state per-report path allocates nothing.
-	spare []transport.NodeID
-	acks  []ackOut
+	// steady-state per-report path allocates nothing. ACKs wait in
+	// ackPkts, addressed by the parallel ackEnds.
+	spare   []transport.NodeID
+	ackEnds []*transport.Endpoint
+	ackPkts []transport.Packet
 
 	// j is the shard's durable checkpoint journal (nil = volatile
 	// collector). dead latches once a journal write fails: the shard
@@ -306,11 +312,13 @@ type shard struct {
 
 // Collector ingests, dedups, ACKs, and aggregates fleet reports.
 type Collector struct {
-	cfg    Config
-	store  *Store
-	shards []*shard
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	cfg     Config
+	clk     simclock.Clock
+	store   *Store
+	shards  []*shard
+	tick    simclock.Waiter // the idle ticker's deadline
+	stopped atomic.Bool
+	wg      sync.WaitGroup
 }
 
 // New starts a volatile collector (its shard reactors run until
@@ -352,7 +360,7 @@ func NewDurable(cfg Config, store *Store) (*Collector, error) {
 // one).
 func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 2 * time.Millisecond
+		cfg.PollTimeout = DefaultPollTimeout
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
@@ -377,15 +385,19 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	}
 	c := &Collector{
 		cfg:    cfg,
+		clk:    simclock.Or(cfg.Clock),
 		store:  store,
 		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
 	}
+	c.tick = c.clk.NewWaiter(simclock.Tick)
 	for i := range c.shards {
 		sh := &shard{
 			c:     c,
 			nodes: make(map[transport.NodeID]*nodeState),
-			wake:  make(chan struct{}, 1),
+			wake:  c.clk.NewWaiter(simclock.Tick),
+		}
+		if cfg.procDelay > 0 {
+			sh.pause = c.clk.NewWaiter(simclock.Tick)
 		}
 		if store != nil {
 			sh.j = store.Shard(i)
@@ -397,8 +409,12 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	}
 	for _, sh := range c.shards {
 		c.wg.Add(1)
+		c.clk.Join()
 		go sh.run()
 	}
+	c.wg.Add(1)
+	c.clk.Join()
+	go c.ticker(c.clk.Now())
 	return c, nil
 }
 
@@ -505,9 +521,15 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	return nil
 }
 
-// Close stops every shard reactor and waits for them.
+// Close stops every shard reactor and the idle ticker and waits for
+// them. Each waiter is signalled out of the clock, so a closed
+// collector leaves no idle tick behind to hold simulated time.
 func (c *Collector) Close() {
-	close(c.stop)
+	c.stopped.Store(true)
+	c.tick.Signal()
+	for _, sh := range c.shards {
+		sh.wake.Signal()
+	}
 	c.wg.Wait()
 }
 
@@ -526,26 +548,55 @@ func (sh *shard) push(id transport.NodeID) {
 	if sh.awake.Load() {
 		return
 	}
-	select {
-	case sh.wake <- struct{}{}:
-	default:
+	sh.wake.Signal()
+}
+
+// run is the shard reactor: sleep until a link announces frames, then
+// drain exactly the ready links.
+func (sh *shard) run() {
+	c := sh.c
+	defer c.wg.Done()
+	defer c.clk.Leave()
+	for {
+		sh.wake.Wait(simclock.Never, nil)
+		if c.stopped.Load() {
+			return
+		}
+		sh.drainAll()
 	}
 }
 
-// run is the shard reactor: sleep until a link announces frames (or
-// the idle tick fires), then drain exactly the ready links.
-func (sh *shard) run() {
-	defer sh.c.wg.Done()
-	tick := time.NewTicker(sh.c.cfg.PollTimeout)
-	defer tick.Stop()
+// ticker is the collector's idle tick, one goroutine for every shard
+// at a fixed period from start. Each tick first accounts silence on
+// every shard, then flushes the silent links' holdbacks: no frame a
+// flush releases, and no ACK it provokes, can reach a shard before
+// that shard's silence was counted, so the tick's outcome does not
+// depend on which reactor runs first.
+func (c *Collector) ticker(start time.Duration) {
+	defer c.wg.Done()
+	defer c.clk.Leave()
+	period := c.cfg.PollTimeout
+	next := start + period
+	var silent []*transport.Endpoint
 	for {
-		select {
-		case <-sh.c.stop:
+		fired := c.tick.Wait(next, nil)
+		if c.stopped.Load() {
 			return
-		case <-sh.wake:
-			sh.drainAll()
-		case <-tick.C:
-			sh.idleTick()
+		}
+		if !fired {
+			continue
+		}
+		for _, sh := range c.shards {
+			silent = sh.countSilence(silent)
+		}
+		for i, e := range silent {
+			e.FlushHeld()
+			silent[i] = nil
+		}
+		silent = silent[:0]
+		next += period
+		if now := c.clk.Now(); next <= now {
+			next = now + period
 		}
 	}
 }
@@ -564,10 +615,7 @@ func (sh *shard) drainAll() {
 	again := len(sh.ready) > 0
 	sh.readyMu.Unlock()
 	if again {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
+		sh.wake.Signal()
 	}
 }
 
@@ -604,7 +652,9 @@ func (sh *shard) drain() bool {
 				continue // stray or echoed frame; the checksum already passed, but it is not ours
 			}
 			if d := sh.c.cfg.procDelay; d > 0 {
-				time.Sleep(d)
+				until := sh.c.clk.Now() + d
+				for !sh.pause.Wait(until, nil) {
+				}
 			}
 			sh.handleLocked(id, ns, pkt)
 			batch++
@@ -623,12 +673,20 @@ func (sh *shard) drain() bool {
 	// Batched ACK writeback: every ACK follows its report's recording
 	// (record under the shard lock, ACK after), preserving the
 	// "ACKed implies counted" invariant while keeping link sends off
-	// the shard's critical section.
-	for i := range sh.acks {
-		sh.acks[i].end.Send(sh.acks[i].pkt)
-		sh.acks[i] = ackOut{}
+	// the shard's critical section. A node's ACKs sit contiguously and
+	// go out as one SendBatch.
+	for i := 0; i < len(sh.ackPkts); {
+		end := sh.ackEnds[i]
+		j := i + 1
+		for j < len(sh.ackPkts) && sh.ackEnds[j] == end {
+			j++
+		}
+		end.SendBatch(sh.ackPkts[i:j])
+		i = j
 	}
-	sh.acks = sh.acks[:0]
+	clear(sh.ackEnds)
+	sh.ackEnds = sh.ackEnds[:0]
+	sh.ackPkts = sh.ackPkts[:0]
 	sh.spare = ids[:0]
 	return true
 }
@@ -747,10 +805,8 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 
 	// ACK after recording (including duplicate re-ACKs: the node may
 	// have missed the first ACK).
-	sh.acks = append(sh.acks, ackOut{
-		end: ns.end,
-		pkt: transport.Packet{Kind: transport.KindAck, Node: id, Seq: pkt.Seq},
-	})
+	sh.ackEnds = append(sh.ackEnds, ns.end)
+	sh.ackPkts = append(sh.ackPkts, transport.Packet{Kind: transport.KindAck, Node: id, Seq: pkt.Seq})
 }
 
 // compactLocked rewrites the shard's checkpoint as a fresh snapshot
@@ -784,13 +840,20 @@ func (sh *shard) compactLocked() {
 	}
 }
 
-// idleTick feeds one silent tick into the breaker of every node that
-// delivered nothing since the last tick. Only this shard's nodes are
-// walked, under this shard's lock — idle nodes generate zero
-// cross-shard lock traffic. It also flushes reorder holdbacks on
-// silent links (the old per-node Recv deadline did this), so a
-// delayed frame on a drained direction is late, never lost.
+// idleTick runs one idle tick on this shard alone.
 func (sh *shard) idleTick() {
+	for _, e := range sh.countSilence(nil) {
+		e.FlushHeld()
+	}
+}
+
+// countSilence feeds one silent tick into the breaker of every node
+// that delivered nothing since the last tick, walking only this
+// shard's nodes under this shard's lock. It appends each silent link
+// to silent for the caller to flush its reorder holdbacks (the old
+// per-node Recv deadline did this), so a delayed frame on a drained
+// direction is late, never lost.
+func (sh *shard) countSilence(silent []*transport.Endpoint) []*transport.Endpoint {
 	m := sh.c.cfg.Obs
 	sh.mu.Lock()
 	for _, ns := range sh.nodes {
@@ -801,7 +864,7 @@ func (sh *shard) idleTick() {
 			ns.sawReport = false
 			continue
 		}
-		ns.end.FlushHeld()
+		silent = append(silent, ns.end)
 		sh.stats.Timeouts++
 		if m != nil {
 			m.Timeouts.Inc()
@@ -825,6 +888,7 @@ func (sh *shard) idleTick() {
 		}
 	}
 	sh.mu.Unlock()
+	return silent
 }
 
 // Stats returns a snapshot of the collector counters, summed across

@@ -345,11 +345,6 @@ func (j *Journal) compact(st LedgerState) error {
 	j.r.BindCounters(nil, nil)
 	defer j.r.BindCounters(intents, commits)
 
-	j.r.Erase(0)
-	j.r.SetSeq(0)
-	if !j.appendConfig(st.InitialUnits, st.ReplenishEvery) || !j.appendCheckpoint(st.Units) {
-		return errors.New("dpbox: journal compaction failed (NVM dead)")
-	}
 	seqs := make([]uint64, 0, len(st.Releases))
 	for s := range st.Releases {
 		seqs = append(seqs, s)
@@ -358,11 +353,25 @@ func (j *Journal) compact(st LedgerState) error {
 	if len(seqs) > compactReleaseCap {
 		seqs = seqs[len(seqs)-compactReleaseCap:]
 	}
-	for _, s := range seqs {
-		rel := st.Releases[s]
-		if !j.appendChargeRelease(0, s, rel.Value, rel.flags()) {
-			return errors.New("dpbox: journal compaction failed (NVM dead)")
+	// The log has a single bank, so the rewrite must replace it in one
+	// step: a cut midway would otherwise leave a prefix of the new log
+	// and lose the newest releases, letting a restarted box re-noise an
+	// already-released sequence number.
+	ok := j.r.Rewrite(0, func() bool {
+		j.r.SetSeq(0)
+		if !j.appendConfig(st.InitialUnits, st.ReplenishEvery) || !j.appendCheckpoint(st.Units) {
+			return false
 		}
+		for _, s := range seqs {
+			rel := st.Releases[s]
+			if !j.appendChargeRelease(0, s, rel.Value, rel.flags()) {
+				return false
+			}
+		}
+		return true
+	})
+	if !ok {
+		return errors.New("dpbox: journal compaction failed (NVM dead)")
 	}
 	j.r.NoteCompaction()
 	return nil

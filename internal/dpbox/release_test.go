@@ -2,6 +2,7 @@ package dpbox
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -387,5 +388,52 @@ func TestBankConcurrentChannels(t *testing.T) {
 	}
 	if got := float64(st.Units) * chargeUnit; math.Abs(got-bank.BudgetRemaining()) > 1e-9 {
 		t.Fatalf("journal replay %g nats != live ledger %g", got, bank.BudgetRemaining())
+	}
+}
+
+// TestCompactionCutKeepsOldLog: a power cut at any word of the
+// recovery-time compaction leaves the pre-compaction log whole, so
+// the next recovery still holds every release and the box never
+// re-noises an already-released sequence number.
+func TestCompactionCutKeepsOldLog(t *testing.T) {
+	cfg, j := journalCfg(17)
+	b := boot(t, cfg, 1e9)
+	const n = 8
+	want := make(map[uint64]int64)
+	for seq := uint64(0); seq < n; seq++ {
+		r, err := b.NoiseValueSeq(seq, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seq] = r.Value
+	}
+	st, err := j.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := j.Snapshot()
+	for cut := 0; ; cut++ {
+		j.FailAfterWrites(cut)
+		err := j.compact(st)
+		j.revive()
+		if err == nil {
+			break
+		}
+		if got := j.Snapshot(); !slices.Equal(got, before) {
+			t.Fatalf("cut %d: compaction cut left %d words, want the old %d-word log", cut, len(got), len(before))
+		}
+	}
+	j.Kill()
+	b2, err := Recover(smallCfg(17), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b2.NextSeq() != n {
+		t.Fatalf("NextSeq after recovery = %d, want %d", b2.NextSeq(), n)
+	}
+	for seq, v := range want {
+		if rel, ok := b2.ReleaseFor(seq); !ok || rel.Value != v {
+			t.Fatalf("release %d lost or changed: %+v", seq, rel)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ulpdp/internal/collector"
@@ -31,6 +32,7 @@ import (
 	"ulpdp/internal/fault"
 	"ulpdp/internal/node"
 	"ulpdp/internal/obs"
+	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
 )
@@ -168,6 +170,13 @@ type Result struct {
 	Resumed bool
 }
 
+// simResolution is the fleet clock's step: waits due within one step
+// fire together, so nodes whose jittered backoffs end a few
+// microseconds apart retransmit in parallel rather than one by one.
+// It is half the default backoff base, so jitter still spreads
+// retransmits over several steps.
+const simResolution = 100 * time.Microsecond
+
 // splitmix64 derives independent sub-seeds from the master seed.
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
@@ -200,6 +209,7 @@ const (
 // the recovered dedup state.
 type colSupervisor struct {
 	cfg     collector.Config
+	clk     simclock.Clock
 	store   *collector.Store // nil for a volatile collector
 	violate func(string, ...any)
 
@@ -212,18 +222,19 @@ type colSupervisor struct {
 	recoveries int
 	broken     bool // recovery failed; stop supervising
 
-	stop chan struct{}
-	done chan struct{}
+	wake    simclock.Waiter // the watcher's poll deadline; signalled to stop
+	stopped atomic.Bool
+	done    chan struct{}
 }
 
 func newColSupervisor(cfg collector.Config, store *collector.Store, col *collector.Collector, schedule []int, violate func(string, ...any)) *colSupervisor {
 	s := &colSupervisor{
 		cfg:     cfg,
+		clk:     simclock.Or(cfg.Clock),
 		store:   store,
 		violate: violate,
 		col:     col,
 		ends:    make(map[transport.NodeID]*transport.Endpoint),
-		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	if store != nil {
@@ -251,26 +262,27 @@ func (s *colSupervisor) arm() {
 }
 
 // watch starts the crash watcher. The store dies between two word
-// writes at the armed point; the watcher notices within a tick and
-// runs the recovery. Detection latency only widens the fail-closed
+// writes at the armed point; the watcher notices within a poll period
+// of the supervisor's clock and runs the recovery, counted as running
+// work throughout. Detection latency only widens the fail-closed
 // window — it never changes what was ACKed, so results stay exact.
 func (s *colSupervisor) watch() {
 	if s.store == nil || len(s.schedule) == 0 {
 		close(s.done)
 		return
 	}
+	s.wake = s.clk.NewWaiter(simclock.Supervisor)
+	s.clk.Join()
 	go func() {
 		defer close(s.done)
-		t := time.NewTicker(200 * time.Microsecond)
-		defer t.Stop()
+		defer s.clk.Leave()
 		for {
-			select {
-			case <-s.stop:
+			fired := s.wake.Wait(s.clk.Now()+200*time.Microsecond, nil)
+			if s.stopped.Load() {
 				return
-			case <-t.C:
-				if s.store.Dead() {
-					s.recover()
-				}
+			}
+			if fired && s.store.Dead() {
+				s.recover()
 			}
 		}
 	}()
@@ -318,7 +330,10 @@ func (s *colSupervisor) attach(id transport.NodeID, end *transport.Endpoint) err
 // quiescence (e.g. inside a trailing compaction), and hands back the
 // live collector for the end-of-run reads.
 func (s *colSupervisor) finish() (*collector.Collector, int) {
-	close(s.stop)
+	s.stopped.Store(true)
+	if s.wake != nil {
+		s.wake.Signal()
+	}
 	<-s.done
 	if s.store != nil && s.store.Dead() {
 		s.recover()
@@ -326,16 +341,6 @@ func (s *colSupervisor) finish() (*collector.Collector, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.col, s.recoveries
-}
-
-// frameEvents sums the collector counters that advance only when a
-// report frame is processed — the quiesce loop's progress signal.
-// Idle-tick timeouts are deliberately excluded: they tick forever.
-func (s *colSupervisor) frameEvents() uint64 {
-	s.mu.Lock()
-	st := s.col.Stats()
-	s.mu.Unlock()
-	return st.Accepted + st.Duplicates + st.BreakerDrops + st.FailClosed
 }
 
 func (s *colSupervisor) close() {
@@ -393,6 +398,15 @@ func Run(cfg Config) (Result, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
 	defer cancel()
 
+	// The whole run lives on simulated time: ACK waits, backoff and
+	// idle ticks advance it only when every participant is parked, so
+	// they cost no wall time and a run's event order depends only on
+	// its seeds. This goroutine is a participant until the run ends;
+	// the wall-clock deadline stays a liveness backstop.
+	clk := simclock.NewVirtual(simResolution)
+	clk.Join()
+	context.AfterFunc(ctx, clk.Shutdown)
+
 	// One telemetry plane per layer, all over the same registry. The
 	// box plane's odometer has one channel per node.
 	var (
@@ -425,10 +439,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	res := Result{Nodes: make([]NodeResult, cfg.Nodes)}
-	var (
-		wg    sync.WaitGroup
-		resMu sync.Mutex // guards Violations only; see runNode
-	)
+	var resMu sync.Mutex // guards Violations only; see runNode
 	violate := func(format string, args ...any) {
 		resMu.Lock()
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
@@ -445,6 +456,7 @@ func Run(cfg Config) (Result, error) {
 		Shards:           cfg.Shards,
 		CompactEvery:     cfg.CompactEvery,
 		Obs:              colM,
+		Clock:            clk,
 	}
 	var sup *colSupervisor
 	if cfg.NVMDir != "" || cfg.Durable || len(cfg.CollectorCrashes) > 0 {
@@ -484,7 +496,7 @@ func Run(cfg Config) (Result, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		fp := fault.NewPlane()
 		fp.SetPacketFault(fault.LossyLink(subSeed(cfg.Seed, seedLink, i, 0), cfg.Link))
-		links[i] = transport.NewLink(transport.LinkConfig{Plane: fp, Obs: linkM})
+		links[i] = transport.NewLink(transport.LinkConfig{Plane: fp, Obs: linkM, Clock: clk})
 	}
 
 	runNode := func(i int) {
@@ -672,21 +684,34 @@ func Run(cfg Config) (Result, error) {
 	if workers > cfg.Nodes {
 		workers = cfg.Nodes
 	}
-	idx := make(chan int)
+	// Workers claim node indices in order and stay counted as running
+	// between lifecycles, so handing a worker its next node never
+	// looks like an idle fleet. The last one out wakes this goroutine
+	// before it leaves the clock.
+	var nextNode, live atomic.Int64
+	live.Store(int64(workers))
+	allDone := clk.NewWaiter(simclock.Agent)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		clk.Join()
 		go func() {
-			defer wg.Done()
-			for i := range idx {
+			defer func() {
+				if live.Add(-1) == 0 {
+					allDone.Signal()
+				}
+				clk.Leave()
+			}()
+			for {
+				i := int(nextNode.Add(1) - 1)
+				if i >= cfg.Nodes {
+					return
+				}
 				runNode(i)
 			}
 		}()
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		idx <- i
+	for live.Load() > 0 {
+		allDone.Wait(simclock.Never, nil)
 	}
-	close(idx)
-	wg.Wait()
 
 	// Aggregate odometer bound: the whole fleet's spend must sit under
 	// n · min(Budget, Reports·cap) — the paper's Σ charges ≤ n·ε
@@ -702,10 +727,8 @@ func Run(cfg Config) (Result, error) {
 	// is ACKed, but stale duplicate frames can still be in flight (or
 	// held back for reordering), and processing them after the final
 	// snapshot would make recover/replay counters and span chains
-	// timing-dependent. Wait for the uplinks to drain and the
-	// collector's frame-driven counters to stop moving, so identical
-	// seeds yield identical final snapshots.
-	quiesce(ctx, links, sup)
+	// timing-dependent.
+	quiesce(ctx, clk, links)
 
 	// Final reads go through the supervisor: the collector in place now
 	// may be the n-th recovered instance, and its recovered state must
@@ -751,35 +774,25 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// quiesce polls until the air is silent — no frames queued or held on
-// any uplink — and the collector's frame-driven counters (accepted,
-// duplicates, breaker drops, fail-closed; idle-tick timeouts excluded,
-// they never stop) hold still for a few consecutive samples. Bounded
-// by the run deadline and a small grace window: quiescence is a
-// determinism aid, not a liveness requirement.
-func quiesce(ctx context.Context, links []*transport.Link, sup *colSupervisor) {
-	deadline := time.Now().Add(100 * time.Millisecond)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	prev := sup.frameEvents()
-	settle := 0
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		pending := 0
+// quiesce returns once the fleet is at rest — every reactor and the
+// supervisor parked on the clock, so no frame is queued or being
+// processed — and no uplink holds a reorder holdback. Holdbacks are
+// flushed by the collector's idle tick, so while any remain the clock
+// advances to the next tick. The caller stays a running participant
+// afterwards, which freezes simulated time for the final reads.
+func quiesce(ctx context.Context, clk simclock.Clock, links []*transport.Link) {
+	w := clk.NewWaiter(simclock.Agent)
+	deadline := clk.Now() // fires as soon as everything else is parked
+	for ctx.Err() == nil {
+		w.Wait(deadline, nil)
+		held := 0
 		for _, l := range links {
-			pending += l.CollectorEnd().Pending()
+			held += l.CollectorEnd().Pending()
 		}
-		cur := sup.frameEvents()
-		if pending == 0 && cur == prev {
-			settle++
-			if settle >= 3 {
-				return
-			}
-		} else {
-			settle = 0
+		if held == 0 {
+			return
 		}
-		prev = cur
-		time.Sleep(time.Millisecond)
+		deadline = clk.Now() + collector.DefaultPollTimeout
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/obs"
+	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 )
 
@@ -79,11 +80,15 @@ type ReportOutcome struct {
 //
 // An agent is single-goroutine: one outstanding report at a time, by
 // construction (the paper's DP-Box serves one transaction at a time
-// anyway).
+// anyway). Its ACK waits and backoff pauses run on the link's clock
+// (transport.LinkConfig.Clock), so a fleet on simulated time pays
+// neither in wall time.
 type ReportAgent struct {
-	box *dpbox.DPBox
-	end *transport.Endpoint
-	cfg AgentConfig
+	box   *dpbox.DPBox
+	end   *transport.Endpoint
+	cfg   AgentConfig
+	clk   simclock.Clock
+	pause simclock.Waiter // reused by every backoff
 
 	next      uint64
 	jitter    uint64
@@ -114,10 +119,13 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = uint64(cfg.ID)*0x9E3779B97F4A7C15 + 1
 	}
+	clk := end.Clock()
 	return &ReportAgent{
 		box:    box,
 		end:    end,
 		cfg:    cfg,
+		clk:    clk,
+		pause:  clk.NewWaiter(simclock.Agent),
 		next:   box.NextSeq(),
 		jitter: cfg.JitterSeed,
 	}
@@ -272,8 +280,14 @@ func (a *ReportAgent) deliverLoop(ctx context.Context, pkt transport.Packet, bud
 			if m := a.cfg.Obs; m != nil {
 				m.BackoffNs.Add(uint64(pause))
 			}
-			if !sleepCtx(ctx, pause) {
+			if !a.sleep(ctx, pause) {
 				return attempt, fmt.Errorf("node: delivering seq %d: %w", pkt.Seq, ctx.Err())
+			}
+			// An ACK that landed during the pause settles the report;
+			// retransmitting anyway would race the collector's reply
+			// to it for the link's next fate.
+			if a.ackQueued(pkt.Seq) {
+				return attempt, nil
 			}
 		}
 	}
@@ -284,38 +298,56 @@ func (a *ReportAgent) deliverLoop(ctx context.Context, pkt transport.Packet, bud
 // stale ACKs (earlier sequence numbers, duplicate deliveries) without
 // giving up the window.
 func (a *ReportAgent) awaitAck(ctx context.Context, seq uint64) bool {
-	deadline := time.Now().Add(a.cfg.AckWait)
+	deadline := a.clk.Now() + a.cfg.AckWait
 	for {
-		remain := time.Until(deadline)
-		if remain <= 0 || ctx.Err() != nil {
+		if a.clk.Now() >= deadline || ctx.Err() != nil {
 			return false
 		}
-		ack, ok := a.end.Recv(remain)
+		ack, ok := a.end.RecvUntil(deadline)
 		if !ok {
 			return false
 		}
-		if ack.Kind != transport.KindAck || ack.Node != a.cfg.ID {
-			continue
-		}
-		if !a.anyAcked || ack.Seq > a.lastAcked {
-			a.anyAcked = true
-			a.lastAcked = ack.Seq
-		}
-		if ack.Seq == seq {
+		if a.absorb(ack, seq) {
 			return true
 		}
 	}
 }
 
-// sleepCtx pauses for d unless the context expires first; it reports
-// whether the full pause completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
+// ackQueued drains the frames already received without waiting and
+// reports whether an ACK of seq was among them.
+func (a *ReportAgent) ackQueued(seq uint64) bool {
+	for {
+		ack, ok := a.end.TryRecv()
+		if !ok {
+			return false
+		}
+		if a.absorb(ack, seq) {
+			return true
+		}
+	}
+}
+
+// absorb notes a received frame and reports whether it ACKs seq:
+// stale ACKs only advance lastAcked, stray frames are ignored.
+func (a *ReportAgent) absorb(ack transport.Packet, seq uint64) bool {
+	if ack.Kind != transport.KindAck || ack.Node != a.cfg.ID {
 		return false
 	}
+	if !a.anyAcked || ack.Seq > a.lastAcked {
+		a.anyAcked = true
+		a.lastAcked = ack.Seq
+	}
+	return ack.Seq == seq
+}
+
+// sleep pauses for d unless the context expires first; it reports
+// whether the full pause completed.
+func (a *ReportAgent) sleep(ctx context.Context, d time.Duration) bool {
+	until := a.clk.Now() + d
+	for !a.pause.Wait(until, ctx.Done()) {
+		if ctx.Err() != nil {
+			return false
+		}
+	}
+	return true
 }

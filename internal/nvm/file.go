@@ -117,6 +117,37 @@ func (m *FileMedium) Erase(b int) error {
 	return nil
 }
 
+// Replace writes words to a scratch file beside bank b's and renames
+// it over the bank: the rename is atomic, so a process killed at any
+// point finds either the old bank file or the complete new one.
+func (m *FileMedium) Replace(b int, words []uint16) error {
+	path := bankPath(m.dir, b)
+	tmp := path + ".new"
+	if err := os.WriteFile(tmp, wordsToBytes(words), 0o644); err != nil {
+		return fmt.Errorf("nvm: replace bank %d: %w", b, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("nvm: replace bank %d: %w", b, err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("nvm: replace bank %d: %w", b, err)
+	}
+	m.files[b].Close()
+	m.files[b] = f
+	m.mirror[b] = append(m.mirror[b][:0], words...)
+	return nil
+}
+
+// wordsToBytes encodes words little-endian, the bank file format.
+func wordsToBytes(words []uint16) []byte {
+	raw := make([]byte, 2*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint16(raw[2*i:], w)
+	}
+	return raw
+}
+
 // Close closes every bank file.
 func (m *FileMedium) Close() error {
 	var first error

@@ -66,6 +66,10 @@ type Medium interface {
 	Words(b int) []uint16
 	// Erase clears bank b.
 	Erase(b int) error
+	// Replace swaps bank b's contents for words in one step: a process
+	// killed during the call leaves the old words or the new, never a
+	// mix.
+	Replace(b int, words []uint16) error
 	// Close releases any resources (file handles). The in-memory
 	// medium has none.
 	Close() error
@@ -109,6 +113,12 @@ func (m *MemMedium) Erase(b int) error {
 // installing arbitrary word streams; not part of the Medium model).
 func (m *MemMedium) Load(b int, words []uint16) {
 	m.banks[b] = append(m.banks[b][:0], words...)
+}
+
+// Replace swaps bank b's contents for words.
+func (m *MemMedium) Replace(b int, words []uint16) error {
+	m.Load(b, words)
+	return nil
 }
 
 // Close is a no-op.

@@ -248,3 +248,67 @@ func BenchmarkNVMPut(b *testing.B) {
 		}
 	}
 }
+
+// TestFileMediumReplace: a replaced bank reads back (live and after a
+// reopen) as exactly the new words, appends continue after them, and
+// no scratch file is left behind.
+func TestFileMediumReplace(t *testing.T) {
+	dir := t.TempDir()
+	med, err := OpenFileMedium(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []uint16{1, 2, 3, 4} {
+		if err := med.Append(0, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := med.Replace(0, []uint16{0xAAAA, 0xBBBB}); err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Append(0, 0xCCCC); err != nil {
+		t.Fatal(err)
+	}
+	if w := med.Words(0); len(w) != 3 || w[0] != 0xAAAA || w[2] != 0xCCCC {
+		t.Fatalf("replaced bank reads %v", w)
+	}
+	med.Close()
+	med2, err := OpenFileMedium(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer med2.Close()
+	if w := med2.Words(0); len(w) != 3 || w[0] != 0xAAAA || w[1] != 0xBBBB || w[2] != 0xCCCC {
+		t.Fatalf("replaced bank reopened as %v", w)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("directory holds %d files after replace, want 1", len(ents))
+	}
+}
+
+// TestRegionRewriteCutKeepsOldBank: a power cut anywhere inside a
+// Rewrite leaves the bank's old words untouched.
+func TestRegionRewriteCutKeepsOldBank(t *testing.T) {
+	lay := Layout{PayloadLen: func(uint16) int { return 1 }}
+	for cut := 0; cut < 6; cut++ {
+		pw := NewPower()
+		r := NewRegion(NewMemMedium(1), pw, lay)
+		r.Append(0, 1, []uint16{7})
+		r.Append(0, 1, []uint16{8})
+		old := append([]uint16(nil), r.Words(0)...)
+		pw.FailAfterWrites(cut)
+		ok := r.Rewrite(0, func() bool { return r.Append(0, 1, []uint16{9}) && r.Append(0, 1, []uint16{10}) })
+		if ok {
+			t.Fatalf("cut %d: a 6-word rewrite completed", cut)
+		}
+		if got := r.Words(0); len(got) != len(old) || got[2] != old[2] || got[5] != old[5] {
+			t.Fatalf("cut %d: bank %v, want the old %v", cut, got, old)
+		}
+	}
+	pw := NewPower()
+	r := NewRegion(NewMemMedium(1), pw, lay)
+	r.Append(0, 1, []uint16{7})
+	if !r.Rewrite(0, func() bool { return r.Append(0, 1, []uint16{9}) }) || r.Words(0)[1] != 9 || r.Len(0) != 3 {
+		t.Fatalf("uncut rewrite left %v", r.Words(0))
+	}
+}

@@ -54,6 +54,12 @@ type Region struct {
 	n    int // bank count
 	seq  uint16
 
+	// During Rewrite, Puts to bank stageBank collect in stage instead
+	// of reaching the medium.
+	staging   bool
+	stageBank int
+	stage     []uint16
+
 	compactions atomic.Uint64
 
 	// Optional journal telemetry: bumped on durable TxnBegin/TxnCommit
@@ -107,7 +113,30 @@ func (r *Region) Put(b int, w uint16) bool {
 	if !r.pw.Allow() {
 		return false
 	}
+	if r.staging && b == r.stageBank {
+		r.stage = append(r.stage, w)
+		return true
+	}
 	if r.med.Append(r.base+b, w) != nil {
+		r.pw.Kill()
+		return false
+	}
+	return true
+}
+
+// Rewrite replaces bank b with the records fn appends, in one step:
+// fn's words pass the power cell as usual but collect in a staging
+// copy, and only when fn reports success does the medium swap them in
+// (Medium.Replace). A power loss inside fn, or a process killed at any
+// point, leaves the old bank whole for the next recovery to replay.
+func (r *Region) Rewrite(b int, fn func() bool) bool {
+	r.staging, r.stageBank, r.stage = true, b, r.stage[:0]
+	ok := fn()
+	r.staging = false
+	if !ok {
+		return false
+	}
+	if r.med.Replace(r.base+b, r.stage) != nil {
 		r.pw.Kill()
 		return false
 	}

@@ -28,6 +28,7 @@ import (
 
 	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
+	"ulpdp/internal/simclock"
 )
 
 // NodeID identifies one fleet node.
@@ -185,6 +186,9 @@ type LinkConfig struct {
 	// Obs is an optional telemetry plane, usually shared across every
 	// link of a fleet. Nil costs one nil check per event.
 	Obs *Metrics
+	// Clock times blocking receives (nil = wall time). Agents on the
+	// link's node end wait on the same clock.
+	Clock simclock.Clock
 }
 
 // held is a frame waiting out its reorder delay.
@@ -197,7 +201,7 @@ type held struct {
 // ring under mu — not a channel — so the event-driven receive path
 // (TryRecv from the collector's reactor) is one mutexed pointer pop
 // with no channel machinery. Blocking receivers announce themselves
-// in waiters and park on the bell, which senders ring only on an
+// in waiters and park on wake, which senders signal only on an
 // empty→nonempty transition with a waiter present.
 type pipe struct {
 	mu   sync.Mutex
@@ -207,8 +211,8 @@ type pipe struct {
 	head int      // buf[head] is the next frame out
 	n    int      // frames queued
 
-	waiters atomic.Int32  // blocked Recv calls
-	bell    chan struct{} // cap-1 doorbell for those waiters
+	waiters atomic.Int32    // blocked Recv calls
+	wake    simclock.Waiter // their doorbell and deadline
 
 	// notify, when set, is fired (outside mu) after one or more frames
 	// land in the ring: the receiving end's readiness hook. See
@@ -243,6 +247,7 @@ type linkStats struct {
 type Link struct {
 	plane *fault.Plane
 	obs   *Metrics
+	clk   simclock.Clock
 	up    *pipe
 	down  *pipe
 	stats linkStats
@@ -254,11 +259,13 @@ func NewLink(cfg LinkConfig) *Link {
 	if cap <= 0 {
 		cap = 64
 	}
+	clk := simclock.Or(cfg.Clock)
 	return &Link{
 		plane: cfg.Plane,
 		obs:   cfg.Obs,
-		up:    &pipe{buf: make([]*frame, cap), bell: make(chan struct{}, 1)},
-		down:  &pipe{buf: make([]*frame, cap), bell: make(chan struct{}, 1)},
+		clk:   clk,
+		up:    &pipe{buf: make([]*frame, cap), wake: clk.NewWaiter(simclock.Agent)},
+		down:  &pipe{buf: make([]*frame, cap), wake: clk.NewWaiter(simclock.Agent)},
 	}
 }
 
@@ -299,6 +306,9 @@ func (l *Link) CollectorEnd() *Endpoint {
 	return &Endpoint{link: l, sendPipe: l.down, recvPipe: l.up, sendDir: fault.DirDown}
 }
 
+// Clock returns the clock the link's blocking receives run on.
+func (e *Endpoint) Clock() simclock.Clock { return e.link.clk }
+
 // SetNotify installs a readiness hook on this end's receive
 // direction: fn fires after one or more frames land in the receive
 // queue (at most once per Send or flush, however many frames it
@@ -321,7 +331,32 @@ func (e *Endpoint) SetNotify(fn func()) {
 // nothing about delivery — drops, duplication, reordering, corruption
 // and queue overflow all look identical from the sender's side, which
 // is exactly why the protocol above must retransmit until ACKed.
-func (e *Endpoint) Send(p Packet) {
+func (e *Endpoint) Send(p Packet) { e.SendBatch([]Packet{p}) }
+
+// SendBatch sends ps in order as one unit: the receiver can pop none
+// of them before all have drawn their fates. The collector writes a
+// node's ACK batch back this way, so the node cannot react to the
+// first ACK (and draw the link's next fate for its own send) while
+// later ACKs are still drawing theirs: the link's fate order stays a
+// function of the protocol, not of goroutine timing.
+func (e *Endpoint) SendBatch(ps []Packet) {
+	p2 := e.sendPipe
+	p2.mu.Lock()
+	landed := 0
+	for _, p := range ps {
+		landed += e.sendLocked(p2, p)
+	}
+	fn := p2.notify
+	p2.mu.Unlock()
+	if landed > 0 && fn != nil {
+		fn()
+	}
+}
+
+// sendLocked draws one packet's fate and delivers it into p2,
+// reporting how many frames landed (aged holdbacks included). Callers
+// hold p2.mu.
+func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 	l := e.link
 	buf := framePool.Get().(*frame)
 	marshalInto(p, buf)
@@ -342,23 +377,16 @@ func (e *Endpoint) Send(p Packet) {
 		}
 	}
 
-	p2 := e.sendPipe
-	p2.mu.Lock()
 	// Every send ages the holdbacks; expired frames deliver first so
 	// a delayed frame lands behind at most Delay successors.
 	landed := e.ageHeldLocked(p2)
 	if fate.Drop {
-		fn := p2.notify
-		p2.mu.Unlock()
 		framePool.Put(buf)
 		l.stats.dropped.Add(1)
 		if m := l.obs; m != nil {
 			m.Dropped.Inc()
 		}
-		if landed > 0 && fn != nil {
-			fn()
-		}
-		return
+		return landed
 	}
 	selfLanded := 0
 	if fate.Delay > 0 {
@@ -391,11 +419,7 @@ func (e *Endpoint) Send(p Packet) {
 	if m := l.obs; m != nil && selfLanded > 0 && !fate.Corrupt && p.Kind == KindReport {
 		m.Flight.Record(int64(p.Node), p.Seq, obs.StageLinkRx)
 	}
-	fn := p2.notify
-	p2.mu.Unlock()
-	if landed > 0 && fn != nil {
-		fn()
-	}
+	return landed
 }
 
 // ageHeldLocked decrements reorder holds and delivers the expired
@@ -438,9 +462,11 @@ func (e *Endpoint) landHeldLocked(p *pipe, f *frame) int {
 
 // enqueueLocked pushes a frame into the receive ring, dropping on
 // overflow (bounded queue backpressure), and reports 1 if the frame
-// landed. The bell rings only when the ring turns nonempty with a
-// blocked Recv present — the event-driven path pays no doorbell cost.
-// Callers hold p.mu.
+// landed. The receiver's waiter is signalled only when the ring turns
+// nonempty with a blocked Recv present — the event-driven path pays
+// no doorbell cost. On a virtual clock the signal counts the parked
+// receiver back in before the frame can be popped, so time cannot
+// advance past a frame nobody has read yet. Callers hold p.mu.
 func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 	if p.n == len(p.buf) {
 		framePool.Put(f)
@@ -457,10 +483,7 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 		m.Delivered.Inc()
 	}
 	if p.n == 1 && p.waiters.Load() != 0 {
-		select {
-		case p.bell <- struct{}{}:
-		default:
-		}
+		p.wake.Signal()
 	}
 	return 1
 }
@@ -488,36 +511,37 @@ func (e *Endpoint) flushHeld() {
 	}
 }
 
-// Recv waits up to timeout for the next valid frame on this end.
-// Corrupt frames are discarded (counted in Stats) without consuming
-// the timeout budget's purpose: the wait continues until a valid frame
-// or the deadline. When the queue idles past the deadline, any frames
-// still held back for reordering are flushed and collected — a delayed
-// frame is late, never lost.
+// Recv waits up to timeout for the next valid frame on this end; it
+// is RecvUntil with a deadline relative to the link clock's now.
 func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
+	return e.RecvUntil(e.link.clk.Now() + timeout)
+}
+
+// RecvUntil waits until the link clock reaches deadline for the next
+// valid frame on this end. Corrupt frames are discarded (counted in
+// Stats) and the wait continues until a valid frame or the deadline.
+// When the queue idles past the deadline, any frames still held back
+// for reordering are flushed and collected — a delayed frame is late,
+// never lost. The wait reuses the direction's one waiter: a blocking
+// receive allocates nothing.
+func (e *Endpoint) RecvUntil(deadline time.Duration) (Packet, bool) {
 	if p, ok := e.TryRecv(); ok {
 		return p, true
 	}
 	pi := e.recvPipe
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
 	// Announce the wait before the re-check: a sender that enqueued
-	// after our TryRecv either sees waiters != 0 and rings the bell,
-	// or enqueued before the re-check sees its frame. Stale bell
-	// tokens from past waits only cause one spurious loop.
+	// after our TryRecv either sees waiters != 0 and signals, or
+	// enqueued before the re-check sees its frame. A stale signal from
+	// a past wait only causes one spurious loop.
 	pi.waiters.Add(1)
 	defer pi.waiters.Add(-1)
 	for {
 		if p, ok := e.TryRecv(); ok {
 			return p, true
 		}
-		select {
-		case <-pi.bell:
-			// The ring went nonempty at some point; re-check.
-		case <-deadline.C:
+		if pi.wake.Wait(deadline, nil) {
 			// Last chance: release holdbacks and drain what is
-			// already queued. Never re-enter the select here — the
-			// timer has fired and would never fire again.
+			// already queued.
 			e.flushHeld()
 			return e.TryRecv()
 		}
@@ -525,7 +549,7 @@ func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
 }
 
 // Pending reports the number of frames queued or held back on this
-// end's receive direction — the fleet's quiesce loop polls it to know
+// end's receive direction — the fleet's quiesce step checks it to know
 // when the air has gone truly silent before taking final snapshots.
 func (e *Endpoint) Pending() int {
 	p := e.recvPipe
