@@ -91,14 +91,9 @@ type Response struct {
 
 // Controller is the budget-control engine embedded in the DP-Box.
 type Controller struct {
-	par       core.Params
-	cfg       Config
-	rng       *laplace.Sampler
-	threshold int64 // guard threshold in steps
-	interior  float64
-	segs      []core.Segment
-	zSlack    float64
-	topCharge float64
+	cfg   Config
+	mech  core.Mechanism // *core.Thresholding or *core.Resampling
+	sched core.ChargeSchedule
 
 	remaining float64
 	cache     float64
@@ -124,13 +119,11 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 	if cfg.Source == nil {
 		cfg.Source = urng.NewTaus88(1)
 	}
-	var threshold int64
-	var err error
+	guard := core.GuardThresholding
 	if cfg.Mode == Resampling {
-		threshold, err = core.ResamplingThreshold(par, cfg.Mult)
-	} else {
-		threshold, err = core.ThresholdingThreshold(par, cfg.Mult)
+		guard = core.GuardResampling
 	}
+	threshold, err := core.GuardThreshold(par, guard, cfg.Mult, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -150,86 +143,42 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("budget: multipliers must be ascending")
 		}
 	}
-	an := core.CachedAnalyzer(par)
-	// The charging bands come from the thresholding per-output loss
-	// profile. In resampling mode each input's conditional
-	// distribution is renormalized by its acceptance mass Z(x), which
-	// inflates interior per-output losses by at most
-	// ln(Zmax/Zmin) <= -ln(1 - 2·Pr[|n| >= threshold]); fold that
-	// slack into the charges so they stay sound. The top charge is
-	// the analyzer-certified Mult·ε bound and needs no slack.
-	zSlack := 0.0
-	if cfg.Mode == Resampling {
-		tail := laplace.NewDist(par.FxP()).TailMag(threshold)
-		zSlack = -math.Log1p(-2 * tail)
-	}
-	rng, err := laplace.NewSampler(par.FxP(), cfg.Log, cfg.Source)
-	if err != nil {
-		return nil, err
-	}
 	c := &Controller{
-		par:       par,
 		cfg:       cfg,
-		rng:       rng,
-		threshold: threshold,
-		interior:  an.InteriorLoss(threshold) + zSlack,
-		segs:      an.Segments(threshold, mults),
-		zSlack:    zSlack,
-		topCharge: cfg.Mult * par.Eps,
+		sched:     core.NewChargeSchedule(par, guard, threshold, cfg.Mult, mults),
 		remaining: cfg.Budget,
 	}
-	if c.interior > c.topCharge {
-		c.interior = c.topCharge
+	if guard == core.GuardResampling {
+		c.mech, err = core.NewResampling(par, threshold, cfg.Log, cfg.Source)
+	} else {
+		c.mech, err = core.NewThresholding(par, threshold, cfg.Log, cfg.Source)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // Threshold returns the guard threshold in steps of Δ.
-func (c *Controller) Threshold() int64 { return c.threshold }
+func (c *Controller) Threshold() int64 { return c.sched.Threshold }
 
 // Remaining returns the unspent budget in nats.
 func (c *Controller) Remaining() float64 { return c.remaining }
 
 // Segments returns the charging bands in use.
 func (c *Controller) Segments() []core.Segment {
-	out := make([]core.Segment, len(c.segs))
-	copy(out, c.segs)
+	out := make([]core.Segment, len(c.sched.Segments))
+	copy(out, c.sched.Segments)
 	return out
 }
 
 // InteriorCharge returns the ε_RNG charge for in-range outputs.
-func (c *Controller) InteriorCharge() float64 { return c.interior }
+func (c *Controller) InteriorCharge() float64 { return c.sched.Charge(0) }
 
 // ChargeFor returns the privacy loss Algorithm 1 charges for a noised
 // output at step y (before any clamping).
 func (c *Controller) ChargeFor(y int64) float64 {
-	charge, _ := c.chargeBandFor(y)
-	return charge
-}
-
-// chargeBandFor returns the charge plus its band index (0 interior,
-// 1..n segment bands, n+1 top) for the telemetry plane.
-func (c *Controller) chargeBandFor(y int64) (float64, int64) {
-	lo, hi := c.par.LoSteps(), c.par.HiSteps()
-	if y >= lo && y <= hi {
-		return c.interior, 0
-	}
-	var offset int64
-	if y > hi {
-		offset = y - hi
-	} else {
-		offset = lo - y
-	}
-	for i, s := range c.segs {
-		if offset <= s.Offset {
-			charge := s.Mult*c.par.Eps + c.zSlack
-			if charge > c.topCharge {
-				charge = c.topCharge
-			}
-			return charge, int64(i) + 1
-		}
-	}
-	return c.topCharge, int64(len(c.segs)) + 1
+	return c.sched.Charge(c.sched.Band(y))
 }
 
 // Tick advances the controller's notion of time by n ticks,
@@ -263,44 +212,24 @@ func (c *Controller) Request(x float64) (Response, error) {
 		}
 		return Response{Value: c.cache, FromCache: true}, nil
 	}
-	xs := c.par.QuantizeInput(x)
-	lo := c.par.LoSteps() - c.threshold
-	hi := c.par.HiSteps() + c.threshold
-
-	var y int64
-	resamples := 0
-	if c.cfg.Mode == Resampling {
-		for {
-			y = xs + c.rng.SampleK()
-			if y >= lo && y <= hi {
-				break
-			}
-			resamples++
-			if resamples >= 1024 {
-				return Response{}, errors.New("budget: resampling did not converge")
-			}
-		}
-	} else {
-		y = xs + c.rng.SampleK()
-		if y < lo {
-			y = lo
-		}
-		if y > hi {
-			y = hi
-		}
+	r := c.mech.Noise(x)
+	if r.Degraded {
+		// The resampling guard exhausted its draws: a faulty URNG.
+		// Fail closed instead of charging for the degraded clamp.
+		return Response{}, errors.New("budget: resampling did not converge")
 	}
-	charge, band := c.chargeBandFor(y)
+	band := c.sched.Band(r.Step)
+	charge := c.sched.Charge(band)
 	c.remaining = math.Max(0, c.remaining-charge)
-	v := c.par.StepValue(y)
-	c.cache, c.cached = v, true
+	c.cache, c.cached = r.Value, true
 	if m := c.cfg.Obs; m != nil {
 		m.Requests.Inc()
-		if resamples > 0 {
-			m.Resamples.Add(uint64(resamples))
+		if r.Resamples > 0 {
+			m.Resamples.Add(uint64(r.Resamples))
 		}
 		m.Odometer.Charge(c.cfg.ObsChannel, charge)
 		m.ChargeMicroNat.Observe(obs.MicroNats(charge))
-		m.ChargeBands.Observe(band)
+		m.ChargeBands.Observe(int64(band))
 	}
-	return Response{Value: v, Charged: charge, Resamples: resamples}, nil
+	return Response{Value: r.Value, Charged: charge, Resamples: r.Resamples}, nil
 }

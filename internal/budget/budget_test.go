@@ -288,3 +288,36 @@ func TestCompositionAccounting(t *testing.T) {
 		t.Errorf("remaining = %g", c.Remaining())
 	}
 }
+
+// stuckSource is a URNG stuck at one word; it counts its draws.
+type stuckSource struct {
+	word  uint32
+	draws int
+}
+
+func (s *stuckSource) Uint32() uint32 {
+	s.draws++
+	return s.word
+}
+
+// TestResamplingFailsClosedOnStuckURNG pins the controller's
+// fail-closed contract: a URNG stuck at the largest noise magnitude
+// never lands in the guard window, so after 1024 noise draws (two
+// URNG words each: magnitude and sign) the request fails, charges
+// nothing, on every retry.
+func TestResamplingFailsClosedOnStuckURNG(t *testing.T) {
+	src := &stuckSource{word: 1}
+	c := newController(t, Config{Budget: 10, Mode: Resampling, Source: src})
+	for i := 0; i < 2; i++ {
+		_, err := c.Request(4)
+		if err == nil || err.Error() != "budget: resampling did not converge" {
+			t.Fatalf("request %d: err = %v, want the non-convergence error", i, err)
+		}
+		if src.draws != (i+1)*2*1024 {
+			t.Fatalf("request %d: %d URNG draws, want %d", i, src.draws, (i+1)*2*1024)
+		}
+		if c.Remaining() != 10 {
+			t.Fatalf("request %d: remaining %g, want the full budget 10", i, c.Remaining())
+		}
+	}
+}

@@ -406,19 +406,21 @@ type Segment struct {
 // loss is at most mult·ε. Multipliers that admit no offset are
 // dropped; the last usable multiplier is clamped to t.
 func (a *Analyzer) Segments(t int64, multipliers []float64) []Segment {
-	profile := a.ThresholdingLossProfile(t)
+	yLo, losses := a.lossSweep(t)
+	return a.segments(t, yLo, losses, multipliers)
+}
+
+// segments is Segments over an existing lossSweep(t).
+func (a *Analyzer) segments(t, yLo int64, losses []float64, multipliers []float64) []Segment {
 	segs := make([]Segment, 0, len(multipliers))
+	hi := a.par.HiSteps()
 	for _, mult := range multipliers {
 		bound := mult * a.par.Eps
 		// Largest offset with every loss up to it within bound (up to
 		// a relative rounding tolerance — see lossTol).
 		best := int64(-1)
-		for _, p := range profile {
-			if p.Loss <= bound+lossTol(bound) {
-				best = p.Offset
-			} else {
-				break
-			}
+		for o := int64(0); o <= t && losses[hi+o-yLo] <= bound+lossTol(bound); o++ {
+			best = o
 		}
 		if best >= 0 {
 			segs = append(segs, Segment{Mult: mult, Offset: best})
@@ -432,7 +434,11 @@ func (a *Analyzer) Segments(t int64, multipliers []float64) []Segment {
 // in-range reports. Like the profile, it rides one sliding-window
 // sweep over the full output window.
 func (a *Analyzer) InteriorLoss(t int64) float64 {
-	yLo, losses := a.lossSweep(t)
+	return a.interiorLoss(a.lossSweep(t))
+}
+
+// interiorLoss is InteriorLoss over an existing lossSweep.
+func (a *Analyzer) interiorLoss(yLo int64, losses []float64) float64 {
 	worst := 0.0
 	for y := a.par.LoSteps(); y <= a.par.HiSteps(); y++ {
 		if l := losses[y-yLo]; l > worst {

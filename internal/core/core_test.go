@@ -196,6 +196,47 @@ func TestExactThresholdCertifiesAtExactAndFailsBeyond(t *testing.T) {
 	}
 }
 
+// TestResamplingLossNotMonotone pins a configuration whose resampling
+// loss does not grow monotonically with the threshold: threshold 2
+// breaks the 1-nat target that thresholds 1 and 3..29 meet. The
+// bisection in ExactResamplingThreshold only promises a threshold
+// that passed its check (here 29, the largest certified one, because
+// the bisection never probes 2).
+func TestResamplingLossNotMonotone(t *testing.T) {
+	par := Params{Lo: 0, Hi: 21, Eps: 0.5, Bu: 8, By: 12, Delta: 1}
+	const mult = 2.0
+	an := NewAnalyzer(par)
+	for _, c := range []struct {
+		th      int64
+		loss    float64 // to 3 decimals
+		bounded bool
+	}{
+		{1, 0.998, true},
+		{2, 1.005, false},
+		{3, 0.996, true},
+		{29, 0.984, true},
+		{30, 1.099, false},
+	} {
+		rep := an.ResamplingLoss(c.th)
+		if math.Abs(rep.MaxLoss-c.loss) > 5e-4 || rep.Bounded(mult*par.Eps) != c.bounded {
+			t.Errorf("th %d: loss %.5f (bounded %v), want %.3f (bounded %v)",
+				c.th, rep.MaxLoss, rep.Bounded(mult*par.Eps), c.loss, c.bounded)
+		}
+	}
+	for th := int64(3); th <= 29; th++ {
+		if rep := an.ResamplingLoss(th); !rep.Bounded(mult * par.Eps) {
+			t.Errorf("th %d: loss %.5f not bounded by %g", th, rep.MaxLoss, mult*par.Eps)
+		}
+	}
+	ex, err := ExactResamplingThreshold(par, mult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex != 29 || !an.ResamplingLoss(ex).Bounded(mult*par.Eps) {
+		t.Errorf("exact search returned %d, want the certified 29", ex)
+	}
+}
+
 func TestThresholdCalculatorsRejectBadInput(t *testing.T) {
 	if _, err := ResamplingThreshold(fig4, 1.0); err == nil {
 		t.Error("mult=1 should be rejected")

@@ -12,6 +12,9 @@ import (
 type Result struct {
 	// Value is the noised output.
 	Value float64
+	// Step is Value in steps of Δ for the fixed-point mechanisms (0
+	// for the ideal one).
+	Step int64
 	// Resamples counts how many extra noise draws the resampling
 	// guard needed (always 0 for other mechanisms). Each resample
 	// costs one additional hardware cycle.
@@ -92,8 +95,8 @@ func NewBaseline(par Params, log laplace.LogUnit, src urng.Source) (*Baseline, e
 
 // Noise implements Mechanism.
 func (m *Baseline) Noise(x float64) Result {
-	xs := m.par.QuantizeInput(x)
-	return Result{Value: m.par.StepValue(xs + m.rng.SampleK())}
+	y := m.par.QuantizeInput(x) + m.rng.SampleK()
+	return Result{Value: m.par.StepValue(y), Step: y}
 }
 
 // Name implements Mechanism.
@@ -112,7 +115,7 @@ const maxResampleDraws = 1024
 
 // Resampling is the first guard of Section III-B: noise is redrawn
 // until the noised output lies within [Lo − T, Hi + T]. With the
-// threshold from ResamplingThreshold the worst-case privacy loss is
+// threshold from GuardThreshold the worst-case privacy loss is
 // bounded by n·ε.
 type Resampling struct {
 	par Params
@@ -121,7 +124,7 @@ type Resampling struct {
 }
 
 // NewResampling builds the resampling mechanism with threshold t
-// expressed in steps of Δ (use ResamplingThreshold to compute the
+// expressed in steps of Δ (use GuardThreshold to compute the
 // certified value). Invalid parameters or t < 0 are a returned error.
 func NewResampling(par Params, t int64, log laplace.LogUnit, src urng.Source) (*Resampling, error) {
 	if err := par.Validate(); err != nil {
@@ -152,7 +155,7 @@ func (m *Resampling) Noise(x float64) Result {
 	for i := 0; i < maxResampleDraws; i++ {
 		y = xs + m.rng.SampleK()
 		if y >= lo && y <= hi {
-			return Result{Value: m.par.StepValue(y), Resamples: i}
+			return Result{Value: m.par.StepValue(y), Step: y, Resamples: i}
 		}
 	}
 	if y < lo {
@@ -160,7 +163,7 @@ func (m *Resampling) Noise(x float64) Result {
 	} else {
 		y = hi
 	}
-	return Result{Value: m.par.StepValue(y), Resamples: maxResampleDraws,
+	return Result{Value: m.par.StepValue(y), Step: y, Resamples: maxResampleDraws,
 		Clamped: true, Degraded: true}
 }
 
@@ -172,8 +175,8 @@ func (m *Resampling) Params() Params { return m.par }
 
 // Thresholding is the second guard of Section III-B: the noised
 // output is clamped to [Lo − T, Hi + T]. The boundary values absorb
-// the tail mass (Fig. 7); with the threshold from
-// ThresholdingThreshold the worst-case loss is bounded by n·ε. It
+// the tail mass (Fig. 7); with the threshold from GuardThreshold
+// the worst-case loss is bounded by n·ε. It
 // needs exactly one noise draw, so it is the energy-efficient option.
 type Thresholding struct {
 	par Params
@@ -182,7 +185,7 @@ type Thresholding struct {
 }
 
 // NewThresholding builds the thresholding mechanism with threshold t
-// in steps of Δ (use ThresholdingThreshold for the certified value).
+// in steps of Δ (use GuardThreshold for the certified value).
 // t == 0 degenerates into the randomized-response configuration of
 // Section VI-E. Invalid parameters or t < 0 are a returned error.
 func NewThresholding(par Params, t int64, log laplace.LogUnit, src urng.Source) (*Thresholding, error) {
@@ -215,7 +218,7 @@ func (m *Thresholding) Noise(x float64) Result {
 	if y > hi {
 		y, clamped = hi, true
 	}
-	return Result{Value: m.par.StepValue(y), Clamped: clamped}
+	return Result{Value: m.par.StepValue(y), Step: y, Clamped: clamped}
 }
 
 // Name implements Mechanism.
@@ -230,7 +233,8 @@ func (m *Thresholding) Params() Params { return m.par }
 // inside the window is reported, and if all miss, the last candidate
 // is clamped to the window edge it fell beyond. Latency is constant —
 // the number of resamples no longer depends on the sensor value.
-// Certify thresholds with Analyzer.ConstantTimeLoss.
+// GuardThreshold(par, GuardConstantTime, mult, k) gives the certified
+// threshold.
 type ConstantTime struct {
 	par Params
 	rng *laplace.Sampler
@@ -275,7 +279,7 @@ func (m *ConstantTime) Noise(x float64) Result {
 	for i := 0; i < m.k; i++ {
 		y = xs + m.rng.SampleK()
 		if y >= lo && y <= hi {
-			return Result{Value: m.par.StepValue(y)}
+			return Result{Value: m.par.StepValue(y), Step: y}
 		}
 	}
 	if y < lo {
@@ -283,7 +287,7 @@ func (m *ConstantTime) Noise(x float64) Result {
 	} else {
 		y = hi
 	}
-	return Result{Value: m.par.StepValue(y), Clamped: true}
+	return Result{Value: m.par.StepValue(y), Step: y, Clamped: true}
 }
 
 // Name implements Mechanism.
@@ -325,11 +329,11 @@ func (m *RandomizedResponse) Noise(x float64) Result {
 	}
 	y := xs + m.rng.SampleK()
 	mid := float64(m.par.LoSteps()+m.par.HiSteps()) / 2
-	v := m.par.Lo
+	v, step := m.par.Lo, m.par.LoSteps()
 	if float64(y) > mid {
-		v = m.par.Hi
+		v, step = m.par.Hi, m.par.HiSteps()
 	}
-	return Result{Value: v, Clamped: true}
+	return Result{Value: v, Step: step, Clamped: true}
 }
 
 // Name implements Mechanism.

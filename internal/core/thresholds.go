@@ -131,12 +131,14 @@ func clampThreshold(par Params, k float64, capSteps int64) (int64, error) {
 	return t, nil
 }
 
-// ExactResamplingThreshold searches for the largest threshold whose
-// exact worst-case loss (per the Analyzer) is at most mult·ε. It is
-// the tight counterpart of ResamplingThreshold, useful to quantify
-// how conservative the closed form is. The search bisects over
-// [1, MaxK], assuming the loss is monotone in the threshold; an error
-// is returned when threshold 1 already exceeds the target.
+// ExactResamplingThreshold searches for a large threshold whose exact
+// worst-case loss (per the Analyzer) is at most mult·ε. It is the
+// tight counterpart of ResamplingThreshold, useful to quantify how
+// conservative the closed form is. The search bisects over [1, MaxK]
+// (see searchThreshold): the result is certified, but the loss is not
+// monotone in the threshold, so it need not be the largest certified
+// threshold. An error is returned when threshold 1 already exceeds
+// the target.
 func ExactResamplingThreshold(par Params, mult float64) (int64, error) {
 	if err := par.Validate(); err != nil {
 		return 0, err
@@ -167,9 +169,9 @@ func ExactThresholdingThreshold(par Params, mult float64) (int64, error) {
 	return searchThreshold(par, ok)
 }
 
-// ExactConstantTimeThreshold searches for the largest threshold whose
-// constant-time-resampling loss (k parallel candidates) is certified
-// at mult·ε by the exact analyzer.
+// ExactConstantTimeThreshold bisects (see searchThreshold) for a
+// threshold whose constant-time-resampling loss (k parallel
+// candidates) is certified at mult·ε by the exact analyzer.
 func ExactConstantTimeThreshold(par Params, mult float64, k int) (int64, error) {
 	if err := par.Validate(); err != nil {
 		return 0, err
@@ -191,8 +193,12 @@ func searchThreshold(par Params, ok func(int64) bool) (int64, error) {
 	if !ok(1) {
 		return 0, fmt.Errorf("core: no positive threshold achieves the target loss")
 	}
-	// Loss is monotone non-decreasing in the threshold (a larger
-	// guard region only adds lower-probability outputs), so bisect.
+	// Bisect with the invariant that ok(lo) holds: lo only moves to
+	// a threshold that passed, so the result is always certified.
+	// The loss is not monotone in the threshold (for B_u 8, range 21,
+	// ε .5, mult 2 thresholds 1 and 3..29 pass but 2 and 30 fail), so
+	// a failed probe may hide larger passing thresholds: the result
+	// is a certified threshold, not necessarily the largest one.
 	lo := int64(1)
 	for lo < hi {
 		mid := (lo + hi + 1) / 2

@@ -159,9 +159,10 @@ func (m Meta) Generate(seed uint64) []float64 {
 		panic(err)
 	}
 	rng := urng.NewSplitMix64(seed ^ hashName(m.Name))
+	comps := m.components()
 	out := make([]float64, m.Entries)
 	for i := range out {
-		out[i] = m.sample(rng)
+		out[i] = m.sample(rng, &comps)
 	}
 	return out
 }
@@ -174,22 +175,22 @@ func (m Meta) GenerateN(n int, seed uint64) []float64 {
 	return mm.Generate(seed)
 }
 
-func (m Meta) sample(rng *urng.SplitMix64) float64 {
+// normal is one mixture component's parent distribution: N(mu, sigma²)
+// before truncation, or the log-space parameters of the lognormal.
+type normal struct{ mu, sigma float64 }
+
+// components solves each mixture component's parent parameters: the
+// lognormal's for SkewedLogNormal, otherwise the truncated normals'
+// (two for Bimodal). They depend only on the Meta, so Generate solves
+// them once rather than once per value.
+func (m Meta) components() [2]normal {
+	fit := func(mean, std float64) normal { return truncNormalParams(mean, std, m.Min, m.Max) }
 	switch m.Shape {
 	case SkewedLogNormal:
 		// Lognormal with moments matched to (Mean-Min, Std), then
 		// shifted by Min and truncated.
-		mu, sigma := lognormalParams(m.Mean-m.Min, m.Std)
-		for {
-			v := m.Min + math.Exp(mu+sigma*rng.NormFloat64())
-			if v >= m.Min && v <= m.Max {
-				return v
-			}
-		}
+		return [2]normal{lognormalParams(m.Mean-m.Min, m.Std)}
 	case CeilingMix:
-		if rng.Float64() < m.CeilFrac {
-			return m.Max
-		}
 		// Bulk component: match the mixture's moments. The atom at
 		// Max contributes both to the mean and (heavily) to the
 		// variance, so the bulk runs at a reduced mean and std.
@@ -202,40 +203,61 @@ func (m Meta) sample(rng *urng.SplitMix64) float64 {
 		if bulkVar > minStd*minStd {
 			bulkStd = math.Sqrt(bulkVar)
 		}
-		return truncNormal(rng, bulkMean, bulkStd, m.Min, m.Max)
+		return [2]normal{fit(bulkMean, bulkStd)}
 	case Bimodal:
 		// Two modes at mean ± std, mixed to preserve the mean.
-		if rng.Float64() < 0.5 {
-			return truncNormal(rng, m.Mean-m.Std*0.9, m.Std*0.45, m.Min, m.Max)
-		}
-		return truncNormal(rng, m.Mean+m.Std*0.9, m.Std*0.45, m.Min, m.Max)
+		return [2]normal{fit(m.Mean-m.Std*0.9, m.Std*0.45), fit(m.Mean+m.Std*0.9, m.Std*0.45)}
 	default:
-		return truncNormal(rng, m.Mean, m.Std, m.Min, m.Max)
+		return [2]normal{fit(m.Mean, m.Std)}
 	}
 }
 
-func truncNormal(rng *urng.SplitMix64, mean, std, lo, hi float64) float64 {
-	// Truncation shrinks the sample variance and pulls the mean
-	// toward the interval centre; compensate so the *post-truncation*
-	// moments hit the targets (UJIIndoorLoc's std is 32% of its
-	// range — uncompensated it would generate ~25% low).
-	mu, sigma := truncNormalParams(mean, std, lo, hi)
+func (m Meta) sample(rng *urng.SplitMix64, c *[2]normal) float64 {
+	switch m.Shape {
+	case SkewedLogNormal:
+		for {
+			v := m.Min + math.Exp(c[0].mu+c[0].sigma*rng.NormFloat64())
+			if v >= m.Min && v <= m.Max {
+				return v
+			}
+		}
+	case CeilingMix:
+		if rng.Float64() < m.CeilFrac {
+			return m.Max
+		}
+		return c[0].truncated(rng, m.Min, m.Max)
+	case Bimodal:
+		if rng.Float64() < 0.5 {
+			return c[0].truncated(rng, m.Min, m.Max)
+		}
+		return c[1].truncated(rng, m.Min, m.Max)
+	default:
+		return c[0].truncated(rng, m.Min, m.Max)
+	}
+}
+
+// truncated draws from the parent normal restricted to [lo, hi].
+func (n normal) truncated(rng *urng.SplitMix64, lo, hi float64) float64 {
 	for i := 0; i < 1000; i++ {
-		v := mu + sigma*rng.NormFloat64()
+		v := n.mu + n.sigma*rng.NormFloat64()
 		if v >= lo && v <= hi {
 			return v
 		}
 	}
 	// Pathological truncation: fall back to clamping.
-	v := mu + sigma*rng.NormFloat64()
+	v := n.mu + n.sigma*rng.NormFloat64()
 	return math.Max(lo, math.Min(hi, v))
 }
 
-// truncNormalParams finds (mu, sigma) of the parent normal whose
-// [lo, hi]-truncation has approximately the target mean and std, by
-// alternating a mean correction with a bisection on sigma.
-func truncNormalParams(mean, std, lo, hi float64) (mu, sigma float64) {
-	mu, sigma = mean, std
+// truncNormalParams finds the parent normal whose [lo, hi]-truncation
+// has approximately the target mean and std, by alternating a mean
+// correction with a bisection on sigma. Truncation shrinks the sample
+// variance and pulls the mean toward the interval centre; the parent
+// compensates so the *post-truncation* moments hit the targets
+// (UJIIndoorLoc's std is 32% of its range — uncompensated it would
+// generate ~25% low).
+func truncNormalParams(mean, std, lo, hi float64) normal {
+	mu, sigma := mean, std
 	for iter := 0; iter < 4; iter++ {
 		// Bisection on sigma so the truncated std matches.
 		loS, hiS := std, 6*std
@@ -252,7 +274,7 @@ func truncNormalParams(mean, std, lo, hi float64) (mu, sigma float64) {
 		m, _ := truncMoments(mu, sigma, lo, hi)
 		mu += mean - m
 	}
-	return mu, sigma
+	return normal{mu, sigma}
 }
 
 // truncMoments returns the mean and std of N(mu, sigma²) truncated to
@@ -277,13 +299,12 @@ func stdPDF(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) 
 
 func stdCDF(x float64) float64 { return 0.5 * (1 + math.Erf(x/math.Sqrt2)) }
 
-// lognormalParams solves for (mu, sigma) of a lognormal with the
-// given mean and standard deviation.
-func lognormalParams(mean, std float64) (mu, sigma float64) {
+// lognormalParams solves for the log-space (mu, sigma) of a lognormal
+// with the given mean and standard deviation.
+func lognormalParams(mean, std float64) normal {
 	v := std * std / (mean * mean)
-	sigma = math.Sqrt(math.Log(1 + v))
-	mu = math.Log(mean) - sigma*sigma/2
-	return
+	sigma := math.Sqrt(math.Log(1 + v))
+	return normal{math.Log(mean) - sigma*sigma/2, sigma}
 }
 
 func hashName(s string) uint64 {

@@ -178,7 +178,7 @@ func TestConstantTimeThresholdCertified(t *testing.T) {
 	}
 	// The derived threshold must be certified by the constant-time
 	// analysis at the configured multiplier.
-	rep := box.an.ConstantTimeLoss(box.Threshold(), cfg.Candidates)
+	rep := core.CachedAnalyzer(box.params()).ConstantTimeLoss(box.Threshold(), cfg.Candidates)
 	if !rep.Bounded(cfg.Mult * 0.5) {
 		t.Errorf("constant-time threshold %d not certified: %+v", box.Threshold(), rep)
 	}
@@ -196,7 +196,7 @@ func TestOverrideChargesAreExactDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := box.an.ThresholdingLoss(0)
+	exact := core.CachedAnalyzer(box.params()).ThresholdingLoss(0)
 	if exact.Infinite {
 		t.Fatal("t=0 on this range should be finite")
 	}
@@ -215,7 +215,7 @@ func TestUncertifiedOverrideChargesPerOutputSound(t *testing.T) {
 	if _, err := box.NoiseValue(8); err != nil { // derive once
 		t.Fatal(err)
 	}
-	tOver := box.an.MaxK() - 1
+	tOver := core.CachedAnalyzer(box.params()).MaxK() - 1
 	if err := box.OverrideThreshold(tOver); err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ import (
 	"math"
 	"sync"
 
-	"ulpdp/internal/core"
 	"ulpdp/internal/cordic"
+	"ulpdp/internal/core"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/laplace"
 	"ulpdp/internal/obs"
@@ -221,15 +221,12 @@ type DPBox struct {
 	ledger   *budgetLedger
 	ownTimer bool
 
-	// Derived noising state.
-	dirty     bool  // registers changed since last derivation
-	threshold int64 // guard threshold in steps
-	segs      []core.Segment
-	interiorU int64 // interior charge in budget units
-	topU      int64 // top charge in budget units
-	segU      []int64
-	sampler   *laplace.Sampler
-	an        *core.Analyzer
+	// Derived noising state: the guard's charge schedule (threshold
+	// and bands) and each band's charge rounded up to budget units.
+	dirty   bool // registers changed since last derivation
+	sched   core.ChargeSchedule
+	bandU   []int64
+	sampler *laplace.Sampler
 
 	// Resample watchdog (resampling mode): cap on resample cycles and
 	// the certified thresholding clamp the trip degrades to.
@@ -457,7 +454,7 @@ func (b *DPBox) BudgetRemaining() float64 {
 
 // Threshold returns the guard threshold currently in effect, in
 // steps. Valid after the first noising transaction.
-func (b *DPBox) Threshold() int64 { return b.threshold }
+func (b *DPBox) Threshold() int64 { return b.sched.Threshold }
 
 // Epsilon returns the configured per-report ε.
 func (b *DPBox) Epsilon() float64 { return math.Ldexp(1, -b.epsShift) }
@@ -670,89 +667,50 @@ func (b *DPBox) derive() error {
 		}
 	}
 	b.sampler = hw
+	guard := core.GuardThresholding
+	switch {
+	case b.resampling && b.cfg.ConstantTime:
+		guard = core.GuardConstantTime
+	case b.resampling:
+		guard = core.GuardResampling
+	}
 	switch {
 	case b.cfg.GuardDisabled:
-		b.threshold = laplace.NewDist(par.FxP()).MaxK()
-		b.an = nil
-		b.segs = nil
+		// Naive mode: the RNG's full range and a flat nominal charge
+		// (and no guarantee — the entire point of Fig. 12).
+		b.sched = core.ChargeSchedule{Lo: b.rangeLower, Hi: b.rangeUpper, Eps: par.Eps,
+			Threshold: laplace.NewDist(par.FxP()).MaxK(), Interior: par.Eps, Top: par.Eps}
 	case b.thOverride >= 0:
-		b.threshold = b.thOverride
-		b.an = core.CachedAnalyzer(par)
+		// Override (e.g. randomized-response mode): the threshold
+		// carries no certificate, so the top charge must come from
+		// the exact analysis. An infinite worst case (an override into
+		// the hole region) drains the entire budget on first use —
+		// the honest price of an uncertified configuration.
+		b.sched = core.NewChargeSchedule(par, guard, b.thOverride, b.cfg.Mult, b.cfg.Multipliers)
+		worst := core.CachedAnalyzer(par).ThresholdingLoss(b.thOverride).MaxLoss
+		b.sched.Top = math.Max(worst, b.sched.Interior)
 	default:
-		var th int64
-		var err error
-		switch {
-		case b.resampling && b.cfg.ConstantTime:
-			th, err = core.ExactConstantTimeThreshold(par, b.cfg.Mult, b.cfg.Candidates)
-		case b.resampling:
-			th, err = core.ResamplingThreshold(par, b.cfg.Mult)
-		default:
-			th, err = core.ThresholdingThreshold(par, b.cfg.Mult)
-		}
+		th, err := core.GuardThreshold(par, guard, b.cfg.Mult, b.cfg.Candidates)
 		if err != nil {
 			return err
 		}
-		b.threshold = th
-		b.an = core.CachedAnalyzer(par)
+		b.sched = core.NewChargeSchedule(par, guard, th, b.cfg.Mult, b.cfg.Multipliers)
 	}
 	// Resample watchdog: cap the resample loop at a bound derived from
 	// the exact miss probability, and precompute the certified
 	// thresholding clamp the trip degrades to.
 	b.resampleCap, b.degradeOK = 0, false
-	if b.resampling && !b.cfg.ConstantTime && !b.cfg.GuardDisabled && !b.cfg.WatchdogDisabled {
-		pMiss := laplace.NewDist(par.FxP()).TailMag(b.threshold + 1)
-		b.resampleCap = watchdogCap(pMiss)
-		if th, err := core.ThresholdingThreshold(par, b.cfg.Mult); err == nil {
+	if guard == core.GuardResampling && !b.cfg.GuardDisabled && !b.cfg.WatchdogDisabled {
+		b.resampleCap = watchdogCap(laplace.NewDist(par.FxP()).TailMag(b.sched.Threshold + 1))
+		if th, err := core.GuardThreshold(par, core.GuardThresholding, b.cfg.Mult, 0); err == nil {
 			b.degradeTh = th
 			b.degradeU = ceilUnits(b.cfg.Mult * par.Eps)
 			b.degradeOK = true
 		}
 	}
-	if b.an != nil {
-		// Resampling renormalizes each input's conditional by its
-		// acceptance mass; the per-output charges (derived from the
-		// thresholding profile) absorb that slack explicitly, capped
-		// at the certified top charge.
-		zSlack := 0.0
-		if b.resampling {
-			tail := laplace.NewDist(par.FxP()).TailMag(b.threshold)
-			zSlack = -math.Log1p(-2 * tail)
-		}
-		b.segs = b.an.Segments(b.threshold, b.cfg.Multipliers)
-		b.interiorU = ceilUnits(b.an.InteriorLoss(b.threshold) + zSlack)
-		if b.thOverride < 0 {
-			// Certified threshold: the exact worst case is below
-			// Mult·ε, so Mult·ε is a sound top band and caps every
-			// other charge.
-			b.topU = ceilUnits(b.cfg.Mult * par.Eps)
-			b.interiorU = minI64(b.interiorU, b.topU)
-		} else {
-			// Override (e.g. randomized-response mode): the threshold
-			// carries no certificate, so the charge table must come
-			// from the exact analysis. An infinite worst case (an
-			// override into the hole region) drains the entire budget
-			// on first use — the honest price of an uncertified
-			// configuration.
-			rep := b.an.ThresholdingLoss(b.threshold)
-			if rep.Infinite {
-				b.topU = math.MaxInt32
-			} else {
-				b.topU = ceilUnits(rep.MaxLoss)
-			}
-			if b.interiorU > b.topU {
-				b.topU = b.interiorU
-			}
-		}
-		b.segU = make([]int64, len(b.segs))
-		for i, s := range b.segs {
-			b.segU[i] = minI64(ceilUnits(s.Mult*par.Eps+zSlack), b.topU)
-		}
-	} else {
-		// Naive mode: flat nominal charge (and no guarantee — the
-		// entire point of Fig. 12).
-		b.interiorU = ceilUnits(par.Eps)
-		b.topU = b.interiorU
-		b.segU = nil
+	b.bandU = make([]int64, b.sched.Bands())
+	for i := range b.bandU {
+		b.bandU[i] = ceilUnits(b.sched.Charge(i))
 	}
 	return nil
 }
@@ -794,34 +752,12 @@ func ceilUnits(nats float64) int64 {
 	return int64(math.Ceil(nats / chargeUnit))
 }
 
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // chargeUnitsFor maps a raw (pre-clamp) output step to its budget
-// charge in sixteenth-nat units, mirroring budget.Controller.
+// charge in sixteenth-nat units.
 func (b *DPBox) chargeUnitsFor(y int64) int64 {
-	if y >= b.rangeLower && y <= b.rangeUpper {
-		b.lastBand = 0
-		return b.interiorU
-	}
-	var offset int64
-	if y > b.rangeUpper {
-		offset = y - b.rangeUpper
-	} else {
-		offset = b.rangeLower - y
-	}
-	for i, s := range b.segs {
-		if offset <= s.Offset {
-			b.lastBand = int64(i) + 1
-			return b.segU[i]
-		}
-	}
-	b.lastBand = int64(len(b.segs)) + 1
-	return b.topU
+	band := b.sched.Band(y)
+	b.lastBand = int64(band)
+	return b.bandU[band]
 }
 
 // Step advances the clock one cycle. A dead module has no clock; the
@@ -898,8 +834,8 @@ func (b *DPBox) noisingCycle() {
 	}
 	y := b.sensor + b.pendingK
 	b.haveK = false // sample consumed
-	lo := b.rangeLower - b.threshold
-	hi := b.rangeUpper + b.threshold
+	lo := b.rangeLower - b.sched.Threshold
+	hi := b.rangeUpper + b.sched.Threshold
 	if b.resampling && !b.cfg.GuardDisabled {
 		if b.cfg.ConstantTime {
 			// All candidates are drawn this same cycle by parallel
@@ -942,7 +878,7 @@ func (b *DPBox) noisingCycle() {
 		if y > hi {
 			y = hi
 		}
-		if b.threshold == 0 {
+		if b.sched.Threshold == 0 {
 			// Randomized-response configuration: 1-bit output stage.
 			if 2*y > b.rangeLower+b.rangeUpper {
 				y = b.rangeUpper
@@ -975,11 +911,12 @@ func (b *DPBox) degrade(y int64) {
 		}
 		return
 	}
-	charge := b.topU
+	top := len(b.bandU) - 1 // degrade always pays the top band
+	charge := b.bandU[top]
 	if b.degradeU > charge {
 		charge = b.degradeU
 	}
-	b.lastBand = int64(len(b.segs)) + 1 // degrade always pays the top band
+	b.lastBand = int64(top)
 	lo := b.rangeLower - b.degradeTh
 	hi := b.rangeUpper + b.degradeTh
 	if y < lo {

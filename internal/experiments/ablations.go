@@ -57,7 +57,7 @@ func AblateRNG(cfg Config) (AblateRNGResult, error) {
 		if hole, ok := d.FirstZeroHole(); ok {
 			row.FirstHole = hole
 		}
-		th, err := core.ThresholdingThreshold(par, cfg.Mult)
+		th, err := core.GuardThreshold(par, core.GuardThresholding, cfg.Mult, 0)
 		if err == nil {
 			row.Feasible = true
 			row.Threshold = th
@@ -271,7 +271,7 @@ func AblateFloat(cfg Config) (AblateFloatResult, error) {
 		RevealRate10: floatleak.RevealRate(d, 0, lambda, n, cfg.Seed+1),
 	}
 	par := core.Params{Lo: 0, Hi: d, Eps: d / lambda, Bu: rngBu, By: rngBy, Delta: d / 64}
-	th, err := core.ThresholdingThreshold(par, cfg.Mult)
+	th, err := core.GuardThreshold(par, core.GuardThresholding, cfg.Mult, 0)
 	if err != nil {
 		return AblateFloatResult{}, err
 	}

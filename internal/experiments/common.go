@@ -158,44 +158,32 @@ func (s Setting) String() string {
 // column of Tables II-V).
 func (s Setting) LDP() bool { return s != SettingBaseline }
 
-// mechanismFor constructs the mechanism for a setting. The guard
-// thresholds are the certified closed forms.
+// guard returns the core guard a guarded setting runs.
+func (s Setting) guard() core.Guard {
+	if s == SettingResampling {
+		return core.GuardResampling
+	}
+	return core.GuardThresholding
+}
+
+// mechanismFor constructs the mechanism for a setting, with the fast
+// exact log unit (the sweeps measure utility, not the datapath) and
+// the guard threshold from core.GuardThreshold.
 func mechanismFor(s Setting, par core.Params, mult float64, seed uint64) (core.Mechanism, error) {
 	switch s {
 	case SettingIdeal:
-		m, err := core.NewIdealLaplace(par, seed)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
+		return core.NewIdealLaplace(par, seed)
 	case SettingBaseline:
-		m, err := core.NewBaseline(par, nil, urng.NewTaus88(seed))
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	case SettingResampling:
-		th, err := core.ResamplingThreshold(par, mult)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.NewResampling(par, th, nil, urng.NewTaus88(seed))
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	case SettingThresholding:
-		th, err := core.ThresholdingThreshold(par, mult)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.NewThresholding(par, th, nil, urng.NewTaus88(seed))
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
+		return core.NewBaseline(par, fastLog, urng.NewTaus88(seed))
 	}
-	return nil, fmt.Errorf("experiments: unknown setting %d", int(s))
+	th, err := core.GuardThreshold(par, s.guard(), mult, 0)
+	if err != nil {
+		return nil, err
+	}
+	if s == SettingResampling {
+		return core.NewResampling(par, th, fastLog, urng.NewTaus88(seed))
+	}
+	return core.NewThresholding(par, th, fastLog, urng.NewTaus88(seed))
 }
 
 // ldpCache memoizes per-parameter LDP certification verdicts: the

@@ -153,13 +153,7 @@ func guardDist(cfg Config, s Setting) (GuardDistResult, error) {
 	}
 	par := fig4Params
 	an := core.CachedAnalyzer(par)
-	var th int64
-	var err error
-	if s == SettingResampling {
-		th, err = core.ResamplingThreshold(par, cfg.Mult)
-	} else {
-		th, err = core.ThresholdingThreshold(par, cfg.Mult)
-	}
+	th, err := core.GuardThreshold(par, s.guard(), cfg.Mult, 0)
 	if err != nil {
 		return GuardDistResult{}, err
 	}
@@ -265,8 +259,7 @@ func Figure8(cfg Config) (Fig8Result, error) {
 		return Fig8Result{}, err
 	}
 	par := fig4Params
-	an := core.CachedAnalyzer(par)
-	th, err := core.ThresholdingThreshold(par, cfg.Mult)
+	th, err := core.GuardThreshold(par, core.GuardThresholding, cfg.Mult, 0)
 	if err != nil {
 		return Fig8Result{}, err
 	}
@@ -276,11 +269,12 @@ func Figure8(cfg Config) (Fig8Result, error) {
 			mults = append(mults, m)
 		}
 	}
+	sched := core.NewChargeSchedule(par, core.GuardThresholding, th, cfg.Mult, mults)
 	return Fig8Result{
 		Threshold:    th,
-		Profile:      an.ThresholdingLossProfile(th),
-		Segments:     an.Segments(th, mults),
-		InteriorLoss: an.InteriorLoss(th),
+		Profile:      core.CachedAnalyzer(par).ThresholdingLossProfile(th),
+		Segments:     sched.Segments,
+		InteriorLoss: sched.Interior,
 		Eps:          par.Eps,
 	}, nil
 }

@@ -50,7 +50,7 @@ func Figure13(cfg Config) (Fig13Result, error) {
 	// run's error floor is the luck of its cached value; the average
 	// exposes the budget ordering the paper plots.
 	runs := cfg.Trials
-	th, err := core.ThresholdingThreshold(par, cfg.Mult)
+	th, err := core.GuardThreshold(par, core.GuardThresholding, cfg.Mult, 0)
 	if err != nil {
 		return Fig13Result{}, err
 	}
@@ -252,7 +252,7 @@ func Figure15(cfg Config) (Fig15Result, error) {
 			var pt Fig15Point
 			pt.N = n
 			for _, s := range Settings {
-				mech, err := mechanismForMult(s, par, mult, cfg.Seed+uint64(n))
+				mech, err := mechanismFor(s, par, mult, cfg.Seed+uint64(n))
 				if err != nil {
 					return nil, err
 				}
@@ -285,45 +285,6 @@ func Figure15(cfg Config) (Fig15Result, error) {
 // coarseMult is the loss multiplier used for the coarse-RNG arm of
 // Fig. 15(b): an 8-bit URNG cannot certify tight multipliers.
 const coarseMult = 4.0
-
-// mechanismForMult is mechanismFor with the guard log unit forced to
-// the fast exact log (these sweeps measure utility, not datapath).
-func mechanismForMult(s Setting, par core.Params, mult float64, seed uint64) (core.Mechanism, error) {
-	switch s {
-	case SettingIdeal:
-		m, err := core.NewIdealLaplace(par, seed)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	case SettingBaseline:
-		m, err := core.NewBaseline(par, fastLog, urng.NewTaus88(seed))
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	case SettingResampling:
-		th, err := core.ResamplingThreshold(par, mult)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.NewResampling(par, th, fastLog, urng.NewTaus88(seed))
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	default:
-		th, err := core.ThresholdingThreshold(par, mult)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.NewThresholding(par, th, fastLog, urng.NewTaus88(seed))
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-}
 
 // Print renders the result.
 func (r Fig15Result) Print(w io.Writer) {

@@ -105,7 +105,7 @@ func utilityTable(cfg Config, k query.Kind) (UtilityTableResult, error) {
 			ldp := certifyLDP(par, cfg.Mult)
 			row := UtilityRow{Dataset: m.Name}
 			for _, s := range Settings {
-				mech, err := mechanismForMult(s, par, cfg.Mult, cfg.Seed+uint64(di*7)+uint64(s))
+				mech, err := mechanismFor(s, par, cfg.Mult, cfg.Seed+uint64(di*7)+uint64(s))
 				if err != nil {
 					errs[di] = err
 					return
@@ -143,10 +143,10 @@ func certifyLDP(par core.Params, mult float64) map[Setting]bool {
 		SettingIdeal:    true, // analytic guarantee
 		SettingBaseline: !an.BaselineLoss().Infinite,
 	}
-	if th, err := core.ResamplingThreshold(par, mult); err == nil {
+	if th, err := core.GuardThreshold(par, core.GuardResampling, mult, 0); err == nil {
 		out[SettingResampling] = an.ResamplingLoss(th).Bounded(mult * par.Eps)
 	}
-	if th, err := core.ThresholdingThreshold(par, mult); err == nil {
+	if th, err := core.GuardThreshold(par, core.GuardThresholding, mult, 0); err == nil {
 		out[SettingThresholding] = an.ThresholdingLoss(th).Bounded(mult * par.Eps)
 	}
 	ldpCache[par] = out
@@ -240,7 +240,7 @@ func TableVI(cfg Config) (TableVIResult, error) {
 			data := train
 			if eps != 0 {
 				par := core.Params{Lo: -1, Hi: 1, Eps: eps, Bu: rngBu, By: rngBy, Delta: 2.0 / 256}
-				th, err := core.ThresholdingThreshold(par, cfg.Mult)
+				th, err := core.GuardThreshold(par, core.GuardThresholding, cfg.Mult, 0)
 				if err != nil {
 					return TableVIResult{}, err
 				}

@@ -76,7 +76,7 @@ func NewBaseline(par Params, seed uint64) (Mechanism, error) {
 // NewResampling returns the resampling-guarded mechanism with the
 // certified threshold for worst-case loss mult·ε.
 func NewResampling(par Params, mult float64, seed uint64) (Mechanism, error) {
-	th, err := core.ResamplingThreshold(par, mult)
+	th, err := core.GuardThreshold(par, core.GuardResampling, mult, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func NewResampling(par Params, mult float64, seed uint64) (Mechanism, error) {
 // certified threshold for worst-case loss mult·ε. This is the
 // single-draw, energy-efficient guard.
 func NewThresholding(par Params, mult float64, seed uint64) (Mechanism, error) {
-	th, err := core.ThresholdingThreshold(par, mult)
+	th, err := core.GuardThreshold(par, core.GuardThresholding, mult, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ func NewBank(cfg DPBoxConfig, n int, seed uint64) (*Bank, error) {
 // (Section IV-C): candidates parallel samples per report, constant
 // latency, threshold certified by the exact constant-time analysis.
 func NewConstantTime(par Params, mult float64, candidates int, seed uint64) (Mechanism, error) {
-	th, err := core.ExactConstantTimeThreshold(par, mult, candidates)
+	th, err := core.GuardThreshold(par, core.GuardConstantTime, mult, candidates)
 	if err != nil {
 		return nil, err
 	}
