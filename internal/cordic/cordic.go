@@ -69,6 +69,13 @@ func New(cfg Config) *Core {
 	return c
 }
 
+// defaultCore is the DefaultConfig core, built once: a Core is
+// immutable after New, so every sampler can share it.
+var defaultCore = New(DefaultConfig)
+
+// Default returns the shared DefaultConfig core.
+func Default() *Core { return defaultCore }
+
 func toFixed(x float64, frac int) int64 {
 	return int64(math.Round(math.Ldexp(x, frac)))
 }

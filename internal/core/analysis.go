@@ -56,6 +56,8 @@ type Analyzer struct {
 	pmf  []float64 // signed PMF; index k+maxK
 	cum  []float64 // cum[i] = sum of pmf[0..i-1]
 	maxK int64
+
+	plans planMemo // guard plans derived for par (see cache.go)
 }
 
 // mustValidate guards the analyzer constructors: they are always

@@ -29,16 +29,42 @@ const (
 // ResamplingThreshold; constant-time resampling, which has no closed
 // form, uses the exact search over candidates parallel draws (the
 // other guards ignore candidates).
+//
+// The result is memoized on par's cached Analyzer (see cache.go).
+// GuardThreshold never builds one itself, so a closed-form threshold
+// costs no PMF: it memoizes once an analyzer for par is cached (the
+// constant-time search caches one).
 func GuardThreshold(par Params, guard Guard, mult float64, candidates int) (int64, error) {
+	if guard < GuardThresholding || guard > GuardConstantTime {
+		return 0, fmt.Errorf("core: unknown guard %d", int(guard))
+	}
+	if guard != GuardConstantTime {
+		candidates = 0
+	}
+	key := planKey{kind: planThreshold, guard: guard, candidates: candidates, mult: math.Float64bits(mult)}
+	an := cachedAnalyzerIfPresent(par)
+	if an != nil {
+		if p, ok := an.plans.get(key); ok {
+			return p.th, p.err
+		}
+	}
+	var th int64
+	var err error
 	switch guard {
 	case GuardThresholding:
-		return ThresholdingThreshold(par, mult)
+		th, err = ThresholdingThreshold(par, mult)
 	case GuardResampling:
-		return ResamplingThreshold(par, mult)
-	case GuardConstantTime:
-		return ExactConstantTimeThreshold(par, mult, candidates)
+		th, err = ResamplingThreshold(par, mult)
+	default:
+		th, err = ExactConstantTimeThreshold(par, mult, candidates)
 	}
-	return 0, fmt.Errorf("core: unknown guard %d", int(guard))
+	if an == nil {
+		an = cachedAnalyzerIfPresent(par)
+	}
+	if an != nil {
+		an.plans.put(key, plan{th: th, err: err})
+	}
+	return th, err
 }
 
 // ChargeSchedule is Algorithm 1's output-dependent charge table for
@@ -49,6 +75,10 @@ func GuardThreshold(par Params, guard Guard, mult float64, candidates int) (int6
 // the one place the bands and their charges are derived:
 // budget.Controller charges them in nats, the DP-Box rounds them up
 // into its budget units.
+//
+// Schedules are memoized per configuration, so every copy of one
+// shares its Segments slice: Segments is read-only, and a caller that
+// hands it out must copy it.
 type ChargeSchedule struct {
 	// Lo and Hi bound the sensor range in steps of Δ.
 	Lo, Hi int64
@@ -69,7 +99,8 @@ type ChargeSchedule struct {
 
 // NewChargeSchedule derives the schedule for a guard running at a
 // threshold certified at mult·ε (one from GuardThreshold), so Top is
-// mult·ε.
+// mult·ε. The result is memoized on par's cached Analyzer (see
+// cache.go).
 //
 // The bands come from the thresholding per-output loss profile. The
 // resampling guards renormalize each input's conditional distribution
@@ -79,17 +110,33 @@ type ChargeSchedule struct {
 // charge is the certified bound and needs no slack.
 func NewChargeSchedule(par Params, guard Guard, threshold int64, mult float64, multipliers []float64) ChargeSchedule {
 	an := CachedAnalyzer(par)
-	yLo, losses := an.lossSweep(threshold) // one sweep serves both
+	key, keyed := scheduleKey(guard, threshold, mult, multipliers)
+	if keyed {
+		if p, ok := an.plans.get(key); ok {
+			return p.sched
+		}
+	}
+	s := an.chargeSchedule(guard, threshold, mult, multipliers)
+	if keyed {
+		an.plans.put(key, plan{sched: s})
+	}
+	return s
+}
+
+// chargeSchedule is NewChargeSchedule's derivation, unmemoized.
+func (a *Analyzer) chargeSchedule(guard Guard, threshold int64, mult float64, multipliers []float64) ChargeSchedule {
+	par := a.par
+	yLo, losses := a.lossSweep(threshold) // one sweep serves both
 	s := ChargeSchedule{
 		Lo: par.LoSteps(), Hi: par.HiSteps(), Eps: par.Eps,
 		Threshold: threshold,
-		Segments:  an.segments(threshold, yLo, losses, multipliers),
+		Segments:  a.segments(threshold, yLo, losses, multipliers),
 		Top:       mult * par.Eps,
 	}
 	if guard != GuardThresholding {
 		s.ZSlack = -math.Log1p(-2 * laplace.NewDist(par.FxP()).TailMag(threshold))
 	}
-	s.Interior = an.interiorLoss(yLo, losses) + s.ZSlack
+	s.Interior = a.interiorLoss(yLo, losses) + s.ZSlack
 	return s
 }
 

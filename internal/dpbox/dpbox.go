@@ -311,7 +311,7 @@ func New(cfg Config) (*DPBox, error) {
 		// Route the datapaths through the fault plane. The wrappers
 		// are built once here; per-draw they cost one nil check.
 		if cfg.Log == nil {
-			cfg.Log = cordic.New(cordic.DefaultConfig)
+			cfg.Log = cordic.Default()
 		}
 		cfg.Log = fp.WrapLog(cfg.Log)
 		cfg.Source = fp.WrapSource(cfg.Source)
@@ -321,7 +321,7 @@ func New(cfg Config) (*DPBox, error) {
 		// so they count logical datapath activations regardless of
 		// injected faults. Built once here; nil Obs never sees them.
 		if cfg.Log == nil {
-			cfg.Log = cordic.New(cordic.DefaultConfig)
+			cfg.Log = cordic.Default()
 		}
 		cfg.Log = countingLog{log: cfg.Log, c: m.LogEvals}
 		cfg.Source = countingSource{src: cfg.Source, c: m.URNGDraws}

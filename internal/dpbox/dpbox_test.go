@@ -2,6 +2,8 @@ package dpbox
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"ulpdp/internal/core"
@@ -451,6 +453,66 @@ func TestDistributionMatchesCoreMechanism(t *testing.T) {
 		want := float64(refCounts[y]) / n
 		if math.Abs(got-want) > 6*math.Sqrt(want/n)+2e-3 {
 			t.Errorf("P(y=%d): dpbox %g vs reference %g", y, got, want)
+		}
+	}
+}
+
+// TestConcurrentDeriveSharesPlans powers up 64 DP-Boxes at once on a
+// cold analyzer cache, over two geometries and both guards, so their
+// derives race on the shared guard-plan memo (run it under -race).
+// Every box of one configuration must end with the same plan.
+func TestConcurrentDeriveSharesPlans(t *testing.T) {
+	core.ResetAnalyzerCache()
+	defer core.ResetAnalyzerCache()
+	type geometry struct {
+		bu, by int
+		hi     int64
+	}
+	geos := []geometry{{12, 10, 16}, {17, 12, 20}}
+	type plan struct {
+		bandU []int64
+		th    int64
+		cap   int
+		degTh int64
+		degOK bool
+	}
+	const boxes = 64
+	plans := make([]plan, boxes)
+	var wg sync.WaitGroup
+	for i := 0; i < boxes; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g := geos[i%2]
+			box, err := New(Config{Bu: g.bu, By: g.by, Source: urng.NewTaus88(uint64(i + 1))})
+			if err == nil {
+				err = box.Initialize(1e6, 0)
+			}
+			if err == nil {
+				err = box.Configure(1, 0, g.hi)
+			}
+			if err == nil {
+				err = box.SetResampling(i/2%2 == 1)
+			}
+			if err == nil {
+				_, err = box.NoiseValue(g.hi / 2)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			degTh, degOK := box.DegradeThreshold()
+			plans[i] = plan{bandU: box.bandU, th: box.Threshold(), cap: box.ResampleCap(),
+				degTh: degTh, degOK: degOK}
+		}(i)
+	}
+	wg.Wait()
+	for i := 4; i < boxes; i++ {
+		got, want := plans[i], plans[i%4]
+		if got.th != want.th || got.cap != want.cap || got.degTh != want.degTh ||
+			got.degOK != want.degOK || !slices.Equal(got.bandU, want.bandU) {
+			t.Errorf("box %d (geometry %d, resampling %v) derived %+v, box %d derived %+v",
+				i, i%2, i/2%2 == 1, got, i%4, want)
 		}
 	}
 }

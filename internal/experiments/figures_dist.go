@@ -270,10 +270,13 @@ func Figure8(cfg Config) (Fig8Result, error) {
 		}
 	}
 	sched := core.NewChargeSchedule(par, core.GuardThresholding, th, cfg.Mult, mults)
+	// The schedule's Segments are shared with every other caller.
+	segs := make([]core.Segment, len(sched.Segments))
+	copy(segs, sched.Segments)
 	return Fig8Result{
 		Threshold:    th,
 		Profile:      core.CachedAnalyzer(par).ThresholdingLossProfile(th),
-		Segments:     sched.Segments,
+		Segments:     segs,
 		InteriorLoss: sched.Interior,
 		Eps:          par.Eps,
 	}, nil

@@ -119,15 +119,15 @@ type Sampler struct {
 }
 
 // NewSampler wires a fixed-point Laplace RNG from its parameters, a
-// log unit and a uniform source. Pass log == nil for the default
-// CORDIC core. Parameters are caller configuration, so invalid ones
-// are a returned error, not a panic (DESIGN.md §6).
+// log unit and a uniform source. Pass log == nil for the shared
+// default CORDIC core. Parameters are caller configuration, so
+// invalid ones are a returned error, not a panic (DESIGN.md §6).
 func NewSampler(par FxPParams, log LogUnit, src urng.Source) (*Sampler, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
 	if log == nil {
-		log = cordic.New(cordic.DefaultConfig)
+		log = cordic.Default()
 	}
 	return &Sampler{
 		par:   par,
