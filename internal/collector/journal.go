@@ -143,12 +143,8 @@ func (j *Journal) liveLen() int { return j.r.Len(j.bk.Live()) }
 func (j *Journal) loadBanks(a, b []uint16) {
 	j.r.Erase(0)
 	j.r.Erase(1)
-	for _, w := range a {
-		_ = j.r.Medium().Append(0, w)
-	}
-	for _, w := range b {
-		_ = j.r.Medium().Append(1, w)
-	}
+	_ = j.r.Medium().Append(0, a...)
+	_ = j.r.Medium().Append(1, b...)
 }
 
 // truncateBank chops (region-relative) bank b to n words — the test
@@ -156,9 +152,7 @@ func (j *Journal) loadBanks(a, b []uint16) {
 func (j *Journal) truncateBank(b, n int) {
 	words := append([]uint16(nil), j.r.Words(b)[:n]...)
 	j.r.Erase(b)
-	for _, w := range words {
-		_ = j.r.Medium().Append(b, w)
-	}
+	_ = j.r.Medium().Append(b, words...)
 }
 
 // snapNode is one node's checkpointed metadata (everything a NodeView

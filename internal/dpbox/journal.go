@@ -3,7 +3,7 @@ package dpbox
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ulpdp/internal/nvm"
 )
@@ -349,7 +349,7 @@ func (j *Journal) compact(st LedgerState) error {
 	for s := range st.Releases {
 		seqs = append(seqs, s)
 	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
+	slices.Sort(seqs)
 	if len(seqs) > compactReleaseCap {
 		seqs = seqs[len(seqs)-compactReleaseCap:]
 	}
@@ -411,12 +411,14 @@ func Recover(cfg Config, j *Journal) (*DPBox, error) {
 	b.ledger.since = 0
 	b.ledger.locked = true
 	// Restore the release cache so sequence-labelled retries replay
-	// the pre-crash values instead of redrawing. The in-memory cache
-	// keeps everything the replay recovered; only the compacted NVM
-	// copy is trimmed to the retransmission window, so a second crash
-	// preserves at least that window.
-	for seq, rel := range st.Releases {
-		b.recordRelease(seq, rel)
+	// the pre-crash values instead of redrawing. The box takes over the
+	// replayed map whole: the in-memory cache keeps everything the
+	// replay recovered; only the compacted NVM copy is trimmed to the
+	// retransmission window, so a second crash preserves at least that
+	// window.
+	b.releases = st.Releases
+	for seq := range st.Releases {
+		b.maxRelSeq = max(b.maxRelSeq, seq)
 	}
 	b.phase = PhaseWaiting
 	if m := b.obs; m != nil {

@@ -649,7 +649,7 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 
-		nr.Released = releasesOf(box)
+		nr.Released = box.Releases()
 		nr.SpendNats = budget0 - box.BudgetRemaining()
 
 		// Crash-consistency cross-check: replaying the journal
@@ -794,15 +794,6 @@ func quiesce(ctx context.Context, clk simclock.Clock, links []*transport.Link) {
 		}
 		deadline = clk.Now() + collector.DefaultPollTimeout
 	}
-}
-
-// releasesOf copies a box's in-memory release cache.
-func releasesOf(b *dpbox.DPBox) map[uint64]dpbox.Release {
-	out := make(map[uint64]dpbox.Release)
-	for s, r := range b.Releases() {
-		out[s] = r
-	}
-	return out
 }
 
 // CheckExactlyOnce verifies invariant 1 on a completed run: per node,

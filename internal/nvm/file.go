@@ -8,23 +8,27 @@ import (
 )
 
 // FileMedium persists each bank as one little-endian word file under
-// a directory, with write-through word durability: every Append is
-// issued to the file before it is acknowledged, so a killed process
-// (SIGKILL mid-run) finds every acknowledged word on restart — the
-// kernel completes in-flight page-cache writes even when the process
-// dies. That is the durability the restart-survival contract needs;
-// it is weaker than a powerfail-safe disk (no fsync per word — a
-// whole-machine power cut could drop the page-cache tail, which the
-// torn-tail replay then rolls back, exactly like a simulated cut).
+// a directory, with write-through record durability: every Append is
+// issued to the file as one positional write before it is
+// acknowledged, so a killed process (SIGKILL mid-run) finds every
+// acknowledged word on restart — the kernel completes in-flight
+// page-cache writes even when the process dies. That is the
+// durability the restart-survival contract needs; it is weaker than a
+// powerfail-safe disk (no fsync per record — a whole-machine power cut
+// could drop the page-cache tail, which the torn-tail replay then
+// rolls back, exactly like a simulated cut).
 //
 // A file with an odd byte length holds a torn word — the process was
-// killed between the two bytes of one word write — and is truncated
-// back to the last whole word at open, the file analogue of a torn
-// NVM word never reaching its cell.
+// killed partway through a write, between the two bytes of one word —
+// and is truncated back to the last whole word at open, the file
+// analogue of a torn NVM word never reaching its cell. Whole words of
+// a partly written record are the torn record tail replay already
+// discards.
 type FileMedium struct {
 	dir    string
 	files  []*os.File
 	mirror [][]uint16 // in-RAM copy of each bank for zero-copy reads
+	bufs   [][]byte   // Append's reused encode buffer, one per bank
 }
 
 // bankPath names bank b's backing file.
@@ -42,6 +46,7 @@ func OpenFileMedium(dir string, banks int) (*FileMedium, error) {
 		dir:    dir,
 		files:  make([]*os.File, banks),
 		mirror: make([][]uint16, banks),
+		bufs:   make([][]byte, banks),
 	}
 	for b := 0; b < banks; b++ {
 		f, err := os.OpenFile(bankPath(dir, b), os.O_RDWR|os.O_CREATE, 0o644)
@@ -91,14 +96,16 @@ func CountFileBanks(dir string) int {
 // Banks returns the bank count.
 func (m *FileMedium) Banks() int { return len(m.mirror) }
 
-// Append writes one word through to bank b's file, then mirrors it.
-func (m *FileMedium) Append(b int, w uint16) error {
-	var buf [2]byte
-	binary.LittleEndian.PutUint16(buf[:], w)
-	if _, err := m.files[b].WriteAt(buf[:], int64(2*len(m.mirror[b]))); err != nil {
+// Append writes words through to bank b's file with one WriteAt,
+// then mirrors them. The encode buffer is per bank, so appends to
+// different banks may run concurrently, as the Medium contract
+// allows.
+func (m *FileMedium) Append(b int, ws ...uint16) error {
+	m.bufs[b] = appendWords(m.bufs[b][:0], ws)
+	if _, err := m.files[b].WriteAt(m.bufs[b], int64(2*len(m.mirror[b]))); err != nil {
 		return fmt.Errorf("nvm: write bank %d: %w", b, err)
 	}
-	m.mirror[b] = append(m.mirror[b], w)
+	m.mirror[b] = append(m.mirror[b], ws...)
 	return nil
 }
 
@@ -123,7 +130,7 @@ func (m *FileMedium) Erase(b int) error {
 func (m *FileMedium) Replace(b int, words []uint16) error {
 	path := bankPath(m.dir, b)
 	tmp := path + ".new"
-	if err := os.WriteFile(tmp, wordsToBytes(words), 0o644); err != nil {
+	if err := os.WriteFile(tmp, appendWords(nil, words), 0o644); err != nil {
 		return fmt.Errorf("nvm: replace bank %d: %w", b, err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -139,13 +146,13 @@ func (m *FileMedium) Replace(b int, words []uint16) error {
 	return nil
 }
 
-// wordsToBytes encodes words little-endian, the bank file format.
-func wordsToBytes(words []uint16) []byte {
-	raw := make([]byte, 2*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint16(raw[2*i:], w)
+// appendWords appends words to dst little-endian, the bank file
+// format.
+func appendWords(dst []byte, words []uint16) []byte {
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint16(dst, w)
 	}
-	return raw
+	return dst
 }
 
 // Close closes every bank file.

@@ -104,9 +104,7 @@ func FuzzNVMRecordCodec(f *testing.F) {
 		// Still usable: appending a fresh record after the valid prefix
 		// scans back intact.
 		probe := NewRegion(NewMemMedium(1), NewPower(), lay)
-		for i := 0; i < parsed; i++ {
-			probe.Put(0, words[i])
-		}
+		_ = probe.Medium().Append(0, words[:parsed]...) // MemMedium never fails
 		probe.SetSeq(0x7FF)
 		if !probe.Append(0, 3, []uint16{0x55, 0xAA}) {
 			t.Fatal("probe append failed")

@@ -16,7 +16,7 @@
 //
 //   - Medium: raw word banks (append/read/erase). MemMedium is the
 //     simulated in-RAM array every test sweeps; FileMedium persists
-//     each bank to a file with write-through word durability so a
+//     each bank to a file with write-through record durability so a
 //     killed-and-restarted process recovers real state.
 //   - Power: the shared supply cell. One cell powers every bank of a
 //     region (a crash is one event); writes fail closed once the cell
@@ -46,18 +46,19 @@ const (
 	SaltCheckpoint uint16 = 0xC011
 )
 
-// Medium is a bank-addressed word array: the raw NVM. Appends are
-// word-scalar — the engine feeds records through one word at a time
-// so the medium never sees (or allocates for) a record boundary.
+// Medium is a bank-addressed word array: the raw NVM. The engine
+// hands it one record's words per Append, so a record costs one
+// medium call; the cut-point model stays word-granular because the
+// power cell decides, before the call, how many of those words land.
 // Implementations are not goroutine-safe; callers serialize access
 // per bank (shard locks, the ledger mutex, single-threaded recovery).
 type Medium interface {
 	// Banks returns the number of banks.
 	Banks() int
-	// Append makes one word durable at the end of bank b. An error
-	// means the medium failed mid-write; the engine treats it as a
-	// power event and kills the supply cell.
-	Append(b int, w uint16) error
+	// Append makes words ws durable, in order, at the end of bank b.
+	// An error means the medium failed mid-write; the engine treats it
+	// as a power event and kills the supply cell.
+	Append(b int, ws ...uint16) error
 	// Len returns bank b's durable word count.
 	Len(b int) int
 	// Words returns bank b's durable words. The slice aliases the
@@ -91,9 +92,9 @@ func NewMemMedium(banks int) *MemMedium {
 // Banks returns the bank count.
 func (m *MemMedium) Banks() int { return len(m.banks) }
 
-// Append appends one word to bank b.
-func (m *MemMedium) Append(b int, w uint16) error {
-	m.banks[b] = append(m.banks[b], w)
+// Append appends words to bank b.
+func (m *MemMedium) Append(b int, ws ...uint16) error {
+	m.banks[b] = append(m.banks[b], ws...)
 	return nil
 }
 

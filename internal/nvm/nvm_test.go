@@ -3,6 +3,7 @@ package nvm
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -122,7 +123,7 @@ func TestPowerScheduledFailure(t *testing.T) {
 	if !pw.Dead() || r.Len(0) != 3 {
 		t.Fatalf("dead %v len %d, want true 3", pw.Dead(), r.Len(0))
 	}
-	if r.Put(0, 1) {
+	if r.Append(0, 2, nil) || r.Len(0) != 3 {
 		t.Fatal("dead cell accepted a write")
 	}
 	pw.Revive()
@@ -227,6 +228,46 @@ func TestFileMediumTrimsTornWord(t *testing.T) {
 	defer med2.Close()
 	if w := med2.Words(0); len(w) != 1 || w[0] != 0xAAAA {
 		t.Fatalf("torn word not trimmed: %v", w)
+	}
+}
+
+// TestFileMediumRecordAppend: a multi-word Append lands as one run
+// that reads back in order, live and after a reopen, and appends
+// continue after it.
+func TestFileMediumRecordAppend(t *testing.T) {
+	dir := t.TempDir()
+	med, err := OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Append(0, 0x1111, 0x2222, 0x3333, 0x4444); err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Append(1, 0xAAAA, 0xBBBB); err != nil {
+		t.Fatal(err)
+	}
+	med.Close()
+	med2, err := OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := med2.Words(0); !slices.Equal(w, []uint16{0x1111, 0x2222, 0x3333, 0x4444}) {
+		t.Fatalf("bank 0 reopened as %v", w)
+	}
+	if err := med2.Append(0, 0x5555, 0x6666); err != nil {
+		t.Fatal(err)
+	}
+	med2.Close()
+	med3, err := OpenFileMedium(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer med3.Close()
+	if w := med3.Words(0); !slices.Equal(w, []uint16{0x1111, 0x2222, 0x3333, 0x4444, 0x5555, 0x6666}) {
+		t.Fatalf("bank 0 after a second run reopened as %v", w)
+	}
+	if w := med3.Words(1); !slices.Equal(w, []uint16{0xAAAA, 0xBBBB}) {
+		t.Fatalf("bank 1 reopened as %v", w)
 	}
 }
 

@@ -5,10 +5,12 @@ import "sync/atomic"
 // Power is the supply cell shared by every bank of a region: a crash
 // takes the whole region down between two word writes, so the fail
 // countdown is global, not per bank. Clients journal concurrently
-// (the collector's shards share one cell across reactors) and every
-// admission costs a dozen-plus permit checks, so the cell is
-// lock-free: with no failure armed (the steady state) a permit is one
-// load and one relaxed counter bump, never a shared mutex.
+// (the collector's shards share one cell across reactors), so the
+// cell is lock-free, and permits are granted a record at a time: with
+// no failure armed (the steady state) one record costs one load and
+// one relaxed counter bump, never a shared mutex. Granting a run of
+// words at once does not move the cut point — a scheduled failure
+// still lands between the same two words it would word by word.
 type Power struct {
 	failAfter atomic.Int64 // remaining allowed word writes; -1 = no scheduled failure
 	dead      atomic.Bool
@@ -22,26 +24,29 @@ func NewPower() *Power {
 	return p
 }
 
-// Allow consumes one word-write permit, honouring a scheduled
-// failure. False means the supply is (now) dead: the write must not
-// happen and the region fails closed.
-func (p *Power) Allow() bool {
-	if p.dead.Load() {
-		return false
+// Allow asks for k word-write permits (one record's words) and returns
+// the number granted, g ≤ k, honouring a scheduled failure: only the
+// first g words may be written. g < k means the supply died after the
+// g-th word — the cell is dead from then on and the region fails
+// closed, exactly as if the words had been asked for one at a time.
+// A dead cell grants nothing.
+func (p *Power) Allow(k int) int {
+	if k <= 0 || p.dead.Load() {
+		return 0
 	}
 	for {
 		n := p.failAfter.Load()
 		if n < 0 {
-			p.writes.Add(1)
-			return true
+			p.writes.Add(uint64(k))
+			return k
 		}
-		if n == 0 {
-			p.dead.Store(true)
-			return false
-		}
-		if p.failAfter.CompareAndSwap(n, n-1) {
-			p.writes.Add(1)
-			return true
+		g := min(n, int64(k))
+		if p.failAfter.CompareAndSwap(n, n-g) {
+			p.writes.Add(uint64(g))
+			if g < int64(k) {
+				p.dead.Store(true)
+			}
+			return int(g)
 		}
 	}
 }

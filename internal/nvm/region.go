@@ -54,8 +54,11 @@ type Region struct {
 	n    int // bank count
 	seq  uint16
 
-	// During Rewrite, Puts to bank stageBank collect in stage instead
-	// of reaching the medium.
+	// rec is Append's reused record buffer (hdr, payload, checksum).
+	rec []uint16
+
+	// During Rewrite, appends to bank stageBank collect in stage
+	// instead of reaching the medium.
 	staging   bool
 	stageBank int
 	stage     []uint16
@@ -106,26 +109,8 @@ func (r *Region) Words(b int) []uint16 { return r.med.Words(r.base + b) }
 // Erase clears bank b.
 func (r *Region) Erase(b int) { _ = r.med.Erase(r.base + b) }
 
-// Put writes one raw word to bank b through the power cell. It
-// reports whether the word became durable; a medium failure kills the
-// cell (fail closed).
-func (r *Region) Put(b int, w uint16) bool {
-	if !r.pw.Allow() {
-		return false
-	}
-	if r.staging && b == r.stageBank {
-		r.stage = append(r.stage, w)
-		return true
-	}
-	if r.med.Append(r.base+b, w) != nil {
-		r.pw.Kill()
-		return false
-	}
-	return true
-}
-
 // Rewrite replaces bank b with the records fn appends, in one step:
-// fn's words pass the power cell as usual but collect in a staging
+// fn's records pass the power cell as usual but collect in a staging
 // copy, and only when fn reports success does the medium swap them in
 // (Medium.Replace). A power loss inside fn, or a process killed at any
 // point, leaves the old bank whole for the next recovery to replay.
@@ -143,21 +128,30 @@ func (r *Region) Rewrite(b int, fn func() bool) bool {
 	return true
 }
 
-// Append writes one record — header, payload, checksum — word by
-// word into bank b. False means power failed partway: the tail is
-// torn and the region dead.
+// Append writes one record — header, payload, checksum — into bank
+// b. The record asks the power cell for all its words at once and
+// lands the granted prefix with one medium append (or into the
+// Rewrite stage). False means power failed partway: the granted
+// prefix is the durable torn tail and the region is dead; a medium
+// failure kills the cell (fail closed).
 func (r *Region) Append(b int, tag uint16, payload []uint16) bool {
 	hdr := tag<<12 | (r.seq & 0x0FFF)
 	r.seq++
-	if !r.Put(b, hdr) {
+	rec := append(r.rec[:0], hdr)
+	rec = append(rec, payload...)
+	rec = append(rec, Checksum(r.lay.Salt, hdr, payload))
+	r.rec = rec
+	g := r.pw.Allow(len(rec))
+	if g == 0 {
 		return false
 	}
-	for _, w := range payload {
-		if !r.Put(b, w) {
-			return false
-		}
+	if r.staging && b == r.stageBank {
+		r.stage = append(r.stage, rec[:g]...)
+	} else if r.med.Append(r.base+b, rec[:g]...) != nil {
+		r.pw.Kill()
+		return false
 	}
-	return r.Put(b, Checksum(r.lay.Salt, hdr, payload))
+	return g == len(rec)
 }
 
 // TxnBegin opens a two-phase transaction: it notes the pairing
