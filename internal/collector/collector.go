@@ -200,8 +200,17 @@ func (vs *valueStore) put(seq uint64, v int64) {
 	vs.n++
 }
 
-// forEach visits every recorded (seq, value) pair.
+// forEach visits every recorded (seq, value) pair: the dense window
+// in ascending seq, then the far spill in map order.
 func (vs *valueStore) forEach(f func(seq uint64, v int64)) {
+	vs.forEachDense(f)
+	for s, v := range vs.far {
+		f(s, v)
+	}
+}
+
+// forEachDense visits the dense window's pairs in ascending seq.
+func (vs *valueStore) forEachDense(f func(seq uint64, v int64)) {
 	for w, word := range vs.seen {
 		for word != 0 {
 			t := bits.TrailingZeros64(word)
@@ -209,9 +218,6 @@ func (vs *valueStore) forEach(f func(seq uint64, v int64)) {
 			f(seq, vs.vals[seq])
 			word &^= 1 << t
 		}
-	}
-	for s, v := range vs.far {
-		f(s, v)
 	}
 }
 
@@ -811,7 +817,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 
 // compactLocked rewrites the shard's checkpoint as a fresh snapshot
 // of every node's dedup store, last-ACK cache, and breaker state,
-// double-banked so a crash mid-compaction loses nothing. A compaction
+// swapped in whole so a crash mid-compaction loses nothing. A compaction
 // that cannot complete (store power lost) latches the shard dead.
 // Callers hold sh.mu.
 func (sh *shard) compactLocked() {
@@ -836,7 +842,7 @@ func (sh *shard) compactLocked() {
 	sh.sinceCompact = 0
 	if m := sh.c.cfg.Obs; m != nil {
 		m.Compactions.Inc()
-		m.CheckpointBytes.Add(uint64(2 * sh.j.liveLen()))
+		m.CheckpointBytes.Add(uint64(2 * sh.j.bankLen()))
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 	"ulpdp/internal/nvm/nvmtest"
 )
 
-// fuzzJournal builds a standalone journal whose two banks hold the
-// given raw fuzz bytes (an odd trailing byte is a torn word and is
-// dropped, as NVM would), powered and ready to replay.
-func fuzzJournal(a, b []byte) *Journal {
+// fuzzJournal builds a standalone journal whose bank holds the given
+// raw fuzz bytes (an odd trailing byte is a torn word and is dropped,
+// as NVM would), powered and ready to replay.
+func fuzzJournal(a []byte) *Journal {
 	j := NewStore(1).Shard(0)
-	j.loadBanks(nvmtest.BytesToWords(a), nvmtest.BytesToWords(b))
+	j.loadBank(nvmtest.BytesToWords(a))
 	return j
 }
 
@@ -32,23 +32,23 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 		j.appendAdmission(a.node, a.seq, a.val, 0)
 		st.admit(a.node, a.seq, a.val, 0)
 	}
-	live := nvmtest.WordsToBytes(j.r.Words(j.bk.Live()))
-	f.Add(live, []byte{})
-	f.Add(live[:len(live)-3], []byte{})
-	f.Add(live[:17], live)
+	live := nvmtest.WordsToBytes(j.r.Words(0))
+	f.Add(live)
+	f.Add(live[:len(live)-3])
+	f.Add(live[:17])
 	j.compact(st.nodes, st.stores)
-	f.Add(nvmtest.WordsToBytes(j.r.Words(j.bk.Live())), live)
+	f.Add(nvmtest.WordsToBytes(j.r.Words(0)))
 	flipped := append([]byte(nil), live...)
 	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped, []byte{})
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{0xFF, 0xFF, 0x00}, []byte{0x12})
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0x00})
 
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		if len(a) > 1<<16 || len(b) > 1<<16 {
-			return // keep the word slices small; length adds no coverage
+	f.Fuzz(func(t *testing.T, a []byte) {
+		if len(a) > 1<<16 {
+			return // keep the word slice small; length adds no coverage
 		}
-		st, err := fuzzJournal(a, b).replay()
+		st, err := fuzzJournal(a).replay()
 		if err != nil {
 			// Fail closed: the shard is refused; nothing to check.
 			return
@@ -70,8 +70,8 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 				t.Fatalf("node %d: forEach visited %d, n = %d", id, n, vs.n)
 			}
 		}
-		// Determinism: the same banks replay to the same admissions.
-		st2, err2 := fuzzJournal(a, b).replay()
+		// Determinism: the same bank replays to the same admissions.
+		st2, err2 := fuzzJournal(a).replay()
 		if err2 != nil {
 			t.Fatalf("second replay diverged into error: %v", err2)
 		}
@@ -82,7 +82,7 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 		// The journal must remain usable the way Recover uses it:
 		// replay, compact (folding any torn tail away), then admit —
 		// and the admission survives its own replay.
-		j := fuzzJournal(a, b)
+		j := fuzzJournal(a)
 		st3, err := j.replay()
 		if err != nil {
 			t.Fatalf("third replay diverged into error: %v", err)

@@ -9,12 +9,13 @@ import (
 // the internal/nvm refactor: legacyCkJournal is a frozen, verbatim
 // copy of the pre-refactor write path (put/appendRecord/
 // appendAdmission/writeSnapshot/compact/seed as they stood when the
-// format was introduced), and the differential tests drive it in
-// lockstep with the real Journal over seeded admission sequences,
-// asserting bit-identical bank contents. Snapshot-bearing scripts use
-// a single node: writeSnapshot iterates Go maps, whose order is
-// deterministic only with one entry, and the format pin must not
-// depend on map iteration order.
+// format was introduced, double bank included), and the differential
+// tests drive it in lockstep with the real Journal over seeded
+// admission sequences, asserting that the journal's one bank is
+// bit-identical to the legacy live bank. Snapshot-bearing scripts use
+// a single node: the legacy writeSnapshot iterates Go maps, whose
+// order is deterministic only with one entry. The frozen fingerprint
+// at the bottom backstops a simultaneous edit of both encoders.
 
 type legacyCkJournal struct {
 	banks [2][]uint16
@@ -99,20 +100,22 @@ func (j *legacyCkJournal) seed() {
 	j.writeSnapshot(0, 1, nil, nil)
 }
 
+// requireBanksEqual asserts that the journal's one bank holds exactly
+// the legacy live bank's words and that the legacy idle bank is empty
+// (a finished legacy compaction erased it), so the single bank drops
+// nothing the legacy format kept.
 func requireBanksEqual(t *testing.T, step string, j *Journal, ref *legacyCkJournal) {
 	t.Helper()
-	if j.bk.Live() != ref.live {
-		t.Fatalf("%s: live bank %d, legacy %d", step, j.bk.Live(), ref.live)
+	if n := len(ref.banks[1-ref.live]); n != 0 {
+		t.Fatalf("%s: legacy idle bank holds %d words", step, n)
 	}
-	for b := 0; b < 2; b++ {
-		got, want := j.r.Words(b), ref.banks[b]
-		if len(got) != len(want) {
-			t.Fatalf("%s: bank %d length %d, legacy %d", step, b, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: bank %d word %d = %#04x, legacy %#04x", step, b, i, got[i], want[i])
-			}
+	got, want := j.r.Words(0), ref.banks[ref.live]
+	if len(got) != len(want) {
+		t.Fatalf("%s: bank length %d, legacy %d", step, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: word %d = %#04x, legacy %#04x", step, i, got[i], want[i])
 		}
 	}
 }
@@ -152,8 +155,8 @@ func TestCheckpointGoldenWordStream(t *testing.T) {
 
 // TestCheckpointGoldenCompaction pins the snapshot/compaction word
 // stream with a single-node state (map iteration order cannot vary
-// with one entry), including the double-bank flip and the generation
-// tags.
+// with one entry), generation tags included: each single-bank
+// compaction must equal the legacy encoder's flip to its idle bank.
 func TestCheckpointGoldenCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	j := NewStore(1).Shard(0)
@@ -177,5 +180,63 @@ func TestCheckpointGoldenCompaction(t *testing.T) {
 			ref.compact(st.nodes, st.stores)
 		}
 		requireBanksEqual(t, "compaction", j, ref)
+	}
+}
+
+// canonicalCheckpointScript drives a fresh journal through the frozen
+// single-node script: seed, admissions (out of order, mixed flags), a
+// compaction, admissions including a far-spill seq, a second
+// compaction, then a WAL tail.
+func canonicalCheckpointScript(t *testing.T, j *Journal) {
+	t.Helper()
+	st := newShardState(0)
+	admit := func(seq uint64, v int64, flags uint16) {
+		if !j.appendAdmission(9, seq, v, flags) {
+			t.Fatal("unexpected power loss")
+		}
+		st.admit(9, seq, v, flags)
+	}
+	compact := func() {
+		if !j.compact(st.nodes, st.stores) {
+			t.Fatal("compaction failed")
+		}
+	}
+	if !j.seed() {
+		t.Fatal("seed failed")
+	}
+	admit(0, 100, 0)
+	admit(2, -7, admFlagFromCache)
+	admit(1, 1<<40, 0)
+	admit(3, -1<<33, 0)
+	compact()
+	admit(denseLimit+5, 77, admFlagFromCache)
+	admit(5, 0, 0)
+	admit(4, 12345, 0)
+	compact()
+	admit(6, -1, 0)
+	admit(8, 42, admFlagFromCache)
+}
+
+// goldenCheckpointFingerprint is the FNV-1a fingerprint of the bank
+// the canonical script leaves, frozen when it was taken from the
+// double-banked encoder's live bank. It must never change: a new
+// value here means the on-media format moved and every deployed
+// checkpoint store just became unreadable.
+const goldenCheckpointFingerprint uint64 = 0x3b7c4c2249b4314d
+
+// TestCheckpointGoldenFingerprint runs the canonical script and checks
+// the bank's words against the frozen fingerprint.
+func TestCheckpointGoldenFingerprint(t *testing.T) {
+	j := NewStore(1).Shard(0)
+	canonicalCheckpointScript(t, j)
+	var h uint64 = 0xcbf29ce484222325
+	for _, w := range j.r.Words(0) {
+		for _, b := range []byte{byte(w), byte(w >> 8)} {
+			h ^= uint64(b)
+			h *= 0x100000001b3
+		}
+	}
+	if h != goldenCheckpointFingerprint {
+		t.Fatalf("canonical bank fingerprint %#x, frozen %#x — the on-media format changed", h, goldenCheckpointFingerprint)
 	}
 }

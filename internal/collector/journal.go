@@ -1,8 +1,10 @@
 package collector
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ulpdp/internal/nvm"
 )
@@ -27,20 +29,21 @@ import (
 // exactly-once contract now holds across collector restarts, not just
 // node crashes and lossy links.
 //
-// Compaction is double-banked like real flash (nvm.Banked). A Journal
-// holds two banks; the live bank starts with a generation-tagged
-// snapshot (snapBegin gen … snapEnd gen) of every node's valueStore
-// bitmap + values + breaker state, followed by the admissions since.
-// Compaction writes gen+1's snapshot into the idle bank and only a
-// durable snapEnd makes it the live bank — a crash mid-compaction
-// leaves the old bank complete and loses nothing. Recovery picks the
-// bank with the highest complete snapshot, replays it plus its
-// admission tail (a torn tail record is indistinguishable from "never
-// written" and is dropped — it was never ACKed), and refuses the
-// shard outright on mid-log corruption, an invalid tag, or a bank
-// with no complete snapshot: fail closed, like budget.Bank on a dead
-// journal, because a silently shortened log would re-admit
-// (double-count) replays of reports it had already ACKed.
+// Each Journal is one bank. It opens with a generation-tagged snapshot
+// (snapBegin gen … snapEnd gen) of every node's valueStore bitmap +
+// values + breaker state, followed by the admissions since.
+// Compaction writes gen+1's snapshot through nvm.Region.Rewrite, the
+// compaction the DP-Box journal uses too: the snapshot is staged, and
+// only once its snapEnd has passed the power cell does one atomic
+// Medium.Replace swap it in, so a crash at any staged word leaves the
+// old bank whole and loses nothing. Recovery replays the bank's
+// snapshot plus its admission tail (a torn tail record is
+// indistinguishable from "never written" and is dropped — it was
+// never ACKed), and refuses the shard outright on mid-log corruption,
+// an invalid tag, or a bank with no complete snapshot: fail closed,
+// like budget.Bank on a dead journal, because a silently shortened
+// log would re-admit (double-count) replays of reports it had already
+// ACKed.
 
 // journal record tags (the collector's own tag space; the format
 // mirrors dpbox: hdr = tag<<12 | seq, payload words, xor checksum
@@ -95,65 +98,48 @@ func ckLayout() nvm.Layout {
 // (hdr+5+chk) + record (hdr+5+chk) + commit (hdr+chk).
 const admissionWords = 7 + 7 + 2
 
-// Journal is one shard's durable checkpoint region: a two-bank slice
-// of the store's medium plus the double-banked generation state. All
-// mutation happens under the owning shard's lock (or single-threaded
-// recovery); only the power cell is shared.
+// Journal is one shard's durable checkpoint region: one bank of the
+// store's medium and the generation of the snapshot it opens with.
+// All mutation happens under the owning shard's lock (or
+// single-threaded recovery); only the power cell is shared.
 type Journal struct {
-	r  *nvm.Region
-	bk *nvm.Banked
+	r   *nvm.Region
+	gen int64
+	// ids and far are writeSnapshot's reused sort buffers.
+	ids []uint16
+	far []uint64
 }
 
-// newJournal carves shard i's two banks out of the store medium.
+// newJournal carves shard i's bank out of the store medium.
 func newJournal(med nvm.Medium, pw *nvm.Power, i int) *Journal {
-	r := nvm.NewRegionBanks(med, pw, ckLayout(), 2*i, 2)
-	return &Journal{r: r, bk: nvm.NewBanked(r)}
+	return &Journal{r: nvm.NewRegionBanks(med, pw, ckLayout(), i, 1)}
 }
 
-// appendRecord writes one record into (region-relative) bank b. False
-// means power failed partway: the tail is torn and the store dead.
-func (j *Journal) appendRecord(b int, tag uint16, payload []uint16) bool {
-	return j.r.Append(b, tag, payload)
+// appendRecord writes one record to the bank. False means power
+// failed partway: the tail is torn and the store dead.
+func (j *Journal) appendRecord(tag uint16, payload []uint16) bool {
+	return j.r.Append(0, tag, payload)
 }
 
-// appendAdmission runs the two-phase admission protocol into the live
-// bank: intent, record, commit, all sharing one pairing sequence.
-// Only after it returns true may the shard apply the admission and
-// queue the ACK.
+// appendAdmission runs the two-phase admission protocol: intent,
+// record, commit, all sharing one pairing sequence. Only after it
+// returns true may the shard apply the admission and queue the ACK.
 func (j *Journal) appendAdmission(node uint16, seq uint64, value int64, flags uint16) bool {
 	s := nvm.Enc64(int64(seq))
-	live := j.bk.Live()
-	pair, ok := j.r.TxnBegin(live, ckTagIntent, []uint16{node, s[0], s[1], s[2], s[3]})
+	pair, ok := j.r.TxnBegin(0, ckTagIntent, []uint16{node, s[0], s[1], s[2], s[3]})
 	if !ok {
 		return false
 	}
 	v := nvm.Enc64(value)
-	if !j.r.Append(live, ckTagRecord, []uint16{v[0], v[1], v[2], v[3], flags}) {
+	if !j.appendRecord(ckTagRecord, []uint16{v[0], v[1], v[2], v[3], flags}) {
 		return false
 	}
-	return j.r.TxnCommit(live, ckTagCommit, pair)
+	return j.r.TxnCommit(0, ckTagCommit, pair)
 }
 
-// liveLen returns the live bank's durable word count (checkpoint-
-// bytes accounting after a compaction).
-func (j *Journal) liveLen() int { return j.r.Len(j.bk.Live()) }
-
-// loadBanks installs raw bank contents (fuzz and corruption
-// harnesses), bypassing the power cell.
-func (j *Journal) loadBanks(a, b []uint16) {
-	j.r.Erase(0)
-	j.r.Erase(1)
-	_ = j.r.Medium().Append(0, a...)
-	_ = j.r.Medium().Append(1, b...)
-}
-
-// truncateBank chops (region-relative) bank b to n words — the test
-// harness's torn-erase knife.
-func (j *Journal) truncateBank(b, n int) {
-	words := append([]uint16(nil), j.r.Words(b)[:n]...)
-	j.r.Erase(b)
-	_ = j.r.Medium().Append(b, words...)
-}
+// bankLen returns the bank's durable word count (checkpoint-bytes
+// accounting after a compaction).
+func (j *Journal) bankLen() int { return j.r.Len(0) }
 
 // snapNode is one node's checkpointed metadata (everything a NodeView
 // needs beyond the valueStore itself).
@@ -226,11 +212,15 @@ func (st *shardState) admit(nodeID uint16, seq uint64, value int64, flags uint16
 // slots the collector already ACKed.
 var errCorruptCheckpoint = errors.New("collector: corrupt shard checkpoint")
 
-// replayBank parses one bank. A record truncated at the very end of
-// the bank is a torn write and ends the scan (ok, torn=true); a
-// checksum failure or invalid tag with the full record present — or
-// any structurally impossible sequence — is corruption.
-func (j *Journal) replayBank(b int) (st *shardState, complete bool, err error) {
+// replay rebuilds the shard's durable state from its bank: the
+// snapshot, then the admission tail. A record truncated at the very
+// end of the bank is a torn write and ends the scan; a checksum
+// failure or invalid tag with the full record present — or any
+// structurally impossible sequence — is corruption, and so is a bank
+// without a complete snapshot (seed writes one before any admission,
+// and compaction swaps a new one in whole).
+func (j *Journal) replay() (*shardState, error) {
+	var st *shardState
 	var pendNode uint16
 	var pendSeq uint64
 	var pendPair uint16
@@ -239,40 +229,38 @@ func (j *Journal) replayBank(b int) (st *shardState, complete bool, err error) {
 	pendStage := 0 // 0 idle, 1 intent seen, 2 record seen
 	inSnap := false
 	snapDone := false
-	sc := nvm.NewScanner(ckLayout(), j.r.Words(b))
+	sc := nvm.NewScanner(ckLayout(), j.r.Words(0))
 scan:
 	for {
 		tag, pair, payload, status := sc.Next()
 		switch status {
 		case nvm.ScanRecord:
-		case nvm.ScanEnd:
-			break scan
-		case nvm.ScanTorn, nvm.ScanBadSumTail:
-			// The final record never finished (or a flip there is
+		case nvm.ScanEnd, nvm.ScanTorn, nvm.ScanBadSumTail:
+			// A torn final record never finished (a flip there is
 			// indistinguishable from a torn checksum word), and commit
 			// durability gates the ACK, so dropping it is the safe
 			// reading.
-			return st, snapDone, nil
+			break scan
 		case nvm.ScanBadTag:
-			return nil, false, fmt.Errorf("%w: invalid tag %d", errCorruptCheckpoint, tag)
+			return nil, fmt.Errorf("%w: invalid tag %d", errCorruptCheckpoint, tag)
 		case nvm.ScanBadSumMid:
-			return nil, false, fmt.Errorf("%w: checksum mismatch mid-log", errCorruptCheckpoint)
+			return nil, fmt.Errorf("%w: checksum mismatch mid-log", errCorruptCheckpoint)
 		}
 		switch tag {
 		case ckTagSnapBegin:
 			if st != nil {
-				return nil, false, fmt.Errorf("%w: second snapshot in one bank", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: second snapshot in one bank", errCorruptCheckpoint)
 			}
 			st = newShardState(nvm.Dec64(payload))
 			inSnap = true
 		case ckTagSnapNode:
 			if !inSnap {
-				return nil, false, fmt.Errorf("%w: snapshot node record outside a snapshot", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: snapshot node record outside a snapshot", errCorruptCheckpoint)
 			}
 			sn := st.node(payload[0])
 			sn.breaker = BreakerState(payload[1])
 			if sn.breaker > BreakerHalfOpen {
-				return nil, false, fmt.Errorf("%w: breaker state %d", errCorruptCheckpoint, payload[1])
+				return nil, fmt.Errorf("%w: breaker state %d", errCorruptCheckpoint, payload[1])
 			}
 			sn.haveAck = payload[2]&snapFlagHaveAck != 0
 			sn.exhausted = payload[2]&snapFlagExhausted != 0
@@ -282,29 +270,29 @@ scan:
 			sn.lastValue = nvm.Dec64(payload[9:13])
 		case ckTagSnapVal:
 			if !inSnap {
-				return nil, false, fmt.Errorf("%w: snapshot value record outside a snapshot", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: snapshot value record outside a snapshot", errCorruptCheckpoint)
 			}
 			vs := st.store(payload[0])
 			seq := uint64(nvm.Dec64(payload[1:5]))
 			if vs.has(seq) {
-				return nil, false, fmt.Errorf("%w: duplicate snapshot value", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: duplicate snapshot value", errCorruptCheckpoint)
 			}
 			vs.put(seq, nvm.Dec64(payload[5:9]))
 		case ckTagSnapEnd:
 			if !inSnap || nvm.Dec64(payload) != st.gen {
-				return nil, false, fmt.Errorf("%w: unmatched snapshot end", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: unmatched snapshot end", errCorruptCheckpoint)
 			}
 			inSnap, snapDone = false, true
 		case ckTagIntent:
 			if !snapDone {
-				return nil, false, fmt.Errorf("%w: admission before snapshot", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: admission before snapshot", errCorruptCheckpoint)
 			}
 			pendStage, pendPair = 1, pair
 			pendNode = payload[0]
 			pendSeq = uint64(nvm.Dec64(payload[1:5]))
 		case ckTagRecord:
 			if pendStage != 1 {
-				return nil, false, fmt.Errorf("%w: record without intent", errCorruptCheckpoint)
+				return nil, fmt.Errorf("%w: record without intent", errCorruptCheckpoint)
 			}
 			pendStage = 2
 			pendValue = nvm.Dec64(payload[0:4])
@@ -317,65 +305,34 @@ scan:
 			pendStage = 0
 		}
 	}
-	if inSnap {
-		// snapBegin without snapEnd and no torn record: every record
-		// checksummed, so the bank simply holds an unfinished
-		// compaction — valid but not a complete snapshot.
-		return st, false, nil
+	if !snapDone {
+		return nil, fmt.Errorf("%w: no complete snapshot", errCorruptCheckpoint)
 	}
-	return st, snapDone, nil
+	j.gen = st.gen
+	return st, nil
 }
 
-// replay picks the recoverable bank: the one with the highest-
-// generation complete snapshot. Recovery prefers the newer complete
-// bank (a crash after compaction's snapEnd but before the old bank's
-// erase leaves both complete); a bank whose snapshot never completed
-// is an interrupted compaction and yields to the other. Corruption in
-// the winning bank — or no complete snapshot anywhere — refuses the
-// shard.
-func (j *Journal) replay() (*shardState, error) {
-	type cand struct {
-		st       *shardState
-		complete bool
-		err      error
+// sortedKeys refills buf with m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
+	buf = slices.Grow(buf[:0], len(m))
+	for k := range m {
+		buf = append(buf, k)
 	}
-	var cands [2]cand
-	for b := 0; b < 2; b++ {
-		cands[b].st, cands[b].complete, cands[b].err = j.replayBank(b)
-	}
-	best := -1
-	for b := 0; b < 2; b++ {
-		if cands[b].err != nil || !cands[b].complete {
-			continue
-		}
-		if best < 0 || cands[b].st.gen > cands[best].st.gen {
-			best = b
-		}
-	}
-	if best < 0 {
-		for b := 0; b < 2; b++ {
-			if cands[b].err != nil {
-				return nil, cands[b].err
-			}
-		}
-		return nil, fmt.Errorf("%w: no complete snapshot in either bank", errCorruptCheckpoint)
-	}
-	// A corrupt loser bank is fine — it is about to be erased — but a
-	// corrupt *winner* was already screened out above.
-	j.bk.SetLive(best, cands[best].st.gen)
-	j.r.Erase(1 - best)
-	return cands[best].st, nil
+	slices.Sort(buf)
+	return buf
 }
 
-// writeSnapshot writes a complete gen-tagged snapshot of state into
-// bank b. It does not flip the live bank; callers do that only on
-// success.
-func (j *Journal) writeSnapshot(b int, gen int64, nodes map[uint16]*snapNode, stores map[uint16]*valueStore) bool {
+// writeSnapshot appends a complete gen-tagged snapshot of state to
+// the bank. Nodes go out in ascending id and each node's values in
+// ascending seq, so one state always snapshots to the same words.
+func (j *Journal) writeSnapshot(gen int64, nodes map[uint16]*snapNode, stores map[uint16]*valueStore) bool {
 	g := nvm.Enc64(gen)
-	if !j.appendRecord(b, ckTagSnapBegin, []uint16{g[0], g[1], g[2], g[3]}) {
+	if !j.appendRecord(ckTagSnapBegin, []uint16{g[0], g[1], g[2], g[3]}) {
 		return false
 	}
-	for id, sn := range nodes {
+	j.ids = sortedKeys(j.ids, nodes)
+	for _, id := range j.ids {
+		sn := nodes[id]
 		var flags uint16
 		if sn.haveAck {
 			flags |= snapFlagHaveAck
@@ -384,56 +341,60 @@ func (j *Journal) writeSnapshot(b int, gen int64, nodes map[uint16]*snapNode, st
 			flags |= snapFlagExhausted
 		}
 		ls, lv := nvm.Enc64(int64(sn.lastSeq)), nvm.Enc64(sn.lastValue)
-		if !j.appendRecord(b, ckTagSnapNode, []uint16{
+		if !j.appendRecord(ckTagSnapNode, []uint16{
 			id, uint16(sn.breaker), flags, uint16(sn.consecFail), uint16(sn.openLeft),
 			ls[0], ls[1], ls[2], ls[3], lv[0], lv[1], lv[2], lv[3],
 		}) {
 			return false
 		}
 	}
-	ok := true
-	for id, vs := range stores {
-		vs.forEach(func(seq uint64, v int64) {
-			if !ok {
-				return
-			}
-			s, val := nvm.Enc64(int64(seq)), nvm.Enc64(v)
-			ok = j.appendRecord(b, ckTagSnapVal, []uint16{id, s[0], s[1], s[2], s[3], val[0], val[1], val[2], val[3]})
-		})
-		if !ok {
+	j.ids = sortedKeys(j.ids, stores)
+	for _, id := range j.ids {
+		if !j.writeValues(id, stores[id]) {
 			return false
 		}
 	}
-	return j.appendRecord(b, ckTagSnapEnd, []uint16{g[0], g[1], g[2], g[3]})
+	return j.appendRecord(ckTagSnapEnd, []uint16{g[0], g[1], g[2], g[3]})
 }
 
-// compact writes the next-generation snapshot into the idle bank and
-// flips. A power failure mid-snapshot leaves the old bank live and
-// complete; nothing is lost, and the next compaction attempt (or
-// recovery) simply retries. It reports whether the flip happened.
+// writeValues appends one node's snapshot values in ascending seq:
+// the dense window, then the far spill.
+func (j *Journal) writeValues(id uint16, vs *valueStore) bool {
+	ok := true
+	emit := func(seq uint64, v int64) {
+		if !ok {
+			return
+		}
+		s, val := nvm.Enc64(int64(seq)), nvm.Enc64(v)
+		ok = j.appendRecord(ckTagSnapVal, []uint16{id, s[0], s[1], s[2], s[3], val[0], val[1], val[2], val[3]})
+	}
+	vs.forEachDense(emit)
+	j.far = sortedKeys(j.far, vs.far)
+	for _, seq := range j.far {
+		emit(seq, vs.far[seq])
+	}
+	return ok
+}
+
+// compact rewrites the bank as the next generation's snapshot through
+// nvm.Region.Rewrite. A power failure mid-snapshot leaves the old bank
+// whole; nothing is lost, and the next compaction attempt (or
+// recovery) simply retries. It reports whether the new bank landed.
 func (j *Journal) compact(nodes map[uint16]*snapNode, stores map[uint16]*valueStore) bool {
-	return j.bk.Compact(func(idle int, gen int64) bool {
-		return j.writeSnapshot(idle, gen, nodes, stores)
-	})
+	if !j.r.Rewrite(0, func() bool { return j.writeSnapshot(j.gen+1, nodes, stores) }) {
+		return false
+	}
+	j.gen++
+	return true
 }
 
-// seed initializes a fresh journal with an empty generation-1
-// snapshot, so "no complete snapshot anywhere" is always corruption,
-// never a fresh boot.
-func (j *Journal) seed() bool {
-	j.bk.SetLive(0, 1)
-	return j.writeSnapshot(0, 1, nil, nil)
-}
-
-// Words returns the live bank's durable words plus the idle bank's
-// (test introspection; the idle bank is non-empty only mid-crash).
-func (j *Journal) Words() []uint16 {
-	out := append([]uint16(nil), j.r.Words(j.bk.Live())...)
-	return append(out, j.r.Words(j.bk.Idle())...)
-}
+// seed initializes a fresh journal (generation 0) as the
+// generation-1 compaction of the empty state, so "no complete
+// snapshot" is always corruption, never a fresh boot.
+func (j *Journal) seed() bool { return j.compact(nil, nil) }
 
 // Store is a collector's durable checkpoint region: one Journal per
-// ingest shard, carved out of a single medium and powered by a single
+// ingest shard, each one bank of a single medium and powered by a single
 // supply (a collector crash is one event, not per-shard). Pass it to
 // New for a fresh collector or Recover after a crash; a Store
 // outlives the Collector instances built on it, exactly as the DP-Box
@@ -459,20 +420,20 @@ func clampShards(shards int) int {
 // shard count (clamped like Config.Shards).
 func NewStore(shards int) *Store {
 	shards = clampShards(shards)
-	return newStoreOn(nvm.NewMemMedium(2*shards), nvm.NewPower(), shards)
+	return newStoreOn(nvm.NewMemMedium(shards), nvm.NewPower(), shards)
 }
 
 // OpenStore opens (or creates) a file-backed checkpoint store under
-// dir. When the directory already holds bank files their count wins
-// over the shards argument — the store's geometry is part of its
+// dir, one bank file per shard. When the directory already holds bank
+// files their count wins over the shards argument — the store's geometry is part of its
 // durable state, and recovering with a different shard count would
 // strand checkpoints.
 func OpenStore(dir string, shards int) (*Store, error) {
 	shards = clampShards(shards)
-	if n := nvm.CountFileBanks(dir); n >= 2 {
-		shards = n / 2
+	if n := nvm.CountFileBanks(dir); n > 0 {
+		shards = n
 	}
-	med, err := nvm.OpenFileMedium(dir, 2*shards)
+	med, err := nvm.OpenFileMedium(dir, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -520,23 +481,6 @@ func (s *Store) Revive() { s.pw.Revive() }
 // Writes returns the total durable word count across every shard and
 // bank — the crash-sweep axis ("fail after the w-th word write").
 func (s *Store) Writes() uint64 { return s.pw.Writes() }
-
-// NVMStats aggregates the engine's introspection surface across every
-// shard. Callers must hold the store quiescent (no concurrent
-// admissions); a live Collector exposes the locked variant instead.
-func (s *Store) NVMStats() nvm.Stats {
-	agg := nvm.Stats{
-		Banks:      s.med.Banks(),
-		Writes:     s.pw.Writes(),
-		FailClosed: s.pw.Dead(),
-	}
-	for _, j := range s.shards {
-		st := j.r.Stats()
-		agg.Words += st.Words
-		agg.Compactions += st.Compactions
-	}
-	return agg
-}
 
 // Empty reports whether no shard holds any durable words — a store
 // that has never been seeded. NewDurable requires an empty store;

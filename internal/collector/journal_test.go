@@ -2,11 +2,21 @@ package collector
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"ulpdp/internal/nvm"
 	"ulpdp/internal/nvm/nvmtest"
 )
+
+// loadBank installs raw bank contents (fuzz and corruption
+// harnesses), bypassing the power cell. Every caller's journal is
+// shard 0 of a one-shard store, so its bank is medium bank 0.
+func (j *Journal) loadBank(words []uint16) {
+	_ = j.r.Medium().Replace(0, append([]uint16(nil), words...))
+}
 
 // admSpec is one scripted admission for the crash-sweep harness.
 type admSpec struct {
@@ -50,7 +60,7 @@ func runSweepScript(s *Store) (*shardState, bool) {
 		acked++
 		if acked%4 == 0 {
 			// A failed compaction is survivable by design: the old bank
-			// stays live, but the store is dead so later appends fail.
+			// stays whole, but the store is dead so later appends fail.
 			j.compact(mirror.nodes, mirror.stores)
 		}
 	}
@@ -105,7 +115,7 @@ func requireStateEqual(t testing.TB, w int, got, want *shardState) {
 // nvmtest.CrashSweep property harness.
 func TestCheckpointCrashSweep(t *testing.T) {
 	nvmtest.CrashSweep(t, func(t testing.TB, pw *nvm.Power, cut int) {
-		s := newStoreOn(nvm.NewMemMedium(2), pw, 1)
+		s := newStoreOn(nvm.NewMemMedium(1), pw, 1)
 		mirror, seeded := runSweepScript(s)
 		if cut < 0 {
 			// Baseline pass: just sanity-check the script's word volume.
@@ -118,10 +128,14 @@ func TestCheckpointCrashSweep(t *testing.T) {
 		st, err := s.Shard(0).replay()
 		if !seeded {
 			// The crash landed inside the seed snapshot: NewDurable
-			// reported failure, the collector never ran, and replay
-			// correctly refuses the half-written journal.
+			// reported failure and the collector never ran. The staged
+			// seed never reached the medium, so the store is still blank
+			// (a later NewDurable may seed it) and replay refuses it.
 			if err == nil {
 				t.Fatalf("crash@%d: replay accepted a journal whose seeding failed", cut)
+			}
+			if !s.Empty() {
+				t.Fatalf("crash@%d: a cut seed left words on the medium", cut)
 			}
 			return
 		}
@@ -211,7 +225,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 
 	t.Run("payload flip mid-log", func(t *testing.T) {
 		j := build(t)
-		bank := j.r.Words(j.bk.Live())
+		bank := j.r.Words(0)
 		bank[len(bank)/2] ^= 0x0040
 		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("mid-log flip: err = %v, want errCorruptCheckpoint", err)
@@ -220,9 +234,9 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 
 	t.Run("invalid tag mid-log", func(t *testing.T) {
 		j := build(t)
-		// The live bank opens with the seed snapshot's snapBegin
-		// header; stamp an unassigned tag on it.
-		bank := j.r.Words(j.bk.Live())
+		// The bank opens with the seed snapshot's snapBegin header;
+		// stamp an unassigned tag on it.
+		bank := j.r.Words(0)
 		bank[0] = 0xF<<12 | bank[0]&0x0FFF
 		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("invalid tag: err = %v, want errCorruptCheckpoint", err)
@@ -235,7 +249,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		// admission was never ACKed on (commit durability gates the
 		// ACK), so replay accepts the log minus that admission.
 		j := build(t)
-		bank := j.r.Words(j.bk.Live())
+		bank := j.r.Words(0)
 		bank[len(bank)-1] ^= 1
 		st, err := j.replay()
 		if err != nil {
@@ -250,7 +264,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 	t.Run("truncated tail reads as torn", func(t *testing.T) {
 		j := build(t)
 		for cut := 1; cut <= 30; cut++ {
-			j.truncateBank(j.bk.Live(), j.liveLen()-1)
+			j.loadBank(j.r.Words(0)[:j.bankLen()-1])
 			if _, err := j.replay(); err != nil {
 				t.Fatalf("cut %d words: %v", cut, err)
 			}
@@ -262,62 +276,72 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		// proves it holds the full dedup state; a shard recovered from
 		// it could re-admit ACKed reports, so replay refuses.
 		j := build(t)
-		j.truncateBank(j.bk.Live(), 8)
+		j.loadBank(j.r.Words(0)[:8])
 		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("half snapshot: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
 
 	t.Run("emptied journal refused", func(t *testing.T) {
-		// Both banks erased: that is never a fresh boot (seed writes a
-		// gen-1 snapshot), so recovery must refuse rather than serve an
-		// empty dedup state that would re-admit everything.
+		// Bank erased: that is never a fresh boot (seed writes a gen-1
+		// snapshot), so recovery must refuse rather than serve an empty
+		// dedup state that would re-admit everything.
 		j := build(t)
 		j.r.Erase(0)
-		j.r.Erase(1)
 		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("empty journal: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
 }
 
-// TestCompactionCrashKeepsOldBank arms a power failure for every word
-// of a compaction's snapshot rewrite in turn and asserts the old bank
-// recovers the full pre-compaction state each time.
-func TestCompactionCrashKeepsOldBank(t *testing.T) {
-	// Baseline: how many words one compaction of this state costs.
-	base := NewStore(1)
-	bj := base.Shard(0)
-	if !bj.seed() {
+// seededSweep seeds j and journals the whole sweep script with live
+// power, returning the mirror of its ACKed admissions.
+func seededSweep(t *testing.T, j *Journal) *shardState {
+	t.Helper()
+	if !j.seed() {
 		t.Fatal("seed failed")
 	}
 	mirror := newShardState(0)
 	for _, a := range sweepScript() {
-		if !bj.appendAdmission(a.node, a.seq, a.val, 0) {
+		if !j.appendAdmission(a.node, a.seq, a.val, 0) {
 			t.Fatal("unexpected power loss")
 		}
 		mirror.admit(a.node, a.seq, a.val, 0)
 	}
-	preCompact := int(base.Writes())
-	if !bj.compact(mirror.nodes, mirror.stores) {
+	return mirror
+}
+
+// sweepCompactionWords is how many words one compaction of the sweep
+// script's state stages: the cut points the compaction-crash tests
+// walk.
+func sweepCompactionWords(t *testing.T) int {
+	t.Helper()
+	s := NewStore(1)
+	mirror := seededSweep(t, s.Shard(0))
+	pre := s.Writes()
+	if !s.Shard(0).compact(mirror.nodes, mirror.stores) {
 		t.Fatal("baseline compaction failed")
 	}
-	snapWords := int(base.Writes()) - preCompact
+	return int(s.Writes() - pre)
+}
 
+// TestCompactionCrashKeepsOldBank arms a power failure at every staged
+// word of a compaction's snapshot rewrite in turn and asserts the bank
+// still holds its old words, untouched, and recovers the full
+// pre-compaction state each time.
+func TestCompactionCrashKeepsOldBank(t *testing.T) {
+	snapWords := sweepCompactionWords(t)
 	for w := 0; w < snapWords; w++ {
 		s := NewStore(1)
 		j := s.Shard(0)
-		if !j.seed() {
-			t.Fatal("seed failed")
-		}
-		for _, a := range sweepScript() {
-			if !j.appendAdmission(a.node, a.seq, a.val, 0) {
-				t.Fatal("unexpected power loss")
-			}
-		}
+		mirror := seededSweep(t, j)
+		old := append([]uint16(nil), j.r.Words(0)...)
 		s.FailAfterWrites(w)
 		if j.compact(mirror.nodes, mirror.stores) {
 			t.Fatalf("crash@%d: compaction claimed success under dying power", w)
+		}
+		if !slices.Equal(j.r.Words(0), old) {
+			t.Fatalf("crash@%d: a failed compaction touched the bank", w)
 		}
 		s.Revive()
 		st, err := j.replay()
@@ -328,43 +352,100 @@ func TestCompactionCrashKeepsOldBank(t *testing.T) {
 	}
 }
 
-// TestBankElectionPrefersHigherGeneration covers the crash window
-// after a compaction's snapEnd lands but before the old bank is
-// erased: both banks hold complete snapshots and recovery must elect
-// the newer generation.
-func TestBankElectionPrefersHigherGeneration(t *testing.T) {
-	s := NewStore(1)
-	j := s.Shard(0)
-	if !j.seed() {
-		t.Fatal("seed failed")
-	}
-	old := newShardState(0)
-	for _, a := range sweepScript()[:4] {
-		if !j.appendAdmission(a.node, a.seq, a.val, 0) {
-			t.Fatal("unexpected power loss")
-		}
-		old.admit(a.node, a.seq, a.val, 0)
-	}
-	// Hand-write generation 2's snapshot into the idle bank with one
-	// extra admission, simulating a crash between snapEnd and the old
-	// bank's erase.
-	next := newShardState(0)
-	for _, a := range sweepScript()[:5] {
-		next.admit(a.node, a.seq, a.val, 0)
-	}
-	if !j.writeSnapshot(j.bk.Idle(), j.bk.Gen()+1, next.nodes, next.stores) {
-		t.Fatal("snapshot write failed")
-	}
-	st, err := j.replay()
+// TestFileStoreCompactionCutReopen is the compaction cut on a
+// file-backed store: for every staged word it cuts the compaction,
+// closes the store as a killed process would, leaves a stale
+// bank-0000.nvm.new behind (a kill between Replace's WriteFile and
+// Rename), reopens, and recovers. Recovery must see exactly the
+// pre-compaction state and ignore the stale file.
+func TestFileStoreCompactionCutReopen(t *testing.T) {
+	snapWords := sweepCompactionWords(t)
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.gen != 2 {
-		t.Fatalf("elected generation %d, want 2", st.gen)
+	mirror := seededSweep(t, s.Shard(0))
+	for w := 0; w < snapWords; w++ {
+		s.FailAfterWrites(w)
+		if s.Shard(0).compact(mirror.nodes, mirror.stores) {
+			t.Fatalf("crash@%d: compaction claimed success under dying power", w)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "bank-0000.nvm.new"), []byte{0xFF, 0xFF, 0x01}, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The shards argument loses to the one bank file on disk.
+		if s, err = OpenStore(dir, 4); err != nil {
+			t.Fatal(err)
+		}
+		if s.Shards() != 1 {
+			t.Fatalf("crash@%d: reopened store has %d shards, want 1", w, s.Shards())
+		}
+		st, err := s.Shard(0).replay()
+		if err != nil {
+			t.Fatalf("crash@%d: reopened bank unrecoverable: %v", w, err)
+		}
+		requireStateEqual(t, w, st, mirror)
+		c, err := Recover(Config{}, s)
+		if err != nil {
+			t.Fatalf("crash@%d: recover: %v", w, err)
+		}
+		c.Close()
+		if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+			t.Fatalf("crash@%d: directory holds %d files after recovery, want 1", w, len(ents))
+		}
 	}
-	requireStateEqual(t, -1, st, next)
-	// The losing bank is erased on election.
-	if got := j.r.Len(j.bk.Idle()); got != 0 {
-		t.Fatalf("losing bank still holds %d words", got)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenStore(dir, 1); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Shard(0).replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireStateEqual(t, snapWords, st, mirror)
+}
+
+// TestSnapshotWordsDeterministic compacts one 8-node state, far-spill
+// values included, on fresh stores and requires identical words: a
+// snapshot's record order must not follow Go map iteration, or replay
+// traces of one run could not be compared word for word.
+func TestSnapshotWordsDeterministic(t *testing.T) {
+	st := newShardState(0)
+	for i, id := range []uint16{42, 7, 65000, 1, 300, 9, 128, 3} {
+		for k := 0; k < 6; k++ {
+			seq := uint64(k*k + i)
+			if k >= 4 {
+				seq = denseLimit + uint64(1000*k+i)
+			}
+			st.admit(id, seq, int64(id)*int64(k+1)-50, uint16(k&1))
+		}
+		st.node(id).breaker = BreakerState(i % 3)
+		st.node(id).consecFail = i
+	}
+	var first []uint16
+	for run := 0; run < 8; run++ {
+		j := NewStore(1).Shard(0)
+		if !j.seed() || !j.compact(st.nodes, st.stores) {
+			t.Fatal("compaction failed with live power")
+		}
+		if run == 0 {
+			first = slices.Clone(j.r.Words(0))
+			got, err := j.replay()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireStateEqual(t, -1, got, st)
+			continue
+		}
+		if !slices.Equal(j.r.Words(0), first) {
+			t.Fatalf("run %d: the same state compacted to different words", run)
+		}
 	}
 }

@@ -373,7 +373,6 @@ func (j *Journal) compact(st LedgerState) error {
 	if !ok {
 		return errors.New("dpbox: journal compaction failed (NVM dead)")
 	}
-	j.r.NoteCompaction()
 	return nil
 }
 

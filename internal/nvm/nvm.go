@@ -12,7 +12,7 @@
 // point without double-spending budget or re-admitting an
 // already-acknowledged report.
 //
-// The engine splits into four pieces:
+// The engine splits into three pieces:
 //
 //   - Medium: raw word banks (append/read/erase). MemMedium is the
 //     simulated in-RAM array every test sweeps; FileMedium persists
@@ -23,11 +23,12 @@
 //     dies, and a scheduled FailAfterWrites drives the torn-write
 //     sweeps.
 //   - Region: the record codec (hdr tag<<12|seq, tag-dependent
-//     payload, XOR checksum with a per-client salt) plus the
-//     two-phase transaction helpers and the replay Scanner.
-//   - Banked: double-banked generation-tagged snapshot/compaction
-//     arithmetic for clients that checkpoint by rewriting (the
-//     collector).
+//     payload, XOR checksum with a per-client salt), the two-phase
+//     transaction helpers, the replay Scanner, and Rewrite, the one
+//     compaction primitive. Each client log is a single bank, compacted
+//     by staging the new log and swapping it in with one
+//     Medium.Replace, so a cut at any staged word leaves the old bank
+//     whole.
 package nvm
 
 // Per-client checksum salts. Every region XORs its salt into every
@@ -137,7 +138,7 @@ type Stats struct {
 	// Writes is the cumulative successful word writes through the
 	// region's power cell since boot (monotone; survives erases).
 	Writes uint64
-	// Compactions counts snapshot/compaction rewrites.
+	// Compactions counts successful Region.Rewrite calls.
 	Compactions uint64
 	// FailClosed reports a dead supply cell: every further write is
 	// refused.

@@ -136,36 +136,12 @@ func TestStats(t *testing.T) {
 	r := NewRegion(NewMemMedium(2), NewPower(), testLayout())
 	r.Append(0, 2, nil)
 	r.Append(1, 2, nil)
-	r.NoteCompaction()
+	if !r.Rewrite(1, func() bool { return r.Append(1, 2, nil) }) {
+		t.Fatal("rewrite failed with live power")
+	}
 	st := r.Stats()
-	if st.Words != 4 || st.Banks != 2 || st.Writes != 4 || st.Compactions != 1 || st.FailClosed {
+	if st.Words != 4 || st.Banks != 2 || st.Writes != 6 || st.Compactions != 1 || st.FailClosed {
 		t.Fatalf("stats %+v", st)
-	}
-}
-
-func TestBankedCompactFlipsOnlyOnSuccess(t *testing.T) {
-	pw := NewPower()
-	r := NewRegion(NewMemMedium(2), pw, testLayout())
-	bk := NewBanked(r)
-	bk.SetLive(0, 1)
-	r.Append(0, 2, nil)
-	if !bk.Compact(func(idle int, gen int64) bool {
-		if idle != 1 || gen != 2 {
-			t.Fatalf("compact args idle %d gen %d", idle, gen)
-		}
-		return r.Append(idle, 2, nil)
-	}) {
-		t.Fatal("compact failed")
-	}
-	if bk.Live() != 1 || bk.Gen() != 2 || r.Len(0) != 0 {
-		t.Fatalf("live %d gen %d oldLen %d", bk.Live(), bk.Gen(), r.Len(0))
-	}
-	pw.FailAfterWrites(0)
-	if bk.Compact(func(idle int, gen int64) bool { return r.Append(idle, 2, nil) }) {
-		t.Fatal("compact claimed success under dying power")
-	}
-	if bk.Live() != 1 || bk.Gen() != 2 {
-		t.Fatal("failed compact moved the live bank")
 	}
 }
 
@@ -345,11 +321,17 @@ func TestRegionRewriteCutKeepsOldBank(t *testing.T) {
 		if got := r.Words(0); len(got) != len(old) || got[2] != old[2] || got[5] != old[5] {
 			t.Fatalf("cut %d: bank %v, want the old %v", cut, got, old)
 		}
+		if c := r.Stats().Compactions; c != 0 {
+			t.Fatalf("cut %d: a failed rewrite counted %d compactions", cut, c)
+		}
 	}
 	pw := NewPower()
 	r := NewRegion(NewMemMedium(1), pw, lay)
 	r.Append(0, 1, []uint16{7})
 	if !r.Rewrite(0, func() bool { return r.Append(0, 1, []uint16{9}) }) || r.Words(0)[1] != 9 || r.Len(0) != 3 {
 		t.Fatalf("uncut rewrite left %v", r.Words(0))
+	}
+	if c := r.Stats().Compactions; c != 1 {
+		t.Fatalf("uncut rewrite counted %d compactions, want 1", c)
 	}
 }

@@ -80,9 +80,8 @@ func NewRegion(med Medium, pw *Power, lay Layout) *Region {
 
 // NewRegionBanks returns a region over n banks of med starting at
 // base — how a multi-shard store carves one medium into per-shard
-// regions (shard i owning banks [2i, 2i+1]) that still share a single
-// supply cell. Bank arguments to the region's methods are
-// region-relative.
+// regions (shard i owning bank i) that still share a single supply
+// cell. Bank arguments to the region's methods are region-relative.
 func NewRegionBanks(med Medium, pw *Power, lay Layout, base, n int) *Region {
 	return &Region{med: med, pw: pw, lay: lay, base: base, n: n}
 }
@@ -114,6 +113,8 @@ func (r *Region) Erase(b int) { _ = r.med.Erase(r.base + b) }
 // copy, and only when fn reports success does the medium swap them in
 // (Medium.Replace). A power loss inside fn, or a process killed at any
 // point, leaves the old bank whole for the next recovery to replay.
+// Rewrite is every client's compaction, so a successful one counts in
+// Stats.Compactions.
 func (r *Region) Rewrite(b int, fn func() bool) bool {
 	r.staging, r.stageBank, r.stage = true, b, r.stage[:0]
 	ok := fn()
@@ -125,6 +126,7 @@ func (r *Region) Rewrite(b int, fn func() bool) bool {
 		r.pw.Kill()
 		return false
 	}
+	r.compactions.Add(1)
 	return true
 }
 
@@ -195,9 +197,6 @@ func (r *Region) BindCounters(intents, commits *obs.Counter) {
 func (r *Region) Counters() (intents, commits *obs.Counter) {
 	return r.intents, r.commits
 }
-
-// NoteCompaction bumps the compaction statistic.
-func (r *Region) NoteCompaction() { r.compactions.Add(1) }
 
 // Stats returns the region's introspection surface.
 func (r *Region) Stats() Stats {
