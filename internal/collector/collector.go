@@ -246,6 +246,30 @@ type nodeState struct {
 	sawReport  bool // any frame since the last idle tick
 }
 
+// nodeFor returns id's record in nodes, creating it on first sight.
+func nodeFor(nodes map[transport.NodeID]*nodeState, id transport.NodeID) *nodeState {
+	ns := nodes[id]
+	if ns == nil {
+		ns = &nodeState{}
+		nodes[id] = ns
+	}
+	return ns
+}
+
+// ack folds an ACKed seq (already recorded) into the last-ACK cache:
+// the highest seq ACKed so far wins, and the cache remembers whether
+// that report announced an exhausted budget. Live ingest and
+// checkpoint replay both go through it, so a recovered cache is
+// bit-exact.
+func (ns *nodeState) ack(seq uint64, fromCache bool) {
+	if !ns.haveAck || seq >= ns.lastSeq {
+		ns.haveAck = true
+		ns.lastSeq = seq
+		ns.lastValue = ns.store.get(seq)
+		ns.exhausted = fromCache
+	}
+}
+
 // NodeView is a query snapshot for one node.
 type NodeView struct {
 	// Value is the freshest ACKed value (the cache while degraded).
@@ -331,14 +355,7 @@ type Collector struct {
 // Close): dedup state lives purely in memory and dies with the
 // process. Use NewDurable to add crash-consistent checkpointing, and
 // Recover to rebuild from a store after a crash.
-func New(cfg Config) *Collector {
-	c, err := build(cfg, nil, nil)
-	if err != nil {
-		// build only fails on store problems; there is no store.
-		panic(err)
-	}
-	return c
-}
+func New(cfg Config) *Collector { return build(cfg, nil, nil) }
 
 // NewDurable starts a collector whose shards journal every admission
 // to the store before ACKing it. The store must be fresh (never
@@ -357,14 +374,14 @@ func NewDurable(cfg Config, store *Store) (*Collector, error) {
 			return nil, fmt.Errorf("collector: seeding shard %d checkpoint: store power lost", i)
 		}
 	}
-	return build(cfg, store, nil)
+	return build(cfg, store, nil), nil
 }
 
 // build assembles a collector, optionally durable (store non-nil) and
-// optionally from recovered shard states (rec non-nil, indexed by
-// shard; recovered nodes start with no endpoint until Attach binds
-// one).
-func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
+// optionally from replayed node tables (rec non-nil, indexed by shard,
+// each installed as its shard's table as is; recovered nodes start
+// with no endpoint until Attach binds one).
+func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Collector {
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = DefaultPollTimeout
 	}
@@ -408,8 +425,8 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 		if store != nil {
 			sh.j = store.Shard(i)
 		}
-		if rec != nil && rec[i] != nil {
-			sh.adopt(rec[i])
+		if rec != nil {
+			sh.nodes = rec[i]
 		}
 		c.shards[i] = sh
 	}
@@ -421,42 +438,15 @@ func build(cfg Config, store *Store, rec []*shardState) (*Collector, error) {
 	c.wg.Add(1)
 	c.clk.Join()
 	go c.ticker(c.clk.Now())
-	return c, nil
-}
-
-// adopt installs a replayed shard state: every recovered node
-// materializes with its dedup store, last-ACK cache, and breaker
-// state, awaiting an Attach to bind its link endpoint.
-func (sh *shard) adopt(st *shardState) {
-	for id := range st.nodes {
-		sh.nodes[transport.NodeID(id)] = &nodeState{}
-	}
-	for id := range st.stores {
-		if sh.nodes[transport.NodeID(id)] == nil {
-			sh.nodes[transport.NodeID(id)] = &nodeState{}
-		}
-	}
-	for id, ns := range sh.nodes {
-		if sn := st.nodes[uint16(id)]; sn != nil {
-			ns.breaker = sn.breaker
-			ns.consecFail = sn.consecFail
-			ns.openLeft = sn.openLeft
-			ns.haveAck = sn.haveAck
-			ns.exhausted = sn.exhausted
-			ns.lastSeq = sn.lastSeq
-			ns.lastValue = sn.lastValue
-		}
-		if vs := st.stores[uint16(id)]; vs != nil {
-			ns.store = *vs
-		}
-	}
+	return c
 }
 
 // Recover is the collector's secure-boot path after a crash: it
-// revives the store, replays every shard's checkpoint journal,
-// compacts each into a fresh snapshot, and starts a collector whose
-// dedup state is exactly what it had ACKed before the crash. Node
-// endpoints are not durable — re-Attach each node's link, after which
+// revives the store, replays every shard's checkpoint journal into
+// that shard's node table, compacts each into a fresh snapshot, and
+// starts a collector that adopts the tables as is, so its dedup state
+// is exactly what it had ACKed before the crash. Node endpoints are
+// not durable — re-Attach each node's link, after which
 // retransmissions of already-admitted reports are absorbed as
 // duplicates and re-ACKed bit-exactly. Any shard whose journal is
 // corrupt (beyond an ordinary torn tail) refuses recovery entirely:
@@ -466,23 +456,20 @@ func Recover(cfg Config, store *Store) (*Collector, error) {
 		return nil, errors.New("collector: recovery requires a store")
 	}
 	store.Revive()
-	rec := make([]*shardState, store.Shards())
+	rec := make([]map[transport.NodeID]*nodeState, store.Shards())
 	replayed := 0
 	for i, j := range store.shards {
-		st, err := j.replay()
+		nodes, n, err := j.replay()
 		if err != nil {
 			return nil, fmt.Errorf("collector: shard %d: %w", i, err)
 		}
-		rec[i] = st
-		replayed += st.replayed
-		if !j.compact(st.nodes, st.stores) {
+		rec[i] = nodes
+		replayed += n
+		if !j.compact(nodes) {
 			return nil, fmt.Errorf("collector: shard %d: compaction failed (store power lost)", i)
 		}
 	}
-	c, err := build(cfg, store, rec)
-	if err != nil {
-		return nil, err
-	}
+	c := build(cfg, store, rec)
 	if m := cfg.Obs; m != nil {
 		m.RecoverShards.Add(uint64(store.Shards()))
 		m.RecoverReplayed.Add(uint64(replayed))
@@ -503,14 +490,10 @@ func (c *Collector) shardFor(id transport.NodeID) *shard {
 func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
-	ns := sh.nodes[id]
-	if ns != nil && ns.end != nil {
+	ns := nodeFor(sh.nodes, id)
+	if ns.end != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("collector: node %d already attached", id)
-	}
-	if ns == nil {
-		ns = &nodeState{}
-		sh.nodes[id] = ns
 	}
 	ns.end = end
 	sh.mu.Unlock()
@@ -797,12 +780,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 			m.Accepted.Inc()
 		}
 	}
-	if !ns.haveAck || pkt.Seq >= ns.lastSeq {
-		ns.haveAck = true
-		ns.lastSeq = pkt.Seq
-		ns.lastValue = ns.store.get(pkt.Seq)
-		ns.exhausted = pkt.Flags&transport.FlagFromCache != 0
-	}
+	ns.ack(pkt.Seq, pkt.Flags&transport.FlagFromCache != 0)
 	// Compact only after the last-ACK cache absorbed this admission,
 	// so the snapshot never trails the state it claims to capture.
 	if sh.j != nil && sh.sinceCompact >= sh.c.cfg.CompactEvery {
@@ -816,26 +794,12 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 }
 
 // compactLocked rewrites the shard's checkpoint as a fresh snapshot
-// of every node's dedup store, last-ACK cache, and breaker state,
-// swapped in whole so a crash mid-compaction loses nothing. A compaction
-// that cannot complete (store power lost) latches the shard dead.
-// Callers hold sh.mu.
+// of its node table — every node's dedup store, last-ACK cache, and
+// breaker state — swapped in whole so a crash mid-compaction loses
+// nothing. A compaction that cannot complete (store power lost)
+// latches the shard dead. Callers hold sh.mu.
 func (sh *shard) compactLocked() {
-	nodes := make(map[uint16]*snapNode, len(sh.nodes))
-	stores := make(map[uint16]*valueStore, len(sh.nodes))
-	for id, ns := range sh.nodes {
-		nodes[uint16(id)] = &snapNode{
-			breaker:    ns.breaker,
-			consecFail: ns.consecFail,
-			openLeft:   ns.openLeft,
-			haveAck:    ns.haveAck,
-			exhausted:  ns.exhausted,
-			lastSeq:    ns.lastSeq,
-			lastValue:  ns.lastValue,
-		}
-		stores[uint16(id)] = &ns.store
-	}
-	if !sh.j.compact(nodes, stores) {
+	if !sh.j.compact(sh.nodes) {
 		sh.dead = true
 		return
 	}

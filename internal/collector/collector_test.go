@@ -334,3 +334,137 @@ func TestExhaustedBudgetServedFromCache(t *testing.T) {
 		t.Fatalf("aggregate degraded count: %+v", agg)
 	}
 }
+
+// TestRecoverRestoresNodeViews crashes a durable collector whose last
+// snapshot holds every breaker state — open, half-open, an exhausted
+// node, far-spill seqs, absorbed duplicates — and requires the
+// recovered, re-attached collector to serve every node's view, values
+// and breaker bookkeeping exactly as before the crash.
+func TestRecoverRestoresNodeViews(t *testing.T) {
+	cfg := Config{
+		Shards:           1,
+		CompactEvery:     1,
+		PollTimeout:      time.Hour, // idle ticks only via tickAll
+		BreakerThreshold: 3,
+		OpenTicks:        2,
+	}
+	store := NewStore(cfg.Shards)
+	col, err := NewDurable(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodes = 5
+	ends := make(map[transport.NodeID]*transport.Endpoint)
+	for id := transport.NodeID(1); id <= nodes; id++ {
+		link := transport.NewLink(transport.LinkConfig{QueueCap: 64})
+		if err := col.Attach(id, link.CollectorEnd()); err != nil {
+			t.Fatal(err)
+		}
+		ends[id] = link.NodeEnd()
+	}
+	handled := uint64(0)
+	send := func(id transport.NodeID, seq uint64, v int64, flags uint8) {
+		ends[id].Send(transport.Packet{Kind: transport.KindReport, Node: id, Seq: seq, Value: v, Flags: flags})
+		handled++
+	}
+	const far = denseLimit + 7
+	// Node 1: healthy, with a duplicate. Nodes 2 and 3: two admitted
+	// unhealthy reports, then a third that trips the breaker open.
+	// Node 4: a far-spill seq, delivered twice. Node 5: exhausted.
+	for s := uint64(0); s < 3; s++ {
+		send(1, s, 10+int64(s), 0)
+	}
+	send(1, 1, 11, 0)
+	for _, id := range []transport.NodeID{2, 3} {
+		send(id, 0, 10*int64(id), 0)
+		for s := uint64(1); s <= 3; s++ {
+			send(id, s, -int64(s), transport.FlagUnhealthy)
+		}
+	}
+	send(4, far, -4, 0)
+	send(4, 0, 40, 0)
+	send(4, far, -4, 0)
+	send(5, 0, 50, transport.FlagFromCache)
+	quiesce(t, col, handled)
+
+	// Two silent ticks count one silence everywhere (the first only
+	// clears the reports' sawReport). Node 2 then reports into its open
+	// breaker, so the third tick half-opens node 3 alone.
+	col.tickAll()
+	col.tickAll()
+	send(2, 4, 0, transport.FlagUnhealthy)
+	quiesce(t, col, handled)
+	col.tickAll()
+	// One healthy admission compacts last, so the snapshot holds every
+	// breaker the ticks moved.
+	send(1, 3, 13, 0)
+	quiesce(t, col, handled)
+
+	type record struct {
+		view       NodeView
+		values     map[uint64]int64
+		consecFail int
+		openLeft   int
+	}
+	snapshot := func(c *Collector) map[transport.NodeID]record {
+		out := make(map[transport.NodeID]record)
+		for id := transport.NodeID(1); id <= nodes; id++ {
+			v, ok := c.Node(id)
+			if !ok {
+				t.Fatalf("node %d missing", id)
+			}
+			r := record{view: v, values: c.Values(id)}
+			sh := c.shardFor(id)
+			sh.mu.Lock()
+			r.consecFail, r.openLeft = sh.nodes[id].consecFail, sh.nodes[id].openLeft
+			sh.mu.Unlock()
+			out[id] = r
+		}
+		return out
+	}
+	before := snapshot(col)
+	if b := before[2].view.Breaker; b != BreakerOpen {
+		t.Fatalf("node 2 breaker %v, want open", b)
+	}
+	if b := before[3].view.Breaker; b != BreakerHalfOpen {
+		t.Fatalf("node 3 breaker %v, want half-open", b)
+	}
+	if v := before[5].view; !v.Degraded || v.Breaker != BreakerClosed {
+		t.Fatalf("node 5 view %+v, want degraded by exhaustion", v)
+	}
+	if v := before[4]; v.view.Reports != 2 || v.values[far] != -4 || v.view.Seq != far {
+		t.Fatalf("node 4 %+v, want the far seq recorded once and ACKed last", v)
+	}
+	if s := col.Stats(); s.Duplicates != 2 || s.Accepted != 13 {
+		t.Fatalf("stats %+v, want 13 accepted and 2 duplicates", s)
+	}
+
+	store.Kill()
+	col.Close()
+	col, err = Recover(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	for id := transport.NodeID(1); id <= nodes; id++ {
+		link := transport.NewLink(transport.LinkConfig{QueueCap: 64})
+		if err := col.Attach(id, link.CollectorEnd()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := snapshot(col)
+	for id, want := range before {
+		got := after[id]
+		if got.view != want.view || got.consecFail != want.consecFail || got.openLeft != want.openLeft {
+			t.Fatalf("node %d recovered %+v, before the crash %+v", id, got, want)
+		}
+		if len(got.values) != len(want.values) {
+			t.Fatalf("node %d recovered %d values, before the crash %d", id, len(got.values), len(want.values))
+		}
+		for seq, v := range want.values {
+			if gv, ok := got.values[seq]; !ok || gv != v {
+				t.Fatalf("node %d seq %d recovered (%d, %v), before the crash %d", id, seq, gv, ok, v)
+			}
+		}
+	}
+}

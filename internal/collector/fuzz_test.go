@@ -27,16 +27,16 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 	s := NewStore(1)
 	j := s.Shard(0)
 	j.seed()
-	st := newShardState(0)
+	st := nodeTable{}
 	for _, a := range []admSpec{{1, 0, 5}, {1, 1, -6}, {2, 0, 7}, {2, 5, 9}} {
 		j.appendAdmission(a.node, a.seq, a.val, 0)
-		st.admit(a.node, a.seq, a.val, 0)
+		mirrorAdmit(st, a.node, a.seq, a.val, 0)
 	}
 	live := nvmtest.WordsToBytes(j.r.Words(0))
 	f.Add(live)
 	f.Add(live[:len(live)-3])
 	f.Add(live[:17])
-	j.compact(st.nodes, st.stores)
+	j.compact(st)
 	f.Add(nvmtest.WordsToBytes(j.r.Words(0)))
 	flipped := append([]byte(nil), live...)
 	flipped[len(flipped)/2] ^= 0x10
@@ -48,7 +48,8 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 		if len(a) > 1<<16 {
 			return // keep the word slice small; length adds no coverage
 		}
-		st, err := fuzzJournal(a).replay()
+		j1 := fuzzJournal(a)
+		st, replayed, err := j1.replay()
 		if err != nil {
 			// Fail closed: the shard is refused; nothing to check.
 			return
@@ -57,8 +58,12 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 			t.Fatal("replay returned nil state without error")
 		}
 		// Internal consistency: every store's bitmap, count, and
-		// spill map agree.
-		for id, vs := range st.stores {
+		// spill map agree, and no replayed node has an endpoint.
+		for id, ns := range st {
+			if ns.end != nil {
+				t.Fatalf("node %d: replay bound an endpoint", id)
+			}
+			vs := &ns.store
 			n := 0
 			vs.forEach(func(seq uint64, v int64) {
 				n++
@@ -71,36 +76,37 @@ func FuzzCollectorCheckpoint(f *testing.F) {
 			}
 		}
 		// Determinism: the same bank replays to the same admissions.
-		st2, err2 := fuzzJournal(a).replay()
+		j2 := fuzzJournal(a)
+		st2, replayed2, err2 := j2.replay()
 		if err2 != nil {
 			t.Fatalf("second replay diverged into error: %v", err2)
 		}
-		if st2.gen != st.gen || len(st2.stores) != len(st.stores) || st2.replayed != st.replayed {
-			t.Fatalf("replay not deterministic: gen %d/%d stores %d/%d replayed %d/%d",
-				st.gen, st2.gen, len(st.stores), len(st2.stores), st.replayed, st2.replayed)
+		if j2.gen != j1.gen || len(st2) != len(st) || replayed2 != replayed {
+			t.Fatalf("replay not deterministic: gen %d/%d nodes %d/%d replayed %d/%d",
+				j1.gen, j2.gen, len(st), len(st2), replayed, replayed2)
 		}
 		// The journal must remain usable the way Recover uses it:
 		// replay, compact (folding any torn tail away), then admit —
 		// and the admission survives its own replay.
 		j := fuzzJournal(a)
-		st3, err := j.replay()
+		st3, _, err := j.replay()
 		if err != nil {
 			t.Fatalf("third replay diverged into error: %v", err)
 		}
-		if !j.compact(st3.nodes, st3.stores) {
+		if !j.compact(st3) {
 			t.Fatal("recovery compaction failed with live power")
 		}
-		if st3.stores[7] != nil && st3.stores[7].has(123) {
+		if ns := st3[7]; ns != nil && ns.store.has(123) {
 			return // the fuzzer already owns the probe seq; nothing to prove
 		}
 		if !j.appendAdmission(7, 123, 456, 0) {
 			t.Fatal("recovered journal rejected a powered admission")
 		}
-		st4, err := j.replay()
+		st4, _, err := j.replay()
 		if err != nil {
 			t.Fatalf("replay after post-recovery admission: %v", err)
 		}
-		if vs := st4.stores[7]; vs == nil || !vs.has(123) || vs.get(123) != 456 {
+		if ns := st4[7]; ns == nil || !ns.store.has(123) || ns.store.get(123) != 456 {
 			t.Fatal("post-recovery admission lost on re-replay")
 		}
 	})

@@ -9,7 +9,9 @@ import (
 // the internal/nvm refactor: legacyCkJournal is a frozen, verbatim
 // copy of the pre-refactor write path (put/appendRecord/
 // appendAdmission/writeSnapshot/compact/seed as they stood when the
-// format was introduced, double bank included), and the differential
+// format was introduced, double bank included; only the type of the
+// state writeSnapshot reads has since become the collector's node
+// table, every word it emits unchanged), and the differential
 // tests drive it in lockstep with the real Journal over seeded
 // admission sequences, asserting that the journal's one bank is
 // bit-identical to the legacy live bank. Snapshot-bearing scripts use
@@ -59,10 +61,11 @@ func (j *legacyCkJournal) appendAdmission(node uint16, seq uint64, value int64, 
 	j.appendRecord(j.live, ckTagCommit, nil)
 }
 
-func (j *legacyCkJournal) writeSnapshot(b int, gen int64, nodes map[uint16]*snapNode, stores map[uint16]*valueStore) {
+func (j *legacyCkJournal) writeSnapshot(b int, gen int64, nodes nodeTable) {
 	g := legacyCkEnc64(gen)
 	j.appendRecord(b, ckTagSnapBegin, []uint16{g[0], g[1], g[2], g[3]})
-	for id, sn := range nodes {
+	for nid, sn := range nodes {
+		id := uint16(nid)
 		var flags uint16
 		if sn.haveAck {
 			flags |= snapFlagHaveAck
@@ -76,7 +79,8 @@ func (j *legacyCkJournal) writeSnapshot(b int, gen int64, nodes map[uint16]*snap
 			ls[0], ls[1], ls[2], ls[3], lv[0], lv[1], lv[2], lv[3],
 		})
 	}
-	for id, vs := range stores {
+	for nid, ns := range nodes {
+		id, vs := uint16(nid), &ns.store
 		vs.forEach(func(seq uint64, v int64) {
 			s, val := legacyCkEnc64(int64(seq)), legacyCkEnc64(v)
 			j.appendRecord(b, ckTagSnapVal, []uint16{id, s[0], s[1], s[2], s[3], val[0], val[1], val[2], val[3]})
@@ -85,10 +89,10 @@ func (j *legacyCkJournal) writeSnapshot(b int, gen int64, nodes map[uint16]*snap
 	j.appendRecord(b, ckTagSnapEnd, []uint16{g[0], g[1], g[2], g[3]})
 }
 
-func (j *legacyCkJournal) compact(nodes map[uint16]*snapNode, stores map[uint16]*valueStore) {
+func (j *legacyCkJournal) compact(nodes nodeTable) {
 	idle := 1 - j.live
 	j.banks[idle] = j.banks[idle][:0]
-	j.writeSnapshot(idle, j.gen+1, nodes, stores)
+	j.writeSnapshot(idle, j.gen+1, nodes)
 	j.gen++
 	j.live = idle
 	j.banks[1-idle] = j.banks[1-idle][:0]
@@ -97,7 +101,7 @@ func (j *legacyCkJournal) compact(nodes map[uint16]*snapNode, stores map[uint16]
 func (j *legacyCkJournal) seed() {
 	j.gen = 1
 	j.live = 0
-	j.writeSnapshot(0, 1, nil, nil)
+	j.writeSnapshot(0, 1, nil)
 }
 
 // requireBanksEqual asserts that the journal's one bank holds exactly
@@ -165,19 +169,19 @@ func TestCheckpointGoldenCompaction(t *testing.T) {
 		t.Fatal("seed failed")
 	}
 	ref.seed()
-	st := newShardState(0)
+	st := nodeTable{}
 	for seq := uint64(0); seq < 40; seq++ {
 		v := rng.Int63n(1 << 32)
 		if !j.appendAdmission(9, seq, v, 0) {
 			t.Fatal("unexpected power loss")
 		}
 		ref.appendAdmission(9, seq, v, 0)
-		st.admit(9, seq, v, 0)
+		mirrorAdmit(st, 9, seq, v, 0)
 		if seq%8 == 7 {
-			if !j.compact(st.nodes, st.stores) {
+			if !j.compact(st) {
 				t.Fatal("compaction failed")
 			}
-			ref.compact(st.nodes, st.stores)
+			ref.compact(st)
 		}
 		requireBanksEqual(t, "compaction", j, ref)
 	}
@@ -189,15 +193,15 @@ func TestCheckpointGoldenCompaction(t *testing.T) {
 // compaction, then a WAL tail.
 func canonicalCheckpointScript(t *testing.T, j *Journal) {
 	t.Helper()
-	st := newShardState(0)
+	st := nodeTable{}
 	admit := func(seq uint64, v int64, flags uint16) {
 		if !j.appendAdmission(9, seq, v, flags) {
 			t.Fatal("unexpected power loss")
 		}
-		st.admit(9, seq, v, flags)
+		mirrorAdmit(st, 9, seq, v, flags)
 	}
 	compact := func() {
-		if !j.compact(st.nodes, st.stores) {
+		if !j.compact(st) {
 			t.Fatal("compaction failed")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"ulpdp/internal/nvm"
+	"ulpdp/internal/transport"
 )
 
 // This file is the collector's crash-consistency plane: a per-shard
@@ -30,18 +31,20 @@ import (
 // node crashes and lossy links.
 //
 // Each Journal is one bank. It opens with a generation-tagged snapshot
-// (snapBegin gen … snapEnd gen) of every node's valueStore bitmap +
-// values + breaker state, followed by the admissions since.
+// (snapBegin gen … snapEnd gen) of the shard's node table — every
+// nodeState's breaker state, last-ACK cache and recorded values —
+// followed by the admissions since.
 // Compaction writes gen+1's snapshot through nvm.Region.Rewrite, the
 // compaction the DP-Box journal uses too: the snapshot is staged, and
 // only once its snapEnd has passed the power cell does one atomic
 // Medium.Replace swap it in, so a crash at any staged word leaves the
 // old bank whole and loses nothing. Recovery replays the bank's
-// snapshot plus its admission tail (a torn tail record is
+// snapshot plus its admission tail into a fresh node table, which the
+// recovered collector adopts as is (a torn tail record is
 // indistinguishable from "never written" and is dropped — it was
 // never ACKed), and refuses the shard outright on mid-log corruption,
 // an invalid tag, or a bank with no complete snapshot: fail closed,
-// like budget.Bank on a dead journal, because a silently shortened
+// like dpbox.Bank on a dead journal, because a silently shortened
 // log would re-admit (double-count) replays of reports it had already
 // ACKed.
 
@@ -106,7 +109,7 @@ type Journal struct {
 	r   *nvm.Region
 	gen int64
 	// ids and far are writeSnapshot's reused sort buffers.
-	ids []uint16
+	ids []transport.NodeID
 	far []uint64
 }
 
@@ -141,87 +144,26 @@ func (j *Journal) appendAdmission(node uint16, seq uint64, value int64, flags ui
 // accounting after a compaction).
 func (j *Journal) bankLen() int { return j.r.Len(0) }
 
-// snapNode is one node's checkpointed metadata (everything a NodeView
-// needs beyond the valueStore itself).
-type snapNode struct {
-	breaker    BreakerState
-	consecFail int
-	openLeft   int
-	haveAck    bool
-	exhausted  bool
-	lastSeq    uint64
-	lastValue  int64
-}
-
-// shardState is one shard's durable state as reconstructed by replay.
-type shardState struct {
-	gen    int64
-	nodes  map[uint16]*snapNode
-	stores map[uint16]*valueStore
-	// replayed counts admissions applied from the WAL tail (after the
-	// snapshot) — the "work redone" recovery metric.
-	replayed int
-}
-
-func newShardState(gen int64) *shardState {
-	return &shardState{
-		gen:    gen,
-		nodes:  make(map[uint16]*snapNode),
-		stores: make(map[uint16]*valueStore),
-	}
-}
-
-func (st *shardState) node(id uint16) *snapNode {
-	n := st.nodes[id]
-	if n == nil {
-		n = &snapNode{}
-		st.nodes[id] = n
-	}
-	return n
-}
-
-func (st *shardState) store(id uint16) *valueStore {
-	vs := st.stores[id]
-	if vs == nil {
-		vs = &valueStore{}
-		st.stores[id] = vs
-	}
-	return vs
-}
-
-// admit applies one committed (node, seq, value, flags) admission to
-// the replayed state, using the same last-ACK rule as handleLocked so
-// the recovered NodeView is bit-exact.
-func (st *shardState) admit(nodeID uint16, seq uint64, value int64, flags uint16) {
-	vs := st.store(nodeID)
-	if !vs.has(seq) {
-		vs.put(seq, value)
-	}
-	n := st.node(nodeID)
-	if !n.haveAck || seq >= n.lastSeq {
-		n.haveAck = true
-		n.lastSeq = seq
-		n.lastValue = vs.get(seq)
-		n.exhausted = flags&admFlagFromCache != 0
-	}
-}
-
 // errCorruptCheckpoint marks a shard journal recovery refused
 // fail-closed: the log is damaged in a way a torn tail cannot
 // explain, so replaying a prefix could silently re-open (node, seq)
 // slots the collector already ACKed.
 var errCorruptCheckpoint = errors.New("collector: corrupt shard checkpoint")
 
-// replay rebuilds the shard's durable state from its bank: the
-// snapshot, then the admission tail. A record truncated at the very
-// end of the bank is a torn write and ends the scan; a checksum
-// failure or invalid tag with the full record present — or any
-// structurally impossible sequence — is corruption, and so is a bank
-// without a complete snapshot (seed writes one before any admission,
-// and compaction swaps a new one in whole).
-func (j *Journal) replay() (*shardState, error) {
-	var st *shardState
-	var pendNode uint16
+// replay rebuilds the shard's node table from its bank: the snapshot,
+// then the admission tail. It returns the table with every endpoint
+// unbound, plus the number of admissions applied from the tail (the
+// "work redone" recovery metric). A record truncated at the very end
+// of the bank is a torn write and ends the scan; a checksum failure
+// or invalid tag with the full record present — or any structurally
+// impossible sequence — is corruption, and so is a bank without a
+// complete snapshot (seed writes one before any admission, and
+// compaction swaps a new one in whole).
+func (j *Journal) replay() (map[transport.NodeID]*nodeState, int, error) {
+	var nodes map[transport.NodeID]*nodeState
+	var gen int64
+	replayed := 0
+	var pendNode transport.NodeID
 	var pendSeq uint64
 	var pendPair uint16
 	var pendValue int64
@@ -242,74 +184,79 @@ scan:
 			// reading.
 			break scan
 		case nvm.ScanBadTag:
-			return nil, fmt.Errorf("%w: invalid tag %d", errCorruptCheckpoint, tag)
+			return nil, 0, fmt.Errorf("%w: invalid tag %d", errCorruptCheckpoint, tag)
 		case nvm.ScanBadSumMid:
-			return nil, fmt.Errorf("%w: checksum mismatch mid-log", errCorruptCheckpoint)
+			return nil, 0, fmt.Errorf("%w: checksum mismatch mid-log", errCorruptCheckpoint)
 		}
 		switch tag {
 		case ckTagSnapBegin:
-			if st != nil {
-				return nil, fmt.Errorf("%w: second snapshot in one bank", errCorruptCheckpoint)
+			if nodes != nil {
+				return nil, 0, fmt.Errorf("%w: second snapshot in one bank", errCorruptCheckpoint)
 			}
-			st = newShardState(nvm.Dec64(payload))
+			nodes = make(map[transport.NodeID]*nodeState)
+			gen = nvm.Dec64(payload)
 			inSnap = true
 		case ckTagSnapNode:
 			if !inSnap {
-				return nil, fmt.Errorf("%w: snapshot node record outside a snapshot", errCorruptCheckpoint)
+				return nil, 0, fmt.Errorf("%w: snapshot node record outside a snapshot", errCorruptCheckpoint)
 			}
-			sn := st.node(payload[0])
-			sn.breaker = BreakerState(payload[1])
-			if sn.breaker > BreakerHalfOpen {
-				return nil, fmt.Errorf("%w: breaker state %d", errCorruptCheckpoint, payload[1])
+			ns := nodeFor(nodes, transport.NodeID(payload[0]))
+			ns.breaker = BreakerState(payload[1])
+			if ns.breaker > BreakerHalfOpen {
+				return nil, 0, fmt.Errorf("%w: breaker state %d", errCorruptCheckpoint, payload[1])
 			}
-			sn.haveAck = payload[2]&snapFlagHaveAck != 0
-			sn.exhausted = payload[2]&snapFlagExhausted != 0
-			sn.consecFail = int(payload[3])
-			sn.openLeft = int(payload[4])
-			sn.lastSeq = uint64(nvm.Dec64(payload[5:9]))
-			sn.lastValue = nvm.Dec64(payload[9:13])
+			ns.haveAck = payload[2]&snapFlagHaveAck != 0
+			ns.exhausted = payload[2]&snapFlagExhausted != 0
+			ns.consecFail = int(payload[3])
+			ns.openLeft = int(payload[4])
+			ns.lastSeq = uint64(nvm.Dec64(payload[5:9]))
+			ns.lastValue = nvm.Dec64(payload[9:13])
 		case ckTagSnapVal:
 			if !inSnap {
-				return nil, fmt.Errorf("%w: snapshot value record outside a snapshot", errCorruptCheckpoint)
+				return nil, 0, fmt.Errorf("%w: snapshot value record outside a snapshot", errCorruptCheckpoint)
 			}
-			vs := st.store(payload[0])
+			vs := &nodeFor(nodes, transport.NodeID(payload[0])).store
 			seq := uint64(nvm.Dec64(payload[1:5]))
 			if vs.has(seq) {
-				return nil, fmt.Errorf("%w: duplicate snapshot value", errCorruptCheckpoint)
+				return nil, 0, fmt.Errorf("%w: duplicate snapshot value", errCorruptCheckpoint)
 			}
 			vs.put(seq, nvm.Dec64(payload[5:9]))
 		case ckTagSnapEnd:
-			if !inSnap || nvm.Dec64(payload) != st.gen {
-				return nil, fmt.Errorf("%w: unmatched snapshot end", errCorruptCheckpoint)
+			if !inSnap || nvm.Dec64(payload) != gen {
+				return nil, 0, fmt.Errorf("%w: unmatched snapshot end", errCorruptCheckpoint)
 			}
 			inSnap, snapDone = false, true
 		case ckTagIntent:
 			if !snapDone {
-				return nil, fmt.Errorf("%w: admission before snapshot", errCorruptCheckpoint)
+				return nil, 0, fmt.Errorf("%w: admission before snapshot", errCorruptCheckpoint)
 			}
 			pendStage, pendPair = 1, pair
-			pendNode = payload[0]
+			pendNode = transport.NodeID(payload[0])
 			pendSeq = uint64(nvm.Dec64(payload[1:5]))
 		case ckTagRecord:
 			if pendStage != 1 {
-				return nil, fmt.Errorf("%w: record without intent", errCorruptCheckpoint)
+				return nil, 0, fmt.Errorf("%w: record without intent", errCorruptCheckpoint)
 			}
 			pendStage = 2
 			pendValue = nvm.Dec64(payload[0:4])
 			pendFlags = payload[4]
 		case ckTagCommit:
 			if pendStage == 2 && pair == pendPair {
-				st.admit(pendNode, pendSeq, pendValue, pendFlags)
-				st.replayed++
+				ns := nodeFor(nodes, pendNode)
+				if !ns.store.has(pendSeq) {
+					ns.store.put(pendSeq, pendValue)
+				}
+				ns.ack(pendSeq, pendFlags&admFlagFromCache != 0)
+				replayed++
 			}
 			pendStage = 0
 		}
 	}
 	if !snapDone {
-		return nil, fmt.Errorf("%w: no complete snapshot", errCorruptCheckpoint)
+		return nil, 0, fmt.Errorf("%w: no complete snapshot", errCorruptCheckpoint)
 	}
-	j.gen = st.gen
-	return st, nil
+	j.gen = gen
+	return nodes, replayed, nil
 }
 
 // sortedKeys refills buf with m's keys in ascending order.
@@ -322,35 +269,36 @@ func sortedKeys[K cmp.Ordered, V any](buf []K, m map[K]V) []K {
 	return buf
 }
 
-// writeSnapshot appends a complete gen-tagged snapshot of state to
-// the bank. Nodes go out in ascending id and each node's values in
-// ascending seq, so one state always snapshots to the same words.
-func (j *Journal) writeSnapshot(gen int64, nodes map[uint16]*snapNode, stores map[uint16]*valueStore) bool {
+// writeSnapshot appends a complete gen-tagged snapshot of a shard's
+// node table to the bank: every node's record, then every node's
+// values. Both passes walk one ascending id list and each node's
+// values go out in ascending seq, so one table always snapshots to
+// the same words.
+func (j *Journal) writeSnapshot(gen int64, nodes map[transport.NodeID]*nodeState) bool {
 	g := nvm.Enc64(gen)
 	if !j.appendRecord(ckTagSnapBegin, []uint16{g[0], g[1], g[2], g[3]}) {
 		return false
 	}
 	j.ids = sortedKeys(j.ids, nodes)
 	for _, id := range j.ids {
-		sn := nodes[id]
+		ns := nodes[id]
 		var flags uint16
-		if sn.haveAck {
+		if ns.haveAck {
 			flags |= snapFlagHaveAck
 		}
-		if sn.exhausted {
+		if ns.exhausted {
 			flags |= snapFlagExhausted
 		}
-		ls, lv := nvm.Enc64(int64(sn.lastSeq)), nvm.Enc64(sn.lastValue)
+		ls, lv := nvm.Enc64(int64(ns.lastSeq)), nvm.Enc64(ns.lastValue)
 		if !j.appendRecord(ckTagSnapNode, []uint16{
-			id, uint16(sn.breaker), flags, uint16(sn.consecFail), uint16(sn.openLeft),
+			uint16(id), uint16(ns.breaker), flags, uint16(ns.consecFail), uint16(ns.openLeft),
 			ls[0], ls[1], ls[2], ls[3], lv[0], lv[1], lv[2], lv[3],
 		}) {
 			return false
 		}
 	}
-	j.ids = sortedKeys(j.ids, stores)
 	for _, id := range j.ids {
-		if !j.writeValues(id, stores[id]) {
+		if !j.writeValues(uint16(id), &nodes[id].store) {
 			return false
 		}
 	}
@@ -376,12 +324,13 @@ func (j *Journal) writeValues(id uint16, vs *valueStore) bool {
 	return ok
 }
 
-// compact rewrites the bank as the next generation's snapshot through
-// nvm.Region.Rewrite. A power failure mid-snapshot leaves the old bank
-// whole; nothing is lost, and the next compaction attempt (or
-// recovery) simply retries. It reports whether the new bank landed.
-func (j *Journal) compact(nodes map[uint16]*snapNode, stores map[uint16]*valueStore) bool {
-	if !j.r.Rewrite(0, func() bool { return j.writeSnapshot(j.gen+1, nodes, stores) }) {
+// compact rewrites the bank as the next generation's snapshot of
+// nodes through nvm.Region.Rewrite. A power failure mid-snapshot
+// leaves the old bank whole; nothing is lost, and the next compaction
+// attempt (or recovery) simply retries. It reports whether the new
+// bank landed.
+func (j *Journal) compact(nodes map[transport.NodeID]*nodeState) bool {
+	if !j.r.Rewrite(0, func() bool { return j.writeSnapshot(j.gen+1, nodes) }) {
 		return false
 	}
 	j.gen++
@@ -391,12 +340,12 @@ func (j *Journal) compact(nodes map[uint16]*snapNode, stores map[uint16]*valueSt
 // seed initializes a fresh journal (generation 0) as the
 // generation-1 compaction of the empty state, so "no complete
 // snapshot" is always corruption, never a fresh boot.
-func (j *Journal) seed() bool { return j.compact(nil, nil) }
+func (j *Journal) seed() bool { return j.compact(nil) }
 
 // Store is a collector's durable checkpoint region: one Journal per
 // ingest shard, each one bank of a single medium and powered by a single
 // supply (a collector crash is one event, not per-shard). Pass it to
-// New for a fresh collector or Recover after a crash; a Store
+// NewDurable for a fresh collector or Recover after a crash; a Store
 // outlives the Collector instances built on it, exactly as the DP-Box
 // journal outlives the box.
 type Store struct {

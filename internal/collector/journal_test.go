@@ -9,6 +9,7 @@ import (
 
 	"ulpdp/internal/nvm"
 	"ulpdp/internal/nvm/nvmtest"
+	"ulpdp/internal/transport"
 )
 
 // loadBank installs raw bank contents (fuzz and corruption
@@ -16,6 +17,21 @@ import (
 // shard 0 of a one-shard store, so its bank is medium bank 0.
 func (j *Journal) loadBank(words []uint16) {
 	_ = j.r.Medium().Replace(0, append([]uint16(nil), words...))
+}
+
+// nodeTable is a shard's node table: what replay rebuilds, what
+// compact snapshots, and the shape of every test mirror.
+type nodeTable = map[transport.NodeID]*nodeState
+
+// mirrorAdmit applies one ACKed admission to a mirror table the way
+// handleLocked records it: first sighting stored, last-ACK cache
+// updated.
+func mirrorAdmit(m nodeTable, node uint16, seq uint64, v int64, flags uint16) {
+	ns := nodeFor(m, transport.NodeID(node))
+	if !ns.store.has(seq) {
+		ns.store.put(seq, v)
+	}
+	ns.ack(seq, flags&admFlagFromCache != 0)
 }
 
 // admSpec is one scripted admission for the crash-sweep harness.
@@ -43,9 +59,9 @@ func sweepScript() []admSpec {
 // collector would have ACKed). Every fourth ACKed admission triggers a
 // compaction of the mirror, like the shard's CompactEvery. Returns the
 // mirror of ACKed admissions; the power cell decides how far it gets.
-func runSweepScript(s *Store) (*shardState, bool) {
+func runSweepScript(s *Store) (nodeTable, bool) {
 	j := s.Shard(0)
-	mirror := newShardState(0)
+	mirror := nodeTable{}
 	if !j.seed() {
 		// NewDurable would have errored out: the collector was never
 		// born and owes nothing to anyone.
@@ -56,37 +72,38 @@ func runSweepScript(s *Store) (*shardState, bool) {
 		if !j.appendAdmission(a.node, a.seq, a.val, 0) {
 			return mirror, true
 		}
-		mirror.admit(a.node, a.seq, a.val, 0)
+		mirrorAdmit(mirror, a.node, a.seq, a.val, 0)
 		acked++
 		if acked%4 == 0 {
 			// A failed compaction is survivable by design: the old bank
 			// stays whole, but the store is dead so later appends fail.
-			j.compact(mirror.nodes, mirror.stores)
+			j.compact(mirror)
 		}
 	}
 	return mirror, true
 }
 
-// requireStateEqual asserts the recovered shard state carries exactly
-// the mirror's admissions and per-node last-ACK metadata.
-func requireStateEqual(t testing.TB, w int, got, want *shardState) {
+// requireStateEqual asserts the recovered node table carries exactly
+// the mirror's admissions, per-node last-ACK cache and breaker state.
+func requireStateEqual(t testing.TB, w int, got, want nodeTable) {
 	t.Helper()
-	count := func(st *shardState) int {
+	count := func(m nodeTable) int {
 		n := 0
-		for _, vs := range st.stores {
-			n += vs.n
+		for _, ns := range m {
+			n += ns.store.n
 		}
 		return n
 	}
 	if count(got) != count(want) {
 		t.Fatalf("crash@%d: recovered %d admissions, ACKed %d", w, count(got), count(want))
 	}
-	for id, vs := range want.stores {
-		rvs := got.stores[id]
-		if rvs == nil {
+	for id, sn := range want {
+		rn := got[id]
+		if rn == nil {
 			t.Fatalf("crash@%d: node %d lost entirely", w, id)
 		}
-		vs.forEach(func(seq uint64, v int64) {
+		rvs := &rn.store
+		sn.store.forEach(func(seq uint64, v int64) {
 			if !rvs.has(seq) {
 				t.Fatalf("crash@%d: node %d seq %d ACKed but lost", w, id, seq)
 			}
@@ -94,14 +111,13 @@ func requireStateEqual(t testing.TB, w int, got, want *shardState) {
 				t.Fatalf("crash@%d: node %d seq %d = %d, ACKed %d", w, id, seq, g, v)
 			}
 		})
-	}
-	for id, sn := range want.nodes {
-		rn := got.nodes[id]
-		if rn == nil {
-			t.Fatalf("crash@%d: node %d metadata lost", w, id)
-		}
 		if rn.haveAck != sn.haveAck || rn.lastSeq != sn.lastSeq || rn.lastValue != sn.lastValue {
-			t.Fatalf("crash@%d: node %d last-ACK cache %+v, want %+v", w, id, rn, sn)
+			t.Fatalf("crash@%d: node %d last-ACK cache (%v %d %d), want (%v %d %d)", w, id,
+				rn.haveAck, rn.lastSeq, rn.lastValue, sn.haveAck, sn.lastSeq, sn.lastValue)
+		}
+		if rn.exhausted != sn.exhausted || rn.breaker != sn.breaker || rn.consecFail != sn.consecFail || rn.openLeft != sn.openLeft {
+			t.Fatalf("crash@%d: node %d exhausted/breaker (%v %v %d %d), want (%v %v %d %d)", w, id,
+				rn.exhausted, rn.breaker, rn.consecFail, rn.openLeft, sn.exhausted, sn.breaker, sn.consecFail, sn.openLeft)
 		}
 	}
 }
@@ -125,7 +141,7 @@ func TestCheckpointCrashSweep(t *testing.T) {
 			return
 		}
 		s.Revive()
-		st, err := s.Shard(0).replay()
+		st, _, err := s.Shard(0).replay()
 		if !seeded {
 			// The crash landed inside the seed snapshot: NewDurable
 			// reported failure and the collector never ran. The staged
@@ -155,7 +171,7 @@ func TestCheckpointRecoverSurvivesReCrash(t *testing.T) {
 	script := sweepScript()
 	s := NewStore(1)
 	j := s.Shard(0)
-	mirror := newShardState(0)
+	mirror := nodeTable{}
 	if !j.seed() {
 		t.Fatal("seed failed")
 	}
@@ -164,19 +180,19 @@ func TestCheckpointRecoverSurvivesReCrash(t *testing.T) {
 		if !j.appendAdmission(a.node, a.seq, a.val, 0) {
 			t.Fatal("unexpected power loss")
 		}
-		mirror.admit(a.node, a.seq, a.val, 0)
+		mirrorAdmit(mirror, a.node, a.seq, a.val, 0)
 	}
 	s.FailAfterWrites(5)
 	j.appendAdmission(script[6].node, script[6].seq, script[6].val, 0)
 
 	// Recovery boundary: replay, then compact (what Recover does).
 	s.Revive()
-	st, err := j.replay()
+	st, _, err := j.replay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireStateEqual(t, -1, st, mirror)
-	if !j.compact(st.nodes, st.stores) {
+	if !j.compact(st) {
 		t.Fatal("recovery compaction failed with live power")
 	}
 
@@ -185,17 +201,17 @@ func TestCheckpointRecoverSurvivesReCrash(t *testing.T) {
 		if !j.appendAdmission(a.node, a.seq, a.val, 0) {
 			t.Fatal("unexpected power loss")
 		}
-		mirror.admit(a.node, a.seq, a.val, 0)
+		mirrorAdmit(mirror, a.node, a.seq, a.val, 0)
 	}
 	s.FailAfterWrites(0)
 	j.appendAdmission(99, 0, 1, 0)
 	s.Revive()
-	st2, err := j.replay()
+	st2, _, err := j.replay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireStateEqual(t, -2, st2, mirror)
-	if st2.stores[99] != nil {
+	if st2[99] != nil {
 		t.Fatal("torn admission from life two resurrected")
 	}
 }
@@ -227,7 +243,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		j := build(t)
 		bank := j.r.Words(0)
 		bank[len(bank)/2] ^= 0x0040
-		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
+		if _, _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("mid-log flip: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
@@ -238,7 +254,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		// stamp an unassigned tag on it.
 		bank := j.r.Words(0)
 		bank[0] = 0xF<<12 | bank[0]&0x0FFF
-		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
+		if _, _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("invalid tag: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
@@ -251,12 +267,12 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		j := build(t)
 		bank := j.r.Words(0)
 		bank[len(bank)-1] ^= 1
-		st, err := j.replay()
+		st, _, err := j.replay()
 		if err != nil {
 			t.Fatalf("final-record flip refused: %v", err)
 		}
 		last := sweepScript()[len(sweepScript())-1]
-		if st.stores[last.node] != nil && st.stores[last.node].has(last.seq) {
+		if ns := st[transport.NodeID(last.node)]; ns != nil && ns.store.has(last.seq) {
 			t.Fatal("admission with a damaged commit was resurrected")
 		}
 	})
@@ -265,7 +281,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		j := build(t)
 		for cut := 1; cut <= 30; cut++ {
 			j.loadBank(j.r.Words(0)[:j.bankLen()-1])
-			if _, err := j.replay(); err != nil {
+			if _, _, err := j.replay(); err != nil {
 				t.Fatalf("cut %d words: %v", cut, err)
 			}
 		}
@@ -277,7 +293,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		// it could re-admit ACKed reports, so replay refuses.
 		j := build(t)
 		j.loadBank(j.r.Words(0)[:8])
-		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
+		if _, _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("half snapshot: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
@@ -288,7 +304,7 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 		// dedup state that would re-admit everything.
 		j := build(t)
 		j.r.Erase(0)
-		if _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
+		if _, _, err := j.replay(); !errors.Is(err, errCorruptCheckpoint) {
 			t.Fatalf("empty journal: err = %v, want errCorruptCheckpoint", err)
 		}
 	})
@@ -296,17 +312,17 @@ func TestCheckpointMidLogCorruptionRefused(t *testing.T) {
 
 // seededSweep seeds j and journals the whole sweep script with live
 // power, returning the mirror of its ACKed admissions.
-func seededSweep(t *testing.T, j *Journal) *shardState {
+func seededSweep(t *testing.T, j *Journal) nodeTable {
 	t.Helper()
 	if !j.seed() {
 		t.Fatal("seed failed")
 	}
-	mirror := newShardState(0)
+	mirror := nodeTable{}
 	for _, a := range sweepScript() {
 		if !j.appendAdmission(a.node, a.seq, a.val, 0) {
 			t.Fatal("unexpected power loss")
 		}
-		mirror.admit(a.node, a.seq, a.val, 0)
+		mirrorAdmit(mirror, a.node, a.seq, a.val, 0)
 	}
 	return mirror
 }
@@ -319,7 +335,7 @@ func sweepCompactionWords(t *testing.T) int {
 	s := NewStore(1)
 	mirror := seededSweep(t, s.Shard(0))
 	pre := s.Writes()
-	if !s.Shard(0).compact(mirror.nodes, mirror.stores) {
+	if !s.Shard(0).compact(mirror) {
 		t.Fatal("baseline compaction failed")
 	}
 	return int(s.Writes() - pre)
@@ -337,14 +353,14 @@ func TestCompactionCrashKeepsOldBank(t *testing.T) {
 		mirror := seededSweep(t, j)
 		old := append([]uint16(nil), j.r.Words(0)...)
 		s.FailAfterWrites(w)
-		if j.compact(mirror.nodes, mirror.stores) {
+		if j.compact(mirror) {
 			t.Fatalf("crash@%d: compaction claimed success under dying power", w)
 		}
 		if !slices.Equal(j.r.Words(0), old) {
 			t.Fatalf("crash@%d: a failed compaction touched the bank", w)
 		}
 		s.Revive()
-		st, err := j.replay()
+		st, _, err := j.replay()
 		if err != nil {
 			t.Fatalf("crash@%d: old bank unrecoverable: %v", w, err)
 		}
@@ -368,7 +384,7 @@ func TestFileStoreCompactionCutReopen(t *testing.T) {
 	mirror := seededSweep(t, s.Shard(0))
 	for w := 0; w < snapWords; w++ {
 		s.FailAfterWrites(w)
-		if s.Shard(0).compact(mirror.nodes, mirror.stores) {
+		if s.Shard(0).compact(mirror) {
 			t.Fatalf("crash@%d: compaction claimed success under dying power", w)
 		}
 		if err := s.Close(); err != nil {
@@ -384,7 +400,7 @@ func TestFileStoreCompactionCutReopen(t *testing.T) {
 		if s.Shards() != 1 {
 			t.Fatalf("crash@%d: reopened store has %d shards, want 1", w, s.Shards())
 		}
-		st, err := s.Shard(0).replay()
+		st, _, err := s.Shard(0).replay()
 		if err != nil {
 			t.Fatalf("crash@%d: reopened bank unrecoverable: %v", w, err)
 		}
@@ -405,7 +421,7 @@ func TestFileStoreCompactionCutReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	st, err := s.Shard(0).replay()
+	st, _, err := s.Shard(0).replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,27 +433,27 @@ func TestFileStoreCompactionCutReopen(t *testing.T) {
 // snapshot's record order must not follow Go map iteration, or replay
 // traces of one run could not be compared word for word.
 func TestSnapshotWordsDeterministic(t *testing.T) {
-	st := newShardState(0)
+	st := nodeTable{}
 	for i, id := range []uint16{42, 7, 65000, 1, 300, 9, 128, 3} {
 		for k := 0; k < 6; k++ {
 			seq := uint64(k*k + i)
 			if k >= 4 {
 				seq = denseLimit + uint64(1000*k+i)
 			}
-			st.admit(id, seq, int64(id)*int64(k+1)-50, uint16(k&1))
+			mirrorAdmit(st, id, seq, int64(id)*int64(k+1)-50, uint16(k&1))
 		}
-		st.node(id).breaker = BreakerState(i % 3)
-		st.node(id).consecFail = i
+		st[transport.NodeID(id)].breaker = BreakerState(i % 3)
+		st[transport.NodeID(id)].consecFail = i
 	}
 	var first []uint16
 	for run := 0; run < 8; run++ {
 		j := NewStore(1).Shard(0)
-		if !j.seed() || !j.compact(st.nodes, st.stores) {
+		if !j.seed() || !j.compact(st) {
 			t.Fatal("compaction failed with live power")
 		}
 		if run == 0 {
 			first = slices.Clone(j.r.Words(0))
-			got, err := j.replay()
+			got, _, err := j.replay()
 			if err != nil {
 				t.Fatal(err)
 			}
