@@ -156,10 +156,11 @@ const denseLimit = 1 << 20
 // unset bits) — no hashing, no per-insert bucket churn, amortized
 // zero allocations. Far-out seqs fall back to a spill map.
 type valueStore struct {
-	vals []int64
-	seen []uint64 // bitmap over vals: bit seq set once recorded
-	far  map[uint64]int64
-	n    int // distinct seqs recorded
+	vals  []int64
+	seen  []uint64 // bitmap over vals: bit seq set once recorded
+	seen0 [1]uint64
+	far   map[uint64]int64
+	n     int // distinct seqs recorded
 }
 
 // has reports whether seq was already recorded.
@@ -180,11 +181,26 @@ func (vs *valueStore) get(seq uint64) int64 {
 	return vs.far[seq]
 }
 
+// minDense is the dense window's first capacity, so a node's first
+// few reports cost one slice allocation, not one per append.
+const minDense = 8
+
 // put records a first-time seq. Callers guarantee !has(seq).
 func (vs *valueStore) put(seq uint64, v int64) {
 	if seq < denseLimit {
-		for uint64(len(vs.vals)) <= seq {
-			vs.vals = append(vs.vals, 0)
+		if n := int(seq) + 1; n > len(vs.vals) {
+			if n > cap(vs.vals) {
+				// Double from a small floor: amortized O(1) allocations
+				// per node however its seqs arrive.
+				grown := make([]int64, n, max(n, min(2*cap(vs.vals), denseLimit), minDense))
+				copy(grown, vs.vals)
+				vs.vals = grown
+			}
+			vs.vals = vs.vals[:n]
+		}
+		if vs.seen == nil {
+			// The first 64 seqs' bits live inline.
+			vs.seen = vs.seen0[:1]
 		}
 		for len(vs.seen)*64 < len(vs.vals) {
 			vs.seen = append(vs.seen, 0)

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ulpdp/internal/cordic"
@@ -214,19 +215,23 @@ type DPBox struct {
 	resampling bool  // Set Threshold toggle: true = resampling mode
 	thOverride int64 // -1 = auto; 0 = randomized response; >0 explicit
 
-	// Budget state (initialization-locked). The ledger may be shared
-	// between the sensors of a Bank; ownTimer marks the box that
-	// advances the replenishment timer (standalone boxes own theirs;
-	// a Bank's clock drives its shared ledger).
-	ledger   *budgetLedger
-	ownTimer bool
+	// Budget state (initialization-locked). The ledger is the box's
+	// own embedded one unless a Bank shares one between its sensors;
+	// ownTimer marks the box that advances the replenishment timer
+	// (standalone boxes own theirs; a Bank's clock drives its shared
+	// ledger).
+	ledger    *budgetLedger
+	ownLedger budgetLedger
+	ownTimer  bool
 
 	// Derived noising state: the guard's charge schedule (threshold
 	// and bands) and each band's charge rounded up to budget units.
 	dirty   bool // registers changed since last derivation
 	sched   core.ChargeSchedule
 	bandU   []int64
-	sampler *laplace.Sampler
+	bandBuf [4]int64         // backs bandU for schedules of up to four bands
+	sampler *laplace.Sampler // &smp once derived; nil before
+	smp     laplace.Sampler
 
 	// Resample watchdog (resampling mode): cap on resample cycles and
 	// the certified thresholding clamp the trip degrades to.
@@ -277,6 +282,18 @@ type DPBox struct {
 
 // New powers up a DP-Box in the initialization phase.
 func New(cfg Config) (*DPBox, error) {
+	b := new(DPBox)
+	if err := b.boot(cfg, nil); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// boot powers b up in the initialization phase under cfg, holding the
+// given release cache: New boots a fresh box with none, Reboot an old
+// box with the one its journal replayed. Nothing else b held survives,
+// but its memory is reused.
+func (b *DPBox) boot(cfg Config, releases map[uint64]Release) error {
 	if cfg.Bu == 0 && cfg.By == 0 {
 		// Default the geometry only: wholesale cfg = DefaultConfig
 		// would silently drop the caller's Source, Faults, Journal,
@@ -287,7 +304,7 @@ func New(cfg Config) (*DPBox, error) {
 		cfg.Mult = 2
 	}
 	if cfg.Mult <= 1 {
-		return nil, fmt.Errorf("dpbox: loss multiplier %g must exceed 1", cfg.Mult)
+		return fmt.Errorf("dpbox: loss multiplier %g must exceed 1", cfg.Mult)
 	}
 	if cfg.Multipliers == nil {
 		cfg.Multipliers = []float64{1.25, 1.5}
@@ -299,13 +316,13 @@ func New(cfg Config) (*DPBox, error) {
 		cfg.Candidates = 4
 	}
 	if cfg.Candidates < 1 || cfg.Candidates > 16 {
-		return nil, fmt.Errorf("dpbox: candidate count %d out of range [1,16]", cfg.Candidates)
+		return fmt.Errorf("dpbox: candidate count %d out of range [1,16]", cfg.Candidates)
 	}
 	if cfg.HealthWords == 0 {
 		cfg.HealthWords = 2048
 	}
 	if cfg.HealthWords < 1024 {
-		return nil, fmt.Errorf("dpbox: health battery sample %d below minimum 1024", cfg.HealthWords)
+		return fmt.Errorf("dpbox: health battery sample %d below minimum 1024", cfg.HealthWords)
 	}
 	if fp := cfg.Faults; fp != nil {
 		// Route the datapaths through the fault plane. The wrappers
@@ -326,9 +343,11 @@ func New(cfg Config) (*DPBox, error) {
 		cfg.Log = countingLog{log: cfg.Log, c: m.LogEvals}
 		cfg.Source = countingSource{src: cfg.Source, c: m.URNGDraws}
 	}
-	b := &DPBox{cfg: cfg, fp: cfg.Faults, phase: PhaseInit, thOverride: -1, dirty: true,
-		ledger: &budgetLedger{j: cfg.Journal, obs: cfg.Obs}, ownTimer: true, healthy: true,
-		obs: cfg.Obs, obsCh: cfg.ObsChannel}
+	*b = DPBox{cfg: cfg, fp: cfg.Faults, phase: PhaseInit, thOverride: -1, dirty: true,
+		ownLedger: budgetLedger{j: cfg.Journal, obs: cfg.Obs}, ownTimer: true, healthy: true,
+		releases: releases, obs: cfg.Obs, obsCh: cfg.ObsChannel}
+	b.ledger = &b.ownLedger
+	b.bandU = b.bandBuf[:0]
 	if j := cfg.Journal; j != nil {
 		// The storage engine counts journal intents/commits itself;
 		// route them into this box's metrics (nil detaches), and give
@@ -340,7 +359,7 @@ func New(cfg Config) (*DPBox, error) {
 			fp.BindPowerSink(j.Power())
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // Phase returns the current FSM phase.
@@ -660,13 +679,12 @@ func (b *DPBox) derive() error {
 	// bit. Negative n_m beyond the dyadic window (never reachable
 	// through the validated port range) falls back to the reference
 	// scaler.
-	hw, err := laplace.NewHWSampler(par.FxP(), b.cfg.Log, b.cfg.Source)
-	if err != nil {
-		if hw, err = laplace.NewSampler(par.FxP(), b.cfg.Log, b.cfg.Source); err != nil {
+	if err := b.smp.Init(par.FxP(), b.cfg.Log, b.cfg.Source, true); err != nil {
+		if err := b.smp.Init(par.FxP(), b.cfg.Log, b.cfg.Source, false); err != nil {
 			return err
 		}
 	}
-	b.sampler = hw
+	b.sampler = &b.smp
 	guard := core.GuardThresholding
 	switch {
 	case b.resampling && b.cfg.ConstantTime:
@@ -708,7 +726,7 @@ func (b *DPBox) derive() error {
 			b.degradeOK = true
 		}
 	}
-	b.bandU = make([]int64, b.sched.Bands())
+	b.bandU = slices.Grow(b.bandU[:0], b.sched.Bands())[:b.sched.Bands()]
 	for i := range b.bandU {
 		b.bandU[i] = ceilUnits(b.sched.Charge(i))
 	}
@@ -997,7 +1015,11 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 // cache.
 func (b *DPBox) recordRelease(seq uint64, rel Release) {
 	if b.releases == nil {
-		b.releases = make(map[uint64]Release)
+		hint := 0
+		if j := b.ledger.j; j != nil {
+			hint = j.reports
+		}
+		b.releases = make(map[uint64]Release, hint)
 	}
 	b.releases[seq] = rel
 	if seq >= b.maxRelSeq {

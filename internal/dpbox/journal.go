@@ -52,8 +52,17 @@ import (
 // value (and the budget paid for it) or knows the sequence was never
 // released — the at-most-once-noising guarantee the fleet transport
 // retries against.
+//
+// A journal is one record: its region, supply cell and (in memory) its
+// medium are embedded, so NewJournal costs one allocation plus the
+// bank's words, and Reserve sizes the bank once from the run.
 type Journal struct {
-	r *nvm.Region
+	r   nvm.Region
+	pw  nvm.Power
+	mem nvm.MemMedium // the in-memory medium; unused when file-backed
+
+	reports int      // the report count Reserve sized the journal for
+	seqs    []uint64 // compact's sort scratch, reused across recoveries
 }
 
 // budgetLayout is the budget journal's record dialect over the
@@ -63,15 +72,53 @@ func budgetLayout() nvm.Layout {
 }
 
 // NewJournal returns an empty, powered journal on the simulated
-// in-memory medium.
-func NewJournal() *Journal {
-	return newJournalWith(nvm.NewMemMedium(1), nvm.NewPower())
+// in-memory medium. Its bank starts empty and grows as records land;
+// a caller that knows how many reports the journal will carry sizes
+// it once with Reserve.
+func NewJournal() *Journal { return newJournalWith(nil, nil) }
+
+// newJournalWith builds a journal over med (nil: its own in-memory
+// medium) powered by pw (nil: its own supply cell; crash sweeps pass
+// a cell armed before the journal exists).
+func newJournalWith(med nvm.Medium, pw *nvm.Power) *Journal {
+	j := new(Journal)
+	if med == nil {
+		j.mem.Init(1)
+		med = &j.mem
+	}
+	if pw == nil {
+		pw = &j.pw
+	}
+	j.r.Init(med, pw, budgetLayout(), 0, med.Banks())
+	return j
 }
 
-// newJournalWith builds a journal over an explicit medium and supply
-// cell (crash sweeps arm the cell before the journal exists).
-func newJournalWith(med nvm.Medium, pw *nvm.Power) *Journal {
-	return &Journal{r: nvm.NewRegion(med, pw, budgetLayout())}
+// Journal sizes in words: a record is its header, payload and
+// checksum.
+const (
+	configWords     = 1 + 8 + 1 // the budget lock at secure boot
+	checkpointWords = 1 + 4 + 1 // the balance a recovery compacts to
+	// releaseTxnWords is one sequence-labelled charge: intent,
+	// release, commit.
+	releaseTxnWords = (1 + 4 + 1) + (1 + 9 + 1) + (1 + 0 + 1)
+)
+
+// Reserve sizes the journal for the reports sequence-labelled charges
+// it will carry. An in-memory bank gets room for its longest log: the
+// budget lock, the checkpoint a recovery compacts to, and
+// releaseTxnWords per report — configWords + checkpointWords +
+// releaseTxnWords·reports words. The box's release cache and
+// recovery's compaction scratch are sized for that many releases.
+// Everything is then allocated once instead of doubling from empty.
+// Size it from the reports the journal will really carry, never from
+// compactReleaseCap: an oversized journal costs every node its bytes.
+// A file-backed bank ignores the word reservation.
+func (j *Journal) Reserve(reports int) {
+	j.reports = reports
+	m, ok := j.r.Medium().(*nvm.MemMedium)
+	if n := configWords + checkpointWords + releaseTxnWords*reports - j.r.Len(0); ok && n > 0 {
+		m.Reserve(0, n)
+	}
 }
 
 // OpenJournal opens (or creates) a file-backed journal under dir, so
@@ -83,7 +130,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newJournalWith(med, nvm.NewPower()), nil
+	return newJournalWith(med, nil), nil
 }
 
 // Close releases the journal's medium (file handles; a no-op for the
@@ -272,14 +319,20 @@ type LedgerState struct {
 // sequences return an error. The budget journal is lenient where the
 // collector store is fail-closed: this log is single-writer, short,
 // and every record it could lose was by construction never emitted.
-func (j *Journal) Replay() (LedgerState, error) {
+func (j *Journal) Replay() (LedgerState, error) { return j.replay(nil) }
+
+// replay is Replay recording the releases into rel, which the caller
+// has emptied (nil: a fresh map, sized from the log, once a release
+// turns up).
+func (j *Journal) replay(rel map[uint64]Release) (LedgerState, error) {
 	var st LedgerState
 	var pendAmt int64
 	var pendSeq uint16
 	var pendRelSeq uint64
 	var pendRel Release
 	pending, pendingRel := false, false
-	sc := nvm.NewScanner(budgetLayout(), j.r.Words(0))
+	words := j.r.Words(0)
+	sc := nvm.NewScanner(budgetLayout(), words)
 	for {
 		tag, seq, payload, status := sc.Next()
 		if status != nvm.ScanRecord {
@@ -315,7 +368,13 @@ func (j *Journal) Replay() (LedgerState, error) {
 				}
 				if pendingRel {
 					if st.Releases == nil {
-						st.Releases = make(map[uint64]Release)
+						st.Releases = rel
+					}
+					if st.Releases == nil {
+						// Every release rides in a releaseTxnWords
+						// transaction, so the log's length bounds
+						// their count.
+						st.Releases = make(map[uint64]Release, len(words)/releaseTxnWords)
 					}
 					st.Releases[pendRelSeq] = pendRel
 				}
@@ -345,10 +404,11 @@ func (j *Journal) compact(st LedgerState) error {
 	j.r.BindCounters(nil, nil)
 	defer j.r.BindCounters(intents, commits)
 
-	seqs := make([]uint64, 0, len(st.Releases))
+	seqs := slices.Grow(j.seqs[:0], max(len(st.Releases), j.reports))
 	for s := range st.Releases {
 		seqs = append(seqs, s)
 	}
+	j.seqs = seqs
 	slices.Sort(seqs)
 	if len(seqs) > compactReleaseCap {
 		seqs = seqs[len(seqs)-compactReleaseCap:]
@@ -383,39 +443,60 @@ func (j *Journal) compact(st LedgerState) error {
 // zero — the conservative direction, since delaying a refill never
 // overspends. cfg.Journal is overridden with j.
 func Recover(cfg Config, j *Journal) (*DPBox, error) {
+	b := new(DPBox)
+	if err := b.Reboot(cfg, j); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Reboot is Recover in place: b — typically the box whose power just
+// failed — is rebuilt from j exactly as Recover would build a new box,
+// reusing b's memory, its release cache's included, so a node that
+// crash-recovers in a loop allocates no box. On error b is left dead:
+// every port returns ErrPowerLost.
+func (b *DPBox) Reboot(cfg Config, j *Journal) error {
+	if err := b.reboot(cfg, j); err != nil {
+		b.phase = PhaseDead
+		return err
+	}
+	return nil
+}
+
+func (b *DPBox) reboot(cfg Config, j *Journal) error {
 	if j == nil {
-		return nil, errors.New("dpbox: recovery requires a journal")
+		return errors.New("dpbox: recovery requires a journal")
 	}
 	j.revive()
-	st, err := j.Replay()
+	rel := b.releases
+	clear(rel)
+	st, err := j.replay(rel)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg.Journal = j
-	b, err := New(cfg)
-	if err != nil {
-		return nil, err
+	// The box takes over the replayed map whole: the in-memory cache
+	// keeps everything the replay recovered; only the compacted NVM
+	// copy is trimmed to the retransmission window, so a second crash
+	// preserves at least that window.
+	if err := b.boot(cfg, st.Releases); err != nil {
+		return err
 	}
 	if !st.Configured {
 		j.r.Erase(0) // discard any torn pre-lock tail
 		j.r.SetSeq(0)
-		return b, nil
+		return nil
 	}
 	if err := j.compact(st); err != nil {
-		return nil, err
+		return err
 	}
 	b.ledger.initial = st.InitialUnits
 	b.ledger.units = st.Units
 	b.ledger.replenishEvery = st.ReplenishEvery
 	b.ledger.since = 0
 	b.ledger.locked = true
-	// Restore the release cache so sequence-labelled retries replay
-	// the pre-crash values instead of redrawing. The box takes over the
-	// replayed map whole: the in-memory cache keeps everything the
-	// replay recovered; only the compacted NVM copy is trimmed to the
-	// retransmission window, so a second crash preserves at least that
-	// window.
-	b.releases = st.Releases
+	// Sequence-labelled retries replay the pre-crash values instead of
+	// redrawing.
 	for seq := range st.Releases {
 		b.maxRelSeq = max(b.maxRelSeq, seq)
 	}
@@ -423,5 +504,5 @@ func Recover(cfg Config, j *Journal) (*DPBox, error) {
 	if m := b.obs; m != nil {
 		m.JournalRecovers.Inc()
 	}
-	return b, nil
+	return nil
 }

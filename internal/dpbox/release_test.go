@@ -2,6 +2,7 @@ package dpbox
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -224,49 +225,58 @@ func TestSeqReleasePowerLossSweep(t *testing.T) {
 
 // TestCompactionKeepsRetransmissionWindow drives more releases than
 // the compaction cap and verifies the most recent window survives two
-// crashes.
+// crashes, whether each recovery builds a new box (Recover) or reboots
+// the crashed one in place (Reboot).
 func TestCompactionKeepsRetransmissionWindow(t *testing.T) {
-	cfg, j := journalCfg(13)
-	b := boot(t, cfg, 1e9)
-	const n = compactReleaseCap + 20
-	want := make(map[uint64]int64)
-	for seq := uint64(0); seq < n; seq++ {
-		r, err := b.NoiseValueSeq(seq, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[seq] = r.Value
+	recoveries := map[string]func(old *DPBox, j *Journal) (*DPBox, error){
+		"Recover": func(_ *DPBox, j *Journal) (*DPBox, error) { return Recover(smallCfg(13), j) },
+		"Reboot":  func(old *DPBox, j *Journal) (*DPBox, error) { return old, old.Reboot(smallCfg(13), j) },
 	}
-	j.Kill()
-	b2, err := Recover(smallCfg(13), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First recovery: the in-memory cache holds everything replayed.
-	if got := len(b2.Releases()); got != n {
-		t.Fatalf("first recovery holds %d releases, want %d", got, n)
-	}
-	// Second crash: only the compacted window survived on NVM.
-	j.Kill()
-	b3, err := Recover(smallCfg(13), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rels := b3.Releases()
-	if got := len(rels); got != compactReleaseCap {
-		t.Fatalf("second recovery holds %d releases, want the %d-entry window", got, compactReleaseCap)
-	}
-	for seq := uint64(n - compactReleaseCap); seq < n; seq++ {
-		rel, ok := rels[seq]
-		if !ok {
-			t.Fatalf("window release %d dropped by compaction", seq)
-		}
-		if rel.Value != want[seq] {
-			t.Fatalf("window release %d corrupted: %d != %d", seq, rel.Value, want[seq])
-		}
-	}
-	if b3.NextSeq() != n {
-		t.Fatalf("NextSeq after double recovery = %d, want %d", b3.NextSeq(), n)
+	for name, recover := range recoveries {
+		t.Run(name, func(t *testing.T) {
+			cfg, j := journalCfg(13)
+			b := boot(t, cfg, 1e9)
+			const n = compactReleaseCap + 20
+			want := make(map[uint64]int64)
+			for seq := uint64(0); seq < n; seq++ {
+				r, err := b.NoiseValueSeq(seq, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[seq] = r.Value
+			}
+			j.Kill()
+			b2, err := recover(b, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// First recovery: the in-memory cache holds everything replayed.
+			if got := len(b2.Releases()); got != n {
+				t.Fatalf("first recovery holds %d releases, want %d", got, n)
+			}
+			// Second crash: only the compacted window survived on NVM.
+			j.Kill()
+			b3, err := recover(b2, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rels := b3.Releases()
+			if got := len(rels); got != compactReleaseCap {
+				t.Fatalf("second recovery holds %d releases, want the %d-entry window", got, compactReleaseCap)
+			}
+			for seq := uint64(n - compactReleaseCap); seq < n; seq++ {
+				rel, ok := rels[seq]
+				if !ok {
+					t.Fatalf("window release %d dropped by compaction", seq)
+				}
+				if rel.Value != want[seq] {
+					t.Fatalf("window release %d corrupted: %d != %d", seq, rel.Value, want[seq])
+				}
+			}
+			if b3.NextSeq() != n {
+				t.Fatalf("NextSeq after double recovery = %d, want %d", b3.NextSeq(), n)
+			}
+		})
 	}
 }
 
@@ -435,5 +445,67 @@ func TestCompactionCutKeepsOldLog(t *testing.T) {
 		if rel, ok := b2.ReleaseFor(seq); !ok || rel.Value != v {
 			t.Fatalf("release %d lost or changed: %+v", seq, rel)
 		}
+	}
+}
+
+// TestRebootMatchesRecover pins in-place recovery: the crashed box,
+// rebooted over its journal, is indistinguishable from the box Recover
+// builds over an identical journal — ledger, release cache, numbering,
+// later noised values and journal words — and a reboot of a box sized
+// by Reserve allocates nothing for its box, bank or release cache.
+func TestRebootMatchesRecover(t *testing.T) {
+	crashed := func() (*DPBox, *Journal) {
+		cfg, j := journalCfg(21)
+		j.Reserve(12)
+		b := boot(t, cfg, 1e6)
+		for seq := uint64(0); seq < 6; seq++ {
+			if _, err := b.NoiseValueSeq(seq, int64(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Kill()
+		return b, j
+	}
+	rebooted, j1 := crashed()
+	_, j2 := crashed()
+	if err := rebooted.Reboot(smallCfg(5), j1); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := Recover(smallCfg(5), j2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*DPBox{rebooted, recovered} {
+		if err := b.Configure(1, 0, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rebooted.BudgetRemaining() != recovered.BudgetRemaining() || rebooted.NextSeq() != recovered.NextSeq() {
+		t.Fatalf("ledgers differ: %g/%d vs %g/%d", rebooted.BudgetRemaining(), rebooted.NextSeq(),
+			recovered.BudgetRemaining(), recovered.NextSeq())
+	}
+	if !reflect.DeepEqual(rebooted.Releases(), recovered.Releases()) {
+		t.Fatal("release caches differ")
+	}
+	for seq := uint64(6); seq < 12; seq++ {
+		a, errA := rebooted.NoiseValueSeq(seq, int64(seq))
+		b, errB := recovered.NoiseValueSeq(seq, int64(seq))
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("seq %d: %+v/%v vs %+v/%v", seq, a, errA, b, errB)
+		}
+	}
+	if !reflect.DeepEqual(j1.Snapshot(), j2.Snapshot()) {
+		t.Fatal("journal words differ")
+	}
+
+	j1.Kill()
+	if n := testing.AllocsPerRun(1, func() {
+		j1.Kill()
+		if err := rebooted.Reboot(smallCfg(5), j1); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		// smallCfg's own URNG and the Multipliers literal.
+		t.Fatalf("a reboot allocates %v times, want at most the 2 of its config", n)
 	}
 }

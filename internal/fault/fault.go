@@ -16,7 +16,7 @@
 // is the one exception: transport links carry frames between
 // goroutines, so PerturbPacket serializes itself internally and an
 // installed PacketFault must be safe under that serialization (the
-// canned LossyLink injector is).
+// canned SetLossyLink injector is).
 package fault
 
 import "sync"
@@ -124,6 +124,8 @@ type Plane struct {
 	// lock-free.
 	pktMu    sync.Mutex
 	pktFault PacketFault
+	lossy    lossyLink // the canned injector, live when lossyOn
+	lossyOn  bool
 	pktN     uint64
 	pktCount uint64
 }
@@ -201,11 +203,12 @@ func (p *Plane) Injections(k Kind) uint64 {
 	return p.counts[k]
 }
 
-// SetPacketFault installs (or, with nil, removes) the packet injector.
-// Safe to call concurrently with link traffic.
+// SetPacketFault installs (or, with nil, removes) the packet injector,
+// replacing any SetLossyLink profile. Safe to call concurrently with
+// link traffic.
 func (p *Plane) SetPacketFault(f PacketFault) {
 	p.pktMu.Lock()
-	p.pktFault = f
+	p.pktFault, p.lossyOn = f, false
 	p.pktMu.Unlock()
 }
 
@@ -218,12 +221,17 @@ func (p *Plane) PerturbPacket(dir uint8, payload []byte) PacketFate {
 	p.pktMu.Lock()
 	defer p.pktMu.Unlock()
 	f := p.pktFault
-	if f == nil {
+	if f == nil && !p.lossyOn {
 		return PacketFate{}
 	}
 	n := p.pktN
 	p.pktN++
-	fate := f(n, dir, payload)
+	var fate PacketFate
+	if f != nil {
+		fate = f(n, dir, payload)
+	} else {
+		fate = p.lossy.fate(payload)
+	}
 	if fate.Drop || fate.Duplicates != 0 || fate.Delay != 0 || fate.Corrupt {
 		p.pktCount++
 	}
@@ -399,48 +407,60 @@ type LinkProfile struct {
 	MaxDelay int
 }
 
-// LossyLink returns a packet fault drawing each frame's fate from the
-// profile with a dedicated seeded generator (an xorshift64*, so the
-// schedule is reproducible and independent of every device RNG). The
-// returned fault owns its generator and must be installed on exactly
-// one plane; PerturbPacket's serialization makes it concurrency-safe.
-func LossyLink(seed uint64, prof LinkProfile) PacketFault {
+// SetLossyLink installs the canned lossy-link packet injector,
+// replacing any PacketFault: each frame's fate is drawn from prof with
+// a dedicated seeded generator (an xorshift64*, so the schedule is
+// reproducible and independent of every device RNG). The generator
+// lives inside the plane, so installing it allocates nothing, and
+// PerturbPacket's serialization makes it concurrency-safe.
+func (p *Plane) SetLossyLink(seed uint64, prof LinkProfile) {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	maxDelay := prof.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 3
+	if prof.MaxDelay <= 0 {
+		prof.MaxDelay = 3
 	}
-	state := seed
-	next := func() uint64 {
-		state ^= state >> 12
-		state ^= state << 25
-		state ^= state >> 27
-		return state * 0x2545F4914F6CDD1D
+	p.pktMu.Lock()
+	p.pktFault, p.lossy, p.lossyOn = nil, lossyLink{state: seed, prof: prof}, true
+	p.pktMu.Unlock()
+}
+
+// lossyLink is SetLossyLink's generator state and profile.
+type lossyLink struct {
+	state uint64
+	prof  LinkProfile
+}
+
+func (l *lossyLink) next() uint64 {
+	l.state ^= l.state >> 12
+	l.state ^= l.state << 25
+	l.state ^= l.state >> 27
+	return l.state * 0x2545F4914F6CDD1D
+}
+
+func (l *lossyLink) unit() float64 {
+	return float64(l.next()>>11) / (1 << 53)
+}
+
+// fate draws one frame's fate.
+func (l *lossyLink) fate(payload []byte) PacketFate {
+	var fate PacketFate
+	// Every frame draws drop, duplicate and reorder exactly once,
+	// so one frame's fate never shifts the draws of the next.
+	if l.unit() < l.prof.Drop {
+		fate.Drop = true
 	}
-	unit := func() float64 {
-		return float64(next()>>11) / (1 << 53)
+	if l.unit() < l.prof.Duplicate {
+		fate.Duplicates = 1
 	}
-	return func(_ uint64, _ uint8, payload []byte) PacketFate {
-		var fate PacketFate
-		// Every frame draws drop, duplicate and reorder exactly once,
-		// so one frame's fate never shifts the draws of the next.
-		if unit() < prof.Drop {
-			fate.Drop = true
-		}
-		if unit() < prof.Duplicate {
-			fate.Duplicates = 1
-		}
-		if unit() < prof.Reorder {
-			fate.Delay = 1 + int(next()%uint64(maxDelay))
-		}
-		if unit() < prof.Corrupt && len(payload) > 0 {
-			fate.Corrupt = true
-			fate.FlipBit = int(next() % uint64(len(payload)*8))
-		}
-		return fate
+	if l.unit() < l.prof.Reorder {
+		fate.Delay = 1 + int(l.next()%uint64(l.prof.MaxDelay))
 	}
+	if l.unit() < l.prof.Corrupt && len(payload) > 0 {
+		fate.Corrupt = true
+		fate.FlipBit = int(l.next() % uint64(len(payload)*8))
+	}
+	return fate
 }
 
 // CommandBitFlip returns a command fault that XORs cmdMask into the

@@ -166,8 +166,8 @@ func TestLossyLinkDeterministicSchedule(t *testing.T) {
 	// the same fate, frame for frame.
 	prof := LinkProfile{Drop: 0.3, Duplicate: 0.2, Reorder: 0.2, Corrupt: 0.2, MaxDelay: 4}
 	a, b := NewPlane(), NewPlane()
-	a.SetPacketFault(LossyLink(7, prof))
-	b.SetPacketFault(LossyLink(7, prof))
+	a.SetLossyLink(7, prof)
+	b.SetLossyLink(7, prof)
 	payload := []byte{0xAB, 0xCD, 0xEF, 0x01}
 	for i := 0; i < 512; i++ {
 		fa := a.PerturbPacket(DirUp, payload)
@@ -194,7 +194,7 @@ func TestLossyLinkDeterministicSchedule(t *testing.T) {
 func TestLossyLinkRates(t *testing.T) {
 	// Loose sanity band on the empirical drop rate over many frames.
 	p := NewPlane()
-	p.SetPacketFault(LossyLink(11, LinkProfile{Drop: 0.25}))
+	p.SetLossyLink(11, LinkProfile{Drop: 0.25})
 	const n = 20000
 	drops := 0
 	for i := 0; i < n; i++ {
@@ -210,7 +210,7 @@ func TestLossyLinkRates(t *testing.T) {
 
 func TestZeroProfileIsPerfectLink(t *testing.T) {
 	p := NewPlane()
-	p.SetPacketFault(LossyLink(3, LinkProfile{}))
+	p.SetLossyLink(3, LinkProfile{})
 	for i := 0; i < 256; i++ {
 		if fate := p.PerturbPacket(DirDown, []byte{9, 9}); fate != (PacketFate{}) {
 			t.Fatalf("zero profile perturbed frame %d: %+v", i, fate)
@@ -218,5 +218,24 @@ func TestZeroProfileIsPerfectLink(t *testing.T) {
 	}
 	if p.Injections(KindPacket) != 0 {
 		t.Fatal("zero profile counted injections")
+	}
+}
+
+// TestLossyLinkReplacesAndIsReplaced: the plane's packet site holds one
+// injector at a time — SetLossyLink displaces a PacketFault and
+// SetPacketFault (nil included) displaces the lossy profile — and
+// installing the profile allocates nothing.
+func TestLossyLinkReplacesAndIsReplaced(t *testing.T) {
+	var p Plane
+	p.SetPacketFault(func(uint64, uint8, []byte) PacketFate { return PacketFate{Duplicates: 1} })
+	if n := testing.AllocsPerRun(10, func() { p.SetLossyLink(5, LinkProfile{Drop: 1}) }); n != 0 {
+		t.Fatalf("SetLossyLink allocates %v times", n)
+	}
+	if fate := p.PerturbPacket(DirUp, []byte{1}); !fate.Drop || fate.Duplicates != 0 {
+		t.Fatalf("lossy profile did not displace the injector: %+v", fate)
+	}
+	p.SetPacketFault(nil)
+	if fate := p.PerturbPacket(DirUp, []byte{1}); fate != (PacketFate{}) {
+		t.Fatalf("SetPacketFault(nil) left the profile installed: %+v", fate)
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"ulpdp/internal/fault"
@@ -16,6 +17,7 @@ func BenchmarkFleetScale(b *testing.B) {
 		reports = 4
 	)
 	b.ReportAllocs()
+	defer reportAllocsPerNode(b, nodes)()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(Config{
 			Nodes: nodes, Reports: reports, Seed: 42,
@@ -43,6 +45,7 @@ func BenchmarkFleetScaleChaos(b *testing.B) {
 		reports = 4
 	)
 	b.ReportAllocs()
+	defer reportAllocsPerNode(b, nodes)()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(Config{
 			Nodes: nodes, Reports: reports, Seed: 42,
@@ -57,4 +60,17 @@ func BenchmarkFleetScaleChaos(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*nodes*reports)/b.Elapsed().Seconds(), "reports/sec")
+}
+
+// reportAllocsPerNode starts counting heap allocations; the returned
+// func reports them per node per run as allocs/node (TestNodeAllocBudget
+// pins the same quantity).
+func reportAllocsPerNode(b *testing.B, nodes int) func() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	start := ms.Mallocs
+	return func() {
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.Mallocs-start)/float64(b.N*nodes), "allocs/node")
+	}
 }

@@ -360,14 +360,18 @@ const perReportCapNats = 1.0
 // sizing burn-rate envelopes (fleetsim) against Config.Nodes·Reports.
 const PerReportCapNats = perReportCapNats
 
+// boxMultipliers are the fleet boxes' charging bands, shared by every
+// node's config (the box only reads them).
+var boxMultipliers = []float64{1.25, 1.5}
+
 // boxConfig is the fleet's common DP-Box shape. All nodes share one
 // metrics plane; node i charges odometer channel ch = i so the shared
 // registry still decomposes spend per node.
-func boxConfig(urngSeed uint64, j *dpbox.Journal, m *dpbox.Metrics, ch int) dpbox.Config {
+func boxConfig(src *urng.Taus88, j *dpbox.Journal, m *dpbox.Metrics, ch int) dpbox.Config {
 	return dpbox.Config{
 		Bu: 12, By: 10, Mult: 2,
-		Multipliers: []float64{1.25, 1.5},
-		Source:      urng.NewTaus88(urngSeed),
+		Multipliers: boxMultipliers,
+		Source:      src,
 		Journal:     j,
 		Obs:         m,
 		ObsChannel:  ch,
@@ -492,12 +496,24 @@ func Run(cfg Config) (Result, error) {
 	defer sup.close()
 	sup.watch()
 
+	// A lossless profile never perturbs a frame, so its links get no
+	// fault plane at all; chaos planes are one slice for the fleet.
 	links := make([]*transport.Link, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		fp := fault.NewPlane()
-		fp.SetPacketFault(fault.LossyLink(subSeed(cfg.Seed, seedLink, i, 0), cfg.Link))
-		links[i] = transport.NewLink(transport.LinkConfig{Plane: fp, Obs: linkM, Clock: clk})
+	var planes []fault.Plane
+	if cfg.Link != (fault.LinkProfile{}) {
+		planes = make([]fault.Plane, cfg.Nodes)
 	}
+	for i := range links {
+		lc := transport.LinkConfig{Obs: linkM, Clock: clk}
+		if planes != nil {
+			lc.Plane = &planes[i]
+			lc.Plane.SetLossyLink(subSeed(cfg.Seed, seedLink, i, 0), cfg.Link)
+		}
+		links[i] = transport.NewLink(lc)
+	}
+	// Each node's URNG is reseeded in place at every boot, so its
+	// crashes cost no generator.
+	urngs := make([]urng.Taus88, cfg.Nodes)
 
 	runNode := func(i int) {
 		nr := &NodeResult{}
@@ -528,19 +544,22 @@ func Run(cfg Config) (Result, error) {
 			defer j.Close()
 		} else {
 			j = dpbox.NewJournal()
+			j.Reserve(cfg.Reports)
 		}
+		src := &urngs[i]
+		src.Seed(subSeed(cfg.Seed, seedURNG, i, 0))
 		if j.Writes() > 0 {
 			// The journal holds a prior process's ledger: recover it
 			// and continue the numbering instead of re-initializing
 			// (which would re-noise already-charged sequence numbers).
 			markResumed()
-			box, err = dpbox.Recover(boxConfig(subSeed(cfg.Seed, seedURNG, i, 0), nil, boxM, i), j)
+			box, err = dpbox.Recover(boxConfig(src, nil, boxM, i), j)
 			if err != nil {
 				violate("node %d: recover from %s: %v", i, cfg.NVMDir, err)
 				return
 			}
 		} else {
-			box, err = dpbox.New(boxConfig(subSeed(cfg.Seed, seedURNG, i, 0), j, boxM, i))
+			box, err = dpbox.New(boxConfig(src, j, boxM, i))
 			if err != nil {
 				violate("node %d: %v", i, err)
 				return
@@ -621,17 +640,18 @@ func Run(cfg Config) (Result, error) {
 			if cfg.CrashEvery > 0 && (r+1)%cfg.CrashEvery == 0 {
 				j.Kill()
 				nr.Crashes++
-				recovered, rerr := dpbox.Recover(boxConfig(subSeed(cfg.Seed, seedURNG, i, nr.Crashes), nil, boxM, i), j)
-				if rerr != nil {
+				// The node reboots in place: its box, journal, URNG,
+				// agent and link all carry over, reset as if new.
+				src.Seed(subSeed(cfg.Seed, seedURNG, i, nr.Crashes))
+				if rerr := box.Reboot(boxConfig(src, nil, boxM, i), j); rerr != nil {
 					violate("node %d crash %d: %v", i, nr.Crashes, rerr)
 					return
 				}
-				if cerr := recovered.Configure(1, 0, 16); cerr != nil {
+				if cerr := box.Configure(1, 0, 16); cerr != nil {
 					violate("node %d crash %d: %v", i, nr.Crashes, cerr)
 					return
 				}
-				box = recovered
-				agent = node.NewReportAgent(box, links[i].NodeEnd(), agentCfg)
+				agent.Rebind(box)
 				if agent.NextSeq() != uint64(r)+1 {
 					violate("node %d crash %d: NextSeq %d, want %d", i, nr.Crashes, agent.NextSeq(), r+1)
 				}

@@ -123,18 +123,41 @@ type Sampler struct {
 // default CORDIC core. Parameters are caller configuration, so
 // invalid ones are a returned error, not a panic (DESIGN.md §6).
 func NewSampler(par FxPParams, log LogUnit, src urng.Source) (*Sampler, error) {
-	if err := par.Validate(); err != nil {
+	s := new(Sampler)
+	if err := s.Init(par, log, src, false); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// Init wires s in place, so an owner can embed its sampler instead of
+// allocating one: with hw false as NewSampler builds it, with hw true
+// as NewHWSampler does. On error s is left unchanged.
+func (s *Sampler) Init(par FxPParams, log LogUnit, src urng.Source, hw bool) error {
+	if err := par.Validate(); err != nil {
+		return err
 	}
 	if log == nil {
 		log = cordic.Default()
 	}
-	return &Sampler{
-		par:   par,
-		log:   log,
-		src:   src,
-		buLn2: int64(math.Round(math.Ldexp(float64(par.Bu)*math.Ln2, log.Frac()))),
-	}, nil
+	var num int64
+	var shift uint
+	if hw {
+		ratio := par.Lambda / par.Delta
+		var ok bool
+		if num, shift, ok = dyadic(ratio); !ok {
+			return fmt.Errorf("laplace: λ/Δ = %g is not exactly dyadic; use NewSampler", ratio)
+		}
+	}
+	*s = Sampler{
+		par:        par,
+		log:        log,
+		src:        src,
+		buLn2:      int64(math.Round(math.Ldexp(float64(par.Bu)*math.Ln2, log.Frac()))),
+		scaleNum:   num,
+		scaleShift: shift,
+	}
+	return nil
 }
 
 // Params returns the sampler's parameters.
@@ -161,16 +184,10 @@ func (s *Sampler) Sample() float64 { return float64(s.SampleK()) * s.par.Delta }
 // reproducibility then extends through the entire datapath: no
 // float64 operation touches the noise.
 func NewHWSampler(par FxPParams, log LogUnit, src urng.Source) (*Sampler, error) {
-	s, err := NewSampler(par, log, src)
-	if err != nil {
+	s := new(Sampler)
+	if err := s.Init(par, log, src, true); err != nil {
 		return nil, err
 	}
-	ratio := par.Lambda / par.Delta
-	num, shift, ok := dyadic(ratio)
-	if !ok {
-		return nil, fmt.Errorf("laplace: λ/Δ = %g is not exactly dyadic; use NewSampler", ratio)
-	}
-	s.scaleNum, s.scaleShift = num, shift
 	return s, nil
 }
 

@@ -439,6 +439,24 @@ func TestHWSamplerRejectsNonDyadic(t *testing.T) {
 	}
 }
 
+// TestSamplerInitKeepsStateOnError pins in-place wiring: a failed
+// Init (here a non-dyadic ratio in hardware mode) leaves an embedded
+// sampler drawing exactly as before.
+func TestSamplerInitKeepsStateOnError(t *testing.T) {
+	good := FxPParams{Bu: 12, By: 10, Delta: 1, Lambda: 64}
+	var s Sampler
+	if err := s.Init(good, FloatLog{FracBits: 50}, urng.NewTaus88(1), true); err != nil {
+		t.Fatal(err)
+	}
+	before := s
+	if err := s.Init(FxPParams{Bu: 12, By: 10, Delta: 0.3, Lambda: 20}, nil, urng.NewTaus88(2), true); err == nil {
+		t.Fatal("non-dyadic ratio accepted")
+	}
+	if s != before {
+		t.Fatal("failed Init changed the sampler")
+	}
+}
+
 // NewHWSamppler_guard keeps the rejection test readable.
 func NewHWSamppler_guard(par FxPParams) (*Sampler, error) {
 	return NewHWSampler(par, FloatLog{FracBits: 50}, urng.NewTaus88(1))

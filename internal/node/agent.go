@@ -84,11 +84,10 @@ type ReportOutcome struct {
 // (transport.LinkConfig.Clock), so a fleet on simulated time pays
 // neither in wall time.
 type ReportAgent struct {
-	box   *dpbox.DPBox
-	end   *transport.Endpoint
-	cfg   AgentConfig
-	clk   simclock.Clock
-	pause simclock.Waiter // reused by every backoff
+	box *dpbox.DPBox
+	end *transport.Endpoint
+	cfg AgentConfig
+	clk simclock.Clock
 
 	next      uint64
 	jitter    uint64
@@ -119,16 +118,22 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = uint64(cfg.ID)*0x9E3779B97F4A7C15 + 1
 	}
-	clk := end.Clock()
-	return &ReportAgent{
-		box:    box,
-		end:    end,
-		cfg:    cfg,
-		clk:    clk,
-		pause:  clk.NewWaiter(simclock.Agent),
-		next:   box.NextSeq(),
-		jitter: cfg.JitterSeed,
-	}
+	a := &ReportAgent{end: end, cfg: cfg, clk: end.Clock()}
+	a.Rebind(box)
+	return a
+}
+
+// Rebind points the agent at box — typically the node's box after a
+// crash recovery — and leaves it exactly as NewReportAgent would build
+// it on the same endpoint and config: the jitter stream restarts at
+// JitterSeed, the ACK memory is cleared, and the next sequence number
+// resumes from box's journal. A crash therefore costs the agent no
+// allocation.
+func (a *ReportAgent) Rebind(box *dpbox.DPBox) {
+	a.box = box
+	a.next = box.NextSeq()
+	a.jitter = a.cfg.JitterSeed
+	a.lastAcked, a.anyAcked = 0, false
 }
 
 // NextSeq returns the sequence number the next Report will use.
@@ -341,13 +346,8 @@ func (a *ReportAgent) absorb(ack transport.Packet, seq uint64) bool {
 }
 
 // sleep pauses for d unless the context expires first; it reports
-// whether the full pause completed.
+// whether the full pause completed. The pause parks on the endpoint's
+// receive waiter, the one awaitAck blocks on.
 func (a *ReportAgent) sleep(ctx context.Context, d time.Duration) bool {
-	until := a.clk.Now() + d
-	for !a.pause.Wait(until, ctx.Done()) {
-		if ctx.Err() != nil {
-			return false
-		}
-	}
-	return true
+	return a.end.PauseUntil(a.clk.Now()+d, ctx.Done())
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -79,9 +80,9 @@ func (c *echoCollector) values(ctx context.Context) map[uint64]int64 {
 
 func TestReportAgentDeliversOverLossyLink(t *testing.T) {
 	fp := fault.NewPlane()
-	fp.SetPacketFault(fault.LossyLink(0xA11CE, fault.LinkProfile{
+	fp.SetLossyLink(0xA11CE, fault.LinkProfile{
 		Drop: 0.3, Duplicate: 0.2, Reorder: 0.15, Corrupt: 0.1, MaxDelay: 2,
-	}))
+	})
 	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 
 	box, _ := newAgentBox(t, 7, 1e6)
@@ -301,5 +302,53 @@ func TestReportAgentContextDeadline(t *testing.T) {
 	// noising did not, and the binding is durable.
 	if _, ok := box.ReleaseFor(0); !ok {
 		t.Fatal("abandoned report lost its journaled release")
+	}
+}
+
+// TestRebindMatchesFreshAgent pins the crash-reuse contract: an agent
+// that has backed off, taken ACKs and advanced its numbering, once
+// rebound to the crash-recovered box, equals a freshly built agent on
+// the same endpoint and config field for field: jitter back at its
+// seed, ACK memory cleared, numbering from the box's journal.
+func TestRebindMatchesFreshAgent(t *testing.T) {
+	fp := fault.NewPlane()
+	fp.SetPacketFault(func(n uint64, dir uint8, payload []byte) fault.PacketFate {
+		// Lose the first report frame so the agent backs off once.
+		return fault.PacketFate{Drop: n == 0}
+	})
+	link := transport.NewLink(transport.LinkConfig{Plane: fp})
+	box, j := newAgentBox(t, 7, 1e6)
+	cfg := AgentConfig{ID: 5, AckWait: time.Millisecond}
+	agent := NewReportAgent(box, link.NodeEnd(), cfg)
+
+	colCtx, stopCol := context.WithCancel(context.Background())
+	col := runEchoCollector(colCtx, link.CollectorEnd(), 5)
+	for r := int64(0); r < 3; r++ {
+		if _, err := agent.Report(context.Background(), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stopCol()
+	col.values(colCtx)
+	if !agent.anyAcked || agent.jitter == agent.cfg.JitterSeed {
+		t.Fatalf("agent never acked or backed off: anyAcked %v, jitter at seed %v", agent.anyAcked, agent.jitter == agent.cfg.JitterSeed)
+	}
+
+	j.Kill()
+	recovered, err := dpbox.Recover(dpbox.Config{
+		Bu: 12, By: 10, Mult: 2,
+		Multipliers: []float64{1.25, 1.5},
+		Source:      urng.NewTaus88(8),
+	}, j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.Rebind(recovered)
+	fresh := NewReportAgent(recovered, link.NodeEnd(), cfg)
+	if !reflect.DeepEqual(*agent, *fresh) {
+		t.Fatalf("rebound agent differs from a fresh one:\n%+v\n%+v", *agent, *fresh)
+	}
+	if agent.NextSeq() != 3 {
+		t.Fatalf("NextSeq %d after 3 journaled reports, want 3", agent.NextSeq())
 	}
 }

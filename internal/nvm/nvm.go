@@ -31,6 +31,8 @@
 //     whole.
 package nvm
 
+import "slices"
+
 // Per-client checksum salts. Every region XORs its salt into every
 // record checksum, so a word stream from one region can never replay
 // as a valid record stream in another: a collector checkpoint pasted
@@ -82,13 +84,34 @@ type Medium interface {
 // append/erase cycles allocate nothing.
 type MemMedium struct {
 	banks [][]uint16
+	one   [1][]uint16 // a single-bank medium's bank table, kept inline
 }
 
 // NewMemMedium returns an empty in-memory medium with the given bank
 // count.
 func NewMemMedium(banks int) *MemMedium {
-	return &MemMedium{banks: make([][]uint16, banks)}
+	m := new(MemMedium)
+	m.Init(banks)
+	return m
 }
+
+// Init empties m into a medium with the given bank count, so a client
+// can embed its medium instead of allocating one. A single-bank
+// medium's bank table lives inside m, leaving the bank's words as its
+// only allocation.
+func (m *MemMedium) Init(banks int) {
+	m.one[0] = nil
+	if banks == 1 {
+		m.banks = m.one[:]
+		return
+	}
+	m.banks = make([][]uint16, banks)
+}
+
+// Reserve grows bank b's capacity so that n more words append without
+// reallocating: a client that knows its log's size up front allocates
+// the bank once instead of doubling it from empty.
+func (m *MemMedium) Reserve(b, n int) { m.banks[b] = slices.Grow(m.banks[b], n) }
 
 // Banks returns the bank count.
 func (m *MemMedium) Banks() int { return len(m.banks) }

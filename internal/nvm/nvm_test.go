@@ -335,3 +335,40 @@ func TestRegionRewriteCutKeepsOldBank(t *testing.T) {
 		t.Fatalf("uncut rewrite counted %d compactions, want 1", c)
 	}
 }
+
+// TestEmbeddedRegion pins the in-place forms a client embeds: the zero
+// Power is a live, unarmed cell; a single-bank MemMedium keeps its
+// bank table inline; Reserve sizes the bank so records land without
+// regrowing it; and Region.Init records without a heap buffer.
+func TestEmbeddedRegion(t *testing.T) {
+	var rec struct {
+		r   Region
+		pw  Power
+		mem MemMedium
+	}
+	rec.mem.Init(1)
+	rec.r.Init(&rec.mem, &rec.pw, testLayout(), 0, 1)
+	rec.mem.Reserve(0, 64)
+	payload := []uint16{1, 2, 3, 4}
+	if n := testing.AllocsPerRun(5, func() {
+		rec.mem.Erase(0)
+		for i := 0; i < 10; i++ {
+			if !rec.r.Append(0, 1, payload) {
+				t.Fatal("zero Power refused a write")
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("appends into a reserved bank allocate %v times", n)
+	}
+	if rec.r.Len(0) != 60 || rec.pw.Writes() != 6*60 {
+		t.Fatalf("len %d, writes %d", rec.r.Len(0), rec.pw.Writes())
+	}
+	rec.pw.FailAfterWrites(3)
+	if rec.r.Append(0, 1, payload) || rec.r.Len(0) != 63 || !rec.pw.Dead() {
+		t.Fatalf("armed zero-value cell: len %d, dead %v", rec.r.Len(0), rec.pw.Dead())
+	}
+	rec.pw.Revive()
+	if !rec.r.Append(0, 2, nil) {
+		t.Fatal("revived cell refused a write")
+	}
+}

@@ -11,18 +11,17 @@ import "sync/atomic"
 // one relaxed counter bump, never a shared mutex. Granting a run of
 // words at once does not move the cut point — a scheduled failure
 // still lands between the same two words it would word by word.
+//
+// The zero Power is a live cell with no scheduled failure, so a client
+// can embed its cell instead of allocating one.
 type Power struct {
-	failAfter atomic.Int64 // remaining allowed word writes; -1 = no scheduled failure
+	failAfter atomic.Int64 // 1 + remaining allowed word writes; 0 = no scheduled failure
 	dead      atomic.Bool
 	writes    atomic.Uint64 // total durable words across every bank
 }
 
 // NewPower returns a live cell with no scheduled failure.
-func NewPower() *Power {
-	p := &Power{}
-	p.failAfter.Store(-1)
-	return p
-}
+func NewPower() *Power { return &Power{} }
 
 // Allow asks for k word-write permits (one record's words) and returns
 // the number granted, g ≤ k, honouring a scheduled failure: only the
@@ -36,11 +35,11 @@ func (p *Power) Allow(k int) int {
 	}
 	for {
 		n := p.failAfter.Load()
-		if n < 0 {
+		if n == 0 {
 			p.writes.Add(uint64(k))
 			return k
 		}
-		g := min(n, int64(k))
+		g := min(n-1, int64(k))
 		if p.failAfter.CompareAndSwap(n, n-g) {
 			p.writes.Add(uint64(g))
 			if g < int64(k) {
@@ -56,9 +55,10 @@ func (p *Power) Allow(k int) int {
 // disarm.
 func (p *Power) FailAfterWrites(n int) {
 	if n < 0 {
-		n = -1
+		p.failAfter.Store(0)
+		return
 	}
-	p.failAfter.Store(int64(n))
+	p.failAfter.Store(int64(n) + 1)
 }
 
 // Kill drops power immediately; all further writes fail.
@@ -71,7 +71,7 @@ func (p *Power) Dead() bool { return p.dead.Load() }
 // failure.
 func (p *Power) Revive() {
 	p.dead.Store(false)
-	p.failAfter.Store(-1)
+	p.failAfter.Store(0)
 }
 
 // Writes returns the cumulative successful word writes — the

@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"ulpdp/internal/obs"
@@ -54,8 +55,10 @@ type Region struct {
 	n    int // bank count
 	seq  uint16
 
-	// rec is Append's reused record buffer (hdr, payload, checksum).
-	rec []uint16
+	// rec is Append's reused record buffer (hdr, payload, checksum),
+	// backed by recBuf until a record outgrows it.
+	rec    []uint16
+	recBuf [maxInlineRecord]uint16
 
 	// During Rewrite, appends to bank stageBank collect in stage
 	// instead of reaching the medium.
@@ -73,6 +76,11 @@ type Region struct {
 	commits *obs.Counter
 }
 
+// maxInlineRecord is the record length (header, payload, checksum)
+// Append assembles without a heap buffer: every budget-journal and
+// checkpoint record fits.
+const maxInlineRecord = 16
+
 // NewRegion returns a region over all of med's banks.
 func NewRegion(med Medium, pw *Power, lay Layout) *Region {
 	return NewRegionBanks(med, pw, lay, 0, med.Banks())
@@ -83,7 +91,16 @@ func NewRegion(med Medium, pw *Power, lay Layout) *Region {
 // regions (shard i owning bank i) that still share a single supply
 // cell. Bank arguments to the region's methods are region-relative.
 func NewRegionBanks(med Medium, pw *Power, lay Layout, base, n int) *Region {
-	return &Region{med: med, pw: pw, lay: lay, base: base, n: n}
+	r := new(Region)
+	r.Init(med, pw, lay, base, n)
+	return r
+}
+
+// Init resets r to a fresh region over n banks of med starting at base,
+// so a client can embed its region instead of allocating one.
+func (r *Region) Init(med Medium, pw *Power, lay Layout, base, n int) {
+	*r = Region{med: med, pw: pw, lay: lay, base: base, n: n}
+	r.rec = r.recBuf[:0]
 }
 
 // Power returns the region's supply cell.
@@ -116,7 +133,8 @@ func (r *Region) Erase(b int) { _ = r.med.Erase(r.base + b) }
 // Rewrite is every client's compaction, so a successful one counts in
 // Stats.Compactions.
 func (r *Region) Rewrite(b int, fn func() bool) bool {
-	r.staging, r.stageBank, r.stage = true, b, r.stage[:0]
+	// A compacted log is usually about as long as the one it replaces.
+	r.staging, r.stageBank, r.stage = true, b, slices.Grow(r.stage[:0], r.Len(b))
 	ok := fn()
 	r.staging = false
 	if !ok {

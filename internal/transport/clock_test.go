@@ -80,3 +80,52 @@ func benchRecvDeadline(b *testing.B, clk simclock.Clock) {
 func BenchmarkRecvDeadlineWall(b *testing.B) { benchRecvDeadline(b, simclock.Wall) }
 
 func BenchmarkRecvDeadlineVirtual(b *testing.B) { benchRecvDeadline(b, simclock.NewVirtual(0)) }
+
+// TestLinkEndsAreEmbedded pins the link as one record: each accessor
+// returns the same endpoint on every call without allocating, and the
+// collector end, which only ever TryRecvs, never creates a waiter.
+func TestLinkEndsAreEmbedded(t *testing.T) {
+	l := NewLink(LinkConfig{})
+	if l.NodeEnd() != l.NodeEnd() || l.CollectorEnd() != l.CollectorEnd() {
+		t.Fatal("an accessor returned a fresh endpoint")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = l.NodeEnd(), l.CollectorEnd() }); n != 0 {
+		t.Fatalf("endpoint accessors allocate %v times per call pair", n)
+	}
+	l.NodeEnd().Send(Packet{Kind: KindReport, Node: 1, Seq: 7})
+	if p, ok := l.CollectorEnd().TryRecv(); !ok || p.Seq != 7 {
+		t.Fatalf("TryRecv: ok=%v %+v", ok, p)
+	}
+	if l.up.wake != nil {
+		t.Fatal("a TryRecv-only end created a waiter")
+	}
+}
+
+// TestPauseUntilRunsToDeadline checks the backoff pause an agent takes
+// on its receive waiter: neither a stale doorbell from an earlier
+// receive nor a frame landing meanwhile cuts it short, and the frame
+// is still queued afterwards.
+func TestPauseUntilRunsToDeadline(t *testing.T) {
+	clk := simclock.NewVirtual(0)
+	clk.Join()
+	l := NewLink(LinkConfig{Clock: clk})
+	end := l.NodeEnd()
+	end.Recv(time.Microsecond) // creates the waiter
+	l.down.wake.Signal()       // a doorbell nobody consumed
+	l.CollectorEnd().Send(Packet{Kind: KindAck, Node: 1, Seq: 3})
+	until := clk.Now() + time.Millisecond
+	if !end.PauseUntil(until, nil) {
+		t.Fatal("pause reported an early end")
+	}
+	if clk.Now() != until {
+		t.Fatalf("pause ended at %v, want %v", clk.Now(), until)
+	}
+	if p, ok := end.TryRecv(); !ok || p.Seq != 3 {
+		t.Fatalf("frame that landed during the pause: ok=%v %+v", ok, p)
+	}
+	done := make(chan struct{})
+	close(done)
+	if NewLink(LinkConfig{}).NodeEnd().PauseUntil(simclock.Wall.Now()+time.Hour, done) {
+		t.Fatal("pause with a closed done channel ran to its deadline")
+	}
+}

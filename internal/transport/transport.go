@@ -178,7 +178,7 @@ type Stats struct {
 // LinkConfig parameterizes a Link.
 type LinkConfig struct {
 	// Plane supplies the packet injector (nil or no injector = a
-	// perfect link). Install fault.LossyLink for probabilistic chaos
+	// perfect link). Install Plane.SetLossyLink for probabilistic chaos
 	// or a custom PacketFault for scripted schedules.
 	Plane *fault.Plane
 	// QueueCap bounds each direction's receive queue (default 64).
@@ -202,7 +202,9 @@ type held struct {
 // (TryRecv from the collector's reactor) is one mutexed pointer pop
 // with no channel machinery. Blocking receivers announce themselves
 // in waiters and park on wake, which senders signal only on an
-// empty→nonempty transition with a waiter present.
+// empty→nonempty transition with a waiter present. The waiter is
+// created by the first blocking receive: the collector end only ever
+// TryRecvs, so its direction never pays for one.
 type pipe struct {
 	mu   sync.Mutex
 	held []held
@@ -212,7 +214,7 @@ type pipe struct {
 	n    int      // frames queued
 
 	waiters atomic.Int32    // blocked Recv calls
-	wake    simclock.Waiter // their doorbell and deadline
+	wake    simclock.Waiter // their doorbell and deadline; set under mu
 
 	// notify, when set, is fired (outside mu) after one or more frames
 	// land in the ring: the receiving end's readiness hook. See
@@ -244,13 +246,20 @@ type linkStats struct {
 // Link is a bidirectional lossy hop between one node and the
 // collector. Both ends may be driven from different goroutines; a
 // single end must not be shared.
+//
+// A link is one record: both directions and both endpoints are
+// embedded, and the two receive rings share one backing array, so a
+// link costs two allocations however often its ends are asked for,
+// plus a direction's waiter once a receive on it blocks.
 type Link struct {
 	plane *fault.Plane
 	obs   *Metrics
 	clk   simclock.Clock
-	up    *pipe
-	down  *pipe
+	up    pipe
+	down  pipe
 	stats linkStats
+
+	nodeEnd, colEnd Endpoint
 }
 
 // NewLink builds a link.
@@ -259,14 +268,13 @@ func NewLink(cfg LinkConfig) *Link {
 	if cap <= 0 {
 		cap = 64
 	}
-	clk := simclock.Or(cfg.Clock)
-	return &Link{
-		plane: cfg.Plane,
-		obs:   cfg.Obs,
-		clk:   clk,
-		up:    &pipe{buf: make([]*frame, cap), wake: clk.NewWaiter(simclock.Agent)},
-		down:  &pipe{buf: make([]*frame, cap), wake: clk.NewWaiter(simclock.Agent)},
-	}
+	rings := make([]*frame, 2*cap)
+	l := &Link{plane: cfg.Plane, obs: cfg.Obs, clk: simclock.Or(cfg.Clock)}
+	l.up.buf = rings[:cap:cap]
+	l.down.buf = rings[cap:]
+	l.nodeEnd = Endpoint{link: l, sendPipe: &l.up, recvPipe: &l.down, sendDir: fault.DirUp}
+	l.colEnd = Endpoint{link: l, sendPipe: &l.down, recvPipe: &l.up, sendDir: fault.DirDown}
+	return l
 }
 
 // Stats returns a snapshot of the link counters. Each counter is
@@ -296,15 +304,14 @@ type Endpoint struct {
 	sendDir  uint8
 }
 
-// NodeEnd returns the node-side endpoint.
-func (l *Link) NodeEnd() *Endpoint {
-	return &Endpoint{link: l, sendPipe: l.up, recvPipe: l.down, sendDir: fault.DirUp}
-}
+// NodeEnd returns the node-side endpoint: the same *Endpoint on every
+// call, embedded in the link, so asking for it allocates nothing.
+func (l *Link) NodeEnd() *Endpoint { return &l.nodeEnd }
 
-// CollectorEnd returns the collector-side endpoint.
-func (l *Link) CollectorEnd() *Endpoint {
-	return &Endpoint{link: l, sendPipe: l.down, recvPipe: l.up, sendDir: fault.DirDown}
-}
+// CollectorEnd returns the collector-side endpoint: the same *Endpoint
+// on every call, embedded in the link, so asking for it allocates
+// nothing.
+func (l *Link) CollectorEnd() *Endpoint { return &l.colEnd }
 
 // Clock returns the clock the link's blocking receives run on.
 func (e *Endpoint) Clock() simclock.Clock { return e.link.clk }
@@ -522,13 +529,14 @@ func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
 // Stats) and the wait continues until a valid frame or the deadline.
 // When the queue idles past the deadline, any frames still held back
 // for reordering are flushed and collected — a delayed frame is late,
-// never lost. The wait reuses the direction's one waiter: a blocking
-// receive allocates nothing.
+// never lost. The wait reuses the direction's one waiter, created by
+// its first blocking receive; later receives allocate nothing.
 func (e *Endpoint) RecvUntil(deadline time.Duration) (Packet, bool) {
 	if p, ok := e.TryRecv(); ok {
 		return p, true
 	}
 	pi := e.recvPipe
+	wake := e.recvWaiter()
 	// Announce the wait before the re-check: a sender that enqueued
 	// after our TryRecv either sees waiters != 0 and signals, or
 	// enqueued before the re-check sees its frame. A stale signal from
@@ -539,13 +547,45 @@ func (e *Endpoint) RecvUntil(deadline time.Duration) (Packet, bool) {
 		if p, ok := e.TryRecv(); ok {
 			return p, true
 		}
-		if pi.wake.Wait(deadline, nil) {
+		if wake.Wait(deadline, nil) {
 			// Last chance: release holdbacks and drain what is
 			// already queued.
 			e.flushHeld()
 			return e.TryRecv()
 		}
 	}
+}
+
+// recvWaiter returns the receive direction's waiter, creating it on
+// first use. Only this end's receiving goroutine calls it; senders
+// read wake under mu, and only while a Recv has announced itself.
+func (e *Endpoint) recvWaiter() simclock.Waiter {
+	pi := e.recvPipe
+	if pi.wake == nil {
+		pi.mu.Lock()
+		pi.wake = e.link.clk.NewWaiter(simclock.Agent)
+		pi.mu.Unlock()
+	}
+	return pi.wake
+}
+
+// PauseUntil parks this end's receiving goroutine on the link clock
+// until deadline without receiving: frames that land meanwhile stay
+// queued and do not cut the pause short. It reuses the receive
+// direction's waiter, so a node's backoff between retransmits costs
+// no waiter of its own. It reports false if done closed first.
+func (e *Endpoint) PauseUntil(deadline time.Duration, done <-chan struct{}) bool {
+	wake := e.recvWaiter()
+	// Senders signal only while a Recv is announced, so a false return
+	// is a stale signal from an earlier receive (or done): wait again.
+	for !wake.Wait(deadline, done) {
+		select {
+		case <-done:
+			return false
+		default:
+		}
+	}
+	return true
 }
 
 // Pending reports the number of frames queued or held back on this

@@ -71,7 +71,7 @@ func TestPerfectLinkDelivers(t *testing.T) {
 // chaosLink builds a link over a seeded lossy profile.
 func chaosLink(seed uint64, prof fault.LinkProfile, queueCap int) *Link {
 	fp := fault.NewPlane()
-	fp.SetPacketFault(fault.LossyLink(seed, prof))
+	fp.SetLossyLink(seed, prof)
 	return NewLink(LinkConfig{Plane: fp, QueueCap: queueCap})
 }
 
