@@ -92,7 +92,7 @@ type Response struct {
 // Controller is the budget-control engine embedded in the DP-Box.
 type Controller struct {
 	cfg   Config
-	mech  core.Mechanism // *core.Thresholding or *core.Resampling
+	mech  *core.Guarded // thresholding or resampling
 	sched core.ChargeSchedule
 
 	remaining float64
@@ -111,7 +111,7 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("budget: non-positive budget %g", cfg.Budget)
 	}
 	if cfg.Mult == 0 {
-		cfg.Mult = 2
+		cfg.Mult = core.DefaultMult
 	}
 	if cfg.Mult <= 1 {
 		return nil, fmt.Errorf("budget: loss multiplier %g must exceed 1", cfg.Mult)
@@ -123,7 +123,8 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 	if cfg.Mode == Resampling {
 		guard = core.GuardResampling
 	}
-	threshold, err := core.GuardThreshold(par, guard, cfg.Mult, 0)
+	mech, err := core.NewGuarded(par, core.GuardSpec{Guard: guard, Threshold: -1, Mult: cfg.Mult},
+		cfg.Log, cfg.Source)
 	if err != nil {
 		return nil, err
 	}
@@ -143,20 +144,12 @@ func New(par core.Params, cfg Config) (*Controller, error) {
 			return nil, fmt.Errorf("budget: multipliers must be ascending")
 		}
 	}
-	c := &Controller{
+	return &Controller{
 		cfg:       cfg,
-		sched:     core.NewChargeSchedule(par, guard, threshold, cfg.Mult, mults),
+		mech:      mech,
+		sched:     core.NewChargeSchedule(par, guard, mech.Threshold(), cfg.Mult, mults),
 		remaining: cfg.Budget,
-	}
-	if guard == core.GuardResampling {
-		c.mech, err = core.NewResampling(par, threshold, cfg.Log, cfg.Source)
-	} else {
-		c.mech, err = core.NewThresholding(par, threshold, cfg.Log, cfg.Source)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	}, nil
 }
 
 // Threshold returns the guard threshold in steps of Δ.
@@ -214,8 +207,9 @@ func (c *Controller) Request(x float64) (Response, error) {
 	}
 	r := c.mech.Noise(x)
 	if r.Degraded {
-		// The resampling guard exhausted its draws: a faulty URNG.
-		// Fail closed instead of charging for the degraded clamp.
+		// The resampling guard's watchdog tripped: a faulty URNG.
+		// Fail closed instead of charging for the degraded clamp (or
+		// the withheld report).
 		return Response{}, errors.New("budget: resampling did not converge")
 	}
 	band := c.sched.Band(r.Step)

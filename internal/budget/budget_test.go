@@ -302,19 +302,24 @@ func (s *stuckSource) Uint32() uint32 {
 
 // TestResamplingFailsClosedOnStuckURNG pins the controller's
 // fail-closed contract: a URNG stuck at the largest noise magnitude
-// never lands in the guard window, so after 1024 noise draws (two
-// URNG words each: magnitude and sign) the request fails, charges
-// nothing, on every retry.
+// never lands in the guard window, so after the guard plan's watchdog
+// cap of noise draws (two URNG words each: magnitude and sign) the
+// request fails, charges nothing, on every retry.
 func TestResamplingFailsClosedOnStuckURNG(t *testing.T) {
 	src := &stuckSource{word: 1}
 	c := newController(t, Config{Budget: 10, Mode: Resampling, Source: src})
+	plan, err := core.NewGuardPlan(par, core.GuardSpec{Guard: core.GuardResampling,
+		Threshold: c.Threshold(), Mult: core.DefaultMult})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		_, err := c.Request(4)
 		if err == nil || err.Error() != "budget: resampling did not converge" {
 			t.Fatalf("request %d: err = %v, want the non-convergence error", i, err)
 		}
-		if src.draws != (i+1)*2*1024 {
-			t.Fatalf("request %d: %d URNG draws, want %d", i, src.draws, (i+1)*2*1024)
+		if want := (i + 1) * 2 * plan.Cap; src.draws != want {
+			t.Fatalf("request %d: %d URNG draws, want %d", i, src.draws, want)
 		}
 		if c.Remaining() != 10 {
 			t.Fatalf("request %d: remaining %g, want the full budget 10", i, c.Remaining())

@@ -16,18 +16,19 @@ package core
 // count or a total-PMF-size budget, so long-running services sweeping
 // many sensor configurations cannot grow it without bound.
 //
-// Guard-plan memo. A guard's threshold (GuardThreshold) and its
-// Algorithm 1 charge schedule (NewChargeSchedule) are pure functions
-// of the sensor configuration, yet every DP-Box derives them at
-// power-up and again after every crash recovery. Each Analyzer
-// memoizes the plans derived for its Params in a mutex-guarded map,
-// so a plan lives, and is evicted, with its analyzer's cache entry.
-// The key is the comparable planKey: the guard, the threshold or
-// candidate count, and the multipliers by bit pattern, up to
-// planKeyMults segment multipliers. A hit therefore neither allocates
-// nor rounds. A schedule with more multipliers, and any plan past
-// planMaxEntries on one analyzer, is computed without being stored.
-// Memoized schedules share their Segments slice, which is read-only.
+// Guard-plan memo. A guard's threshold (GuardThreshold), its
+// Algorithm 1 charge schedule (NewChargeSchedule) and its per-draw
+// plan (NewGuardPlan) are pure functions of the sensor configuration,
+// yet every DP-Box derives its plan at power-up and again after every
+// crash recovery. Each Analyzer memoizes the plans derived for its
+// Params in a mutex-guarded map, so a plan lives, and is evicted, with
+// its analyzer's cache entry. The key is the comparable planKey: the
+// kind, the guard, the threshold or candidate count, the guard plan's
+// flags, and the multipliers by bit pattern, up to planKeyMults. A hit
+// therefore neither allocates nor rounds. A plan with more
+// multipliers, and any plan past planMaxEntries on one analyzer, is
+// computed without being stored. Memoized plans are read-only: shared
+// schedules share their Segments slice, guard plans are one pointer.
 
 import (
 	"container/list"
@@ -175,6 +176,7 @@ type planKind uint8
 const (
 	planThreshold planKind = iota
 	planSchedule
+	planGuard
 )
 
 // planKey identifies one guard plan on an analyzer, whose Params are
@@ -183,17 +185,21 @@ const (
 type planKey struct {
 	kind       planKind
 	guard      Guard
-	threshold  int64 // schedules only
-	candidates int   // constant-time thresholds only
+	threshold  int64 // schedules and guard plans
+	candidates int   // constant-time thresholds and guard plans
+	charged    bool  // guard plans only, like rr and disabled
+	rr         bool
+	disabled   bool
 	mult       uint64
 	n          int // number of segment multipliers
 	mults      [planKeyMults]uint64
 }
 
-// plan is a memoized GuardThreshold (th, err) or NewChargeSchedule
-// (sched) result.
+// plan is a memoized GuardThreshold (th, err), NewChargeSchedule
+// (sched) or NewGuardPlan (guard, err) result.
 type plan struct {
 	sched ChargeSchedule
+	guard *GuardPlan
 	th    int64
 	err   error
 }

@@ -22,10 +22,15 @@ type Result struct {
 	// Clamped reports whether the thresholding guard clamped the
 	// output to a boundary.
 	Clamped bool
-	// Degraded reports that the resampling guard exhausted its draw
-	// budget and fell back to the thresholding clamp (fail-closed
-	// behaviour under a faulty or adversarial RNG; see DESIGN.md §8).
+	// Degraded reports that the resampling guard's watchdog tripped:
+	// the draws kept missing the window, so the output fell back to
+	// the certified thresholding clamp (fail-closed behaviour under a
+	// faulty or adversarial RNG; see DESIGN.md §8).
 	Degraded bool
+	// Withheld reports a degraded report with no certified clamp to
+	// fall back to: Value is the range's lower bound, a constant that
+	// carries nothing about the input.
+	Withheld bool
 }
 
 // Mechanism is a local-DP noising mechanism for scalar sensor values.
@@ -71,18 +76,22 @@ func (m *IdealLaplace) Name() string { return "ideal" }
 // Params returns the mechanism's parameters.
 func (m *IdealLaplace) Params() Params { return m.par }
 
-// Baseline is the naive fixed-point implementation of Section III-A:
-// the FxP Laplace RNG's output is added to the sensor value with no
-// guard. Its utility matches the ideal mechanism, but its worst-case
-// privacy loss is infinite (Analyzer proves this).
-type Baseline struct {
-	par Params
-	rng *laplace.Sampler
+// Guarded is a fixed-point mechanism: the FxP Laplace RNG's output
+// is added to the quantized sensor value and every draw goes through
+// one guard plan (GuardPlan.Step). The plan is uncharged: charging is
+// the budget controller's. The constructors below select the guard.
+type Guarded struct {
+	par  Params
+	rng  *laplace.Sampler
+	plan *GuardPlan
 }
 
-// NewBaseline builds the naive FxP mechanism. log == nil selects the
-// CORDIC datapath. Invalid parameters are a returned error.
-func NewBaseline(par Params, log laplace.LogUnit, src urng.Source) (*Baseline, error) {
+// NewGuarded builds the mechanism running spec's guard, uncharged.
+// A negative Threshold selects the one certified at spec.Mult, which
+// is also the certificate of the watchdog's clamp. log == nil selects
+// the CORDIC datapath. Invalid parameters, or a spec with no certified
+// threshold, are a returned error.
+func NewGuarded(par Params, spec GuardSpec, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,234 +99,128 @@ func NewBaseline(par Params, log laplace.LogUnit, src urng.Source) (*Baseline, e
 	if err != nil {
 		return nil, err
 	}
-	return &Baseline{par: par, rng: rng}, nil
-}
-
-// Noise implements Mechanism.
-func (m *Baseline) Noise(x float64) Result {
-	y := m.par.QuantizeInput(x) + m.rng.SampleK()
-	return Result{Value: m.par.StepValue(y), Step: y}
-}
-
-// Name implements Mechanism.
-func (m *Baseline) Name() string { return "fxp-baseline" }
-
-// Params returns the mechanism's parameters.
-func (m *Baseline) Params() Params { return m.par }
-
-// maxResampleDraws bounds the resampling loop. The acceptance region
-// always contains the distribution's bulk (more than half the mass
-// for any certified threshold), so an honest RNG hits this bound with
-// probability below 2^-1000; reaching it indicates a faulty or
-// adversarial RNG, and the mechanism degrades to the thresholding
-// clamp instead of looping or panicking (fail closed; DESIGN.md §8).
-const maxResampleDraws = 1024
-
-// Resampling is the first guard of Section III-B: noise is redrawn
-// until the noised output lies within [Lo − T, Hi + T]. With the
-// threshold from GuardThreshold the worst-case privacy loss is
-// bounded by n·ε.
-type Resampling struct {
-	par Params
-	rng *laplace.Sampler
-	t   int64 // threshold in steps
-}
-
-// NewResampling builds the resampling mechanism with threshold t
-// expressed in steps of Δ (use GuardThreshold to compute the
-// certified value). Invalid parameters or t < 0 are a returned error.
-func NewResampling(par Params, t int64, log laplace.LogUnit, src urng.Source) (*Resampling, error) {
-	if err := par.Validate(); err != nil {
-		return nil, err
-	}
-	if t < 0 {
-		return nil, errors.New("core: negative resampling threshold")
-	}
-	rng, err := laplace.NewSampler(par.FxP(), log, src)
+	plan, err := NewGuardPlan(par, spec)
 	if err != nil {
 		return nil, err
 	}
-	return &Resampling{par: par, rng: rng, t: t}, nil
+	return &Guarded{par: par, rng: rng, plan: plan}, nil
 }
 
-// Threshold returns the threshold in steps.
-func (m *Resampling) Threshold() int64 { return m.t }
-
-// Noise implements Mechanism. If the loop exhausts maxResampleDraws —
-// impossible for an honest RNG, so in practice a faulty one — the
-// last sample is clamped to the window edge (the thresholding guard's
-// certified behaviour) and the result is marked Degraded.
-func (m *Resampling) Noise(x float64) Result {
-	xs := m.par.QuantizeInput(x)
-	lo := m.par.LoSteps() - m.t
-	hi := m.par.HiSteps() + m.t
-	var y int64
-	for i := 0; i < maxResampleDraws; i++ {
-		y = xs + m.rng.SampleK()
-		if y >= lo && y <= hi {
-			return Result{Value: m.par.StepValue(y), Step: y, Resamples: i}
-		}
+// newExplicit is NewGuarded at an explicit threshold, with the
+// watchdog's clamp certified at DefaultMult. A negative threshold is
+// a returned error.
+func newExplicit(par Params, spec GuardSpec, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
+	if spec.Threshold < 0 {
+		return nil, errors.New("core: negative guard threshold")
 	}
-	if y < lo {
-		y = lo
-	} else {
-		y = hi
-	}
-	return Result{Value: m.par.StepValue(y), Step: y, Resamples: maxResampleDraws,
-		Clamped: true, Degraded: true}
+	spec.Mult = DefaultMult
+	return NewGuarded(par, spec, log, src)
 }
 
-// Name implements Mechanism.
-func (m *Resampling) Name() string { return "resampling" }
-
-// Params returns the mechanism's parameters.
-func (m *Resampling) Params() Params { return m.par }
-
-// Thresholding is the second guard of Section III-B: the noised
-// output is clamped to [Lo − T, Hi + T]. The boundary values absorb
-// the tail mass (Fig. 7); with the threshold from GuardThreshold
-// the worst-case loss is bounded by n·ε. It
-// needs exactly one noise draw, so it is the energy-efficient option.
-type Thresholding struct {
-	par Params
-	rng *laplace.Sampler
-	t   int64 // threshold in steps
+// NewBaseline builds the naive fixed-point implementation of Section
+// III-A: no guard. Its utility matches the ideal mechanism, but its
+// worst-case privacy loss is infinite (Analyzer proves this).
+func NewBaseline(par Params, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
+	return newExplicit(par, GuardSpec{Disabled: true}, log, src)
 }
 
-// NewThresholding builds the thresholding mechanism with threshold t
-// in steps of Δ (use GuardThreshold for the certified value).
-// t == 0 degenerates into the randomized-response configuration of
-// Section VI-E. Invalid parameters or t < 0 are a returned error.
-func NewThresholding(par Params, t int64, log laplace.LogUnit, src urng.Source) (*Thresholding, error) {
-	if err := par.Validate(); err != nil {
-		return nil, err
-	}
-	if t < 0 {
-		return nil, errors.New("core: negative thresholding threshold")
-	}
-	rng, err := laplace.NewSampler(par.FxP(), log, src)
-	if err != nil {
-		return nil, err
-	}
-	return &Thresholding{par: par, rng: rng, t: t}, nil
+// NewResampling builds the first guard of Section III-B: noise is
+// redrawn until the noised output lies within [Lo − t, Hi + t], t in
+// steps of Δ (use GuardThreshold for the certified value, which bounds
+// the worst-case loss by n·ε). It runs the DP-Box's resample watchdog:
+// after the plan's Cap missed draws (probability at most 2^-64 per
+// report for an honest RNG, so in practice a faulty one) the last
+// sample is clamped at the thresholding threshold certified at
+// DefaultMult·ε and the result is marked Degraded; with no such
+// threshold the report is Withheld.
+func NewResampling(par Params, t int64, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
+	return newExplicit(par, GuardSpec{Guard: GuardResampling, Threshold: t}, log, src)
 }
 
-// Threshold returns the threshold in steps.
-func (m *Thresholding) Threshold() int64 { return m.t }
-
-// Noise implements Mechanism.
-func (m *Thresholding) Noise(x float64) Result {
-	xs := m.par.QuantizeInput(x)
-	y := xs + m.rng.SampleK()
-	lo := m.par.LoSteps() - m.t
-	hi := m.par.HiSteps() + m.t
-	clamped := false
-	if y < lo {
-		y, clamped = lo, true
-	}
-	if y > hi {
-		y, clamped = hi, true
-	}
-	return Result{Value: m.par.StepValue(y), Step: y, Clamped: clamped}
+// NewThresholding builds the second guard of Section III-B: the noised
+// output is clamped to [Lo − t, Hi + t]. The boundary values absorb
+// the tail mass (Fig. 7); with the threshold from GuardThreshold the
+// worst-case loss is bounded by n·ε. It needs exactly one noise draw,
+// so it is the energy-efficient option.
+func NewThresholding(par Params, t int64, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
+	return newExplicit(par, GuardSpec{Guard: GuardThresholding, Threshold: t}, log, src)
 }
 
-// Name implements Mechanism.
-func (m *Thresholding) Name() string { return "thresholding" }
-
-// Params returns the mechanism's parameters.
-func (m *Thresholding) Params() Params { return m.par }
-
-// ConstantTime is the timing-channel-safe resampling variant of
-// Section IV-C: k candidate noise samples are drawn at once (one
-// cycle with k parallel RNG datapaths); the first candidate landing
-// inside the window is reported, and if all miss, the last candidate
-// is clamped to the window edge it fell beyond. Latency is constant —
-// the number of resamples no longer depends on the sensor value.
+// NewConstantTime builds the timing-channel-safe resampling variant of
+// Section IV-C: k candidate noise samples are drawn at once (one cycle
+// with k parallel RNG datapaths); the first candidate landing inside
+// the window is reported, and if all miss, the last candidate is
+// clamped to the window edge it fell beyond. Latency is constant: the
+// number of draws no longer depends on the sensor value.
 // GuardThreshold(par, GuardConstantTime, mult, k) gives the certified
-// threshold.
-type ConstantTime struct {
-	par Params
-	rng *laplace.Sampler
-	t   int64
-	k   int
-}
-
-// NewConstantTime builds the constant-time mechanism with threshold t
-// (steps of Δ) and k parallel candidates. Invalid parameters, t < 0,
-// or k < 1 are a returned error.
-func NewConstantTime(par Params, t int64, k int, log laplace.LogUnit, src urng.Source) (*ConstantTime, error) {
-	if err := par.Validate(); err != nil {
-		return nil, err
-	}
-	if t < 0 {
-		return nil, errors.New("core: negative constant-time threshold")
-	}
+// threshold. k < 1 is a returned error.
+func NewConstantTime(par Params, t int64, k int, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
 	if k < 1 {
 		return nil, errors.New("core: need at least one candidate sample")
 	}
-	rng, err := laplace.NewSampler(par.FxP(), log, src)
-	if err != nil {
-		return nil, err
-	}
-	return &ConstantTime{par: par, rng: rng, t: t, k: k}, nil
+	return newExplicit(par, GuardSpec{Guard: GuardConstantTime, Threshold: t, Candidates: k}, log, src)
 }
 
 // Threshold returns the threshold in steps.
-func (m *ConstantTime) Threshold() int64 { return m.t }
+func (m *Guarded) Threshold() int64 { return m.plan.Schedule.Threshold }
 
-// Candidates returns the parallel sample count k.
-func (m *ConstantTime) Candidates() int { return m.k }
+// Candidates returns the constant-time parallel sample count k (0 for
+// the other guards).
+func (m *Guarded) Candidates() int { return m.plan.Candidates }
 
-// Noise implements Mechanism. Resamples is always k−1 draws' worth of
-// work but zero extra cycles; Clamped reports the all-missed
-// fallback.
-func (m *ConstantTime) Noise(x float64) Result {
+// Params returns the mechanism's parameters.
+func (m *Guarded) Params() Params { return m.par }
+
+// Noise implements Mechanism. Resamples counts the resampling guard's
+// missed draws (each one extra hardware cycle); the constant-time
+// candidates cost draws but no cycles.
+func (m *Guarded) Noise(x float64) Result {
 	xs := m.par.QuantizeInput(x)
-	lo := m.par.LoSteps() - m.t
-	hi := m.par.HiSteps() + m.t
-	var y int64
-	for i := 0; i < m.k; i++ {
-		y = xs + m.rng.SampleK()
-		if y >= lo && y <= hi {
-			return Result{Value: m.par.StepValue(y), Step: y}
+	for misses := 0; ; misses++ {
+		s := m.plan.Step(xs+m.rng.SampleK(), misses)
+		if s.Decision == StepRedraw {
+			continue
 		}
+		r := s.result(m.par)
+		if m.plan.Guard == GuardResampling {
+			r.Resamples = misses
+			if r.Degraded {
+				r.Resamples++ // the draw that tripped the watchdog missed too
+			}
+		}
+		return r
 	}
-	if y < lo {
-		y = lo
-	} else {
-		y = hi
-	}
-	return Result{Value: m.par.StepValue(y), Step: y, Clamped: true}
 }
 
 // Name implements Mechanism.
-func (m *ConstantTime) Name() string { return "constant-time" }
-
-// Params returns the mechanism's parameters.
-func (m *ConstantTime) Params() Params { return m.par }
+func (m *Guarded) Name() string {
+	switch {
+	case m.plan.Disabled:
+		return "fxp-baseline"
+	case m.plan.Guard == GuardResampling:
+		return "resampling"
+	case m.plan.Guard == GuardConstantTime:
+		return "constant-time"
+	}
+	return "thresholding"
+}
 
 // RandomizedResponse is the DP-Box's categorical mode (Section VI-E):
 // thresholding with threshold zero plus a 1-bit output stage that
 // rounds the clamped value to the nearest of {Lo, Hi}. For binary
 // inputs this is exactly Warner's randomized response with flip
 // probability q = Pr[x + n crosses the midpoint].
-type RandomizedResponse struct {
-	par Params
-	rng *laplace.Sampler
-}
+type RandomizedResponse struct{ Guarded }
 
 // NewRandomizedResponse builds the categorical mechanism. Inputs are
 // snapped to the nearer of {Lo, Hi}. Invalid parameters are a
 // returned error.
 func NewRandomizedResponse(par Params, log laplace.LogUnit, src urng.Source) (*RandomizedResponse, error) {
-	if err := par.Validate(); err != nil {
-		return nil, err
-	}
-	rng, err := laplace.NewSampler(par.FxP(), log, src)
+	m, err := newExplicit(par, GuardSpec{RR: true}, log, src)
 	if err != nil {
 		return nil, err
 	}
-	return &RandomizedResponse{par: par, rng: rng}, nil
+	return &RandomizedResponse{*m}, nil
 }
 
 // Noise implements Mechanism. The result Value is always Lo or Hi.
@@ -327,20 +230,16 @@ func (m *RandomizedResponse) Noise(x float64) Result {
 	if x-m.par.Lo > m.par.Hi-x {
 		xs = m.par.HiSteps()
 	}
-	y := xs + m.rng.SampleK()
-	mid := float64(m.par.LoSteps()+m.par.HiSteps()) / 2
-	v, step := m.par.Lo, m.par.LoSteps()
-	if float64(y) > mid {
-		v, step = m.par.Hi, m.par.HiSteps()
+	r := m.plan.Step(xs+m.rng.SampleK(), 0).result(m.par)
+	r.Value = m.par.Lo
+	if r.Step != m.par.LoSteps() {
+		r.Value = m.par.Hi
 	}
-	return Result{Value: v, Step: step, Clamped: true}
+	return r
 }
 
 // Name implements Mechanism.
 func (m *RandomizedResponse) Name() string { return "randomized-response" }
-
-// Params returns the mechanism's parameters.
-func (m *RandomizedResponse) Params() Params { return m.par }
 
 // FlipProbs returns the exact per-direction flip probabilities
 // (qLoHi = Pr[report Hi | x = Lo], qHiLo = Pr[report Lo | x = Hi]),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -155,6 +156,70 @@ func TestGuardThresholdBuildsNoAnalyzer(t *testing.T) {
 	}
 	if hits, misses := AnalyzerCacheStats(); hits != 0 || misses != 0 {
 		t.Errorf("closed-form thresholds touched the cache: hits=%d misses=%d", hits, misses)
+	}
+}
+
+// samePlan reports whether two guard plans agree field for field,
+// schedule floats by bit pattern (an override into the hole region
+// has NaN charges).
+func samePlan(a, b *GuardPlan) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	x, y := *a, *b
+	if !sameSchedule(x.Schedule, y.Schedule) {
+		return false
+	}
+	x.Schedule, y.Schedule = ChargeSchedule{}, ChargeSchedule{}
+	return reflect.DeepEqual(x, y)
+}
+
+// TestGuardPlanMemo checks that memoized guard plans equal an
+// unmemoized derivation for every spec kind the DP-Box and the core
+// mechanisms use (certified, explicit, RR, disabled, uncharged), and
+// that a second call hits the stored plan.
+func TestGuardPlanMemo(t *testing.T) {
+	ResetAnalyzerCache()
+	defer ResetAnalyzerCache()
+	mults := []float64{1.25, 1.5}
+	specs := []GuardSpec{
+		{Guard: GuardThresholding, Threshold: -1, Mult: 2, Multipliers: mults, Charged: true},
+		{Guard: GuardResampling, Threshold: -1, Mult: 2, Multipliers: mults, Charged: true},
+		{Guard: GuardConstantTime, Threshold: -1, Candidates: 4, Mult: 2, Multipliers: mults, Charged: true},
+		{Guard: GuardThresholding, Threshold: 0, Mult: 2, Multipliers: mults, Charged: true, RR: true},
+		{Guard: GuardResampling, Threshold: 3, Mult: 2.5, Multipliers: mults, Charged: true},
+		{Guard: GuardResampling, Mult: 2, Multipliers: mults, Charged: true, Disabled: true},
+		{Guard: GuardResampling, Threshold: 5, Mult: DefaultMult},
+	}
+	for _, par := range planGeometries {
+		for _, spec := range specs {
+			want, wantErr := newGuardPlan(par, spec)
+			got, err := NewGuardPlan(par, spec)
+			if !samePlan(got, want) || !reflect.DeepEqual(err, wantErr) {
+				t.Errorf("%+v %+v:\n got %+v, %v\nwant %+v, %v", par, spec, got, err, want, wantErr)
+			}
+			if again, _ := NewGuardPlan(par, spec); again != got {
+				t.Errorf("%+v %+v: second call missed the memo", par, spec)
+			}
+		}
+	}
+}
+
+// BenchmarkGuardPlanHit is the memo hit every DP-Box derive and crash
+// recovery takes after the first; CI requires 0 allocs/op.
+func BenchmarkGuardPlanHit(b *testing.B) {
+	spec := GuardSpec{Guard: GuardResampling, Threshold: -1, Mult: 2,
+		Multipliers: []float64{1.25, 1.5}, Charged: true}
+	want, err := NewGuardPlan(planGeometries[1], spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p, err := NewGuardPlan(planGeometries[1], spec); p != want || err != nil {
+			b.Fatal("wrong plan")
+		}
 	}
 }
 

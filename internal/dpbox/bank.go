@@ -98,10 +98,12 @@ func (bk *Bank) Tick(n uint64) {
 	}
 }
 
+// BudgetUnits returns the shared unspent budget in budget units
+// (sixteenths of a nat).
+func (bk *Bank) BudgetUnits() int64 { return bk.ledger.balance() }
+
 // BudgetRemaining returns the shared unspent budget in nats.
-func (bk *Bank) BudgetRemaining() float64 {
-	return float64(bk.ledger.balance()) * chargeUnit
-}
+func (bk *Bank) BudgetRemaining() float64 { return float64(bk.BudgetUnits()) * chargeUnit }
 
 // Cycles returns the Bank clock.
 func (bk *Bank) Cycles() uint64 { return bk.cycles }

@@ -229,10 +229,11 @@ func TestUncertifiedOverrideChargesPerOutputSound(t *testing.T) {
 	sawInfinite := false
 	for y := -tOver; y <= 16+tOver; y += 7 {
 		loss := an.LossAt(tOver, y)
-		charge := float64(box.chargeUnitsFor(y)) * chargeUnit
+		_, units := box.plan.Charge(y)
+		charge := float64(units) * chargeUnit
 		if math.IsInf(loss, 1) {
 			sawInfinite = true
-			if box.chargeUnitsFor(y) != math.MaxInt32 {
+			if units != math.MaxInt32 {
 				t.Errorf("output %d has infinite loss but finite charge %g", y, charge)
 			}
 			continue

@@ -34,7 +34,8 @@ func TestChargeTableMatchesReferenceController(t *testing.T) {
 		t.Fatalf("thresholds differ: dpbox %d vs controller %d", box.Threshold(), ref.Threshold())
 	}
 	for y := -box.Threshold(); y <= 16+box.Threshold(); y++ {
-		hw := float64(box.chargeUnitsFor(y)) * chargeUnit
+		_, units := box.plan.Charge(y)
+		hw := float64(units) * chargeUnit
 		sw := ref.ChargeFor(y)
 		if hw < sw-1e-12 {
 			t.Errorf("output %d: hardware charge %g below reference %g", y, hw, sw)
@@ -54,7 +55,9 @@ const chargeTableFingerprint = 0xf135e027b29844f3
 
 // boxUnits returns the DP-Box's interior and top charges in budget
 // units.
-func boxUnits(b *DPBox) (interior, top int64) { return b.bandU[0], b.bandU[len(b.bandU)-1] }
+func boxUnits(b *DPBox) (interior, top int64) {
+	return b.plan.Units[0], b.plan.Units[len(b.plan.Units)-1]
+}
 
 func TestChargeTableFingerprint(t *testing.T) {
 	h := fnv.New64a()
@@ -126,15 +129,16 @@ func TestChargeTableFingerprint(t *testing.T) {
 				th := box.Threshold()
 				put(uint64(th))
 				for y := g.lo - th - 2; y <= g.hi+th+2; y++ {
-					put(uint64(box.chargeUnitsFor(y)))
-					put(uint64(box.lastBand))
+					band, units := box.plan.Charge(y)
+					put(uint64(units))
+					put(uint64(band))
 				}
 				interior, top := boxUnits(box)
 				degTh, degOK := box.DegradeThreshold()
 				put(uint64(interior))
 				put(uint64(top))
 				put(uint64(degTh))
-				put(uint64(box.degradeU))
+				put(uint64(box.plan.DegradeUnits))
 				if degOK {
 					put(1)
 				}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 
 	"ulpdp/internal/cordic"
@@ -175,9 +174,6 @@ type Config struct {
 	// HealthWords is the sample size per battery run (default 2048,
 	// minimum 1024).
 	HealthWords int
-	// WatchdogDisabled turns off the resample watchdog (testing only;
-	// an adversarial URNG can then stall noising indefinitely).
-	WatchdogDisabled bool
 	// Obs is an optional telemetry plane (counters, histograms, the
 	// privacy odometer, the flight recorder). Nil costs one nil check per
 	// hook site and zero allocations on the noising hot path.
@@ -192,9 +188,13 @@ type Config struct {
 // URNG magnitude draw and a 12-bit noise word.
 var DefaultConfig = Config{Bu: 17, By: 12, Mult: 2, Multipliers: []float64{1.25, 1.5}}
 
-// chargeUnit is the budget fixed-point resolution: one sixteenth of a
-// nat. Charges are rounded up to it, keeping the accounting sound.
-const chargeUnit = 1.0 / 16
+// chargeUnit is the budget fixed-point resolution, one sixteenth of a
+// nat (core.ChargeUnit).
+const chargeUnit = core.ChargeUnit
+
+// underived is the plan of a box that has not noised since power-up:
+// threshold 0, no watchdog.
+var underived core.GuardPlan
 
 // DPBox is one instance of the hardware module.
 type DPBox struct {
@@ -224,21 +224,12 @@ type DPBox struct {
 	ownLedger budgetLedger
 	ownTimer  bool
 
-	// Derived noising state: the guard's charge schedule (threshold
-	// and bands) and each band's charge rounded up to budget units.
+	// Derived noising state: the guard plan (window, charge table in
+	// budget units, resample watchdog and its degrade clamp, RR stage).
 	dirty   bool // registers changed since last derivation
-	sched   core.ChargeSchedule
-	bandU   []int64
-	bandBuf [4]int64         // backs bandU for schedules of up to four bands
+	plan    *core.GuardPlan
 	sampler *laplace.Sampler // &smp once derived; nil before
 	smp     laplace.Sampler
-
-	// Resample watchdog (resampling mode): cap on resample cycles and
-	// the certified thresholding clamp the trip degrades to.
-	resampleCap int   // 0 = watchdog off
-	degradeTh   int64 // certified thresholding threshold in steps
-	degradeU    int64 // degrade charge in budget units
-	degradeOK   bool  // degradeTh carries a certificate
 
 	// Fault plane and URNG health gate.
 	fp            *fault.Plane
@@ -275,7 +266,7 @@ type DPBox struct {
 	// channel / flight-recorder node label.
 	obs      *Metrics
 	obsCh    int
-	lastBand int64 // charge band of the last chargeUnitsFor call
+	lastBand int64 // charge band of the last charged transaction
 
 	tracer Tracer
 }
@@ -301,7 +292,7 @@ func (b *DPBox) boot(cfg Config, releases map[uint64]Release) error {
 		cfg.Bu, cfg.By = DefaultConfig.Bu, DefaultConfig.By
 	}
 	if cfg.Mult == 0 {
-		cfg.Mult = 2
+		cfg.Mult = core.DefaultMult
 	}
 	if cfg.Mult <= 1 {
 		return fmt.Errorf("dpbox: loss multiplier %g must exceed 1", cfg.Mult)
@@ -344,10 +335,9 @@ func (b *DPBox) boot(cfg Config, releases map[uint64]Release) error {
 		cfg.Source = countingSource{src: cfg.Source, c: m.URNGDraws}
 	}
 	*b = DPBox{cfg: cfg, fp: cfg.Faults, phase: PhaseInit, thOverride: -1, dirty: true,
-		ownLedger: budgetLedger{j: cfg.Journal, obs: cfg.Obs}, ownTimer: true, healthy: true,
-		releases: releases, obs: cfg.Obs, obsCh: cfg.ObsChannel}
+		plan: &underived, ownLedger: budgetLedger{j: cfg.Journal, obs: cfg.Obs}, ownTimer: true,
+		healthy: true, releases: releases, obs: cfg.Obs, obsCh: cfg.ObsChannel}
 	b.ledger = &b.ownLedger
-	b.bandU = b.bandBuf[:0]
 	if j := cfg.Journal; j != nil {
 		// The storage engine counts journal intents/commits itself;
 		// route them into this box's metrics (nil detaches), and give
@@ -466,14 +456,16 @@ func (l *budgetLedger) balance() int64 {
 	return l.units
 }
 
+// BudgetUnits returns the unspent budget in budget units (sixteenths
+// of a nat).
+func (b *DPBox) BudgetUnits() int64 { return b.ledger.balance() }
+
 // BudgetRemaining returns the unspent budget in nats.
-func (b *DPBox) BudgetRemaining() float64 {
-	return float64(b.ledger.balance()) * chargeUnit
-}
+func (b *DPBox) BudgetRemaining() float64 { return float64(b.BudgetUnits()) * chargeUnit }
 
 // Threshold returns the guard threshold currently in effect, in
 // steps. Valid after the first noising transaction.
-func (b *DPBox) Threshold() int64 { return b.sched.Threshold }
+func (b *DPBox) Threshold() int64 { return b.plan.Schedule.Threshold }
 
 // Epsilon returns the configured per-report ε.
 func (b *DPBox) Epsilon() float64 { return math.Ldexp(1, -b.epsShift) }
@@ -692,90 +684,14 @@ func (b *DPBox) derive() error {
 	case b.resampling:
 		guard = core.GuardResampling
 	}
-	switch {
-	case b.cfg.GuardDisabled:
-		// Naive mode: the RNG's full range and a flat nominal charge
-		// (and no guarantee — the entire point of Fig. 12).
-		b.sched = core.ChargeSchedule{Lo: b.rangeLower, Hi: b.rangeUpper, Eps: par.Eps,
-			Threshold: laplace.NewDist(par.FxP()).MaxK(), Interior: par.Eps, Top: par.Eps}
-	case b.thOverride >= 0:
-		// Override (e.g. randomized-response mode): the threshold
-		// carries no certificate, so the top charge must come from
-		// the exact analysis. An infinite worst case (an override into
-		// the hole region) drains the entire budget on first use —
-		// the honest price of an uncertified configuration.
-		b.sched = core.NewChargeSchedule(par, guard, b.thOverride, b.cfg.Mult, b.cfg.Multipliers)
-		worst := core.CachedAnalyzer(par).ThresholdingLoss(b.thOverride).MaxLoss
-		b.sched.Top = math.Max(worst, b.sched.Interior)
-	default:
-		th, err := core.GuardThreshold(par, guard, b.cfg.Mult, b.cfg.Candidates)
-		if err != nil {
-			return err
-		}
-		b.sched = core.NewChargeSchedule(par, guard, th, b.cfg.Mult, b.cfg.Multipliers)
+	p, err := core.NewGuardPlan(par, core.GuardSpec{Guard: guard, Threshold: b.thOverride,
+		Candidates: b.cfg.Candidates, Mult: b.cfg.Mult, Multipliers: b.cfg.Multipliers,
+		Charged: true, RR: b.thOverride == 0 && !b.resampling, Disabled: b.cfg.GuardDisabled})
+	if err != nil {
+		return err
 	}
-	// Resample watchdog: cap the resample loop at a bound derived from
-	// the exact miss probability, and precompute the certified
-	// thresholding clamp the trip degrades to.
-	b.resampleCap, b.degradeOK = 0, false
-	if guard == core.GuardResampling && !b.cfg.GuardDisabled && !b.cfg.WatchdogDisabled {
-		b.resampleCap = watchdogCap(laplace.NewDist(par.FxP()).TailMag(b.sched.Threshold + 1))
-		if th, err := core.GuardThreshold(par, core.GuardThresholding, b.cfg.Mult, 0); err == nil {
-			b.degradeTh = th
-			b.degradeU = ceilUnits(b.cfg.Mult * par.Eps)
-			b.degradeOK = true
-		}
-	}
-	b.bandU = slices.Grow(b.bandU[:0], b.sched.Bands())[:b.sched.Bands()]
-	for i := range b.bandU {
-		b.bandU[i] = ceilUnits(b.sched.Charge(i))
-	}
+	b.plan = p
 	return nil
-}
-
-// watchdogCap converts the per-cycle miss probability of the resample
-// loop into the watchdog's cycle cap: the smallest n with
-// pMiss^n ≤ 2^-64, clamped to [4, 2048]. An honest URNG therefore
-// trips the watchdog with probability at most 2^-64 per transaction;
-// any trip in practice indicates a faulty or adversarial RNG, and the
-// transaction degrades to the certified thresholding clamp instead of
-// looping forever.
-func watchdogCap(pMiss float64) int {
-	const failBits = 64
-	if !(pMiss > 0) {
-		// A miss is impossible for an honest RNG; keep a small cap as
-		// a backstop against fault-induced misses.
-		return 4
-	}
-	if pMiss >= 1 {
-		return 2048
-	}
-	n := int(math.Ceil(failBits * math.Ln2 / -math.Log(pMiss)))
-	if n < 4 {
-		n = 4
-	}
-	if n > 2048 {
-		n = 2048
-	}
-	return n
-}
-
-func ceilUnits(nats float64) int64 {
-	// Infinite or absurd losses saturate to the budget-draining
-	// charge: converting +Inf to int64 directly would wrap negative
-	// and *credit* the ledger.
-	if math.IsNaN(nats) || nats >= float64(math.MaxInt32)*chargeUnit {
-		return math.MaxInt32
-	}
-	return int64(math.Ceil(nats / chargeUnit))
-}
-
-// chargeUnitsFor maps a raw (pre-clamp) output step to its budget
-// charge in sixteenth-nat units.
-func (b *DPBox) chargeUnitsFor(y int64) int64 {
-	band := b.sched.Band(y)
-	b.lastBand = int64(band)
-	return b.bandU[band]
 }
 
 // Step advances the clock one cycle. A dead module has no clock; the
@@ -834,125 +750,68 @@ func (b *DPBox) powerFail() {
 }
 
 // noisingCycle performs one cycle of the noising phase: one guard
-// attempt with the pending sample.
+// step with the pending sample. The box keeps only the cycle
+// accounting; every decision is the plan's.
 func (b *DPBox) noisingCycle() {
 	if b.ledger.balance() <= 0 && !b.cfg.GuardDisabled {
-		// Budget exhausted: replay the cache (free) or emit the
-		// clamped lower bound if nothing was ever produced.
-		if b.haveCache {
-			b.finish(b.cache, 0, true)
-		} else {
-			b.finish(b.rangeLower, 0, true)
-		}
+		// Budget exhausted: replay the cache (free).
+		b.replayCache()
 		return
 	}
 	if !b.haveK {
 		b.pendingK = b.sampler.SampleK()
 		b.haveK = true
 	}
-	y := b.sensor + b.pendingK
+	s := b.plan.Step(b.sensor+b.pendingK, b.resamples)
 	b.haveK = false // sample consumed
-	lo := b.rangeLower - b.sched.Threshold
-	hi := b.rangeUpper + b.sched.Threshold
-	if b.resampling && !b.cfg.GuardDisabled {
-		if b.cfg.ConstantTime {
-			// All candidates are drawn this same cycle by parallel
-			// RNG datapaths; take the first in-window one, clamp the
-			// last to the edge it missed if all fail.
-			for i := 1; i < b.cfg.Candidates && (y < lo || y > hi); i++ {
-				y = b.sensor + b.sampler.SampleK()
-			}
-			charge := b.chargeUnitsFor(y)
-			if y < lo {
-				y = lo
-			}
-			if y > hi {
-				y = hi
-			}
-			b.finish(y, charge, false)
-			return
+	// Constant-time candidates are drawn this same cycle by parallel
+	// RNG datapaths.
+	for n := 1; s.Decision == core.StepRedraw && b.plan.Guard == core.GuardConstantTime; n++ {
+		s = b.plan.Step(b.sensor+b.sampler.SampleK(), n)
+	}
+	switch s.Decision {
+	case core.StepRedraw, core.StepDegrade, core.StepWithhold:
+		b.resamples++
+		if m := b.obs; m != nil {
+			m.Resamples.Inc()
 		}
-		if y < lo || y > hi {
-			b.resamples++
-			if m := b.obs; m != nil {
-				m.Resamples.Inc()
-			}
-			if b.resampleCap > 0 && b.resamples >= b.resampleCap {
-				b.degrade(y)
-				return
-			}
+		if s.Decision == core.StepRedraw {
 			return // next cycle draws a fresh sample
 		}
-		b.finish(y, b.chargeUnitsFor(y), false)
-		return
-	}
-	// Thresholding (or naive) path: clamp, charge for the raw value's
-	// band, done in this cycle.
-	charge := b.chargeUnitsFor(y)
-	if !b.cfg.GuardDisabled {
-		if y < lo {
-			y = lo
+		// The watchdog tripped: the RNG is suspect.
+		b.degraded = true
+		if m := b.obs; m != nil {
+			m.Degraded.Inc()
 		}
-		if y > hi {
-			y = hi
-		}
-		if b.sched.Threshold == 0 {
-			// Randomized-response configuration: 1-bit output stage.
-			if 2*y > b.rangeLower+b.rangeUpper {
-				y = b.rangeUpper
-			} else {
-				y = b.rangeLower
-			}
+		if s.Decision == core.StepWithhold {
+			b.replayCache()
+			return
 		}
 	}
-	b.finish(y, charge, false)
+	b.lastBand = int64(s.Band)
+	b.finish(s.Y, s.Units, false)
 }
 
-// degrade is the resample watchdog's trip handler: the loop has used
-// its full cycle budget, so the RNG is suspect and the transaction
-// falls back to a distribution that is certified without any
-// acceptance assumption. With a certified thresholding threshold
-// available the last sample is clamped into its window and charged
-// the thresholding top band (≥ Mult·ε, which the analyzer certifies
-// as the worst case); otherwise the module fails closed onto the
-// cache.
-func (b *DPBox) degrade(y int64) {
-	b.degraded = true
-	if m := b.obs; m != nil {
-		m.Degraded.Inc()
+// replayCache ends the transaction without fresh noise: it replays
+// the cached output, or emits the range's lower bound if nothing was
+// ever produced. Neither is charged.
+func (b *DPBox) replayCache() {
+	y := b.rangeLower
+	if b.haveCache {
+		y = b.cache
 	}
-	if !b.degradeOK {
-		if b.haveCache {
-			b.finish(b.cache, 0, true)
-		} else {
-			b.finish(b.rangeLower, 0, true)
-		}
-		return
-	}
-	top := len(b.bandU) - 1 // degrade always pays the top band
-	charge := b.bandU[top]
-	if b.degradeU > charge {
-		charge = b.degradeU
-	}
-	b.lastBand = int64(top)
-	lo := b.rangeLower - b.degradeTh
-	hi := b.rangeUpper + b.degradeTh
-	if y < lo {
-		y = lo
-	}
-	if y > hi {
-		y = hi
-	}
-	b.finish(y, charge, false)
+	b.finish(y, 0, true)
 }
 
 // ResampleCap returns the watchdog's resample-cycle cap (0 when the
 // watchdog is inactive). Valid after the first noising transaction.
-func (b *DPBox) ResampleCap() int { return b.resampleCap }
+func (b *DPBox) ResampleCap() int { return b.plan.Cap }
 
 // DegradeThreshold returns the certified thresholding clamp the
 // watchdog degrades to, and whether one is available.
-func (b *DPBox) DegradeThreshold() (int64, bool) { return b.degradeTh, b.degradeOK }
+func (b *DPBox) DegradeThreshold() (int64, bool) {
+	return b.plan.DegradeThreshold, b.plan.DegradeOK
+}
 
 // LastDegraded reports whether the most recent transaction tripped
 // the resample watchdog.

@@ -351,7 +351,7 @@ func TestChargesMatchBandStructure(t *testing.T) {
 		t.Errorf("top charge = %g, want ~2·ε = 1", top)
 	}
 	for y := -b.Threshold(); y <= 16+b.Threshold(); y++ {
-		c := b.chargeUnitsFor(y)
+		_, c := b.plan.Charge(y)
 		if c < interiorU || c > topU {
 			t.Errorf("charge for %d = %d outside [%d, %d]", y, c, interiorU, topU)
 		}
@@ -470,7 +470,7 @@ func TestConcurrentDeriveSharesPlans(t *testing.T) {
 	}
 	geos := []geometry{{12, 10, 16}, {17, 12, 20}}
 	type plan struct {
-		bandU []int64
+		units []int64
 		th    int64
 		cap   int
 		degTh int64
@@ -502,7 +502,7 @@ func TestConcurrentDeriveSharesPlans(t *testing.T) {
 				return
 			}
 			degTh, degOK := box.DegradeThreshold()
-			plans[i] = plan{bandU: box.bandU, th: box.Threshold(), cap: box.ResampleCap(),
+			plans[i] = plan{units: box.plan.Units, th: box.Threshold(), cap: box.ResampleCap(),
 				degTh: degTh, degOK: degOK}
 		}(i)
 	}
@@ -510,7 +510,7 @@ func TestConcurrentDeriveSharesPlans(t *testing.T) {
 	for i := 4; i < boxes; i++ {
 		got, want := plans[i], plans[i%4]
 		if got.th != want.th || got.cap != want.cap || got.degTh != want.degTh ||
-			got.degOK != want.degOK || !slices.Equal(got.bandU, want.bandU) {
+			got.degOK != want.degOK || !slices.Equal(got.units, want.units) {
 			t.Errorf("box %d (geometry %d, resampling %v) derived %+v, box %d derived %+v",
 				i, i%2, i/2%2 == 1, got, i%4, want)
 		}

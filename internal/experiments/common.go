@@ -176,14 +176,8 @@ func mechanismFor(s Setting, par core.Params, mult float64, seed uint64) (core.M
 	case SettingBaseline:
 		return core.NewBaseline(par, fastLog, urng.NewTaus88(seed))
 	}
-	th, err := core.GuardThreshold(par, s.guard(), mult, 0)
-	if err != nil {
-		return nil, err
-	}
-	if s == SettingResampling {
-		return core.NewResampling(par, th, fastLog, urng.NewTaus88(seed))
-	}
-	return core.NewThresholding(par, th, fastLog, urng.NewTaus88(seed))
+	return core.NewGuarded(par, core.GuardSpec{Guard: s.guard(), Threshold: -1, Mult: mult},
+		fastLog, urng.NewTaus88(seed))
 }
 
 // ldpCache memoizes per-parameter LDP certification verdicts: the

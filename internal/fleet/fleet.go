@@ -679,7 +679,7 @@ func Run(cfg Config) (Result, error) {
 			violate("node %d: journal replay: %v", i, err)
 			return
 		}
-		if live := int64(math.Round(box.BudgetRemaining() * 16)); st.Units != live {
+		if live := box.BudgetUnits(); st.Units != live {
 			violate("node %d: journal units %d != live units %d", i, st.Units, live)
 		}
 

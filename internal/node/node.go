@@ -104,14 +104,7 @@ func (p *Port) ReadWord(addr uint16) uint16 {
 		}
 		return s
 	case RegBudget:
-		units := p.Box.BudgetRemaining() * 16
-		if units > 0xFFFF {
-			return 0xFFFF
-		}
-		if units < 0 {
-			return 0
-		}
-		return uint16(units)
+		return uint16(min(max(p.Box.BudgetUnits(), 0), 0xFFFF))
 	}
 	return 0
 }

@@ -76,22 +76,16 @@ func NewBaseline(par Params, seed uint64) (Mechanism, error) {
 // NewResampling returns the resampling-guarded mechanism with the
 // certified threshold for worst-case loss mult·ε.
 func NewResampling(par Params, mult float64, seed uint64) (Mechanism, error) {
-	th, err := core.GuardThreshold(par, core.GuardResampling, mult, 0)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewResampling(par, th, nil, urng.NewTaus88(seed))
+	return core.NewGuarded(par, core.GuardSpec{Guard: core.GuardResampling, Threshold: -1, Mult: mult},
+		nil, urng.NewTaus88(seed))
 }
 
 // NewThresholding returns the thresholding-guarded mechanism with the
 // certified threshold for worst-case loss mult·ε. This is the
 // single-draw, energy-efficient guard.
 func NewThresholding(par Params, mult float64, seed uint64) (Mechanism, error) {
-	th, err := core.GuardThreshold(par, core.GuardThresholding, mult, 0)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewThresholding(par, th, nil, urng.NewTaus88(seed))
+	return core.NewGuarded(par, core.GuardSpec{Guard: core.GuardThresholding, Threshold: -1, Mult: mult},
+		nil, urng.NewTaus88(seed))
 }
 
 // NewRandomizedResponse returns the binary (categorical) mechanism —
@@ -225,11 +219,8 @@ func NewBank(cfg DPBoxConfig, n int, seed uint64) (*Bank, error) {
 // (Section IV-C): candidates parallel samples per report, constant
 // latency, threshold certified by the exact constant-time analysis.
 func NewConstantTime(par Params, mult float64, candidates int, seed uint64) (Mechanism, error) {
-	th, err := core.GuardThreshold(par, core.GuardConstantTime, mult, candidates)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewConstantTime(par, th, candidates, nil, urng.NewTaus88(seed))
+	return core.NewGuarded(par, core.GuardSpec{Guard: core.GuardConstantTime, Threshold: -1, Mult: mult,
+		Candidates: candidates}, nil, urng.NewTaus88(seed))
 }
 
 // CertifyConstantTime enumerates the constant-time mechanism's exact
