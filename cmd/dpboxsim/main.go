@@ -49,6 +49,7 @@ import (
 	"strings"
 
 	"ulpdp"
+	"ulpdp/internal/core"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
 )
@@ -147,7 +148,8 @@ func run() int {
 		if err := box.Initialize(*budgetNats, *replenish); err != nil {
 			fatal(err)
 		}
-		s.printf("DP-Box initialized: budget %.2f nats, replenish every %d cycles\n", *budgetNats, *replenish)
+		s.printf("DP-Box initialized: budget %d units (%.4f nats), replenish every %d cycles\n",
+			box.BudgetUnits(), box.BudgetRemaining(), *replenish)
 	} else {
 		s.printf("DP-Box recovered from %s: budget %.3f nats remaining, next seq %d\n",
 			*nvmdir, box.BudgetRemaining(), box.NextSeq())
@@ -296,8 +298,8 @@ func (s *session) printSnapshot() error {
 	}
 	s.printf("%s\n", raw)
 	if odo, ok := snap.Odometers["budget.odometer"]; ok {
-		s.printf("odometer: %.6f nats spent in %d charges, %d replenishes\n",
-			odo.TotalNats, odo.Charges, odo.Replenishes)
+		s.printf("odometer: %d units (%.4f nats) spent in %d charges, %d replenishes\n",
+			odo.TotalUnits, float64(odo.TotalUnits)*core.ChargeUnit, odo.Charges, odo.Replenishes)
 	}
 	return nil
 }

@@ -62,6 +62,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ulpdp/internal/core"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/fleet"
 	"ulpdp/internal/obs"
@@ -162,8 +163,8 @@ func run() int {
 		// a healthy fleet burns at exactly 1x and only a privacy
 		// overspend — noising charged above its certification — trips.
 		burn, berr := obs.NewBurnAlerter(obs.BurnConfig{
-			EnvelopeMicroNats: obs.MicroNats(float64(cfg.Nodes*cfg.Reports) * fleet.PerReportCapNats),
-			HorizonCharges:    uint64(cfg.Nodes * cfg.Reports),
+			EnvelopeUnits:  int64(cfg.Nodes*cfg.Reports) * fleet.PerReportCapUnits,
+			HorizonCharges: uint64(cfg.Nodes * cfg.Reports),
 		})
 		if berr != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim: burn alerter:", berr)
@@ -248,16 +249,16 @@ func run() int {
 		}
 		fmt.Println(string(raw))
 		if odo, ok := chaos.Obs.Odometers["budget.odometer"]; ok {
-			fmt.Printf("fleetsim: odometer: %.6f nats spent across %d channels in %d charges\n",
-				odo.TotalNats, len(odo.ChannelMicroNats), odo.Charges)
+			fmt.Printf("fleetsim: odometer: %d units (%.4f nats) spent across %d channels in %d charges\n",
+				odo.TotalUnits, float64(odo.TotalUnits)*core.ChargeUnit, len(odo.ChannelUnits), odo.Charges)
 		}
 	}
 	if *traceFile != "" {
 		bad += writeTrace(*traceFile, chaos, cfg.Durable)
 	}
 	if chaos.BurnAlert {
-		fmt.Fprintf(os.Stderr, "fleetsim: burn alert: odometer burn exceeded plan (tripped at %d µnat of a %d µnat envelope)\n",
-			chaos.Burn.TrippedAtMicroNats, obs.MicroNats(float64(cfg.Nodes*cfg.Reports)*fleet.PerReportCapNats))
+		fmt.Fprintf(os.Stderr, "fleetsim: burn alert: odometer burn exceeded plan (tripped at %d units of a %d unit envelope)\n",
+			chaos.Burn.TrippedAtUnits, cfg.Burn.Config().EnvelopeUnits)
 		bad++
 	}
 	if bad > 0 {

@@ -84,6 +84,6 @@ func main() {
 		}
 	}
 	odo := reg.Snapshot().Odometers["budget.odometer"]
-	fmt.Printf("privacy odometer: %.4f nats spent in %d charges; ledger agrees: %.4f of 4 nats left\n",
-		odo.TotalNats, odo.Charges, box.BudgetRemaining())
+	fmt.Printf("privacy odometer: %d sixteenth-nat units spent in %d charges; ledger agrees: %d of 64 units left\n",
+		odo.TotalUnits, odo.Charges, box.BudgetUnits())
 }

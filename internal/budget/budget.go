@@ -18,7 +18,6 @@ import (
 
 	"ulpdp/internal/core"
 	"ulpdp/internal/laplace"
-	"ulpdp/internal/obs"
 	"ulpdp/internal/urng"
 )
 
@@ -64,11 +63,6 @@ type Config struct {
 	Log laplace.LogUnit
 	// Source supplies uniform randomness (nil = Taus88 seeded with 1).
 	Source urng.Source
-	// Obs is an optional telemetry plane; nil costs one nil check per
-	// request and nothing else.
-	Obs *Metrics
-	// ObsChannel indexes the privacy odometer for this controller.
-	ObsChannel int
 }
 
 // ErrExhausted is returned when the budget is spent and no cached
@@ -89,7 +83,10 @@ type Response struct {
 	Resamples int
 }
 
-// Controller is the budget-control engine embedded in the DP-Box.
+// Controller is the budget-control engine embedded in the DP-Box. It
+// keeps its ledger in exact float nats, the software exhibit path
+// (Fig. 13); the privacy odometer counts only the DP-Box's integer
+// charge units and is not fed from here.
 type Controller struct {
 	cfg   Config
 	mech  *core.Guarded // thresholding or resampling
@@ -184,10 +181,6 @@ func (c *Controller) Tick(n uint64) {
 	for c.ticks >= c.cfg.ReplenishPeriod {
 		c.ticks -= c.cfg.ReplenishPeriod
 		c.remaining = c.cfg.Budget
-		if m := c.cfg.Obs; m != nil {
-			m.Replenishes.Inc()
-			m.Odometer.Replenish()
-		}
 	}
 }
 
@@ -198,10 +191,6 @@ func (c *Controller) Request(x float64) (Response, error) {
 	if c.remaining <= 0 {
 		if !c.cached {
 			return Response{}, ErrExhausted
-		}
-		if m := c.cfg.Obs; m != nil {
-			m.Requests.Inc()
-			m.CacheReplays.Inc()
 		}
 		return Response{Value: c.cache, FromCache: true}, nil
 	}
@@ -216,14 +205,5 @@ func (c *Controller) Request(x float64) (Response, error) {
 	charge := c.sched.Charge(band)
 	c.remaining = math.Max(0, c.remaining-charge)
 	c.cache, c.cached = r.Value, true
-	if m := c.cfg.Obs; m != nil {
-		m.Requests.Inc()
-		if r.Resamples > 0 {
-			m.Resamples.Add(uint64(r.Resamples))
-		}
-		m.Odometer.Charge(c.cfg.ObsChannel, charge)
-		m.ChargeMicroNat.Observe(obs.MicroNats(charge))
-		m.ChargeBands.Observe(int64(band))
-	}
 	return Response{Value: r.Value, Charged: charge, Resamples: r.Resamples}, nil
 }

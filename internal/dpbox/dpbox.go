@@ -865,7 +865,7 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 		} else {
 			m.ChargeUnits.Observe(chargeU)
 			m.ChargeBands.Observe(b.lastBand)
-			m.Odometer.Charge(b.obsCh, float64(chargeU)*chargeUnit)
+			m.Odometer.Charge(b.obsCh, chargeU)
 		}
 	}
 }
@@ -1004,12 +1004,17 @@ func (b *DPBox) NextSeq() uint64 {
 
 // Initialize drives the boot-time configuration: budget (in nats) and
 // replenishment period (cycles; 0 disables), then locks and enters
-// the waiting phase.
+// the waiting phase. The budget rounds down to whole charge units, so
+// the ledger never grants more privacy loss than was configured.
 func (b *DPBox) Initialize(budgetNats float64, replenishEvery uint64) error {
 	if b.phase != PhaseInit {
 		return errors.New("dpbox: already initialized (power cycle required)")
 	}
-	if err := b.Command(CmdSetEpsilon, int64(math.Round(budgetNats/chargeUnit))); err != nil {
+	units := math.Floor(budgetNats / chargeUnit)
+	if !(units >= 0 && units < math.MaxInt64) {
+		return fmt.Errorf("dpbox: budget %g nats is not a finite non-negative amount the ledger can hold", budgetNats)
+	}
+	if err := b.Command(CmdSetEpsilon, int64(units)); err != nil {
 		return err
 	}
 	if err := b.Command(CmdSetRangeUpper, int64(replenishEvery)); err != nil {

@@ -20,7 +20,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"math"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -28,6 +27,7 @@ import (
 	"time"
 
 	"ulpdp/internal/collector"
+	"ulpdp/internal/core"
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/node"
@@ -349,16 +349,14 @@ func (s *colSupervisor) close() {
 	s.col.Close()
 }
 
-// perReportCapNats is the certified worst-case charge of a single
-// report under the fleet's box shape: Configure(1, 0, 16) sets
-// ε = 2⁻¹ = 0.5 nat and Mult = 2 caps any one transaction (degraded
-// or not) at Mult·ε = 1 nat. After k reports a node's odometer can
-// therefore never exceed min(Budget, k·perReportCapNats).
-const perReportCapNats = 1.0
-
-// PerReportCapNats exports the certified per-report cap for callers
-// sizing burn-rate envelopes (fleetsim) against Config.Nodes·Reports.
-const PerReportCapNats = perReportCapNats
+// PerReportCapUnits is the certified worst-case charge of a single
+// report under the fleet's box shape, in ledger charge units
+// (core.ChargeUnit): Configure(1, 0, 16) sets ε = 2⁻¹ = 0.5 nat and
+// Mult = 2 caps any one transaction (degraded or not) at Mult·ε =
+// 1 nat = 16 units. After k reports a node's odometer can therefore
+// never exceed min(budget, k·PerReportCapUnits). Callers size
+// burn-rate envelopes with it against Config.Nodes·Reports.
+const PerReportCapUnits = 16
 
 // boxMultipliers are the fleet boxes' charging bands, shared by every
 // node's config (the box only reads them).
@@ -443,16 +441,23 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	res := Result{Nodes: make([]NodeResult, cfg.Nodes)}
-	var resMu sync.Mutex // guards Violations only; see runNode
+	// shared is the node workers' common state, one record: mu guards
+	// res.Violations and res.Resumed (see runNode); capUnits sums each
+	// node's certified spend ceiling for the aggregate odometer bound
+	// (telemetry runs only).
+	var shared struct {
+		mu       sync.Mutex
+		capUnits atomic.Int64
+	}
 	violate := func(format string, args ...any) {
-		resMu.Lock()
+		shared.mu.Lock()
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-		resMu.Unlock()
+		shared.mu.Unlock()
 	}
 	markResumed := func() {
-		resMu.Lock()
+		shared.mu.Lock()
 		res.Resumed = true
-		resMu.Unlock()
+		shared.mu.Unlock()
 	}
 
 	colCfg := collector.Config{
@@ -576,7 +581,10 @@ func Run(cfg Config) (Result, error) {
 		// Spend is accounted from this process's baseline: on a fresh
 		// run that is cfg.Budget; on a resumed run the prior spend is
 		// already durable and belongs to the dead process's run.
-		budget0 := box.BudgetRemaining()
+		units0 := box.BudgetUnits()
+		if boxM != nil {
+			shared.capUnits.Add(min(units0, int64(cfg.Reports)*PerReportCapUnits))
+		}
 		agentCfg := node.AgentConfig{
 			ID:          transport.NodeID(i),
 			MaxAttempts: 64,
@@ -628,9 +636,9 @@ func Run(cfg Config) (Result, error) {
 			// per-report envelope (crash replays and cache serves
 			// charge nothing, so the bound holds across chaos).
 			if boxM != nil {
-				certified := math.Min(cfg.Budget, float64(r+1)*perReportCapNats)
-				if spent := boxM.Odometer.SpentNats(i); spent > certified+1e-9 {
-					violate("node %d: odometer %g nats after %d reports exceeds certified %g", i, spent, r+1, certified)
+				certified := min(units0, int64(r+1)*PerReportCapUnits)
+				if spent := boxM.Odometer.SpentUnits(i); spent > certified {
+					violate("node %d: odometer %d units after %d reports exceeds certified %d", i, spent, r+1, certified)
 				}
 			}
 
@@ -670,7 +678,8 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		nr.Released = box.Releases()
-		nr.SpendNats = budget0 - box.BudgetRemaining()
+		spentUnits := units0 - box.BudgetUnits()
+		nr.SpendNats = float64(spentUnits) * core.ChargeUnit
 
 		// Crash-consistency cross-check: replaying the journal
 		// must agree with the live ledger.
@@ -683,12 +692,11 @@ func Run(cfg Config) (Result, error) {
 			violate("node %d: journal units %d != live units %d", i, st.Units, live)
 		}
 
-		// Odometer-vs-ledger cross-check: both sum the same
-		// charges (exact multiples of 1/16 nat), so they must
-		// agree to the micronat.
+		// Odometer-vs-ledger cross-check: both count the same
+		// charges in the same integer unit, so they must be equal.
 		if boxM != nil {
-			if got, want := boxM.Odometer.SpentMicro(i), obs.MicroNats(nr.SpendNats); got != want {
-				violate("node %d: odometer %d µnat != ledger spend %d µnat", i, got, want)
+			if got := boxM.Odometer.SpentUnits(i); got != spentUnits {
+				violate("node %d: odometer %d units != ledger spend %d units", i, got, spentUnits)
 			}
 		}
 	}
@@ -734,12 +742,12 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Aggregate odometer bound: the whole fleet's spend must sit under
-	// n · min(Budget, Reports·cap) — the paper's Σ charges ≤ n·ε
-	// envelope, checked on the telemetry plane rather than the ledgers.
+	// Σ min(budget, Reports·cap) over the nodes — the paper's
+	// Σ charges ≤ n·ε envelope, checked on the telemetry plane rather
+	// than the ledgers.
 	if boxM != nil {
-		fleetCap := float64(cfg.Nodes) * math.Min(cfg.Budget, float64(cfg.Reports)*perReportCapNats)
-		if tot := boxM.Odometer.TotalNats(); tot > fleetCap+1e-9 {
-			res.Violations = append(res.Violations, fmt.Sprintf("fleet: aggregate odometer %g nats exceeds certified n·ε bound %g", tot, fleetCap))
+		if tot, fleetCap := boxM.Odometer.TotalUnits(), shared.capUnits.Load(); tot > fleetCap {
+			res.Violations = append(res.Violations, fmt.Sprintf("fleet: aggregate odometer %d units exceeds certified n·ε bound %d", tot, fleetCap))
 		}
 	}
 

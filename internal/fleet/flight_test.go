@@ -43,8 +43,8 @@ func TestFlightRecorderTransparency(t *testing.T) {
 	cfg.Obs = obs.NewRegistry()
 	cfg.Flight = obs.NewFlightRecorder(cfg.Nodes * cfg.Reports * 2)
 	burn, err := obs.NewBurnAlerter(obs.BurnConfig{
-		EnvelopeMicroNats: obs.MicroNats(float64(cfg.Nodes*cfg.Reports) * PerReportCapNats),
-		HorizonCharges:    uint64(cfg.Nodes * cfg.Reports),
+		EnvelopeUnits:  int64(cfg.Nodes*cfg.Reports) * PerReportCapUnits,
+		HorizonCharges: uint64(cfg.Nodes * cfg.Reports),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,14 +89,14 @@ func TestFlightRecorderTransparency(t *testing.T) {
 // configured as if the certified n·ε envelope were planned to last
 // 1000× more charges than the run issues, so the fleet's real charge
 // stream (≥ 1/16 nat each) burns three orders of magnitude above
-// plan. It returns the config and the envelope in µnats.
+// plan. It returns the config and the envelope in charge units.
 func overspendConfig(t *testing.T, nodes, reports int) (Config, int64) {
 	t.Helper()
 	cfg := Config{Nodes: nodes, Reports: reports, Seed: gridSeed(t), Obs: obs.NewRegistry()}
-	envelope := obs.MicroNats(float64(nodes*reports) * PerReportCapNats)
+	envelope := int64(nodes*reports) * PerReportCapUnits
 	burn, err := obs.NewBurnAlerter(obs.BurnConfig{
-		EnvelopeMicroNats: envelope,
-		HorizonCharges:    uint64(nodes*reports) * 1000,
+		EnvelopeUnits:  envelope,
+		HorizonCharges: uint64(nodes*reports) * 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +131,8 @@ func TestFleetBurnAlertTripsBeforeEnvelope(t *testing.T) {
 	if res.Burn == nil || !res.Burn.Tripped {
 		t.Fatalf("Burn snapshot: %+v", res.Burn)
 	}
-	if res.Burn.TrippedAtMicroNats >= envelope {
-		t.Fatalf("alert tripped at %d µnat — at/after the %d µnat envelope", res.Burn.TrippedAtMicroNats, envelope)
+	if res.Burn.TrippedAtUnits >= envelope {
+		t.Fatalf("alert tripped at %d units — at/after the %d unit envelope", res.Burn.TrippedAtUnits, envelope)
 	}
 	if res.Obs.Counters["burn.alerts"] == 0 {
 		t.Error("burn.alerts counter is 0 despite a tripped alert")
@@ -170,8 +170,8 @@ func TestFleetBurnAlertReachesPerfetto(t *testing.T) {
 			continue
 		}
 		alerts++
-		if got := e.Args["spent_micro_nats"]; got != float64(res.Burn.TrippedAtMicroNats) {
-			t.Errorf("burn.alert spent_micro_nats = %v, want %d", got, res.Burn.TrippedAtMicroNats)
+		if got := e.Args["spent_units"]; got != float64(res.Burn.TrippedAtUnits) {
+			t.Errorf("burn.alert spent_units = %v, want %d", got, res.Burn.TrippedAtUnits)
 		}
 	}
 	if alerts != 1 {
@@ -186,8 +186,8 @@ func TestFleetBurnAlertQuietOnPlan(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := Config{Nodes: 4, Reports: 6, Seed: gridSeed(t), Obs: reg}
 	burn, err := obs.NewBurnAlerter(obs.BurnConfig{
-		EnvelopeMicroNats: obs.MicroNats(float64(cfg.Nodes*cfg.Reports) * PerReportCapNats),
-		HorizonCharges:    uint64(cfg.Nodes * cfg.Reports),
+		EnvelopeUnits:  int64(cfg.Nodes*cfg.Reports) * PerReportCapUnits,
+		HorizonCharges: uint64(cfg.Nodes * cfg.Reports),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ulpdp/internal/core"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
 )
@@ -123,21 +124,21 @@ func TestFleetMetricSchemaGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("snapshot missing budget.odometer")
 	}
-	if len(odo.ChannelMicroNats) != 3 {
-		t.Fatalf("odometer has %d channels, want 3", len(odo.ChannelMicroNats))
+	if len(odo.ChannelUnits) != 3 {
+		t.Fatalf("odometer has %d channels, want 3", len(odo.ChannelUnits))
 	}
 	if odo.Charges != 9 {
 		t.Errorf("odometer charges = %d, want 9", odo.Charges)
 	}
 	var sum int64
-	for _, ch := range odo.ChannelMicroNats {
+	for _, ch := range odo.ChannelUnits {
 		if ch <= 0 {
 			t.Errorf("odometer channel spend %d, want > 0", ch)
 		}
 		sum += ch
 	}
-	if sum != odo.TotalMicroNats {
-		t.Errorf("odometer channel sum %d != total %d", sum, odo.TotalMicroNats)
+	if sum != odo.TotalUnits {
+		t.Errorf("odometer channel sum %d != total %d", sum, odo.TotalUnits)
 	}
 }
 
@@ -145,7 +146,8 @@ func TestFleetMetricSchemaGolden(t *testing.T) {
 // and asserts the aggregate odometer stayed inside the certified
 // envelope (any breach lands in Violations) while still accounting
 // every charge: Σ per-channel spend must equal Σ per-node ledger
-// spend to the micronat, across crash-recovery and retransmissions.
+// spend exactly, in charge units, across crash-recovery and
+// retransmissions.
 func TestFleetChaosOdometer(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := Config{
@@ -167,14 +169,16 @@ func TestFleetChaosOdometer(t *testing.T) {
 	odo := res.Obs.Odometers["budget.odometer"]
 	var ledger int64
 	for _, nr := range res.Nodes {
-		ledger += obs.MicroNats(nr.SpendNats)
+		// SpendNats is a whole number of sixteenths: the division
+		// is exact.
+		ledger += int64(nr.SpendNats / core.ChargeUnit)
 	}
-	if odo.TotalMicroNats != ledger {
-		t.Fatalf("odometer total %d µnat != ledger total %d µnat", odo.TotalMicroNats, ledger)
+	if odo.TotalUnits != ledger {
+		t.Fatalf("odometer total %d units != ledger total %d units", odo.TotalUnits, ledger)
 	}
-	// 4 nodes × 6 reports × 1 nat per-report cap.
-	if certified := obs.MicroNats(float64(cfg.Nodes*cfg.Reports) * perReportCapNats); odo.TotalMicroNats > certified {
-		t.Fatalf("odometer total %d µnat exceeds certified %d µnat", odo.TotalMicroNats, certified)
+	// 4 nodes × 6 reports × 1 nat (16 units) per-report cap.
+	if certified := int64(cfg.Nodes*cfg.Reports) * PerReportCapUnits; odo.TotalUnits > certified {
+		t.Fatalf("odometer total %d units exceeds certified %d units", odo.TotalUnits, certified)
 	}
 	// Crash replays charge nothing: exactly one charge per report.
 	if want := uint64(cfg.Nodes * cfg.Reports); odo.Charges != want {

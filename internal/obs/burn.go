@@ -6,7 +6,7 @@ import (
 )
 
 // BurnConfig parameterises the burn-rate alerter. The planned spend
-// rate is EnvelopeMicroNats / HorizonCharges: the certified n·ε
+// rate is EnvelopeUnits / HorizonCharges: the certified n·ε
 // envelope amortised over the expected charge count. Burn is the
 // observed per-charge spend divided by that plan; the alert trips when
 // the fast AND slow window burns both exceed their thresholds —
@@ -16,9 +16,9 @@ import (
 // Windows are measured in charge events, not wall time, so the alerter
 // is deterministic for a deterministic charge stream.
 type BurnConfig struct {
-	// EnvelopeMicroNats is the certified cumulative spend ceiling
-	// (n·ε as µnats). Must be positive.
-	EnvelopeMicroNats int64
+	// EnvelopeUnits is the certified cumulative spend ceiling (n·ε in
+	// the odometer's charge units). Must be positive.
+	EnvelopeUnits int64
 	// HorizonCharges is the number of charges the envelope is planned
 	// to last. Must be positive.
 	HorizonCharges uint64
@@ -40,13 +40,13 @@ type BurnAlerter struct {
 	cfg BurnConfig
 
 	mu        sync.Mutex
-	ring      []int64 // last SlowWindow charges, µnats
+	ring      []int64 // last SlowWindow charges, units
 	n         uint64  // charges observed
 	fastSum   int64
 	slowSum   int64
 	active    bool
 	tripped   bool
-	trippedAt int64 // cumulative µnats when first tripped
+	trippedAt int64 // cumulative units when first tripped
 	alerts    uint64
 
 	metrics *BurnMetrics
@@ -55,8 +55,8 @@ type BurnAlerter struct {
 // NewBurnAlerter validates the config (applying defaults) and builds
 // an alerter.
 func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
-	if cfg.EnvelopeMicroNats <= 0 {
-		return nil, fmt.Errorf("obs: burn alerter needs a positive envelope, got %d µnat", cfg.EnvelopeMicroNats)
+	if cfg.EnvelopeUnits <= 0 {
+		return nil, fmt.Errorf("obs: burn alerter needs a positive envelope, got %d units", cfg.EnvelopeUnits)
 	}
 	if cfg.HorizonCharges == 0 {
 		return nil, fmt.Errorf("obs: burn alerter needs a positive charge horizon")
@@ -97,7 +97,7 @@ func (b *BurnAlerter) Config() BurnConfig { return b.cfg }
 
 // observe folds one charge into the windows; called by the Odometer
 // with the charge size and the new cumulative total.
-func (b *BurnAlerter) observe(micro, total int64) {
+func (b *BurnAlerter) observe(units, total int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
@@ -109,23 +109,12 @@ func (b *BurnAlerter) observe(micro, total int64) {
 		j := int((b.n - uint64(b.cfg.FastWindow)) % uint64(len(b.ring)))
 		b.fastSum -= b.ring[j]
 	}
-	b.ring[i] = micro
-	b.slowSum += micro
-	b.fastSum += micro
+	b.ring[i] = units
+	b.slowSum += units
+	b.fastSum += units
 	b.n++
 
-	// Planned per-charge spend; both windows compare against it.
-	plan := float64(b.cfg.EnvelopeMicroNats) / float64(b.cfg.HorizonCharges)
-	fastN := b.n
-	if fastN > uint64(b.cfg.FastWindow) {
-		fastN = uint64(b.cfg.FastWindow)
-	}
-	slowN := b.n
-	if slowN > uint64(len(b.ring)) {
-		slowN = uint64(len(b.ring))
-	}
-	fastBurn := float64(b.fastSum) / float64(fastN) / plan
-	slowBurn := float64(b.slowSum) / float64(slowN) / plan
+	fastBurn, slowBurn := b.burns()
 
 	if m := b.metrics; m != nil {
 		m.FastBurnMilli.Set(int64(fastBurn * 1000))
@@ -175,9 +164,9 @@ type BurnSnapshot struct {
 	Alerts uint64 `json:"alerts"`
 	// Charges is the number of charge events observed.
 	Charges uint64 `json:"charges"`
-	// TrippedAtMicroNats is the cumulative spend when the alert first
-	// fired (0 if never).
-	TrippedAtMicroNats int64 `json:"tripped_at_micro_nats"`
+	// TrippedAtUnits is the cumulative spend, in charge units, when
+	// the alert first fired (0 if never).
+	TrippedAtUnits int64 `json:"tripped_at_units"`
 	// FastBurnMilli and SlowBurnMilli are the last computed window
 	// burns in milli-multiples of the planned rate.
 	FastBurnMilli int64 `json:"fast_burn_milli"`
@@ -192,26 +181,29 @@ func (b *BurnAlerter) Snapshot() *BurnSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := &BurnSnapshot{
-		Tripped:            b.tripped,
-		Active:             b.active,
-		Alerts:             b.alerts,
-		Charges:            b.n,
-		TrippedAtMicroNats: b.trippedAt,
+		Tripped:        b.tripped,
+		Active:         b.active,
+		Alerts:         b.alerts,
+		Charges:        b.n,
+		TrippedAtUnits: b.trippedAt,
 	}
 	if b.n > 0 {
-		plan := float64(b.cfg.EnvelopeMicroNats) / float64(b.cfg.HorizonCharges)
-		fastN := b.n
-		if fastN > uint64(b.cfg.FastWindow) {
-			fastN = uint64(b.cfg.FastWindow)
-		}
-		slowN := b.n
-		if slowN > uint64(len(b.ring)) {
-			slowN = uint64(len(b.ring))
-		}
-		s.FastBurnMilli = int64(float64(b.fastSum) / float64(fastN) / plan * 1000)
-		s.SlowBurnMilli = int64(float64(b.slowSum) / float64(slowN) / plan * 1000)
+		fast, slow := b.burns()
+		s.FastBurnMilli = int64(fast * 1000)
+		s.SlowBurnMilli = int64(slow * 1000)
 	}
 	return s
+}
+
+// burns returns the fast- and slow-window burns: each window's mean
+// charge over the planned per-charge spend. The caller holds b.mu and
+// has observed at least one charge; a window not yet full averages
+// over the charges it has.
+func (b *BurnAlerter) burns() (fast, slow float64) {
+	plan := float64(b.cfg.EnvelopeUnits) / float64(b.cfg.HorizonCharges)
+	fastN := min(b.n, uint64(b.cfg.FastWindow))
+	slowN := min(b.n, uint64(len(b.ring)))
+	return float64(b.fastSum) / float64(fastN) / plan, float64(b.slowSum) / float64(slowN) / plan
 }
 
 // BurnMetrics mirrors the alerter onto the registry.

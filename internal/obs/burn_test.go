@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// newTestAlerter builds an alerter planning 1 nat over 1000 charges
-// (1000 µnat per charge).
+// newTestAlerter builds an alerter planning 16 000 units over 1000
+// charges (16 units, one nat, per charge).
 func newTestAlerter(t *testing.T) *BurnAlerter {
 	t.Helper()
 	ba, err := NewBurnAlerter(BurnConfig{
-		EnvelopeMicroNats: 1_000_000,
-		HorizonCharges:    1000,
+		EnvelopeUnits:  16_000,
+		HorizonCharges: 1000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestBurnAlerterOnPlanNeverTrips(t *testing.T) {
 	odo := r.Odometer("budget.odometer", 4)
 	odo.SetBurn(ba)
 	for i := 0; i < 1000; i++ {
-		odo.Charge(i%4, 0.001*1e-6*1e6) // 1000 µnat = exactly the plan
+		odo.Charge(i%4, 16) // exactly the plan
 	}
 	if ba.Tripped() {
 		t.Fatal("on-plan spend tripped the alert")
@@ -53,14 +53,14 @@ func TestBurnAlerterOverspendTripsBeforeEnvelope(t *testing.T) {
 
 	// Synthetic overspend fault: 10× the planned rate, every charge.
 	for i := 0; i < 200 && !ba.Tripped(); i++ {
-		odo.Charge(0, 0.01) // 10000 µnat vs 1000 planned
+		odo.Charge(0, 160) // 160 units vs 16 planned
 	}
 	if !ba.Tripped() {
 		t.Fatal("sustained 10× overspend never tripped")
 	}
 	s := ba.Snapshot()
-	if s.TrippedAtMicroNats >= ba.Config().EnvelopeMicroNats {
-		t.Fatalf("tripped at %d µnat — after the %d µnat envelope", s.TrippedAtMicroNats, ba.Config().EnvelopeMicroNats)
+	if s.TrippedAtUnits >= ba.Config().EnvelopeUnits {
+		t.Fatalf("tripped at %d units — after the %d unit envelope", s.TrippedAtUnits, ba.Config().EnvelopeUnits)
 	}
 	if s.Alerts == 0 || !s.Active {
 		t.Fatalf("snapshot: %+v", s)
@@ -75,8 +75,8 @@ func TestBurnAlerterOverspendTripsBeforeEnvelope(t *testing.T) {
 	if len(alerts) != 1 {
 		t.Fatalf("export has %d burn.alert instants, want 1", len(alerts))
 	}
-	if got := alerts[0].Args["spent_micro_nats"]; got != float64(s.TrippedAtMicroNats) {
-		t.Errorf("burn.alert spent_micro_nats = %v, want trip spend %d", got, s.TrippedAtMicroNats)
+	if got := alerts[0].Args["spent_units"]; got != float64(s.TrippedAtUnits) {
+		t.Errorf("burn.alert spent_units = %v, want trip spend %d", got, s.TrippedAtUnits)
 	}
 	snap := r.Snapshot()
 	if snap.Counters["burn.alerts"] != s.Alerts {
@@ -93,9 +93,9 @@ func TestBurnAlerterSpikeRejected(t *testing.T) {
 	odo.SetBurn(ba)
 	// One giant spike inside an otherwise on-plan stream: the fast
 	// window dilutes it below threshold before the slow window heats.
-	odo.Charge(0, 0.02) // 20× plan, once
+	odo.Charge(0, 320) // 20× plan, once
 	for i := 0; i < 500; i++ {
-		odo.Charge(0, 0.001)
+		odo.Charge(0, 16)
 	}
 	if ba.Tripped() {
 		t.Fatal("a single spike should not trip the multi-window alert")
@@ -106,13 +106,13 @@ func TestBurnAlerterConfigValidation(t *testing.T) {
 	if _, err := NewBurnAlerter(BurnConfig{HorizonCharges: 10}); err == nil {
 		t.Error("zero envelope accepted")
 	}
-	if _, err := NewBurnAlerter(BurnConfig{EnvelopeMicroNats: 1}); err == nil {
+	if _, err := NewBurnAlerter(BurnConfig{EnvelopeUnits: 1}); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := NewBurnAlerter(BurnConfig{EnvelopeMicroNats: 1, HorizonCharges: 1, FastWindow: 8, SlowWindow: 8}); err == nil {
+	if _, err := NewBurnAlerter(BurnConfig{EnvelopeUnits: 1, HorizonCharges: 1, FastWindow: 8, SlowWindow: 8}); err == nil {
 		t.Error("fast == slow accepted")
 	}
-	if _, err := NewBurnAlerter(BurnConfig{EnvelopeMicroNats: 1, HorizonCharges: 1, FastBurn: -1}); err == nil {
+	if _, err := NewBurnAlerter(BurnConfig{EnvelopeUnits: 1, HorizonCharges: 1, FastBurn: -1}); err == nil {
 		t.Error("negative threshold accepted")
 	}
 }

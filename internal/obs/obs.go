@@ -103,45 +103,39 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// odoUnit is the odometer's fixed-point resolution: one micronat.
-// The DP-Box's sixteenth-nat charge unit is an exact multiple
-// (62500 µnat), so hardware charges accumulate without rounding; the
-// software budget controller's real-valued charges round to the
-// nearest micronat (documented loss well below any ε of interest).
-const odoUnit = 1e-6
-
 // Odometer is the privacy odometer: cumulative privacy loss charged
-// per channel, in micronats, monotone by construction — an odometer
-// never rolls back, even when the budget it mirrors is replenished
-// (replenish events are counted separately). It is the operator-facing
-// dual of the budget ledger: the ledger says what may still be spent,
-// the odometer proves what was spent.
+// per channel, in whole budget-ledger charge units (core.ChargeUnit,
+// one sixteenth of a nat: the DP-Box's fixed-point resolution), so it
+// counts the same integers the ledger debits; only the charge that
+// exhausts the ledger, which saturates at zero, is recorded here in
+// full but debited there in part. It is monotone by
+// construction — an odometer never rolls back, even when the budget
+// it mirrors is replenished (replenish events are counted
+// separately). It is the operator-facing dual of the budget ledger:
+// the ledger says what may still be spent, the odometer proves what
+// was spent. Printers convert units to nats.
 type Odometer struct {
-	channels []atomic.Int64 // spent µnats per channel
+	channels []atomic.Int64 // spent units per channel
 	total    atomic.Int64
 	charges  atomic.Uint64
 	repl     atomic.Uint64
 	burn     atomic.Pointer[BurnAlerter] // optional burn-rate sink
 }
 
-// MicroNats converts nats to the odometer's integer resolution.
-func MicroNats(nats float64) int64 { return int64(math.Round(nats / odoUnit)) }
-
-// Charge records a privacy charge of the given size against a channel
-// (clamped into the registered channel range).
-func (o *Odometer) Charge(ch int, nats float64) {
+// Charge records a privacy charge of the given size, in charge units,
+// against a channel (clamped into the registered channel range).
+func (o *Odometer) Charge(ch int, units int64) {
 	if ch < 0 {
 		ch = 0
 	}
 	if ch >= len(o.channels) {
 		ch = len(o.channels) - 1
 	}
-	u := MicroNats(nats)
-	o.channels[ch].Add(u)
-	t := o.total.Add(u)
+	o.channels[ch].Add(units)
+	t := o.total.Add(units)
 	o.charges.Add(1)
 	if ba := o.burn.Load(); ba != nil {
-		ba.observe(u, t)
+		ba.observe(units, t)
 	}
 }
 
@@ -157,25 +151,17 @@ func (o *Odometer) Replenish() { o.repl.Add(1) }
 // Channels returns the registered channel count.
 func (o *Odometer) Channels() int { return len(o.channels) }
 
-// SpentMicro returns a channel's cumulative spend in micronats.
-func (o *Odometer) SpentMicro(ch int) int64 {
+// SpentUnits returns a channel's cumulative spend in charge units.
+func (o *Odometer) SpentUnits(ch int) int64 {
 	if ch < 0 || ch >= len(o.channels) {
 		return 0
 	}
 	return o.channels[ch].Load()
 }
 
-// SpentNats returns a channel's cumulative spend in nats.
-func (o *Odometer) SpentNats(ch int) float64 {
-	return float64(o.SpentMicro(ch)) * odoUnit
-}
-
-// TotalMicro returns the cumulative spend across all channels in
-// micronats.
-func (o *Odometer) TotalMicro() int64 { return o.total.Load() }
-
-// TotalNats returns the cumulative spend across all channels in nats.
-func (o *Odometer) TotalNats() float64 { return float64(o.total.Load()) * odoUnit }
+// TotalUnits returns the cumulative spend across all channels in
+// charge units.
+func (o *Odometer) TotalUnits() int64 { return o.total.Load() }
 
 // Charges returns the number of charge events recorded.
 func (o *Odometer) Charges() uint64 { return o.charges.Load() }
@@ -185,15 +171,14 @@ func (o *Odometer) Replenishes() uint64 { return o.repl.Load() }
 
 func (o *Odometer) snapshot() OdometerSnapshot {
 	s := OdometerSnapshot{
-		ChannelMicroNats: make([]int64, len(o.channels)),
-		TotalMicroNats:   o.total.Load(),
-		Charges:          o.charges.Load(),
-		Replenishes:      o.repl.Load(),
+		ChannelUnits: make([]int64, len(o.channels)),
+		TotalUnits:   o.total.Load(),
+		Charges:      o.charges.Load(),
+		Replenishes:  o.repl.Load(),
 	}
 	for i := range o.channels {
-		s.ChannelMicroNats[i] = o.channels[i].Load()
+		s.ChannelUnits[i] = o.channels[i].Load()
 	}
-	s.TotalNats = float64(s.TotalMicroNats) * odoUnit
 	return s
 }
 
@@ -435,12 +420,10 @@ func (s HistogramSnapshot) bucketEdges(i int) (lo, hi float64) {
 
 // OdometerSnapshot is one odometer's frozen state.
 type OdometerSnapshot struct {
-	// ChannelMicroNats is the cumulative spend per channel, µnats.
-	ChannelMicroNats []int64 `json:"channel_micro_nats"`
-	// TotalMicroNats is the cumulative spend across channels, µnats.
-	TotalMicroNats int64 `json:"total_micro_nats"`
-	// TotalNats is TotalMicroNats in nats, for human eyes.
-	TotalNats float64 `json:"total_nats"`
+	// ChannelUnits is the cumulative spend per channel, charge units.
+	ChannelUnits []int64 `json:"channel_units"`
+	// TotalUnits is the cumulative spend across channels, charge units.
+	TotalUnits int64 `json:"total_units"`
 	// Charges counts charge events.
 	Charges uint64 `json:"charges"`
 	// Replenishes counts budget refill events.

@@ -29,7 +29,7 @@ func TestConcurrentInstruments(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(int64(i % 10))
-				o.Charge(w%4, 0.0625)
+				o.Charge(w%4, 1)
 				// Concurrent re-registration must return the same
 				// instruments, not fresh ones.
 				if r.Counter("c") != c || r.Odometer("o", 4) != o {
@@ -53,9 +53,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if o.Charges() != workers*iters {
 		t.Fatalf("odometer charges %d, want %d", o.Charges(), workers*iters)
 	}
-	wantMicro := int64(workers * iters * 62500)
-	if o.TotalMicro() != wantMicro {
-		t.Fatalf("odometer total %d µnat, want %d", o.TotalMicro(), wantMicro)
+	if want := int64(workers * iters); o.TotalUnits() != want {
+		t.Fatalf("odometer total %d units, want %d", o.TotalUnits(), want)
 	}
 }
 
@@ -79,32 +78,23 @@ func TestHistogramBuckets(t *testing.T) {
 func TestOdometerMonotoneAndClamped(t *testing.T) {
 	r := NewRegistry()
 	o := r.Odometer("odo", 2)
-	o.Charge(0, 0.5)
-	o.Charge(1, 0.25)
-	o.Charge(-3, 0.125) // clamps to channel 0
-	o.Charge(99, 0.125) // clamps to channel 1
+	o.Charge(0, 8)
+	o.Charge(1, 4)
+	o.Charge(-3, 2) // clamps to channel 0
+	o.Charge(99, 2) // clamps to channel 1
 	o.Replenish()
-	if got := o.SpentMicro(0); got != 625000 {
-		t.Fatalf("channel 0: %d µnat", got)
+	if got := o.SpentUnits(0); got != 10 {
+		t.Fatalf("channel 0: %d units", got)
 	}
-	if got := o.SpentMicro(1); got != 375000 {
-		t.Fatalf("channel 1: %d µnat", got)
-	}
-	if o.TotalNats() != 1.0 {
-		t.Fatalf("total %g nats", o.TotalNats())
+	if got := o.SpentUnits(1); got != 6 {
+		t.Fatalf("channel 1: %d units", got)
 	}
 	if o.Replenishes() != 1 {
 		t.Fatalf("replenishes %d", o.Replenishes())
 	}
 	// A replenish never shrinks the odometer.
-	if o.TotalMicro() != 1000000 {
-		t.Fatalf("replenish rolled back the odometer: %d", o.TotalMicro())
-	}
-	// Sixteenth-nat hardware charge units are exact in micronats.
-	for u := 1; u <= 32; u++ {
-		if MicroNats(float64(u)/16)%62500 != 0 {
-			t.Fatalf("charge unit %d not exact in µnat", u)
-		}
+	if o.TotalUnits() != 16 {
+		t.Fatalf("replenish rolled back the odometer: %d", o.TotalUnits())
 	}
 }
 
@@ -135,7 +125,7 @@ func TestNamesSortedAndSnapshotJSON(t *testing.T) {
 	r.Counter("b.count")
 	r.Gauge("a.gauge")
 	r.Histogram("c.hist", []int64{1})
-	r.Odometer("d.odo", 1).Charge(0, 0.5)
+	r.Odometer("d.odo", 1).Charge(0, 8)
 
 	want := []string{"a.gauge", "b.count", "c.hist", "d.odo"}
 	if got := r.Names(); !reflect.DeepEqual(got, want) {
@@ -150,7 +140,7 @@ func TestNamesSortedAndSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v\n%s", err, raw)
 	}
-	if back.Odometers["d.odo"].TotalMicroNats != 500000 {
+	if back.Odometers["d.odo"].TotalUnits != 8 {
 		t.Fatalf("odometer lost in JSON: %s", raw)
 	}
 	// Marshalling twice yields identical bytes (sorted map keys), the

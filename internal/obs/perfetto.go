@@ -102,9 +102,9 @@ func PerfettoJSON(fs *FlightSnapshot, burn *BurnSnapshot) ([]byte, error) {
 			Name: "burn.alert", Cat: "privacy", Ph: "i",
 			Pid: perfettoPid, Tid: -1, S: "g",
 			Args: map[string]any{
-				"spent_micro_nats": burn.TrippedAtMicroNats,
-				"fast_burn_milli":  burn.FastBurnMilli,
-				"slow_burn_milli":  burn.SlowBurnMilli,
+				"spent_units":     burn.TrippedAtUnits,
+				"fast_burn_milli": burn.FastBurnMilli,
+				"slow_burn_milli": burn.SlowBurnMilli,
 			},
 		})
 	}

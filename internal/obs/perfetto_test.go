@@ -25,7 +25,7 @@ func TestPerfettoJSONShape(t *testing.T) {
 			recordChain(fr, n, s, int(n))
 		}
 	}
-	burn := &BurnSnapshot{Tripped: true, Alerts: 1, TrippedAtMicroNats: 123, FastBurnMilli: 5000, SlowBurnMilli: 2500}
+	burn := &BurnSnapshot{Tripped: true, Alerts: 1, TrippedAtUnits: 123, FastBurnMilli: 5000, SlowBurnMilli: 2500}
 	data, err := PerfettoJSON(fr.Snapshot(), burn)
 	if err != nil {
 		t.Fatal(err)

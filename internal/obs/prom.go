@@ -73,19 +73,19 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 	for _, name := range sortedKeys(s.Odometers) {
 		o := s.Odometers[name]
 		n := promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s_micro_nats counter\n", n); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s_units counter\n", n); err != nil {
 			return err
 		}
-		for ch, spent := range o.ChannelMicroNats {
-			if _, err := fmt.Fprintf(w, "%s_micro_nats{channel=\"%d\"} %d\n", n, ch, spent); err != nil {
+		for ch, spent := range o.ChannelUnits {
+			if _, err := fmt.Fprintf(w, "%s_units{channel=\"%d\"} %d\n", n, ch, spent); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w,
-			"# TYPE %s_total_micro_nats counter\n%s_total_micro_nats %d\n"+
+			"# TYPE %s_total_units counter\n%s_total_units %d\n"+
 				"# TYPE %s_charges counter\n%s_charges %d\n"+
 				"# TYPE %s_replenishes counter\n%s_replenishes %d\n",
-			n, n, o.TotalMicroNats, n, n, o.Charges, n, n, o.Replenishes); err != nil {
+			n, n, o.TotalUnits, n, n, o.Charges, n, n, o.Replenishes); err != nil {
 			return err
 		}
 	}

@@ -14,8 +14,8 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(50)
 	h.Observe(5000) // overflow
 	o := r.Odometer("budget.odometer", 2)
-	o.Charge(0, 0.5)
-	o.Charge(1, 0.25)
+	o.Charge(0, 8)
+	o.Charge(1, 4)
 	o.Replenish()
 
 	var b strings.Builder
@@ -33,9 +33,9 @@ func TestWritePrometheus(t *testing.T) {
 		"node_report_latency_us_bucket{le=\"+Inf\"} 3\n",
 		"node_report_latency_us_sum 5055\n",
 		"node_report_latency_us_count 3\n",
-		"budget_odometer_micro_nats{channel=\"0\"} 500000\n",
-		"budget_odometer_micro_nats{channel=\"1\"} 250000\n",
-		"budget_odometer_total_micro_nats 750000\n",
+		"budget_odometer_units{channel=\"0\"} 8\n",
+		"budget_odometer_units{channel=\"1\"} 4\n",
+		"budget_odometer_total_units 12\n",
 		"budget_odometer_charges 2\n",
 		"budget_odometer_replenishes 1\n",
 	} {
