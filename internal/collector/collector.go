@@ -103,8 +103,8 @@ type Config struct {
 	// 4096; only meaningful with a durable Store attached via
 	// NewDurable or Recover).
 	CompactEvery int
-	// Obs is an optional telemetry plane. Nil costs one nil check per
-	// event.
+	// Obs is an optional telemetry plane. Nil detaches it: every
+	// instrument call is then a nil-receiver no-op.
 	Obs *Metrics
 	// Clock times the idle ticks (nil = wall time). On a virtual clock
 	// the ticker and each shard reactor are participants: counted
@@ -422,6 +422,9 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 4096
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = &noMetrics
+	}
 	c := &Collector{
 		cfg:    cfg,
 		clk:    simclock.Or(cfg.Clock),
@@ -486,10 +489,8 @@ func Recover(cfg Config, store *Store) (*Collector, error) {
 		}
 	}
 	c := build(cfg, store, rec)
-	if m := cfg.Obs; m != nil {
-		m.RecoverShards.Add(uint64(store.Shards()))
-		m.RecoverReplayed.Add(uint64(replayed))
-	}
+	c.cfg.Obs.RecoverShards.Add(uint64(store.Shards()))
+	c.cfg.Obs.RecoverReplayed.Add(uint64(replayed))
 	return c, nil
 }
 
@@ -671,8 +672,8 @@ func (sh *shard) drain() bool {
 	// number of reports this pass pulled off the wire) instead of
 	// being written on every enqueue and dequeue — two contended
 	// atomic writes per report on the old single-queue path.
-	if m := sh.c.cfg.Obs; m != nil && batch > 0 {
-		m.QueueDepth.Set(int64(batch))
+	if batch > 0 {
+		sh.c.cfg.Obs.QueueDepth.Set(int64(batch))
 	}
 
 	// Batched ACK writeback: every ACK follows its report's recording
@@ -709,9 +710,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 		// duplicates, whose re-ACK costs nothing but would keep nodes
 		// trusting a collector that can no longer keep its promise.
 		sh.stats.FailClosed++
-		if m != nil {
-			m.FailClosed.Inc()
-		}
+		m.FailClosed.Inc()
 		return
 	}
 	ns.sawReport = true
@@ -721,9 +720,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 		// Cooling off: traffic is discarded unACKed; the node's
 		// retries will land once the breaker half-opens.
 		sh.stats.BreakerDrops++
-		if m != nil {
-			m.BreakerDrops.Inc()
-		}
+		m.BreakerDrops.Inc()
 		return
 	case BreakerHalfOpen:
 		if unhealthy {
@@ -731,10 +728,8 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 			ns.breaker = BreakerOpen
 			ns.openLeft = sh.c.cfg.OpenTicks
 			sh.stats.BreakerDrops++
-			if m != nil {
-				m.BreakerDrops.Inc()
-				m.transition(BreakerHalfOpen, BreakerOpen)
-			}
+			m.BreakerDrops.Inc()
+			m.transition(BreakerHalfOpen, BreakerOpen)
 			return
 		}
 		ns.breaker = BreakerClosed
@@ -747,10 +742,8 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 				ns.breaker = BreakerOpen
 				ns.openLeft = sh.c.cfg.OpenTicks
 				sh.stats.BreakerDrops++
-				if m != nil {
-					m.BreakerDrops.Inc()
-					m.transition(BreakerClosed, BreakerOpen)
-				}
+				m.BreakerDrops.Inc()
+				m.transition(BreakerClosed, BreakerOpen)
 				return
 			}
 		} else {
@@ -760,15 +753,11 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 
 	if ns.store.has(pkt.Seq) {
 		sh.stats.Duplicates++
-		if m != nil {
-			m.Duplicates.Inc()
-		}
+		m.Duplicates.Inc()
 	} else {
 		// The shard has decided to admit: stamp before the durable
 		// append so the admit→checkpoint transition is attributable.
-		if m != nil {
-			m.Flight.Record(int64(id), pkt.Seq, obs.StageAdmit)
-		}
+		m.Flight.Record(int64(id), pkt.Seq, obs.StageAdmit)
 		if sh.j != nil {
 			var aflags uint16
 			if pkt.Flags&transport.FlagFromCache != 0 {
@@ -779,22 +768,16 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 				// rolls it back — drop unACKed and latch fail-closed.
 				sh.dead = true
 				sh.stats.FailClosed++
-				if m != nil {
-					m.FailClosed.Inc()
-				}
+				m.FailClosed.Inc()
 				return
 			}
 			sh.sinceCompact++
-			if m != nil {
-				m.CheckpointBytes.Add(2 * admissionWords)
-				m.Flight.Record(int64(id), pkt.Seq, obs.StageCheckpoint)
-			}
+			m.CheckpointBytes.Add(2 * admissionWords)
+			m.Flight.Record(int64(id), pkt.Seq, obs.StageCheckpoint)
 		}
 		ns.store.put(pkt.Seq, pkt.Value)
 		sh.stats.Accepted++
-		if m != nil {
-			m.Accepted.Inc()
-		}
+		m.Accepted.Inc()
 	}
 	ns.ack(pkt.Seq, pkt.Flags&transport.FlagFromCache != 0)
 	// Compact only after the last-ACK cache absorbed this admission,
@@ -820,10 +803,8 @@ func (sh *shard) compactLocked() {
 		return
 	}
 	sh.sinceCompact = 0
-	if m := sh.c.cfg.Obs; m != nil {
-		m.Compactions.Inc()
-		m.CheckpointBytes.Add(uint64(2 * sh.j.bankLen()))
-	}
+	sh.c.cfg.Obs.Compactions.Inc()
+	sh.c.cfg.Obs.CheckpointBytes.Add(uint64(2 * sh.j.bankLen()))
 }
 
 // idleTick runs one idle tick on this shard alone.
@@ -852,9 +833,7 @@ func (sh *shard) countSilence(silent []*transport.Endpoint) []*transport.Endpoin
 		}
 		silent = append(silent, ns.end)
 		sh.stats.Timeouts++
-		if m != nil {
-			m.Timeouts.Inc()
-		}
+		m.Timeouts.Inc()
 		switch ns.breaker {
 		case BreakerClosed:
 			ns.consecFail++

@@ -38,10 +38,14 @@ type Metrics struct {
 	QueueDepth *obs.Gauge
 
 	// Flight, when non-nil, receives shard-admit and checkpoint-commit
-	// span stamps keyed by (node, seq). Wired by the fleet; nil keeps
-	// every stamp a single nil check.
+	// span stamps keyed by (node, seq). Wired by the fleet; a nil
+	// recorder ignores the stamps.
 	Flight *obs.FlightRecorder
 }
+
+// noMetrics is the detached plane a collector built without Obs
+// holds: every instrument is nil, so every hook is a no-op.
+var noMetrics Metrics
 
 // NewMetrics registers (or re-binds) the collector metric schema.
 func NewMetrics(r *obs.Registry) *Metrics {
@@ -68,9 +72,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 
 // transition records one breaker state change on the plane.
 func (m *Metrics) transition(from, to BreakerState) {
-	if m == nil {
-		return
-	}
 	switch {
 	case from == BreakerClosed && to == BreakerOpen:
 		m.Opened.Inc()

@@ -41,7 +41,7 @@ func NewBank(cfg Config, n int, seed uint64) (*Bank, error) {
 	if cfg.Faults != nil {
 		return nil, fmt.Errorf("dpbox: bank channels must not share a fault plane; inject per channel")
 	}
-	bank := &Bank{ledger: &budgetLedger{j: cfg.Journal, obs: cfg.Obs}}
+	bank := &Bank{ledger: &budgetLedger{j: cfg.Journal}}
 	for i := 0; i < n; i++ {
 		ci := cfg
 		ci.Source = urng.NewTaus88(seed + uint64(i)*0x9E3779B9 + 1)
@@ -52,7 +52,9 @@ func NewBank(cfg Config, n int, seed uint64) (*Bank, error) {
 		if err != nil {
 			return nil, err
 		}
-		box.ledger = bank.ledger
+		// The shared ledger reports to the plane every channel booted
+		// with: cfg.Obs as boot defaulted it.
+		box.ledger, bank.ledger.obs = bank.ledger, box.obs
 		box.ownTimer = false // the Bank's clock drives the timer
 		bank.boxes = append(bank.boxes, box)
 	}

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ulpdp/internal/budget"
 	"ulpdp/internal/core"
@@ -209,7 +211,12 @@ func TestQuickCertifiedThresholdsAlwaysHold(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+	// Fresh configurations every run, since the closed forms still
+	// accept a few uncertified ones; the logged seed replays a failing
+	// run.
+	seed := time.Now().UnixNano()
+	t.Logf("quick seed %d", seed)
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -175,8 +175,9 @@ type Config struct {
 	// minimum 1024).
 	HealthWords int
 	// Obs is an optional telemetry plane (counters, histograms, the
-	// privacy odometer, the flight recorder). Nil costs one nil check per
-	// hook site and zero allocations on the noising hot path.
+	// privacy odometer, the flight recorder). Nil detaches it: every
+	// instrument call is then a nil-receiver no-op, and the noising hot
+	// path allocates nothing.
 	Obs *Metrics
 	// ObsChannel labels this box's telemetry: it indexes the privacy
 	// odometer and keys flight spans (a Bank channel index or a fleet
@@ -325,14 +326,18 @@ func (b *DPBox) boot(cfg Config, releases map[uint64]Release) error {
 		cfg.Source = fp.WrapSource(cfg.Source)
 	}
 	if m := cfg.Obs; m != nil {
-		// Telemetry counting wrappers sit outside the fault wrappers,
-		// so they count logical datapath activations regardless of
-		// injected faults. Built once here; nil Obs never sees them.
+		// The one telemetry guard that skips real work: counting
+		// wrappers cost an interface hop per draw, so they are built
+		// only for a caller-attached plane, before Obs is defaulted
+		// below. They sit outside the fault wrappers, so they count
+		// logical datapath activations regardless of injected faults.
 		if cfg.Log == nil {
 			cfg.Log = cordic.Default()
 		}
 		cfg.Log = countingLog{log: cfg.Log, c: m.LogEvals}
 		cfg.Source = countingSource{src: cfg.Source, c: m.URNGDraws}
+	} else {
+		cfg.Obs = &noMetrics
 	}
 	*b = DPBox{cfg: cfg, fp: cfg.Faults, phase: PhaseInit, thOverride: -1, dirty: true,
 		plan: &underived, ownLedger: budgetLedger{j: cfg.Journal, obs: cfg.Obs}, ownTimer: true,
@@ -384,7 +389,7 @@ type budgetLedger struct {
 	since          uint64
 	locked         bool
 	j              *Journal // nil = volatile ledger (no crash consistency)
-	obs            *Metrics // nil = telemetry disabled
+	obs            *Metrics // never nil; detached = noMetrics
 }
 
 // tick advances the replenishment timer by one cycle. False means the
@@ -403,12 +408,10 @@ func (l *budgetLedger) tick() bool {
 		}
 		l.since = 0
 		l.units = l.initial
-		if m := l.obs; m != nil {
-			m.Replenishes.Inc()
-			m.Odometer.Replenish()
-			if l.j != nil {
-				m.JournalReplenishes.Inc()
-			}
+		l.obs.Replenishes.Inc()
+		l.obs.Odometer.Replenish()
+		if l.j != nil {
+			l.obs.JournalReplenishes.Inc()
 		}
 	}
 	return true
@@ -628,12 +631,10 @@ func (b *DPBox) healthGate() bool {
 		b.healthAt = b.cycles
 		b.healthRes = res
 		b.healthy = err == nil && urng.Passed(res)
-		if m := b.obs; m != nil {
-			m.BatteryRuns.Inc()
-			m.BatteryWorstZ.Set(worstZ(res))
-			if !b.healthy {
-				m.BatteryFails.Inc()
-			}
+		b.obs.BatteryRuns.Inc()
+		b.obs.BatteryWorstZ.Set(worstZ(res))
+		if !b.healthy {
+			b.obs.BatteryFails.Inc()
 		}
 	}
 	return b.healthy
@@ -744,9 +745,7 @@ func (b *DPBox) powerFail() {
 	if b.ledger.j != nil {
 		b.ledger.j.Kill()
 	}
-	if m := b.obs; m != nil {
-		m.PowerLosses.Inc()
-	}
+	b.obs.PowerLosses.Inc()
 }
 
 // noisingCycle performs one cycle of the noising phase: one guard
@@ -772,17 +771,13 @@ func (b *DPBox) noisingCycle() {
 	switch s.Decision {
 	case core.StepRedraw, core.StepDegrade, core.StepWithhold:
 		b.resamples++
-		if m := b.obs; m != nil {
-			m.Resamples.Inc()
-		}
+		b.obs.Resamples.Inc()
 		if s.Decision == core.StepRedraw {
 			return // next cycle draws a fresh sample
 		}
 		// The watchdog tripped: the RNG is suspect.
 		b.degraded = true
-		if m := b.obs; m != nil {
-			m.Degraded.Inc()
-		}
+		b.obs.Degraded.Inc()
 		if s.Decision == core.StepWithhold {
 			b.replayCache()
 			return
@@ -833,9 +828,7 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 			return
 		}
 		b.recordRelease(b.armedSeq, rel)
-		if m := b.obs; m != nil {
-			m.Flight.Record(int64(b.obsCh), b.armedSeq, obs.StageJournal)
-		}
+		b.obs.Flight.Record(int64(b.obsCh), b.armedSeq, obs.StageJournal)
 		b.seqArmed = false
 		if !fromCache {
 			b.cache = y
@@ -857,16 +850,15 @@ func (b *DPBox) finish(y, chargeU int64, fromCache bool) {
 	b.out = y
 	b.ready = true
 	b.phase = PhaseWaiting
-	if m := b.obs; m != nil {
-		m.Transactions.Inc()
-		m.ResamplesPerTxn.Observe(int64(b.resamples))
-		if fromCache {
-			m.CacheReplays.Inc()
-		} else {
-			m.ChargeUnits.Observe(chargeU)
-			m.ChargeBands.Observe(b.lastBand)
-			m.Odometer.Charge(b.obsCh, chargeU)
-		}
+	m := b.obs
+	m.Transactions.Inc()
+	m.ResamplesPerTxn.Observe(int64(b.resamples))
+	if fromCache {
+		m.CacheReplays.Inc()
+	} else {
+		m.ChargeUnits.Observe(chargeU)
+		m.ChargeBands.Observe(b.lastBand)
+		m.Odometer.Charge(b.obsCh, chargeU)
 	}
 }
 
@@ -959,10 +951,8 @@ func (b *DPBox) NoiseValue(x int64) (NoiseResult, error) {
 // privacy-free: the wire never carries two noisings of one reading.
 func (b *DPBox) NoiseValueSeq(seq uint64, x int64) (NoiseResult, error) {
 	if rel, ok := b.releases[seq]; ok {
-		if m := b.obs; m != nil {
-			m.SeqReplays.Inc()
-			m.Flight.Record(int64(b.obsCh), seq, obs.StageReplayed)
-		}
+		b.obs.SeqReplays.Inc()
+		b.obs.Flight.Record(int64(b.obsCh), seq, obs.StageReplayed)
 		return NoiseResult{
 			Value:     rel.Value,
 			Charged:   0,

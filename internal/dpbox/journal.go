@@ -223,12 +223,9 @@ func (j *Journal) appendCheckpoint(units int64) bool {
 }
 
 // bindObs routes the engine's per-transaction telemetry (journal
-// intent/commit counters) into the box metrics; nil m detaches.
+// intent/commit counters) into the box metrics; a detached plane's nil
+// counters detach them.
 func (j *Journal) bindObs(m *Metrics) {
-	if m == nil {
-		j.r.BindCounters(nil, nil)
-		return
-	}
 	j.r.BindCounters(m.JournalIntents, m.JournalCommits)
 }
 
@@ -501,8 +498,6 @@ func (b *DPBox) reboot(cfg Config, j *Journal) error {
 		b.maxRelSeq = max(b.maxRelSeq, seq)
 	}
 	b.phase = PhaseWaiting
-	if m := b.obs; m != nil {
-		m.JournalRecovers.Inc()
-	}
+	b.obs.JournalRecovers.Inc()
 	return nil
 }

@@ -8,9 +8,10 @@ import (
 
 // Metrics is the DP-Box's slice of the telemetry plane: every
 // instrument the module and its budget ledger touch, pre-registered so
-// hook sites are single atomic operations. A nil *Metrics disables the
-// plane at the cost of one nil check per hook site and zero
-// allocations (gated by BenchmarkDPBoxObsDisabled).
+// hook sites are single atomic operations. A box booted with a nil
+// *Metrics holds noMetrics instead, whose nil instruments make every
+// hook a no-op at zero allocations (gated by
+// BenchmarkDPBoxObsDisabled).
 //
 // One Metrics may be shared by many boxes — a Bank's channels or a
 // fleet's nodes — distinguished by Config.ObsChannel, which indexes
@@ -51,10 +52,13 @@ type Metrics struct {
 
 	// Flight, when non-nil, receives per-report span stamps (journal
 	// commit, replay) keyed by (ObsChannel, seq). It is wired by the
-	// fleet, not registered here: a nil recorder keeps every stamp a
-	// single nil check.
+	// fleet, not registered here; a nil recorder ignores the stamps.
 	Flight *obs.FlightRecorder
 }
+
+// noMetrics is the detached plane a box booted without Obs holds:
+// every instrument is nil, so every hook is a no-op.
+var noMetrics Metrics
 
 // NewMetrics registers (or re-binds, idempotently) the DP-Box metric
 // schema on a registry. channels sizes the privacy odometer — one

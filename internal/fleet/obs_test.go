@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
 	"reflect"
+	"sort"
 	"testing"
 
 	"ulpdp/internal/core"
@@ -190,4 +193,96 @@ func TestFleetChaosOdometer(t *testing.T) {
 	if got := res.Obs.Counters["node.resumes"]; res.Obs.Counters["node.abandoned"] > 0 && got == 0 {
 		t.Error("reports were abandoned but node.resumes is 0")
 	}
+}
+
+// TestFleetTelemetryFingerprint pins telemetry values, not just names:
+// one FNV-1a hash per run shape over every counter, gauge, histogram
+// and odometer of a same-seed fleet with the registry and a flight
+// recorder attached. Only node.report_latency_us is left out: it
+// measures wall time. Workers is pinned for the reason
+// TestFleetRunGolden gives.
+func TestFleetTelemetryFingerprint(t *testing.T) {
+	chaos := fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"lossless", Config{Nodes: 64, Reports: 8}, 0xf8dcb5b45a2f493b},
+		{"chaos", Config{Nodes: 64, Reports: 8, Link: chaos}, 0x54a7f78e9a31a0a4},
+		{"durable-nodecrash", Config{Nodes: 64, Reports: 8, Durable: true, CrashEvery: 3}, 0x4c02809b45c354d},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Seed, c.cfg.Workers = 1, 16
+			c.cfg.Obs = obs.NewRegistry()
+			c.cfg.Flight = obs.NewFlightRecorder(2 * c.cfg.Nodes * c.cfg.Reports)
+			res, err := Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) != 0 {
+				t.Fatalf("violations: %v", head(res.Violations, 5))
+			}
+			if got := telemetryFingerprint(*res.Obs); got != c.want {
+				raw, _ := json.Marshal(res.Obs)
+				t.Errorf("fingerprint %#x, want %#x; snapshot %s", got, c.want, raw)
+			}
+		})
+	}
+}
+
+// telemetryFingerprint hashes a snapshot in sorted name order, minus
+// the wall-clock latency histogram.
+func telemetryFingerprint(s obs.Snapshot) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	name := func(n string) { h.Write([]byte(n)); put(0) }
+	for _, n := range sortedKeys(s.Counters) {
+		name(n)
+		put(s.Counters[n])
+	}
+	for _, n := range sortedKeys(s.Gauges) {
+		name(n)
+		put(uint64(s.Gauges[n]))
+	}
+	for _, n := range sortedKeys(s.Histograms) {
+		if n == "node.report_latency_us" {
+			continue
+		}
+		hs := s.Histograms[n]
+		name(n)
+		for _, b := range hs.Bounds {
+			put(uint64(b))
+		}
+		for _, c := range hs.Counts {
+			put(c)
+		}
+		put(hs.Count)
+		put(uint64(hs.Sum))
+	}
+	for _, n := range sortedKeys(s.Odometers) {
+		o := s.Odometers[n]
+		name(n)
+		for _, u := range o.ChannelUnits {
+			put(uint64(u))
+		}
+		put(uint64(o.TotalUnits))
+		put(o.Charges)
+		put(o.Replenishes)
+	}
+	return h.Sum64()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

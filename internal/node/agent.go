@@ -44,7 +44,8 @@ type AgentConfig struct {
 	// JitterSeed seeds the deterministic backoff jitter.
 	JitterSeed uint64
 	// Obs is an optional telemetry plane, usually shared across every
-	// agent of a fleet. Nil costs one nil check per report.
+	// agent of a fleet. Nil detaches it: every instrument call is then
+	// a nil-receiver no-op.
 	Obs *Metrics
 }
 
@@ -89,10 +90,8 @@ type ReportAgent struct {
 	cfg AgentConfig
 	clk simclock.Clock
 
-	next      uint64
-	jitter    uint64
-	lastAcked uint64
-	anyAcked  bool
+	next   uint64
+	jitter uint64
 }
 
 // NewReportAgent wires an agent to its DP-Box and link endpoint. The
@@ -118,6 +117,9 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = uint64(cfg.ID)*0x9E3779B97F4A7C15 + 1
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = &noMetrics
+	}
 	a := &ReportAgent{end: end, cfg: cfg, clk: end.Clock()}
 	a.Rebind(box)
 	return a
@@ -126,14 +128,12 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 // Rebind points the agent at box — typically the node's box after a
 // crash recovery — and leaves it exactly as NewReportAgent would build
 // it on the same endpoint and config: the jitter stream restarts at
-// JitterSeed, the ACK memory is cleared, and the next sequence number
-// resumes from box's journal. A crash therefore costs the agent no
-// allocation.
+// JitterSeed and the next sequence number resumes from box's journal.
+// A crash therefore costs the agent no allocation.
 func (a *ReportAgent) Rebind(box *dpbox.DPBox) {
 	a.box = box
 	a.next = box.NextSeq()
 	a.jitter = a.cfg.JitterSeed
-	a.lastAcked, a.anyAcked = 0, false
 }
 
 // NextSeq returns the sequence number the next Report will use.
@@ -164,24 +164,24 @@ func (a *ReportAgent) backoff(k int) time.Duration {
 // already durable; Resume (or a fresh agent on the recovered box)
 // retransmits the identical value later.
 func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error) {
-	seq := a.next
+	seq, m := a.next, a.cfg.Obs
+	// The wall clock is read for the latency histogram alone: skip it
+	// when none is attached.
 	var noisedAt time.Time
-	if m := a.cfg.Obs; m != nil {
+	if m.LatencyUs != nil {
 		noisedAt = time.Now()
-		// The span opens before the noising transaction so the journal
-		// commit inside it lands after the noised stamp.
-		m.Flight.Record(int64(a.cfg.ID), seq, obs.StageNoised)
 	}
+	// The span opens before the noising transaction so the journal
+	// commit inside it lands after the noised stamp.
+	m.Flight.Record(int64(a.cfg.ID), seq, obs.StageNoised)
 	res, err := a.box.NoiseValueSeq(seq, x)
 	if err != nil {
 		return ReportOutcome{Seq: seq}, fmt.Errorf("node: noising seq %d: %w", seq, err)
 	}
 	a.next = seq + 1
-	if m := a.cfg.Obs; m != nil {
-		m.Reports.Inc()
-		if res.Degraded {
-			m.Flight.Record(int64(a.cfg.ID), seq, obs.StageDegraded)
-		}
+	m.Reports.Inc()
+	if res.Degraded {
+		m.Flight.Record(int64(a.cfg.ID), seq, obs.StageDegraded)
 	}
 
 	out := ReportOutcome{
@@ -197,7 +197,7 @@ func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error
 	// it re-deliverable through Resume once the collector is back.
 	attempts, err := a.deliver(ctx, a.packet(seq, res.Value, res.Degraded, res.FromCache), a.cfg.MaxTotalAttempts)
 	out.Attempts = attempts
-	if m := a.cfg.Obs; m != nil && err == nil {
+	if err == nil && m.LatencyUs != nil {
 		// The (node, seq) span closes: noise drawn → ACK recorded.
 		m.LatencyUs.Observe(time.Since(noisedAt).Microseconds())
 	}
@@ -221,9 +221,7 @@ func (a *ReportAgent) Resume(ctx context.Context) error {
 	if !ok {
 		return fmt.Errorf("node: no journaled release for seq %d", seq)
 	}
-	if m := a.cfg.Obs; m != nil {
-		m.Resumes.Inc()
-	}
+	a.cfg.Obs.Resumes.Inc()
 	_, err := a.deliver(ctx, a.packet(seq, rel.Value, rel.Degraded, rel.FromCache), a.cfg.MaxAttempts)
 	return err
 }
@@ -252,16 +250,15 @@ func (a *ReportAgent) packet(seq uint64, value int64, degraded, fromCache bool) 
 // arrives, the attempt budget runs out, or the context expires.
 func (a *ReportAgent) deliver(ctx context.Context, pkt transport.Packet, budget int) (int, error) {
 	attempts, err := a.deliverLoop(ctx, pkt, budget)
-	if m := a.cfg.Obs; m != nil {
-		if attempts > 1 {
-			m.Retransmits.Add(uint64(attempts - 1))
-		}
-		if err != nil {
-			m.Abandoned.Inc()
-			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAbandoned)
-		} else {
-			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAck)
-		}
+	m := a.cfg.Obs
+	if attempts > 1 {
+		m.Retransmits.Add(uint64(attempts - 1))
+	}
+	if err != nil {
+		m.Abandoned.Inc()
+		m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAbandoned)
+	} else {
+		m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAck)
 	}
 	return attempts, err
 }
@@ -273,18 +270,14 @@ func (a *ReportAgent) deliverLoop(ctx context.Context, pkt transport.Packet, bud
 		if err := ctx.Err(); err != nil {
 			return attempt - 1, fmt.Errorf("node: delivering seq %d: %w", pkt.Seq, err)
 		}
-		if m := a.cfg.Obs; m != nil {
-			m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageTx)
-		}
+		a.cfg.Obs.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageTx)
 		a.end.Send(pkt)
 		if a.awaitAck(ctx, pkt.Seq) {
 			return attempt, nil
 		}
 		if attempt < budget {
 			pause := a.backoff(attempt)
-			if m := a.cfg.Obs; m != nil {
-				m.BackoffNs.Add(uint64(pause))
-			}
+			a.cfg.Obs.BackoffNs.Add(uint64(pause))
 			if !a.sleep(ctx, pause) {
 				return attempt, fmt.Errorf("node: delivering seq %d: %w", pkt.Seq, ctx.Err())
 			}
@@ -332,17 +325,10 @@ func (a *ReportAgent) ackQueued(seq uint64) bool {
 	}
 }
 
-// absorb notes a received frame and reports whether it ACKs seq:
-// stale ACKs only advance lastAcked, stray frames are ignored.
+// absorb reports whether a received frame ACKs seq; stale ACKs and
+// stray frames are dropped.
 func (a *ReportAgent) absorb(ack transport.Packet, seq uint64) bool {
-	if ack.Kind != transport.KindAck || ack.Node != a.cfg.ID {
-		return false
-	}
-	if !a.anyAcked || ack.Seq > a.lastAcked {
-		a.anyAcked = true
-		a.lastAcked = ack.Seq
-	}
-	return ack.Seq == seq
+	return ack.Kind == transport.KindAck && ack.Node == a.cfg.ID && ack.Seq == seq
 }
 
 // sleep pauses for d unless the context expires first; it reports

@@ -309,7 +309,7 @@ func TestReportAgentContextDeadline(t *testing.T) {
 // that has backed off, taken ACKs and advanced its numbering, once
 // rebound to the crash-recovered box, equals a freshly built agent on
 // the same endpoint and config field for field: jitter back at its
-// seed, ACK memory cleared, numbering from the box's journal.
+// seed, numbering from the box's journal.
 func TestRebindMatchesFreshAgent(t *testing.T) {
 	fp := fault.NewPlane()
 	fp.SetPacketFault(func(n uint64, dir uint8, payload []byte) fault.PacketFate {
@@ -323,15 +323,18 @@ func TestRebindMatchesFreshAgent(t *testing.T) {
 
 	colCtx, stopCol := context.WithCancel(context.Background())
 	col := runEchoCollector(colCtx, link.CollectorEnd(), 5)
+	attempts := 0
 	for r := int64(0); r < 3; r++ {
-		if _, err := agent.Report(context.Background(), r); err != nil {
+		out, err := agent.Report(context.Background(), r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		attempts += out.Attempts
 	}
 	stopCol()
 	col.values(colCtx)
-	if !agent.anyAcked || agent.jitter == agent.cfg.JitterSeed {
-		t.Fatalf("agent never acked or backed off: anyAcked %v, jitter at seed %v", agent.anyAcked, agent.jitter == agent.cfg.JitterSeed)
+	if attempts < 4 || agent.jitter == agent.cfg.JitterSeed {
+		t.Fatalf("agent never retransmitted or backed off: %d attempts for 3 ACKed reports, jitter at seed %v", attempts, agent.jitter == agent.cfg.JitterSeed)
 	}
 
 	j.Kill()

@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 
+	"ulpdp/internal/dpbox"
 	"ulpdp/internal/msp430"
 )
 
@@ -36,54 +37,63 @@ func BuildFirmware(base uint16, epsShift int, rangeLo, rangeHi int16) (*msp430.P
 	if base%2 != 0 {
 		return nil, fmt.Errorf("node: unaligned base %#x", base)
 	}
-	cmd := base + RegCmd
-	data := base + RegData
-	out := base + RegOut
-	status := base + RegStatus
-
 	p := msp430.NewProgram(0x4000)
 
-	// configure: write ε and the range registers once.
 	p.Label("configure")
-	p.Mov(msp430.Imm(epsShift), msp430.Abs(data))
-	p.Mov(msp430.Imm(2), msp430.Abs(cmd)) // SetEpsilon
-	p.Mov(msp430.Imm(int(rangeLo)), msp430.Abs(data))
-	p.Mov(msp430.Imm(5), msp430.Abs(cmd)) // SetRangeLower
-	p.Mov(msp430.Imm(int(rangeHi)), msp430.Abs(data))
-	p.Mov(msp430.Imm(4), msp430.Abs(cmd)) // SetRangeUpper
+	emitConfigure(p, base, epsShift, rangeLo, rangeHi)
 	p.Ret()
 
-	// noise: one full transaction. The poll loop is bounded by a
-	// software watchdog in R10: an embedded driver must not hang on a
-	// wedged peripheral, and the fail-closed DP-Box can legitimately
-	// refuse to ever raise ready (dead phase, unhealthy URNG).
 	p.Label("noise")
-	p.Mov(msp430.Abs(AddrX), msp430.Abs(data))
-	p.Mov(msp430.Imm(3), msp430.Abs(cmd)) // SetSensorValue
-	p.Mov(msp430.Imm(1), msp430.Abs(cmd)) // StartNoising
-	p.Clr(msp430.Abs(AddrErr))
-	p.Mov(msp430.Imm(PollBudget), msp430.Reg(10))
-	p.Label("poll")
-	p.Bit(msp430.Imm(StatusReady), msp430.Abs(status))
-	p.Jne("ready")
-	p.Dec(msp430.Reg(10))
-	p.Jne("poll")
-	p.Mov(msp430.Imm(ErrCodePollTimeout), msp430.Abs(AddrErr))
+	emitNoise(p, base, msp430.Abs(AddrX), "poll", "ready")
 	p.Ret()
 	p.Label("ready")
-	p.Mov(msp430.Abs(out), msp430.Abs(AddrOut))
+	p.Mov(msp430.Abs(base+RegOut), msp430.Abs(AddrOut))
 	p.Ret()
 
 	// mode_resample: toggle the guard mode.
 	p.Label("mode_resample")
-	p.Mov(msp430.Imm(-1), msp430.Abs(data))
-	p.Mov(msp430.Imm(6), msp430.Abs(cmd)) // SetThreshold (toggle)
+	p.Mov(msp430.Imm(-1), msp430.Abs(base+RegData))
+	p.Mov(msp430.Imm(int(dpbox.CmdSetThreshold)), msp430.Abs(base+RegCmd))
 	p.Ret()
 
 	if p.Err() != nil {
 		return nil, p.Err()
 	}
 	return p, nil
+}
+
+// emitConfigure writes ε and the sensor range registers of the DP-Box
+// mapped at base.
+func emitConfigure(p *msp430.Program, base uint16, epsShift int, rangeLo, rangeHi int16) {
+	data, cmd := msp430.Abs(base+RegData), msp430.Abs(base+RegCmd)
+	p.Mov(msp430.Imm(epsShift), data)
+	p.Mov(msp430.Imm(int(dpbox.CmdSetEpsilon)), cmd)
+	p.Mov(msp430.Imm(int(rangeLo)), data)
+	p.Mov(msp430.Imm(int(dpbox.CmdSetRangeLower)), cmd)
+	p.Mov(msp430.Imm(int(rangeHi)), data)
+	p.Mov(msp430.Imm(int(dpbox.CmdSetRangeUpper)), cmd)
+}
+
+// emitNoise starts one noising transaction on the word at src and
+// polls STATUS.ready, jumping to the ready label once the output is
+// valid. The poll is bounded by a software watchdog in R10: an
+// embedded driver must not hang on a wedged peripheral, and the
+// fail-closed DP-Box can legitimately refuse to ever raise ready
+// (dead phase, unhealthy URNG). When the budget runs out, the code
+// stores ErrCodePollTimeout at AddrErr and falls through.
+func emitNoise(p *msp430.Program, base uint16, src msp430.Operand, poll, ready string) {
+	cmd := msp430.Abs(base + RegCmd)
+	p.Mov(src, msp430.Abs(base+RegData))
+	p.Mov(msp430.Imm(int(dpbox.CmdSetSensorValue)), cmd)
+	p.Mov(msp430.Imm(int(dpbox.CmdStartNoising)), cmd)
+	p.Clr(msp430.Abs(AddrErr))
+	p.Mov(msp430.Imm(PollBudget), msp430.Reg(10))
+	p.Label(poll)
+	p.Bit(msp430.Imm(StatusReady), msp430.Abs(base+RegStatus))
+	p.Jne(ready)
+	p.Dec(msp430.Reg(10))
+	p.Jne(poll)
+	p.Mov(msp430.Imm(ErrCodePollTimeout), msp430.Abs(AddrErr))
 }
 
 // Driver couples a Node with its loaded firmware.

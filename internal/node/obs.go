@@ -14,9 +14,13 @@ type Metrics struct {
 
 	// Flight, when non-nil, receives per-report span stamps (noised,
 	// tx attempts, ack, degraded, abandoned) keyed by (node, seq).
-	// Wired by the fleet; nil keeps every stamp a single nil check.
+	// Wired by the fleet; a nil recorder ignores the stamps.
 	Flight *obs.FlightRecorder
 }
+
+// noMetrics is the detached plane an agent built without Obs holds:
+// every instrument is nil, so every hook is a no-op.
+var noMetrics Metrics
 
 // NewMetrics registers (or re-binds) the node agent metric schema.
 func NewMetrics(r *obs.Registry) *Metrics {

@@ -100,21 +100,11 @@ func BuildSamplerFirmware(dpboxBase, sensorAddr uint16, epsShift int, rangeLo, r
 	if vector < 0 || vector >= msp430.NumVectors {
 		return nil, fmt.Errorf("node: vector %d out of range", vector)
 	}
-	cmd := dpboxBase + RegCmd
-	data := dpboxBase + RegData
-	out := dpboxBase + RegOut
-	status := dpboxBase + RegStatus
-
 	p := msp430.NewProgram(0x4000)
 
 	p.Label("main")
 	// Configure the DP-Box once.
-	p.Mov(msp430.Imm(epsShift), msp430.Abs(data))
-	p.Mov(msp430.Imm(2), msp430.Abs(cmd)) // SetEpsilon
-	p.Mov(msp430.Imm(int(rangeLo)), msp430.Abs(data))
-	p.Mov(msp430.Imm(5), msp430.Abs(cmd)) // SetRangeLower
-	p.Mov(msp430.Imm(int(rangeHi)), msp430.Abs(data))
-	p.Mov(msp430.Imm(4), msp430.Abs(cmd)) // SetRangeUpper
+	emitConfigure(p, dpboxBase, epsShift, rangeLo, rangeHi)
 	p.Clr(msp430.Abs(AddrRingIdx))
 	// Sleep loop: LPM0 with interrupts enabled. After every ISR the
 	// core re-enters sleep.
@@ -122,20 +112,22 @@ func BuildSamplerFirmware(dpboxBase, sensorAddr uint16, epsShift int, rangeLo, r
 	p.Bis(msp430.Imm(int(msp430.FlagGIE|msp430.FlagCPUOFF)), msp430.Reg(msp430.SR))
 	p.Jmp("sleep")
 
-	// Timer ISR: sample -> noise -> store.
+	// Timer ISR: sample -> noise -> store, saving the poll watchdog's
+	// R10 too. A timed-out transaction stores nothing and returns to
+	// sleep, so a dead DP-Box cannot keep the core awake.
 	p.Label("isr")
 	p.Push(msp430.Reg(12))
-	p.Mov(msp430.Abs(sensorAddr), msp430.Abs(data))
-	p.Mov(msp430.Imm(3), msp430.Abs(cmd)) // SetSensorValue
-	p.Mov(msp430.Imm(1), msp430.Abs(cmd)) // StartNoising
-	p.Label("isr_poll")
-	p.Bit(msp430.Imm(StatusReady), msp430.Abs(status))
-	p.Jeq("isr_poll")
+	p.Push(msp430.Reg(10))
+	emitNoise(p, dpboxBase, msp430.Abs(sensorAddr), "isr_poll", "isr_ready")
+	p.Jmp("isr_done")
+	p.Label("isr_ready")
 	p.Mov(msp430.Abs(AddrRingIdx), msp430.Reg(12))
-	p.Mov(msp430.Abs(out), msp430.Idx(int16(AddrRing), 12))
+	p.Mov(msp430.Abs(dpboxBase+RegOut), msp430.Idx(int16(AddrRing), 12))
 	p.Add(msp430.Imm(2), msp430.Reg(12))
 	p.And(msp430.Imm(RingBytes-1), msp430.Reg(12)) // wrap the ring
 	p.Mov(msp430.Reg(12), msp430.Abs(AddrRingIdx))
+	p.Label("isr_done")
+	p.Pop(msp430.Reg(10))
 	p.Pop(msp430.Reg(12))
 	p.Reti()
 

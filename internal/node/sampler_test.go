@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ulpdp/internal/dpbox"
+	"ulpdp/internal/fault"
 	"ulpdp/internal/msp430"
 	"ulpdp/internal/urng"
 )
@@ -150,5 +151,55 @@ func TestInterruptMasking(t *testing.T) {
 	}
 	if !cpu.InterruptsPending() {
 		t.Error("request should stay latched with GIE clear")
+	}
+}
+
+// TestSamplerSurvivesDeadBox pins the ISR's poll watchdog: a DP-Box
+// that loses power never raises STATUS.ready again, so the ISR must
+// give up on it within PollBudget polls, flag the timeout and go back
+// to sleep. Every later timer fire then still takes its sensor
+// reading; an unbounded poll would spin on the first dead transaction
+// forever.
+func TestSamplerSurvivesDeadBox(t *testing.T) {
+	fp := fault.NewPlane()
+	fp.SchedulePowerLoss(60)
+	box, err := dpbox.New(dpbox.Config{Bu: 12, By: 10, Mult: 2, Source: urng.NewTaus88(3), Faults: fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := box.Initialize(1e6, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The period outlasts a dead transaction's full poll budget, so
+	// no fire is pending when the ISR returns.
+	const period = 60_000
+	s, err := NewSampler(New(box, 0x0180), SamplerConfig{
+		SensorAddr: 0x01A0, Trace: []int16{3, 9, 14}, Period: period, Vector: 4,
+		EpsShift: 1, RangeLo: 0, RangeHi: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(50 * period); err != nil {
+		t.Fatal(err)
+	}
+	if box.Phase() != dpbox.PhaseDead {
+		t.Fatalf("box phase %v after 50 fires, want dead", box.Phase())
+	}
+	cpu := s.Node.CPU
+	for w := 0; w < 3; w++ {
+		reads, fires, idle := s.Sensor.Reads, s.Timer.Fires, cpu.IdleCycles()
+		if err := s.Run(10 * period); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.Sensor.Reads-reads, s.Timer.Fires-fires; got+1 < want || got == 0 {
+			t.Fatalf("window %d: %d sensor reads for %d timer fires on a dead box", w, got, want)
+		}
+		if cpu.IdleCycles() == idle {
+			t.Fatalf("window %d: the core never slept again after the box died", w)
+		}
+	}
+	if code := cpu.ReadWord(AddrErr); code != ErrCodePollTimeout {
+		t.Fatalf("AddrErr = %d after the box died, want ErrCodePollTimeout", code)
 	}
 }

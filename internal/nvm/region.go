@@ -70,8 +70,8 @@ type Region struct {
 
 	// Optional journal telemetry: bumped on durable TxnBegin/TxnCommit
 	// so every two-phase client reports intents/commits from one place
-	// instead of hand-counting at call sites. Nil-safe (zero cost when
-	// unbound).
+	// instead of hand-counting at call sites. Nil when unbound: a nil
+	// counter ignores Inc.
 	intents *obs.Counter
 	commits *obs.Counter
 }
@@ -184,9 +184,7 @@ func (r *Region) TxnBegin(b int, tag uint16, payload []uint16) (pair uint16, ok 
 	if !r.Append(b, tag, payload) {
 		return pair, false
 	}
-	if r.intents != nil {
-		r.intents.Inc()
-	}
+	r.intents.Inc()
 	return pair, true
 }
 
@@ -198,9 +196,7 @@ func (r *Region) TxnCommit(b int, tag uint16, pair uint16) bool {
 	if !r.Append(b, tag, nil) {
 		return false
 	}
-	if r.commits != nil {
-		r.commits.Inc()
-	}
+	r.commits.Inc()
 	return true
 }
 

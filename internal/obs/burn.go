@@ -79,13 +79,19 @@ func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
 	if cfg.FastBurn <= 0 || cfg.SlowBurn <= 0 {
 		return nil, fmt.Errorf("obs: burn thresholds must be positive")
 	}
-	return &BurnAlerter{cfg: cfg, ring: make([]int64, cfg.SlowWindow)}, nil
+	return &BurnAlerter{cfg: cfg, ring: make([]int64, cfg.SlowWindow), metrics: &noBurnMetrics}, nil
 }
+
+// noBurnMetrics is the detached mirror: all instruments nil.
+var noBurnMetrics BurnMetrics
 
 // Bind attaches registry instruments (nil detaches them).
 func (b *BurnAlerter) Bind(m *BurnMetrics) {
 	if b == nil {
 		return
+	}
+	if m == nil {
+		m = &noBurnMetrics
 	}
 	b.mu.Lock()
 	b.metrics = m
@@ -115,11 +121,9 @@ func (b *BurnAlerter) observe(units, total int64) {
 	b.n++
 
 	fastBurn, slowBurn := b.burns()
-
-	if m := b.metrics; m != nil {
-		m.FastBurnMilli.Set(int64(fastBurn * 1000))
-		m.SlowBurnMilli.Set(int64(slowBurn * 1000))
-	}
+	m := b.metrics
+	m.FastBurnMilli.Set(int64(fastBurn * 1000))
+	m.SlowBurnMilli.Set(int64(slowBurn * 1000))
 
 	// Both windows must be hot; the fast window must be full so a
 	// single early charge cannot trip the alert on a cold start.
@@ -131,15 +135,11 @@ func (b *BurnAlerter) observe(units, total int64) {
 			b.tripped = true
 			b.trippedAt = total
 		}
-		if m := b.metrics; m != nil {
-			m.Alerts.Inc()
-			m.AlertActive.Set(1)
-		}
+		m.Alerts.Inc()
+		m.AlertActive.Set(1)
 	}
 	if !active && b.active {
-		if m := b.metrics; m != nil {
-			m.AlertActive.Set(0)
-		}
+		m.AlertActive.Set(0)
 	}
 	b.active = active
 }

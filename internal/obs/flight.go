@@ -95,9 +95,9 @@ const maxProbe = 64
 // FlightRecorder is the per-report flight recorder: a lock-free,
 // fixed-capacity open-addressed table of spans keyed by (node, seq).
 // Record is wait-free apart from one bounded CAS loop, performs no
-// allocation, and is safe on a nil receiver, so every layer hooks it
-// behind the usual `if m := c.obs; m != nil` guard at zero cost when
-// telemetry is off.
+// allocation, and is a no-op on a nil receiver like every instrument,
+// so layers call it unconditionally and a detached recorder costs one
+// nil compare.
 //
 // Capacity is fixed at construction: when the table is full (or a
 // probe chain exceeds maxProbe), further spans are counted in Dropped
@@ -118,18 +118,27 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	for capacity < n {
 		capacity <<= 1
 	}
-	return &FlightRecorder{
+	fr := &FlightRecorder{
 		slots: make([]flightSlot, capacity),
 		mask:  uint64(capacity - 1),
 		epoch: time.Now(),
 	}
+	fr.metrics.Store(&noFlightMetrics)
+	return fr
 }
 
+// noFlightMetrics is the detached mirror: all instruments nil.
+var noFlightMetrics FlightMetrics
+
 // SetMetrics mirrors the recorder's internal tallies onto registry
-// instruments (span opens/completions/drops and stage events).
+// instruments (span opens/completions/drops and stage events); nil
+// detaches them.
 func (fr *FlightRecorder) SetMetrics(m *FlightMetrics) {
 	if fr == nil {
 		return
+	}
+	if m == nil {
+		m = &noFlightMetrics
 	}
 	fr.metrics.Store(m)
 }
@@ -171,9 +180,14 @@ func hashSpanKey(k uint64) uint64 {
 // duplicate landings are counted without disturbing latency
 // attribution). Nil receivers and out-of-range stages are no-ops.
 func (fr *FlightRecorder) Record(node int64, seq uint64, st Stage) {
-	if fr == nil || st >= NumStages {
-		return
+	// The nil check inlines at every hook site; the stamp does not.
+	if fr != nil && st < NumStages {
+		fr.record(node, seq, st)
 	}
+}
+
+func (fr *FlightRecorder) record(node int64, seq uint64, st Stage) {
+	m := fr.metrics.Load()
 	key := packSpanKey(node, seq)
 	h := hashSpanKey(key)
 	probes := maxProbe
@@ -186,9 +200,7 @@ func (fr *FlightRecorder) Record(node int64, seq uint64, st Stage) {
 		if k == 0 {
 			if s.key.CompareAndSwap(0, key) {
 				k = key
-				if m := fr.metrics.Load(); m != nil {
-					m.SpansOpen.Add(1)
-				}
+				m.SpansOpen.Add(1)
 			} else {
 				k = s.key.Load()
 			}
@@ -201,19 +213,15 @@ func (fr *FlightRecorder) Record(node int64, seq uint64, st Stage) {
 		now := time.Since(fr.epoch).Nanoseconds() + 1
 		s.stamp[st].CompareAndSwap(0, now)
 		first := s.hits[st].Add(1) == 1
-		if m := fr.metrics.Load(); m != nil {
-			m.StageEvents.Inc()
-			if st == StageAck && first {
-				m.SpansCompleted.Inc()
-				m.SpansOpen.Add(-1)
-			}
+		m.StageEvents.Inc()
+		if st == StageAck && first {
+			m.SpansCompleted.Inc()
+			m.SpansOpen.Add(-1)
 		}
 		return
 	}
 	fr.dropped.Add(1)
-	if m := fr.metrics.Load(); m != nil {
-		m.SpansDropped.Inc()
-	}
+	m.SpansDropped.Inc()
 }
 
 // Dropped returns the number of Record calls that found no slot.

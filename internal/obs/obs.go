@@ -3,15 +3,22 @@
 // Registry snapshotable to JSON and expvar, plus the per-report
 // flight recorder and the privacy burn-rate alerter.
 //
-// The package follows the same zero-cost-when-nil hook discipline as
-// internal/fault: a component holds a pointer to its (pre-registered)
-// metrics struct, and every hook site is
+// Whether telemetry is attached is decided here, in one place: every
+// recording method — Counter.Inc/Add, Gauge.Set/Add,
+// Histogram.Observe, Odometer.Charge/Replenish, FlightRecorder.Record
+// and the BurnAlerter methods — is a no-op on a nil receiver. A
+// component holds a pointer to its (pre-registered) metrics struct;
+// when its caller attached no plane, that is a zero struct whose
+// instruments are all nil, and every hook site calls its instrument
+// unconditionally:
 //
-//	if m := c.obs; m != nil { m.Something.Inc() }
+//	c.obs.Something.Inc()
 //
-// so a disabled plane costs one pointer load and a nil compare on the
-// hot path and allocates nothing. An enabled plane costs atomic
-// adds on pre-allocated instruments — no allocation either, so
+// so a detached plane costs one nil compare per instrument call on
+// the hot path and allocates nothing. The only guards left in the
+// components skip work that exists for telemetry alone, such as
+// reading the clock for a latency histogram. An attached plane costs
+// atomic adds on pre-allocated instruments — no allocation either, so
 // telemetry can stay on in production without touching the noise
 // path's allocation profile (the Benchmark gate in bench_test.go pins
 // both claims).
@@ -40,10 +47,14 @@ import (
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -52,10 +63,18 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add moves the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
+func (g *Gauge) Add(d int64) {
+	if g != nil {
+		g.v.Add(d)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -74,6 +93,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -125,6 +147,9 @@ type Odometer struct {
 // Charge records a privacy charge of the given size, in charge units,
 // against a channel (clamped into the registered channel range).
 func (o *Odometer) Charge(ch int, units int64) {
+	if o == nil {
+		return
+	}
 	if ch < 0 {
 		ch = 0
 	}
@@ -146,7 +171,11 @@ func (o *Odometer) SetBurn(ba *BurnAlerter) { o.burn.Store(ba) }
 
 // Replenish counts one budget refill event. The cumulative spend is
 // untouched: replenishment restores the ledger, not history.
-func (o *Odometer) Replenish() { o.repl.Add(1) }
+func (o *Odometer) Replenish() {
+	if o != nil {
+		o.repl.Add(1)
+	}
+}
 
 // Channels returns the registered channel count.
 func (o *Odometer) Channels() int { return len(o.channels) }

@@ -158,3 +158,44 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	r.PublishExpvar("ulpdp-test")
 	r.PublishExpvar("ulpdp-test")
 }
+
+// TestDetachedInstrumentsAreNoOps pins the one telemetry-off rule every
+// layer relies on: recording through a nil instrument, a recorder
+// without mirror metrics, or an alerter without bound metrics does
+// nothing and does not panic.
+func TestDetachedInstrumentsAreNoOps(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+		o *Odometer
+	)
+	c.Inc()
+	c.Add(2)
+	g.Set(3)
+	g.Add(4)
+	h.Observe(5)
+	o.Charge(0, 6)
+	o.Replenish()
+
+	fr := NewFlightRecorder(1)
+	fr.SetMetrics(NewFlightMetrics(NewRegistry()))
+	fr.SetMetrics(nil)
+	fr.Record(1, 1, StageNoised)
+	fr.Record(1, 1, StageAck)
+	if got := fr.Snapshot().Spans[0].Hits[StageAck]; got != 1 {
+		t.Fatalf("detached-metrics recorder lost the span: ack hits %d", got)
+	}
+
+	ba, err := NewBurnAlerter(BurnConfig{EnvelopeUnits: 1, HorizonCharges: 1, FastWindow: 1, SlowWindow: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba.Bind(nil)
+	odo := NewRegistry().Odometer("o", 1)
+	odo.SetBurn(ba)
+	odo.Charge(0, 16)
+	if !ba.Tripped() {
+		t.Fatal("unbound alerter did not trip on a 16x overspend")
+	}
+}

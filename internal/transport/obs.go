@@ -19,9 +19,13 @@ type Metrics struct {
 
 	// Flight, when non-nil, receives a link-rx span stamp for every
 	// report frame copy that lands in a receive ring. Wired by the
-	// fleet; nil keeps the stamp a single nil check.
+	// fleet; a nil recorder ignores the stamps.
 	Flight *obs.FlightRecorder
 }
+
+// noMetrics is the detached plane a link built without Obs holds:
+// every instrument is nil, so every hook is a no-op.
+var noMetrics Metrics
 
 // NewMetrics registers (or re-binds) the transport metric schema.
 func NewMetrics(r *obs.Registry) *Metrics {

@@ -184,7 +184,8 @@ type LinkConfig struct {
 	// QueueCap bounds each direction's receive queue (default 64).
 	QueueCap int
 	// Obs is an optional telemetry plane, usually shared across every
-	// link of a fleet. Nil costs one nil check per event.
+	// link of a fleet. Nil detaches it: every instrument call is then
+	// a nil-receiver no-op.
 	Obs *Metrics
 	// Clock times blocking receives (nil = wall time). Agents on the
 	// link's node end wait on the same clock.
@@ -267,6 +268,9 @@ func NewLink(cfg LinkConfig) *Link {
 	cap := cfg.QueueCap
 	if cap <= 0 {
 		cap = 64
+	}
+	if cfg.Obs == nil {
+		cfg.Obs = &noMetrics
 	}
 	rings := make([]*frame, 2*cap)
 	l := &Link{plane: cfg.Plane, obs: cfg.Obs, clk: simclock.Or(cfg.Clock)}
@@ -368,9 +372,7 @@ func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 	buf := framePool.Get().(*frame)
 	marshalInto(p, buf)
 	l.stats.sent.Add(1)
-	if m := l.obs; m != nil {
-		m.Sent.Inc()
-	}
+	l.obs.Sent.Inc()
 
 	var fate fault.PacketFate
 	if l.plane != nil {
@@ -379,9 +381,7 @@ func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 	if fate.Corrupt {
 		buf[(fate.FlipBit/8)%frameLen] ^= 1 << (fate.FlipBit % 8)
 		l.stats.corrupted.Add(1)
-		if m := l.obs; m != nil {
-			m.Corrupted.Inc()
-		}
+		l.obs.Corrupted.Inc()
 	}
 
 	// Every send ages the holdbacks; expired frames deliver first so
@@ -390,18 +390,14 @@ func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 	if fate.Drop {
 		framePool.Put(buf)
 		l.stats.dropped.Add(1)
-		if m := l.obs; m != nil {
-			m.Dropped.Inc()
-		}
+		l.obs.Dropped.Inc()
 		return landed
 	}
 	selfLanded := 0
 	if fate.Delay > 0 {
 		p2.held = append(p2.held, held{frame: buf, remaining: fate.Delay})
 		l.stats.reordered.Add(1)
-		if m := l.obs; m != nil {
-			m.Reordered.Inc()
-		}
+		l.obs.Reordered.Inc()
 	} else {
 		n := e.enqueueLocked(p2, buf)
 		landed += n
@@ -414,17 +410,15 @@ func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 		landed += n
 		selfLanded += n
 		l.stats.duplicated.Add(1)
-		if m := l.obs; m != nil {
-			m.Duplicated.Inc()
-		}
+		l.obs.Duplicated.Inc()
 	}
 	// A receivable copy of a report landed: stamp its span's link-rx
 	// stage (p still holds the pre-corruption identity). The stamp must
 	// precede the mutex release — the receiver can pop the frame the
 	// instant the pipe unlocks, and the shard-admit stamp must not be
 	// able to land before this one.
-	if m := l.obs; m != nil && selfLanded > 0 && !fate.Corrupt && p.Kind == KindReport {
-		m.Flight.Record(int64(p.Node), p.Seq, obs.StageLinkRx)
+	if selfLanded > 0 && !fate.Corrupt && p.Kind == KindReport {
+		l.obs.Flight.Record(int64(p.Node), p.Seq, obs.StageLinkRx)
 	}
 	return landed
 }
@@ -455,7 +449,9 @@ func (e *Endpoint) ageHeldLocked(p *pipe) int {
 func (e *Endpoint) landHeldLocked(p *pipe, f *frame) int {
 	var pk Packet
 	stamp := false
-	if m := e.link.obs; m != nil && m.Flight != nil {
+	// The decode exists for the stamp alone: skip it when no flight
+	// recorder is attached.
+	if e.link.obs.Flight != nil {
 		if q, err := Unmarshal(f[:]); err == nil && q.Kind == KindReport {
 			pk, stamp = q, true
 		}
@@ -478,17 +474,13 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 	if p.n == len(p.buf) {
 		framePool.Put(f)
 		e.link.stats.overflow.Add(1)
-		if m := e.link.obs; m != nil {
-			m.Overflow.Inc()
-		}
+		e.link.obs.Overflow.Inc()
 		return 0
 	}
 	p.buf[(p.head+p.n)%len(p.buf)] = f
 	p.n++
 	e.link.stats.delivered.Add(1)
-	if m := e.link.obs; m != nil {
-		m.Delivered.Inc()
-	}
+	e.link.obs.Delivered.Inc()
 	if p.n == 1 && p.waiters.Load() != 0 {
 		p.wake.Signal()
 	}
@@ -622,9 +614,7 @@ func (e *Endpoint) decode(f *frame) (Packet, bool) {
 	framePool.Put(f)
 	if err != nil {
 		e.link.stats.rejected.Add(1)
-		if m := e.link.obs; m != nil {
-			m.RejectedCorrupt.Inc()
-		}
+		e.link.obs.RejectedCorrupt.Inc()
 		return Packet{}, false
 	}
 	return p, true
