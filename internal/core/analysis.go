@@ -177,7 +177,7 @@ func mergeLoss(a, b LossReport) LossReport {
 func (a *Analyzer) BaselineLoss() LossReport {
 	yLo := a.par.LoSteps() - a.maxK
 	yHi := a.par.HiSteps() + a.maxK
-	return a.parallelScan(yLo, yHi, func(lo, hi int64, _ *lossFloor) LossReport {
+	return a.parallelScan(yLo, yHi, nil, func(lo, hi int64, _ *lossFloor) LossReport {
 		return a.scanShiftRange(lo, hi)
 	})
 }
@@ -189,17 +189,24 @@ func (a *Analyzer) ResamplingLoss(t int64) LossReport {
 	if t < 0 {
 		panic("core: negative threshold")
 	}
+	return a.resamplingLoss(make([]float64, a.par.RangeSteps()+1), t, nil, math.Inf(1))
+}
+
+// resamplingLoss is ResamplingLoss as a decision probe (see
+// kernels.go): z, one entry per input, is refilled with the per-input
+// normalization; floor and stop are the kernel's.
+func (a *Analyzer) resamplingLoss(z []float64, t int64, floor *lossFloor, stop float64) LossReport {
 	yLo := a.par.LoSteps() - t
 	yHi := a.par.HiSteps() + t
 	// Per-input normalization Z(x) = Pr[y in window | x].
-	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
-	z := make([]float64, xHi-xLo+1)
-	for x := xLo; x <= xHi; x++ {
-		z[x-xLo] = a.massBetween(yLo-x, yHi-x)
+	xLo := a.par.LoSteps()
+	for i := range z {
+		x := xLo + int64(i)
+		z[i] = a.massBetween(yLo-x, yHi-x)
 	}
 	zMin, zMax := extrema(z)
-	return a.parallelScan(yLo, yHi, func(lo, hi int64, floor *lossFloor) LossReport {
-		return a.scanResamplingRange(z, zMin, zMax, floor, lo, hi)
+	return a.parallelScan(yLo, yHi, floor, func(lo, hi int64, floor *lossFloor) LossReport {
+		return a.scanResamplingRange(z, zMin, zMax, floor, stop, lo, hi)
 	})
 }
 
@@ -211,10 +218,16 @@ func (a *Analyzer) ThresholdingLoss(t int64) LossReport {
 	if t < 0 {
 		panic("core: negative threshold")
 	}
+	return a.thresholdingLoss(t, math.Inf(1))
+}
+
+// thresholdingLoss is ThresholdingLoss ended early once the loss
+// passes stop.
+func (a *Analyzer) thresholdingLoss(t int64, stop float64) LossReport {
 	yLo := a.par.LoSteps() - t
 	yHi := a.par.HiSteps() + t
-	return a.parallelScan(yLo, yHi, func(lo, hi int64, _ *lossFloor) LossReport {
-		return a.scanThresholdingRange(yLo, yHi, lo, hi)
+	return a.parallelScan(yLo, yHi, nil, func(lo, hi int64, _ *lossFloor) LossReport {
+		return a.scanThresholdingRange(yLo, yHi, stop, lo, hi)
 	})
 }
 
@@ -255,30 +268,18 @@ func (a *Analyzer) ConstantTimeLoss(t int64, k int) LossReport {
 	if k < 1 {
 		panic("core: need at least one candidate sample")
 	}
+	return a.constantTimeLoss(new(ctTables), t, k, nil, math.Inf(1))
+}
+
+// constantTimeLoss is ConstantTimeLoss as a decision probe (see
+// kernels.go): tb is refilled for the window; floor and stop are the
+// kernel's.
+func (a *Analyzer) constantTimeLoss(tb *ctTables, t int64, k int, floor *lossFloor, stop float64) LossReport {
 	yLo := a.par.LoSteps() - t
 	yHi := a.par.HiSteps() + t
-	miss := a.constantTimeMiss(yLo, yHi, k)
-	// Hoist the per-x tables the kernel indexes: the acceptance
-	// factor scaling every interior cell and the clamp atoms the two
-	// boundary outputs add. The atoms repeat the legacy kernel's
-	// multiplication order (q^(k−1) by running product, then the
-	// one-sided mass) so the sums are bit-identical. The three tables
-	// share one allocation: a threshold search builds them per probe.
-	n := len(miss)
-	tabs := make([]float64, 3*n)
-	accept, atomLo, atomHi := tabs[:n:n], tabs[n:2*n:2*n], tabs[2*n:]
-	for i, m := range miss {
-		accept[i] = m.accept
-		qk := 1.0
-		for j := 0; j < k-1; j++ {
-			qk *= m.total
-		}
-		atomLo[i] = m.lo * qk
-		atomHi[i] = m.hi * qk
-	}
-	aMin, aMax := extrema(accept)
-	return a.parallelScan(yLo, yHi, func(lo, hi int64, floor *lossFloor) LossReport {
-		return a.scanConstantTimeRange(yLo, yHi, accept, aMin, aMax, atomLo, atomHi, floor, lo, hi)
+	tb.fill(a, yLo, yHi, k)
+	return a.parallelScan(yLo, yHi, floor, func(lo, hi int64, floor *lossFloor) LossReport {
+		return a.scanConstantTimeRange(yLo, yHi, tb, floor, stop, lo, hi)
 	})
 }
 
@@ -287,25 +288,55 @@ func (a *Analyzer) ConstantTimeLoss(t int64, k int) LossReport {
 // factor (1−q^k)/(1−q).
 type missSplit struct{ lo, hi, total, accept float64 }
 
-// constantTimeMiss tabulates the miss decomposition for every input.
-func (a *Analyzer) constantTimeMiss(yLo, yHi int64, k int) []missSplit {
-	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
-	miss := make([]missSplit, xHi-xLo+1)
-	for x := xLo; x <= xHi; x++ {
-		lo := a.tailAtMost(yLo - x - 1)
-		hi := a.tailAtLeast(yHi - x + 1)
-		q := lo + hi
-		// accept factor (1−q^k)/(1−q), exactly; q < 1 always (the
-		// window contains the bulk).
-		f := 0.0
-		qp := 1.0
-		for i := 0; i < k; i++ {
-			f += qp
-			qp *= q
-		}
-		miss[x-xLo] = missSplit{lo: lo, hi: hi, total: q, accept: f}
+// missAt is the constant-time miss decomposition for input x and the
+// window [yLo, yHi].
+func (a *Analyzer) missAt(x, yLo, yHi int64, k int) missSplit {
+	lo := a.tailAtMost(yLo - x - 1)
+	hi := a.tailAtLeast(yHi - x + 1)
+	q := lo + hi
+	// accept factor (1−q^k)/(1−q), exactly; q < 1 always (the window
+	// contains the bulk).
+	f := 0.0
+	qp := 1.0
+	for i := 0; i < k; i++ {
+		f += qp
+		qp *= q
 	}
-	return miss
+	return missSplit{lo: lo, hi: hi, total: q, accept: f}
+}
+
+// ctTables is the constant-time kernel's per-input working set, one
+// entry per input: the acceptance factor scaling every interior cell,
+// the clamp atoms the two boundary outputs add, and the acceptance
+// extrema that bound interior cells. ConstantTimeLoss fills one per
+// call; a threshold search fills one per probe, allocating its
+// buffers once.
+type ctTables struct {
+	accept, atomLo, atomHi []float64
+	aMin, aMax             float64
+}
+
+// fill tabulates tb for the window [yLo, yHi] and k candidates. The
+// atoms repeat the legacy kernel's multiplication order (q^(k−1) by
+// running product, then the one-sided mass) so the sums are
+// bit-identical.
+func (tb *ctTables) fill(a *Analyzer, yLo, yHi int64, k int) {
+	if n := int(a.par.RangeSteps() + 1); len(tb.accept) != n {
+		tabs := make([]float64, 3*n)
+		tb.accept, tb.atomLo, tb.atomHi = tabs[:n:n], tabs[n:2*n:2*n], tabs[2*n:]
+	}
+	xLo := a.par.LoSteps()
+	for i := range tb.accept {
+		m := a.missAt(xLo+int64(i), yLo, yHi, k)
+		tb.accept[i] = m.accept
+		qk := 1.0
+		for j := 0; j < k-1; j++ {
+			qk *= m.total
+		}
+		tb.atomLo[i] = m.lo * qk
+		tb.atomHi[i] = m.hi * qk
+	}
+	tb.aMin, tb.aMax = extrema(tb.accept)
 }
 
 // LossAt returns the per-output privacy loss of the thresholding

@@ -133,3 +133,24 @@ func BenchmarkKernelProfileSweep(b *testing.B) {
 		an.InteriorLoss(th)
 	}
 }
+
+// benchConstantTimeSearch times one exact constant-time threshold
+// search (three candidates, mult 2) on a warm analyzer: the bisection
+// of decision probes ExactConstantTimeThreshold runs per certified
+// configuration.
+func benchConstantTimeSearch(b *testing.B, par Params) {
+	b.Helper()
+	CachedAnalyzer(par)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExactConstantTimeThreshold(par, 2, 3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKernelConstantTimeSearch(b *testing.B) { benchConstantTimeSearch(b, benchDefault) }
+func BenchmarkKernelConstantTimeSearchLarge(b *testing.B) {
+	benchConstantTimeSearch(b, benchLarge)
+}

@@ -272,3 +272,133 @@ func TestExactThresholdSearchMatchesLegacy(t *testing.T) {
 		}
 	}
 }
+
+// firstHole returns the smallest noise step k > 0 with zero mass, or
+// MaxK+1 when the PMF's positive tail has none.
+func firstHole(an *Analyzer) int64 {
+	for k := int64(1); k <= an.MaxK(); k++ {
+		if an.probK(k) == 0 {
+			return k
+		}
+	}
+	return an.MaxK() + 1
+}
+
+// probeThresholds spreads thresholds over [1, MaxK], adding the ones
+// around the first PMF hole, where the renormalized mechanisms turn
+// one-sided.
+func probeThresholds(rng *rand.Rand, an *Analyzer) []int64 {
+	m := an.MaxK()
+	h := firstHole(an)
+	ths := []int64{1, m / 4, m / 2, 3 * m / 4, m, h - 1, h, h + 1, 1 + rng.Int63n(m)}
+	out := ths[:0]
+	for _, th := range ths {
+		if th >= 1 && th <= m {
+			out = append(out, th)
+		}
+	}
+	return out
+}
+
+// probeBounds returns the bounds that put a probe at its edge: the
+// full MaxLoss, one ulp either side and one lossTol either side, plus
+// a search-like mult·ε. An infinite report gets the search-like bound
+// only.
+func probeBounds(rng *rand.Rand, par Params, full LossReport) []float64 {
+	bounds := []float64{(1.1 + 2*rng.Float64()) * par.Eps}
+	if m := full.MaxLoss; !full.Infinite {
+		bounds = append(bounds, m, math.Nextafter(m, math.Inf(1)), math.Nextafter(m, math.Inf(-1)),
+			m+lossTol(m), m-lossTol(m))
+	}
+	return bounds
+}
+
+// checkProbe compares one probe call against the full report: the
+// verdict always, and, when the bound is at most the full MaxLoss and
+// the verdict holds, the decision scan's report field for field
+// (kernels.go: the probe prunes nothing at or above the true maximum
+// and stops nowhere).
+func checkProbe(t *testing.T, what string, full LossReport, bound float64, verdict bool, decision func() LossReport) {
+	t.Helper()
+	if want := full.Bounded(bound); verdict != want {
+		t.Errorf("%s bound=%v: probe verdict %v, full report %+v says %v", what, bound, verdict, full, want)
+		return
+	}
+	if verdict && bound <= full.MaxLoss {
+		if rep := decision(); rep != full {
+			t.Errorf("%s bound=%v: decision report %+v != full %+v", what, bound, rep, full)
+		}
+	}
+}
+
+// probeAll checks every mechanism's probe at each threshold and edge
+// bound against the full kernels. One probe serves every call, as one
+// serves a whole search, so stale per-input tables would show.
+func probeAll(t *testing.T, what string, rng *rand.Rand, an *Analyzer, ths []int64) {
+	t.Helper()
+	p := &probe{an: an}
+	for _, th := range ths {
+		k := 1 + rng.Intn(4)
+		full := an.ThresholdingLoss(th)
+		for _, b := range probeBounds(rng, an.par, full) {
+			checkProbe(t, fmt.Sprintf("%s/thresholding(t=%d)", what, th), full, b, p.thresholding(th, b),
+				func() LossReport { return an.thresholdingLoss(th, b+lossTol(b)) })
+		}
+		full = an.ResamplingLoss(th)
+		for _, b := range probeBounds(rng, an.par, full) {
+			checkProbe(t, fmt.Sprintf("%s/resampling(t=%d)", what, th), full, b, p.resampling(th, b),
+				func() LossReport {
+					p.floor.seed(b)
+					return an.resamplingLoss(p.z, th, &p.floor, b+lossTol(b))
+				})
+		}
+		full = an.ConstantTimeLoss(th, k)
+		for _, b := range probeBounds(rng, an.par, full) {
+			checkProbe(t, fmt.Sprintf("%s/consttime(t=%d,k=%d)", what, th, k), full, b, p.constantTime(th, k, b),
+				func() LossReport {
+					p.floor.seed(b)
+					return an.constantTimeLoss(&p.ct, th, k, &p.floor, b+lossTol(b))
+				})
+		}
+	}
+}
+
+// TestBoundedProbeMatchesFullKernel pins the decision probes the
+// exact threshold searches run — the bound-and-prune kernels with the
+// floor seeded at the bound and a stop past it — to the full kernels'
+// Bounded verdicts, on the sequential path (small random grids, native
+// and plateau PMFs) and on the parallel path (output windows past
+// parallelCutoff with four Ps).
+func TestBoundedProbeMatchesFullKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(2511))
+	for trial := 0; trial < 40; trial++ {
+		par := randomParams(rng)
+		an := NewAnalyzer(par)
+		probeAll(t, fmt.Sprintf("trial %d %+v", trial, par), rng, an, probeThresholds(rng, an))
+	}
+	for trial := 0; trial < 40; trial++ {
+		par := randomParams(rng)
+		maxK := 1 + rng.Int63n(96)
+		an := NewAnalyzerFromPMF(par, plateauPMF(rng, maxK), maxK)
+		probeAll(t, fmt.Sprintf("plateau trial %d %+v maxK=%d", trial, par, maxK), rng, an, probeThresholds(rng, an))
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	an := NewAnalyzer(bigGrid)
+	th, err := ResamplingThreshold(bigGrid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := firstHole(an)
+	if 2*th < parallelCutoff || 2*h < parallelCutoff {
+		t.Fatalf("grid too small (t=%d, hole %d) to exercise the parallel path", th, h)
+	}
+	probeAll(t, "parallel", rng, an, []int64{th, (th + h) / 2, h - 1, h, an.MaxK()})
+	for trial := 0; trial < 4; trial++ {
+		par := randomParams(rng)
+		maxK := int64(parallelCutoff) + rng.Int63n(1024)
+		an := NewAnalyzerFromPMF(par, plateauPMF(rng, maxK), maxK)
+		probeAll(t, fmt.Sprintf("plateau parallel trial %d %+v maxK=%d", trial, par, maxK), rng, an,
+			[]int64{parallelCutoff / 2, maxK / 2, 3 * maxK / 4, maxK})
+	}
+}

@@ -22,6 +22,14 @@ package core
 // parallel scan share). Worst case they stay O(|Y|·|X|); in practice
 // a few percent of the outputs are scanned.
 //
+// Decision probes. A threshold search only asks whether a loss is
+// Bounded by its target, so the same kernels take a stop loss and an
+// optional pre-seeded floor: a probe seeds the floor at the target
+// bound, prunes every output whose cells prove its loss below it, and
+// returns at the first output whose exact loss passes the stop
+// (bound + lossTol(bound)). A full report is the same call with a nil
+// floor and a +Inf stop.
+//
 // Exactness contract: every kernel evaluates the same float64
 // expressions as the legacy closure kernel (kernels_legacy_test.go),
 // in an order that preserves its tie-break semantics — among equal extrema
@@ -188,15 +196,16 @@ func (a *Analyzer) scanShiftRange(lo, hi int64) LossReport {
 // scanThresholdingRange is the linear-time thresholding kernel over
 // the chunk [lo, hi] of the full output window [yLo, yHi]: the two
 // boundary-atom columns are evaluated directly from the prefix sums,
-// interior outputs ride the sliding window.
-func (a *Analyzer) scanThresholdingRange(yLo, yHi, lo, hi int64) LossReport {
+// interior outputs ride the sliding window. It returns early once the
+// chunk's MaxLoss passes stop.
+func (a *Analyzer) scanThresholdingRange(yLo, yHi int64, stop float64, lo, hi int64) LossReport {
 	rep := LossReport{}
 	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
 	if lo == yLo {
 		pMax, xMax, pMin, xMin := colExtrema(xLo, xHi, func(x int64) float64 {
 			return a.tailAtMost(yLo - x)
 		})
-		if accumulate(&rep, yLo, pMax, xMax, pMin, xMin) {
+		if accumulate(&rep, yLo, pMax, xMax, pMin, xMin) || rep.MaxLoss > stop {
 			return rep
 		}
 		lo++
@@ -209,7 +218,7 @@ func (a *Analyzer) scanThresholdingRange(yLo, yHi, lo, hi int64) LossReport {
 		w := a.newShiftWindow(lo)
 		for y := lo; y <= last; y++ {
 			pMax, xMax, pMin, xMin := w.step(y)
-			if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
+			if accumulate(&rep, y, pMax, xMax, pMin, xMin) || rep.MaxLoss > stop {
 				w.release()
 				return rep
 			}
@@ -227,12 +236,18 @@ func (a *Analyzer) scanThresholdingRange(yLo, yHi, lo, hi int64) LossReport {
 
 // lossFloor is the pruning floor one bound-and-prune certification
 // shares across its parallel chunks: the largest finite loss any
-// chunk has found so far. Losses are non-negative, and non-negative
-// float64s order like their bit patterns, so the floor is one atomic
-// word raised by compare-and-swap.
+// chunk has found so far, or, in a decision probe, the target bound
+// it was seeded with if no chunk has found more. Losses are
+// non-negative, and non-negative float64s order like their bit
+// patterns, so the floor is one atomic word raised by
+// compare-and-swap.
 type lossFloor struct{ bits atomic.Uint64 }
 
 func (f *lossFloor) load() float64 { return math.Float64frombits(f.bits.Load()) }
+
+// seed resets the floor to loss (clamped at 0, which keeps the bit
+// order) before a decision probe.
+func (f *lossFloor) seed(loss float64) { f.bits.Store(math.Float64bits(math.Max(loss, 0))) }
 
 func (f *lossFloor) raise(loss float64) {
 	nb := math.Float64bits(loss)
@@ -267,13 +282,28 @@ func (f *lossFloor) raise(loss float64) {
 // report is unchanged however the chunks interleave. A zero lb (a
 // possibly one-sided, Infinite column) and NaN or infinite ratios (a
 // zero normalization) always fall through to the exact scan.
+//
+// Why a decision probe keeps its verdict. A probe seeds the floor at
+// its target bound, which need not be any output's loss, so the merged
+// report may differ from the full one — but not its Bounded(bound)
+// verdict. Every skipped output is two-sided (lb > 0) with loss below
+// best, and best is the bound or a scanned loss. While best is at most
+// the stop, bound + lossTol(bound), a skipped output cannot fail the
+// bound: every failing output — one-sided, or with a loss past the
+// stop — is scanned, and the first one makes its chunk's report fail.
+// Once a scanned loss passes the stop that report decides the merged
+// verdict, and found ends every chunk at its next scanned output. When
+// bound ≤ MaxLoss ≤ stop the floor never passes the true maximum and
+// nothing stops early, so the argument above for full reports holds as
+// is: the probe's report is the full report, bit for bit.
 type pruner struct {
 	floor       *lossFloor
+	stop        float64
 	best, limit float64
 }
 
-func newPruner(floor *lossFloor) pruner {
-	return pruner{floor: floor, limit: pruneLimit(0)}
+func newPruner(floor *lossFloor, stop float64) pruner {
+	return pruner{floor: floor, stop: stop, limit: pruneLimit(0)}
 }
 
 func pruneLimit(best float64) float64 { return math.Exp(best - 2*lossTol(best)) }
@@ -294,14 +324,17 @@ func (p *pruner) skip(lb, ub float64) bool {
 }
 
 // found records the chunk report after a scanned output, publishing a
-// raised finite MaxLoss to the shared floor.
-func (p *pruner) found(rep LossReport) {
+// raised finite MaxLoss to the shared floor. It reports true once the
+// best loss, this chunk's or the floor's, passes the stop: the probe's
+// verdict is decided and the chunk may end.
+func (p *pruner) found(rep LossReport) bool {
 	if !rep.Infinite && rep.MaxLoss > p.best {
 		p.setBest(rep.MaxLoss)
 		if p.floor != nil {
 			p.floor.raise(rep.MaxLoss)
 		}
 	}
+	return p.best > p.stop
 }
 
 // extrema returns the smallest and largest entries of a non-empty
@@ -322,12 +355,13 @@ func extrema(f []float64) (lo, hi float64) {
 // indexing, the division — not a reciprocal multiply — kept
 // bit-identical to the legacy kernel's) runs only where the pruner
 // cannot skip it. zMin and zMax are the extrema of z; floor is the
-// parallel scan's shared floor, nil on the sequential path.
-func (a *Analyzer) scanResamplingRange(z []float64, zMin, zMax float64, floor *lossFloor, lo, hi int64) LossReport {
+// scan's shared floor (nil on a full report's sequential path) and
+// stop the loss that ends it (+Inf for a full report).
+func (a *Analyzer) scanResamplingRange(z []float64, zMin, zMax float64, floor *lossFloor, stop float64, lo, hi int64) LossReport {
 	rep := LossReport{}
 	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
 	pmf := a.pmf
-	pr := newPruner(floor)
+	pr := newPruner(floor, stop)
 	w := a.newShiftWindow(lo)
 	defer w.release()
 	for y := lo; y <= hi; y++ {
@@ -350,34 +384,35 @@ func (a *Analyzer) scanResamplingRange(z []float64, zMin, zMax float64, floor *l
 				pMin, xMin = p, x
 			}
 		}
-		if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
+		if accumulate(&rep, y, pMax, xMax, pMin, xMin) || pr.found(rep) {
 			return rep
 		}
-		pr.found(rep)
 	}
 	return rep
 }
 
 // scanConstantTimeRange is the bound-and-prune constant-time kernel:
 // the acceptance factors and the k-th-power clamp atoms are hoisted
-// into per-x tables, leaving one multiply per interior cell. Interior
-// cells pmf[y−x]·accept[x] are bounded by [wMin·aMin, wMax·aMax] with
-// aMin and aMax the extrema of accept, and pruned by the pruner; the
-// two clamp-atom outputs yLo and yHi are always scanned exactly.
-func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, accept []float64, aMin, aMax float64, atomLo, atomHi []float64, floor *lossFloor, lo, hi int64) LossReport {
+// into the per-x tables tb, leaving one multiply per interior cell.
+// Interior cells pmf[y−x]·accept[x] are bounded by
+// [wMin·aMin, wMax·aMax] and pruned by the pruner; the two clamp-atom
+// outputs yLo and yHi are always scanned exactly. floor and stop are
+// scanResamplingRange's.
+func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, tb *ctTables, floor *lossFloor, stop float64, lo, hi int64) LossReport {
 	rep := LossReport{}
 	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
 	pmf := a.pmf
-	pr := newPruner(floor)
+	accept, aMin, aMax := tb.accept, tb.aMin, tb.aMax
+	pr := newPruner(floor, stop)
 	w := a.newShiftWindow(lo)
 	defer w.release()
 	for y := lo; y <= hi; y++ {
 		wMax, _, wMin, _ := w.step(y)
 		var atom []float64
 		if y == yLo {
-			atom = atomLo
+			atom = tb.atomLo
 		} else if y == yHi {
-			atom = atomHi
+			atom = tb.atomHi
 		} else if pr.skip(wMin*aMin, wMax*aMax) {
 			continue
 		}
@@ -399,10 +434,9 @@ func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, accept []float64, aMin,
 				pMin, xMin = p, x
 			}
 		}
-		if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
+		if accumulate(&rep, y, pMax, xMax, pMin, xMin) || pr.found(rep) {
 			return rep
 		}
-		pr.found(rep)
 	}
 	return rep
 }
@@ -438,15 +472,19 @@ func (a *Analyzer) chunkSpan(outputs int64, workers int) int64 {
 // process may actually run on — via a work-stealing counter; the merge
 // is deterministic (smallest worst output wins ties), so parallel and
 // sequential runs agree exactly. The chunks share one pruning floor
-// for the bound-and-prune kernels (nil on the sequential path). Once a
-// chunk reports an infinite loss, chunks strictly after it are
-// skipped — their results can never win the merge against an earlier
-// infinite report.
-func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64, floor *lossFloor) LossReport) LossReport {
+// for the bound-and-prune kernels: floor, pre-seeded by a decision
+// probe, or, when floor is nil, a fresh one on the parallel path and
+// none on the sequential one. Once a chunk reports an infinite loss,
+// chunks strictly after it are skipped — their results can never win
+// the merge against an earlier infinite report.
+func (a *Analyzer) parallelScan(yLo, yHi int64, floor *lossFloor, scan func(lo, hi int64, floor *lossFloor) LossReport) LossReport {
 	outputs := yHi - yLo + 1
 	workers := runtime.GOMAXPROCS(0)
 	if outputs < parallelCutoff || workers < 2 {
-		return scan(yLo, yHi, nil)
+		return scan(yLo, yHi, floor)
+	}
+	if floor == nil {
+		floor = new(lossFloor)
 	}
 	chunk := a.chunkSpan(outputs, workers)
 	nchunks := (outputs + chunk - 1) / chunk
@@ -456,12 +494,14 @@ func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64, floor *l
 	parts := make([]LossReport, nchunks)
 	var next atomic.Int64
 	var firstInf atomic.Int64
-	var floor lossFloor
 	firstInf.Store(nchunks)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		// floor is passed, not captured: a captured parameter that is
+		// reassigned above would move to the heap on every call,
+		// sequential ones included.
+		go func(floor *lossFloor) {
 			defer wg.Done()
 			for {
 				c := next.Add(1) - 1
@@ -476,7 +516,7 @@ func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64, floor *l
 				if hi > yHi {
 					hi = yHi
 				}
-				rep := scan(lo, hi, &floor)
+				rep := scan(lo, hi, floor)
 				parts[c] = rep
 				if rep.Infinite {
 					for {
@@ -487,7 +527,7 @@ func (a *Analyzer) parallelScan(yLo, yHi int64, scan func(lo, hi int64, floor *l
 					}
 				}
 			}
-		}()
+		}(floor)
 	}
 	wg.Wait()
 	rep := parts[0]

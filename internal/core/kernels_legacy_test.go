@@ -91,7 +91,10 @@ func (a *Analyzer) legacyConstantTimeLoss(t int64, k int) LossReport {
 	}
 	yLo := a.par.LoSteps() - t
 	yHi := a.par.HiSteps() + t
-	miss := a.constantTimeMiss(yLo, yHi, k)
+	miss := make([]missSplit, a.par.RangeSteps()+1)
+	for i := range miss {
+		miss[i] = a.missAt(a.par.LoSteps()+int64(i), yLo, yHi, k)
+	}
 	return a.legacyScanLoss(yLo, yHi, func(y, x int64) float64 {
 		m := miss[x-a.par.LoSteps()]
 		p := a.probK(y-x) * m.accept

@@ -146,11 +146,10 @@ func ExactResamplingThreshold(par Params, mult float64) (int64, error) {
 	if mult <= 1 {
 		return 0, fmt.Errorf("core: loss multiplier %g must exceed 1", mult)
 	}
-	an := CachedAnalyzer(par)
-	ok := func(t int64) bool {
-		return an.ResamplingLoss(t).Bounded(mult * par.Eps)
-	}
-	return searchThreshold(par, ok)
+	p := &probe{an: CachedAnalyzer(par)}
+	return searchThreshold(par, func(t int64) bool {
+		return p.resampling(t, mult*par.Eps)
+	})
 }
 
 // ExactThresholdingThreshold is the exact-search counterpart of
@@ -162,11 +161,10 @@ func ExactThresholdingThreshold(par Params, mult float64) (int64, error) {
 	if mult <= 1 {
 		return 0, fmt.Errorf("core: loss multiplier %g must exceed 1", mult)
 	}
-	an := CachedAnalyzer(par)
-	ok := func(t int64) bool {
-		return an.ThresholdingLoss(t).Bounded(mult * par.Eps)
-	}
-	return searchThreshold(par, ok)
+	p := &probe{an: CachedAnalyzer(par)}
+	return searchThreshold(par, func(t int64) bool {
+		return p.thresholding(t, mult*par.Eps)
+	})
 }
 
 // ExactConstantTimeThreshold bisects (see searchThreshold) for a
@@ -182,12 +180,51 @@ func ExactConstantTimeThreshold(par Params, mult float64, k int) (int64, error) 
 	if k < 1 {
 		return 0, fmt.Errorf("core: need at least one candidate sample")
 	}
-	an := CachedAnalyzer(par)
+	p := &probe{an: CachedAnalyzer(par)}
 	return searchThreshold(par, func(t int64) bool {
-		return an.ConstantTimeLoss(t, k).Bounded(mult * par.Eps)
+		return p.constantTime(t, k, mult*par.Eps)
 	})
 }
 
+// probe answers a threshold search's yes/no question, whether the
+// mechanism's exact loss at threshold t is Bounded by a target, with
+// the decision form of the loss kernels (kernels.go): the pruning
+// floor seeded at the bound and a stop at bound + lossTol(bound). The
+// verdict always equals the full report's Bounded(bound). A probe
+// holds the per-input tables and the floor one search refills on
+// every bisection step, so a search allocates them once. It is not
+// safe for concurrent use.
+type probe struct {
+	an    *Analyzer
+	floor lossFloor
+	z     []float64 // resampling normalizations
+	ct    ctTables
+}
+
+func (p *probe) resampling(t int64, bound float64) bool {
+	if p.z == nil {
+		p.z = make([]float64, p.an.par.RangeSteps()+1)
+	}
+	p.floor.seed(bound)
+	return p.an.resamplingLoss(p.z, t, &p.floor, bound+lossTol(bound)).Bounded(bound)
+}
+
+// thresholding stops early only: its kernel has no cells to prune.
+func (p *probe) thresholding(t int64, bound float64) bool {
+	return p.an.thresholdingLoss(t, bound+lossTol(bound)).Bounded(bound)
+}
+
+func (p *probe) constantTime(t int64, k int, bound float64) bool {
+	p.floor.seed(bound)
+	return p.an.constantTimeLoss(&p.ct, t, k, &p.floor, bound+lossTol(bound)).Bounded(bound)
+}
+
+// searchThreshold bisects over [1, MaxK] for a threshold ok accepts.
+// ok only answers yes or no, so the exact searches pass a probe
+// method: each of the ~log2(MaxK) steps is one decision scan, pruned at
+// the target bound and ended at the first output past it, not a full
+// LossReport. The verdicts equal the full reports', so the bisection
+// takes the same path and returns the same threshold.
 func searchThreshold(par Params, ok func(int64) bool) (int64, error) {
 	hi := par.FxP().MaxK()
 	if !ok(1) {
