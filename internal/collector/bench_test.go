@@ -13,7 +13,7 @@ import (
 const benchQueueCap = 256
 
 // benchIngest drives b.N reports round-robin across a fleet of
-// attached lossless links and waits for the reactor to record every
+// attached lossless links and waits for the collector to record every
 // one. Flow control mirrors a real fleet's ACK clocking: the sender
 // never lets more than maxInFlight reports be outstanding across the
 // fleet, nor more than a link's queue cap on any one node (a shard
@@ -123,7 +123,7 @@ func benchWait(b *testing.B, col *Collector, links []*transport.Link, what strin
 }
 
 // BenchmarkCollectorIngest measures steady-state ingest throughput of
-// the sharded, event-driven reactor. The per-report path — pooled
+// the sharded, event-driven collector. The per-report path — pooled
 // frame marshal, readiness notification, shard drain, dedup record,
 // batched ACK writeback — must stay at 0 allocs/op.
 func BenchmarkCollectorIngest(b *testing.B) {

@@ -11,9 +11,9 @@ import (
 )
 
 // TestVirtualClockHeldThroughDrain: on a virtual clock a report sent
-// into a parked reactor is admitted and ACKed at the instant it was
+// into an idle shard is admitted and ACKed at the instant it was
 // sent — neither the agent's ACK wait nor an idle tick (both due well
-// before the next report) fires while the reactor drains.
+// before the next report) fires while the shard drains.
 func TestVirtualClockHeldThroughDrain(t *testing.T) {
 	clk := simclock.NewVirtual(0)
 	clk.Join() // this goroutine
@@ -43,7 +43,7 @@ func TestVirtualClockHeldThroughDrain(t *testing.T) {
 
 // TestCloseReleasesTickWaiters: a closed collector takes its idle
 // ticker off the clock, so it can neither pin simulated time nor fire
-// into a dead reactor; the next deadline on the clock is someone
+// into a dead collector; the next deadline on the clock is someone
 // else's.
 func TestCloseReleasesTickWaiters(t *testing.T) {
 	clk := simclock.NewVirtual(0)

@@ -6,15 +6,17 @@
 // The ingest plane is sharded and event-driven. Every attached node
 // is owned by exactly one shard, chosen by hash(NodeID) % Shards; a
 // shard holds its nodes' dedup maps, breaker state, and stats under
-// its own lock, so shards never contend with each other. Instead of
-// one busy-polling goroutine per node, each link endpoint registers a
-// readiness hook (transport.Endpoint.SetNotify): when a frame lands,
-// the hook arms the node's pending bit and pushes its ID onto the
-// owning shard's ready queue. The shard's single reactor goroutine
-// wakes, drains every ready link with TryRecv, applies dedup +
-// circuit-breaker policy, and writes the batch's ACKs back after
-// releasing the shard lock. Idle links cost nothing — no goroutine,
-// no poll, no lock traffic.
+// its own lock, so shards never contend with each other. Shards own
+// no goroutine. Each link endpoint registers a readiness hook
+// (transport.Endpoint.SetNotify): when a frame lands, the hook arms
+// the node's pending bit and pushes its ID onto the owning shard's
+// ready queue, and the goroutine that landed it (usually the node's
+// own sender) drains the shard inline unless another goroutine is
+// already draining it. A drain pulls every ready link with TryRecv,
+// applies dedup + circuit-breaker policy, and writes the batch's ACKs
+// back after releasing the shard lock, so on a lossless link a node's
+// ACK is queued before its Send returns. Idle links cost nothing — no
+// goroutine, no poll, no lock traffic.
 //
 // Because the ACK is sent only after the report is recorded, "the
 // agent saw an ACK" implies "the collector counted the value":
@@ -88,9 +90,10 @@ type Config struct {
 	// per-node empty 2ms poll.
 	PollTimeout time.Duration
 	// Shards is the number of independent ingest shards (default 8,
-	// clamped to [1, 1024]). Each shard runs one reactor goroutine
-	// and owns the dedup/breaker/stats state of the nodes hashed to
-	// it. Per-node results are bit-identical for any shard count.
+	// clamped to [1, 1024]). Each shard owns the dedup/breaker/stats
+	// state of the nodes hashed to it and is drained by at most one
+	// goroutine at a time. Per-node results are bit-identical for any
+	// shard count.
 	Shards int
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// node's breaker (default 8).
@@ -107,8 +110,9 @@ type Config struct {
 	// instrument call is then a nil-receiver no-op.
 	Obs *Metrics
 	// Clock times the idle ticks (nil = wall time). On a virtual clock
-	// the ticker and each shard reactor are participants: counted
-	// while they run, parked between batches.
+	// the ticker is the collector's one participant. A drain runs on
+	// the goroutine that made its shard ready, so it is counted as that
+	// goroutine's running work.
 	Clock simclock.Clock
 
 	// procDelay stalls a shard per report; tests use it to force
@@ -244,9 +248,9 @@ type nodeState struct {
 
 	// pending is the readiness coalescing bit: set by the link's
 	// notify hook when frames land (pushing the node ID onto the
-	// shard's ready queue exactly once), cleared by the reactor just
-	// before draining, so a node sits in the ready queue at most once
-	// no matter how many frames arrive.
+	// shard's ready queue exactly once), cleared by the drain just
+	// before it pulls the node's frames, so a node sits in the ready
+	// queue at most once no matter how many frames arrive.
 	pending atomic.Bool
 
 	store valueStore // dedup + distinct recorded values
@@ -319,7 +323,8 @@ type Aggregate struct {
 }
 
 // shard owns a hash partition of the fleet: its nodes' dedup and
-// breaker state, a stripe of the stats, and one reactor goroutine.
+// breaker state and a stripe of the stats. It has no goroutine of its
+// own; whoever makes it ready drains it.
 type shard struct {
 	c *Collector
 
@@ -328,20 +333,19 @@ type shard struct {
 	stats Stats
 
 	// ready is the coalesced readiness queue (each node at most once,
-	// enforced by nodeState.pending); wake is its doorbell, a waiter on
-	// the collector's clock. awake is set while the reactor is draining
-	// so pushes landing mid-drain skip the doorbell — the reactor
-	// re-checks the queue before parking, so no wakeup is lost.
+	// enforced by nodeState.pending). awake is held by the one
+	// goroutine draining the shard: a push that finds it taken leaves
+	// its entry to that drainer, which re-checks the queue after
+	// lowering the flag, so no entry is stranded.
 	readyMu sync.Mutex
 	ready   []transport.NodeID
-	wake    simclock.Waiter
 	awake   atomic.Bool
 	// pause times procDelay stalls (nil unless procDelay is set).
 	pause simclock.Waiter
 
-	// Reactor-goroutine scratch, reused across batches so the
-	// steady-state per-report path allocates nothing. ACKs wait in
-	// ackPkts, addressed by the parallel ackEnds.
+	// Drainer scratch (owned by the awake holder), reused across
+	// batches so the steady-state per-report path allocates nothing.
+	// ACKs wait in ackPkts, addressed by the parallel ackEnds.
 	spare   []transport.NodeID
 	ackEnds []*transport.Endpoint
 	ackPkts []transport.Packet
@@ -367,7 +371,7 @@ type Collector struct {
 	wg      sync.WaitGroup
 }
 
-// New starts a volatile collector (its shard reactors run until
+// New starts a volatile collector (its idle ticker runs until
 // Close): dedup state lives purely in memory and dies with the
 // process. Use NewDurable to add crash-consistent checkpointing, and
 // Recover to rebuild from a store after a crash.
@@ -433,11 +437,7 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 	}
 	c.tick = c.clk.NewWaiter(simclock.Tick)
 	for i := range c.shards {
-		sh := &shard{
-			c:     c,
-			nodes: make(map[transport.NodeID]*nodeState),
-			wake:  c.clk.NewWaiter(simclock.Tick),
-		}
+		sh := &shard{c: c, nodes: make(map[transport.NodeID]*nodeState)}
 		if cfg.procDelay > 0 {
 			sh.pause = c.clk.NewWaiter(simclock.Tick)
 		}
@@ -448,11 +448,6 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 			sh.nodes = rec[i]
 		}
 		c.shards[i] = sh
-	}
-	for _, sh := range c.shards {
-		c.wg.Add(1)
-		c.clk.Join()
-		go sh.run()
 	}
 	c.wg.Add(1)
 	c.clk.Join()
@@ -527,49 +522,32 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	return nil
 }
 
-// Close stops every shard reactor and the idle ticker and waits for
-// them. Each waiter is signalled out of the clock, so a closed
-// collector leaves no idle tick behind to hold simulated time.
+// Close stops the idle ticker and waits for it; its waiter is
+// signalled out of the clock, so a closed collector leaves no idle
+// tick behind to hold simulated time. Close is also a barrier for
+// drains, which run on other goroutines: a drain checks stopped under
+// its shard lock, so once Close has taken every shard lock no drain
+// touches shard state or the checkpoint store again. Frames that land
+// afterwards stay queued on their links.
 func (c *Collector) Close() {
 	c.stopped.Store(true)
 	c.tick.Signal()
-	for _, sh := range c.shards {
-		sh.wake.Signal()
-	}
 	c.wg.Wait()
+	for _, sh := range c.shards {
+		sh.mu.Lock() // waits out a drain already past its stopped check
+		sh.mu.Unlock()
+	}
 }
 
-// push appends a node to the shard's ready queue and rings the
-// doorbell. Callers hold the node's pending bit, so each node appears
-// at most once (plus the harmless extra entry Attach seeds). The
-// doorbell is skipped while the reactor is already draining: if the
-// reactor misses this entry in its current pass, it re-checks the
-// queue after clearing awake, and the mutex ordering guarantees it
-// either sees the entry then or this push sees awake==false and
-// rings.
+// push appends a node to the shard's ready queue and drains the shard
+// on the caller's goroutine. Callers hold the node's pending bit, so
+// each node appears at most once (plus the harmless extra entry Attach
+// seeds).
 func (sh *shard) push(id transport.NodeID) {
 	sh.readyMu.Lock()
 	sh.ready = append(sh.ready, id)
 	sh.readyMu.Unlock()
-	if sh.awake.Load() {
-		return
-	}
-	sh.wake.Signal()
-}
-
-// run is the shard reactor: sleep until a link announces frames, then
-// drain exactly the ready links.
-func (sh *shard) run() {
-	c := sh.c
-	defer c.wg.Done()
-	defer c.clk.Leave()
-	for {
-		sh.wake.Wait(simclock.Never, nil)
-		if c.stopped.Load() {
-			return
-		}
-		sh.drainAll()
-	}
+	sh.drainAll()
 }
 
 // ticker is the collector's idle tick, one goroutine for every shard
@@ -577,7 +555,7 @@ func (sh *shard) run() {
 // every shard, then flushes the silent links' holdbacks: no frame a
 // flush releases, and no ACK it provokes, can reach a shard before
 // that shard's silence was counted, so the tick's outcome does not
-// depend on which reactor runs first.
+// depend on which shard drains first.
 func (c *Collector) ticker(start time.Duration) {
 	defer c.wg.Done()
 	defer c.clk.Leave()
@@ -607,21 +585,24 @@ func (c *Collector) ticker(start time.Duration) {
 	}
 }
 
-// drainAll drains ready links until the queue stays empty, with the
-// awake flag raised so mid-drain arrivals don't ring the doorbell.
-// Before parking it lowers the flag and re-checks the queue: a push
-// that skipped the doorbell either landed before the check (seen
-// here) or loaded awake after the lowering store (and rang).
+// drainAll drains ready links until the queue stays empty, if the
+// caller wins the awake flag; a caller that loses just returns, since
+// the flag's holder will see its entry. The holder lowers the flag,
+// then re-checks the queue: a push that lost the flag appended under
+// readyMu before its CAS, so it either landed before the re-check
+// (seen here, and drained again) or its CAS follows the lowering
+// store and it drains the entry itself.
 func (sh *shard) drainAll() {
-	sh.awake.Store(true)
-	for sh.drain() {
-	}
-	sh.awake.Store(false)
-	sh.readyMu.Lock()
-	again := len(sh.ready) > 0
-	sh.readyMu.Unlock()
-	if again {
-		sh.wake.Signal()
+	for sh.awake.CompareAndSwap(false, true) {
+		for sh.drain() {
+		}
+		sh.awake.Store(false)
+		sh.readyMu.Lock()
+		again := len(sh.ready) > 0
+		sh.readyMu.Unlock()
+		if !again {
+			return
+		}
 	}
 }
 
@@ -630,7 +611,9 @@ func (sh *shard) drainAll() {
 // and re-queue the node), pull frames with TryRecv until dry, apply
 // breaker + dedup policy under the shard lock, then write the batch's
 // ACKs back after releasing it. It reports whether it pulled any
-// ready links, so drainAll can loop until the queue runs dry.
+// ready links, so drainAll can loop until the queue runs dry. On a
+// closed collector it drops the queue and leaves every frame on its
+// link.
 func (sh *shard) drain() bool {
 	sh.readyMu.Lock()
 	ids := sh.ready
@@ -643,6 +626,11 @@ func (sh *shard) drain() bool {
 
 	batch := 0
 	sh.mu.Lock()
+	if sh.c.stopped.Load() {
+		sh.mu.Unlock()
+		sh.spare = ids[:0]
+		return false
+	}
 	for _, id := range ids {
 		ns := sh.nodes[id]
 		if ns == nil {
@@ -869,7 +857,7 @@ func (c *Collector) Stats() Stats {
 }
 
 // NVMStats aggregates the checkpoint store's engine statistics under
-// the shard locks, so it is safe while the reactors are live. A
+// the shard locks, so it is safe while senders are draining shards. A
 // volatile collector returns the zero Stats.
 func (c *Collector) NVMStats() nvm.Stats {
 	if c.store == nil {

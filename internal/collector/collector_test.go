@@ -8,6 +8,7 @@ import (
 
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/node"
+	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
 )
@@ -193,14 +194,21 @@ func TestDuplicateReorderScheduleProperty(t *testing.T) {
 	}
 }
 
+// TestBreakerTripsHalfOpensRecovers walks one node's breaker through
+// its full arc on a virtual clock, one idle tick at a time, so every
+// state is checked at the exact tick it must hold (a wall-clock poll
+// can miss the two-tick open window). Reports are drained on the
+// sending goroutine, so each probe's verdict is visible as soon as
+// its Send returns.
 func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
-	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2})
+	clk := simclock.NewVirtual(0)
+	clk.Join() // this goroutine
+	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2})
 	defer col.Close()
-	link := transport.NewLink(transport.LinkConfig{})
+	link := transport.NewLink(transport.LinkConfig{Clock: clk})
 	end := link.NodeEnd()
 
-	// Queue a healthy report BEFORE attaching: the first poll returns
-	// it immediately, so no timeout can race ahead of it.
+	// Queue a healthy report BEFORE attaching: Attach drains it.
 	end.Send(transport.Packet{Kind: transport.KindReport, Node: 5, Seq: 0, Value: 40})
 	if err := col.Attach(5, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
@@ -213,39 +221,60 @@ func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 		}
 		return v
 	}
-	waitFor(t, 5*time.Second, "first report", func() bool { return state().Have })
-	if v := state(); v.Degraded || v.Value != 40 {
+	// step parks this goroutine for one PollTimeout. The collector's
+	// tick (class Tick) runs before this Agent-class wait returns at
+	// the same instant, so the tick's effect is visible on return.
+	w := clk.NewWaiter(simclock.Agent)
+	tick := 0
+	step := func(want BreakerState) {
+		t.Helper()
+		tick++
+		if !w.Wait(clk.Now()+time.Millisecond, nil) {
+			t.Fatalf("tick %d: the wait was signalled, not fired", tick)
+		}
+		if got := state().Breaker; got != want {
+			t.Fatalf("tick %d (t=%v): breaker %v, want %v", tick, clk.Now(), got, want)
+		}
+	}
+	if v := state(); !v.Have || v.Degraded || v.Value != 40 {
 		t.Fatalf("healthy view %+v", v)
 	}
 
-	// Sustained silence trips the breaker (consecutive receive
-	// timeouts), after which queries serve the last-ACKed cache,
-	// marked degraded.
-	waitFor(t, 5*time.Second, "breaker open", func() bool { return state().Breaker == BreakerOpen })
+	// The first tick sees the report; the next three are silent and
+	// trip the breaker, after which queries serve the last-ACKed
+	// cache, marked degraded.
+	step(BreakerClosed)
+	tick = 0 // count silent ticks from here
+	step(BreakerClosed)
+	step(BreakerClosed)
+	step(BreakerOpen)
 	v := state()
 	if !v.Degraded || v.Value != 40 || v.Seq != 0 || v.Reports != 1 {
 		t.Fatalf("open view should serve cached seq 0 value 40: %+v", v)
 	}
 
-	// More silence half-opens it; an unhealthy probe slams it shut
-	// again without being recorded.
-	waitFor(t, 5*time.Second, "half-open", func() bool { return state().Breaker == BreakerHalfOpen })
+	// OpenTicks more silent ticks half-open it; an unhealthy probe
+	// slams it shut again without being recorded.
+	step(BreakerOpen)
+	step(BreakerHalfOpen)
 	end.Send(transport.Packet{
 		Kind: transport.KindReport, Node: 5, Seq: 1, Value: 41,
 		Flags: transport.FlagUnhealthy,
 	})
-	waitFor(t, 5*time.Second, "re-open after bad probe", func() bool { return state().Breaker == BreakerOpen })
-	if v := state(); v.Reports != 1 {
-		t.Fatalf("failed probe was recorded: %+v", v)
+	if v := state(); v.Breaker != BreakerOpen || v.Reports != 1 {
+		t.Fatalf("after the unhealthy probe: %+v, want open with 1 report", v)
 	}
 
-	// Half-open again; a healthy probe closes the breaker and is
-	// recorded normally.
-	waitFor(t, 5*time.Second, "half-open again", func() bool { return state().Breaker == BreakerHalfOpen })
+	// The tick that saw the probe does not count down the cooldown;
+	// the next two do and half-open it again. A healthy probe closes
+	// the breaker and is recorded normally.
+	tick = 0
+	step(BreakerOpen)
+	step(BreakerOpen)
+	step(BreakerHalfOpen)
 	end.Send(transport.Packet{Kind: transport.KindReport, Node: 5, Seq: 1, Value: 50})
-	waitFor(t, 5*time.Second, "closed after probe", func() bool { return state().Breaker == BreakerClosed })
 	v = state()
-	if v.Degraded || v.Value != 50 || v.Reports != 2 {
+	if v.Breaker != BreakerClosed || v.Degraded || v.Value != 50 || v.Reports != 2 {
 		t.Fatalf("recovered view %+v", v)
 	}
 }

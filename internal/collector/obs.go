@@ -8,10 +8,12 @@ import "ulpdp/internal/obs"
 // cooldown expiries, Closed half-open→closed recoveries, and
 // Reopened half-open→open failed probes.
 //
-// QueueDepth is sampled once per drained reactor batch (the number of
+// QueueDepth is sampled once per drained shard batch (the number of
 // reports that pass pulled off the wire) rather than written on every
-// enqueue and dequeue. The sharded reactor has no ingest queue to
-// overflow: backpressure surfaces as transport overflow on the link.
+// enqueue and dequeue. A sender usually drains its own report, so the
+// batch is often 1; it grows when other senders' reports land while a
+// drain runs. The collector has no ingest queue to overflow:
+// backpressure surfaces as transport overflow on the link.
 type Metrics struct {
 	Accepted     *obs.Counter
 	Duplicates   *obs.Counter

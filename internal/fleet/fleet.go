@@ -802,9 +802,11 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// quiesce returns once the fleet is at rest — every reactor and the
-// supervisor parked on the clock, so no frame is queued or being
-// processed — and no uplink holds a reorder holdback. Holdbacks are
+// quiesce returns once the fleet is at rest — every agent, the
+// collector's idle ticker and the supervisor parked on the clock, so
+// no shard drain is running (a drain runs on the goroutine that sent
+// or flushed the frames) and no frame is queued — and no uplink holds
+// a reorder holdback. Holdbacks are
 // flushed by the collector's idle tick, so while any remain the clock
 // advances to the next tick. The caller stays a running participant
 // afterwards, which freezes simulated time for the final reads.

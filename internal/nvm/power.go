@@ -5,10 +5,11 @@ import "sync/atomic"
 // Power is the supply cell shared by every bank of a region: a crash
 // takes the whole region down between two word writes, so the fail
 // countdown is global, not per bank. Clients journal concurrently
-// (the collector's shards share one cell across reactors), so the
-// cell is lock-free, and permits are granted a record at a time: with
-// no failure armed (the steady state) one record costs one load and
-// one relaxed counter bump, never a shared mutex. Granting a run of
+// (the collector's shards share one cell and are drained on many
+// goroutines at once), so the cell is lock-free, and permits are
+// granted a record at a time: with no failure armed (the steady
+// state) one record costs one load and one relaxed counter bump,
+// never a shared mutex. Granting a run of
 // words at once does not move the cut point — a scheduled failure
 // still lands between the same two words it would word by word.
 //

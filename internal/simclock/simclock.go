@@ -14,7 +14,7 @@
 // participant is a goroutine that waits on the clock: it is counted
 // from Join (called by whoever starts it) until it parks in a Wait or
 // calls Leave. Whoever wakes a parked participant — a Signal for an
-// arriving frame, a doorbell, a shutdown — counts it back in before
+// arriving frame or ACK, a shutdown — counts it back in before
 // the wake is delivered, so handed-over work is never invisible to
 // the counter. Whoever brings the count to zero fires the earliest
 // group of waiters sharing one (deadline, class); the clock fires the
@@ -40,7 +40,9 @@ const Never = time.Duration(math.MaxInt64)
 type Class uint8
 
 const (
-	// Tick is a collector shard's idle tick.
+	// Tick is the collector's idle ticker, the one goroutine a
+	// collector runs; its shards are drained on the goroutines that
+	// send to them.
 	Tick Class = iota
 	// Supervisor is the fleet's collector crash watcher.
 	Supervisor

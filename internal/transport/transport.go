@@ -200,7 +200,7 @@ type held struct {
 
 // pipe is one direction of the link. Queued frames live in a bounded
 // ring under mu — not a channel — so the event-driven receive path
-// (TryRecv from the collector's reactor) is one mutexed pointer pop
+// (TryRecv from a collector shard drain) is one mutexed pointer pop
 // with no channel machinery. Blocking receivers announce themselves
 // in waiters and park on wake, which senders signal only on an
 // empty→nonempty transition with a waiter present. The waiter is
@@ -217,8 +217,8 @@ type pipe struct {
 	waiters atomic.Int32    // blocked Recv calls
 	wake    simclock.Waiter // their doorbell and deadline; set under mu
 
-	// notify, when set, is fired (outside mu) after one or more frames
-	// land in the ring: the receiving end's readiness hook. See
+	// notify, when set, is fired after mu is released once one or more
+	// frames land in the ring: the receiving end's readiness hook. See
 	// Endpoint.SetNotify.
 	notify func()
 }
@@ -300,7 +300,8 @@ func (l *Link) Stats() Stats {
 // Endpoint is one end of a link. The node end sends up and receives
 // down; the collector end is the mirror image. Endpoints are
 // goroutine-safe: Send and Recv may run concurrently (the collector
-// ACKs from its processor while a per-node goroutine receives).
+// ACKs from whichever goroutine drains the node's shard while a
+// per-node goroutine receives).
 type Endpoint struct {
 	link     *Link
 	sendPipe *pipe
@@ -323,13 +324,14 @@ func (e *Endpoint) Clock() simclock.Clock { return e.link.clk }
 // SetNotify installs a readiness hook on this end's receive
 // direction: fn fires after one or more frames land in the receive
 // queue (at most once per Send or flush, however many frames it
-// delivered). The collector's reactor uses this to replace per-node
+// delivered). The collector uses this to replace per-node
 // busy-polling — it only touches links that announced pending frames.
 //
 // fn runs on the *sender's* goroutine (or whichever goroutine flushed
-// holdbacks) and must be non-blocking and must not call back into
-// this endpoint; the canonical implementation sets an atomic "armed"
-// bit and does a non-blocking channel send. Passing nil removes the
+// holdbacks), after the direction's lock is released, and the send
+// returns only once fn does. It may therefore receive on this same
+// end: the collector's hook drains the frames inline and sends their
+// ACKs back before the sender's Send returns. Passing nil removes the
 // hook.
 func (e *Endpoint) SetNotify(fn func()) {
 	p := e.recvPipe
@@ -467,7 +469,7 @@ func (e *Endpoint) landHeldLocked(p *pipe, f *frame) int {
 // overflow (bounded queue backpressure), and reports 1 if the frame
 // landed. The receiver's waiter is signalled only when the ring turns
 // nonempty with a blocked Recv present — the event-driven path pays
-// no doorbell cost. On a virtual clock the signal counts the parked
+// no wakeup cost. On a virtual clock the signal counts the parked
 // receiver back in before the frame can be popped, so time cannot
 // advance past a frame nobody has read yet. Callers hold p.mu.
 func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
