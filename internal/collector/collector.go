@@ -8,22 +8,21 @@
 // shard holds its nodes' dedup maps, breaker state, and stats under
 // its own lock, so shards never contend with each other. Shards own
 // no goroutine. Each link endpoint registers a readiness hook
-// (transport.Endpoint.SetNotify): when a frame lands, the hook arms
-// the node's pending bit and pushes its ID onto the owning shard's
-// ready queue, and the goroutine that landed it (usually the node's
-// own sender) drains the shard inline unless another goroutine is
-// already draining it. A drain pulls every ready link with TryRecv,
-// applies dedup + circuit-breaker policy, and writes the batch's ACKs
-// back after releasing the shard lock, so on a lossless link a node's
-// ACK is queued before its Send returns. Idle links cost nothing — no
-// goroutine, no poll, no lock traffic.
+// (transport.Endpoint.SetNotify) that fires on the goroutine that
+// landed a frame (usually the node's own sender): under the shard
+// lock it pulls that one link dry with TryRecv, applies dedup +
+// circuit-breaker policy, and sends the link's ACKs back before
+// releasing the lock, so on a lossless link a node's ACK is queued
+// before its Send returns. Idle links cost nothing — no goroutine, no
+// poll, no lock traffic.
 //
 // Because the ACK is sent only after the report is recorded, "the
 // agent saw an ACK" implies "the collector counted the value":
 // at-least-once delivery composes with idempotent dedup into
-// exactly-once accounting. Backpressure is the link's own bounded
-// receive queue: a slow shard lets frames overflow there, which looks
-// exactly like packet loss, and the node's retry loop recovers it.
+// exactly-once accounting. Backpressure is the shard lock — a sender
+// into a busy shard waits for it — and the link's own bounded receive
+// queue: frames that overflow there look exactly like packet loss, and
+// the node's retry loop recovers them.
 //
 // Node state is confined to its shard and every per-node decision
 // depends only on that node's own report stream, so any shard count
@@ -111,12 +110,15 @@ type Config struct {
 	Obs *Metrics
 	// Clock times the idle ticks (nil = wall time). On a virtual clock
 	// the ticker is the collector's one participant. A drain runs on
-	// the goroutine that made its shard ready, so it is counted as that
+	// the goroutine that landed its frames, so it is counted as that
 	// goroutine's running work.
 	Clock simclock.Clock
 
-	// procDelay stalls a shard per report; tests use it to force
-	// slow-consumer backpressure deterministically.
+	// procDelay stalls a drain per report while it holds the shard
+	// lock; tests use it to force slow-consumer backpressure (senders
+	// into the shard wait on the lock). Wall clock only: a sender
+	// blocked on the lock still counts as running on a virtual clock,
+	// so the stall could never end there.
 	procDelay time.Duration
 }
 
@@ -242,16 +244,9 @@ func (vs *valueStore) forEachDense(f func(seq uint64, v int64)) {
 }
 
 // nodeState is everything the collector knows about one node.
-// Guarded by its owning shard's mu, except pending (atomic).
+// Guarded by its owning shard's mu.
 type nodeState struct {
 	end *transport.Endpoint
-
-	// pending is the readiness coalescing bit: set by the link's
-	// notify hook when frames land (pushing the node ID onto the
-	// shard's ready queue exactly once), cleared by the drain just
-	// before it pulls the node's frames, so a node sits in the ready
-	// queue at most once no matter how many frames arrive.
-	pending atomic.Bool
 
 	store valueStore // dedup + distinct recorded values
 
@@ -323,8 +318,10 @@ type Aggregate struct {
 }
 
 // shard owns a hash partition of the fleet: its nodes' dedup and
-// breaker state and a stripe of the stats. It has no goroutine of its
-// own; whoever makes it ready drains it.
+// breaker state and a stripe of the stats, all under mu. It has no
+// goroutine of its own: whoever lands a frame on one of its links
+// drains that link under mu, and another goroutine landing frames in
+// the same shard waits for mu, then drains its own link.
 type shard struct {
 	c *Collector
 
@@ -332,23 +329,11 @@ type shard struct {
 	nodes map[transport.NodeID]*nodeState
 	stats Stats
 
-	// ready is the coalesced readiness queue (each node at most once,
-	// enforced by nodeState.pending). awake is held by the one
-	// goroutine draining the shard: a push that finds it taken leaves
-	// its entry to that drainer, which re-checks the queue after
-	// lowering the flag, so no entry is stranded.
-	readyMu sync.Mutex
-	ready   []transport.NodeID
-	awake   atomic.Bool
 	// pause times procDelay stalls (nil unless procDelay is set).
 	pause simclock.Waiter
-
-	// Drainer scratch (owned by the awake holder), reused across
-	// batches so the steady-state per-report path allocates nothing.
-	// ACKs wait in ackPkts, addressed by the parallel ackEnds.
-	spare   []transport.NodeID
-	ackEnds []*transport.Endpoint
-	ackPkts []transport.Packet
+	// acks collects one drain's ACKs; reused so the steady-state
+	// per-report path allocates nothing.
+	acks []transport.Packet
 
 	// j is the shard's durable checkpoint journal (nil = volatile
 	// collector). dead latches once a journal write fails: the shard
@@ -510,25 +495,19 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	ns.end = end
 	sh.mu.Unlock()
 
-	end.SetNotify(func() {
-		if ns.pending.CompareAndSwap(false, true) {
-			sh.push(id)
-		}
-	})
-	// Frames may have landed before the hook existed; arm and enqueue
-	// once so they are drained.
-	ns.pending.Store(true)
-	sh.push(id)
+	end.SetNotify(func() { sh.drain(id, ns) })
+	// Frames may have landed before the hook existed: drain them now.
+	sh.drain(id, ns)
 	return nil
 }
 
 // Close stops the idle ticker and waits for it; its waiter is
 // signalled out of the clock, so a closed collector leaves no idle
 // tick behind to hold simulated time. Close is also a barrier for
-// drains, which run on other goroutines: a drain checks stopped under
-// its shard lock, so once Close has taken every shard lock no drain
-// touches shard state or the checkpoint store again. Frames that land
-// afterwards stay queued on their links.
+// drains, which run on senders' goroutines: a drain checks stopped
+// under its shard lock, so once Close has taken every shard lock once
+// no drain touches shard state, a link or the checkpoint store again.
+// Frames that land afterwards stay queued on their links.
 func (c *Collector) Close() {
 	c.stopped.Store(true)
 	c.tick.Signal()
@@ -537,17 +516,6 @@ func (c *Collector) Close() {
 		sh.mu.Lock() // waits out a drain already past its stopped check
 		sh.mu.Unlock()
 	}
-}
-
-// push appends a node to the shard's ready queue and drains the shard
-// on the caller's goroutine. Callers hold the node's pending bit, so
-// each node appears at most once (plus the harmless extra entry Attach
-// seeds).
-func (sh *shard) push(id transport.NodeID) {
-	sh.readyMu.Lock()
-	sh.ready = append(sh.ready, id)
-	sh.readyMu.Unlock()
-	sh.drainAll()
 }
 
 // ticker is the collector's idle tick, one goroutine for every shard
@@ -585,104 +553,48 @@ func (c *Collector) ticker(start time.Duration) {
 	}
 }
 
-// drainAll drains ready links until the queue stays empty, if the
-// caller wins the awake flag; a caller that loses just returns, since
-// the flag's holder will see its entry. The holder lowers the flag,
-// then re-checks the queue: a push that lost the flag appended under
-// readyMu before its CAS, so it either landed before the re-check
-// (seen here, and drained again) or its CAS follows the lowering
-// store and it drains the entry itself.
-func (sh *shard) drainAll() {
-	for sh.awake.CompareAndSwap(false, true) {
-		for sh.drain() {
-		}
-		sh.awake.Store(false)
-		sh.readyMu.Lock()
-		again := len(sh.ready) > 0
-		sh.readyMu.Unlock()
-		if !again {
-			return
-		}
-	}
-}
-
-// drain swaps out the ready queue and processes every pending link:
-// clear the node's pending bit (arrivals during the drain re-arm it
-// and re-queue the node), pull frames with TryRecv until dry, apply
-// breaker + dedup policy under the shard lock, then write the batch's
-// ACKs back after releasing it. It reports whether it pulled any
-// ready links, so drainAll can loop until the queue runs dry. On a
-// closed collector it drops the queue and leaves every frame on its
-// link.
-func (sh *shard) drain() bool {
-	sh.readyMu.Lock()
-	ids := sh.ready
-	sh.ready = sh.spare[:0]
-	sh.readyMu.Unlock()
-	if len(ids) == 0 {
-		sh.spare = ids
-		return false
-	}
-
-	batch := 0
+// drain pulls one node's link dry with TryRecv and applies breaker +
+// dedup policy to each report under the shard lock, then sends the
+// link's ACKs as one SendBatch before releasing it. Every ACK follows
+// its report's recording (after the commit word on a durable shard),
+// so "ACKed implies counted" holds, and one batch per drain keeps the
+// link's fate order a function of the protocol: the node cannot react
+// to its first ACK while later ones are still drawing their fates.
+// Because the ACKs go out under the shard lock, a node end must never
+// carry a notify hook that re-enters the collector. On a closed
+// collector drain leaves every frame on its link.
+func (sh *shard) drain(id transport.NodeID, ns *nodeState) {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.c.stopped.Load() {
-		sh.mu.Unlock()
-		sh.spare = ids[:0]
-		return false
+		return
 	}
-	for _, id := range ids {
-		ns := sh.nodes[id]
-		if ns == nil {
-			continue
+	batch := 0
+	for {
+		pkt, ok := ns.end.TryRecv()
+		if !ok {
+			break
 		}
-		ns.pending.Store(false)
-		for {
-			pkt, ok := ns.end.TryRecv()
-			if !ok {
-				break
-			}
-			if pkt.Kind != transport.KindReport || pkt.Node != id {
-				continue // stray or echoed frame; the checksum already passed, but it is not ours
-			}
-			if d := sh.c.cfg.procDelay; d > 0 {
-				until := sh.c.clk.Now() + d
-				for !sh.pause.Wait(until, nil) {
-				}
-			}
-			sh.handleLocked(id, ns, pkt)
-			batch++
+		if pkt.Kind != transport.KindReport || pkt.Node != id {
+			continue // stray or echoed frame; the checksum already passed, but it is not ours
 		}
+		if d := sh.c.cfg.procDelay; d > 0 {
+			until := sh.c.clk.Now() + d
+			for !sh.pause.Wait(until, nil) {
+			}
+		}
+		sh.handleLocked(id, ns, pkt)
+		batch++
 	}
-	sh.mu.Unlock()
-
-	// Queue-depth telemetry is sampled once per drained batch (the
-	// number of reports this pass pulled off the wire) instead of
-	// being written on every enqueue and dequeue — two contended
-	// atomic writes per report on the old single-queue path.
+	// Queue-depth telemetry is sampled once per drain (the frames this
+	// pass pulled off the link) instead of on every enqueue and dequeue.
 	if batch > 0 {
 		sh.c.cfg.Obs.QueueDepth.Set(int64(batch))
 	}
-
-	// Batched ACK writeback: every ACK follows its report's recording
-	// (record under the shard lock, ACK after), preserving the
-	// "ACKed implies counted" invariant while keeping link sends off
-	// the shard's critical section. A node's ACKs sit contiguously and
-	// go out as one SendBatch.
-	for i := 0; i < len(sh.ackPkts); {
-		end := sh.ackEnds[i]
-		j := i + 1
-		for j < len(sh.ackPkts) && sh.ackEnds[j] == end {
-			j++
-		}
-		end.SendBatch(sh.ackPkts[i:j])
-		i = j
+	if len(sh.acks) > 0 {
+		ns.end.SendBatch(sh.acks)
+		sh.acks = sh.acks[:0]
 	}
-	clear(sh.ackEnds)
-	sh.ackEnds = sh.ackEnds[:0]
-	sh.ackPkts = sh.ackPkts[:0]
-	sh.spare = ids[:0]
-	return true
 }
 
 // handleLocked applies breaker policy and dedup for one report and
@@ -776,8 +688,7 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 
 	// ACK after recording (including duplicate re-ACKs: the node may
 	// have missed the first ACK).
-	sh.ackEnds = append(sh.ackEnds, ns.end)
-	sh.ackPkts = append(sh.ackPkts, transport.Packet{Kind: transport.KindAck, Node: id, Seq: pkt.Seq})
+	sh.acks = append(sh.acks, transport.Packet{Kind: transport.KindAck, Node: id, Seq: pkt.Seq})
 }
 
 // compactLocked rewrites the shard's checkpoint as a fresh snapshot
@@ -793,13 +704,6 @@ func (sh *shard) compactLocked() {
 	sh.sinceCompact = 0
 	sh.c.cfg.Obs.Compactions.Inc()
 	sh.c.cfg.Obs.CheckpointBytes.Add(uint64(2 * sh.j.bankLen()))
-}
-
-// idleTick runs one idle tick on this shard alone.
-func (sh *shard) idleTick() {
-	for _, e := range sh.countSilence(nil) {
-		e.FlushHeld()
-	}
 }
 
 // countSilence feeds one silent tick into the breaker of every node

@@ -2,10 +2,12 @@ package collector
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
 	"ulpdp/internal/transport"
 )
@@ -46,13 +48,13 @@ func TestInlineDrainAcksBeforeSendReturns(t *testing.T) {
 	}
 }
 
-// TestInlineDrainHandOffStress: many senders race for one shard's
-// drain. A sender that loses the race leaves its report to the
-// goroutine draining the shard, which must pick it up. The senders
-// move in lockstep rounds (every sender sends one report, then every
-// sender waits for its ACK), so no later push can rescue an entry a
-// drain stranded: the round would stall. Every report must be
-// admitted exactly once and ACKed.
+// TestInlineDrainHandOffStress: many senders land frames in one shard
+// at once. Each drains its own link under the shard lock, so senders
+// that find the lock held wait for it and then drain their own links.
+// The senders move in lockstep rounds (every sender sends one report,
+// then every sender waits for its ACK), so a report that no drain
+// picked up would stall its round. Every report must be admitted
+// exactly once and ACKed.
 func TestInlineDrainHandOffStress(t *testing.T) {
 	const (
 		senders = 32
@@ -134,10 +136,9 @@ func TestCloseWaitsOutInlineDrain(t *testing.T) {
 		end.Send(transport.Packet{Kind: transport.KindReport, Node: 1, Seq: 0, Value: 7})
 	}()
 	sh := col.shardFor(1)
+	// Nothing else takes the lock here (the idle tick is an hour off),
+	// so a failing TryLock shows the sender's drain holds it.
 	waitFor(t, 5*time.Second, "the sender's drain to hold the shard lock", func() bool {
-		if !sh.awake.Load() {
-			return false
-		}
 		if sh.mu.TryLock() {
 			sh.mu.Unlock()
 			return false
@@ -164,5 +165,85 @@ func TestCloseWaitsOutInlineDrain(t *testing.T) {
 	}
 	if n := link.CollectorEnd().Pending(); n != 1 {
 		t.Fatalf("%d frames queued after Close, want the unadmitted report", n)
+	}
+}
+
+// TestOneNodeDrainedFromTwoGoroutines: one node's link is landed on
+// by two goroutines at once, the node's sender and a loop flushing the
+// uplink's reorder holdbacks, so each drains the same link under the
+// shard lock in turn. The sender retransmits every report until it is
+// ACKed. Every report must be admitted exactly once and ACKed, and no
+// landed frame may be left on the link.
+func TestOneNodeDrainedFromTwoGoroutines(t *testing.T) {
+	const reports = 200
+	col := New(Config{PollTimeout: time.Hour, BreakerThreshold: 1 << 30})
+	defer col.Close()
+	fp := fault.NewPlane()
+	// Every third report is held back until two later frames pass it
+	// or a flush releases it; the rest land on the sender's goroutine.
+	fp.SetPacketFault(func(_ uint64, dir uint8, payload []byte) fault.PacketFate {
+		if pkt, err := transport.Unmarshal(payload); err == nil && dir == fault.DirUp && pkt.Seq%3 == 0 {
+			return fault.PacketFate{Delay: 2}
+		}
+		return fault.PacketFate{}
+	})
+	link := transport.NewLink(transport.LinkConfig{Plane: fp})
+	if err := col.Attach(1, link.CollectorEnd()); err != nil {
+		t.Fatal(err)
+	}
+
+	stop, flusher := make(chan struct{}), make(chan struct{})
+	stopFlusher := sync.OnceFunc(func() { close(stop); <-flusher })
+	defer stopFlusher()
+	go func() {
+		defer close(flusher)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			link.CollectorEnd().FlushHeld()
+			runtime.Gosched()
+		}
+	}()
+
+	end := link.NodeEnd()
+	var acked [reports]bool
+	for seq := uint64(0); seq < reports; seq++ {
+		deadline := time.Now().Add(10 * time.Second)
+		for !acked[seq] {
+			if time.Now().After(deadline) {
+				t.Fatalf("report %d never ACKed", seq)
+			}
+			end.Send(transport.Packet{Kind: transport.KindReport, Node: 1, Seq: seq, Value: int64(seq)})
+			for {
+				ack, ok := end.Recv(time.Millisecond)
+				if !ok {
+					break
+				}
+				if ack.Kind != transport.KindAck || ack.Node != 1 || ack.Seq >= reports {
+					t.Fatalf("unexpected frame on the downlink: %+v", ack)
+				}
+				acked[ack.Seq] = true
+				if ack.Seq == seq {
+					break
+				}
+			}
+		}
+	}
+	stopFlusher()
+
+	// Release what the sender's last retransmits left held back; the
+	// flush's own drain must pull every frame it lands.
+	link.CollectorEnd().FlushHeld()
+	if st := col.Stats(); st.Accepted != reports {
+		t.Fatalf("stats %+v, want %d accepted", st, reports)
+	}
+	if n := link.CollectorEnd().Pending(); n != 0 {
+		t.Fatalf("%d frames left on the uplink, want 0", n)
+	}
+	if link.Stats().Reordered == 0 {
+		t.Fatal("the uplink held nothing back; no flush landed a frame")
 	}
 }

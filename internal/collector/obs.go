@@ -8,12 +8,13 @@ import "ulpdp/internal/obs"
 // cooldown expiries, Closed half-open→closed recoveries, and
 // Reopened half-open→open failed probes.
 //
-// QueueDepth is sampled once per drained shard batch (the number of
-// reports that pass pulled off the wire) rather than written on every
-// enqueue and dequeue. A sender usually drains its own report, so the
-// batch is often 1; it grows when other senders' reports land while a
-// drain runs. The collector has no ingest queue to overflow:
-// backpressure surfaces as transport overflow on the link.
+// QueueDepth is sampled once per drain (the reports it pulled off its
+// one link) rather than written on every enqueue and dequeue. A sender
+// drains its own report, so it reads 1 on a lossless link; it is
+// larger only for duplicates and flushed reorder holdbacks. The
+// collector has no ingest queue to overflow: a sender into a busy
+// shard waits on its lock, and frames beyond a link's ring overflow
+// there as loss.
 type Metrics struct {
 	Accepted     *obs.Counter
 	Duplicates   *obs.Counter

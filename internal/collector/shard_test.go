@@ -18,6 +18,13 @@ func (c *Collector) tickAll() {
 	}
 }
 
+// idleTick runs one idle tick on this shard alone.
+func (sh *shard) idleTick() {
+	for _, e := range sh.countSilence(nil) {
+		e.FlushHeld()
+	}
+}
+
 // quiesce waits until every sent report has been handled: each report
 // lands in exactly one of Accepted, Duplicates, or BreakerDrops.
 func quiesce(t *testing.T, col *Collector, handled uint64) {

@@ -217,9 +217,9 @@ type pipe struct {
 	waiters atomic.Int32    // blocked Recv calls
 	wake    simclock.Waiter // their doorbell and deadline; set under mu
 
-	// notify, when set, is fired after mu is released once one or more
-	// frames land in the ring: the receiving end's readiness hook. See
-	// Endpoint.SetNotify.
+	// notify, when set, is fired after mu is released by every send or
+	// flush that lands one or more frames in the ring: the receiving
+	// end's readiness hook. See Endpoint.SetNotify.
 	notify func()
 }
 
@@ -300,7 +300,7 @@ func (l *Link) Stats() Stats {
 // Endpoint is one end of a link. The node end sends up and receives
 // down; the collector end is the mirror image. Endpoints are
 // goroutine-safe: Send and Recv may run concurrently (the collector
-// ACKs from whichever goroutine drains the node's shard while a
+// ACKs from whichever goroutine drains the node's link while a
 // per-node goroutine receives).
 type Endpoint struct {
 	link     *Link
@@ -322,10 +322,12 @@ func (l *Link) CollectorEnd() *Endpoint { return &l.colEnd }
 func (e *Endpoint) Clock() simclock.Clock { return e.link.clk }
 
 // SetNotify installs a readiness hook on this end's receive
-// direction: fn fires after one or more frames land in the receive
-// queue (at most once per Send or flush, however many frames it
-// delivered). The collector uses this to replace per-node
-// busy-polling — it only touches links that announced pending frames.
+// direction: fn fires once after every Send, SendBatch or FlushHeld
+// that lands one or more frames in the receive queue, however many it
+// landed and whether or not frames were already queued. A send whose
+// frames are all dropped or held back fires nothing (unless it aged an
+// earlier holdback into the queue). The collector uses this to replace
+// per-node busy-polling — it only touches links that announced frames.
 //
 // fn runs on the *sender's* goroutine (or whichever goroutine flushed
 // holdbacks), after the direction's lock is released, and the send
@@ -495,9 +497,7 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 // Recv does this implicitly at its deadline; event-driven receivers
 // (which never block in Recv) call it from their idle tick so a
 // reorder holdback on a now-silent link is late, never lost.
-func (e *Endpoint) FlushHeld() { e.flushHeld() }
-
-func (e *Endpoint) flushHeld() {
+func (e *Endpoint) FlushHeld() {
 	p := e.recvPipe
 	p.mu.Lock()
 	landed := 0
@@ -544,7 +544,7 @@ func (e *Endpoint) RecvUntil(deadline time.Duration) (Packet, bool) {
 		if wake.Wait(deadline, nil) {
 			// Last chance: release holdbacks and drain what is
 			// already queued.
-			e.flushHeld()
+			e.FlushHeld()
 			return e.TryRecv()
 		}
 	}

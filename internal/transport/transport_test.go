@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -199,4 +200,85 @@ func TestSameSeedSameSchedule(t *testing.T) {
 			t.Fatalf("frame %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestNotifyContract pins the readiness hook the collector drains on:
+// it fires once per send or flush that lands frames, even into a ring
+// that is not empty; never for a send whose frame is dropped or held
+// back; after the direction's lock is released, so it may receive on
+// its own end; and never again once removed.
+func TestNotifyContract(t *testing.T) {
+	var fate fault.PacketFate // the next uplink frame's scripted fate
+	fp := fault.NewPlane()
+	fp.SetPacketFault(func(_ uint64, dir uint8, _ []byte) fault.PacketFate {
+		if dir == fault.DirUp {
+			return fate
+		}
+		return fault.PacketFate{}
+	})
+	l := NewLink(LinkConfig{Plane: fp})
+	up, col := l.NodeEnd(), l.CollectorEnd()
+	fires, unlocked := 0, true
+	drain := false // whether the hook receives what landed
+	col.SetNotify(func() {
+		fires++
+		if !l.up.mu.TryLock() {
+			unlocked = false
+			return
+		}
+		l.up.mu.Unlock()
+		if drain {
+			for ok := true; ok; _, ok = col.TryRecv() {
+			}
+		}
+	})
+	seq := uint64(0)
+	send := func(f fault.PacketFate) {
+		fate = f
+		up.Send(Packet{Kind: KindReport, Node: 1, Seq: seq})
+		seq++
+	}
+	expect := func(step string, wantFires, wantPending int) {
+		t.Helper()
+		if !unlocked {
+			t.Fatalf("%s: the hook ran under the pipe lock", step)
+		}
+		if fires != wantFires || col.Pending() != wantPending {
+			t.Fatalf("%s: %d fires, %d pending; want %d, %d", step, fires, col.Pending(), wantFires, wantPending)
+		}
+	}
+
+	for i := 1; i <= 3; i++ {
+		send(fault.PacketFate{})
+		expect(fmt.Sprintf("send %d into a ring holding %d", i, i-1), i, i)
+	}
+	fate = fault.PacketFate{}
+	up.SendBatch([]Packet{{Kind: KindReport, Node: 1, Seq: 10}, {Kind: KindReport, Node: 1, Seq: 11}})
+	expect("a two-frame batch", 4, 5)
+	send(fault.PacketFate{Duplicates: 2})
+	expect("a send landing three copies", 5, 8)
+	send(fault.PacketFate{Drop: true})
+	expect("a dropped send", 5, 8)
+	send(fault.PacketFate{Delay: 1})
+	expect("a held-back send", 5, 9)
+	col.FlushHeld()
+	expect("a flush landing the holdback", 6, 9)
+	col.FlushHeld()
+	expect("a flush with nothing held", 6, 9)
+
+	drain = true
+	send(fault.PacketFate{})
+	expect("a send whose hook receives on its own end", 7, 0)
+	send(fault.PacketFate{Delay: 1})
+	expect("a held-back send", 7, 1)
+	send(fault.PacketFate{Drop: true})
+	expect("a dropped send aging a holdback into the ring", 8, 0)
+	send(fault.PacketFate{Delay: 1})
+	send(fault.PacketFate{})
+	expect("a send landing itself and an aged holdback", 9, 0)
+
+	col.SetNotify(nil)
+	send(fault.PacketFate{})
+	col.FlushHeld()
+	expect("after SetNotify(nil)", 9, 1)
 }
