@@ -17,8 +17,9 @@ type runShape struct {
 }
 
 // bitExactShapes are the run shapes whose whole Result is pinned per
-// seed: chaos links alone, and durable nodes crash-recovering over
-// corrupting links.
+// seed: chaos links alone, durable nodes crash-recovering over
+// corrupting links, and a serial fleet over a collector that crashes
+// three times.
 func bitExactShapes() []runShape {
 	return []runShape{
 		{"chaos", Config{
@@ -28,6 +29,13 @@ func bitExactShapes() []runShape {
 		{"durable-nodecrash", Config{
 			Nodes: 64, Reports: 8, Durable: true, CrashEvery: 3,
 			Link: fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, Corrupt: 0.05, MaxDelay: 2},
+		}},
+		// One worker: a single node lifecycle at a time, so no two nodes
+		// race for the store's crash word.
+		{"collector-crash-serial", Config{
+			Nodes: 16, Reports: 4, Workers: 1, Shards: 2, CompactEvery: 5, CrashEvery: 3,
+			CollectorCrashes: []int{150, 600, 1400}, BreakerThreshold: 1 << 20,
+			Link: fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2},
 		}},
 	}
 }
@@ -39,10 +47,11 @@ func bitExactShapes() []runShape {
 // values. Only the wall-clock telemetry (Obs latency histograms,
 // Flight stamps) may differ, and neither is attached here.
 //
-// Collector-crash runs are out of scope: nodes admitted at the same
-// simulated instant race for the shared checkpoint store, so which
-// admission the scheduled word write tears still depends on goroutine
-// order.
+// Collector-crash runs with several workers are out of scope: nodes
+// admitted at the same simulated instant race for the shared
+// checkpoint store, so which admission the scheduled word write tears
+// still depends on goroutine order. With one worker there is no such
+// race, and the serial collector-crash shape is pinned like the rest.
 func TestSameSeedRunsBitExact(t *testing.T) {
 	seed := gridSeed(t)
 	for _, c := range bitExactShapes() {
@@ -91,18 +100,21 @@ func TestSameSeedRunsBitExact(t *testing.T) {
 // checkpoint word count, and each node's redeliveries, crashes,
 // sorted releases and spend. Retransmit, timeout and duplicate counts
 // are therefore fixed too, which CompareRuns does not check. Workers
-// is pinned because the default pool size follows GOMAXPROCS and the
-// pool size shifts timing counts.
+// is pinned (16 unless the shape sets its own) because the default
+// pool size follows GOMAXPROCS and the pool size shifts timing counts.
 func TestFleetRunGolden(t *testing.T) {
 	want := map[string]uint64{
-		"chaos":             0x950d54de7268f420,
-		"durable-nodecrash": 0x111f9349cf1f32b7,
+		"chaos":                  0x950d54de7268f420,
+		"durable-nodecrash":      0x111f9349cf1f32b7,
+		"collector-crash-serial": 0xa47e4940b621a025,
 	}
 	for _, c := range bitExactShapes() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Seed = 1
-			c.cfg.Workers = 16
+			if c.cfg.Workers == 0 {
+				c.cfg.Workers = 16
+			}
 			res, err := Run(c.cfg)
 			if err != nil {
 				t.Fatal(err)

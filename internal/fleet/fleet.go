@@ -200,16 +200,19 @@ const (
 	seedJitter
 )
 
+// pollEvery is the control loop's crash poll period on a
+// crash-scheduled store.
+const pollEvery = 200 * time.Microsecond
+
 // colSupervisor owns the collector across its crash/recover
-// lifecycle: it arms the scheduled store power failures, watches for
-// the store to die, and on each death closes the dead collector, runs
-// collector.Recover, and re-binds every node's link endpoint to the
-// recovered instance. Nodes go through attach so the endpoint registry
-// survives the swap; un-ACKed reports simply keep retrying and land on
-// the recovered dedup state.
+// lifecycle: it arms the scheduled store power failures and, when
+// Run's control loop finds the store dead, closes the dead collector,
+// runs collector.Recover, and re-binds every node's link endpoint to
+// the recovered instance. Nodes go through attach so the endpoint
+// registry survives the swap; un-ACKed reports simply keep retrying
+// and land on the recovered dedup state.
 type colSupervisor struct {
 	cfg     collector.Config
-	clk     simclock.Clock
 	store   *collector.Store // nil for a volatile collector
 	violate func(string, ...any)
 
@@ -221,21 +224,15 @@ type colSupervisor struct {
 	base       uint64 // store words already written at startup (seeding)
 	recoveries int
 	broken     bool // recovery failed; stop supervising
-
-	wake    simclock.Waiter // the watcher's poll deadline; signalled to stop
-	stopped atomic.Bool
-	done    chan struct{}
 }
 
 func newColSupervisor(cfg collector.Config, store *collector.Store, col *collector.Collector, schedule []int, violate func(string, ...any)) *colSupervisor {
 	s := &colSupervisor{
 		cfg:     cfg,
-		clk:     simclock.Or(cfg.Clock),
 		store:   store,
 		violate: violate,
 		col:     col,
 		ends:    make(map[transport.NodeID]*transport.Endpoint),
-		done:    make(chan struct{}),
 	}
 	if store != nil {
 		s.schedule = schedule
@@ -261,36 +258,16 @@ func (s *colSupervisor) arm() {
 	s.store.FailAfterWrites(delta)
 }
 
-// watch starts the crash watcher. The store dies between two word
-// writes at the armed point; the watcher notices within a poll period
-// of the supervisor's clock and runs the recovery, counted as running
-// work throughout. Detection latency only widens the fail-closed
-// window — it never changes what was ACKed, so results stay exact.
-func (s *colSupervisor) watch() {
-	if s.store == nil || len(s.schedule) == 0 {
-		close(s.done)
+// check replaces a dead collector with one rebuilt from the
+// checkpoint store and re-attaches every registered endpoint. The
+// store dies between two word writes at the armed point; the control
+// loop notices within a poll period. Detection latency only widens
+// the fail-closed window — it never changes what was ACKed, so
+// results stay exact.
+func (s *colSupervisor) check() {
+	if s.store == nil || !s.store.Dead() {
 		return
 	}
-	s.wake = s.clk.NewWaiter(simclock.Supervisor)
-	s.clk.Join()
-	go func() {
-		defer close(s.done)
-		defer s.clk.Leave()
-		for {
-			fired := s.wake.Wait(s.clk.Now()+200*time.Microsecond, nil)
-			if s.stopped.Load() {
-				return
-			}
-			if fired && s.store.Dead() {
-				s.recover()
-			}
-		}
-	}()
-}
-
-// recover replaces the dead collector with one rebuilt from the
-// checkpoint store and re-attaches every registered endpoint.
-func (s *colSupervisor) recover() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken {
@@ -324,23 +301,6 @@ func (s *colSupervisor) attach(id transport.NodeID, end *transport.Endpoint) err
 	defer s.mu.Unlock()
 	s.ends[id] = end
 	return s.col.Attach(id, end)
-}
-
-// finish stops the watcher, absorbs a crash that fired during final
-// quiescence (e.g. inside a trailing compaction), and hands back the
-// live collector for the end-of-run reads.
-func (s *colSupervisor) finish() (*collector.Collector, int) {
-	s.stopped.Store(true)
-	if s.wake != nil {
-		s.wake.Signal()
-	}
-	<-s.done
-	if s.store != nil && s.store.Dead() {
-		s.recover()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.col, s.recoveries
 }
 
 func (s *colSupervisor) close() {
@@ -407,7 +367,7 @@ func Run(cfg Config) (Result, error) {
 	// the wall-clock deadline stays a liveness backstop.
 	clk := simclock.NewVirtual(simResolution)
 	clk.Join()
-	context.AfterFunc(ctx, clk.Shutdown)
+	defer context.AfterFunc(ctx, clk.Shutdown)()
 
 	// One telemetry plane per layer, all over the same registry. The
 	// box plane's odometer has one channel per node.
@@ -499,7 +459,6 @@ func Run(cfg Config) (Result, error) {
 		sup = newColSupervisor(colCfg, nil, collector.New(colCfg), nil, violate)
 	}
 	defer sup.close()
-	sup.watch()
 
 	// A lossless profile never perturbs a frame, so its links get no
 	// fault plane at all; chaos planes are one slice for the fleet.
@@ -718,13 +677,13 @@ func Run(cfg Config) (Result, error) {
 	// before it leaves the clock.
 	var nextNode, live atomic.Int64
 	live.Store(int64(workers))
-	allDone := clk.NewWaiter(simclock.Agent)
+	ctl := clk.NewWaiter(simclock.Supervisor)
 	for w := 0; w < workers; w++ {
 		clk.Join()
 		go func() {
 			defer func() {
 				if live.Add(-1) == 0 {
-					allDone.Signal()
+					ctl.Signal()
 				}
 				clk.Leave()
 			}()
@@ -737,8 +696,28 @@ func Run(cfg Config) (Result, error) {
 			}
 		}()
 	}
+
+	// This goroutine is the run's one control participant, parked on
+	// ctl. It waits out the pool and quiesces the fleet, and on a
+	// crash-scheduled store it polls for a dead collector on the way.
+	// park waits until deadline or the next poll, whichever is earlier,
+	// and runs the poll if it fell due: a poll tied with deadline runs
+	// first. It reports whether deadline was reached.
+	poll := simclock.Never
+	if sup.store != nil && len(sup.schedule) > 0 {
+		poll = clk.Now() + pollEvery
+	}
+	park := func(deadline time.Duration) bool {
+		fired := ctl.Wait(min(deadline, poll), nil)
+		now := clk.Now()
+		if fired && now >= poll {
+			sup.check()
+			poll = now + pollEvery
+		}
+		return fired && now >= deadline
+	}
 	for live.Load() > 0 {
-		allDone.Wait(simclock.Never, nil)
+		park(simclock.Never)
 	}
 
 	// Aggregate odometer bound: the whole fleet's spend must sit under
@@ -755,14 +734,37 @@ func Run(cfg Config) (Result, error) {
 	// is ACKed, but stale duplicate frames can still be in flight (or
 	// held back for reordering), and processing them after the final
 	// snapshot would make recover/replay counters and span chains
-	// timing-dependent.
-	quiesce(ctx, clk, links)
+	// timing-dependent. The fleet is at rest once everything else is
+	// parked on the clock — so no shard drain is running (a drain runs
+	// on the goroutine that sent or flushed the frames) and no frame is
+	// queued — and no uplink holds a reorder holdback. The collector's
+	// idle tick flushes holdbacks, so while any remain the clock
+	// advances to the next tick. A park that misses rest is a poll, or
+	// the last worker's signal landing after the loop above saw live
+	// reach 0; neither is rest. Afterwards this goroutine stays
+	// running, which freezes simulated time for the final reads.
+	for rest := clk.Now(); ctx.Err() == nil; {
+		if !park(rest) {
+			continue
+		}
+		held := 0
+		for _, l := range links {
+			held += l.CollectorEnd().Pending()
+		}
+		if held == 0 {
+			break
+		}
+		rest = clk.Now() + collector.DefaultPollTimeout
+	}
 
-	// Final reads go through the supervisor: the collector in place now
-	// may be the n-th recovered instance, and its recovered state must
-	// carry everything any of its predecessors ever ACKed.
-	col, recoveries := sup.finish()
-	res.CollectorRecoveries = recoveries
+	// A crash can still fire during quiescence (inside a trailing
+	// compaction, say): absorb it, so the final reads see the live
+	// collector. It may be the n-th recovered instance, and its
+	// recovered state must carry everything any of its predecessors
+	// ever ACKed.
+	sup.check()
+	col := sup.col
+	res.CollectorRecoveries = sup.recoveries
 	if sup.store != nil {
 		res.CheckpointWords = sup.store.Writes() - sup.base
 	}
@@ -800,30 +802,6 @@ func Run(cfg Config) (Result, error) {
 		res.BurnAlert = res.Burn.Tripped
 	}
 	return res, nil
-}
-
-// quiesce returns once the fleet is at rest — every agent, the
-// collector's idle ticker and the supervisor parked on the clock, so
-// no shard drain is running (a drain runs on the goroutine that sent
-// or flushed the frames) and no frame is queued — and no uplink holds
-// a reorder holdback. Holdbacks are
-// flushed by the collector's idle tick, so while any remain the clock
-// advances to the next tick. The caller stays a running participant
-// afterwards, which freezes simulated time for the final reads.
-func quiesce(ctx context.Context, clk simclock.Clock, links []*transport.Link) {
-	w := clk.NewWaiter(simclock.Agent)
-	deadline := clk.Now() // fires as soon as everything else is parked
-	for ctx.Err() == nil {
-		w.Wait(deadline, nil)
-		held := 0
-		for _, l := range links {
-			held += l.CollectorEnd().Pending()
-		}
-		if held == 0 {
-			return
-		}
-		deadline = clk.Now() + collector.DefaultPollTimeout
-	}
 }
 
 // CheckExactlyOnce verifies invariant 1 on a completed run: per node,

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -263,6 +264,49 @@ func TestCollectorCrashGrid(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRunLeavesNoGoroutines pins that a run stops everything it
+// starts: the worker pool, every collector's idle ticker (recovered
+// instances included) and the deadline backstop. A worker can still be
+// inside its deferred Leave when Run returns, so the count gets a
+// bounded settle.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	chaos := fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2}
+	for _, c := range []runShape{
+		{"volatile", Config{Nodes: 16, Reports: 4}},
+		{"chaos", Config{Nodes: 16, Reports: 4, Link: chaos}},
+		{"collector-crash", Config{
+			Nodes: 16, Reports: 4, Shards: 2, CompactEvery: 5, CrashEvery: 3,
+			CollectorCrashes: []int{150, 600}, BreakerThreshold: 1 << 20, Link: chaos,
+		}},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Seed = gridSeed(t)
+			before := runtime.NumGoroutine()
+			res, err := Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Violations) != 0 {
+				t.Fatalf("violations: %v", head(res.Violations, 5))
+			}
+			if len(c.cfg.CollectorCrashes) > 0 && res.CollectorRecoveries == 0 {
+				t.Fatal("no collector crash fired")
+			}
+			settle := time.Now().Add(2 * time.Second)
+			n := runtime.NumGoroutine()
+			for n > before && time.Now().Before(settle) {
+				time.Sleep(time.Millisecond)
+				n = runtime.NumGoroutine()
+			}
+			if n > before {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines before the run, %d after a 2s settle:\n%s", before, n, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }
 

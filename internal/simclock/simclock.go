@@ -20,8 +20,9 @@
 // group of waiters sharing one (deadline, class); the clock fires the
 // next group only once the count has returned to zero. Classes break
 // deadline ties in a fixed order (Tick, then Supervisor, then Agent),
-// so a collector's idle tick always runs before an agent's timeout
-// set for the same instant.
+// so a collector's idle tick always runs before the fleet's control
+// loop polls, recovers or quiesces at the same instant, and both run
+// before an agent's timeout set for it.
 package simclock
 
 import (
@@ -44,7 +45,9 @@ const (
 	// collector runs; its shards are drained on the goroutines that
 	// send to them.
 	Tick Class = iota
-	// Supervisor is the fleet's collector crash watcher.
+	// Supervisor is the fleet run's control loop: it waits out the
+	// node workers, polls a crash-scheduled collector store and
+	// recovers a dead collector, then quiesces the fleet.
 	Supervisor
 	// Agent is a node agent's ACK wait or backoff pause.
 	Agent
