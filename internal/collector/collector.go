@@ -6,8 +6,9 @@
 // The ingest plane is sharded and event-driven. Every attached node
 // is owned by exactly one shard, chosen by hash(NodeID) % Shards; a
 // shard holds its nodes' dedup maps, breaker state, and stats under
-// its own lock, so shards never contend with each other. Shards own
-// no goroutine. Each link endpoint registers a readiness hook
+// its own lock, so shards never contend with each other. A collector
+// runs no goroutine: its idle tick is a clock timer (simclock.Timer),
+// and each link endpoint registers a readiness hook
 // (transport.Endpoint.SetNotify) that fires on the goroutine that
 // landed a frame (usually the node's own sender): under the shard
 // lock it pulls that one link dry with TryRecv, applies dedup +
@@ -109,9 +110,10 @@ type Config struct {
 	// instrument call is then a nil-receiver no-op.
 	Obs *Metrics
 	// Clock times the idle ticks (nil = wall time). On a virtual clock
-	// the ticker is the collector's one participant. A drain runs on
-	// the goroutine that landed its frames, so it is counted as that
-	// goroutine's running work.
+	// the collector is no participant: a tick runs as a timer on the
+	// participant whose park let the clock reach it, and a drain runs
+	// on the goroutine that landed its frames, so both are counted as
+	// that goroutine's running work.
 	Clock simclock.Clock
 
 	// procDelay stalls a drain per report while it holds the shard
@@ -351,15 +353,20 @@ type Collector struct {
 	clk     simclock.Clock
 	store   *Store
 	shards  []*shard
-	tick    simclock.Waiter // the idle ticker's deadline
 	stopped atomic.Bool
-	wg      sync.WaitGroup
+
+	// The idle tick: a clock timer re-armed by each tick for the next.
+	// tickMu serializes a tick with Close.
+	tickMu sync.Mutex
+	tick   simclock.Timer
+	next   time.Duration         // the armed tick's deadline
+	silent []*transport.Endpoint // one tick's silent links; reused
 }
 
-// New starts a volatile collector (its idle ticker runs until
-// Close): dedup state lives purely in memory and dies with the
-// process. Use NewDurable to add crash-consistent checkpointing, and
-// Recover to rebuild from a store after a crash.
+// New starts a volatile collector (its idle tick runs until Close):
+// dedup state lives purely in memory and dies with the process. Use
+// NewDurable to add crash-consistent checkpointing, and Recover to
+// rebuild from a store after a crash.
 func New(cfg Config) *Collector { return build(cfg, nil, nil) }
 
 // NewDurable starts a collector whose shards journal every admission
@@ -420,7 +427,6 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 		store:  store,
 		shards: make([]*shard, cfg.Shards),
 	}
-	c.tick = c.clk.NewWaiter(simclock.Tick)
 	for i := range c.shards {
 		sh := &shard{c: c, nodes: make(map[transport.NodeID]*nodeState)}
 		if cfg.procDelay > 0 {
@@ -434,9 +440,9 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 		}
 		c.shards[i] = sh
 	}
-	c.wg.Add(1)
-	c.clk.Join()
-	go c.ticker(c.clk.Now())
+	c.tick = c.clk.NewTimer(simclock.Tick, c.idleTick)
+	c.next = c.clk.Now() + cfg.PollTimeout
+	c.tick.Reset(c.next)
 	return c
 }
 
@@ -501,56 +507,49 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	return nil
 }
 
-// Close stops the idle ticker and waits for it; its waiter is
-// signalled out of the clock, so a closed collector leaves no idle
-// tick behind to hold simulated time. Close is also a barrier for
-// drains, which run on senders' goroutines: a drain checks stopped
+// Close stops the idle tick, waiting out one in progress, so a closed
+// collector leaves no tick armed on the clock. Close is also a barrier
+// for drains, which run on senders' goroutines: a drain checks stopped
 // under its shard lock, so once Close has taken every shard lock once
 // no drain touches shard state, a link or the checkpoint store again.
-// Frames that land afterwards stay queued on their links.
+// Frames that land afterwards stay queued on their links. Close must
+// not be called from a notify hook a tick's flush can reach.
 func (c *Collector) Close() {
 	c.stopped.Store(true)
-	c.tick.Signal()
-	c.wg.Wait()
+	c.tickMu.Lock()
+	c.tick.Stop()
+	c.tickMu.Unlock()
 	for _, sh := range c.shards {
 		sh.mu.Lock() // waits out a drain already past its stopped check
 		sh.mu.Unlock()
 	}
 }
 
-// ticker is the collector's idle tick, one goroutine for every shard
-// at a fixed period from start. Each tick first accounts silence on
-// every shard, then flushes the silent links' holdbacks: no frame a
+// idleTick is the collector's idle tick, one for every shard, at a
+// fixed period from the collector's start. It first accounts silence
+// on every shard, then flushes the silent links' holdbacks: no frame a
 // flush releases, and no ACK it provokes, can reach a shard before
 // that shard's silence was counted, so the tick's outcome does not
-// depend on which shard drains first.
-func (c *Collector) ticker(start time.Duration) {
-	defer c.wg.Done()
-	defer c.clk.Leave()
-	period := c.cfg.PollTimeout
-	next := start + period
-	var silent []*transport.Endpoint
-	for {
-		fired := c.tick.Wait(next, nil)
-		if c.stopped.Load() {
-			return
-		}
-		if !fired {
-			continue
-		}
-		for _, sh := range c.shards {
-			silent = sh.countSilence(silent)
-		}
-		for i, e := range silent {
-			e.FlushHeld()
-			silent[i] = nil
-		}
-		silent = silent[:0]
-		next += period
-		if now := c.clk.Now(); next <= now {
-			next = now + period
-		}
+// depend on which shard drains first. It then arms the next tick.
+func (c *Collector) idleTick() {
+	c.tickMu.Lock()
+	defer c.tickMu.Unlock()
+	if c.stopped.Load() {
+		return
 	}
+	for _, sh := range c.shards {
+		c.silent = sh.countSilence(c.silent)
+	}
+	for i, e := range c.silent {
+		e.FlushHeld()
+		c.silent[i] = nil
+	}
+	c.silent = c.silent[:0]
+	c.next += c.cfg.PollTimeout
+	if now := c.clk.Now(); c.next <= now {
+		c.next = now + c.cfg.PollTimeout
+	}
+	c.tick.Reset(c.next)
 }
 
 // drain pulls one node's link dry with TryRecv and applies breaker +

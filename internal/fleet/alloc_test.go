@@ -1,14 +1,20 @@
 package fleet
 
-import "testing"
+import (
+	"testing"
+
+	"ulpdp/internal/fault"
+)
 
 // TestNodeAllocBudget pins what one node costs to build and run: heap
-// allocations per node for a whole fleet.Run, lossless and with every
-// node crash-recovering twice. A node is a few embedded records — its
-// link, journal, box and agent — sized from the run and reused across
-// crash recovery, so a regression here means some layer went back to
-// building per-node objects piecemeal. The budgets are the measured
-// per-node counts plus 10%.
+// allocations per node for a whole fleet.Run: lossless, over the
+// fleet-chaos link profile, and with every node crash-recovering
+// twice. A node is a few embedded records — its link, journal, box and
+// agent — sized from the run and reused across crash recovery, and a
+// node that waits for an ACK costs the run's event loop one downlink
+// hook, not a waiter of its own, so a regression here means some layer
+// went back to building per-node objects piecemeal. The budgets are
+// the measured per-node counts plus 10%.
 func TestNodeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -19,6 +25,7 @@ func TestNodeAllocBudget(t *testing.T) {
 		measured float64 // allocations per node
 	}{
 		{"lossless", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20}, 21.14},
+		{"chaos", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20, Link: fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2}}, 21.00},
 		{"crash-every-2", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20, CrashEvery: 2}, 24.22},
 	}
 	for _, c := range cases {

@@ -30,7 +30,7 @@ func bitExactShapes() []runShape {
 			Nodes: 64, Reports: 8, Durable: true, CrashEvery: 3,
 			Link: fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, Corrupt: 0.05, MaxDelay: 2},
 		}},
-		// One worker: a single node lifecycle at a time, so no two nodes
+		// One lifecycle slot: a single node at a time, so no two nodes
 		// race for the store's crash word.
 		{"collector-crash-serial", Config{
 			Nodes: 16, Reports: 4, Workers: 1, Shards: 2, CompactEvery: 5, CrashEvery: 3,
@@ -47,11 +47,12 @@ func bitExactShapes() []runShape {
 // values. Only the wall-clock telemetry (Obs latency histograms,
 // Flight stamps) may differ, and neither is attached here.
 //
-// Collector-crash runs with several workers are out of scope: nodes
-// admitted at the same simulated instant race for the shared
-// checkpoint store, so which admission the scheduled word write tears
-// still depends on goroutine order. With one worker there is no such
-// race, and the serial collector-crash shape is pinned like the rest.
+// Collector-crash runs with several lifecycle slots are out of scope:
+// nodes stepped in parallel at the same simulated instant race for the
+// shared checkpoint store, so which admission the scheduled word write
+// tears still depends on goroutine order. With one slot there is no
+// such race, and the serial collector-crash shape is pinned like the
+// rest.
 func TestSameSeedRunsBitExact(t *testing.T) {
 	seed := gridSeed(t)
 	for _, c := range bitExactShapes() {

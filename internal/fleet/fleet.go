@@ -18,6 +18,7 @@
 package fleet
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -60,11 +61,13 @@ type Config struct {
 	// (default 64: chaos stalls shouldn't wedge a healthy node, and
 	// if a breaker does trip, retries ride out the open window).
 	BreakerThreshold int
-	// Workers bounds the concurrent node lifecycles (default
-	// 8×GOMAXPROCS, capped at Nodes). Node lifecycles are mutually
-	// independent and individually deterministic, so the pool size
-	// changes scheduling, never results — it is what lets a 10k-node
-	// fleet run under the race detector's goroutine budget.
+	// Workers is the number of lifecycle slots: how many nodes are
+	// booted and reporting at once (default 8×GOMAXPROCS, capped at
+	// Nodes). A slot is a record that Run's event loop steps, not a
+	// goroutine; a node queued behind the slots boots when one frees
+	// up. Node lifecycles are mutually independent and individually
+	// deterministic, so the slot count shifts timing counts
+	// (retransmits, idle ticks), never values.
 	Workers int
 	// Shards overrides the collector's ingest shard count (0 = the
 	// collector default). Per-node accounting is bit-identical for
@@ -200,17 +203,18 @@ const (
 	seedJitter
 )
 
-// pollEvery is the control loop's crash poll period on a
+// pollEvery is the event loop's crash poll period on a
 // crash-scheduled store.
 const pollEvery = 200 * time.Microsecond
 
 // colSupervisor owns the collector across its crash/recover
 // lifecycle: it arms the scheduled store power failures and, when
-// Run's control loop finds the store dead, closes the dead collector,
+// Run's event loop finds the store dead, closes the dead collector,
 // runs collector.Recover, and re-binds every node's link endpoint to
 // the recovered instance. Nodes go through attach so the endpoint
 // registry survives the swap; un-ACKed reports simply keep retrying
-// and land on the recovered dedup state.
+// and land on the recovered dedup state. Nodes booted in parallel
+// attach concurrently, so the registry sits under mu.
 type colSupervisor struct {
 	cfg     collector.Config
 	store   *collector.Store // nil for a volatile collector
@@ -340,6 +344,19 @@ func boxConfig(src *urng.Taus88, j *dpbox.Journal, m *dpbox.Metrics, ch int) dpb
 func reading(i, r int) int64 { return int64((3*i + 5*r) % 17) }
 
 // Run executes one fleet run and gathers the evidence.
+//
+// The run is one event loop on the calling goroutine. Each of the
+// Workers lifecycle slots boots a node, steps its agent through the
+// node's reports, crash schedule and redeliveries, and when the node
+// is done claims the next one. A slot waiting on its agent sits in the
+// loop's queue under the step's deadline, rounded up to the clock's
+// resolution; a crash-scheduled store's poll sits there too, ordered
+// before node steps due at the same instant. The loop is the run's
+// only participant on the virtual clock: it sleeps until the earliest
+// queued deadline, the collector's idle tick runs as a clock timer on
+// its goroutine while it sleeps, and an ACK that a tick lands on a
+// node waiting in its ACK window wakes the loop to step that node at
+// that instant, as a blocking receive would have woken.
 func Run(cfg Config) (Result, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
@@ -361,26 +378,27 @@ func Run(cfg Config) (Result, error) {
 	defer cancel()
 
 	// The whole run lives on simulated time: ACK waits, backoff and
-	// idle ticks advance it only when every participant is parked, so
-	// they cost no wall time and a run's event order depends only on
-	// its seeds. This goroutine is a participant until the run ends;
-	// the wall-clock deadline stays a liveness backstop.
+	// idle ticks advance it only when the event loop parks, so they
+	// cost no wall time and a run's event order depends only on its
+	// seeds. This goroutine is a participant until the run ends; the
+	// wall-clock deadline stays a liveness backstop.
 	clk := simclock.NewVirtual(simResolution)
 	clk.Join()
 	defer context.AfterFunc(ctx, clk.Shutdown)()
 
+	f := &fleetRun{cfg: cfg, res: Result{Nodes: make([]NodeResult, cfg.Nodes)}}
+	res := &f.res
+
 	// One telemetry plane per layer, all over the same registry. The
 	// box plane's odometer has one channel per node.
 	var (
-		boxM  *dpbox.Metrics
 		linkM *transport.Metrics
-		nodeM *node.Metrics
 		colM  *collector.Metrics
 	)
 	if cfg.Obs != nil {
-		boxM = dpbox.NewMetrics(cfg.Obs, cfg.Nodes)
+		f.boxM = dpbox.NewMetrics(cfg.Obs, cfg.Nodes)
 		linkM = transport.NewMetrics(cfg.Obs)
-		nodeM = node.NewMetrics(cfg.Obs)
+		f.nodeM = node.NewMetrics(cfg.Obs)
 		colM = collector.NewMetrics(cfg.Obs)
 		// The flight/burn instrument names are part of the fleet metric
 		// schema whether or not a recorder/alerter is attached, so the
@@ -389,35 +407,15 @@ func Run(cfg Config) (Result, error) {
 		burnM := obs.NewBurnMetrics(cfg.Obs)
 		if cfg.Flight != nil {
 			cfg.Flight.SetMetrics(flightM)
-			boxM.Flight = cfg.Flight
+			f.boxM.Flight = cfg.Flight
 			linkM.Flight = cfg.Flight
-			nodeM.Flight = cfg.Flight
+			f.nodeM.Flight = cfg.Flight
 			colM.Flight = cfg.Flight
 		}
 		if cfg.Burn != nil {
 			cfg.Burn.Bind(burnM)
-			boxM.Odometer.SetBurn(cfg.Burn)
+			f.boxM.Odometer.SetBurn(cfg.Burn)
 		}
-	}
-
-	res := Result{Nodes: make([]NodeResult, cfg.Nodes)}
-	// shared is the node workers' common state, one record: mu guards
-	// res.Violations and res.Resumed (see runNode); capUnits sums each
-	// node's certified spend ceiling for the aggregate odometer bound
-	// (telemetry runs only).
-	var shared struct {
-		mu       sync.Mutex
-		capUnits atomic.Int64
-	}
-	violate := func(format string, args ...any) {
-		shared.mu.Lock()
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-		shared.mu.Unlock()
-	}
-	markResumed := func() {
-		shared.mu.Lock()
-		res.Resumed = true
-		shared.mu.Unlock()
 	}
 
 	colCfg := collector.Config{
@@ -427,7 +425,6 @@ func Run(cfg Config) (Result, error) {
 		Obs:              colM,
 		Clock:            clk,
 	}
-	var sup *colSupervisor
 	if cfg.NVMDir != "" || cfg.Durable || len(cfg.CollectorCrashes) > 0 {
 		var (
 			store *collector.Store
@@ -454,307 +451,119 @@ func Run(cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		sup = newColSupervisor(colCfg, store, c, cfg.CollectorCrashes, violate)
+		f.sup = newColSupervisor(colCfg, store, c, cfg.CollectorCrashes, f.violate)
 	} else {
-		sup = newColSupervisor(colCfg, nil, collector.New(colCfg), nil, violate)
+		f.sup = newColSupervisor(colCfg, nil, collector.New(colCfg), nil, f.violate)
 	}
+	sup := f.sup
 	defer sup.close()
 
 	// A lossless profile never perturbs a frame, so its links get no
 	// fault plane at all; chaos planes are one slice for the fleet.
-	links := make([]*transport.Link, cfg.Nodes)
+	f.links = make([]*transport.Link, cfg.Nodes)
 	var planes []fault.Plane
 	if cfg.Link != (fault.LinkProfile{}) {
 		planes = make([]fault.Plane, cfg.Nodes)
 	}
-	for i := range links {
+	for i := range f.links {
 		lc := transport.LinkConfig{Obs: linkM, Clock: clk}
 		if planes != nil {
 			lc.Plane = &planes[i]
 			lc.Plane.SetLossyLink(subSeed(cfg.Seed, seedLink, i, 0), cfg.Link)
 		}
-		links[i] = transport.NewLink(lc)
+		f.links[i] = transport.NewLink(lc)
 	}
 	// Each node's URNG is reseeded in place at every boot, so its
 	// crashes cost no generator.
-	urngs := make([]urng.Taus88, cfg.Nodes)
+	f.urngs = make([]urng.Taus88, cfg.Nodes)
 
-	runNode := func(i int) {
-		nr := &NodeResult{}
-		// Each lifecycle writes its own distinct slice index, so no
-		// mutex is needed here — only the shared Violations append is.
-		defer func() { res.Nodes[i] = *nr }()
-
-		// Attach lazily, as the lifecycle starts, so nodes queued
-		// behind the worker pool don't sit on the collector accruing
-		// idle breaker ticks before their first report. The supervisor
-		// keeps the binding across collector restarts.
-		if err := sup.attach(transport.NodeID(i), links[i].CollectorEnd()); err != nil {
-			violate("node %d: %v", i, err)
-			return
-		}
-
-		var (
-			j   *dpbox.Journal
-			box *dpbox.DPBox
-			err error
-		)
-		if cfg.NVMDir != "" {
-			j, err = dpbox.OpenJournal(filepath.Join(cfg.NVMDir, fmt.Sprintf("node-%04d", i)))
-			if err != nil {
-				violate("node %d: %v", i, err)
-				return
-			}
-			defer j.Close()
-		} else {
-			j = dpbox.NewJournal()
-			j.Reserve(cfg.Reports)
-		}
-		src := &urngs[i]
-		src.Seed(subSeed(cfg.Seed, seedURNG, i, 0))
-		if j.Writes() > 0 {
-			// The journal holds a prior process's ledger: recover it
-			// and continue the numbering instead of re-initializing
-			// (which would re-noise already-charged sequence numbers).
-			markResumed()
-			box, err = dpbox.Recover(boxConfig(src, nil, boxM, i), j)
-			if err != nil {
-				violate("node %d: recover from %s: %v", i, cfg.NVMDir, err)
-				return
-			}
-		} else {
-			box, err = dpbox.New(boxConfig(src, j, boxM, i))
-			if err != nil {
-				violate("node %d: %v", i, err)
-				return
-			}
-			if err := box.Initialize(cfg.Budget, 0); err != nil {
-				violate("node %d: %v", i, err)
-				return
-			}
-		}
-		if err := box.Configure(1, 0, 16); err != nil {
-			violate("node %d: %v", i, err)
-			return
-		}
-		// Spend is accounted from this process's baseline: on a fresh
-		// run that is cfg.Budget; on a resumed run the prior spend is
-		// already durable and belongs to the dead process's run.
-		units0 := box.BudgetUnits()
-		if boxM != nil {
-			shared.capUnits.Add(min(units0, int64(cfg.Reports)*PerReportCapUnits))
-		}
-		agentCfg := node.AgentConfig{
-			ID:          transport.NodeID(i),
-			MaxAttempts: 64,
-			JitterSeed:  subSeed(cfg.Seed, seedJitter, i, 0),
-			Obs:         nodeM,
-		}
-		agent := node.NewReportAgent(box, links[i].NodeEnd(), agentCfg)
-
-		start := int(agent.NextSeq())
-		if start > 0 {
-			// The last journaled release may have died un-ACKed;
-			// re-deliver it before new reports. Re-ACKing an already
-			// recorded sequence is harmless (collector dedups), and a
-			// recovered collector re-ACKs it bit-exactly.
-			for agent.Resume(ctx) != nil {
-				if ctx.Err() != nil {
-					violate("node %d seq %d: resumed release undelivered at deadline", i, start-1)
-					return
-				}
-				nr.Redeliveries++
-			}
-		}
-
-		for r := start; r < cfg.Reports; r++ {
-			out, err := agent.Report(ctx, reading(i, r))
-			if err != nil {
-				if ctx.Err() != nil {
-					violate("node %d seq %d: %v", i, r, err)
-					return
-				}
-				if _, ok := box.ReleaseFor(uint64(r)); !ok {
-					// Nothing journaled: the noising itself (not
-					// just delivery) failed.
-					violate("node %d seq %d: %v", i, r, err)
-					return
-				}
-				// Mid-retry abandonment: the (seq, value) binding
-				// is durable; delivery resumes below, possibly on
-				// the post-crash recovered box.
-			}
-			if out.Replayed {
-				violate("node %d seq %d: first noising was a replay", i, out.Seq)
-			}
-			nr.ExpectedSpendNats += out.Charged
-			delivered := err == nil
-
-			// Live odometer bound: after r+1 reports, node i's
-			// cumulative spend must sit under the certified
-			// per-report envelope (crash replays and cache serves
-			// charge nothing, so the bound holds across chaos).
-			if boxM != nil {
-				certified := min(units0, int64(r+1)*PerReportCapUnits)
-				if spent := boxM.Odometer.SpentUnits(i); spent > certified {
-					violate("node %d: odometer %d units after %d reports exceeds certified %d", i, spent, r+1, certified)
-				}
-			}
-
-			// Deterministic crash schedule: after noising report
-			// r (delivered or not), so recovery sometimes lands
-			// mid-retry with an un-ACKed journaled release.
-			if cfg.CrashEvery > 0 && (r+1)%cfg.CrashEvery == 0 {
-				j.Kill()
-				nr.Crashes++
-				// The node reboots in place: its box, journal, URNG,
-				// agent and link all carry over, reset as if new.
-				src.Seed(subSeed(cfg.Seed, seedURNG, i, nr.Crashes))
-				if rerr := box.Reboot(boxConfig(src, nil, boxM, i), j); rerr != nil {
-					violate("node %d crash %d: %v", i, nr.Crashes, rerr)
-					return
-				}
-				if cerr := box.Configure(1, 0, 16); cerr != nil {
-					violate("node %d crash %d: %v", i, nr.Crashes, cerr)
-					return
-				}
-				agent.Rebind(box)
-				if agent.NextSeq() != uint64(r)+1 {
-					violate("node %d crash %d: NextSeq %d, want %d", i, nr.Crashes, agent.NextSeq(), r+1)
-				}
-			}
-
-			for !delivered {
-				if ctx.Err() != nil {
-					violate("node %d seq %d: undelivered at deadline", i, r)
-					return
-				}
-				nr.Redeliveries++
-				if err := agent.Resume(ctx); err == nil {
-					delivered = true
-				}
-			}
-		}
-
-		nr.Released = box.Releases()
-		spentUnits := units0 - box.BudgetUnits()
-		nr.SpendNats = float64(spentUnits) * core.ChargeUnit
-
-		// Crash-consistency cross-check: replaying the journal
-		// must agree with the live ledger.
-		st, err := j.Replay()
-		if err != nil {
-			violate("node %d: journal replay: %v", i, err)
-			return
-		}
-		if live := box.BudgetUnits(); st.Units != live {
-			violate("node %d: journal units %d != live units %d", i, st.Units, live)
-		}
-
-		// Odometer-vs-ledger cross-check: both count the same
-		// charges in the same integer unit, so they must be equal.
-		if boxM != nil {
-			if got := boxM.Odometer.SpentUnits(i); got != spentUnits {
-				violate("node %d: odometer %d units != ledger spend %d units", i, got, spentUnits)
-			}
-		}
+	slots := cfg.Workers
+	if slots <= 0 {
+		slots = 8 * runtime.GOMAXPROCS(0)
 	}
-
-	// Bounded worker pool: goroutine-per-node tops out around the race
-	// detector's goroutine budget (and thrashes the scheduler) long
-	// before the collector saturates; a fixed pool runs 10k-node
-	// fleets with a few dozen goroutines.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 8 * runtime.GOMAXPROCS(0)
+	if slots > cfg.Nodes {
+		slots = cfg.Nodes
 	}
-	if workers > cfg.Nodes {
-		workers = cfg.Nodes
-	}
-	// Workers claim node indices in order and stay counted as running
-	// between lifecycles, so handing a worker its next node never
-	// looks like an idle fleet. The last one out wakes this goroutine
-	// before it leaves the clock.
-	var nextNode, live atomic.Int64
-	live.Store(int64(workers))
-	ctl := clk.NewWaiter(simclock.Supervisor)
-	for w := 0; w < workers; w++ {
-		clk.Join()
-		go func() {
-			defer func() {
-				if live.Add(-1) == 0 {
-					ctl.Signal()
-				}
-				clk.Leave()
-			}()
-			for {
-				i := int(nextNode.Add(1) - 1)
-				if i >= cfg.Nodes {
-					return
-				}
-				runNode(i)
-			}
-		}()
-	}
-
-	// This goroutine is the run's one control participant, parked on
-	// ctl. It waits out the pool and quiesces the fleet, and on a
-	// crash-scheduled store it polls for a dead collector on the way.
-	// park waits until deadline or the next poll, whichever is earlier,
-	// and runs the poll if it fell due: a poll tied with deadline runs
-	// first. It reports whether deadline was reached.
-	poll := simclock.Never
+	f.ctl = clk.NewWaiter(simclock.Agent)
 	if sup.store != nil && len(sup.schedule) > 0 {
-		poll = clk.Now() + pollEvery
+		f.poll = lifecycle{at: clk.Now() + pollEvery, class: classPoll}
+		heap.Push(&f.q, &f.poll)
 	}
-	park := func(deadline time.Duration) bool {
-		fired := ctl.Wait(min(deadline, poll), nil)
-		now := clk.Now()
-		if fired && now >= poll {
-			sup.check()
-			poll = now + pollEvery
+	// Every slot boots its first node at time zero.
+	f.slots = make([]*lifecycle, slots)
+	for s := range f.slots {
+		f.slots[s] = &lifecycle{class: classNode, node: -1, idx: -1}
+	}
+	f.active = slots
+	f.runBatch(f.slots, clk.Now())
+	batch := make([]*lifecycle, 0, slots)
+
+	// Quiesce before the final recovery check and reads: every report
+	// is ACKed, but stale duplicate frames can still be in flight (or
+	// held back for reordering), and processing them after the final
+	// snapshot would make recover/replay counters and span chains
+	// timing-dependent. Once the last node is done, the loop waits for
+	// rest: the clock reached rest with any tick due there run — so no
+	// shard drain is running (a drain runs on the goroutine that sent
+	// or flushed the frames) and no frame is queued — and no uplink
+	// holds a reorder holdback. The collector's idle tick flushes
+	// holdbacks, so while any remain rest moves to the next tick. A poll
+	// due at rest runs first. Afterwards this goroutine stays running,
+	// which freezes simulated time for the final reads.
+	rest := simclock.Never
+	for ctx.Err() == nil {
+		f.wakeAll(clk.Now())
+		if f.active == 0 && rest == simclock.Never {
+			rest = clk.Now()
 		}
-		return fired && now >= deadline
+		next := rest
+		if len(f.q) > 0 {
+			next = min(next, f.q[0].at)
+		}
+		// next is never Never: while a slot is active one is queued.
+		// An expired deadline's Shutdown fires this wait, so it needs
+		// no done channel.
+		if !f.ctl.Wait(next, nil) {
+			continue
+		}
+		now := clk.Now()
+		if len(f.q) > 0 && f.q[0].at <= now {
+			top := f.q[0]
+			batch = batch[:0]
+			for len(f.q) > 0 && f.q[0].at == top.at && f.q[0].class == top.class {
+				batch = append(batch, heap.Pop(&f.q).(*lifecycle))
+			}
+			if top.class == classPoll {
+				sup.check()
+				f.poll.at = now + pollEvery
+				heap.Push(&f.q, &f.poll)
+			} else {
+				f.runBatch(batch, now)
+			}
+		}
+		if f.active == 0 && now >= rest {
+			held := 0
+			for _, l := range f.links {
+				held += l.CollectorEnd().Pending()
+			}
+			if held == 0 {
+				break
+			}
+			rest = now + collector.DefaultPollTimeout
+		}
 	}
-	for live.Load() > 0 {
-		park(simclock.Never)
+	if ctx.Err() != nil {
+		f.abort()
 	}
 
 	// Aggregate odometer bound: the whole fleet's spend must sit under
 	// Σ min(budget, Reports·cap) over the nodes — the paper's
 	// Σ charges ≤ n·ε envelope, checked on the telemetry plane rather
 	// than the ledgers.
-	if boxM != nil {
-		if tot, fleetCap := boxM.Odometer.TotalUnits(), shared.capUnits.Load(); tot > fleetCap {
+	if f.boxM != nil {
+		if tot, fleetCap := f.boxM.Odometer.TotalUnits(), f.capUnits.Load(); tot > fleetCap {
 			res.Violations = append(res.Violations, fmt.Sprintf("fleet: aggregate odometer %d units exceeds certified n·ε bound %d", tot, fleetCap))
 		}
-	}
-
-	// Quiesce before the final recovery check and reads: every report
-	// is ACKed, but stale duplicate frames can still be in flight (or
-	// held back for reordering), and processing them after the final
-	// snapshot would make recover/replay counters and span chains
-	// timing-dependent. The fleet is at rest once everything else is
-	// parked on the clock — so no shard drain is running (a drain runs
-	// on the goroutine that sent or flushed the frames) and no frame is
-	// queued — and no uplink holds a reorder holdback. The collector's
-	// idle tick flushes holdbacks, so while any remain the clock
-	// advances to the next tick. A park that misses rest is a poll, or
-	// the last worker's signal landing after the loop above saw live
-	// reach 0; neither is rest. Afterwards this goroutine stays
-	// running, which freezes simulated time for the final reads.
-	for rest := clk.Now(); ctx.Err() == nil; {
-		if !park(rest) {
-			continue
-		}
-		held := 0
-		for _, l := range links {
-			held += l.CollectorEnd().Pending()
-		}
-		if held == 0 {
-			break
-		}
-		rest = clk.Now() + collector.DefaultPollTimeout
 	}
 
 	// A crash can still fire during quiescence (inside a trailing
@@ -770,7 +579,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	res.Aggregate = col.Aggregate()
 	res.Collector = col.Stats()
-	for _, l := range links {
+	for _, l := range f.links {
 		s := l.Stats()
 		res.Link.Sent += s.Sent
 		res.Link.Delivered += s.Delivered
@@ -784,7 +593,7 @@ func Run(cfg Config) (Result, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		res.Nodes[i].Recorded = col.Values(transport.NodeID(i))
 	}
-	res.Violations = append(res.Violations, CheckExactlyOnce(cfg, res)...)
+	res.Violations = append(res.Violations, CheckExactlyOnce(cfg, *res)...)
 	if cfg.Obs != nil {
 		// Storage-engine introspection rides the same schema whether or
 		// not the collector is durable (all-zero gauges when volatile),
@@ -801,7 +610,497 @@ func Run(cfg Config) (Result, error) {
 		res.Burn = cfg.Burn.Snapshot()
 		res.BurnAlert = res.Burn.Tripped
 	}
-	return res, nil
+	return *res, nil
+}
+
+// fleetRun is one run's shared state: the run-wide records every node
+// lifecycle reads, and the event loop that steps them.
+type fleetRun struct {
+	cfg   Config
+	sup   *colSupervisor
+	links []*transport.Link
+	urngs []urng.Taus88
+	boxM  *dpbox.Metrics
+	nodeM *node.Metrics
+
+	// mu guards res.Violations and res.Resumed, which lifecycles
+	// stepped in parallel append to; each lifecycle writes only its
+	// own res.Nodes entry. capUnits sums each node's certified spend
+	// ceiling for the aggregate odometer bound (telemetry runs only).
+	mu       sync.Mutex
+	res      Result
+	capUnits atomic.Int64
+	nextNode atomic.Int64
+
+	// The event loop, all of it Run's goroutine's: a batch's helpers
+	// touch only the slots they step. Downlink hooks fire on it too
+	// (see wake), queueing the slots they wake on woken.
+	ctl    simclock.Waiter
+	q      entryQueue
+	poll   lifecycle
+	slots  []*lifecycle
+	active int // slots with a node left to step
+	woken  []*lifecycle
+	boots  []*lifecycle
+}
+
+func (f *fleetRun) violate(format string, args ...any) {
+	f.mu.Lock()
+	f.res.Violations = append(f.res.Violations, fmt.Sprintf(format, args...))
+	f.mu.Unlock()
+}
+
+// fanOutMin is the largest batch of same-instant steps the loop runs
+// inline on its own goroutine; a larger one is shared with
+// GOMAXPROCS-1 short-lived helpers. Measured on a 2-CPU host, 12
+// interleaved 1 s rounds of 256×4 chaos and 256×16 durable fleets per
+// value, paired against 8: 2, 4 and 32 ran chaos 5%, 3% and 3% slower;
+// on durable 4 ran 9% faster and 32 6% slower. Chaos, nearly all of
+// whose batches are one to four steps, decides. Booting a node and
+// running it until it first waits costs many steps (a lossless node
+// runs its whole life), so two or more boots due at one instant always
+// fan out: run inline, the lifecycles after a fleet-durable collector
+// crash all ran on one goroutine, which cost that workload about a
+// quarter of its ops/s.
+const fanOutMin = 8
+
+// runBatch steps every lifecycle in batch to now, then queues each
+// under its next deadline. A small batch runs inline in node-id order;
+// the slots whose nodes finished then boot their next nodes, fanned
+// out when there are two or more. A large batch fans out at once.
+func (f *fleetRun) runBatch(batch []*lifecycle, now time.Duration) {
+	if len(batch) > fanOutMin {
+		f.fanOut(batch, now)
+	} else {
+		boots := f.boots[:0]
+		for _, n := range batch {
+			if !f.step(n, now, false) {
+				boots = append(boots, n)
+			}
+		}
+		f.fanOut(boots, now)
+		f.boots = boots[:0]
+	}
+	for _, n := range batch {
+		f.park(n)
+	}
+}
+
+// fanOut steps every lifecycle in batch to now, booting further nodes
+// as slots free up, over min(GOMAXPROCS, len(batch)) goroutines: this
+// one and short-lived helpers that exit when the batch is done.
+func (f *fleetRun) fanOut(batch []*lifecycle, now time.Duration) {
+	p := min(runtime.GOMAXPROCS(0), len(batch))
+	if p <= 1 {
+		for _, n := range batch {
+			f.step(n, now, true)
+		}
+		return
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	work := func() {
+		for k := next.Add(1) - 1; k < int64(len(batch)); k = next.Add(1) - 1 {
+			f.step(batch[k], now, true)
+		}
+	}
+	wg.Add(p - 1)
+	for h := 1; h < p; h++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// wakeAll steps, at now, every node whose ACK window a downlink frame
+// woke.
+func (f *fleetRun) wakeAll(now time.Duration) {
+	for _, n := range f.woken {
+		heap.Remove(&f.q, n.idx)
+		f.step(n, now, true)
+		f.park(n)
+	}
+	f.woken = f.woken[:0]
+}
+
+// wake is node i's downlink hook, installed by the slot n that hosts
+// it. While i waits for an ACK, only the collector's idle tick or a
+// recovery's re-attach lands frames on its downlink, and both run on
+// the loop's goroutine: the tick as a clock timer inside the loop's
+// park, the re-attach in a poll. A node's own sends trigger the hook
+// from whichever goroutine steps it, but only while it is not waiting.
+// The hook runs under a collector shard lock, so it only queues the
+// slot and signals the loop.
+func (f *fleetRun) wake(n *lifecycle, i int) {
+	if n.node != i || !n.waiting {
+		return
+	}
+	n.waiting = false
+	f.woken = append(f.woken, n)
+	f.ctl.Signal()
+}
+
+// park queues a stepped slot under its next deadline, or retires it
+// when no node is left. A node in an ACK window becomes wakeable: its
+// last step drained its downlink, and no frame lands there before the
+// loop parks again.
+func (f *fleetRun) park(n *lifecycle) {
+	if n.node < 0 {
+		f.active--
+		return
+	}
+	heap.Push(&f.q, n)
+	if !n.agent.AwaitingAck() {
+		return
+	}
+	if i := n.node; !n.hooked {
+		// Installed at the node's first ACK wait, so a node that never
+		// waits for one (every node on a lossless link) costs no hook.
+		f.links[i].NodeEnd().SetNotify(func() { f.wake(n, i) })
+		n.hooked = true
+	}
+	n.waiting = true
+}
+
+// abort ends the run at its wall-clock deadline: every node still
+// booted or never started is reported undelivered.
+func (f *fleetRun) abort() {
+	for _, n := range f.slots {
+		if n.node >= 0 {
+			f.violate("node %d seq %d: undelivered at deadline", n.node, n.r)
+			f.end(n)
+		}
+	}
+	for i := int(f.nextNode.Load()); i < f.cfg.Nodes; i++ {
+		f.violate("node %d: not started by the deadline", i)
+	}
+}
+
+// Entry classes order the loop's queue at one instant: the crash poll
+// runs before any node step due with it.
+const (
+	classPoll uint8 = iota
+	classNode
+)
+
+// lifecycle is one slot's node lifecycle: boot (or recover), resume
+// the last journaled release, then each report with its crash schedule
+// and redeliveries, then the end-of-node cross-checks. The slot then
+// boots the next unclaimed node. It is also the event loop's queue
+// entry; the crash poll is an entry of class classPoll.
+type lifecycle struct {
+	at    time.Duration // next step's deadline, rounded to simResolution
+	class uint8
+	node  int // -1 between nodes
+	idx   int // queue index; -1 when not queued
+
+	hooked  bool // the node's downlink hook is installed
+	waiting bool // the node is queued in an ACK window: its hook wakes it
+
+	stage  stage
+	r      int // the report being delivered
+	nr     NodeResult
+	j      *dpbox.Journal
+	box    *dpbox.DPBox
+	agent  *node.ReportAgent
+	units0 int64
+}
+
+// stage is which delivery a lifecycle's agent is stepping.
+type stage uint8
+
+const (
+	// resuming: the last release a prior process journaled.
+	resuming stage = iota
+	// reporting: report r's first delivery.
+	reporting
+	// redelivering: report r again, after a delivery was abandoned.
+	redelivering
+)
+
+// step advances n to now: it steps its node's agent and, whenever a
+// delivery ends, the lifecycle around it; when the node is done it
+// boots the next one if boot is set. It stops at the first step that
+// must wait, leaving the rounded deadline in n.at, or with n.node = -1
+// once no node is left to boot. It reports false if it stopped only
+// because boot was not set.
+func (f *fleetRun) step(n *lifecycle, now time.Duration, boot bool) bool {
+	n.waiting = false
+	for {
+		if n.node < 0 {
+			if !boot {
+				return int(f.nextNode.Load()) >= f.cfg.Nodes
+			}
+			i := int(f.nextNode.Add(1) - 1)
+			if i >= f.cfg.Nodes {
+				return true
+			}
+			if !f.boot(n, i) {
+				f.end(n)
+				continue
+			}
+		}
+		at, ok := f.advance(n, now)
+		if ok {
+			// Round up as the clock rounds its own deadlines, so steps
+			// due within one resolution step run as one batch.
+			if r := at % simResolution; r > 0 {
+				at += simResolution - r
+			}
+			n.at = at
+			return true
+		}
+		f.end(n)
+	}
+}
+
+// boot brings node i up in slot n — a fresh box, or one recovered
+// from a prior process's journal — and arms its first delivery. It
+// reports false, with the violation recorded, if the node cannot run.
+func (f *fleetRun) boot(n *lifecycle, i int) bool {
+	cfg := f.cfg
+	*n = lifecycle{class: classNode, node: i, idx: -1}
+	// Attach lazily, as the lifecycle starts, so nodes queued behind
+	// the slots don't sit on the collector accruing idle breaker ticks
+	// before their first report. The supervisor keeps the binding
+	// across collector restarts.
+	end := f.links[i].NodeEnd()
+	if err := f.sup.attach(transport.NodeID(i), f.links[i].CollectorEnd()); err != nil {
+		f.violate("node %d: %v", i, err)
+		return false
+	}
+
+	var err error
+	if cfg.NVMDir != "" {
+		n.j, err = dpbox.OpenJournal(filepath.Join(cfg.NVMDir, fmt.Sprintf("node-%04d", i)))
+		if err != nil {
+			f.violate("node %d: %v", i, err)
+			return false
+		}
+	} else {
+		n.j = dpbox.NewJournal()
+		n.j.Reserve(cfg.Reports)
+	}
+	src := &f.urngs[i]
+	src.Seed(subSeed(cfg.Seed, seedURNG, i, 0))
+	if n.j.Writes() > 0 {
+		// The journal holds a prior process's ledger: recover it and
+		// continue the numbering instead of re-initializing (which
+		// would re-noise already-charged sequence numbers).
+		f.mu.Lock()
+		f.res.Resumed = true
+		f.mu.Unlock()
+		n.box, err = dpbox.Recover(boxConfig(src, nil, f.boxM, i), n.j)
+		if err != nil {
+			f.violate("node %d: recover from %s: %v", i, cfg.NVMDir, err)
+			return false
+		}
+	} else {
+		n.box, err = dpbox.New(boxConfig(src, n.j, f.boxM, i))
+		if err != nil {
+			f.violate("node %d: %v", i, err)
+			return false
+		}
+		if err := n.box.Initialize(cfg.Budget, 0); err != nil {
+			f.violate("node %d: %v", i, err)
+			return false
+		}
+	}
+	if err := n.box.Configure(1, 0, 16); err != nil {
+		f.violate("node %d: %v", i, err)
+		return false
+	}
+	// Spend is accounted from this process's baseline: on a fresh run
+	// that is cfg.Budget; on a resumed run the prior spend is already
+	// durable and belongs to the dead process's run.
+	n.units0 = n.box.BudgetUnits()
+	if f.boxM != nil {
+		f.capUnits.Add(min(n.units0, int64(cfg.Reports)*PerReportCapUnits))
+	}
+	n.agent = node.NewReportAgent(n.box, end, node.AgentConfig{
+		ID:          transport.NodeID(i),
+		MaxAttempts: 64,
+		JitterSeed:  subSeed(cfg.Seed, seedJitter, i, 0),
+		Obs:         f.nodeM,
+	})
+
+	n.r = int(n.agent.NextSeq())
+	if n.r > 0 {
+		// The last journaled release may have died un-ACKed;
+		// re-deliver it before new reports. Re-ACKing an already
+		// recorded sequence is harmless (collector dedups), and a
+		// recovered collector re-ACKs it bit-exactly.
+		n.stage = resuming
+		if err := n.agent.BeginResume(); err != nil {
+			f.violate("node %d seq %d: %v", i, n.r-1, err)
+			return false
+		}
+		return true
+	}
+	return f.beginReport(n)
+}
+
+// beginReport noises report n.r and arms its delivery. It reports
+// false once the node has nothing left to report, or, with the
+// violation recorded, when the noising itself failed.
+func (f *fleetRun) beginReport(n *lifecycle) bool {
+	if n.r >= f.cfg.Reports {
+		return false
+	}
+	n.stage = reporting
+	if err := n.agent.Begin(reading(n.node, n.r)); err != nil {
+		f.violate("node %d seq %d: %v", n.node, n.r, err)
+		return false
+	}
+	return true
+}
+
+// advance steps n's agent to now and carries the lifecycle across
+// every delivery that ends. It returns the deadline the agent waits
+// for, or false once the node's lifecycle is over.
+func (f *fleetRun) advance(n *lifecycle, now time.Duration) (time.Duration, bool) {
+	cfg, i := f.cfg, n.node
+	for {
+		at, done := n.agent.Step(now)
+		if !done {
+			return at, true
+		}
+		out, err := n.agent.Outcome()
+		if n.stage == reporting {
+			if out.Replayed {
+				f.violate("node %d seq %d: first noising was a replay", i, out.Seq)
+			}
+			n.nr.ExpectedSpendNats += out.Charged
+			// Live odometer bound: after r+1 reports, node i's cumulative
+			// spend must sit under the certified per-report envelope
+			// (crash replays and cache serves charge nothing, so the bound
+			// holds across chaos).
+			if f.boxM != nil {
+				certified := min(n.units0, int64(n.r+1)*PerReportCapUnits)
+				if spent := f.boxM.Odometer.SpentUnits(i); spent > certified {
+					f.violate("node %d: odometer %d units after %d reports exceeds certified %d", i, spent, n.r+1, certified)
+				}
+			}
+			// Deterministic crash schedule: after noising report r
+			// (delivered or not), so recovery sometimes lands mid-retry
+			// with an un-ACKed journaled release.
+			if cfg.CrashEvery > 0 && (n.r+1)%cfg.CrashEvery == 0 && !f.crash(n) {
+				return 0, false
+			}
+		}
+		if err != nil {
+			// Mid-retry abandonment: the (seq, value) binding is
+			// durable, so delivery resumes, possibly on the post-crash
+			// recovered box.
+			n.nr.Redeliveries++
+			if n.stage == reporting {
+				n.stage = redelivering
+			}
+			if berr := n.agent.BeginResume(); berr != nil {
+				f.violate("node %d seq %d: %v", i, out.Seq, berr)
+				return 0, false
+			}
+			continue
+		}
+		if n.stage != resuming {
+			n.r++
+		}
+		if !f.beginReport(n) {
+			return 0, false
+		}
+	}
+}
+
+// crash kills node n's journal and reboots it in place: its box,
+// journal, URNG, agent and link all carry over, reset as if new. It
+// reports false, with the violation recorded, if the reboot failed.
+func (f *fleetRun) crash(n *lifecycle) bool {
+	i := n.node
+	n.j.Kill()
+	n.nr.Crashes++
+	src := &f.urngs[i]
+	src.Seed(subSeed(f.cfg.Seed, seedURNG, i, n.nr.Crashes))
+	if err := n.box.Reboot(boxConfig(src, nil, f.boxM, i), n.j); err != nil {
+		f.violate("node %d crash %d: %v", i, n.nr.Crashes, err)
+		return false
+	}
+	if err := n.box.Configure(1, 0, 16); err != nil {
+		f.violate("node %d crash %d: %v", i, n.nr.Crashes, err)
+		return false
+	}
+	n.agent.Rebind(n.box)
+	if n.agent.NextSeq() != uint64(n.r)+1 {
+		f.violate("node %d crash %d: NextSeq %d, want %d", i, n.nr.Crashes, n.agent.NextSeq(), n.r+1)
+	}
+	return true
+}
+
+// end closes node n's lifecycle: on a node that reported to the end it
+// cross-checks the journal and the odometer against the live ledger,
+// then it records the node's evidence and frees the slot.
+func (f *fleetRun) end(n *lifecycle) {
+	i := n.node
+	if n.box != nil && n.r >= f.cfg.Reports {
+		n.nr.Released = n.box.Releases()
+		spentUnits := n.units0 - n.box.BudgetUnits()
+		n.nr.SpendNats = float64(spentUnits) * core.ChargeUnit
+		// Crash-consistency cross-check: replaying the journal must
+		// agree with the live ledger.
+		if st, err := n.j.Replay(); err != nil {
+			f.violate("node %d: journal replay: %v", i, err)
+		} else if live := n.box.BudgetUnits(); st.Units != live {
+			f.violate("node %d: journal units %d != live units %d", i, st.Units, live)
+		}
+		// Odometer-vs-ledger cross-check: both count the same charges
+		// in the same integer unit, so they must be equal.
+		if f.boxM != nil {
+			if got := f.boxM.Odometer.SpentUnits(i); got != spentUnits {
+				f.violate("node %d: odometer %d units != ledger spend %d units", i, got, spentUnits)
+			}
+		}
+	}
+	if n.j != nil && f.cfg.NVMDir != "" {
+		n.j.Close()
+	}
+	f.res.Nodes[i] = n.nr
+	n.node = -1
+}
+
+// entryQueue orders the loop's entries by (deadline, class, node).
+type entryQueue []*lifecycle
+
+func (q entryQueue) Len() int { return len(q) }
+func (q entryQueue) Less(a, b int) bool {
+	if q[a].at != q[b].at {
+		return q[a].at < q[b].at
+	}
+	if q[a].class != q[b].class {
+		return q[a].class < q[b].class
+	}
+	return q[a].node < q[b].node
+}
+func (q entryQueue) Swap(a, b int) {
+	q[a], q[b] = q[b], q[a]
+	q[a].idx = a
+	q[b].idx = b
+}
+func (q *entryQueue) Push(x any) {
+	n := x.(*lifecycle)
+	n.idx = len(*q)
+	*q = append(*q, n)
+}
+func (q *entryQueue) Pop() any {
+	old := *q
+	n := old[len(old)-1]
+	old[len(old)-1] = nil
+	n.idx = -1
+	*q = old[:len(old)-1]
+	return n
 }
 
 // CheckExactlyOnce verifies invariant 1 on a completed run: per node,

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,8 +99,9 @@ func TestChaosGrid(t *testing.T) {
 // fleet invariant still held: exactly-once accounting, bit-exact
 // chaos-transparency against the lossless same-seed baseline, and the
 // live n·ε odometer envelope. The goroutine-per-node fleet could not
-// even start this under -race (~8k goroutine budget); the worker pool
-// plus event-driven ingest make it routine.
+// even start this under -race (~8k goroutine budget); lifecycle slots
+// stepped from one event loop plus event-driven ingest make it
+// routine.
 func TestFleetScale10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node scale point is not a -short test")
@@ -268,10 +270,11 @@ func TestCollectorCrashGrid(t *testing.T) {
 }
 
 // TestRunLeavesNoGoroutines pins that a run stops everything it
-// starts: the worker pool, every collector's idle ticker (recovered
-// instances included) and the deadline backstop. A worker can still be
-// inside its deferred Leave when Run returns, so the count gets a
-// bounded settle.
+// starts: the event loop's fan-out helpers (with GOMAXPROCS > 1 every
+// shape here boots 16 slots at instant 0, a batch that fans out),
+// every collector's idle ticker (recovered instances included) and the
+// deadline backstop. A helper can still be inside its deferred Done
+// when Run returns, so the count gets a bounded settle.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	chaos := fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2}
 	for _, c := range []runShape{
@@ -324,5 +327,36 @@ func TestSeedChangesValues(t *testing.T) {
 	}
 	if len(CompareRuns(a, b)) == 0 {
 		t.Fatal("different seeds produced identical fleets")
+	}
+}
+
+// TestDeadlineEndsAStuckRun pins the wall-clock backstop: a run whose
+// links lose every frame can never finish, so its Deadline must end
+// it, with every unfinished node reported, instead of the event loop
+// stepping simulated retries forever.
+func TestDeadlineEndsAStuckRun(t *testing.T) {
+	done := make(chan Result, 1)
+	go func() {
+		res, err := Run(Config{Nodes: 4, Reports: 2, Seed: 1, Deadline: 100 * time.Millisecond,
+			Link: fault.LinkProfile{Drop: 1}})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	var res Result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a run with a 100ms deadline was still going after 10s")
+	}
+	late := 0
+	for _, v := range res.Violations {
+		if strings.Contains(v, "deadline") {
+			late++
+		}
+	}
+	if late != 4 {
+		t.Fatalf("%d deadline violations, want one per node (4): %v", late, head(res.Violations, 8))
 	}
 }

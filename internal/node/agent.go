@@ -79,11 +79,15 @@ type ReportOutcome struct {
 // backoff plus deterministic jitter until the collector ACKs
 // (node, seq) or the context expires.
 //
-// An agent is single-goroutine: one outstanding report at a time, by
-// construction (the paper's DP-Box serves one transaction at a time
-// anyway). Its ACK waits and backoff pauses run on the link's clock
-// (transport.LinkConfig.Clock), so a fleet on simulated time pays
-// neither in wall time.
+// An agent is a step machine with one outstanding report at a time,
+// by construction (the paper's DP-Box serves one transaction at a time
+// anyway). Begin or BeginResume arms a delivery and Step advances it
+// to a given time: it drains the downlink, retransmits and draws the
+// backoff jitter, and names the time it must next be stepped at. An
+// event loop can therefore drive many agents from one goroutine;
+// Report and Resume are blocking loops over the same steps that wait
+// on the link's clock (transport.LinkConfig.Clock). Whoever steps an
+// agent must not step it concurrently with itself.
 type ReportAgent struct {
 	box *dpbox.DPBox
 	end *transport.Endpoint
@@ -92,6 +96,36 @@ type ReportAgent struct {
 
 	next   uint64
 	jitter uint64
+	d      delivery
+}
+
+// phase is where an armed delivery stands.
+type phase uint8
+
+const (
+	// idle: no delivery armed, or the last one finished.
+	idle phase = iota
+	// transmit: the next Step sends the next attempt.
+	transmit
+	// ackWait: an attempt was sent; an ACK is awaited until deadline.
+	ackWait
+	// backoff: the ACK window closed; the next attempt waits until
+	// deadline, and frames landing meanwhile do not cut it short.
+	backoff
+)
+
+// delivery is the armed (or last finished) delivery's state. The
+// outcome carries the report's seq and value, and counts transmissions
+// in Attempts as they are made.
+type delivery struct {
+	out      ReportOutcome
+	err      error
+	noisedAt time.Time
+	deadline time.Duration
+	budget   int // transmissions this delivery may make
+	phase    phase
+	flags    uint8 // the report frame's quality bits
+	report   bool  // armed by Begin: the outcome closes a latency span
 }
 
 // NewReportAgent wires an agent to its DP-Box and link endpoint. The
@@ -128,12 +162,14 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 // Rebind points the agent at box — typically the node's box after a
 // crash recovery — and leaves it exactly as NewReportAgent would build
 // it on the same endpoint and config: the jitter stream restarts at
-// JitterSeed and the next sequence number resumes from box's journal.
+// JitterSeed, the next sequence number resumes from box's journal and
+// any armed delivery is dropped.
 // A crash therefore costs the agent no allocation.
 func (a *ReportAgent) Rebind(box *dpbox.DPBox) {
 	a.box = box
 	a.next = box.NextSeq()
 	a.jitter = a.cfg.JitterSeed
+	a.d = delivery{}
 }
 
 // NextSeq returns the sequence number the next Report will use.
@@ -159,32 +195,31 @@ func (a *ReportAgent) backoff(k int) time.Duration {
 	return half + time.Duration(a.rand()%uint64(half+1))
 }
 
-// Report noises x exactly once under the next sequence number and
-// delivers it at-least-once. On error the (seq, value) binding is
-// already durable; Resume (or a fresh agent on the recovered box)
-// retransmits the identical value later.
-func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error) {
+// Begin noises x exactly once under the next sequence number and arms
+// its delivery; Step then delivers it at-least-once. A noising error
+// arms nothing and leaves the sequence number unused.
+func (a *ReportAgent) Begin(x int64) error {
 	seq, m := a.next, a.cfg.Obs
+	a.d = delivery{out: ReportOutcome{Seq: seq}, report: true}
 	// The wall clock is read for the latency histogram alone: skip it
 	// when none is attached.
-	var noisedAt time.Time
 	if m.LatencyUs != nil {
-		noisedAt = time.Now()
+		a.d.noisedAt = time.Now()
 	}
 	// The span opens before the noising transaction so the journal
 	// commit inside it lands after the noised stamp.
 	m.Flight.Record(int64(a.cfg.ID), seq, obs.StageNoised)
 	res, err := a.box.NoiseValueSeq(seq, x)
 	if err != nil {
-		return ReportOutcome{Seq: seq}, fmt.Errorf("node: noising seq %d: %w", seq, err)
+		a.d.err = fmt.Errorf("node: noising seq %d: %w", seq, err)
+		return a.d.err
 	}
 	a.next = seq + 1
 	m.Reports.Inc()
 	if res.Degraded {
 		m.Flight.Record(int64(a.cfg.ID), seq, obs.StageDegraded)
 	}
-
-	out := ReportOutcome{
+	a.d.out = ReportOutcome{
 		Seq:       seq,
 		Value:     res.Value,
 		Charged:   res.Charged,
@@ -194,27 +229,20 @@ func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error
 	}
 	// A report rides out a collector outage up to the total cap, then
 	// abandons terminally (ErrAbandoned); the journaled binding keeps
-	// it re-deliverable through Resume once the collector is back.
-	attempts, err := a.deliver(ctx, a.packet(seq, res.Value, res.Degraded, res.FromCache), a.cfg.MaxTotalAttempts)
-	out.Attempts = attempts
-	if err == nil && m.LatencyUs != nil {
-		// The (node, seq) span closes: noise drawn → ACK recorded.
-		m.LatencyUs.Observe(time.Since(noisedAt).Microseconds())
-	}
-	return out, err
+	// it re-deliverable through BeginResume once the collector is back.
+	a.arm(res.Degraded, res.FromCache, a.cfg.MaxTotalAttempts)
+	return nil
 }
 
-// Resume retransmits the most recent journaled release until ACKed.
-// Call it after crash recovery (node or collector side), or to
-// re-deliver a report Report abandoned at its total attempt cap: each
-// Resume grants a fresh MaxAttempts lease, at most one report can be
-// outstanding (the agent is sequential), and re-delivering an
-// already-ACKed sequence number is harmless — the collector dedups by
-// (node, seq), and a restarted collector's recovered dedup state
-// re-ACKs it bit-exactly.
-func (a *ReportAgent) Resume(ctx context.Context) error {
+// BeginResume arms re-delivery of the most recent journaled release
+// under a fresh MaxAttempts lease. Use it after crash recovery (node
+// or collector side), or for a report whose delivery was abandoned at
+// its total attempt cap. Re-delivering an already-ACKed sequence
+// number is harmless: the collector dedups by (node, seq), and a
+// restarted collector's recovered dedup state re-ACKs it bit-exactly.
+func (a *ReportAgent) BeginResume() error {
 	if a.next == 0 {
-		return nil // nothing ever released
+		return errors.New("node: nothing released to resume")
 	}
 	seq := a.next - 1
 	rel, ok := a.box.ReleaseFor(seq)
@@ -222,11 +250,15 @@ func (a *ReportAgent) Resume(ctx context.Context) error {
 		return fmt.Errorf("node: no journaled release for seq %d", seq)
 	}
 	a.cfg.Obs.Resumes.Inc()
-	_, err := a.deliver(ctx, a.packet(seq, rel.Value, rel.Degraded, rel.FromCache), a.cfg.MaxAttempts)
-	return err
+	a.d = delivery{out: ReportOutcome{Seq: seq, Value: rel.Value}}
+	a.arm(rel.Degraded, rel.FromCache, a.cfg.MaxAttempts)
+	return nil
 }
 
-func (a *ReportAgent) packet(seq uint64, value int64, degraded, fromCache bool) transport.Packet {
+// arm readies the delivery of a.d.out's (seq, value) in at most
+// budget transmissions. The report frame's quality bits are fixed
+// here, so every retransmission carries the same frame.
+func (a *ReportAgent) arm(degraded, fromCache bool, budget int) {
 	var flags uint8
 	if degraded {
 		flags |= transport.FlagDegraded
@@ -237,103 +269,187 @@ func (a *ReportAgent) packet(seq uint64, value int64, degraded, fromCache bool) 
 	if !a.box.Healthy() {
 		flags |= transport.FlagUnhealthy
 	}
-	return transport.Packet{
-		Kind:  transport.KindReport,
-		Node:  a.cfg.ID,
-		Seq:   seq,
-		Value: value,
-		Flags: flags,
-	}
+	a.d.flags, a.d.budget, a.d.phase = flags, budget, transmit
 }
 
-// deliver retransmits pkt verbatim until an ACK for (node, seq)
-// arrives, the attempt budget runs out, or the context expires.
-func (a *ReportAgent) deliver(ctx context.Context, pkt transport.Packet, budget int) (int, error) {
-	attempts, err := a.deliverLoop(ctx, pkt, budget)
-	m := a.cfg.Obs
-	if attempts > 1 {
-		m.Retransmits.Add(uint64(attempts - 1))
-	}
-	if err != nil {
-		m.Abandoned.Inc()
-		m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAbandoned)
-	} else {
-		m.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageAck)
-	}
-	return attempts, err
-}
+// AwaitingAck reports whether the armed delivery is inside an ACK
+// window: the only phase in which a frame landing on the downlink can
+// move it before its deadline.
+func (a *ReportAgent) AwaitingAck() bool { return a.d.phase == ackWait }
 
-func (a *ReportAgent) deliverLoop(ctx context.Context, pkt transport.Packet, budget int) (int, error) {
-	// The per-window backoff exponent stays capped at MaxAttempts so a
-	// long total budget keeps pausing at BackoffCap, not beyond.
-	for attempt := 1; attempt <= budget; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return attempt - 1, fmt.Errorf("node: delivering seq %d: %w", pkt.Seq, err)
-		}
-		a.cfg.Obs.Flight.Record(int64(a.cfg.ID), pkt.Seq, obs.StageTx)
-		a.end.Send(pkt)
-		if a.awaitAck(ctx, pkt.Seq) {
-			return attempt, nil
-		}
-		if attempt < budget {
-			pause := a.backoff(attempt)
+// Step advances the armed delivery to now, the link clock's current
+// time. It retransmits when an attempt is due, drains the frames the
+// downlink has received, and draws the backoff jitter when an ACK
+// window closes. It returns the time at which it must be stepped next
+// — or done once the delivery is ACKed or abandoned (see Outcome).
+//
+// Inside an ACK window a frame landing on the downlink may be handled
+// early: Step at any earlier time drains what was received and, if no
+// ACK of the report was among it, changes nothing. A stale ACK does
+// not end the window before its deadline. From the deadline on, the
+// first frame received decides the window; with none queued, the
+// downlink's reorder holdbacks are released first. Frames landing
+// during a backoff pause wait for its end; an ACK among them settles
+// the report without a retransmission.
+func (a *ReportAgent) Step(now time.Duration) (next time.Duration, done bool) {
+	d := &a.d
+	for {
+		switch d.phase {
+		case idle:
+			return 0, true
+		case transmit:
+			d.out.Attempts++
+			a.cfg.Obs.Flight.Record(int64(a.cfg.ID), d.out.Seq, obs.StageTx)
+			a.end.Send(transport.Packet{
+				Kind:  transport.KindReport,
+				Node:  a.cfg.ID,
+				Seq:   d.out.Seq,
+				Value: d.out.Value,
+				Flags: d.flags,
+			})
+			d.phase, d.deadline = ackWait, now+a.cfg.AckWait
+		case ackWait:
+			if a.awaitAck(now) {
+				return a.finish(nil)
+			}
+			if now < d.deadline {
+				return d.deadline, false
+			}
+			if d.out.Attempts >= d.budget {
+				return a.finish(fmt.Errorf("node: seq %d unacked after %d attempts: %w", d.out.Seq, d.budget, ErrAbandoned))
+			}
+			pause := a.backoff(d.out.Attempts)
 			a.cfg.Obs.BackoffNs.Add(uint64(pause))
-			if !a.sleep(ctx, pause) {
-				return attempt, fmt.Errorf("node: delivering seq %d: %w", pkt.Seq, ctx.Err())
+			d.phase, d.deadline = backoff, now+pause
+		case backoff:
+			if now < d.deadline {
+				return d.deadline, false
 			}
 			// An ACK that landed during the pause settles the report;
-			// retransmitting anyway would race the collector's reply
-			// to it for the link's next fate.
-			if a.ackQueued(pkt.Seq) {
-				return attempt, nil
+			// retransmitting anyway would race the collector's reply to
+			// it for the link's next fate.
+			if a.ackQueued() {
+				return a.finish(nil)
 			}
+			d.phase = transmit
 		}
 	}
-	return budget, fmt.Errorf("node: seq %d unacked after %d attempts: %w", pkt.Seq, budget, ErrAbandoned)
 }
 
-// awaitAck waits one AckWait window for an ACK of seq, absorbing
-// stale ACKs (earlier sequence numbers, duplicate deliveries) without
-// giving up the window.
-func (a *ReportAgent) awaitAck(ctx context.Context, seq uint64) bool {
-	deadline := a.clk.Now() + a.cfg.AckWait
+// awaitAck reports whether the ACK window holds an ACK of the armed
+// report by now. Before the deadline it drains every received frame,
+// absorbing stale ACKs (earlier sequence numbers, duplicate
+// deliveries). From the deadline on the first received frame decides
+// the window; with none queued, the reorder holdbacks are released and
+// the first of them decides it.
+func (a *ReportAgent) awaitAck(now time.Duration) bool {
 	for {
-		if a.clk.Now() >= deadline || ctx.Err() != nil {
-			return false
-		}
-		ack, ok := a.end.RecvUntil(deadline)
+		ack, ok := a.end.TryRecv()
 		if !ok {
-			return false
+			break
 		}
-		if a.absorb(ack, seq) {
+		if a.absorb(ack) {
 			return true
 		}
+		if now >= a.d.deadline {
+			return false
+		}
 	}
+	if now < a.d.deadline {
+		return false
+	}
+	a.end.FlushHeld()
+	ack, ok := a.end.TryRecv()
+	return ok && a.absorb(ack)
 }
 
-// ackQueued drains the frames already received without waiting and
-// reports whether an ACK of seq was among them.
-func (a *ReportAgent) ackQueued(seq uint64) bool {
+// ackQueued drains the frames already received and reports whether an
+// ACK of the armed report was among them.
+func (a *ReportAgent) ackQueued() bool {
 	for {
 		ack, ok := a.end.TryRecv()
 		if !ok {
 			return false
 		}
-		if a.absorb(ack, seq) {
+		if a.absorb(ack) {
 			return true
 		}
 	}
 }
 
-// absorb reports whether a received frame ACKs seq; stale ACKs and
-// stray frames are dropped.
-func (a *ReportAgent) absorb(ack transport.Packet, seq uint64) bool {
-	return ack.Kind == transport.KindAck && ack.Node == a.cfg.ID && ack.Seq == seq
+// absorb reports whether a received frame ACKs the armed report; stale
+// ACKs and stray frames are dropped.
+func (a *ReportAgent) absorb(ack transport.Packet) bool {
+	return ack.Kind == transport.KindAck && ack.Node == a.cfg.ID && ack.Seq == a.d.out.Seq
 }
 
-// sleep pauses for d unless the context expires first; it reports
-// whether the full pause completed. The pause parks on the endpoint's
-// receive waiter, the one awaitAck blocks on.
-func (a *ReportAgent) sleep(ctx context.Context, d time.Duration) bool {
-	return a.end.PauseUntil(a.clk.Now()+d, ctx.Done())
+// finish closes the armed delivery with err (nil: ACKed).
+func (a *ReportAgent) finish(err error) (time.Duration, bool) {
+	d, m := &a.d, a.cfg.Obs
+	d.phase, d.err = idle, err
+	if d.out.Attempts > 1 {
+		m.Retransmits.Add(uint64(d.out.Attempts - 1))
+	}
+	if err != nil {
+		m.Abandoned.Inc()
+		m.Flight.Record(int64(a.cfg.ID), d.out.Seq, obs.StageAbandoned)
+	} else {
+		m.Flight.Record(int64(a.cfg.ID), d.out.Seq, obs.StageAck)
+		if d.report && m.LatencyUs != nil {
+			// The (node, seq) span closes: noise drawn → ACK recorded.
+			m.LatencyUs.Observe(time.Since(d.noisedAt).Microseconds())
+		}
+	}
+	return 0, true
+}
+
+// Outcome returns the last delivery's outcome once Step reported it
+// done. On error the (seq, value) binding is already durable;
+// BeginResume (or a fresh agent on the recovered box) retransmits the
+// identical value later.
+func (a *ReportAgent) Outcome() (ReportOutcome, error) { return a.d.out, a.d.err }
+
+// Report noises x exactly once under the next sequence number and
+// delivers it at-least-once, blocking on the link's clock: Begin, then
+// Step until done. A context that expires first abandons the delivery.
+func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error) {
+	if err := a.Begin(x); err != nil {
+		return a.Outcome()
+	}
+	return a.run(ctx)
+}
+
+// Resume retransmits the most recent journaled release until ACKed,
+// blocking on the link's clock: BeginResume, then Step until done. It
+// does nothing when no report was ever released.
+func (a *ReportAgent) Resume(ctx context.Context) error {
+	if a.next == 0 {
+		return nil
+	}
+	if err := a.BeginResume(); err != nil {
+		return err
+	}
+	_, err := a.run(ctx)
+	return err
+}
+
+// run steps the armed delivery to completion. An ACK window waits for
+// the downlink to receive a frame or the window to close; a backoff
+// pause waits out its deadline alone.
+func (a *ReportAgent) run(ctx context.Context) (ReportOutcome, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			a.finish(fmt.Errorf("node: delivering seq %d: %w", a.d.out.Seq, err))
+			return a.Outcome()
+		}
+		next, done := a.Step(a.clk.Now())
+		if done {
+			return a.Outcome()
+		}
+		if a.AwaitingAck() {
+			a.end.AwaitRecv(next, ctx.Done())
+		} else {
+			a.end.PauseUntil(next, ctx.Done())
+		}
+	}
 }

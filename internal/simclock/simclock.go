@@ -1,14 +1,14 @@
 // Package simclock is the time source of the fleet's report path: a
-// clock with Now plus a reusable, cancellable deadline wait.
+// clock with Now, a reusable, cancellable deadline wait and a timer.
 //
 // Two implementations share the interface. Wall is real time, the
 // default wherever no clock is injected: a Waiter is one reused
-// time.Timer plus a doorbell. Virtual is simulated time for
-// deterministic fleet runs: it never advances while any participant
-// is running, and when the last one parks it jumps straight to the
-// earliest armed deadline. Idle time between reports then costs no
-// wall time at all, and a run's event order depends only on its
-// seeds.
+// time.Timer plus a doorbell, and a Timer is time.AfterFunc. Virtual
+// is simulated time for deterministic fleet runs: it never advances
+// while any participant is running, and when the last one parks it
+// jumps straight to the earliest armed deadline. Idle time between
+// reports then costs no wall time at all, and a run's event order
+// depends only on its seeds.
 //
 // The virtual clock counts outstanding work in one atomic counter. A
 // participant is a goroutine that waits on the clock: it is counted
@@ -18,11 +18,14 @@
 // the wake is delivered, so handed-over work is never invisible to
 // the counter. Whoever brings the count to zero fires the earliest
 // group of waiters sharing one (deadline, class); the clock fires the
-// next group only once the count has returned to zero. Classes break
-// deadline ties in a fixed order (Tick, then Supervisor, then Agent),
-// so a collector's idle tick always runs before the fleet's control
-// loop polls, recovers or quiesces at the same instant, and both run
-// before an agent's timeout set for it.
+// next group only once the count has returned to zero. A virtual timer
+// in a fired group is no goroutine: it runs on the participant that
+// fired the group, counted as running until it returns. Classes break
+// deadline ties in a fixed order (Tick, then Agent), so a collector's
+// idle tick always runs before anything else due at the same instant:
+// a fleet's event loop orders its own work there (crash poll first,
+// then node steps in node order) and steps it only after the tick has
+// run.
 package simclock
 
 import (
@@ -41,15 +44,12 @@ const Never = time.Duration(math.MaxInt64)
 type Class uint8
 
 const (
-	// Tick is the collector's idle ticker, the one goroutine a
-	// collector runs; its shards are drained on the goroutines that
-	// send to them.
+	// Tick is the collector's idle tick, a timer; its shards are
+	// drained on the goroutines that send to them.
 	Tick Class = iota
-	// Supervisor is the fleet run's control loop: it waits out the
-	// node workers, polls a crash-scheduled collector store and
-	// recovers a dead collector, then quiesces the fleet.
-	Supervisor
-	// Agent is a node agent's ACK wait or backoff pause.
+	// Agent is everything else: a blocking agent's ACK wait or
+	// backoff pause, or a fleet run's event loop, which steps every
+	// node's agent from one goroutine.
 	Agent
 )
 
@@ -59,6 +59,9 @@ type Clock interface {
 	Now() time.Duration
 	// NewWaiter returns a reusable wait for one participant.
 	NewWaiter(Class) Waiter
+	// NewTimer returns a stopped timer that calls fn once each time the
+	// clock reaches the deadline it was last Reset to.
+	NewTimer(Class, func()) Timer
 	// Join counts one more running participant. Call it before the
 	// participant's goroutine starts.
 	Join()
@@ -77,6 +80,20 @@ type Waiter interface {
 	Wait(deadline time.Duration, done <-chan struct{}) (fired bool)
 	// Signal wakes the waiter, or arms its next Wait to return at once.
 	Signal()
+}
+
+// Timer calls a function at a deadline. On the wall clock fn runs on a
+// goroutine of its own, as with time.AfterFunc. On a virtual clock it
+// runs on the participant whose park or Leave let the clock reach the
+// deadline, counted as running until fn returns, so a timer is a clock
+// event that costs no goroutine and no hand-off. fn may Signal waiters
+// and Reset its own timer, but must not Wait on the clock.
+type Timer interface {
+	// Reset arms the timer for deadline, replacing any earlier arming.
+	Reset(deadline time.Duration)
+	// Stop disarms the timer. A call of fn that is already due or
+	// running is not recalled.
+	Stop()
 }
 
 // Or returns c, or Wall when c is nil.
@@ -99,6 +116,17 @@ type wallClock struct{}
 func (wallClock) Now() time.Duration { return time.Since(wallEpoch) }
 func (wallClock) Join()              {}
 func (wallClock) Leave()             {}
+
+func (wallClock) NewTimer(_ Class, fn func()) Timer {
+	t := time.AfterFunc(time.Hour, fn)
+	t.Stop()
+	return wallTimer{t}
+}
+
+type wallTimer struct{ t *time.Timer }
+
+func (w wallTimer) Reset(deadline time.Duration) { w.t.Reset(deadline - Wall.Now()) }
+func (w wallTimer) Stop()                        { w.t.Stop() }
 
 func (wallClock) NewWaiter(Class) Waiter {
 	t := time.NewTimer(time.Hour)
@@ -171,8 +199,11 @@ type Virtual struct {
 	res  int64 // deadlines round up to a multiple of this
 
 	mu   sync.Mutex
-	q    waitHeap // armed waiters, earliest (deadline, class) first
+	q    waitHeap   // armed waiters and timers, earliest (deadline, class) first
+	due  []*vwaiter // fired timers, in firing order
 	shut bool
+	// runningDue is set while a goroutine runs the due timers.
+	runningDue bool
 }
 
 // NewVirtual returns a virtual clock at time zero with no
@@ -201,6 +232,7 @@ func (c *Virtual) Leave() {
 	}
 	c.mu.Lock()
 	c.fireLocked()
+	c.runDueLocked()
 	c.mu.Unlock()
 }
 
@@ -208,7 +240,8 @@ func (c *Virtual) Leave() {
 // running.
 func (c *Virtual) Busy() int64 { return c.busy.Load() }
 
-// Armed returns the number of waiters parked with a deadline.
+// Armed returns the number of waiters parked with a deadline, plus
+// the armed timers.
 func (c *Virtual) Armed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -224,13 +257,32 @@ func (c *Virtual) Shutdown() {
 	defer c.mu.Unlock()
 	c.shut = true
 	for len(c.q) > 0 {
-		c.wakeLocked(heap.Pop(&c.q).(*vwaiter), true)
+		if w := heap.Pop(&c.q).(*vwaiter); w.fn == nil {
+			c.wakeLocked(w, true)
+		}
 	}
 }
 
 // NewWaiter returns a waiter of the given class.
 func (c *Virtual) NewWaiter(cl Class) Waiter {
 	return &vwaiter{c: c, class: cl, ch: make(chan struct{}, 1), idx: -1}
+}
+
+// NewTimer returns a stopped timer of the given class. Timers left
+// armed after Shutdown never fire.
+func (c *Virtual) NewTimer(cl Class, fn func()) Timer {
+	return &vwaiter{c: c, class: cl, fn: fn, idx: -1}
+}
+
+// round rounds a deadline up to the clock's resolution.
+func (c *Virtual) round(deadline time.Duration) int64 {
+	d := int64(deadline)
+	if r := d % c.res; r > 0 {
+		d += c.res - r
+	} else if r < 0 {
+		d -= r
+	}
+	return d
 }
 
 // fireLocked fires the earliest (deadline, class) group if nothing is
@@ -248,8 +300,38 @@ func (c *Virtual) fireLocked() {
 		c.now.Store(d)
 	}
 	for len(c.q) > 0 && c.q[0].deadline == d && c.q[0].class == cl {
-		c.wakeLocked(heap.Pop(&c.q).(*vwaiter), true)
+		w := heap.Pop(&c.q).(*vwaiter)
+		if w.fn != nil {
+			c.busy.Add(1)
+			c.due = append(c.due, w)
+			continue
+		}
+		c.wakeLocked(w, true)
 	}
+}
+
+// runDueLocked runs the fired timers, and any that firing after them
+// makes due, on the calling goroutine, unless another goroutine is
+// already running them. Each timer is counted running until its
+// callback returns, which runs without c.mu; when the count then
+// reaches zero the next group fires. Callers hold c.mu.
+func (c *Virtual) runDueLocked() {
+	if c.runningDue {
+		return
+	}
+	c.runningDue = true
+	for i := 0; i < len(c.due); i++ {
+		t := c.due[i]
+		c.due[i] = nil
+		c.mu.Unlock()
+		t.fn()
+		c.mu.Lock()
+		if c.busy.Add(-1) == 0 {
+			c.fireLocked()
+		}
+	}
+	c.due = c.due[:0]
+	c.runningDue = false
 }
 
 // wakeLocked counts a parked waiter back in and hands it its token.
@@ -270,11 +352,13 @@ func (c *Virtual) unparkLocked(w *vwaiter) {
 	c.wakeLocked(w, false)
 }
 
+// vwaiter is a virtual waiter, or with fn set a virtual timer.
 type vwaiter struct {
 	c     *Virtual
 	class Class
 	ch    chan struct{}
 	state atomic.Int32
+	fn    func()
 
 	// Guarded by c.mu.
 	deadline int64
@@ -300,31 +384,59 @@ func (w *vwaiter) Wait(deadline time.Duration, done <-chan struct{}) bool {
 		return false
 	}
 	if deadline != Never {
-		d := int64(deadline)
-		if r := d % c.res; r > 0 {
-			d += c.res - r
-		} else if r < 0 {
-			d -= r
-		}
-		w.deadline = d
+		w.deadline = c.round(deadline)
 		heap.Push(&c.q, w)
 	}
 	c.busy.Add(-1)
 	c.fireLocked()
+	// Timers this park made due run here, while the owner is parked: a
+	// Signal from one counts it back in and leaves its token.
+	c.runDueLocked()
 	c.mu.Unlock()
 
-	select {
-	case <-w.ch:
-	case <-done:
-		c.mu.Lock()
-		if w.state.Load() == parked {
-			c.unparkLocked(w)
-		}
-		c.mu.Unlock()
+	if done == nil {
+		// A plain receive: cheaper than a select, and the common case
+		// of a token the park itself (or a timer it ran) already sent.
 		<-w.ch
+	} else {
+		select {
+		case <-w.ch:
+		case <-done:
+			c.mu.Lock()
+			if w.state.Load() == parked {
+				c.unparkLocked(w)
+			}
+			c.mu.Unlock()
+			<-w.ch
+		}
 	}
 	// The token's send happened under c.mu after fired was written.
 	return w.fired
+}
+
+// Reset arms a timer for deadline.
+func (w *vwaiter) Reset(deadline time.Duration) {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shut {
+		return
+	}
+	if w.idx >= 0 {
+		heap.Remove(&c.q, w.idx)
+	}
+	w.deadline = c.round(deadline)
+	heap.Push(&c.q, w)
+}
+
+// Stop disarms a timer.
+func (w *vwaiter) Stop() {
+	c := w.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w.idx >= 0 {
+		heap.Remove(&c.q, w.idx)
+	}
 }
 
 func (w *vwaiter) Signal() {

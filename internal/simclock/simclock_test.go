@@ -115,8 +115,8 @@ func TestSignalBeforeWaitIsKept(t *testing.T) {
 }
 
 // TestSameDeadlineClassOrder: waiters sharing a deadline fire one
-// class at a time — collector ticks, then the supervisor, then agents
-// — each group only after the previous one has parked or left.
+// class at a time — collector ticks, then agents — each group only
+// after the previous one has parked or left.
 func TestSameDeadlineClassOrder(t *testing.T) {
 	c := NewVirtual(0)
 	c.Join()
@@ -124,7 +124,7 @@ func TestSameDeadlineClassOrder(t *testing.T) {
 		mu    sync.Mutex
 		order []Class
 	)
-	for _, cl := range []Class{Agent, Tick, Supervisor, Agent, Tick} {
+	for _, cl := range []Class{Agent, Tick, Agent, Tick, Agent} {
 		cl := cl
 		c.Join()
 		go func() {
@@ -143,7 +143,7 @@ func TestSameDeadlineClassOrder(t *testing.T) {
 	main.Wait(6*time.Millisecond, nil)
 	mu.Lock()
 	defer mu.Unlock()
-	want := []Class{Tick, Tick, Supervisor, Agent, Agent}
+	want := []Class{Tick, Tick, Agent, Agent, Agent}
 	if len(order) != len(want) {
 		t.Fatalf("fired %v, want %v", order, want)
 	}
@@ -197,5 +197,68 @@ func TestWallWaitFires(t *testing.T) {
 	}
 	if !w.Wait(Wall.Now()-time.Second, nil) {
 		t.Fatal("a past deadline did not fire at once")
+	}
+}
+
+// TestVirtualTimerRunsOnTheParkingParticipant: a virtual timer runs on
+// the goroutine whose park let the clock reach it, with the clock at
+// its deadline and before a waiter due at the same instant, and can
+// re-arm itself. A timer that signals the parked waiter ends that wait
+// unfired; a stopped timer never runs.
+func TestVirtualTimerRunsOnTheParkingParticipant(t *testing.T) {
+	c := NewVirtual(0)
+	c.Join()
+	w := c.NewWaiter(Agent)
+	var (
+		at   []time.Duration
+		tick Timer
+	)
+	tick = c.NewTimer(Tick, func() {
+		at = append(at, c.Now())
+		if len(at) < 3 {
+			tick.Reset(c.Now() + time.Millisecond)
+		}
+	})
+	tick.Reset(time.Millisecond)
+	if !w.Wait(3*time.Millisecond, nil) || c.Now() != 3*time.Millisecond {
+		t.Fatalf("wait ended at %v, want fired at 3ms", c.Now())
+	}
+	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}; len(at) != 3 || at[0] != want[0] || at[1] != want[1] || at[2] != want[2] {
+		t.Fatalf("timer ran at %v, want %v", at, want)
+	}
+
+	c.NewTimer(Tick, w.Signal).Reset(4 * time.Millisecond)
+	if w.Wait(10*time.Millisecond, nil) || c.Now() != 4*time.Millisecond {
+		t.Fatalf("a timer's signal ended the wait at %v; want unfired at 4ms", c.Now())
+	}
+
+	stopped := c.NewTimer(Tick, func() { t.Error("a stopped timer ran") })
+	stopped.Reset(5 * time.Millisecond)
+	stopped.Stop()
+	if !w.Wait(6*time.Millisecond, nil) || c.Now() != 6*time.Millisecond {
+		t.Fatalf("wait ended at %v, want fired at 6ms", c.Now())
+	}
+	if c.Busy() != 1 || c.Armed() != 0 {
+		t.Fatalf("busy %d armed %d, want 1 and 0", c.Busy(), c.Armed())
+	}
+}
+
+// TestWallTimer: a wall-clock timer calls its function once per Reset,
+// on a goroutine of its own, and not at all once stopped.
+func TestWallTimer(t *testing.T) {
+	ran := make(chan struct{}, 2)
+	tm := Wall.NewTimer(Tick, func() { ran <- struct{}{} })
+	tm.Reset(Wall.Now() + time.Millisecond)
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wall timer never ran")
+	}
+	tm.Reset(Wall.Now() + time.Hour)
+	tm.Stop()
+	select {
+	case <-ran:
+		t.Fatal("the wall timer ran twice for one Reset")
+	case <-time.After(20 * time.Millisecond):
 	}
 }

@@ -300,8 +300,8 @@ func (l *Link) Stats() Stats {
 // Endpoint is one end of a link. The node end sends up and receives
 // down; the collector end is the mirror image. Endpoints are
 // goroutine-safe: Send and Recv may run concurrently (the collector
-// ACKs from whichever goroutine drains the node's link while a
-// per-node goroutine receives).
+// ACKs from whichever goroutine drains the node's link — a tick's
+// flush, say — while the node's side receives on another).
 type Endpoint struct {
 	link     *Link
 	sendPipe *pipe
@@ -526,28 +526,40 @@ func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
 // never lost. The wait reuses the direction's one waiter, created by
 // its first blocking receive; later receives allocate nothing.
 func (e *Endpoint) RecvUntil(deadline time.Duration) (Packet, bool) {
-	if p, ok := e.TryRecv(); ok {
-		return p, true
-	}
-	pi := e.recvPipe
-	wake := e.recvWaiter()
-	// Announce the wait before the re-check: a sender that enqueued
-	// after our TryRecv either sees waiters != 0 and signals, or
-	// enqueued before the re-check sees its frame. A stale signal from
-	// a past wait only causes one spurious loop.
-	pi.waiters.Add(1)
-	defer pi.waiters.Add(-1)
 	for {
 		if p, ok := e.TryRecv(); ok {
 			return p, true
 		}
-		if wake.Wait(deadline, nil) {
+		if e.AwaitRecv(deadline, nil) {
 			// Last chance: release holdbacks and drain what is
 			// already queued.
 			e.FlushHeld()
 			return e.TryRecv()
 		}
 	}
+}
+
+// AwaitRecv parks this end's receiving goroutine on the link clock
+// until a frame is queued on this end, the clock reaches deadline, or
+// done closes (nil: never). It receives nothing — callers TryRecv
+// afterwards — and reports whether deadline was reached. A frame
+// already queued ends it at once; a false return may also be a stale
+// signal from an earlier wait, so callers re-check after every return.
+func (e *Endpoint) AwaitRecv(deadline time.Duration, done <-chan struct{}) bool {
+	pi := e.recvPipe
+	wake := e.recvWaiter()
+	// Announce the wait before the re-check: a sender that enqueues
+	// after it either sees waiters != 0 and signals, or enqueued before
+	// the re-check sees its frame.
+	pi.waiters.Add(1)
+	defer pi.waiters.Add(-1)
+	pi.mu.Lock()
+	queued := pi.n > 0
+	pi.mu.Unlock()
+	if queued {
+		return false
+	}
+	return wake.Wait(deadline, done)
 }
 
 // recvWaiter returns the receive direction's waiter, creating it on
@@ -566,8 +578,9 @@ func (e *Endpoint) recvWaiter() simclock.Waiter {
 // PauseUntil parks this end's receiving goroutine on the link clock
 // until deadline without receiving: frames that land meanwhile stay
 // queued and do not cut the pause short. It reuses the receive
-// direction's waiter, so a node's backoff between retransmits costs
-// no waiter of its own. It reports false if done closed first.
+// direction's waiter, so a blocking agent's backoff between
+// retransmits costs no waiter of its own. It reports false if done
+// closed first.
 func (e *Endpoint) PauseUntil(deadline time.Duration, done <-chan struct{}) bool {
 	wake := e.recvWaiter()
 	// Senders signal only while a Recv is announced, so a false return
