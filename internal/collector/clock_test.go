@@ -1,7 +1,7 @@
 package collector
 
 import (
-	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,20 +12,20 @@ import (
 
 // TestVirtualClockHeldThroughDrain: on a virtual clock a report sent
 // into an idle shard is admitted and ACKed at the instant it was
-// sent — neither the agent's ACK wait nor an idle tick (both due well
-// before the next report) fires while the shard drains.
+// sent — neither the agent's ACK window nor an idle tick (both due well
+// before the next report) runs out while the shard drains.
 func TestVirtualClockHeldThroughDrain(t *testing.T) {
 	clk := simclock.NewVirtual(0)
-	clk.Join() // this goroutine
 	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 1 << 20})
 	defer col.Close()
-	link := transport.NewLink(transport.LinkConfig{Clock: clk})
+	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(1, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
+	link.NodeEnd().SetNotify(clk.Signal)
 	agent := node.NewReportAgent(newFleetBox(t, 5, 1e6), link.NodeEnd(), node.AgentConfig{ID: 1, AckWait: 2 * time.Millisecond})
 	for r := 0; r < 3; r++ {
-		out, err := agent.Report(context.Background(), int64(r))
+		out, err := report(agent, int64(r), clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,37 +42,43 @@ func TestVirtualClockHeldThroughDrain(t *testing.T) {
 }
 
 // TestCloseReleasesTickWaiters: a closed collector takes its idle
-// ticker off the clock, so it can neither pin simulated time nor fire
-// into a dead collector; the next deadline on the clock is someone
-// else's.
+// tick off the clock, so it can neither fire into a dead collector nor
+// keep the clock's owner waiting on it: with nothing else armed, a
+// wait on Never has nothing left to end it.
 func TestCloseReleasesTickWaiters(t *testing.T) {
 	clk := simclock.NewVirtual(0)
-	clk.Join()
 	col := New(Config{Clock: clk, Shards: 4, PollTimeout: time.Millisecond})
-	waitFor(t, 5*time.Second, "the idle ticker to park", func() bool {
-		return clk.Armed() == 1 && clk.Busy() == 1
-	})
-	col.Close()
-	if clk.Armed() != 0 || clk.Busy() != 1 {
-		t.Fatalf("after Close: %d armed, %d busy; want 0 and 1", clk.Armed(), clk.Busy())
+	link := transport.NewLink(transport.LinkConfig{})
+	if err := col.Attach(1, link.CollectorEnd()); err != nil {
+		t.Fatal(err)
 	}
-	if !clk.NewWaiter(simclock.Agent).Wait(time.Second, nil) || clk.Now() != time.Second {
+	clk.Wait(1500 * time.Microsecond)
+	col.Close()
+	if !clk.Wait(time.Second) || clk.Now() != time.Second {
 		t.Fatalf("a wait after Close ended at %v, want 1s", clk.Now())
 	}
+	if got := col.Stats().Timeouts; got != 1 {
+		t.Fatalf("%d idle ticks, want the 1 before Close", got)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "Never") {
+			t.Fatalf("recovered %v: the closed collector's tick is still armed", r)
+		}
+	}()
+	clk.Wait(simclock.Never)
 }
 
 // TestIdleTicksOnVirtualClock: a silent attached node accrues exactly
 // one idle tick per PollTimeout of simulated time.
 func TestIdleTicksOnVirtualClock(t *testing.T) {
 	clk := simclock.NewVirtual(0)
-	clk.Join()
 	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 1 << 20})
 	defer col.Close()
-	link := transport.NewLink(transport.LinkConfig{Clock: clk})
+	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(3, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
-	clk.NewWaiter(simclock.Agent).Wait(10*time.Millisecond, nil)
+	clk.Wait(10 * time.Millisecond)
 	if got := col.Stats().Timeouts; got != 10 {
 		t.Fatalf("%d idle ticks in 10 simulated periods, want 10", got)
 	}

@@ -110,17 +110,13 @@ type Config struct {
 	// instrument call is then a nil-receiver no-op.
 	Obs *Metrics
 	// Clock times the idle ticks (nil = wall time). On a virtual clock
-	// the collector is no participant: a tick runs as a timer on the
-	// participant whose park let the clock reach it, and a drain runs
-	// on the goroutine that landed its frames, so both are counted as
-	// that goroutine's running work.
+	// a tick runs as a timer inside the clock owner's Wait, and a drain
+	// runs on the goroutine that landed its frames.
 	Clock simclock.Clock
 
-	// procDelay stalls a drain per report while it holds the shard
-	// lock; tests use it to force slow-consumer backpressure (senders
-	// into the shard wait on the lock). Wall clock only: a sender
-	// blocked on the lock still counts as running on a virtual clock,
-	// so the stall could never end there.
+	// procDelay stalls a drain per report, in real time, while it holds
+	// the shard lock; tests use it to force slow-consumer backpressure
+	// (senders into the shard wait on the lock).
 	procDelay time.Duration
 }
 
@@ -331,8 +327,6 @@ type shard struct {
 	nodes map[transport.NodeID]*nodeState
 	stats Stats
 
-	// pause times procDelay stalls (nil unless procDelay is set).
-	pause simclock.Waiter
 	// acks collects one drain's ACKs; reused so the steady-state
 	// per-report path allocates nothing.
 	acks []transport.Packet
@@ -429,9 +423,6 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 	}
 	for i := range c.shards {
 		sh := &shard{c: c, nodes: make(map[transport.NodeID]*nodeState)}
-		if cfg.procDelay > 0 {
-			sh.pause = c.clk.NewWaiter(simclock.Tick)
-		}
 		if store != nil {
 			sh.j = store.Shard(i)
 		}
@@ -578,9 +569,7 @@ func (sh *shard) drain(id transport.NodeID, ns *nodeState) {
 			continue // stray or echoed frame; the checksum already passed, but it is not ours
 		}
 		if d := sh.c.cfg.procDelay; d > 0 {
-			until := sh.c.clk.Now() + d
-			for !sh.pause.Wait(until, nil) {
-			}
+			time.Sleep(d)
 		}
 		sh.handleLocked(id, ns, pkt)
 		batch++

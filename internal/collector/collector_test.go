@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -47,6 +46,32 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// report noises x through a and steps its delivery to done. On a
+// virtual clock (clk non-nil, its owner being the caller) it waits on
+// the clock between steps; with clk nil it runs on the wall clock and
+// sleeps until each deadline Step names, so an ACK that lands
+// meanwhile is taken at the deadline.
+func report(a *node.ReportAgent, x int64, clk *simclock.Virtual) (node.ReportOutcome, error) {
+	if err := a.Begin(x); err != nil {
+		return a.Outcome()
+	}
+	for {
+		now := simclock.Wall.Now()
+		if clk != nil {
+			now = clk.Now()
+		}
+		next, done := a.Step(now)
+		if done {
+			return a.Outcome()
+		}
+		if clk != nil {
+			clk.Wait(next)
+		} else {
+			time.Sleep(next - now)
+		}
+	}
+}
+
 // TestConcurrentFleetIngest is the ISSUE's concurrency gate: 64 nodes
 // reporting concurrently through real agents, under -race, with
 // exactly-once accounting at the end.
@@ -72,8 +97,6 @@ func TestConcurrentFleetIngest(t *testing.T) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	var wg sync.WaitGroup
 	errs := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
@@ -84,7 +107,7 @@ func TestConcurrentFleetIngest(t *testing.T) {
 				ID: transport.NodeID(i), MaxAttempts: 64,
 			})
 			for r := 0; r < reports; r++ {
-				if _, err := agent.Report(ctx, int64(r%16)); err != nil {
+				if _, err := report(agent, int64(r%16), nil); err != nil {
 					errs <- err
 					return
 				}
@@ -202,10 +225,9 @@ func TestDuplicateReorderScheduleProperty(t *testing.T) {
 // its Send returns.
 func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 	clk := simclock.NewVirtual(0)
-	clk.Join() // this goroutine
 	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2})
 	defer col.Close()
-	link := transport.NewLink(transport.LinkConfig{Clock: clk})
+	link := transport.NewLink(transport.LinkConfig{})
 	end := link.NodeEnd()
 
 	// Queue a healthy report BEFORE attaching: Attach drains it.
@@ -221,15 +243,14 @@ func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 		}
 		return v
 	}
-	// step parks this goroutine for one PollTimeout. The collector's
-	// tick (class Tick) runs before this Agent-class wait returns at
-	// the same instant, so the tick's effect is visible on return.
-	w := clk.NewWaiter(simclock.Agent)
+	// step advances the clock by one PollTimeout. The collector's
+	// tick (class Tick) runs before the owner's wait returns at the
+	// same instant, so the tick's effect is visible on return.
 	tick := 0
 	step := func(want BreakerState) {
 		t.Helper()
 		tick++
-		if !w.Wait(clk.Now()+time.Millisecond, nil) {
+		if !clk.Wait(clk.Now() + time.Millisecond) {
 			t.Fatalf("tick %d: the wait was signalled, not fired", tick)
 		}
 		if got := state().Breaker; got != want {
@@ -290,8 +311,6 @@ func TestBackpressureShedsAndRetriesRecover(t *testing.T) {
 	})
 	defer col.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	var wg sync.WaitGroup
 	errs := make(chan error, nodes)
 	for i := 0; i < nodes; i++ {
@@ -307,7 +326,7 @@ func TestBackpressureShedsAndRetriesRecover(t *testing.T) {
 				ID: transport.NodeID(i), MaxAttempts: 256,
 			})
 			for r := 0; r < reports; r++ {
-				if _, err := agent.Report(ctx, int64(r)); err != nil {
+				if _, err := report(agent, int64(r), nil); err != nil {
 					errs <- err
 					return
 				}

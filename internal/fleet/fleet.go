@@ -351,12 +351,11 @@ func reading(i, r int) int64 { return int64((3*i + 5*r) % 17) }
 // is done claims the next one. A slot waiting on its agent sits in the
 // loop's queue under the step's deadline, rounded up to the clock's
 // resolution; a crash-scheduled store's poll sits there too, ordered
-// before node steps due at the same instant. The loop is the run's
-// only participant on the virtual clock: it sleeps until the earliest
-// queued deadline, the collector's idle tick runs as a clock timer on
-// its goroutine while it sleeps, and an ACK that a tick lands on a
-// node waiting in its ACK window wakes the loop to step that node at
-// that instant, as a blocking receive would have woken.
+// before node steps due at the same instant. The loop owns the virtual
+// clock: it waits until the earliest queued deadline, the collector's
+// idle tick runs as a clock timer on its goroutine inside that wait,
+// and an ACK that a tick lands on a node waiting in its ACK window
+// ends the wait to step that node at that instant.
 func Run(cfg Config) (Result, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
@@ -378,15 +377,13 @@ func Run(cfg Config) (Result, error) {
 	defer cancel()
 
 	// The whole run lives on simulated time: ACK waits, backoff and
-	// idle ticks advance it only when the event loop parks, so they
+	// idle ticks advance it only when the event loop waits, so they
 	// cost no wall time and a run's event order depends only on its
-	// seeds. This goroutine is a participant until the run ends; the
-	// wall-clock deadline stays a liveness backstop.
+	// seeds. This goroutine owns the clock; the wall-clock deadline,
+	// checked on every pass of the loop, stays a liveness backstop.
 	clk := simclock.NewVirtual(simResolution)
-	clk.Join()
-	defer context.AfterFunc(ctx, clk.Shutdown)()
 
-	f := &fleetRun{cfg: cfg, res: Result{Nodes: make([]NodeResult, cfg.Nodes)}}
+	f := &fleetRun{cfg: cfg, clk: clk, res: Result{Nodes: make([]NodeResult, cfg.Nodes)}}
 	res := &f.res
 
 	// One telemetry plane per layer, all over the same registry. The
@@ -466,7 +463,7 @@ func Run(cfg Config) (Result, error) {
 		planes = make([]fault.Plane, cfg.Nodes)
 	}
 	for i := range f.links {
-		lc := transport.LinkConfig{Obs: linkM, Clock: clk}
+		lc := transport.LinkConfig{Obs: linkM}
 		if planes != nil {
 			lc.Plane = &planes[i]
 			lc.Plane.SetLossyLink(subSeed(cfg.Seed, seedLink, i, 0), cfg.Link)
@@ -484,7 +481,6 @@ func Run(cfg Config) (Result, error) {
 	if slots > cfg.Nodes {
 		slots = cfg.Nodes
 	}
-	f.ctl = clk.NewWaiter(simclock.Agent)
 	if sup.store != nil && len(sup.schedule) > 0 {
 		f.poll = lifecycle{at: clk.Now() + pollEvery, class: classPoll}
 		heap.Push(&f.q, &f.poll)
@@ -508,7 +504,7 @@ func Run(cfg Config) (Result, error) {
 	// or flushed the frames) and no frame is queued — and no uplink
 	// holds a reorder holdback. The collector's idle tick flushes
 	// holdbacks, so while any remain rest moves to the next tick. A poll
-	// due at rest runs first. Afterwards this goroutine stays running,
+	// due at rest runs first. Afterwards nothing waits on the clock,
 	// which freezes simulated time for the final reads.
 	rest := simclock.Never
 	for ctx.Err() == nil {
@@ -521,9 +517,7 @@ func Run(cfg Config) (Result, error) {
 			next = min(next, f.q[0].at)
 		}
 		// next is never Never: while a slot is active one is queued.
-		// An expired deadline's Shutdown fires this wait, so it needs
-		// no done channel.
-		if !f.ctl.Wait(next, nil) {
+		if !clk.Wait(next) {
 			continue
 		}
 		now := clk.Now()
@@ -635,7 +629,7 @@ type fleetRun struct {
 	// The event loop, all of it Run's goroutine's: a batch's helpers
 	// touch only the slots they step. Downlink hooks fire on it too
 	// (see wake), queueing the slots they wake on woken.
-	ctl    simclock.Waiter
+	clk    *simclock.Virtual
 	q      entryQueue
 	poll   lifecycle
 	slots  []*lifecycle
@@ -732,7 +726,7 @@ func (f *fleetRun) wakeAll(now time.Duration) {
 // it. While i waits for an ACK, only the collector's idle tick or a
 // recovery's re-attach lands frames on its downlink, and both run on
 // the loop's goroutine: the tick as a clock timer inside the loop's
-// park, the re-attach in a poll. A node's own sends trigger the hook
+// wait, the re-attach in a poll. A node's own sends trigger the hook
 // from whichever goroutine steps it, but only while it is not waiting.
 // The hook runs under a collector shard lock, so it only queues the
 // slot and signals the loop.
@@ -742,13 +736,13 @@ func (f *fleetRun) wake(n *lifecycle, i int) {
 	}
 	n.waiting = false
 	f.woken = append(f.woken, n)
-	f.ctl.Signal()
+	f.clk.Signal()
 }
 
 // park queues a stepped slot under its next deadline, or retires it
 // when no node is left. A node in an ACK window becomes wakeable: its
 // last step drained its downlink, and no frame lands there before the
-// loop parks again.
+// loop waits again.
 func (f *fleetRun) park(n *lifecycle) {
 	if n.node < 0 {
 		f.active--

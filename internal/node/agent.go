@@ -1,21 +1,19 @@
 package node
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/obs"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 )
 
 // ErrAbandoned marks a report whose total transmission budget ran out
 // during a sustained collector outage: the (seq, value) binding is
 // durable in the node's journal and the report is parked, not lost —
-// a later Resume (typically after the collector recovers) re-delivers
+// a later BeginResume (typically after the collector recovers) re-arms
 // the identical value under a fresh attempt lease, and the
 // collector's recovered dedup state absorbs any copies that did land.
 var ErrAbandoned = errors.New("node: report abandoned (total attempt cap)")
@@ -30,8 +28,8 @@ type AgentConfig struct {
 	MaxAttempts int
 	// MaxTotalAttempts caps a report's cumulative transmissions across
 	// its first delivery and every in-place retry before the outcome
-	// turns terminally abandoned (ErrAbandoned). Resume is exempt: it
-	// grants the parked report a fresh lease, so a report abandoned
+	// turns terminally abandoned (ErrAbandoned). BeginResume is exempt:
+	// it grants the parked report a fresh lease, so a report abandoned
 	// during a collector outage is still re-deliverable after the
 	// collector recovers. Default 4×MaxAttempts.
 	MaxTotalAttempts int
@@ -77,22 +75,20 @@ type ReportOutcome struct {
 // value on the air for a given seq never changes and the budget is
 // charged exactly once. Delivery retries with capped exponential
 // backoff plus deterministic jitter until the collector ACKs
-// (node, seq) or the context expires.
+// (node, seq) or the attempt budget runs out.
 //
 // An agent is a step machine with one outstanding report at a time,
 // by construction (the paper's DP-Box serves one transaction at a time
 // anyway). Begin or BeginResume arms a delivery and Step advances it
 // to a given time: it drains the downlink, retransmits and draws the
 // backoff jitter, and names the time it must next be stepped at. An
-// event loop can therefore drive many agents from one goroutine;
-// Report and Resume are blocking loops over the same steps that wait
-// on the link's clock (transport.LinkConfig.Clock). Whoever steps an
-// agent must not step it concurrently with itself.
+// event loop can therefore drive many agents from one goroutine, on
+// whatever clock it keeps. Whoever steps an agent must not step it
+// concurrently with itself.
 type ReportAgent struct {
 	box *dpbox.DPBox
 	end *transport.Endpoint
 	cfg AgentConfig
-	clk simclock.Clock
 
 	next   uint64
 	jitter uint64
@@ -154,7 +150,7 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 	if cfg.Obs == nil {
 		cfg.Obs = &noMetrics
 	}
-	a := &ReportAgent{end: end, cfg: cfg, clk: end.Clock()}
+	a := &ReportAgent{end: end, cfg: cfg}
 	a.Rebind(box)
 	return a
 }
@@ -172,7 +168,7 @@ func (a *ReportAgent) Rebind(box *dpbox.DPBox) {
 	a.d = delivery{}
 }
 
-// NextSeq returns the sequence number the next Report will use.
+// NextSeq returns the sequence number the next Begin will use.
 func (a *ReportAgent) NextSeq() uint64 { return a.next }
 
 // rand steps the agent's private xorshift64* jitter stream.
@@ -277,8 +273,8 @@ func (a *ReportAgent) arm(degraded, fromCache bool, budget int) {
 // move it before its deadline.
 func (a *ReportAgent) AwaitingAck() bool { return a.d.phase == ackWait }
 
-// Step advances the armed delivery to now, the link clock's current
-// time. It retransmits when an attempt is due, drains the frames the
+// Step advances the armed delivery to now, the current time on its
+// caller's clock. It retransmits when an attempt is due, drains the frames the
 // downlink has received, and draws the backoff jitter when an ACK
 // window closes. It returns the time at which it must be stepped next
 // — or done once the delivery is ACKed or abandoned (see Outcome).
@@ -408,48 +404,3 @@ func (a *ReportAgent) finish(err error) (time.Duration, bool) {
 // BeginResume (or a fresh agent on the recovered box) retransmits the
 // identical value later.
 func (a *ReportAgent) Outcome() (ReportOutcome, error) { return a.d.out, a.d.err }
-
-// Report noises x exactly once under the next sequence number and
-// delivers it at-least-once, blocking on the link's clock: Begin, then
-// Step until done. A context that expires first abandons the delivery.
-func (a *ReportAgent) Report(ctx context.Context, x int64) (ReportOutcome, error) {
-	if err := a.Begin(x); err != nil {
-		return a.Outcome()
-	}
-	return a.run(ctx)
-}
-
-// Resume retransmits the most recent journaled release until ACKed,
-// blocking on the link's clock: BeginResume, then Step until done. It
-// does nothing when no report was ever released.
-func (a *ReportAgent) Resume(ctx context.Context) error {
-	if a.next == 0 {
-		return nil
-	}
-	if err := a.BeginResume(); err != nil {
-		return err
-	}
-	_, err := a.run(ctx)
-	return err
-}
-
-// run steps the armed delivery to completion. An ACK window waits for
-// the downlink to receive a frame or the window to close; a backoff
-// pause waits out its deadline alone.
-func (a *ReportAgent) run(ctx context.Context) (ReportOutcome, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			a.finish(fmt.Errorf("node: delivering seq %d: %w", a.d.out.Seq, err))
-			return a.Outcome()
-		}
-		next, done := a.Step(a.clk.Now())
-		if done {
-			return a.Outcome()
-		}
-		if a.AwaitingAck() {
-			a.end.AwaitRecv(next, ctx.Done())
-		} else {
-			a.end.PauseUntil(next, ctx.Done())
-		}
-	}
-}

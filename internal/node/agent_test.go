@@ -1,16 +1,15 @@
 package node
 
 import (
-	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"ulpdp/internal/collector"
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/fault"
+	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
 )
@@ -38,44 +37,33 @@ func newAgentBox(t *testing.T, seed uint64, budget float64) (*dpbox.DPBox, *dpbo
 	return box, j
 }
 
-// echoCollector ACKs every report and records the last value seen per
-// sequence number. Stop it by cancelling ctx.
-type echoCollector struct {
-	mu   sync.Mutex
-	seen map[uint64]int64
-	done chan struct{}
-}
+// echoCollector ACKs every report it receives, inline on the sender's
+// goroutine, and records the last value seen per sequence number.
+type echoCollector map[uint64]int64
 
-func runEchoCollector(ctx context.Context, end *transport.Endpoint, id transport.NodeID) *echoCollector {
-	c := &echoCollector{seen: make(map[uint64]int64), done: make(chan struct{})}
-	go func() {
-		defer close(c.done)
-		for ctx.Err() == nil {
-			p, ok := end.Recv(5 * time.Millisecond)
+func newEchoCollector(end *transport.Endpoint, id transport.NodeID) echoCollector {
+	seen := echoCollector{}
+	end.SetNotify(func() {
+		for {
+			p, ok := end.TryRecv()
 			if !ok {
-				continue
+				return
 			}
 			if p.Kind != transport.KindReport || p.Node != id {
 				continue
 			}
-			c.mu.Lock()
-			c.seen[p.Seq] = p.Value
-			c.mu.Unlock()
+			seen[p.Seq] = p.Value
 			end.Send(transport.Packet{Kind: transport.KindAck, Node: p.Node, Seq: p.Seq})
 		}
-	}()
-	return c
+	})
+	return seen
 }
 
-func (c *echoCollector) values(ctx context.Context) map[uint64]int64 {
-	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[uint64]int64, len(c.seen))
-	for s, v := range c.seen {
-		out[s] = v
-	}
-	return out
+// steppedAgent builds an agent whose deliveries step on clk, woken by
+// every frame landing on its downlink.
+func steppedAgent(clk *simclock.Virtual, box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) *ReportAgent {
+	end.SetNotify(clk.Signal)
+	return NewReportAgent(box, end, cfg)
 }
 
 func TestReportAgentDeliversOverLossyLink(t *testing.T) {
@@ -86,16 +74,13 @@ func TestReportAgentDeliversOverLossyLink(t *testing.T) {
 	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 
 	box, _ := newAgentBox(t, 7, 1e6)
-	agent := NewReportAgent(box, link.NodeEnd(), AgentConfig{ID: 4})
-
-	colCtx, stopCol := context.WithCancel(context.Background())
-	col := runEchoCollector(colCtx, link.CollectorEnd(), 4)
+	clk := simclock.NewVirtual(0)
+	agent := steppedAgent(clk, box, link.NodeEnd(), AgentConfig{ID: 4})
+	got := newEchoCollector(link.CollectorEnd(), 4)
 
 	const n = 20
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	for i := 0; i < n; i++ {
-		out, err := agent.Report(ctx, int64(4+i%8))
+		out, err := report(clk, agent, int64(4+i%8))
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
@@ -106,8 +91,6 @@ func TestReportAgentDeliversOverLossyLink(t *testing.T) {
 			t.Fatalf("fresh report %d marked replayed", i)
 		}
 	}
-	stopCol()
-	got := col.values(colCtx)
 
 	// Every delivered value must match the journaled release — drops,
 	// retries, duplicates and reordering never change what a sequence
@@ -142,10 +125,11 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 	deadLink := transport.NewLink(transport.LinkConfig{Plane: fp})
 
 	box, j := newAgentBox(t, 7, 1e6)
-	agent := NewReportAgent(box, deadLink.NodeEnd(), AgentConfig{
+	clk := simclock.NewVirtual(0)
+	agent := steppedAgent(clk, box, deadLink.NodeEnd(), AgentConfig{
 		ID: 9, MaxAttempts: 3, AckWait: time.Millisecond,
 	})
-	out, err := agent.Report(context.Background(), 11)
+	out, err := report(clk, agent, 11)
 	if err == nil {
 		t.Fatal("report over a black-hole link succeeded")
 	}
@@ -176,18 +160,18 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 	}
 
 	goodLink := transport.NewLink(transport.LinkConfig{})
-	agent2 := NewReportAgent(recovered, goodLink.NodeEnd(), AgentConfig{ID: 9})
+	agent2 := steppedAgent(clk, recovered, goodLink.NodeEnd(), AgentConfig{ID: 9})
 	if agent2.NextSeq() != 1 {
 		t.Fatalf("recovered NextSeq = %d, want 1", agent2.NextSeq())
 	}
 
-	colCtx, stopCol := context.WithCancel(context.Background())
-	col := runEchoCollector(colCtx, goodLink.CollectorEnd(), 9)
-	if err := agent2.Resume(context.Background()); err != nil {
+	got := newEchoCollector(goodLink.CollectorEnd(), 9)
+	if err := agent2.BeginResume(); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	stopCol()
-	got := col.values(colCtx)
+	if _, err := stepToDone(clk, agent2); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
 
 	if v, ok := got[0]; !ok || v != out.Value {
 		t.Fatalf("resumed delivery: got %v/%d, want %d", ok, v, out.Value)
@@ -210,13 +194,15 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 // sustained-outage arc: the collector's checkpoint store dies, the
 // shard fails closed (no ACKs), the report exhausts its total attempt
 // cap and turns terminally abandoned — then the collector recovers
-// from its checkpoints, Resume re-delivers the identical journaled
-// value under a fresh lease, and a second Resume is absorbed by the
-// recovered dedup state as a duplicate.
+// from its checkpoints, BeginResume re-delivers the identical
+// journaled value under a fresh lease, and a second one is absorbed by
+// the recovered dedup state as a duplicate.
 func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	const id = transport.NodeID(7)
+	clk := simclock.NewVirtual(0)
+	colCfg := collector.Config{Clock: clk, BreakerThreshold: 1 << 20}
 	store := collector.NewStore(1)
-	col, err := collector.NewDurable(collector.Config{BreakerThreshold: 1 << 20}, store)
+	col, err := collector.NewDurable(colCfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +212,12 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	}
 
 	box, _ := newAgentBox(t, 21, 1e6)
-	agent := NewReportAgent(box, link.NodeEnd(), AgentConfig{
+	agent := steppedAgent(clk, box, link.NodeEnd(), AgentConfig{
 		ID: id, MaxAttempts: 3, MaxTotalAttempts: 6, AckWait: time.Millisecond,
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 
 	// Seq 0 lands normally and its admission is checkpointed.
-	out0, err := agent.Report(ctx, 5)
+	out0, err := report(clk, agent, 5)
 	if err != nil {
 		t.Fatalf("seq 0: %v", err)
 	}
@@ -242,7 +226,7 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	// fails closed: seq 1 is journaled on the node, transmitted up to
 	// the total cap, never ACKed, and terminally abandoned.
 	store.Kill()
-	out1, err := agent.Report(ctx, 9)
+	out1, err := report(clk, agent, 9)
 	if !errors.Is(err, ErrAbandoned) {
 		t.Fatalf("outage report error = %v, want ErrAbandoned", err)
 	}
@@ -255,7 +239,7 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	col.Close()
 
 	// Restart: recover from the checkpoints, re-bind the same link.
-	col2, err := collector.Recover(collector.Config{BreakerThreshold: 1 << 20}, store)
+	col2, err := collector.Recover(colCfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +251,16 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 		t.Fatalf("recovered view %+v ok=%v, want seq 0 value %d", v, ok, out0.Value)
 	}
 
-	// The parked report gets a fresh lease and lands; a second Resume
-	// of the same seq is a pure duplicate, re-ACKed but not re-counted.
-	if err := agent.Resume(ctx); err != nil {
-		t.Fatalf("resume after recovery: %v", err)
-	}
-	if err := agent.Resume(ctx); err != nil {
-		t.Fatalf("second resume: %v", err)
+	// The parked report gets a fresh lease and lands; a second
+	// resume of the same seq is a pure duplicate, re-ACKed but not
+	// re-counted.
+	for _, which := range []string{"resume after recovery", "second resume"} {
+		if err := agent.BeginResume(); err != nil {
+			t.Fatalf("%s: %v", which, err)
+		}
+		if _, err := stepToDone(clk, agent); err != nil {
+			t.Fatalf("%s: %v", which, err)
+		}
 	}
 	got := col2.Values(id)
 	if len(got) != 2 || got[0] != out0.Value || got[1] != out1.Value {
@@ -281,27 +268,6 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	}
 	if st := col2.Stats(); st.Accepted != 1 || st.Duplicates == 0 {
 		t.Fatalf("post-recovery stats %+v, want 1 fresh admission and >=1 duplicate", st)
-	}
-}
-
-func TestReportAgentContextDeadline(t *testing.T) {
-	fp := fault.NewPlane()
-	fp.SetPacketFault(func(n uint64, dir uint8, payload []byte) fault.PacketFate {
-		return fault.PacketFate{Drop: true}
-	})
-	link := transport.NewLink(transport.LinkConfig{Plane: fp})
-	box, _ := newAgentBox(t, 3, 1e6)
-	agent := NewReportAgent(box, link.NodeEnd(), AgentConfig{ID: 1, AckWait: time.Millisecond})
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := agent.Report(ctx, 8); err == nil {
-		t.Fatal("report outlived its context")
-	}
-	// The noised value survives the abandonment: delivery failed,
-	// noising did not, and the binding is durable.
-	if _, ok := box.ReleaseFor(0); !ok {
-		t.Fatal("abandoned report lost its journaled release")
 	}
 }
 
@@ -319,20 +285,18 @@ func TestRebindMatchesFreshAgent(t *testing.T) {
 	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 	box, j := newAgentBox(t, 7, 1e6)
 	cfg := AgentConfig{ID: 5, AckWait: time.Millisecond}
-	agent := NewReportAgent(box, link.NodeEnd(), cfg)
+	clk := simclock.NewVirtual(0)
+	agent := steppedAgent(clk, box, link.NodeEnd(), cfg)
 
-	colCtx, stopCol := context.WithCancel(context.Background())
-	col := runEchoCollector(colCtx, link.CollectorEnd(), 5)
+	newEchoCollector(link.CollectorEnd(), 5)
 	attempts := 0
 	for r := int64(0); r < 3; r++ {
-		out, err := agent.Report(context.Background(), r)
+		out, err := report(clk, agent, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		attempts += out.Attempts
 	}
-	stopCol()
-	col.values(colCtx)
 	if attempts < 4 || agent.jitter == agent.cfg.JitterSeed {
 		t.Fatalf("agent never retransmitted or backed off: %d attempts for 3 ACKed reports, jitter at seed %v", attempts, agent.jitter == agent.cfg.JitterSeed)
 	}

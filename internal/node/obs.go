@@ -6,7 +6,7 @@ import "ulpdp/internal/obs"
 // every agent of a fleet (flight spans carry the node id).
 type Metrics struct {
 	Reports     *obs.Counter   // reports entered (noised or replayed)
-	Resumes     *obs.Counter   // post-crash Resume deliveries
+	Resumes     *obs.Counter   // post-crash BeginResume deliveries
 	Retransmits *obs.Counter   // extra transmissions beyond the first
 	Abandoned   *obs.Counter   // deliveries that gave up
 	BackoffNs   *obs.Counter   // total backoff slept, nanoseconds

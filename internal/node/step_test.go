@@ -1,9 +1,6 @@
 package node
 
 import (
-	"context"
-	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -13,104 +10,77 @@ import (
 	"ulpdp/internal/transport"
 )
 
-// twinRun is what one way of running an agent saw: every report's outcome
-// and error, the simulated time at which each delivery ended, and the
-// link's and the collector's counters.
-type twinRun struct {
-	outs  []ReportOutcome
-	errs  []string
-	ends  []time.Duration
-	link  transport.Stats
-	stats collector.Stats
+// stepToDone steps the agent's armed delivery on clk until it is done,
+// as fleet.Run's event loop does: between steps the clock owner waits
+// until the deadline Step names, and every frame landing on the
+// downlink (installed by the caller as SetNotify(clk.Signal)) ends the
+// wait early, backoff pauses included, so Step itself must ignore what
+// it is not due to handle.
+func stepToDone(clk *simclock.Virtual, a *ReportAgent) (ReportOutcome, error) {
+	for {
+		next, done := a.Step(clk.Now())
+		if done {
+			return a.Outcome()
+		}
+		clk.Wait(next)
+	}
 }
 
-// runTwin delivers len(xs) reports from a fresh agent over a fresh
-// link to a real collector, all on one exact virtual clock. The
-// blocking twin calls Report. The stepped twin calls Begin and
-// Step and parks on its own waiter, as fleet.Run's event loop does,
-// but is woken by every frame landing on the downlink, backoff pauses
-// included: Step itself must ignore what it is not due to handle.
-func runTwin(t *testing.T, stepped bool, plane *fault.Plane, cfg AgentConfig, xs []int64) twinRun {
-	t.Helper()
-	clk := simclock.NewVirtual(0)
-	clk.Join()
-	link := transport.NewLink(transport.LinkConfig{Plane: plane, Clock: clk})
-	col := collector.New(collector.Config{Clock: clk, BreakerThreshold: 1 << 20})
-	if err := col.Attach(cfg.ID, link.CollectorEnd()); err != nil {
-		t.Fatal(err)
+// report noises x and steps its delivery to done: Begin, then
+// stepToDone.
+func report(clk *simclock.Virtual, a *ReportAgent, x int64) (ReportOutcome, error) {
+	if err := a.Begin(x); err != nil {
+		return a.Outcome()
 	}
-	box, _ := newAgentBox(t, 7, 1e6)
-	agent := NewReportAgent(box, link.NodeEnd(), cfg)
+	return stepToDone(clk, a)
+}
 
-	w := clk.NewWaiter(simclock.Agent)
-	if stepped {
-		link.NodeEnd().SetNotify(w.Signal)
-	}
-	var run twinRun
-	for _, x := range xs {
-		var (
-			out ReportOutcome
-			err error
-		)
-		if !stepped {
-			out, err = agent.Report(context.Background(), x)
-		} else if err = agent.Begin(x); err == nil {
-			for {
-				next, done := agent.Step(clk.Now())
-				if done {
-					break
-				}
-				w.Wait(next, nil)
-			}
-			out, err = agent.Outcome()
-		}
-		run.outs = append(run.outs, out)
-		run.errs = append(run.errs, fmt.Sprint(err))
-		run.ends = append(run.ends, clk.Now())
-	}
-	col.Close()
-	run.link, run.stats = link.Stats(), col.Stats()
-	return run
+// pinned is one delivery's pinned outcome and the simulated time at
+// which it ended.
+type pinned struct {
+	out ReportOutcome
+	end time.Duration
 }
 
 // seqFate scripts a link by sequence number: fate(kind, seq, k) is
 // the fate of the k-th (0-based) frame of that kind — report or ACK —
 // carrying seq.
-func seqFate(fate func(kind transport.Kind, seq uint64, k int) fault.PacketFate) func() *fault.Plane {
-	return func() *fault.Plane {
-		type key struct {
-			kind transport.Kind
-			seq  uint64
-		}
-		sent := map[key]int{}
-		fp := fault.NewPlane()
-		fp.SetPacketFault(func(_ uint64, _ uint8, payload []byte) fault.PacketFate {
-			p, err := transport.Unmarshal(payload)
-			if err != nil {
-				return fault.PacketFate{}
-			}
-			k := sent[key{p.Kind, p.Seq}]
-			sent[key{p.Kind, p.Seq}]++
-			return fate(p.Kind, p.Seq, k)
-		})
-		return fp
+func seqFate(fate func(kind transport.Kind, seq uint64, k int) fault.PacketFate) *fault.Plane {
+	type key struct {
+		kind transport.Kind
+		seq  uint64
 	}
+	sent := map[key]int{}
+	fp := fault.NewPlane()
+	fp.SetPacketFault(func(_ uint64, _ uint8, payload []byte) fault.PacketFate {
+		p, err := transport.Unmarshal(payload)
+		if err != nil {
+			return fault.PacketFate{}
+		}
+		k := sent[key{p.Kind, p.Seq}]
+		sent[key{p.Kind, p.Seq}]++
+		return fate(p.Kind, p.Seq, k)
+	})
+	return fp
 }
 
-// TestStepMatchesBlockingReport pins the step machine to the blocking
-// delivery loop: the same agent config and link schedule, driven
-// through Report and through Begin/Step from an event loop, must
-// produce identical outcomes, attempt counts, end times and link and
-// collector counters. Two scripted schedules pin the ACK-window edges
-// an event loop could get wrong; the lossy case covers drops,
-// duplicates, reordering and corruption at random.
-func TestStepMatchesBlockingReport(t *testing.T) {
+// TestStepDeliveryPinned pins the step machine's deliveries: a fresh
+// agent over a fresh link to a real collector, all on one exact
+// virtual clock, stepped by stepToDone. Every outcome, the simulated
+// time each delivery ended, and the link's and the collector's
+// counters are pinned literals, so a change in the order in which
+// steps, ticks and landing frames meet shows up here. Three scripted
+// schedules pin the ACK-window edges an event loop could get wrong;
+// the lossy case covers drops, duplicates, reordering and corruption
+// at random.
+func TestStepDeliveryPinned(t *testing.T) {
 	cases := []struct {
 		name  string
-		plane func() *fault.Plane
+		plane *fault.Plane
 		cfg   AgentConfig
-		n     int
-		check func(t *testing.T, r twinRun)
+		want  []pinned
+		link  transport.Stats
+		col   collector.Stats
 	}{
 		{
 			name: "lossy",
@@ -118,21 +88,67 @@ func TestStepMatchesBlockingReport(t *testing.T) {
 				fp := fault.NewPlane()
 				fp.SetLossyLink(0xC0FFEE, fault.LinkProfile{Drop: 0.3, Duplicate: 0.2, Reorder: 0.2, Corrupt: 0.05, MaxDelay: 2})
 				return fp
-			},
+			}(),
 			cfg: AgentConfig{ID: 3},
-			n:   48,
-			check: func(t *testing.T, r twinRun) {
-				if r.link.Dropped == 0 || r.link.Duplicated == 0 || r.link.Reordered == 0 || r.stats.Duplicates == 0 {
-					t.Fatalf("schedule exercised no chaos: link %+v, collector %+v", r.link, r.stats)
-				}
+			want: []pinned{
+				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 0},
+				{ReportOutcome{Seq: 1, Value: 75, Attempts: 4, Charged: 0.625}, 7105026},
+				{ReportOutcome{Seq: 2, Value: 24, Attempts: 4, Charged: 0.625}, 14154159},
+				{ReportOutcome{Seq: 3, Value: -40, Attempts: 1, Charged: 0.625}, 14154159},
+				{ReportOutcome{Seq: 4, Value: -61, Attempts: 2, Charged: 0.625}, 16294038},
+				{ReportOutcome{Seq: 5, Value: 20, Attempts: 1, Charged: 0.625}, 16294038},
+				{ReportOutcome{Seq: 6, Value: 24, Attempts: 3, Charged: 0.625}, 20744753},
+				{ReportOutcome{Seq: 7, Value: 48, Attempts: 1, Charged: 0.625}, 20744753},
+				{ReportOutcome{Seq: 8, Value: -29, Attempts: 2, Charged: 0.625}, 24000000},
+				{ReportOutcome{Seq: 9, Value: 114, Attempts: 1, Charged: 0.75}, 26000000},
+				{ReportOutcome{Seq: 10, Value: 38, Attempts: 1, Charged: 0.625}, 26000000},
+				{ReportOutcome{Seq: 11, Value: 5, Attempts: 5, Charged: 0.5}, 38000000},
+				{ReportOutcome{Seq: 12, Value: 37, Attempts: 2, Charged: 0.625}, 40157587},
+				{ReportOutcome{Seq: 13, Value: -7, Attempts: 1, Charged: 0.625}, 40157587},
+				{ReportOutcome{Seq: 14, Value: -69, Attempts: 2, Charged: 0.625}, 42260337},
+				{ReportOutcome{Seq: 15, Value: 21, Attempts: 2, Charged: 0.625}, 44451605},
+				{ReportOutcome{Seq: 16, Value: 15, Attempts: 1, Charged: 0.5}, 44451605},
+				{ReportOutcome{Seq: 17, Value: -13, Attempts: 7, Charged: 0.625}, 65247617},
+				{ReportOutcome{Seq: 18, Value: 25, Attempts: 2, Charged: 0.625}, 67445588},
+				{ReportOutcome{Seq: 19, Value: -20, Attempts: 1, Charged: 0.625}, 67445588},
+				{ReportOutcome{Seq: 20, Value: 59, Attempts: 1, Charged: 0.625}, 67445588},
+				{ReportOutcome{Seq: 21, Value: -21, Attempts: 6, Charged: 0.625}, 81509467},
+				{ReportOutcome{Seq: 22, Value: -59, Attempts: 5, Charged: 0.625}, 91845589},
+				{ReportOutcome{Seq: 23, Value: 44, Attempts: 3, Charged: 0.625}, 96243015},
+				{ReportOutcome{Seq: 24, Value: 23, Attempts: 1, Charged: 0.625}, 96243015},
+				{ReportOutcome{Seq: 25, Value: 80, Attempts: 1, Charged: 0.625}, 96243015},
+				{ReportOutcome{Seq: 26, Value: 15, Attempts: 2, Charged: 0.5}, 98422844},
+				{ReportOutcome{Seq: 27, Value: -82, Attempts: 1, Charged: 0.625}, 98422844},
+				{ReportOutcome{Seq: 28, Value: -19, Attempts: 2, Charged: 0.625}, 100600998},
+				{ReportOutcome{Seq: 29, Value: -20, Attempts: 1, Charged: 0.625}, 100600998},
+				{ReportOutcome{Seq: 30, Value: 32, Attempts: 4, Charged: 0.625}, 107771904},
+				{ReportOutcome{Seq: 31, Value: 86, Attempts: 2, Charged: 0.625}, 109921194},
+				{ReportOutcome{Seq: 32, Value: 29, Attempts: 1, Charged: 0.625}, 109921194},
+				{ReportOutcome{Seq: 33, Value: 50, Attempts: 1, Charged: 0.625}, 109921194},
+				{ReportOutcome{Seq: 34, Value: -11, Attempts: 1, Charged: 0.625}, 112087155},
+				{ReportOutcome{Seq: 35, Value: -16, Attempts: 1, Charged: 0.625}, 112087155},
+				{ReportOutcome{Seq: 36, Value: -10, Attempts: 2, Charged: 0.625}, 116000000},
+				{ReportOutcome{Seq: 37, Value: -12, Attempts: 1, Charged: 0.625}, 116000000},
+				{ReportOutcome{Seq: 38, Value: 43, Attempts: 1, Charged: 0.625}, 116000000},
+				{ReportOutcome{Seq: 39, Value: -25, Attempts: 1, Charged: 0.625}, 116000000},
+				{ReportOutcome{Seq: 40, Value: -19, Attempts: 3, Charged: 0.625}, 122000000},
+				{ReportOutcome{Seq: 41, Value: 10, Attempts: 1, Charged: 0.5}, 122000000},
+				{ReportOutcome{Seq: 42, Value: -13, Attempts: 3, Charged: 0.625}, 126355261},
+				{ReportOutcome{Seq: 43, Value: -98, Attempts: 1, Charged: 0.75}, 128355261},
+				{ReportOutcome{Seq: 44, Value: 19, Attempts: 1, Charged: 0.625}, 128355261},
+				{ReportOutcome{Seq: 45, Value: 13, Attempts: 2, Charged: 0.5}, 130494141},
+				{ReportOutcome{Seq: 46, Value: -16, Attempts: 2, Charged: 0.625}, 134000000},
+				{ReportOutcome{Seq: 47, Value: 47, Attempts: 1, Charged: 0.625}, 134000000},
 			},
+			link: transport.Stats{Sent: 180, Delivered: 160, Dropped: 44, Duplicated: 24, Reordered: 26, CorruptedInFlight: 8, RejectedCorrupt: 9},
+			col:  collector.Stats{Accepted: 48, Duplicates: 36, Timeouts: 30},
 		},
 		{
 			// The only report frame is held back on the uplink until
 			// the collector's idle tick at 2 ms flushes it; its ACK
 			// lands during the backoff pause that began when the 1 ms
-			// window closed. The pause (2–4 ms) must run to its end,
-			// and the queued ACK then settles the report with no
+			// window closed. The pause must run to its end, and the
+			// queued ACK then settles the report with no
 			// retransmission.
 			name: "ack-during-backoff",
 			plane: seqFate(func(kind transport.Kind, seq uint64, k int) fault.PacketFate {
@@ -142,15 +158,11 @@ func TestStepMatchesBlockingReport(t *testing.T) {
 				return fault.PacketFate{Delay: 5}
 			}),
 			cfg: AgentConfig{ID: 3, AckWait: time.Millisecond, BackoffBase: 4 * time.Millisecond, BackoffCap: 4 * time.Millisecond},
-			n:   1,
-			check: func(t *testing.T, r twinRun) {
-				if r.outs[0].Attempts != 1 || r.link.Sent != 2 {
-					t.Fatalf("%d attempts, %d frames sent: want 1 report and its ACK", r.outs[0].Attempts, r.link.Sent)
-				}
-				if end := r.ends[0]; end < 3*time.Millisecond {
-					t.Fatalf("delivery ended at %v, inside the pause that began at 1ms", end)
-				}
+			want: []pinned{
+				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 4918175},
 			},
+			link: transport.Stats{Sent: 2, Delivered: 2, Reordered: 1},
+			col:  collector.Stats{Accepted: 1, Timeouts: 1},
 		},
 		{
 			// The ACK is held back on the downlink, where only the
@@ -164,12 +176,11 @@ func TestStepMatchesBlockingReport(t *testing.T) {
 				return fault.PacketFate{}
 			}),
 			cfg: AgentConfig{ID: 3},
-			n:   1,
-			check: func(t *testing.T, r twinRun) {
-				if r.outs[0].Attempts != 1 || r.ends[0] != 2*time.Millisecond {
-					t.Fatalf("%d attempts, ended at %v: want the held ACK to settle the first window at 2ms", r.outs[0].Attempts, r.ends[0])
-				}
+			want: []pinned{
+				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 2000000},
 			},
+			link: transport.Stats{Sent: 2, Delivered: 2, Reordered: 1},
+			col:  collector.Stats{Accepted: 1},
 		},
 		{
 			// Report 0 lands as a duplicate now and as a held-back
@@ -189,35 +200,42 @@ func TestStepMatchesBlockingReport(t *testing.T) {
 				return fault.PacketFate{}
 			}),
 			cfg: AgentConfig{ID: 3, AckWait: 5 * time.Millisecond},
-			n:   2,
-			check: func(t *testing.T, r twinRun) {
-				if r.outs[1].Attempts != 2 || r.stats.Duplicates != 1 {
-					t.Fatalf("report 1: %d attempts, collector %+v: want a retransmission and report 0's stale duplicate", r.outs[1].Attempts, r.stats)
-				}
-				if end := r.ends[1]; end < 5*time.Millisecond {
-					t.Fatalf("report 1 ended at %v, before its 5ms ACK window closed", end)
-				}
+			want: []pinned{
+				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 0},
+				{ReportOutcome{Seq: 1, Value: 75, Attempts: 2, Charged: 0.625}, 5143755},
 			},
+			link: transport.Stats{Sent: 6, Delivered: 6, Dropped: 1, Duplicated: 1, Reordered: 1},
+			col:  collector.Stats{Accepted: 2, Duplicates: 1, Timeouts: 1},
 		},
 	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			xs := make([]int64, c.n)
-			for i := range xs {
-				xs[i] = int64(3 + i%11)
+			clk := simclock.NewVirtual(0)
+			link := transport.NewLink(transport.LinkConfig{Plane: c.plane})
+			col := collector.New(collector.Config{Clock: clk, BreakerThreshold: 1 << 20})
+			if err := col.Attach(c.cfg.ID, link.CollectorEnd()); err != nil {
+				t.Fatal(err)
 			}
-			blocking := runTwin(t, false, c.plane(), c.cfg, xs)
-			stepped := runTwin(t, true, c.plane(), c.cfg, xs)
-			if !reflect.DeepEqual(blocking, stepped) {
-				t.Fatalf("stepped delivery differs from the blocking one:\nblocking %+v\nstepped  %+v", blocking, stepped)
-			}
-			for i, e := range blocking.errs {
-				if e != "<nil>" {
-					t.Fatalf("report %d: %s", i, e)
+			box, _ := newAgentBox(t, 7, 1e6)
+			agent := NewReportAgent(box, link.NodeEnd(), c.cfg)
+			link.NodeEnd().SetNotify(clk.Signal)
+			for i, want := range c.want {
+				out, err := report(clk, agent, int64(3+i%11))
+				if err != nil {
+					t.Fatalf("report %d: %v", i, err)
+				}
+				if got := (pinned{out, clk.Now()}); got != want {
+					t.Fatalf("report %d: got %+v, want %+v", i, got, want)
 				}
 			}
-			c.check(t, blocking)
+			col.Close()
+			if got := link.Stats(); got != c.link {
+				t.Fatalf("link stats %+v, want %+v", got, c.link)
+			}
+			if got := col.Stats(); got != c.col {
+				t.Fatalf("collector stats %+v, want %+v", got, c.col)
+			}
 		})
 	}
 }

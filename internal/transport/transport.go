@@ -24,11 +24,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
-	"ulpdp/internal/simclock"
 )
 
 // NodeID identifies one fleet node.
@@ -187,9 +185,6 @@ type LinkConfig struct {
 	// link of a fleet. Nil detaches it: every instrument call is then
 	// a nil-receiver no-op.
 	Obs *Metrics
-	// Clock times blocking receives (nil = wall time). Agents on the
-	// link's node end wait on the same clock.
-	Clock simclock.Clock
 }
 
 // held is a frame waiting out its reorder delay.
@@ -199,13 +194,8 @@ type held struct {
 }
 
 // pipe is one direction of the link. Queued frames live in a bounded
-// ring under mu — not a channel — so the event-driven receive path
-// (TryRecv from a collector shard drain) is one mutexed pointer pop
-// with no channel machinery. Blocking receivers announce themselves
-// in waiters and park on wake, which senders signal only on an
-// empty→nonempty transition with a waiter present. The waiter is
-// created by the first blocking receive: the collector end only ever
-// TryRecvs, so its direction never pays for one.
+// ring under mu — not a channel — so a receive (TryRecv) is one
+// mutexed pointer pop with no channel machinery.
 type pipe struct {
 	mu   sync.Mutex
 	held []held
@@ -213,9 +203,6 @@ type pipe struct {
 	buf  []*frame // bounded receive ring
 	head int      // buf[head] is the next frame out
 	n    int      // frames queued
-
-	waiters atomic.Int32    // blocked Recv calls
-	wake    simclock.Waiter // their doorbell and deadline; set under mu
 
 	// notify, when set, is fired after mu is released by every send or
 	// flush that lands one or more frames in the ring: the receiving
@@ -250,12 +237,10 @@ type linkStats struct {
 //
 // A link is one record: both directions and both endpoints are
 // embedded, and the two receive rings share one backing array, so a
-// link costs two allocations however often its ends are asked for,
-// plus a direction's waiter once a receive on it blocks.
+// link costs two allocations however often its ends are asked for.
 type Link struct {
 	plane *fault.Plane
 	obs   *Metrics
-	clk   simclock.Clock
 	up    pipe
 	down  pipe
 	stats linkStats
@@ -273,7 +258,7 @@ func NewLink(cfg LinkConfig) *Link {
 		cfg.Obs = &noMetrics
 	}
 	rings := make([]*frame, 2*cap)
-	l := &Link{plane: cfg.Plane, obs: cfg.Obs, clk: simclock.Or(cfg.Clock)}
+	l := &Link{plane: cfg.Plane, obs: cfg.Obs}
 	l.up.buf = rings[:cap:cap]
 	l.down.buf = rings[cap:]
 	l.nodeEnd = Endpoint{link: l, sendPipe: &l.up, recvPipe: &l.down, sendDir: fault.DirUp}
@@ -299,9 +284,9 @@ func (l *Link) Stats() Stats {
 
 // Endpoint is one end of a link. The node end sends up and receives
 // down; the collector end is the mirror image. Endpoints are
-// goroutine-safe: Send and Recv may run concurrently (the collector
-// ACKs from whichever goroutine drains the node's link — a tick's
-// flush, say — while the node's side receives on another).
+// goroutine-safe: Send and TryRecv may run concurrently (the
+// collector ACKs from whichever goroutine drains the node's link — a
+// tick's flush, say — while the node's side receives on another).
 type Endpoint struct {
 	link     *Link
 	sendPipe *pipe
@@ -317,9 +302,6 @@ func (l *Link) NodeEnd() *Endpoint { return &l.nodeEnd }
 // on every call, embedded in the link, so asking for it allocates
 // nothing.
 func (l *Link) CollectorEnd() *Endpoint { return &l.colEnd }
-
-// Clock returns the clock the link's blocking receives run on.
-func (e *Endpoint) Clock() simclock.Clock { return e.link.clk }
 
 // SetNotify installs a readiness hook on this end's receive
 // direction: fn fires once after every Send, SendBatch or FlushHeld
@@ -469,11 +451,7 @@ func (e *Endpoint) landHeldLocked(p *pipe, f *frame) int {
 
 // enqueueLocked pushes a frame into the receive ring, dropping on
 // overflow (bounded queue backpressure), and reports 1 if the frame
-// landed. The receiver's waiter is signalled only when the ring turns
-// nonempty with a blocked Recv present — the event-driven path pays
-// no wakeup cost. On a virtual clock the signal counts the parked
-// receiver back in before the frame can be popped, so time cannot
-// advance past a frame nobody has read yet. Callers hold p.mu.
+// landed. Callers hold p.mu.
 func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 	if p.n == len(p.buf) {
 		framePool.Put(f)
@@ -485,17 +463,14 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 	p.n++
 	e.link.stats.delivered.Add(1)
 	e.link.obs.Delivered.Inc()
-	if p.n == 1 && p.waiters.Load() != 0 {
-		p.wake.Signal()
-	}
 	return 1
 }
 
 // FlushHeld releases every holdback on this end's receive direction
 // immediately: the direction has drained, so "wait for later frames"
 // can no longer complete and the delayed frames simply arrive late.
-// Recv does this implicitly at its deadline; event-driven receivers
-// (which never block in Recv) call it from their idle tick so a
+// Receivers call it when a wait for frames ends — the collector from
+// its idle tick, an agent at the close of its ACK window — so a
 // reorder holdback on a now-silent link is late, never lost.
 func (e *Endpoint) FlushHeld() {
 	p := e.recvPipe
@@ -512,89 +487,6 @@ func (e *Endpoint) FlushHeld() {
 	}
 }
 
-// Recv waits up to timeout for the next valid frame on this end; it
-// is RecvUntil with a deadline relative to the link clock's now.
-func (e *Endpoint) Recv(timeout time.Duration) (Packet, bool) {
-	return e.RecvUntil(e.link.clk.Now() + timeout)
-}
-
-// RecvUntil waits until the link clock reaches deadline for the next
-// valid frame on this end. Corrupt frames are discarded (counted in
-// Stats) and the wait continues until a valid frame or the deadline.
-// When the queue idles past the deadline, any frames still held back
-// for reordering are flushed and collected — a delayed frame is late,
-// never lost. The wait reuses the direction's one waiter, created by
-// its first blocking receive; later receives allocate nothing.
-func (e *Endpoint) RecvUntil(deadline time.Duration) (Packet, bool) {
-	for {
-		if p, ok := e.TryRecv(); ok {
-			return p, true
-		}
-		if e.AwaitRecv(deadline, nil) {
-			// Last chance: release holdbacks and drain what is
-			// already queued.
-			e.FlushHeld()
-			return e.TryRecv()
-		}
-	}
-}
-
-// AwaitRecv parks this end's receiving goroutine on the link clock
-// until a frame is queued on this end, the clock reaches deadline, or
-// done closes (nil: never). It receives nothing — callers TryRecv
-// afterwards — and reports whether deadline was reached. A frame
-// already queued ends it at once; a false return may also be a stale
-// signal from an earlier wait, so callers re-check after every return.
-func (e *Endpoint) AwaitRecv(deadline time.Duration, done <-chan struct{}) bool {
-	pi := e.recvPipe
-	wake := e.recvWaiter()
-	// Announce the wait before the re-check: a sender that enqueues
-	// after it either sees waiters != 0 and signals, or enqueued before
-	// the re-check sees its frame.
-	pi.waiters.Add(1)
-	defer pi.waiters.Add(-1)
-	pi.mu.Lock()
-	queued := pi.n > 0
-	pi.mu.Unlock()
-	if queued {
-		return false
-	}
-	return wake.Wait(deadline, done)
-}
-
-// recvWaiter returns the receive direction's waiter, creating it on
-// first use. Only this end's receiving goroutine calls it; senders
-// read wake under mu, and only while a Recv has announced itself.
-func (e *Endpoint) recvWaiter() simclock.Waiter {
-	pi := e.recvPipe
-	if pi.wake == nil {
-		pi.mu.Lock()
-		pi.wake = e.link.clk.NewWaiter(simclock.Agent)
-		pi.mu.Unlock()
-	}
-	return pi.wake
-}
-
-// PauseUntil parks this end's receiving goroutine on the link clock
-// until deadline without receiving: frames that land meanwhile stay
-// queued and do not cut the pause short. It reuses the receive
-// direction's waiter, so a blocking agent's backoff between
-// retransmits costs no waiter of its own. It reports false if done
-// closed first.
-func (e *Endpoint) PauseUntil(deadline time.Duration, done <-chan struct{}) bool {
-	wake := e.recvWaiter()
-	// Senders signal only while a Recv is announced, so a false return
-	// is a stale signal from an earlier receive (or done): wait again.
-	for !wake.Wait(deadline, done) {
-		select {
-		case <-done:
-			return false
-		default:
-		}
-	}
-	return true
-}
-
 // Pending reports the number of frames queued or held back on this
 // end's receive direction — the fleet's quiesce step checks it to know
 // when the air has gone truly silent before taking final snapshots.
@@ -605,8 +497,9 @@ func (e *Endpoint) Pending() int {
 	return p.n + len(p.held)
 }
 
-// TryRecv is Recv without waiting: it drains at most the frames
-// already queued.
+// TryRecv returns the next valid frame already queued on this end,
+// without waiting. Corrupt frames are discarded (counted in Stats) on
+// the way.
 func (e *Endpoint) TryRecv() (Packet, bool) {
 	pi := e.recvPipe
 	for {

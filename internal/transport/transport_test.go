@@ -3,10 +3,20 @@ package transport
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"ulpdp/internal/fault"
 )
+
+// recvOrFlush is TryRecv, except that with nothing queued it first
+// releases the direction's reorder holdbacks, as a receiver does once
+// its wait for frames has ended.
+func recvOrFlush(e *Endpoint) (Packet, bool) {
+	if p, ok := e.TryRecv(); ok {
+		return p, true
+	}
+	e.FlushHeld()
+	return e.TryRecv()
+}
 
 func TestMarshalRoundTrip(t *testing.T) {
 	pkts := []Packet{
@@ -47,7 +57,7 @@ func TestPerfectLinkDelivers(t *testing.T) {
 		nodeEnd.Send(Packet{Kind: KindReport, Node: 1, Seq: seq, Value: int64(seq) * 3})
 	}
 	for seq := uint64(0); seq < 10; seq++ {
-		p, ok := collEnd.Recv(time.Second)
+		p, ok := collEnd.TryRecv()
 		if !ok {
 			t.Fatalf("seq %d: no frame", seq)
 		}
@@ -56,7 +66,7 @@ func TestPerfectLinkDelivers(t *testing.T) {
 		}
 	}
 	collEnd.Send(Packet{Kind: KindAck, Node: 1, Seq: 9})
-	ack, ok := nodeEnd.Recv(time.Second)
+	ack, ok := nodeEnd.TryRecv()
 	if !ok || ack.Kind != KindAck || ack.Seq != 9 {
 		t.Fatalf("ack: ok=%v %+v", ok, ack)
 	}
@@ -66,6 +76,22 @@ func TestPerfectLinkDelivers(t *testing.T) {
 	}
 	if st.Sent != 11 || st.Delivered != 11 {
 		t.Fatalf("sent/delivered: %+v", st)
+	}
+}
+
+// TestLinkEndsAreEmbedded pins the link as one record: each accessor
+// returns the same endpoint on every call without allocating.
+func TestLinkEndsAreEmbedded(t *testing.T) {
+	l := NewLink(LinkConfig{})
+	if l.NodeEnd() != l.NodeEnd() || l.CollectorEnd() != l.CollectorEnd() {
+		t.Fatal("an accessor returned a fresh endpoint")
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = l.NodeEnd(), l.CollectorEnd() }); n != 0 {
+		t.Fatalf("endpoint accessors allocate %v times per call pair", n)
+	}
+	l.NodeEnd().Send(Packet{Kind: KindReport, Node: 1, Seq: 7})
+	if p, ok := l.CollectorEnd().TryRecv(); !ok || p.Seq != 7 {
+		t.Fatalf("TryRecv: ok=%v %+v", ok, p)
 	}
 }
 
@@ -87,7 +113,7 @@ func TestLossyLinkLosesAndCorrupts(t *testing.T) {
 	}
 	seen := make(map[uint64]int)
 	for {
-		p, ok := collEnd.Recv(20 * time.Millisecond)
+		p, ok := recvOrFlush(collEnd)
 		if !ok {
 			break
 		}
@@ -141,13 +167,17 @@ func TestReorderedFrameIsLateNeverLost(t *testing.T) {
 
 	// Seq 1 overtakes seq 0, which is still held back (only one
 	// subsequent send has aged it).
-	p, ok := collEnd.Recv(time.Second)
+	p, ok := collEnd.TryRecv()
 	if !ok || p.Seq != 1 {
 		t.Fatalf("first delivery: ok=%v %+v", ok, p)
 	}
-	// The direction has drained; the Recv deadline flushes the held
-	// frame rather than losing it.
-	p, ok = collEnd.Recv(20 * time.Millisecond)
+	if p, ok := collEnd.TryRecv(); ok {
+		t.Fatalf("the held frame arrived early: %+v", p)
+	}
+	// The direction has drained; a flush delivers the held frame
+	// rather than losing it.
+	collEnd.FlushHeld()
+	p, ok = collEnd.TryRecv()
 	if !ok || p.Seq != 0 {
 		t.Fatalf("held frame not flushed: ok=%v %+v", ok, p)
 	}
@@ -184,7 +214,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 		}
 		var got []Packet
 		for {
-			p, ok := collEnd.Recv(10 * time.Millisecond)
+			p, ok := recvOrFlush(collEnd)
 			if !ok {
 				return got
 			}
