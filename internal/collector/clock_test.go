@@ -44,7 +44,8 @@ func TestVirtualClockHeldThroughDrain(t *testing.T) {
 // TestCloseReleasesTickWaiters: a closed collector takes its idle
 // tick off the clock, so it can neither fire into a dead collector nor
 // keep the clock's owner waiting on it: with nothing else armed, a
-// wait on Never has nothing left to end it.
+// wait on Never right after Close has nothing to run and panics at
+// once, without moving the clock to the next tick.
 func TestCloseReleasesTickWaiters(t *testing.T) {
 	clk := simclock.NewVirtual(0)
 	col := New(Config{Clock: clk, Shards: 4, PollTimeout: time.Millisecond})
@@ -54,18 +55,24 @@ func TestCloseReleasesTickWaiters(t *testing.T) {
 	}
 	clk.Wait(1500 * time.Microsecond)
 	col.Close()
+	func() {
+		defer func() {
+			r := recover()
+			if s, _ := r.(string); !strings.Contains(s, "Never") {
+				t.Fatalf("recovered %v: the closed collector's tick is still armed", r)
+			}
+			if now := clk.Now(); now != 1500*time.Microsecond {
+				t.Fatalf("a wait on Never after Close moved the clock to %v, want 1.5ms", now)
+			}
+		}()
+		clk.Wait(simclock.Never)
+	}()
 	if !clk.Wait(time.Second) || clk.Now() != time.Second {
 		t.Fatalf("a wait after Close ended at %v, want 1s", clk.Now())
 	}
 	if got := col.Stats().Timeouts; got != 1 {
 		t.Fatalf("%d idle ticks, want the 1 before Close", got)
 	}
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "Never") {
-			t.Fatalf("recovered %v: the closed collector's tick is still armed", r)
-		}
-	}()
-	clk.Wait(simclock.Never)
 }
 
 // TestIdleTicksOnVirtualClock: a silent attached node accrues exactly

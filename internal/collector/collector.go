@@ -431,7 +431,7 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 		}
 		c.shards[i] = sh
 	}
-	c.tick = c.clk.NewTimer(simclock.Tick, c.idleTick)
+	c.tick = c.clk.NewTimer(c.idleTick)
 	c.next = c.clk.Now() + cfg.PollTimeout
 	c.tick.Reset(c.next)
 	return c

@@ -244,8 +244,8 @@ func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 		return v
 	}
 	// step advances the clock by one PollTimeout. The collector's
-	// tick (class Tick) runs before the owner's wait returns at the
-	// same instant, so the tick's effect is visible on return.
+	// tick runs before the owner's wait returns at the same instant,
+	// so the tick's effect is visible on return.
 	tick := 0
 	step := func(want BreakerState) {
 		t.Helper()

@@ -10,12 +10,12 @@
 // between reports then costs no wall time at all, and a run's event
 // order depends only on its seeds.
 //
-// Timers sharing one (deadline, class) fire as a group, and classes
-// break deadline ties in a fixed order (Tick, then Agent). The owner's
-// wait is of class Agent, so a collector's idle tick always runs
-// before the owner wakes at the same instant: a fleet's event loop
-// orders its own work there (crash poll first, then node steps in node
-// order) and steps it only after the tick has run.
+// Timers sharing one deadline fire as a group, and every timer due at
+// or before the owner's deadline runs before its wait fires, so a
+// collector's idle tick always runs before the owner wakes at the same
+// instant: a fleet's event loop orders its own work there (crash poll
+// first, then node steps in node order) and steps it only after the
+// tick has run.
 package simclock
 
 import (
@@ -30,24 +30,13 @@ import (
 // Signal.
 const Never = time.Duration(math.MaxInt64)
 
-// Class orders timers whose deadlines coincide on the virtual clock.
-type Class uint8
-
-const (
-	// Tick is the collector's idle tick.
-	Tick Class = iota
-	// Agent is the owner's wait: a fleet run's event loop, which steps
-	// every node's agent from one goroutine.
-	Agent
-)
-
 // Clock is a source of time plus timers.
 type Clock interface {
 	// Now is the time elapsed since the clock's epoch.
 	Now() time.Duration
 	// NewTimer returns a stopped timer that calls fn once each time the
 	// clock reaches the deadline it was last Reset to.
-	NewTimer(Class, func()) Timer
+	NewTimer(func()) Timer
 }
 
 // Timer calls a function at a deadline. On the wall clock fn runs on a
@@ -82,7 +71,7 @@ type wallClock struct{}
 
 func (wallClock) Now() time.Duration { return time.Since(wallEpoch) }
 
-func (wallClock) NewTimer(_ Class, fn func()) Timer {
+func (wallClock) NewTimer(fn func()) Timer {
 	t := time.AfterFunc(time.Hour, fn)
 	t.Stop()
 	return wallTimer{t}
@@ -104,7 +93,7 @@ type Virtual struct {
 	res       int64 // deadlines round up to a multiple of this
 
 	mu sync.Mutex
-	q  timerHeap // armed timers, earliest (deadline, class) first
+	q  timerHeap // armed timers, earliest deadline first
 }
 
 // NewVirtual returns a virtual clock at time zero. Deadlines round up
@@ -120,9 +109,9 @@ func NewVirtual(resolution time.Duration) *Virtual {
 // Now returns the current simulated time.
 func (c *Virtual) Now() time.Duration { return time.Duration(c.now.Load()) }
 
-// NewTimer returns a stopped timer of the given class.
-func (c *Virtual) NewTimer(cl Class, fn func()) Timer {
-	return &vtimer{c: c, class: cl, fn: fn, idx: -1}
+// NewTimer returns a stopped timer.
+func (c *Virtual) NewTimer(fn func()) Timer {
+	return &vtimer{c: c, fn: fn, idx: -1}
 }
 
 // Signal ends the owner's current Wait unfired once the timer group it
@@ -131,8 +120,8 @@ func (c *Virtual) Signal() { c.signalled.Store(true) }
 
 // Wait advances the clock for its owner until deadline or a Signal. It
 // repeatedly jumps to the earlier of deadline and the earliest armed
-// (deadline, class) timer group, and runs that group on the calling
-// goroutine; timers tied with deadline run first. It returns false as
+// group of timers sharing a deadline, and runs that group on the
+// calling goroutine; timers tied with deadline run first. It returns false as
 // soon as a Signal has arrived, checked before each group and after
 // it, and true once the clock reaches deadline. A Wait on Never with
 // no timer armed could never end: it panics.
@@ -143,7 +132,7 @@ func (c *Virtual) Wait(deadline time.Duration) (fired bool) {
 	}
 	for !c.signalled.Swap(false) {
 		c.mu.Lock()
-		if len(c.q) == 0 || c.q[0].deadline > d || c.q[0].deadline == d && c.q[0].class > Agent {
+		if len(c.q) == 0 || c.q[0].deadline > d {
 			c.mu.Unlock()
 			if deadline == Never {
 				panic("simclock: Wait on Never with no timer armed would never return")
@@ -151,9 +140,9 @@ func (c *Virtual) Wait(deadline time.Duration) (fired bool) {
 			c.advance(d)
 			return true
 		}
-		at, cl := c.q[0].deadline, c.q[0].class
+		at := c.q[0].deadline
 		c.advance(at)
-		for len(c.q) > 0 && c.q[0].deadline == at && c.q[0].class == cl {
+		for len(c.q) > 0 && c.q[0].deadline == at {
 			t := heap.Pop(&c.q).(*vtimer)
 			c.mu.Unlock()
 			t.fn()
@@ -184,9 +173,8 @@ func (c *Virtual) round(deadline time.Duration) int64 {
 
 // vtimer is a virtual timer: an entry in its clock's heap while armed.
 type vtimer struct {
-	c     *Virtual
-	class Class
-	fn    func()
+	c  *Virtual
+	fn func()
 
 	// Guarded by c.mu.
 	deadline int64
@@ -215,16 +203,11 @@ func (t *vtimer) Stop() {
 	}
 }
 
-// timerHeap orders armed timers by (deadline, class).
+// timerHeap orders armed timers by deadline.
 type timerHeap []*vtimer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
-	}
-	return h[i].class < h[j].class
-}
+func (h timerHeap) Len() int           { return len(h) }
+func (h timerHeap) Less(i, j int) bool { return h[i].deadline < h[j].deadline }
 func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].idx = i

@@ -12,7 +12,7 @@ import (
 func TestVirtualJumpsToEarliestDeadline(t *testing.T) {
 	c := NewVirtual(0)
 	var ranAt time.Duration
-	c.NewTimer(Tick, func() { ranAt = c.Now() }).Reset(30 * time.Minute)
+	c.NewTimer(func() { ranAt = c.Now() }).Reset(30 * time.Minute)
 	t0 := time.Now()
 	if !c.Wait(time.Hour) {
 		t.Fatal("an unsignalled wait did not fire")
@@ -34,7 +34,7 @@ func TestVirtualJumpsToEarliestDeadline(t *testing.T) {
 func TestDeadlinesRoundUp(t *testing.T) {
 	c := NewVirtual(100 * time.Microsecond)
 	var ranAt time.Duration
-	c.NewTimer(Tick, func() { ranAt = c.Now() }).Reset(120 * time.Microsecond)
+	c.NewTimer(func() { ranAt = c.Now() }).Reset(120 * time.Microsecond)
 	if !c.Wait(150*time.Microsecond) || c.Now() != 200*time.Microsecond {
 		t.Fatalf("wait ended at %v, want fired at 200µs", c.Now())
 	}
@@ -49,7 +49,7 @@ func TestDeadlinesRoundUp(t *testing.T) {
 // wait ends at its own deadline.
 func TestSignalCancelsWait(t *testing.T) {
 	c := NewVirtual(0)
-	c.NewTimer(Tick, c.Signal).Reset(time.Millisecond)
+	c.NewTimer(c.Signal).Reset(time.Millisecond)
 	if c.Wait(10*time.Millisecond) || c.Now() != time.Millisecond {
 		t.Fatalf("signalled wait ended at %v, want unfired at 1ms", c.Now())
 	}
@@ -71,27 +71,20 @@ func TestSignalBeforeWaitIsKept(t *testing.T) {
 	}
 }
 
-// TestSameDeadlineClassOrder: timers sharing a deadline fire one
-// class at a time — collector ticks, then agents — all before the
-// owner's wait, of class Agent, fires at that instant.
+// TestSameDeadlineClassOrder: the clock's one same-instant order —
+// every timer due at the owner's deadline runs before the owner's wait
+// fires at that instant.
 func TestSameDeadlineClassOrder(t *testing.T) {
 	c := NewVirtual(0)
-	var order []Class
-	for _, cl := range []Class{Agent, Tick, Agent, Tick, Agent} {
-		cl := cl
-		c.NewTimer(cl, func() { order = append(order, cl) }).Reset(5 * time.Millisecond)
+	ran := 0
+	for i := 0; i < 3; i++ {
+		c.NewTimer(func() { ran++ }).Reset(5 * time.Millisecond)
 	}
-	if !c.Wait(5 * time.Millisecond) {
-		t.Fatal("the wait did not fire")
+	if !c.Wait(5*time.Millisecond) || c.Now() != 5*time.Millisecond {
+		t.Fatalf("wait ended at %v, want fired at 5ms", c.Now())
 	}
-	want := []Class{Tick, Tick, Agent, Agent, Agent}
-	if len(order) != len(want) {
-		t.Fatalf("fired %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fired %v, want %v", order, want)
-		}
+	if ran != 3 {
+		t.Fatalf("%d of 3 timers at the deadline ran before the wait fired", ran)
 	}
 }
 
@@ -105,7 +98,7 @@ func TestVirtualTimerRunsOnTheParkingParticipant(t *testing.T) {
 		at   []time.Duration
 		tick Timer
 	)
-	tick = c.NewTimer(Tick, func() {
+	tick = c.NewTimer(func() {
 		at = append(at, c.Now())
 		if len(at) < 3 {
 			tick.Reset(c.Now() + time.Millisecond)
@@ -119,12 +112,12 @@ func TestVirtualTimerRunsOnTheParkingParticipant(t *testing.T) {
 		t.Fatalf("timer ran at %v, want %v", at, want)
 	}
 
-	c.NewTimer(Tick, c.Signal).Reset(4 * time.Millisecond)
+	c.NewTimer(c.Signal).Reset(4 * time.Millisecond)
 	if c.Wait(10*time.Millisecond) || c.Now() != 4*time.Millisecond {
 		t.Fatalf("a timer's signal ended the wait at %v; want unfired at 4ms", c.Now())
 	}
 
-	stopped := c.NewTimer(Tick, func() { t.Error("a stopped timer ran") })
+	stopped := c.NewTimer(func() { t.Error("a stopped timer ran") })
 	stopped.Reset(5 * time.Millisecond)
 	stopped.Stop()
 	if !c.Wait(6*time.Millisecond) || c.Now() != 6*time.Millisecond {
@@ -136,7 +129,7 @@ func TestVirtualTimerRunsOnTheParkingParticipant(t *testing.T) {
 // signal, and with no timer armed it panics instead of blocking.
 func TestWaitOnNeverNeedsATimer(t *testing.T) {
 	c := NewVirtual(0)
-	c.NewTimer(Tick, c.Signal).Reset(time.Second)
+	c.NewTimer(c.Signal).Reset(time.Second)
 	if c.Wait(Never) || c.Now() != time.Second {
 		t.Fatalf("wait on Never ended at %v; want unfired at 1s", c.Now())
 	}
@@ -153,7 +146,7 @@ func TestWaitOnNeverNeedsATimer(t *testing.T) {
 // on a goroutine of its own, and not at all once stopped.
 func TestWallTimer(t *testing.T) {
 	ran := make(chan struct{}, 2)
-	tm := Wall.NewTimer(Tick, func() { ran <- struct{}{} })
+	tm := Wall.NewTimer(func() { ran <- struct{}{} })
 	tm.Reset(Wall.Now() + time.Millisecond)
 	select {
 	case <-ran:
@@ -174,7 +167,7 @@ func TestWallTimer(t *testing.T) {
 func BenchmarkVirtualWait(b *testing.B) {
 	c := NewVirtual(0)
 	ticks := 0
-	tick := c.NewTimer(Tick, func() { ticks++ })
+	tick := c.NewTimer(func() { ticks++ })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now := c.Now()
