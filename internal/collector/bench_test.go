@@ -21,10 +21,7 @@ const benchQueueCap = 256
 // and drop reports), so every report is accepted exactly once.
 func benchIngest(b *testing.B, nodes int, durable bool) {
 	const maxInFlight = 4096
-	cfg := Config{
-		BreakerThreshold: 1 << 30,
-		PollTimeout:      time.Hour, // no idle ticks in the hot-path measurement
-	}
+	cfg := Config{BreakerThreshold: 1 << 30}
 	var col *Collector
 	if durable {
 		var err error
@@ -144,5 +141,25 @@ func BenchmarkCollectorIngestDurable(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			benchIngest(b, nodes, true)
 		})
+	}
+}
+
+// BenchmarkCollectorTick times one idle tick over a few hundred
+// attached, silent, lossless links: every node is counted silent, and
+// every link's flush finds no holdback. CI guards it at 0 allocs/op.
+func BenchmarkCollectorTick(b *testing.B) {
+	col := New(Config{BreakerThreshold: 1 << 30})
+	defer col.Close()
+	for i := 0; i < 256; i++ {
+		link := transport.NewLink(transport.LinkConfig{})
+		if err := col.Attach(transport.NodeID(i), link.CollectorEnd()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	col.Tick() // sizes the reused silent-link list
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col.Tick()
 	}
 }

@@ -1,92 +1,85 @@
 package collector
 
 import (
-	"strings"
 	"testing"
 	"time"
 
+	"ulpdp/internal/fault"
 	"ulpdp/internal/node"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 )
 
-// TestVirtualClockHeldThroughDrain: on a virtual clock a report sent
-// into an idle shard is admitted and ACKed at the instant it was
-// sent — neither the agent's ACK window nor an idle tick (both due well
-// before the next report) runs out while the shard drains.
+// TestVirtualClockHeldThroughDrain: a report sent into an idle shard is
+// admitted and ACKed at the instant it was sent. Stepped at one fixed
+// simulated instant, each delivery is done in its first Step, before
+// its ACK window could run out and with no idle tick run.
 func TestVirtualClockHeldThroughDrain(t *testing.T) {
-	clk := simclock.NewVirtual(0)
-	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 1 << 20})
+	col := New(Config{BreakerThreshold: 1 << 20})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(1, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
-	link.NodeEnd().SetNotify(clk.Signal)
 	agent := node.NewReportAgent(newFleetBox(t, 5, 1e6), link.NodeEnd(), node.AgentConfig{ID: 1, AckWait: 2 * time.Millisecond})
 	for r := 0; r < 3; r++ {
-		out, err := report(agent, int64(r), clk)
-		if err != nil {
+		if err := agent.Begin(int64(r)); err != nil {
 			t.Fatal(err)
 		}
-		if out.Attempts != 1 {
-			t.Fatalf("report %d took %d attempts on a lossless link", r, out.Attempts)
+		if _, done := agent.Step(0); !done {
+			t.Fatalf("report %d still waits for its ACK after the step that sent it", r)
 		}
-	}
-	if clk.Now() != 0 {
-		t.Fatalf("simulated time moved to %v during lossless delivery", clk.Now())
+		if out, err := agent.Outcome(); err != nil || out.Attempts != 1 {
+			t.Fatalf("report %d: %+v, %v; want 1 attempt on a lossless link", r, out, err)
+		}
 	}
 	if st := col.Stats(); st.Accepted != 3 || st.Timeouts != 0 {
 		t.Fatalf("stats %+v, want 3 accepted and no idle ticks", st)
 	}
 }
 
-// TestCloseReleasesTickWaiters: a closed collector takes its idle
-// tick off the clock, so it can neither fire into a dead collector nor
-// keep the clock's owner waiting on it: with nothing else armed, a
-// wait on Never right after Close has nothing to run and panics at
-// once, without moving the clock to the next tick.
+// TestCloseReleasesTickWaiters: a Tick after Close changes no counter
+// and flushes nothing. The node's only report is held back on the
+// uplink, where a live collector's tick would release it.
 func TestCloseReleasesTickWaiters(t *testing.T) {
-	clk := simclock.NewVirtual(0)
-	col := New(Config{Clock: clk, Shards: 4, PollTimeout: time.Millisecond})
-	link := transport.NewLink(transport.LinkConfig{})
+	fp := fault.NewPlane()
+	fp.SetPacketFault(func(uint64, uint8, []byte) fault.PacketFate { return fault.PacketFate{Delay: 5} })
+	col := New(Config{Shards: 4})
+	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 	if err := col.Attach(1, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
-	clk.Wait(1500 * time.Microsecond)
+	col.Tick()
+	link.NodeEnd().Send(transport.Packet{Kind: transport.KindReport, Node: 1, Seq: 0, Value: 7})
 	col.Close()
-	func() {
-		defer func() {
-			r := recover()
-			if s, _ := r.(string); !strings.Contains(s, "Never") {
-				t.Fatalf("recovered %v: the closed collector's tick is still armed", r)
-			}
-			if now := clk.Now(); now != 1500*time.Microsecond {
-				t.Fatalf("a wait on Never after Close moved the clock to %v, want 1.5ms", now)
-			}
-		}()
-		clk.Wait(simclock.Never)
-	}()
-	if !clk.Wait(time.Second) || clk.Now() != time.Second {
-		t.Fatalf("a wait after Close ended at %v, want 1s", clk.Now())
+	before, linkBefore := col.Stats(), link.Stats()
+	col.Tick()
+	if got := col.Stats(); got != before || got.Timeouts != 1 {
+		t.Fatalf("stats %+v after a Tick on the closed collector, want %+v (the 1 idle tick before Close)", got, before)
 	}
-	if got := col.Stats().Timeouts; got != 1 {
-		t.Fatalf("%d idle ticks, want the 1 before Close", got)
+	if got := link.Stats(); got != linkBefore || got.Delivered != 0 {
+		t.Fatalf("link stats %+v after a Tick on the closed collector, want %+v", got, linkBefore)
+	}
+	if n := link.CollectorEnd().Pending(); n != 1 {
+		t.Fatalf("%d frames pending on the uplink, want the 1 held back", n)
 	}
 }
 
 // TestIdleTicksOnVirtualClock: a silent attached node accrues exactly
-// one idle tick per PollTimeout of simulated time.
+// one idle tick per Tick, and Period reports the configured period.
 func TestIdleTicksOnVirtualClock(t *testing.T) {
-	clk := simclock.NewVirtual(0)
-	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 1 << 20})
+	col := New(Config{PollTimeout: time.Millisecond, BreakerThreshold: 1 << 20})
 	defer col.Close()
+	if p := col.Period(); p != time.Millisecond {
+		t.Fatalf("Period %v, want the configured 1ms", p)
+	}
 	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(3, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
-	clk.Wait(10 * time.Millisecond)
+	for k := 0; k < 10; k++ {
+		col.Tick()
+	}
 	if got := col.Stats().Timeouts; got != 10 {
-		t.Fatalf("%d idle ticks in 10 simulated periods, want 10", got)
+		t.Fatalf("%d idle ticks in 10 periods, want 10", got)
 	}
 }

@@ -7,8 +7,8 @@
 // is owned by exactly one shard, chosen by hash(NodeID) % Shards; a
 // shard holds its nodes' dedup maps, breaker state, and stats under
 // its own lock, so shards never contend with each other. A collector
-// runs no goroutine: its idle tick is a clock timer (simclock.Timer),
-// and each link endpoint registers a readiness hook
+// runs no goroutine and starts no timer: its owner calls Tick once per
+// Period, and each link endpoint registers a readiness hook
 // (transport.Endpoint.SetNotify) that fires on the goroutine that
 // landed a frame (usually the node's own sender): under the shard
 // lock it pulls that one link dry with TryRecv, applies dedup +
@@ -49,7 +49,6 @@ import (
 
 	"ulpdp/internal/nvm"
 	"ulpdp/internal/obs"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 )
 
@@ -78,16 +77,13 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", uint8(s))
 }
 
-// DefaultPollTimeout is Config.PollTimeout's default idle-tick period.
-const DefaultPollTimeout = 2 * time.Millisecond
-
 // Config parameterizes a Collector. The zero value gets
 // simulation-friendly defaults.
 type Config struct {
-	// PollTimeout is the idle-tick period (default 2ms). A
-	// tick in which a node delivered nothing is one breaker failure
-	// tick for that node — the event-driven equivalent of the old
-	// per-node empty 2ms poll.
+	// PollTimeout is the idle-tick period (default 2ms): the collector's
+	// owner calls Tick once per period (see Period). A tick in which a
+	// node delivered nothing is one breaker failure tick for that node —
+	// the event-driven equivalent of the old per-node empty 2ms poll.
 	PollTimeout time.Duration
 	// Shards is the number of independent ingest shards (default 8,
 	// clamped to [1, 1024]). Each shard owns the dedup/breaker/stats
@@ -109,10 +105,6 @@ type Config struct {
 	// Obs is an optional telemetry plane. Nil detaches it: every
 	// instrument call is then a nil-receiver no-op.
 	Obs *Metrics
-	// Clock times the idle ticks (nil = wall time). On a virtual clock
-	// a tick runs as a timer inside the clock owner's Wait, and a drain
-	// runs on the goroutine that landed its frames.
-	Clock simclock.Clock
 
 	// procDelay stalls a drain per report, in real time, while it holds
 	// the shard lock; tests use it to force slow-consumer backpressure
@@ -131,7 +123,7 @@ type Stats struct {
 	// BreakerDrops counts reports discarded by an open breaker.
 	BreakerDrops uint64
 	// Timeouts counts per-node idle ticks (a node delivering nothing
-	// for one PollTimeout period).
+	// between two Ticks).
 	Timeouts uint64
 	// FailClosed counts reports dropped unACKed because the shard's
 	// checkpoint journal lost power: with no way to make an admission
@@ -344,23 +336,15 @@ type shard struct {
 // Collector ingests, dedups, ACKs, and aggregates fleet reports.
 type Collector struct {
 	cfg     Config
-	clk     simclock.Clock
 	store   *Store
 	shards  []*shard
 	stopped atomic.Bool
-
-	// The idle tick: a clock timer re-armed by each tick for the next.
-	// tickMu serializes a tick with Close.
-	tickMu sync.Mutex
-	tick   simclock.Timer
-	next   time.Duration         // the armed tick's deadline
-	silent []*transport.Endpoint // one tick's silent links; reused
+	silent  []*transport.Endpoint // one tick's silent links; reused
 }
 
-// New starts a volatile collector (its idle tick runs until Close):
-// dedup state lives purely in memory and dies with the process. Use
-// NewDurable to add crash-consistent checkpointing, and Recover to
-// rebuild from a store after a crash.
+// New starts a volatile collector: dedup state lives purely in memory
+// and dies with the process. Use NewDurable to add crash-consistent
+// checkpointing, and Recover to rebuild from a store after a crash.
 func New(cfg Config) *Collector { return build(cfg, nil, nil) }
 
 // NewDurable starts a collector whose shards journal every admission
@@ -389,7 +373,7 @@ func NewDurable(cfg Config, store *Store) (*Collector, error) {
 // with no endpoint until Attach binds one).
 func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Collector {
 	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = DefaultPollTimeout
+		cfg.PollTimeout = 2 * time.Millisecond
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
@@ -417,7 +401,6 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 	}
 	c := &Collector{
 		cfg:    cfg,
-		clk:    simclock.Or(cfg.Clock),
 		store:  store,
 		shards: make([]*shard, cfg.Shards),
 	}
@@ -431,9 +414,6 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 		}
 		c.shards[i] = sh
 	}
-	c.tick = c.clk.NewTimer(c.idleTick)
-	c.next = c.clk.Now() + cfg.PollTimeout
-	c.tick.Reset(c.next)
 	return c
 }
 
@@ -498,33 +478,32 @@ func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	return nil
 }
 
-// Close stops the idle tick, waiting out one in progress, so a closed
-// collector leaves no tick armed on the clock. Close is also a barrier
-// for drains, which run on senders' goroutines: a drain checks stopped
-// under its shard lock, so once Close has taken every shard lock once
-// no drain touches shard state, a link or the checkpoint store again.
-// Frames that land afterwards stay queued on their links. Close must
-// not be called from a notify hook a tick's flush can reach.
+// Close stops the collector: a later Tick changes nothing, and Close
+// is a barrier for drains, which run on senders' goroutines: a drain
+// checks stopped under its shard lock, so once Close has taken every
+// shard lock once no drain touches shard state, a link or the
+// checkpoint store again. Frames that land afterwards stay queued on
+// their links.
 func (c *Collector) Close() {
 	c.stopped.Store(true)
-	c.tickMu.Lock()
-	c.tick.Stop()
-	c.tickMu.Unlock()
 	for _, sh := range c.shards {
 		sh.mu.Lock() // waits out a drain already past its stopped check
 		sh.mu.Unlock()
 	}
 }
 
-// idleTick is the collector's idle tick, one for every shard, at a
-// fixed period from the collector's start. It first accounts silence
-// on every shard, then flushes the silent links' holdbacks: no frame a
-// flush releases, and no ACK it provokes, can reach a shard before
-// that shard's silence was counted, so the tick's outcome does not
-// depend on which shard drains first. It then arms the next tick.
-func (c *Collector) idleTick() {
-	c.tickMu.Lock()
-	defer c.tickMu.Unlock()
+// Period is the idle-tick period: the collector's owner calls Tick
+// once per Period, the first one Period after building or recovering
+// the collector.
+func (c *Collector) Period() time.Duration { return c.cfg.PollTimeout }
+
+// Tick is the collector's idle tick, one for every shard. It first
+// accounts silence on every shard, then flushes the silent links'
+// holdbacks: no frame a flush releases, and no ACK it provokes, can
+// reach a shard before that shard's silence was counted, so the tick's
+// outcome does not depend on which shard drains first. A Tick after
+// Close does nothing. Ticks must not overlap each other or Close.
+func (c *Collector) Tick() {
 	if c.stopped.Load() {
 		return
 	}
@@ -536,11 +515,6 @@ func (c *Collector) idleTick() {
 		c.silent[i] = nil
 	}
 	c.silent = c.silent[:0]
-	c.next += c.cfg.PollTimeout
-	if now := c.clk.Now(); c.next <= now {
-		c.next = now + c.cfg.PollTimeout
-	}
-	c.tick.Reset(c.next)
 }
 
 // drain pulls one node's link dry with TryRecv and applies breaker +

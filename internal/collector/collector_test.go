@@ -7,7 +7,6 @@ import (
 
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/node"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
 )
@@ -46,29 +45,21 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// report noises x through a and steps its delivery to done. On a
-// virtual clock (clk non-nil, its owner being the caller) it waits on
-// the clock between steps; with clk nil it runs on the wall clock and
-// sleeps until each deadline Step names, so an ACK that lands
-// meanwhile is taken at the deadline.
-func report(a *node.ReportAgent, x int64, clk *simclock.Virtual) (node.ReportOutcome, error) {
+// report noises x through a and steps its delivery to done on the
+// wall clock: it sleeps until each deadline Step names, so an ACK that
+// lands meanwhile is taken at the deadline.
+func report(a *node.ReportAgent, x int64) (node.ReportOutcome, error) {
 	if err := a.Begin(x); err != nil {
 		return a.Outcome()
 	}
+	start := time.Now()
 	for {
-		now := simclock.Wall.Now()
-		if clk != nil {
-			now = clk.Now()
-		}
+		now := time.Since(start)
 		next, done := a.Step(now)
 		if done {
 			return a.Outcome()
 		}
-		if clk != nil {
-			clk.Wait(next)
-		} else {
-			time.Sleep(next - now)
-		}
+		time.Sleep(next - now)
 	}
 }
 
@@ -107,7 +98,7 @@ func TestConcurrentFleetIngest(t *testing.T) {
 				ID: transport.NodeID(i), MaxAttempts: 64,
 			})
 			for r := 0; r < reports; r++ {
-				if _, err := report(agent, int64(r%16), nil); err != nil {
+				if _, err := report(agent, int64(r%16)); err != nil {
 					errs <- err
 					return
 				}
@@ -218,14 +209,12 @@ func TestDuplicateReorderScheduleProperty(t *testing.T) {
 }
 
 // TestBreakerTripsHalfOpensRecovers walks one node's breaker through
-// its full arc on a virtual clock, one idle tick at a time, so every
-// state is checked at the exact tick it must hold (a wall-clock poll
-// can miss the two-tick open window). Reports are drained on the
-// sending goroutine, so each probe's verdict is visible as soon as
-// its Send returns.
+// its full arc, one idle Tick at a time, so every state is checked at
+// the exact tick it must hold (a wall-clock poll can miss the two-tick
+// open window). Reports are drained on the sending goroutine, so each
+// probe's verdict is visible as soon as its Send returns.
 func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
-	clk := simclock.NewVirtual(0)
-	col := New(Config{Clock: clk, PollTimeout: time.Millisecond, BreakerThreshold: 3, OpenTicks: 2})
+	col := New(Config{BreakerThreshold: 3, OpenTicks: 2})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	end := link.NodeEnd()
@@ -243,18 +232,14 @@ func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 		}
 		return v
 	}
-	// step advances the clock by one PollTimeout. The collector's
-	// tick runs before the owner's wait returns at the same instant,
-	// so the tick's effect is visible on return.
+	// step runs one period's idle tick and checks its effect.
 	tick := 0
 	step := func(want BreakerState) {
 		t.Helper()
 		tick++
-		if !clk.Wait(clk.Now() + time.Millisecond) {
-			t.Fatalf("tick %d: the wait was signalled, not fired", tick)
-		}
+		col.Tick()
 		if got := state().Breaker; got != want {
-			t.Fatalf("tick %d (t=%v): breaker %v, want %v", tick, clk.Now(), got, want)
+			t.Fatalf("tick %d: breaker %v, want %v", tick, got, want)
 		}
 	}
 	if v := state(); !v.Have || v.Degraded || v.Value != 40 {
@@ -326,7 +311,7 @@ func TestBackpressureShedsAndRetriesRecover(t *testing.T) {
 				ID: transport.NodeID(i), MaxAttempts: 256,
 			})
 			for r := 0; r < reports; r++ {
-				if _, err := report(agent, int64(r), nil); err != nil {
+				if _, err := report(agent, int64(r)); err != nil {
 					errs <- err
 					return
 				}
@@ -392,7 +377,6 @@ func TestRecoverRestoresNodeViews(t *testing.T) {
 	cfg := Config{
 		Shards:           1,
 		CompactEvery:     1,
-		PollTimeout:      time.Hour, // idle ticks only via tickAll
 		BreakerThreshold: 3,
 		OpenTicks:        2,
 	}
@@ -438,11 +422,11 @@ func TestRecoverRestoresNodeViews(t *testing.T) {
 	// Two silent ticks count one silence everywhere (the first only
 	// clears the reports' sawReport). Node 2 then reports into its open
 	// breaker, so the third tick half-opens node 3 alone.
-	col.tickAll()
-	col.tickAll()
+	col.Tick()
+	col.Tick()
 	send(2, 4, 0, transport.FlagUnhealthy)
 	quiesce(t, col, handled)
-	col.tickAll()
+	col.Tick()
 	// One healthy admission compacts last, so the snapshot holds every
 	// breaker the ticks moved.
 	send(1, 3, 13, 0)

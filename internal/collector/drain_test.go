@@ -17,7 +17,7 @@ import (
 // the sender's goroutine, so its ACK is already queued on the node end
 // when Send returns, and the round trip allocates nothing.
 func TestInlineDrainAcksBeforeSendReturns(t *testing.T) {
-	col := New(Config{PollTimeout: time.Hour, BreakerThreshold: 1 << 30})
+	col := New(Config{BreakerThreshold: 1 << 30})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(1, link.CollectorEnd()); err != nil {
@@ -60,7 +60,7 @@ func TestInlineDrainHandOffStress(t *testing.T) {
 		senders = 32
 		reports = 256
 	)
-	col := New(Config{Shards: 1, PollTimeout: time.Hour, BreakerThreshold: 1 << 30})
+	col := New(Config{Shards: 1, BreakerThreshold: 1 << 30})
 	defer col.Close()
 	ends := make([]*transport.Endpoint, senders)
 	for i := range ends {
@@ -118,8 +118,8 @@ func TestCloseWaitsOutInlineDrain(t *testing.T) {
 	m := NewMetrics(obs.NewRegistry())
 	store := NewStore(0)
 	col, err := NewDurable(Config{
-		PollTimeout: time.Hour, BreakerThreshold: 1 << 30,
-		Obs: m, procDelay: 50 * time.Millisecond,
+		BreakerThreshold: 1 << 30,
+		Obs:              m, procDelay: 50 * time.Millisecond,
 	}, store)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,7 @@ func TestCloseWaitsOutInlineDrain(t *testing.T) {
 // landed frame may be left on the link.
 func TestOneNodeDrainedFromTwoGoroutines(t *testing.T) {
 	const reports = 200
-	col := New(Config{PollTimeout: time.Hour, BreakerThreshold: 1 << 30})
+	col := New(Config{BreakerThreshold: 1 << 30})
 	defer col.Close()
 	fp := fault.NewPlane()
 	// Every third report is held back until two later frames pass it

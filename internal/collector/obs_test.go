@@ -51,12 +51,12 @@ func checkArcs(t *testing.T, node int, got, want [][2]BreakerState) {
 // lifecycle — closed → open → half-open → (failed probe) open →
 // half-open → closed — and asserts every transition is visible in the
 // counters and in the node's query view, in order. Silence is
-// advanced with tickAll, never the wall clock, so each phase stops on
-// exactly one transition.
+// advanced one Tick at a time, so each phase stops on exactly one
+// transition.
 func TestBreakerTransitionMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	col := New(Config{PollTimeout: time.Hour, BreakerThreshold: 3, OpenTicks: 2, Obs: m})
+	col := New(Config{BreakerThreshold: 3, OpenTicks: 2, Obs: m})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(5, link.CollectorEnd()); err != nil {
@@ -79,7 +79,7 @@ func TestBreakerTransitionMetrics(t *testing.T) {
 			if k > 16 {
 				t.Fatalf("%s: %d idle ticks without the transition", what, k)
 			}
-			col.tickAll()
+			col.Tick()
 		}
 		sample()
 	}

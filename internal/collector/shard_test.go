@@ -9,22 +9,6 @@ import (
 	"ulpdp/internal/transport"
 )
 
-// tickAll drives one deterministic idle tick on every shard. Tests
-// use it (with PollTimeout set far beyond the test's lifetime) to
-// exercise the silence-driven breaker arcs without wall-clock timing.
-func (c *Collector) tickAll() {
-	for _, sh := range c.shards {
-		sh.idleTick()
-	}
-}
-
-// idleTick runs one idle tick on this shard alone.
-func (sh *shard) idleTick() {
-	for _, e := range sh.countSilence(nil) {
-		e.FlushHeld()
-	}
-}
-
 // quiesce waits until every sent report has been handled: each report
 // lands in exactly one of Accepted, Duplicates, or BreakerDrops.
 func quiesce(t *testing.T, col *Collector, handled uint64) {
@@ -47,8 +31,8 @@ type shardRunResult struct {
 
 // runScripted drives the same deterministic per-node report script
 // through a collector with the given shard count and snapshots every
-// observable per-node output. Breaker silence is advanced with
-// tickAll, never the wall clock, so the run is schedule-independent,
+// observable per-node output. Breaker silence is advanced with Tick,
+// never the wall clock, so the run is schedule-independent,
 // and no phase moves a node's breaker more than once, so sampling the
 // query views after every phase records each full arc sequence.
 func runScripted(t *testing.T, shards, nodes int) shardRunResult {
@@ -61,7 +45,6 @@ func runScripted(t *testing.T, shards, nodes int) shardRunResult {
 	m := NewMetrics(reg)
 	col := New(Config{
 		Shards:           shards,
-		PollTimeout:      time.Hour, // idle ticks only via tickAll
 		BreakerThreshold: threshold,
 		OpenTicks:        openTicks,
 		Obs:              m,
@@ -128,7 +111,7 @@ func runScripted(t *testing.T, shards, nodes int) shardRunResult {
 	// after each silence window so their own breakers never trip.
 	cooldown := func(keepaliveSeq uint64) {
 		for k := 0; k < openTicks+1; k++ {
-			col.tickAll()
+			col.Tick()
 		}
 		for i := 1; i < nodes; i += 2 {
 			send(i, keepaliveSeq, int64(i*100), 0)
@@ -231,7 +214,7 @@ func TestShardEquivalenceProperty(t *testing.T) {
 // not all land on one shard (the whole point of hashing is that
 // real-world sequential IDs spread).
 func TestShardSpread(t *testing.T) {
-	c := New(Config{Shards: 8, PollTimeout: time.Hour})
+	c := New(Config{Shards: 8})
 	defer c.Close()
 	seen := make(map[*shard]int)
 	for id := 0; id < 256; id++ {

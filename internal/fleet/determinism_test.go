@@ -40,7 +40,7 @@ func bitExactShapes() []runShape {
 	}
 }
 
-// TestSameSeedRunsBitExact pins the simulated clock's promise: two runs
+// TestSameSeedRunsBitExact pins simulated time's promise: two runs
 // with the same seed produce the identical Result — link counters,
 // collector counters including idle-tick Timeouts, per-node
 // redeliveries and crashes, checkpoint word counts — not just the same

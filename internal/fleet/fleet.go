@@ -21,6 +21,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -33,7 +34,6 @@ import (
 	"ulpdp/internal/fault"
 	"ulpdp/internal/node"
 	"ulpdp/internal/obs"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
 )
@@ -173,8 +173,8 @@ type Result struct {
 	Resumed bool
 }
 
-// simResolution is the fleet clock's step: waits due within one step
-// fire together, so nodes whose jittered backoffs end a few
+// simResolution is the fleet clock's step: node steps due within one
+// step run together, so nodes whose jittered backoffs end a few
 // microseconds apart retransmit in parallel rather than one by one.
 // It is half the default backoff base, so jitter still spreads
 // retransmits over several steps.
@@ -263,19 +263,19 @@ func (s *colSupervisor) arm() {
 }
 
 // check replaces a dead collector with one rebuilt from the
-// checkpoint store and re-attaches every registered endpoint. The
-// store dies between two word writes at the armed point; the control
-// loop notices within a poll period. Detection latency only widens
-// the fail-closed window — it never changes what was ACKed, so
-// results stay exact.
-func (s *colSupervisor) check() {
+// checkpoint store and re-attaches every registered endpoint, and
+// reports whether it did. The store dies between two word writes at
+// the armed point; the control loop notices within a poll period.
+// Detection latency only widens the fail-closed window — it never
+// changes what was ACKed, so results stay exact.
+func (s *colSupervisor) check() bool {
 	if s.store == nil || !s.store.Dead() {
-		return
+		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken {
-		return
+		return false
 	}
 	s.col.Close()
 	c, err := collector.Recover(s.cfg, s.store)
@@ -285,7 +285,7 @@ func (s *colSupervisor) check() {
 		// the final in-memory reads.
 		s.violate("collector recovery %d: %v", s.recoveries+1, err)
 		s.broken = true
-		return
+		return false
 	}
 	for id, end := range s.ends {
 		if aerr := c.Attach(id, end); aerr != nil {
@@ -296,6 +296,7 @@ func (s *colSupervisor) check() {
 	s.recoveries++
 	s.next++
 	s.arm()
+	return true
 }
 
 // attach registers a node's endpoint for the lifetime of the run,
@@ -345,17 +346,17 @@ func reading(i, r int) int64 { return int64((3*i + 5*r) % 17) }
 
 // Run executes one fleet run and gathers the evidence.
 //
-// The run is one event loop on the calling goroutine. Each of the
-// Workers lifecycle slots boots a node, steps its agent through the
-// node's reports, crash schedule and redeliveries, and when the node
-// is done claims the next one. A slot waiting on its agent sits in the
-// loop's queue under the step's deadline, rounded up to the clock's
-// resolution; a crash-scheduled store's poll sits there too, ordered
-// before node steps due at the same instant. The loop owns the virtual
-// clock: it waits until the earliest queued deadline, the collector's
-// idle tick runs as a clock timer on its goroutine inside that wait,
-// and an ACK that a tick lands on a node waiting in its ACK window
-// ends the wait to step that node at that instant.
+// The run is one event loop on the calling goroutine, over simulated
+// time that only the loop advances. Each of the Workers lifecycle
+// slots boots a node, steps its agent through the node's reports,
+// crash schedule and redeliveries, and when the node is done claims
+// the next one. A slot waiting on its agent sits in the loop's queue
+// under the step's deadline, rounded up to simResolution. The
+// collector's idle tick and a crash-scheduled store's poll sit there
+// too: at one instant the tick runs first, then the poll, then node
+// steps in node order. The loop jumps straight to the head of the
+// queue, and an ACK that a tick or a recovery lands on a node waiting
+// in its ACK window steps that node at that instant.
 func Run(cfg Config) (Result, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
@@ -377,13 +378,11 @@ func Run(cfg Config) (Result, error) {
 	defer cancel()
 
 	// The whole run lives on simulated time: ACK waits, backoff and
-	// idle ticks advance it only when the event loop waits, so they
-	// cost no wall time and a run's event order depends only on its
-	// seeds. This goroutine owns the clock; the wall-clock deadline,
-	// checked on every pass of the loop, stays a liveness backstop.
-	clk := simclock.NewVirtual(simResolution)
-
-	f := &fleetRun{cfg: cfg, clk: clk, res: Result{Nodes: make([]NodeResult, cfg.Nodes)}}
+	// idle ticks advance it only when the event loop jumps to its next
+	// entry, so they cost no wall time and a run's event order depends
+	// only on its seeds. The wall-clock deadline, checked on every pass
+	// of the loop, stays a liveness backstop.
+	f := &fleetRun{cfg: cfg, res: Result{Nodes: make([]NodeResult, cfg.Nodes)}}
 	res := &f.res
 
 	// One telemetry plane per layer, all over the same registry. The
@@ -420,7 +419,6 @@ func Run(cfg Config) (Result, error) {
 		Shards:           cfg.Shards,
 		CompactEvery:     cfg.CompactEvery,
 		Obs:              colM,
-		Clock:            clk,
 	}
 	if cfg.NVMDir != "" || cfg.Durable || len(cfg.CollectorCrashes) > 0 {
 		var (
@@ -481,8 +479,13 @@ func Run(cfg Config) (Result, error) {
 	if slots > cfg.Nodes {
 		slots = cfg.Nodes
 	}
+	// Every collector of the run is built from colCfg, so one period
+	// times the tick across recoveries.
+	period := sup.col.Period()
+	f.tick = lifecycle{at: period, class: classTick}
+	heap.Push(&f.q, &f.tick)
 	if sup.store != nil && len(sup.schedule) > 0 {
-		f.poll = lifecycle{at: clk.Now() + pollEvery, class: classPoll}
+		f.poll = lifecycle{at: pollEvery, class: classPoll}
 		heap.Push(&f.q, &f.poll)
 	}
 	// Every slot boots its first node at time zero.
@@ -491,60 +494,61 @@ func Run(cfg Config) (Result, error) {
 		f.slots[s] = &lifecycle{class: classNode, node: -1, idx: -1}
 	}
 	f.active = slots
-	f.runBatch(f.slots, clk.Now())
+	f.runBatch(f.slots, 0)
 	batch := make([]*lifecycle, 0, slots)
 
 	// Quiesce before the final recovery check and reads: every report
 	// is ACKed, but stale duplicate frames can still be in flight (or
 	// held back for reordering), and processing them after the final
 	// snapshot would make recover/replay counters and span chains
-	// timing-dependent. Once the last node is done, the loop waits for
-	// rest: the clock reached rest with any tick due there run — so no
-	// shard drain is running (a drain runs on the goroutine that sent
-	// or flushed the frames) and no frame is queued — and no uplink
-	// holds a reorder holdback. The collector's idle tick flushes
-	// holdbacks, so while any remain rest moves to the next tick. A poll
-	// due at rest runs first. Afterwards nothing waits on the clock,
-	// which freezes simulated time for the final reads.
-	rest := simclock.Never
+	// timing-dependent. Once the last node is done, the loop checks at
+	// rest, after every entry due there has run, that no uplink holds a
+	// frame: none is queued, since a drain runs on the goroutine that
+	// sent or flushed its frames, and none is held back. The idle tick
+	// flushes holdbacks, so while any remain rest moves to the next
+	// tick. Afterwards nothing advances simulated time, which freezes it
+	// for the final reads.
+	const never = time.Duration(math.MaxInt64)
+	now, rest := time.Duration(0), never
 	for ctx.Err() == nil {
-		f.wakeAll(clk.Now())
-		if f.active == 0 && rest == simclock.Never {
-			rest = clk.Now()
+		f.wakeAll(now)
+		if f.active == 0 && rest == never {
+			rest = now
 		}
-		next := rest
-		if len(f.q) > 0 {
-			next = min(next, f.q[0].at)
-		}
-		// next is never Never: while a slot is active one is queued.
-		if !clk.Wait(next) {
-			continue
-		}
-		now := clk.Now()
-		if len(f.q) > 0 && f.q[0].at <= now {
-			top := f.q[0]
+		// The tick entry keeps the queue non-empty.
+		if top := f.q[0]; top.at <= rest {
+			now = top.at
 			batch = batch[:0]
 			for len(f.q) > 0 && f.q[0].at == top.at && f.q[0].class == top.class {
 				batch = append(batch, heap.Pop(&f.q).(*lifecycle))
 			}
-			if top.class == classPoll {
-				sup.check()
+			switch top.class {
+			case classTick:
+				sup.col.Tick()
+				f.tick.at = now + period
+				heap.Push(&f.q, &f.tick)
+			case classPoll:
+				if sup.check() {
+					// A recovered collector ticks one period after it was built.
+					f.tick.at = now + period
+					heap.Fix(&f.q, f.tick.idx)
+				}
 				f.poll.at = now + pollEvery
 				heap.Push(&f.q, &f.poll)
-			} else {
+			default:
 				f.runBatch(batch, now)
 			}
+			continue
 		}
-		if f.active == 0 && now >= rest {
-			held := 0
-			for _, l := range f.links {
-				held += l.CollectorEnd().Pending()
-			}
-			if held == 0 {
-				break
-			}
-			rest = now + collector.DefaultPollTimeout
+		now = rest
+		held := 0
+		for _, l := range f.links {
+			held += l.CollectorEnd().Pending()
 		}
+		if held == 0 {
+			break
+		}
+		rest = now + period
 	}
 	if ctx.Err() != nil {
 		f.abort()
@@ -629,8 +633,8 @@ type fleetRun struct {
 	// The event loop, all of it Run's goroutine's: a batch's helpers
 	// touch only the slots they step. Downlink hooks fire on it too
 	// (see wake), queueing the slots they wake on woken.
-	clk    *simclock.Virtual
 	q      entryQueue
+	tick   lifecycle
 	poll   lifecycle
 	slots  []*lifecycle
 	active int // slots with a node left to step
@@ -725,18 +729,17 @@ func (f *fleetRun) wakeAll(now time.Duration) {
 // wake is node i's downlink hook, installed by the slot n that hosts
 // it. While i waits for an ACK, only the collector's idle tick or a
 // recovery's re-attach lands frames on its downlink, and both run on
-// the loop's goroutine: the tick as a clock timer inside the loop's
-// wait, the re-attach in a poll. A node's own sends trigger the hook
-// from whichever goroutine steps it, but only while it is not waiting.
-// The hook runs under a collector shard lock, so it only queues the
-// slot and signals the loop.
+// the loop's goroutine, as queue entries of their own. A node's own
+// sends trigger the hook from whichever goroutine steps it, but only
+// while it is not waiting. The hook runs under a collector shard lock,
+// so it only queues the slot on woken, which the loop steps before it
+// moves on.
 func (f *fleetRun) wake(n *lifecycle, i int) {
 	if n.node != i || !n.waiting {
 		return
 	}
 	n.waiting = false
 	f.woken = append(f.woken, n)
-	f.clk.Signal()
 }
 
 // park queues a stepped slot under its next deadline, or retires it
@@ -775,10 +778,11 @@ func (f *fleetRun) abort() {
 	}
 }
 
-// Entry classes order the loop's queue at one instant: the crash poll
-// runs before any node step due with it.
+// Entry classes order the loop's queue at one instant: the idle tick
+// runs first, then the crash poll, then node steps.
 const (
-	classPoll uint8 = iota
+	classTick uint8 = iota
+	classPoll
 	classNode
 )
 
@@ -786,7 +790,8 @@ const (
 // the last journaled release, then each report with its crash schedule
 // and redeliveries, then the end-of-node cross-checks. The slot then
 // boots the next unclaimed node. It is also the event loop's queue
-// entry; the crash poll is an entry of class classPoll.
+// entry; the idle tick and the crash poll are entries of their own
+// classes.
 type lifecycle struct {
 	at    time.Duration // next step's deadline, rounded to simResolution
 	class uint8
@@ -841,8 +846,8 @@ func (f *fleetRun) step(n *lifecycle, now time.Duration, boot bool) bool {
 		}
 		at, ok := f.advance(n, now)
 		if ok {
-			// Round up as the clock rounds its own deadlines, so steps
-			// due within one resolution step run as one batch.
+			// Round up to simResolution, so steps due within one
+			// resolution step run as one batch.
 			if r := at % simResolution; r > 0 {
 				at += simResolution - r
 			}

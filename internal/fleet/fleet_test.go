@@ -271,9 +271,9 @@ func TestCollectorCrashGrid(t *testing.T) {
 
 // TestRunLeavesNoGoroutines pins that a run stops everything it
 // starts: the event loop's fan-out helpers (with GOMAXPROCS > 1 every
-// shape here boots 16 slots at instant 0, a batch that fans out),
-// every collector's idle ticker (recovered instances included) and the
-// deadline backstop. A helper can still be inside its deferred Done
+// shape here boots 16 slots at instant 0, a batch that fans out) and
+// the deadline backstop; a collector, recovered instances included,
+// starts nothing. A helper can still be inside its deferred Done
 // when Run returns, so the count gets a bounded settle.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	chaos := fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2}

@@ -9,7 +9,6 @@ import (
 	"ulpdp/internal/collector"
 	"ulpdp/internal/dpbox"
 	"ulpdp/internal/fault"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 	"ulpdp/internal/urng"
 )
@@ -59,13 +58,6 @@ func newEchoCollector(end *transport.Endpoint, id transport.NodeID) echoCollecto
 	return seen
 }
 
-// steppedAgent builds an agent whose deliveries step on clk, woken by
-// every frame landing on its downlink.
-func steppedAgent(clk *simclock.Virtual, box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) *ReportAgent {
-	end.SetNotify(clk.Signal)
-	return NewReportAgent(box, end, cfg)
-}
-
 func TestReportAgentDeliversOverLossyLink(t *testing.T) {
 	fp := fault.NewPlane()
 	fp.SetLossyLink(0xA11CE, fault.LinkProfile{
@@ -74,13 +66,13 @@ func TestReportAgentDeliversOverLossyLink(t *testing.T) {
 	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 
 	box, _ := newAgentBox(t, 7, 1e6)
-	clk := simclock.NewVirtual(0)
-	agent := steppedAgent(clk, box, link.NodeEnd(), AgentConfig{ID: 4})
+	var s sim
+	agent := NewReportAgent(box, link.NodeEnd(), AgentConfig{ID: 4})
 	got := newEchoCollector(link.CollectorEnd(), 4)
 
 	const n = 20
 	for i := 0; i < n; i++ {
-		out, err := report(clk, agent, int64(4+i%8))
+		out, err := s.report(agent, int64(4+i%8))
 		if err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
@@ -125,11 +117,11 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 	deadLink := transport.NewLink(transport.LinkConfig{Plane: fp})
 
 	box, j := newAgentBox(t, 7, 1e6)
-	clk := simclock.NewVirtual(0)
-	agent := steppedAgent(clk, box, deadLink.NodeEnd(), AgentConfig{
+	var s sim
+	agent := NewReportAgent(box, deadLink.NodeEnd(), AgentConfig{
 		ID: 9, MaxAttempts: 3, AckWait: time.Millisecond,
 	})
-	out, err := report(clk, agent, 11)
+	out, err := s.report(agent, 11)
 	if err == nil {
 		t.Fatal("report over a black-hole link succeeded")
 	}
@@ -160,7 +152,7 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 	}
 
 	goodLink := transport.NewLink(transport.LinkConfig{})
-	agent2 := steppedAgent(clk, recovered, goodLink.NodeEnd(), AgentConfig{ID: 9})
+	agent2 := NewReportAgent(recovered, goodLink.NodeEnd(), AgentConfig{ID: 9})
 	if agent2.NextSeq() != 1 {
 		t.Fatalf("recovered NextSeq = %d, want 1", agent2.NextSeq())
 	}
@@ -169,7 +161,7 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 	if err := agent2.BeginResume(); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if _, err := stepToDone(clk, agent2); err != nil {
+	if _, err := s.stepToDone(agent2); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 
@@ -199,25 +191,26 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 // the recovered dedup state as a duplicate.
 func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	const id = transport.NodeID(7)
-	clk := simclock.NewVirtual(0)
-	colCfg := collector.Config{Clock: clk, BreakerThreshold: 1 << 20}
+	var s sim
+	colCfg := collector.Config{BreakerThreshold: 1 << 20}
 	store := collector.NewStore(1)
 	col, err := collector.NewDurable(colCfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.attach(col)
 	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(id, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
 
 	box, _ := newAgentBox(t, 21, 1e6)
-	agent := steppedAgent(clk, box, link.NodeEnd(), AgentConfig{
+	agent := NewReportAgent(box, link.NodeEnd(), AgentConfig{
 		ID: id, MaxAttempts: 3, MaxTotalAttempts: 6, AckWait: time.Millisecond,
 	})
 
 	// Seq 0 lands normally and its admission is checkpointed.
-	out0, err := report(clk, agent, 5)
+	out0, err := s.report(agent, 5)
 	if err != nil {
 		t.Fatalf("seq 0: %v", err)
 	}
@@ -226,7 +219,7 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	// fails closed: seq 1 is journaled on the node, transmitted up to
 	// the total cap, never ACKed, and terminally abandoned.
 	store.Kill()
-	out1, err := report(clk, agent, 9)
+	out1, err := s.report(agent, 9)
 	if !errors.Is(err, ErrAbandoned) {
 		t.Fatalf("outage report error = %v, want ErrAbandoned", err)
 	}
@@ -244,6 +237,7 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col2.Close()
+	s.attach(col2)
 	if err := col2.Attach(id, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +252,7 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 		if err := agent.BeginResume(); err != nil {
 			t.Fatalf("%s: %v", which, err)
 		}
-		if _, err := stepToDone(clk, agent); err != nil {
+		if _, err := s.stepToDone(agent); err != nil {
 			t.Fatalf("%s: %v", which, err)
 		}
 	}
@@ -285,13 +279,13 @@ func TestRebindMatchesFreshAgent(t *testing.T) {
 	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 	box, j := newAgentBox(t, 7, 1e6)
 	cfg := AgentConfig{ID: 5, AckWait: time.Millisecond}
-	clk := simclock.NewVirtual(0)
-	agent := steppedAgent(clk, box, link.NodeEnd(), cfg)
+	var s sim
+	agent := NewReportAgent(box, link.NodeEnd(), cfg)
 
 	newEchoCollector(link.CollectorEnd(), 5)
 	attempts := 0
 	for r := int64(0); r < 3; r++ {
-		out, err := report(clk, agent, r)
+		out, err := s.report(agent, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,33 +6,51 @@ import (
 
 	"ulpdp/internal/collector"
 	"ulpdp/internal/fault"
-	"ulpdp/internal/simclock"
 	"ulpdp/internal/transport"
 )
 
-// stepToDone steps the agent's armed delivery on clk until it is done,
-// as fleet.Run's event loop does: between steps the clock owner waits
-// until the deadline Step names, and every frame landing on the
-// downlink (installed by the caller as SetNotify(clk.Signal)) ends the
-// wait early, backoff pauses included, so Step itself must ignore what
-// it is not due to handle.
-func stepToDone(clk *simclock.Virtual, a *ReportAgent) (ReportOutcome, error) {
+// sim is simulated time for one agent and, optionally, the collector
+// it reports to, driven as fleet.Run's event loop drives them: it
+// jumps to the earlier of the agent's deadline and the collector's
+// next idle tick, runs the tick first on a tie, and steps the agent
+// after every tick too, so a frame the tick lands on the downlink is
+// taken at that instant (backoff pauses included: Step itself must
+// ignore what it is not due to handle).
+type sim struct {
+	now  time.Duration
+	col  *collector.Collector // nil: no idle ticks
+	tick time.Duration        // col's next tick
+}
+
+// attach makes col the collector whose idle tick s runs, one period
+// from now.
+func (s *sim) attach(col *collector.Collector) {
+	s.col, s.tick = col, s.now+col.Period()
+}
+
+// stepToDone steps a's armed delivery until it is done.
+func (s *sim) stepToDone(a *ReportAgent) (ReportOutcome, error) {
 	for {
-		next, done := a.Step(clk.Now())
+		next, done := a.Step(s.now)
 		if done {
 			return a.Outcome()
 		}
-		clk.Wait(next)
+		if s.col != nil && s.tick <= next {
+			s.now = s.tick
+			s.col.Tick()
+			s.tick += s.col.Period()
+		} else {
+			s.now = next
+		}
 	}
 }
 
-// report noises x and steps its delivery to done: Begin, then
-// stepToDone.
-func report(clk *simclock.Virtual, a *ReportAgent, x int64) (ReportOutcome, error) {
+// report noises x and steps its delivery to done.
+func (s *sim) report(a *ReportAgent, x int64) (ReportOutcome, error) {
 	if err := a.Begin(x); err != nil {
 		return a.Outcome()
 	}
-	return stepToDone(clk, a)
+	return s.stepToDone(a)
 }
 
 // pinned is one delivery's pinned outcome and the simulated time at
@@ -66,7 +84,7 @@ func seqFate(fate func(kind transport.Kind, seq uint64, k int) fault.PacketFate)
 
 // TestStepDeliveryPinned pins the step machine's deliveries: a fresh
 // agent over a fresh link to a real collector, all on one exact
-// virtual clock, stepped by stepToDone. Every outcome, the simulated
+// simulated clock, stepped by sim. Every outcome, the simulated
 // time each delivery ended, and the link's and the collector's
 // counters are pinned literals, so a change in the order in which
 // steps, ticks and landing frames meet shows up here. Three scripted
@@ -211,21 +229,21 @@ func TestStepDeliveryPinned(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			clk := simclock.NewVirtual(0)
 			link := transport.NewLink(transport.LinkConfig{Plane: c.plane})
-			col := collector.New(collector.Config{Clock: clk, BreakerThreshold: 1 << 20})
+			col := collector.New(collector.Config{BreakerThreshold: 1 << 20})
 			if err := col.Attach(c.cfg.ID, link.CollectorEnd()); err != nil {
 				t.Fatal(err)
 			}
+			var s sim
+			s.attach(col)
 			box, _ := newAgentBox(t, 7, 1e6)
 			agent := NewReportAgent(box, link.NodeEnd(), c.cfg)
-			link.NodeEnd().SetNotify(clk.Signal)
 			for i, want := range c.want {
-				out, err := report(clk, agent, int64(3+i%11))
+				out, err := s.report(agent, int64(3+i%11))
 				if err != nil {
 					t.Fatalf("report %d: %v", i, err)
 				}
-				if got := (pinned{out, clk.Now()}); got != want {
+				if got := (pinned{out, s.now}); got != want {
 					t.Fatalf("report %d: got %+v, want %+v", i, got, want)
 				}
 			}

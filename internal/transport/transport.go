@@ -199,6 +199,9 @@ type held struct {
 type pipe struct {
 	mu   sync.Mutex
 	held []held
+	// nheld is len(held), stored under mu and read without it, so a
+	// flush of a direction holding nothing takes no lock.
+	nheld atomic.Int32
 
 	buf  []*frame // bounded receive ring
 	head int      // buf[head] is the next frame out
@@ -382,6 +385,7 @@ func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 	selfLanded := 0
 	if fate.Delay > 0 {
 		p2.held = append(p2.held, held{frame: buf, remaining: fate.Delay})
+		p2.nheld.Store(int32(len(p2.held)))
 		l.stats.reordered.Add(1)
 		l.obs.Reordered.Inc()
 	} else {
@@ -412,6 +416,9 @@ func (e *Endpoint) sendLocked(p2 *pipe, p Packet) int {
 // ageHeldLocked decrements reorder holds and delivers the expired
 // ones, reporting how many landed. Callers hold p.mu.
 func (e *Endpoint) ageHeldLocked(p *pipe) int {
+	if len(p.held) == 0 {
+		return 0
+	}
 	landed := 0
 	kept := p.held[:0]
 	for _, h := range p.held {
@@ -423,6 +430,7 @@ func (e *Endpoint) ageHeldLocked(p *pipe) int {
 		}
 	}
 	p.held = kept
+	p.nheld.Store(int32(len(kept)))
 	return landed
 }
 
@@ -471,15 +479,20 @@ func (e *Endpoint) enqueueLocked(p *pipe, f *frame) int {
 // can no longer complete and the delayed frames simply arrive late.
 // Receivers call it when a wait for frames ends — the collector from
 // its idle tick, an agent at the close of its ACK window — so a
-// reorder holdback on a now-silent link is late, never lost.
+// reorder holdback on a now-silent link is late, never lost. A
+// direction holding nothing returns at once, without the lock.
 func (e *Endpoint) FlushHeld() {
 	p := e.recvPipe
+	if p.nheld.Load() == 0 {
+		return
+	}
 	p.mu.Lock()
 	landed := 0
 	for _, h := range p.held {
 		landed += e.landHeldLocked(p, h.frame)
 	}
 	p.held = nil
+	p.nheld.Store(0)
 	fn := p.notify
 	p.mu.Unlock()
 	if landed > 0 && fn != nil {
