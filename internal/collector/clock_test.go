@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -82,4 +83,72 @@ func TestIdleTicksOnVirtualClock(t *testing.T) {
 	if got := col.Stats().Timeouts; got != 10 {
 		t.Fatalf("%d idle ticks in 10 periods, want 10", got)
 	}
+}
+
+// TestTickFlushesInNodeOrder: one tick over silent links flushes them,
+// and so wakes their nodes, in node-id order whatever order the nodes
+// attached in, on a fresh collector and on one recovered from its
+// store. Each node's only report is held back on its uplink until the
+// tick flushes it; the ACK it provokes lands at once and wakes the
+// node.
+func TestTickFlushesInNodeOrder(t *testing.T) {
+	ids := []transport.NodeID{9, 2, 14, 5, 11, 0, 7, 3}
+	run := func(t *testing.T, col *Collector) {
+		var woke []transport.NodeID
+		for _, id := range ids {
+			fp := fault.NewPlane()
+			fp.SetPacketFault(func(n uint64, _ uint8, _ []byte) fault.PacketFate {
+				if n == 0 {
+					return fault.PacketFate{Delay: 5} // the report
+				}
+				return fault.PacketFate{}
+			})
+			link := transport.NewLink(transport.LinkConfig{Plane: fp})
+			if err := col.Attach(id, link.CollectorEnd()); err != nil {
+				t.Fatal(err)
+			}
+			link.NodeEnd().SetNotify(func() { woke = append(woke, id) })
+			link.NodeEnd().Send(transport.Packet{Kind: transport.KindReport, Node: id, Seq: 0, Value: int64(id)})
+		}
+		col.Tick()
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		if !slices.Equal(woke, want) {
+			t.Fatalf("tick woke nodes %v, want node-id order %v", woke, want)
+		}
+		if st := col.Stats(); st.Timeouts != uint64(len(ids)) || st.Accepted != uint64(len(ids)) {
+			t.Fatalf("stats %+v, want %d idle ticks and %d admissions", st, len(ids), len(ids))
+		}
+	}
+	t.Run("fresh", func(t *testing.T) {
+		col := New(Config{Shards: 1})
+		defer col.Close()
+		run(t, col)
+	})
+	t.Run("recovered", func(t *testing.T) {
+		store := NewStore(1)
+		col, err := NewDurable(Config{Shards: 1}, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nodes the store remembers, admitted in reverse, then the
+		// crash: the recovered shard must order them too.
+		for i := len(ids) - 1; i >= 0; i-- {
+			link := transport.NewLink(transport.LinkConfig{})
+			if err := col.Attach(ids[i], link.CollectorEnd()); err != nil {
+				t.Fatal(err)
+			}
+			link.NodeEnd().Send(transport.Packet{Kind: transport.KindReport, Node: ids[i], Seq: 100, Value: 1})
+		}
+		if got := col.Stats().Accepted; got != uint64(len(ids)) {
+			t.Fatalf("%d admitted before the crash, want %d", got, len(ids))
+		}
+		col.Close()
+		rec, err := Recover(Config{Shards: 1}, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		run(t, rec)
+	})
 }

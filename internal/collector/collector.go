@@ -40,9 +40,11 @@
 package collector
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,6 +238,7 @@ func (vs *valueStore) forEachDense(f func(seq uint64, v int64)) {
 // nodeState is everything the collector knows about one node.
 // Guarded by its owning shard's mu.
 type nodeState struct {
+	id  transport.NodeID
 	end *transport.Endpoint
 
 	store valueStore // dedup + distinct recorded values
@@ -255,11 +258,14 @@ type nodeState struct {
 func nodeFor(nodes map[transport.NodeID]*nodeState, id transport.NodeID) *nodeState {
 	ns := nodes[id]
 	if ns == nil {
-		ns = &nodeState{}
+		ns = &nodeState{id: id}
 		nodes[id] = ns
 	}
 	return ns
 }
+
+// byID orders node records by node id.
+func byID(a, b *nodeState) int { return cmp.Compare(a.id, b.id) }
 
 // ack folds an ACKed seq (already recorded) into the last-ACK cache:
 // the highest seq ACKed so far wins, and the cache remembers whether
@@ -317,6 +323,11 @@ type shard struct {
 
 	mu    sync.Mutex
 	nodes map[transport.NodeID]*nodeState
+	// order holds the records of nodes in node-id order. The idle tick
+	// walks it, not the map, so the order in which one tick flushes
+	// (and so wakes) silent links is fixed by the node ids: Go
+	// randomizes map iteration.
+	order []*nodeState
 	stats Stats
 
 	// acks collects one drain's ACKs; reused so the steady-state
@@ -411,6 +422,10 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 		}
 		if rec != nil {
 			sh.nodes = rec[i]
+			for _, ns := range sh.nodes {
+				sh.order = append(sh.order, ns)
+			}
+			slices.SortFunc(sh.order, byID)
 		}
 		c.shards[i] = sh
 	}
@@ -464,7 +479,12 @@ func (c *Collector) shardFor(id transport.NodeID) *shard {
 func (c *Collector) Attach(id transport.NodeID, end *transport.Endpoint) error {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
-	ns := nodeFor(sh.nodes, id)
+	ns := sh.nodes[id]
+	if ns == nil {
+		ns = nodeFor(sh.nodes, id)
+		i, _ := slices.BinarySearchFunc(sh.order, ns, byID)
+		sh.order = slices.Insert(sh.order, i, ns)
+	}
 	if ns.end != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("collector: node %d already attached", id)
@@ -670,14 +690,14 @@ func (sh *shard) compactLocked() {
 
 // countSilence feeds one silent tick into the breaker of every node
 // that delivered nothing since the last tick, walking only this
-// shard's nodes under this shard's lock. It appends each silent link
-// to silent for the caller to flush its reorder holdbacks (the old
-// per-node Recv deadline did this), so a delayed frame on a drained
-// direction is late, never lost.
+// shard's nodes, in node-id order, under this shard's lock. It appends
+// each silent link to silent for the caller to flush its reorder
+// holdbacks (the old per-node Recv deadline did this), so a delayed
+// frame on a drained direction is late, never lost.
 func (sh *shard) countSilence(silent []*transport.Endpoint) []*transport.Endpoint {
 	m := sh.c.cfg.Obs
 	sh.mu.Lock()
-	for _, ns := range sh.nodes {
+	for _, ns := range sh.order {
 		if ns.end == nil {
 			continue // recovered, not yet re-attached: no link to tick
 		}

@@ -974,14 +974,12 @@ func (b *DPBox) ReleaseFor(seq uint64) (Release, bool) {
 	return rel, ok
 }
 
-// Releases returns a copy of the known (sequence → release) bindings.
-func (b *DPBox) Releases() map[uint64]Release {
-	out := make(map[uint64]Release, len(b.releases))
-	for s, r := range b.releases {
-		out[s] = r
-	}
-	return out
-}
+// Releases returns the box's own (sequence → release) map: every
+// binding known in this power cycle or recovered from the journal
+// (nil when there are none). It is not a copy. The map is read-only to
+// the caller, and it changes as the box releases, reboots or
+// recovers; a caller that needs a snapshot of a live box copies it.
+func (b *DPBox) Releases() map[uint64]Release { return b.releases }
 
 // NextSeq returns the smallest sequence number strictly above every
 // known release (0 on a box that has never released).

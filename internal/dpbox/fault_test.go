@@ -354,7 +354,7 @@ func TestJournalTornTailRollsBack(t *testing.T) {
 		t.Fatal("second charge should have been cut")
 	}
 	j.revive()
-	st, err := j.Replay()
+	st, err := j.Replay(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestJournalTornTailRollsBack(t *testing.T) {
 	j2.FailAfterWrites(3)
 	j2.appendCharge(16)
 	j2.revive()
-	st2, err := j2.Replay()
+	st2, err := j2.Replay(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

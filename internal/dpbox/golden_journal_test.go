@@ -121,7 +121,7 @@ func TestJournalGoldenWordStream(t *testing.T) {
 				// Recovery boundary: replay and compact both journals
 				// from the same recovered state (the write path under
 				// test is the compaction rewrite itself).
-				st, err := j.Replay()
+				st, err := j.Replay(nil)
 				if err != nil {
 					t.Fatalf("seed %d op %d: replay: %v", seed, op, err)
 				}

@@ -316,12 +316,11 @@ type LedgerState struct {
 // sequences return an error. The budget journal is lenient where the
 // collector store is fail-closed: this log is single-writer, short,
 // and every record it could lose was by construction never emitted.
-func (j *Journal) Replay() (LedgerState, error) { return j.replay(nil) }
-
-// replay is Replay recording the releases into rel, which the caller
-// has emptied (nil: a fresh map, sized from the log, once a release
-// turns up).
-func (j *Journal) replay(rel map[uint64]Release) (LedgerState, error) {
+//
+// The releases are recorded into rel, which the caller has emptied, so
+// a caller replaying many journals can reuse one map; with rel nil, a
+// fresh map is sized from the log once a release turns up.
+func (j *Journal) Replay(rel map[uint64]Release) (LedgerState, error) {
 	var st LedgerState
 	var pendAmt int64
 	var pendSeq uint16
@@ -467,7 +466,7 @@ func (b *DPBox) reboot(cfg Config, j *Journal) error {
 	j.revive()
 	rel := b.releases
 	clear(rel)
-	st, err := j.replay(rel)
+	st, err := j.Replay(rel)
 	if err != nil {
 		return err
 	}

@@ -392,7 +392,7 @@ func TestBankConcurrentChannels(t *testing.T) {
 		t.Fatalf("ledger spent %g nats, channels charged %g (lost update)", spent, sum)
 	}
 	// The journal replay agrees with the volatile ledger bit for bit.
-	st, err := j.Replay()
+	st, err := j.Replay(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestCompactionCutKeepsOldLog(t *testing.T) {
 		}
 		want[seq] = r.Value
 	}
-	st, err := j.Replay()
+	st, err := j.Replay(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

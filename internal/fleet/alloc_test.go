@@ -24,9 +24,9 @@ func TestNodeAllocBudget(t *testing.T) {
 		cfg      Config
 		measured float64 // allocations per node
 	}{
-		{"lossless", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20}, 18.20},
-		{"chaos", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20, Link: fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2}}, 20.72},
-		{"crash-every-2", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20, CrashEvery: 2}, 21.20},
+		{"lossless", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20}, 14.75},
+		{"chaos", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20, Link: fault.LinkProfile{Drop: 0.2, Duplicate: 0.1, Reorder: 0.1, MaxDelay: 2}}, 17.73},
+		{"crash-every-2", Config{Nodes: 64, Reports: 4, Seed: 1, Workers: 16, BreakerThreshold: 1 << 20, CrashEvery: 2}, 17.77},
 	}
 	for _, c := range cases {
 		c := c

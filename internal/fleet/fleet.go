@@ -808,6 +808,9 @@ type lifecycle struct {
 	box    *dpbox.DPBox
 	agent  *node.ReportAgent
 	units0 int64
+	// replayed is the end-of-node journal replay's map, kept with the
+	// slot and emptied for each node it cross-checks.
+	replayed map[uint64]dpbox.Release
 }
 
 // stage is which delivery a lifecycle's agent is stepping.
@@ -863,7 +866,7 @@ func (f *fleetRun) step(n *lifecycle, now time.Duration, boot bool) bool {
 // reports false, with the violation recorded, if the node cannot run.
 func (f *fleetRun) boot(n *lifecycle, i int) bool {
 	cfg := f.cfg
-	*n = lifecycle{class: classNode, node: i, idx: -1}
+	*n = lifecycle{class: classNode, node: i, idx: -1, replayed: n.replayed}
 	// Attach lazily, as the lifecycle starts, so nodes queued behind
 	// the slots don't sit on the collector accruing idle breaker ticks
 	// before their first report. The supervisor keeps the binding
@@ -1041,19 +1044,17 @@ func (f *fleetRun) crash(n *lifecycle) bool {
 
 // end closes node n's lifecycle: on a node that reported to the end it
 // cross-checks the journal and the odometer against the live ledger,
-// then it records the node's evidence and frees the slot.
+// then it records the node's evidence and frees the slot. The box is
+// dead after end, so its release map becomes the evidence as is.
 func (f *fleetRun) end(n *lifecycle) {
 	i := n.node
 	if n.box != nil && n.r >= f.cfg.Reports {
 		n.nr.Released = n.box.Releases()
 		spentUnits := n.units0 - n.box.BudgetUnits()
 		n.nr.SpendNats = float64(spentUnits) * core.ChargeUnit
-		// Crash-consistency cross-check: replaying the journal must
-		// agree with the live ledger.
-		if st, err := n.j.Replay(); err != nil {
-			f.violate("node %d: journal replay: %v", i, err)
-		} else if live := n.box.BudgetUnits(); st.Units != live {
-			f.violate("node %d: journal units %d != live units %d", i, st.Units, live)
+		var err error
+		if n.replayed, err = checkJournal(n.j, n.box, n.replayed); err != nil {
+			f.violate("node %d: %v", i, err)
 		}
 		// Odometer-vs-ledger cross-check: both count the same charges
 		// in the same integer unit, so they must be equal.
@@ -1068,6 +1069,39 @@ func (f *fleetRun) end(n *lifecycle) {
 	}
 	f.res.Nodes[i] = n.nr
 	n.node = -1
+}
+
+// checkJournal is the end-of-node crash-consistency cross-check:
+// replaying j must agree with the live box on the remaining units and
+// on every release the replay holds. (The box may hold more: a
+// recovery keeps every release it replayed, the compacted journal only
+// the retransmission window.) It replays into scratch, emptied first,
+// and returns the map to reuse for the next node.
+func checkJournal(j *dpbox.Journal, box *dpbox.DPBox, scratch map[uint64]dpbox.Release) (map[uint64]dpbox.Release, error) {
+	clear(scratch)
+	st, err := j.Replay(scratch)
+	if st.Releases != nil {
+		scratch = st.Releases
+	}
+	if err != nil {
+		return scratch, fmt.Errorf("journal replay: %w", err)
+	}
+	if live := box.BudgetUnits(); st.Units != live {
+		return scratch, fmt.Errorf("journal units %d != live units %d", st.Units, live)
+	}
+	// Report the lowest mismatching seq, so the violation does not
+	// depend on map order.
+	bad, found := uint64(0), false
+	for seq, rel := range st.Releases {
+		if live, ok := box.ReleaseFor(seq); (!ok || live != rel) && (!found || seq < bad) {
+			bad, found = seq, true
+		}
+	}
+	if found {
+		live, _ := box.ReleaseFor(bad)
+		return scratch, fmt.Errorf("journal release seq %d %+v != live %+v", bad, st.Releases[bad], live)
+	}
+	return scratch, nil
 }
 
 // entryQueue orders the loop's entries by (deadline, class, node).

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"ulpdp/internal/dpbox"
 	"ulpdp/internal/fault"
 	"ulpdp/internal/obs"
+	"ulpdp/internal/urng"
 )
 
 // gridSeed is the chaos grid's master seed; CI sweeps it through the
@@ -358,5 +360,54 @@ func TestDeadlineEndsAStuckRun(t *testing.T) {
 	}
 	if late != 4 {
 		t.Fatalf("%d deadline violations, want one per node (4): %v", late, head(res.Violations, 8))
+	}
+}
+
+// TestEndCheckCatchesCorruptRelease drives one fleet-configured box
+// through a few reports and runs the end-of-node cross-check: it
+// passes on the live box, reuses its scratch map, and flags a release
+// that differs from the journal's.
+func TestEndCheckCatchesCorruptRelease(t *testing.T) {
+	var src urng.Taus88
+	src.Seed(1)
+	j := dpbox.NewJournal()
+	box, err := dpbox.New(boxConfig(&src, j, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := box.Initialize(1e6, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := box.Configure(1, 0, 16); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(0); seq < 4; seq++ {
+		if _, err := box.NoiseValueSeq(seq, reading(0, int(seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scratch, err := checkJournal(j, box, nil)
+	if err != nil {
+		t.Fatalf("live box: %v", err)
+	}
+	if len(scratch) != 4 {
+		t.Fatalf("replay holds %d releases, want 4", len(scratch))
+	}
+	scratch[99] = dpbox.Release{} // stale entry from a previous node
+	again, err := checkJournal(j, box, scratch)
+	if err != nil {
+		t.Fatalf("second check: %v", err)
+	}
+	if len(again) != 4 || fmt.Sprintf("%p", again) != fmt.Sprintf("%p", scratch) {
+		t.Fatalf("scratch map not emptied and reused: %d entries", len(again))
+	}
+
+	// Releases is the box's own map: writing through it (which the
+	// read-only contract forbids callers) corrupts the live release.
+	rel := box.Releases()[2]
+	rel.Value++
+	box.Releases()[2] = rel
+	if _, err := checkJournal(j, box, again); err == nil || !strings.Contains(err.Error(), "seq 2") {
+		t.Fatalf("corrupt live release not flagged: %v", err)
 	}
 }

@@ -106,6 +106,9 @@ type Sampler struct {
 	par FxPParams
 	log LogUnit
 	src urng.Source
+	// tab is the memoized magnitude map (table.go); nil evaluates the
+	// log unit per draw.
+	tab *magTable
 	// buLn2 is B_u·ln2 in the log unit's fixed point, so the
 	// magnitude -λ·ln(m·2^-Bu) = λ·(B_u·ln2 - ln m) is formed with a
 	// single subtract, as the hardware does.
@@ -120,8 +123,10 @@ type Sampler struct {
 
 // NewSampler wires a fixed-point Laplace RNG from its parameters, a
 // log unit and a uniform source. Pass log == nil for the shared
-// default CORDIC core. Parameters are caller configuration, so
-// invalid ones are a returned error, not a panic (DESIGN.md §6).
+// default CORDIC core, whose magnitude map is read from a memoized
+// table (table.go) up to B_u = 20. Parameters are caller
+// configuration, so invalid ones are a returned error, not a panic
+// (DESIGN.md §6).
 func NewSampler(par FxPParams, log LogUnit, src urng.Source) (*Sampler, error) {
 	s := new(Sampler)
 	if err := s.Init(par, log, src, false); err != nil {
@@ -157,6 +162,9 @@ func (s *Sampler) Init(par FxPParams, log LogUnit, src urng.Source, hw bool) err
 		scaleNum:   num,
 		scaleShift: shift,
 	}
+	if tabulable(par, log) {
+		s.tab = fetchTable(par, hw)
+	}
 	return nil
 }
 
@@ -166,8 +174,7 @@ func (s *Sampler) Params() FxPParams { return s.par }
 // SampleK draws one noise value and returns it as the signed step
 // count k (the noise value is k·Δ).
 func (s *Sampler) SampleK() int64 {
-	m := urng.Bits(s.src, s.par.Bu)
-	k := s.magnitudeK(m)
+	k := s.MagnitudeForDraw(urng.Bits(s.src, s.par.Bu))
 	if s.signBit() {
 		return -k
 	}
@@ -210,9 +217,9 @@ func dyadic(v float64) (int64, uint, bool) {
 	return 0, 0, false
 }
 
-// magnitudeK maps the URNG draw m to the rounded, saturated magnitude
-// in steps — the deterministic part of the datapath. Exposed to tests
-// via MagnitudeForDraw.
+// magnitudeK evaluates the log unit to map the URNG draw m to the
+// rounded, saturated magnitude in steps — the deterministic part of
+// the datapath, and what a magnitude table holds.
 func (s *Sampler) magnitudeK(m uint64) int64 {
 	lnU := s.log.LnRaw(int64(m), s.par.Bu) // ln(m·2^-Bu) <= 0
 	var k int64
@@ -257,8 +264,21 @@ func (s *Sampler) integerScale(negLn int64) int64 {
 	return int64(hi<<(64-shift) | lo>>shift)
 }
 
-// MagnitudeForDraw exposes the deterministic URNG→magnitude map for
-// exhaustive equivalence tests against Dist.
-func (s *Sampler) MagnitudeForDraw(m uint64) int64 { return s.magnitudeK(m) }
+// MagnitudeForDraw is the deterministic URNG→magnitude map for a draw
+// m ∈ [1, 2^Bu]: the sampler's table entry, or the log unit evaluated
+// when it has no table. Exhaustive equivalence tests enumerate it
+// against Dist.
+func (s *Sampler) MagnitudeForDraw(m uint64) int64 {
+	if s.tab == nil {
+		return s.magnitudeK(m)
+	}
+	e := &s.tab.k[m-1]
+	if v := e.Load(); v != 0 {
+		return int64(v - 1)
+	}
+	k := s.magnitudeK(m)
+	e.Store(int32(k) + 1)
+	return k
+}
 
 func (s *Sampler) signBit() bool { return s.src.Uint32()&1 == 1 }
