@@ -254,6 +254,25 @@ type nodeState struct {
 	sawReport  bool // any frame since the last idle tick
 }
 
+// fail counts one failure against ns's breaker: an unhealthy report,
+// or a silent tick while closed. A closed breaker opens at
+// BreakerThreshold consecutive failures, a failed half-open probe
+// reopens it at once, and opening arms the cooldown: the breaker
+// half-opens after OpenTicks silent ticks. fail reports whether it
+// opened the breaker.
+func (ns *nodeState) fail(cfg *Config) bool {
+	if ns.breaker == BreakerClosed {
+		ns.consecFail++
+		if ns.consecFail < cfg.BreakerThreshold {
+			return false
+		}
+	}
+	cfg.Obs.transition(ns.breaker, BreakerOpen)
+	ns.breaker = BreakerOpen
+	ns.openLeft = cfg.OpenTicks
+	return true
+}
+
 // nodeFor returns id's record in nodes, creating it on first sight.
 func nodeFor(nodes map[transport.NodeID]*nodeState, id transport.NodeID) *nodeState {
 	ns := nodes[id]
@@ -597,40 +616,20 @@ func (sh *shard) handleLocked(id transport.NodeID, ns *nodeState, pkt transport.
 	}
 	ns.sawReport = true
 	unhealthy := pkt.Flags&transport.FlagUnhealthy != 0
-	switch ns.breaker {
-	case BreakerOpen:
-		// Cooling off: traffic is discarded unACKed; the node's
-		// retries will land once the breaker half-opens.
+	if ns.breaker == BreakerOpen || unhealthy && ns.fail(&sh.c.cfg) {
+		// Cooling off, or this report opened the breaker: traffic is
+		// discarded unACKed; the node's retries will land once the
+		// breaker half-opens.
 		sh.stats.BreakerDrops++
 		m.BreakerDrops.Inc()
 		return
-	case BreakerHalfOpen:
-		if unhealthy {
-			// Probe failed: back to open for another cooldown.
-			ns.breaker = BreakerOpen
-			ns.openLeft = sh.c.cfg.OpenTicks
-			sh.stats.BreakerDrops++
-			m.BreakerDrops.Inc()
-			m.transition(BreakerHalfOpen, BreakerOpen)
-			return
+	}
+	if !unhealthy {
+		if ns.breaker == BreakerHalfOpen {
+			ns.breaker = BreakerClosed
+			m.transition(BreakerHalfOpen, BreakerClosed)
 		}
-		ns.breaker = BreakerClosed
 		ns.consecFail = 0
-		m.transition(BreakerHalfOpen, BreakerClosed)
-	case BreakerClosed:
-		if unhealthy {
-			ns.consecFail++
-			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
-				ns.breaker = BreakerOpen
-				ns.openLeft = sh.c.cfg.OpenTicks
-				sh.stats.BreakerDrops++
-				m.BreakerDrops.Inc()
-				m.transition(BreakerClosed, BreakerOpen)
-				return
-			}
-		} else {
-			ns.consecFail = 0
-		}
 	}
 
 	if ns.store.has(pkt.Seq) {
@@ -710,12 +709,7 @@ func (sh *shard) countSilence(silent []*transport.Endpoint) []*transport.Endpoin
 		m.Timeouts.Inc()
 		switch ns.breaker {
 		case BreakerClosed:
-			ns.consecFail++
-			if ns.consecFail >= sh.c.cfg.BreakerThreshold {
-				ns.breaker = BreakerOpen
-				ns.openLeft = sh.c.cfg.OpenTicks
-				m.transition(BreakerClosed, BreakerOpen)
-			}
+			ns.fail(&sh.c.cfg)
 		case BreakerOpen:
 			ns.openLeft--
 			if ns.openLeft <= 0 {

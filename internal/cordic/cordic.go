@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"ulpdp/internal/fixed"
 )
 
 // Config parameterizes the CORDIC core.
@@ -137,13 +135,6 @@ func (c *Core) lnMantissa(w int64) int64 {
 	return 2 * z
 }
 
-// Ln computes ln(x) for a positive fixed-point x and returns the
-// result quantized into format out with rounding mode m.
-func (c *Core) Ln(x fixed.Num, out fixed.Format, m fixed.RoundMode) fixed.Num {
-	r := c.LnRaw(x.Raw(), x.Format().Frac)
-	return quantize(r, c.cfg.Frac, out, m)
-}
-
 // LnUnit computes ln(u) for u = mVal·2^-b ∈ (0, 1] (the URNG output)
 // and returns it in the core's internal fixed point. This is the
 // exact operation in the inverse-CDF stage of Fig. 3.
@@ -153,63 +144,3 @@ func (c *Core) LnUnit(mVal uint64, b int) int64 {
 
 // Frac returns the internal fixed-point resolution.
 func (c *Core) Frac() int { return c.cfg.Frac }
-
-func quantize(raw int64, frac int, out fixed.Format, m fixed.RoundMode) fixed.Num {
-	shift := frac - out.Frac
-	if shift <= 0 {
-		return fixed.FromRaw(raw<<uint(-shift), out)
-	}
-	// Round raw/2^shift under m, manually: the guard-bit value can be
-	// wider than any fixed.Format permits.
-	div := int64(1) << uint(shift)
-	q := roundQuot(raw, div, m)
-	return fixed.FromRaw(q, out)
-}
-
-// roundQuot computes round(a / b) for b > 0 under mode m.
-func roundQuot(a, b int64, m fixed.RoundMode) int64 {
-	q := a / b
-	r := a % b
-	if r == 0 {
-		return q
-	}
-	switch m {
-	case fixed.RoundZero:
-		return q
-	case fixed.RoundDown:
-		if a < 0 {
-			return q - 1
-		}
-		return q
-	case fixed.RoundUp:
-		if a > 0 {
-			return q + 1
-		}
-		return q
-	default: // nearest (away / even collapse for our use: ties are rare)
-		ra := r
-		if ra < 0 {
-			ra = -ra
-		}
-		twice := 2 * ra
-		if twice > b || (twice == b && m == fixed.RoundNearestAway) {
-			if a < 0 {
-				return q - 1
-			}
-			return q + 1
-		}
-		if twice == b && m == fixed.RoundNearestEven {
-			lo, hi := q, q
-			if a < 0 {
-				lo = q - 1
-			} else {
-				hi = q + 1
-			}
-			if lo%2 == 0 {
-				return lo
-			}
-			return hi
-		}
-		return q
-	}
-}

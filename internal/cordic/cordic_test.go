@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"ulpdp/internal/fixed"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -83,17 +81,6 @@ func TestLnUnitMatchesFloat(t *testing.T) {
 		if math.Abs(got-want) > 1e-7 {
 			t.Errorf("LnUnit(%d) = %.10f, want %.10f", m, got, want)
 		}
-	}
-}
-
-func TestLnQuantized(t *testing.T) {
-	c := New(DefaultConfig)
-	out := fixed.Q(5, 12)
-	x := fixed.FromFloat(2.5, fixed.Q(5, 12), fixed.RoundNearestAway)
-	got := c.Ln(x, out, fixed.RoundNearestAway).Float()
-	want := math.Log(2.5)
-	if math.Abs(got-want) > out.Step() {
-		t.Errorf("Ln(2.5) = %g, want %g within one step", got, want)
 	}
 }
 
@@ -189,75 +176,6 @@ func TestFxMul(t *testing.T) {
 		want := tt.a * tt.b
 		if math.Abs(got-want) > math.Ldexp(2, -tt.frac)*math.Abs(want)+math.Ldexp(2, -tt.frac) {
 			t.Errorf("fxMul(%g,%g) = %g, want %g", tt.a, tt.b, got, want)
-		}
-	}
-}
-
-func TestLnRoundModes(t *testing.T) {
-	// ln(2.5) = 0.916291: quantize into a coarse grid under every
-	// mode and compare against exact float rounding.
-	c := New(DefaultConfig)
-	x := fixed.FromFloat(2.5, fixed.Q(5, 16), fixed.RoundNearestAway)
-	out := fixed.Q(3, 4)        // step 1/16
-	exact := math.Log(2.5) * 16 // 14.66 steps
-	tests := []struct {
-		m    fixed.RoundMode
-		want float64
-	}{
-		{fixed.RoundNearestAway, math.Round(exact) / 16},
-		{fixed.RoundNearestEven, math.RoundToEven(exact) / 16},
-		{fixed.RoundDown, math.Floor(exact) / 16},
-		{fixed.RoundUp, math.Ceil(exact) / 16},
-		{fixed.RoundZero, math.Trunc(exact) / 16},
-	}
-	for _, tt := range tests {
-		if got := c.Ln(x, out, tt.m).Float(); got != tt.want {
-			t.Errorf("Ln mode %v = %g, want %g", tt.m, got, tt.want)
-		}
-	}
-	// Negative ln (x < 1): direction-sensitive modes flip.
-	y := fixed.FromFloat(0.4, fixed.Q(5, 16), fixed.RoundNearestAway)
-	lnY := math.Log(0.4) * 16 // about -14.66 steps
-	if got := c.Ln(y, out, fixed.RoundDown).Float(); got != math.Floor(lnY)/16 {
-		t.Errorf("neg Ln down = %g, want %g", got, math.Floor(lnY)/16)
-	}
-	if got := c.Ln(y, out, fixed.RoundUp).Float(); got != math.Ceil(lnY)/16 {
-		t.Errorf("neg Ln up = %g, want %g", got, math.Ceil(lnY)/16)
-	}
-	if got := c.Ln(y, out, fixed.RoundZero).Float(); got != math.Trunc(lnY)/16 {
-		t.Errorf("neg Ln zero = %g, want %g", got, math.Trunc(lnY)/16)
-	}
-}
-
-func TestLnQuantizeWidening(t *testing.T) {
-	// An output format finer than the core's internal resolution
-	// takes the left-shift path in quantize.
-	c := New(Config{Iterations: 30, Frac: 20})
-	out := fixed.Q(5, 24)
-	x := fixed.FromFloat(3, fixed.Q(5, 8), fixed.RoundNearestAway)
-	got := c.Ln(x, out, fixed.RoundNearestAway).Float()
-	if math.Abs(got-math.Log(3)) > math.Ldexp(1, -19) {
-		t.Errorf("widened Ln(3) = %g", got)
-	}
-}
-
-func TestRoundQuotTies(t *testing.T) {
-	// Exercise exact .5 ties through roundQuot via a contrived shift.
-	cases := []struct {
-		a, b int64
-		m    fixed.RoundMode
-		want int64
-	}{
-		{5, 2, fixed.RoundNearestAway, 3},
-		{-5, 2, fixed.RoundNearestAway, -3},
-		{5, 2, fixed.RoundNearestEven, 2},
-		{7, 2, fixed.RoundNearestEven, 4},
-		{-5, 2, fixed.RoundNearestEven, -2},
-		{-7, 2, fixed.RoundNearestEven, -4},
-	}
-	for _, tt := range cases {
-		if got := roundQuot(tt.a, tt.b, tt.m); got != tt.want {
-			t.Errorf("roundQuot(%d,%d,%v) = %d, want %d", tt.a, tt.b, tt.m, got, tt.want)
 		}
 	}
 }

@@ -171,9 +171,6 @@ type Config struct {
 	// passed since the last check. While the battery fails, fresh
 	// noising is refused and only the cache is served.
 	HealthEvery uint64
-	// HealthWords is the sample size per battery run (default 2048,
-	// minimum 1024).
-	HealthWords int
 	// Obs is an optional telemetry plane (counters, histograms, the
 	// privacy odometer, the flight recorder). Nil detaches it: every
 	// instrument call is then a nil-receiver no-op, and the noising hot
@@ -188,6 +185,9 @@ type Config struct {
 // DefaultConfig mirrors the synthesized 20-bit DP-Box: a 17-bit
 // URNG magnitude draw and a 12-bit noise word.
 var DefaultConfig = Config{Bu: 17, By: 12, Mult: 2, Multipliers: []float64{1.25, 1.5}}
+
+// healthWords is the URNG battery's sample size per health check.
+const healthWords = 2048
 
 // chargeUnit is the budget fixed-point resolution, one sixteenth of a
 // nat (core.ChargeUnit).
@@ -310,12 +310,6 @@ func (b *DPBox) boot(cfg Config, releases map[uint64]Release) error {
 	if cfg.Candidates < 1 || cfg.Candidates > 16 {
 		return fmt.Errorf("dpbox: candidate count %d out of range [1,16]", cfg.Candidates)
 	}
-	if cfg.HealthWords == 0 {
-		cfg.HealthWords = 2048
-	}
-	if cfg.HealthWords < 1024 {
-		return fmt.Errorf("dpbox: health battery sample %d below minimum 1024", cfg.HealthWords)
-	}
 	if fp := cfg.Faults; fp != nil {
 		// Route the datapaths through the fault plane. The wrappers
 		// are built once here; per-draw they cost one nil check.
@@ -326,15 +320,14 @@ func (b *DPBox) boot(cfg Config, releases map[uint64]Release) error {
 		cfg.Source = fp.WrapSource(cfg.Source)
 	}
 	if m := cfg.Obs; m != nil {
-		// The one telemetry guard that skips real work: counting
-		// wrappers cost an interface hop per draw, so they are built
-		// only for a caller-attached plane, before Obs is defaulted
-		// below. They sit outside the fault wrappers, so they count
-		// logical datapath activations regardless of injected faults.
-		if cfg.Log == nil {
-			cfg.Log = cordic.Default()
-		}
-		cfg.Log = countingLog{log: cfg.Log, c: m.LogEvals}
+		// The one telemetry guard that skips real work: the counting
+		// source costs an interface hop per word, so it is built only
+		// for a caller-attached plane, before Obs is defaulted below.
+		// It sits outside the fault wrapper, so it counts logical
+		// draws regardless of injected faults. Log evaluations are
+		// counted per sample by draw, which leaves the log unit
+		// untouched: a traced box reads the same magnitude table as
+		// an untraced one.
 		cfg.Source = countingSource{src: cfg.Source, c: m.URNGDraws}
 	} else {
 		cfg.Obs = &noMetrics
@@ -626,7 +619,7 @@ func (b *DPBox) healthGate() bool {
 		return true
 	}
 	if !b.healthChecked || !b.healthy || b.cycles-b.healthAt >= b.cfg.HealthEvery {
-		res, err := urng.RunBattery(b.cfg.Source, b.cfg.HealthWords)
+		res, err := urng.RunBattery(b.cfg.Source, healthWords)
 		b.healthChecked = true
 		b.healthAt = b.cycles
 		b.healthRes = res
@@ -711,7 +704,7 @@ func (b *DPBox) Step() {
 		if !b.haveK && b.sampler != nil {
 			// Precompute the next Laplace sample so noising can
 			// complete in a single cycle (Section IV-C2).
-			b.pendingK = b.sampler.SampleK()
+			b.pendingK = b.draw()
 			b.haveK = true
 		}
 	case PhaseNoising:
@@ -758,7 +751,7 @@ func (b *DPBox) noisingCycle() {
 		return
 	}
 	if !b.haveK {
-		b.pendingK = b.sampler.SampleK()
+		b.pendingK = b.draw()
 		b.haveK = true
 	}
 	s := b.plan.Step(b.sensor+b.pendingK, b.resamples)
@@ -766,7 +759,7 @@ func (b *DPBox) noisingCycle() {
 	// Constant-time candidates are drawn this same cycle by parallel
 	// RNG datapaths.
 	for n := 1; s.Decision == core.StepRedraw && b.plan.Guard == core.GuardConstantTime; n++ {
-		s = b.plan.Step(b.sensor+b.sampler.SampleK(), n)
+		s = b.plan.Step(b.sensor+b.draw(), n)
 	}
 	switch s.Decision {
 	case core.StepRedraw, core.StepDegrade, core.StepWithhold:
@@ -785,6 +778,15 @@ func (b *DPBox) noisingCycle() {
 	}
 	b.lastBand = int64(s.Band)
 	b.finish(s.Y, s.Units, false)
+}
+
+// draw takes one Laplace sample. The synthesized datapath evaluates
+// its log unit once per sample, so this is where dpbox.log_evals
+// counts, whether the simulator evaluated the log unit or read the
+// sampler's magnitude table.
+func (b *DPBox) draw() int64 {
+	b.obs.LogEvals.Inc()
+	return b.sampler.SampleK()
 }
 
 // replayCache ends the transaction without fresh noise: it replays

@@ -1,7 +1,6 @@
 package dpbox
 
 import (
-	"ulpdp/internal/laplace"
 	"ulpdp/internal/obs"
 	"ulpdp/internal/urng"
 )
@@ -120,17 +119,3 @@ func (s countingSource) Uint32() uint32 {
 	s.c.Inc()
 	return s.src.Uint32()
 }
-
-// countingLog counts logarithm-datapath evaluations (one per CORDIC
-// activation in the synthesized hardware).
-type countingLog struct {
-	log laplace.LogUnit
-	c   *obs.Counter
-}
-
-func (l countingLog) LnRaw(v int64, frac int) int64 {
-	l.c.Inc()
-	return l.log.LnRaw(v, frac)
-}
-
-func (l countingLog) Frac() int { return l.log.Frac() }

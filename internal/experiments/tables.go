@@ -187,13 +187,6 @@ func (r UtilityTableResult) Print(w io.Writer) {
 	}
 }
 
-// TableVICell is one (training size, privacy) accuracy.
-type TableVICell struct {
-	Size     int
-	Eps      float64 // 0 = no DP
-	Accuracy float64
-}
-
 // TableVIResult reproduces Table VI: SVM classification accuracy
 // versus training-set size and privacy parameter.
 type TableVIResult struct {

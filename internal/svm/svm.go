@@ -1,6 +1,6 @@
 // Package svm implements the privacy-preserving learning experiment
 // of the paper's Section VI-F (Table VI): a linear support vector
-// machine trained with the Pegasos subgradient method on a synthetic
+// machine trained as a least-squares SVM on a synthetic
 // halfspace-separable dataset, comparing accuracy when the training
 // features are released through a local-DP mechanism at different
 // privacy levels.
@@ -109,123 +109,6 @@ func NoiseFeatures(d Dataset, newMech func(dim int) core.Mechanism) Dataset {
 		out.X[i] = nx
 	}
 	return out
-}
-
-// TrainPegasos runs the Pegasos stochastic subgradient solver for the
-// SVM objective with regularization lambda over the given number of
-// epochs. It panics on an empty dataset or non-positive lambda.
-func TrainPegasos(d Dataset, lambda float64, epochs int, seed uint64) *Model {
-	if d.Len() == 0 {
-		panic("svm: empty training set")
-	}
-	if lambda <= 0 || epochs < 1 {
-		panic(fmt.Sprintf("svm: bad hyperparameters lambda=%g epochs=%d", lambda, epochs))
-	}
-	dim := len(d.X[0])
-	w := make([]float64, dim)
-	var b float64
-	rng := urng.NewSplitMix64(seed)
-	t := 1
-	for e := 0; e < epochs; e++ {
-		for _, i := range rng.Perm(d.Len()) {
-			eta := 1 / (lambda * float64(t))
-			x, y := d.X[i], float64(d.Y[i])
-			var dot float64
-			for j := range w {
-				dot += w[j] * x[j]
-			}
-			if y*(dot+b) < 1 {
-				for j := range w {
-					w[j] = (1-eta*lambda)*w[j] + eta*y*x[j]
-				}
-				b += eta * y
-			} else {
-				for j := range w {
-					w[j] = (1 - eta*lambda) * w[j]
-				}
-			}
-			t++
-		}
-	}
-	return &Model{W: w, B: b}
-}
-
-// TrainPegasosProjected runs the Pegasos solver with the three
-// stabilizations the noisy-feature regime of Table VI needs: features
-// are pre-scaled to unit max-magnitude (local-DP noise inflates their
-// range), iterates are projected onto the ball of radius 1/√λ after
-// every step (the projection variant of the original Pegasos paper),
-// and the returned model averages the iterates of the second half of
-// training (averaged SGD). On clean data it behaves like TrainPegasos;
-// on heavily noised data it converges where the plain solver thrashes.
-func TrainPegasosProjected(d Dataset, lambda float64, epochs int, seed uint64) *Model {
-	if d.Len() == 0 {
-		panic("svm: empty training set")
-	}
-	if lambda <= 0 || epochs < 1 {
-		panic(fmt.Sprintf("svm: bad hyperparameters lambda=%g epochs=%d", lambda, epochs))
-	}
-	dim := len(d.X[0])
-	maxAbs := 1e-9
-	for _, x := range d.X {
-		for _, v := range x {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-	}
-	w := make([]float64, dim)
-	avgW := make([]float64, dim)
-	var b, avgB float64
-	rng := urng.NewSplitMix64(seed)
-	t := 1
-	count := 0
-	bound := 1 / math.Sqrt(lambda)
-	for e := 0; e < epochs; e++ {
-		for _, i := range rng.Perm(d.Len()) {
-			eta := 1 / (lambda * float64(t))
-			y := float64(d.Y[i])
-			x := d.X[i]
-			var dot float64
-			for j := range w {
-				dot += w[j] * x[j] / maxAbs
-			}
-			if y*(dot+b) < 1 {
-				for j := range w {
-					w[j] = (1-eta*lambda)*w[j] + eta*y*x[j]/maxAbs
-				}
-				b += eta * y
-			} else {
-				for j := range w {
-					w[j] = (1 - eta*lambda) * w[j]
-				}
-			}
-			var norm float64
-			for j := range w {
-				norm += w[j] * w[j]
-			}
-			norm = math.Sqrt(norm + b*b)
-			if norm > bound {
-				s := bound / norm
-				for j := range w {
-					w[j] *= s
-				}
-				b *= s
-			}
-			t++
-			if e >= epochs/2 {
-				for j := range w {
-					avgW[j] += w[j]
-				}
-				avgB += b
-				count++
-			}
-		}
-	}
-	for j := range avgW {
-		avgW[j] /= float64(count) * maxAbs // undo the feature scaling
-	}
-	return &Model{W: avgW, B: avgB / float64(count)}
 }
 
 // TrainLSSVM trains the least-squares SVM (Suykens & Vandewalle):

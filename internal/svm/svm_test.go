@@ -54,40 +54,6 @@ func TestGeneratePanics(t *testing.T) {
 	}
 }
 
-func TestTrainSeparableReachesHighAccuracy(t *testing.T) {
-	train := GenerateHalfspace(2000, 4, 0.1, 2)
-	test := GenerateHalfspace(1000, 4, 0.1, 3)
-	// Same seed for the halfspace? Different seeds give different
-	// halfspaces — train/test must share one. Regenerate jointly.
-	all := GenerateHalfspace(3000, 4, 0.1, 5)
-	train = Dataset{X: all.X[:2000], Y: all.Y[:2000]}
-	test = Dataset{X: all.X[2000:], Y: all.Y[2000:]}
-	m := TrainPegasos(train, 1e-4, 10, 7)
-	acc := Accuracy(m, test)
-	if acc < 0.97 {
-		t.Errorf("clean accuracy = %g, want >= 0.97", acc)
-	}
-}
-
-func TestTrainPanics(t *testing.T) {
-	d := GenerateHalfspace(10, 2, 0.1, 1)
-	cases := []func(){
-		func() { TrainPegasos(Dataset{}, 1e-3, 1, 1) },
-		func() { TrainPegasos(d, 0, 1, 1) },
-		func() { TrainPegasos(d, 1e-3, 0, 1) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestNoiseFeaturesPreservesLabelsAndShape(t *testing.T) {
 	d := GenerateHalfspace(100, 3, 0.1, 9)
 	par := core.Params{Lo: -1, Hi: 1, Eps: 1, Bu: 14, By: 12, Delta: 2.0 / 256}
@@ -127,7 +93,7 @@ func TestNoisedTrainingDegradesGracefully(t *testing.T) {
 	train := Dataset{X: all.X[:5000], Y: all.Y[:5000]}
 	test := Dataset{X: all.X[5000:], Y: all.Y[5000:]}
 
-	clean := Accuracy(TrainPegasos(train, 1e-4, 8, 13), test)
+	clean := Accuracy(TrainLSSVM(train, 1e-3), test)
 
 	accAt := func(eps float64, seed uint64) float64 {
 		par := core.Params{Lo: -1, Hi: 1, Eps: eps, Bu: 14, By: 12, Delta: 2.0 / 256}
@@ -141,7 +107,7 @@ func TestNoisedTrainingDegradesGracefully(t *testing.T) {
 			t.Fatal(err)
 		}
 		noised := NoiseFeatures(train, func(int) core.Mechanism { return mech })
-		return Accuracy(TrainPegasos(noised, 1e-4, 8, 13), test)
+		return Accuracy(TrainLSSVM(noised, 1e-3), test)
 	}
 	lowPriv := accAt(4, 17) // mild noise
 	hiPriv := accAt(0.5, 19)
@@ -222,35 +188,6 @@ func TestLSSVMConsistentUnderFeatureNoise(t *testing.T) {
 	}
 	if accLarge < 0.85 {
 		t.Errorf("8000 noisy examples should recover the direction, got %g", accLarge)
-	}
-}
-
-func TestPegasosProjectedCleanData(t *testing.T) {
-	all := GenerateHalfspace(4000, 4, 0.15, 41)
-	train := Dataset{X: all.X[:3000], Y: all.Y[:3000]}
-	test := Dataset{X: all.X[3000:], Y: all.Y[3000:]}
-	m := TrainPegasosProjected(train, 1e-2, 10, 3)
-	if acc := Accuracy(m, test); acc < 0.95 {
-		t.Errorf("projected Pegasos clean accuracy %g", acc)
-	}
-}
-
-func TestPegasosProjectedPanics(t *testing.T) {
-	d := GenerateHalfspace(10, 2, 0.1, 1)
-	cases := []func(){
-		func() { TrainPegasosProjected(Dataset{}, 1e-3, 1, 1) },
-		func() { TrainPegasosProjected(d, 0, 1, 1) },
-		func() { TrainPegasosProjected(d, 1e-3, 0, 1) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			f()
-		}()
 	}
 }
 

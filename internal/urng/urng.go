@@ -193,14 +193,3 @@ func (s *SplitMix64) Intn(n int) int {
 	}
 	return int(s.Uint64() % uint64(n))
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *SplitMix64) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

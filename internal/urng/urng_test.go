@@ -201,25 +201,6 @@ func TestIntnBounds(t *testing.T) {
 	s.Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := NewSplitMix64(17)
-	prop := func(nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := s.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestUnitQuantization(t *testing.T) {
 	// Unit(b) must always be an exact multiple of 2^-b.
 	src := NewTaus88(77)
