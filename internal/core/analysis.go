@@ -3,12 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ulpdp/internal/laplace"
 )
 
-// maxAnalyzerSteps bounds the materialized PMF. Realistic ULP
-// configurations (B_y <= 20) stay far below it.
+// maxAnalyzerSteps bounds the materialized PMF and the input grid.
+// Realistic ULP configurations (B_y <= 20) stay far below it.
 const maxAnalyzerSteps = 1 << 22
 
 // LossReport is the outcome of an exact worst-case privacy-loss
@@ -55,7 +56,9 @@ type Analyzer struct {
 	par  Params
 	pmf  []float64 // signed PMF; index k+maxK
 	cum  []float64 // cum[i] = sum of pmf[0..i-1]
+	win  []winExt  // window extrema of output y; index y−xLo+maxK
 	maxK int64
+	xLo  int64 // par.LoSteps()
 
 	plans planMemo // guard plans derived for par (see cache.go)
 }
@@ -77,6 +80,7 @@ func mustValidate(par Params) {
 func NewAnalyzer(par Params) *Analyzer {
 	mustValidate(par)
 	d := laplace.NewDist(par.FxP())
+	checkSteps(par, d.MaxK()) // before the PMF is materialized
 	pmf, maxK := d.PMF()
 	return newAnalyzerPMF(par, pmf, maxK)
 }
@@ -104,15 +108,33 @@ func NewAnalyzerFromPMF(par Params, pmf []float64, maxK int64) *Analyzer {
 	return newAnalyzerPMF(par, pmf, maxK)
 }
 
-func newAnalyzerPMF(par Params, pmf []float64, maxK int64) *Analyzer {
+// checkSteps panics when the noise support or the input grid is too
+// large to enumerate; the window table's int32 input offsets rely on
+// the second bound.
+func checkSteps(par Params, maxK int64) {
 	if maxK > maxAnalyzerSteps {
 		panic(fmt.Sprintf("core: analyzer grid %d steps exceeds limit %d", maxK, maxAnalyzerSteps))
 	}
+	if d := par.RangeSteps(); d > maxAnalyzerSteps {
+		panic(fmt.Sprintf("core: analyzer range %d steps exceeds limit %d", d, maxAnalyzerSteps))
+	}
+}
+
+func newAnalyzerPMF(par Params, pmf []float64, maxK int64) *Analyzer {
+	checkSteps(par, maxK)
 	cum := make([]float64, len(pmf)+1)
 	for i, p := range pmf {
 		cum[i+1] = cum[i] + p
 	}
-	return &Analyzer{par: par, pmf: pmf, cum: cum, maxK: maxK}
+	a := &Analyzer{par: par, pmf: pmf, cum: cum, maxK: maxK, xLo: par.LoSteps()}
+	a.win = a.windowTable()
+	return a
+}
+
+// retainedBytes is the memory the analyzer holds: the PMF, its prefix
+// sums and the window table, about 24 bytes per noise step.
+func (a *Analyzer) retainedBytes() int64 {
+	return 8 * int64(len(a.pmf)+len(a.cum)+len(a.win))
 }
 
 // Params returns the analyzer's parameters.
@@ -172,8 +194,8 @@ func mergeLoss(a, b LossReport) LossReport {
 // BaselineLoss certifies the naive mechanism. For any usable
 // configuration the result is Infinite: the RNG's bounded range means
 // extreme outputs identify extreme inputs (Section III-A3). The
-// conditional is fully translation invariant, so the sliding-window
-// kernel certifies it in O(|Y|+|X|).
+// conditional is fully translation invariant, so every output's
+// column extrema are its window-table entry: O(1) per output.
 func (a *Analyzer) BaselineLoss() LossReport {
 	yLo := a.par.LoSteps() - a.maxK
 	yHi := a.par.HiSteps() + a.maxK
@@ -213,7 +235,7 @@ func (a *Analyzer) resamplingLoss(z []float64, t int64, floor *lossFloor, stop f
 // ThresholdingLoss computes the exact worst-case loss of the
 // thresholding mechanism with threshold t steps. Boundary outputs
 // carry the clamped tail mass; interior outputs are translation
-// invariant and ride the O(|Y|+|X|) sliding-window kernel.
+// invariant and read their extrema from the window table in O(1).
 func (a *Analyzer) ThresholdingLoss(t int64) LossReport {
 	if t < 0 {
 		panic("core: negative threshold")
@@ -268,7 +290,9 @@ func (a *Analyzer) ConstantTimeLoss(t int64, k int) LossReport {
 	if k < 1 {
 		panic("core: need at least one candidate sample")
 	}
-	return a.constantTimeLoss(new(ctTables), t, k, nil, math.Inf(1))
+	tb := ctPool.Get().(*ctTables)
+	defer ctPool.Put(tb)
+	return a.constantTimeLoss(tb, t, k, nil, math.Inf(1))
 }
 
 // constantTimeLoss is ConstantTimeLoss as a decision probe (see
@@ -309,12 +333,15 @@ func (a *Analyzer) missAt(x, yLo, yHi int64, k int) missSplit {
 // entry per input: the acceptance factor scaling every interior cell,
 // the clamp atoms the two boundary outputs add, and the acceptance
 // extrema that bound interior cells. ConstantTimeLoss fills one per
-// call; a threshold search fills one per probe, allocating its
-// buffers once.
+// call and a threshold search one per probe, both from ctPool, so the
+// buffers are reallocated only for a larger input grid, not per call.
 type ctTables struct {
+	buf                    []float64 // backs the three tables
 	accept, atomLo, atomHi []float64
 	aMin, aMax             float64
 }
+
+var ctPool = sync.Pool{New: func() any { return new(ctTables) }}
 
 // fill tabulates tb for the window [yLo, yHi] and k candidates. The
 // atoms repeat the legacy kernel's multiplication order (q^(k−1) by
@@ -322,8 +349,10 @@ type ctTables struct {
 // bit-identical.
 func (tb *ctTables) fill(a *Analyzer, yLo, yHi int64, k int) {
 	if n := int(a.par.RangeSteps() + 1); len(tb.accept) != n {
-		tabs := make([]float64, 3*n)
-		tb.accept, tb.atomLo, tb.atomHi = tabs[:n:n], tabs[n:2*n:2*n], tabs[2*n:]
+		if cap(tb.buf) < 3*n {
+			tb.buf = make([]float64, 3*n)
+		}
+		tb.accept, tb.atomLo, tb.atomHi = tb.buf[:n:n], tb.buf[n:2*n:2*n], tb.buf[2*n:3*n:3*n]
 	}
 	xLo := a.par.LoSteps()
 	for i := range tb.accept {
@@ -406,17 +435,52 @@ type LossPoint struct {
 	Normalized float64
 }
 
+// thresholdingWindow returns the output window [yLo, yHi] of the
+// thresholding mechanism with threshold t.
+func (a *Analyzer) thresholdingWindow(t int64) (yLo, yHi int64) {
+	if t < 0 {
+		panic("core: negative threshold")
+	}
+	return a.xLo - t, a.par.HiSteps() + t
+}
+
+// outputLoss is LossAt(t, y) for an output y in the thresholding
+// window [yLo, yHi] of t, in O(1) for interior outputs: the boundary
+// columns come from the prefix sums, every other column's extrema from
+// the window table.
+func (a *Analyzer) outputLoss(yLo, yHi, y int64) float64 {
+	var pMax, pMin float64
+	switch y {
+	case yLo:
+		pMax, _, pMin, _ = colExtrema(a.xLo, a.par.HiSteps(), func(x int64) float64 {
+			return a.tailAtMost(yLo - x)
+		})
+	case yHi:
+		pMax, _, pMin, _ = colExtrema(a.xLo, a.par.HiSteps(), func(x int64) float64 {
+			return a.tailAtLeast(yHi - x)
+		})
+	default:
+		pMax, _, pMin, _ = a.window(y)
+	}
+	switch {
+	case pMax <= 0:
+		return 0 // unreachable output: no information, no loss
+	case pMin <= 0:
+		return math.Inf(1)
+	}
+	return math.Log(pMax / pMin)
+}
+
 // ThresholdingLossProfile returns the per-output loss for outputs
 // from Hi to Hi + t steps (the profile is symmetric about the range,
-// so only the upper side is reported, as in Fig. 8). The whole
-// profile costs one sliding-window sweep, not t+1 independent LossAt
-// scans.
+// so only the upper side is reported, as in Fig. 8). Each point reads
+// the window table, not an O(|X|) LossAt scan.
 func (a *Analyzer) ThresholdingLossProfile(t int64) []LossPoint {
-	yLo, losses := a.lossSweep(t)
+	yLo, yHi := a.thresholdingWindow(t)
 	points := make([]LossPoint, 0, t+1)
 	hi := a.par.HiSteps()
 	for o := int64(0); o <= t; o++ {
-		l := losses[hi+o-yLo]
+		l := a.outputLoss(yLo, yHi, hi+o)
 		points = append(points, LossPoint{Offset: o, Loss: l, Normalized: l / a.par.Eps})
 	}
 	return points
@@ -438,43 +502,54 @@ type Segment struct {
 // multiplier (ascending), the largest output offset whose per-output
 // loss is at most mult·ε. Multipliers that admit no offset are
 // dropped; the last usable multiplier is clamped to t.
+//
+// One walk over offsets 0..t keeps the running maximum loss: a
+// multiplier's offset is the last one whose running maximum is within
+// its bound (up to a relative rounding tolerance — see lossTol), and
+// the walk stops once the running maximum passes every bound.
 func (a *Analyzer) Segments(t int64, multipliers []float64) []Segment {
-	yLo, losses := a.lossSweep(t)
-	return a.segments(t, yLo, losses, multipliers)
-}
-
-// segments is Segments over an existing lossSweep(t).
-func (a *Analyzer) segments(t, yLo int64, losses []float64, multipliers []float64) []Segment {
-	segs := make([]Segment, 0, len(multipliers))
-	hi := a.par.HiSteps()
-	for _, mult := range multipliers {
+	yLo, yHi := a.thresholdingWindow(t)
+	segs := make([]Segment, len(multipliers))
+	top := math.Inf(-1) // the largest bound with its tolerance
+	for i, mult := range multipliers {
+		segs[i] = Segment{Mult: mult, Offset: -1}
 		bound := mult * a.par.Eps
-		// Largest offset with every loss up to it within bound (up to
-		// a relative rounding tolerance — see lossTol).
-		best := int64(-1)
-		for o := int64(0); o <= t && losses[hi+o-yLo] <= bound+lossTol(bound); o++ {
-			best = o
-		}
-		if best >= 0 {
-			segs = append(segs, Segment{Mult: mult, Offset: best})
+		if b := bound + lossTol(bound); b > top {
+			top = b
 		}
 	}
-	return segs
+	hi := a.par.HiSteps()
+	run := math.Inf(-1)
+	for o := int64(0); o <= t; o++ {
+		if l := a.outputLoss(yLo, yHi, hi+o); l > run {
+			run = l
+		}
+		if run > top {
+			break
+		}
+		for i := range segs {
+			if bound := segs[i].Mult * a.par.Eps; run <= bound+lossTol(bound) {
+				segs[i].Offset = o
+			}
+		}
+	}
+	out := segs[:0]
+	for _, s := range segs {
+		if s.Offset >= 0 {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // InteriorLoss returns the worst per-output loss across outputs that
 // lie inside the sensor range — the ε_RNG charge of Algorithm 1 for
-// in-range reports. Like the profile, it rides one sliding-window
-// sweep over the full output window.
+// in-range reports. Like the profile, it reads the window table.
 func (a *Analyzer) InteriorLoss(t int64) float64 {
-	return a.interiorLoss(a.lossSweep(t))
-}
-
-// interiorLoss is InteriorLoss over an existing lossSweep.
-func (a *Analyzer) interiorLoss(yLo int64, losses []float64) float64 {
+	yLo, yHi := a.thresholdingWindow(t)
 	worst := 0.0
-	for y := a.par.LoSteps(); y <= a.par.HiSteps(); y++ {
-		if l := losses[y-yLo]; l > worst {
+	for y := a.xLo; y <= a.par.HiSteps(); y++ {
+		if l := a.outputLoss(yLo, yHi, y); l > worst {
 			worst = l
 		}
 	}

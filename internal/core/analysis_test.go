@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ulpdp/internal/laplace"
@@ -131,5 +133,32 @@ func TestMechanismAccessors(t *testing.T) {
 		if wp, ok := m.(withParams); ok && wp.Params() != small {
 			t.Error("params accessor mismatch")
 		}
+	}
+}
+
+// TestNewAnalyzerStepLimitBeforeAlloc checks that a geometry just past
+// the analyzer's step limit panics before its PMF is materialized: the
+// panic allocates a small fraction of what the PMF alone would need.
+func TestNewAnalyzerStepLimitBeforeAlloc(t *testing.T) {
+	par := Params{Lo: 0, Hi: 10, Eps: 0.5, Bu: 20, By: 24, Delta: 1.0 / (1 << 14)}
+	maxK := laplace.NewDist(par.FxP()).MaxK()
+	if maxK <= maxAnalyzerSteps || maxK > 2*maxAnalyzerSteps {
+		t.Fatalf("maxK %d is not just past the limit %d", maxK, maxAnalyzerSteps)
+	}
+	pmfBytes := 8 * (2*maxK + 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "exceeds limit") {
+				t.Errorf("NewAnalyzer panicked with %v, want the step-limit panic", r)
+			}
+		}()
+		NewAnalyzer(par)
+	}()
+	runtime.ReadMemStats(&after)
+	if d := int64(after.TotalAlloc - before.TotalAlloc); d > pmfBytes/100 {
+		t.Errorf("NewAnalyzer allocated %d bytes before panicking; the PMF alone is %d", d, pmfBytes)
 	}
 }

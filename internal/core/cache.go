@@ -13,8 +13,9 @@ package core
 // non-Laplace families, a comparable PMF identity), and an Analyzer
 // is a pure function of its key — there is nothing to invalidate.
 // Entries are evicted LRU once the cache exceeds either an entry
-// count or a total-PMF-size budget, so long-running services sweeping
-// many sensor configurations cannot grow it without bound.
+// count or a retained-bytes budget (PMF, prefix sums and window
+// table), so long-running services sweeping many sensor
+// configurations cannot grow it without bound.
 //
 // Guard-plan memo. A guard's threshold (GuardThreshold), its
 // Algorithm 1 charge schedule (NewChargeSchedule) and its per-draw
@@ -41,9 +42,10 @@ import (
 const (
 	// cacheMaxEntries bounds the number of cached analyzers.
 	cacheMaxEntries = 64
-	// cacheMaxSteps bounds the total retained PMF length (entries are
-	// ~16 bytes per step counting the prefix sums).
-	cacheMaxSteps = 1 << 21
+	// cacheMaxBytes bounds the analyzers' total retainedBytes, about
+	// 24 bytes per noise step: the PMF, its prefix sums and the window
+	// table.
+	cacheMaxBytes = 32 << 20
 )
 
 type cacheKey struct {
@@ -60,7 +62,7 @@ var (
 	cacheMu     sync.Mutex
 	cacheByKey  = map[cacheKey]*list.Element{}
 	cacheLRU    list.List // front = most recently used
-	cacheSteps  int64
+	cacheBytes  int64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 )
@@ -133,13 +135,13 @@ func cachedAnalyzer(key cacheKey, build func() *Analyzer) *Analyzer {
 		return el.Value.(*cacheEntry).an
 	}
 	cacheByKey[key] = cacheLRU.PushFront(&cacheEntry{key: key, an: an})
-	cacheSteps += int64(len(an.pmf))
-	for (len(cacheByKey) > cacheMaxEntries || cacheSteps > cacheMaxSteps) && len(cacheByKey) > 1 {
+	cacheBytes += an.retainedBytes()
+	for (len(cacheByKey) > cacheMaxEntries || cacheBytes > cacheMaxBytes) && len(cacheByKey) > 1 {
 		el := cacheLRU.Back()
 		ent := el.Value.(*cacheEntry)
 		cacheLRU.Remove(el)
 		delete(cacheByKey, ent.key)
-		cacheSteps -= int64(len(ent.an.pmf))
+		cacheBytes -= ent.an.retainedBytes()
 	}
 	return an
 }
@@ -158,7 +160,7 @@ func ResetAnalyzerCache() {
 	defer cacheMu.Unlock()
 	cacheByKey = map[cacheKey]*list.Element{}
 	cacheLRU.Init()
-	cacheSteps = 0
+	cacheBytes = 0
 	cacheHits.Store(0)
 	cacheMisses.Store(0)
 }

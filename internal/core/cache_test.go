@@ -77,13 +77,13 @@ func TestCachedAnalyzerEviction(t *testing.T) {
 		CachedAnalyzer(par)
 	}
 	cacheMu.Lock()
-	n, steps := len(cacheByKey), cacheSteps
+	n, bytes := len(cacheByKey), cacheBytes
 	cacheMu.Unlock()
 	if n > cacheMaxEntries {
 		t.Errorf("cache holds %d entries, cap %d", n, cacheMaxEntries)
 	}
-	if steps > cacheMaxSteps {
-		t.Errorf("cache holds %d steps, cap %d", steps, cacheMaxSteps)
+	if bytes > cacheMaxBytes {
+		t.Errorf("cache holds %d bytes, cap %d", bytes, cacheMaxBytes)
 	}
 	// The oldest entry was evicted; re-requesting it is a miss that
 	// still returns a correct analyzer.

@@ -126,17 +126,16 @@ func NewChargeSchedule(par Params, guard Guard, threshold int64, mult float64, m
 // chargeSchedule is NewChargeSchedule's derivation, unmemoized.
 func (a *Analyzer) chargeSchedule(guard Guard, threshold int64, mult float64, multipliers []float64) ChargeSchedule {
 	par := a.par
-	yLo, losses := a.lossSweep(threshold) // one sweep serves both
 	s := ChargeSchedule{
 		Lo: par.LoSteps(), Hi: par.HiSteps(), Eps: par.Eps,
 		Threshold: threshold,
-		Segments:  a.segments(threshold, yLo, losses, multipliers),
+		Segments:  a.Segments(threshold, multipliers),
 		Top:       mult * par.Eps,
 	}
 	if guard != GuardThresholding {
 		s.ZSlack = -math.Log1p(-2 * laplace.NewDist(par.FxP()).TailMag(threshold))
 	}
-	s.Interior = a.interiorLoss(yLo, losses) + s.ZSlack
+	s.Interior = a.InteriorLoss(threshold) + s.ZSlack
 	return s
 }
 

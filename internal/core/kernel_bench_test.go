@@ -119,7 +119,7 @@ func BenchmarkKernelConstantTimeLargeLegacy(b *testing.B) {
 }
 
 // BenchmarkKernelProfileSweep measures the full Fig. 8 profile +
-// segments + interior charge derivation (one sweep each).
+// segments + interior charge derivation (window-table reads).
 func BenchmarkKernelProfileSweep(b *testing.B) {
 	an := NewAnalyzer(benchDefault)
 	th, err := ThresholdingThreshold(benchDefault, 2)
@@ -154,3 +154,16 @@ func BenchmarkKernelConstantTimeSearch(b *testing.B) { benchConstantTimeSearch(b
 func BenchmarkKernelConstantTimeSearchLarge(b *testing.B) {
 	benchConstantTimeSearch(b, benchLarge)
 }
+
+// benchAnalyzerBuild times NewAnalyzer: the one-walk PMF, its prefix
+// sums and the window table.
+func benchAnalyzerBuild(b *testing.B, par Params) {
+	b.Helper()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewAnalyzer(par)
+	}
+}
+
+func BenchmarkAnalyzerBuild(b *testing.B)      { benchAnalyzerBuild(b, benchDefault) }
+func BenchmarkAnalyzerBuildLarge(b *testing.B) { benchAnalyzerBuild(b, benchLarge) }

@@ -4,7 +4,7 @@ package core
 // closure reference kernel (kernels_legacy_test.go), over randomized
 // parameters, thresholds and synthetic PMFs — including PMFs with
 // interior zero-mass entries, the grid holes whose detection the
-// sliding-window pass must preserve bit for bit, and plateau PMFs
+// window table must preserve bit for bit, and plateau PMFs
 // whose tied losses the bound-and-prune kernels must neither skip nor
 // reorder. Reports must agree
 // field for field, WorstOutput/WorstX1/WorstX2 tie-breaks included.
@@ -65,13 +65,151 @@ func diffAllMechanisms(t *testing.T, what string, rng *rand.Rand, an *Analyzer) 
 	diffCompare(t, fmt.Sprintf("%s/consttime(t=%d,k=%d)", what, th, k),
 		an.ConstantTimeLoss(th, k), an.legacyConstantTimeLoss(th, k))
 
-	// The batched per-output sweep against the single-output scan.
-	yLo, losses := an.lossSweep(th)
-	for i, l := range losses {
-		if ref := an.LossAt(th, yLo+int64(i)); l != ref {
-			t.Errorf("%s: sweep loss at y=%d is %g, LossAt says %g", what, yLo+int64(i), l, ref)
+	// The table-driven per-output losses against the single-output scan.
+	checkPerOutputLosses(t, what, an, th, randomMultipliers(rng))
+	checkWindowTable(t, what, an)
+}
+
+// randomMultipliers draws Segments multipliers: unsorted, sometimes
+// repeated, some below 1 or large enough to admit every offset.
+func randomMultipliers(rng *rand.Rand) []float64 {
+	ms := make([]float64, 1+rng.Intn(5))
+	for i := range ms {
+		if i > 0 && rng.Intn(4) == 0 {
+			ms[i] = ms[rng.Intn(i)]
+			continue
+		}
+		ms[i] = 0.5 + 4*rng.Float64()
+	}
+	return ms
+}
+
+// refSegments is Segments from the single-output reference: for each
+// multiplier, the largest offset whose LossAt, and every smaller
+// offset's, is within the bound.
+func refSegments(an *Analyzer, th int64, multipliers []float64) []Segment {
+	segs := []Segment{}
+	hi := an.par.HiSteps()
+	for _, mult := range multipliers {
+		bound := mult * an.par.Eps
+		best := int64(-1)
+		for o := int64(0); o <= th && an.LossAt(th, hi+o) <= bound+lossTol(bound); o++ {
+			best = o
+		}
+		if best >= 0 {
+			segs = append(segs, Segment{Mult: mult, Offset: best})
 		}
 	}
+	return segs
+}
+
+// checkPerOutputLosses pins ThresholdingLossProfile, Segments and
+// InteriorLoss at threshold th to a reference built from LossAt one
+// output at a time.
+func checkPerOutputLosses(t *testing.T, what string, an *Analyzer, th int64, multipliers []float64) {
+	t.Helper()
+	what = fmt.Sprintf("%s/per-output(t=%d)", what, th)
+	hi := an.par.HiSteps()
+	prof := an.ThresholdingLossProfile(th)
+	if int64(len(prof)) != th+1 {
+		t.Fatalf("%s: profile has %d points, want %d", what, len(prof), th+1)
+	}
+	for o, p := range prof {
+		ref := an.LossAt(th, hi+int64(o))
+		if want := (LossPoint{Offset: int64(o), Loss: ref, Normalized: ref / an.par.Eps}); p != want {
+			t.Errorf("%s: profile point %+v, LossAt gives %+v", what, p, want)
+		}
+	}
+	worst := 0.0
+	for y := an.par.LoSteps(); y <= hi; y++ {
+		if l := an.LossAt(th, y); l > worst {
+			worst = l
+		}
+	}
+	if got := an.InteriorLoss(th); got != worst {
+		t.Errorf("%s: InteriorLoss %g, LossAt max %g", what, got, worst)
+	}
+	got, want := an.Segments(th, multipliers), refSegments(an, th, multipliers)
+	if len(got) != len(want) {
+		t.Errorf("%s: Segments(%v) = %+v, reference %+v", what, multipliers, got, want)
+		return
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("%s: Segments(%v) = %+v, reference %+v", what, multipliers, got, want)
+			return
+		}
+	}
+}
+
+// checkWindowTable pins the window table to a direct x-ascending scan
+// of pmf[y−x] at every output it covers and two outputs past each
+// end, where the lookup answers for an all-zero window.
+func checkWindowTable(t *testing.T, what string, an *Analyzer) {
+	t.Helper()
+	xLo, xHi := an.par.LoSteps(), an.par.HiSteps()
+	for y := xLo - an.maxK - 2; y <= xHi+an.maxK+2; y++ {
+		pMax, xMax, pMin, xMin := an.window(y)
+		wMax, wxMax, wMin, wxMin := colExtrema(xLo, xHi, func(x int64) float64 { return an.probK(y - x) })
+		if math.Float64bits(pMax) != math.Float64bits(wMax) || xMax != wxMax ||
+			math.Float64bits(pMin) != math.Float64bits(wMin) || xMin != wxMin {
+			t.Fatalf("%s: window(%d) = (%g, %d, %g, %d), column scan (%g, %d, %g, %d)",
+				what, y, pMax, xMax, pMin, xMin, wMax, wxMax, wMin, wxMin)
+		}
+	}
+}
+
+// TestPerOutputLossesMatchLossAt pins the table-driven profile,
+// charging bands and interior loss to the single-output reference at
+// the threshold corners — t = 0, t = MaxK and past it — on native,
+// synthetic (holes) and plateau (tied) PMFs, with unsorted and
+// repeated multipliers.
+func TestPerOutputLossesMatchLossAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3535))
+	for trial := 0; trial < 90; trial++ {
+		par := randomParams(rng)
+		var an *Analyzer
+		switch maxK := 1 + rng.Int63n(96); trial % 3 {
+		case 0:
+			an = NewAnalyzer(par)
+		case 1:
+			an = NewAnalyzerFromPMF(par, randomPMF(rng, maxK), maxK)
+		default:
+			an = NewAnalyzerFromPMF(par, plateauPMF(rng, maxK), maxK)
+		}
+		what := fmt.Sprintf("trial %d %+v maxK=%d", trial, par, an.MaxK())
+		m := an.MaxK()
+		for _, th := range []int64{0, 1, m / 2, m, m + 1, m + 3} {
+			checkPerOutputLosses(t, what, an, th, randomMultipliers(rng))
+		}
+		checkPerOutputLosses(t, what, an, m, []float64{1.25, 1.5, 1.75})
+		checkPerOutputLosses(t, what, an, m, []float64{3, 1.5, 1.5, 0.25, 3})
+		// Bounds within rounding of an observed loss, where the
+		// relative tolerance decides the band.
+		if l := an.LossAt(m, an.par.HiSteps()); l > 0 && !math.IsInf(l, 1) {
+			checkPerOutputLosses(t, what, an, m, []float64{math.Nextafter(l/par.Eps, 0), l / par.Eps})
+		}
+	}
+}
+
+// TestWindowTableMatchesColumnScan pins every window-table entry,
+// values and attaining inputs, to the legacy strict-comparison column
+// scan (the smallest input wins a tie) on native, synthetic and
+// plateau PMFs, including outputs just outside the table on both
+// sides.
+func TestWindowTableMatchesColumnScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1024))
+	for trial := 0; trial < 60; trial++ {
+		par := randomParams(rng)
+		maxK := 1 + rng.Int63n(96)
+		what := fmt.Sprintf("trial %d %+v", trial, par)
+		checkWindowTable(t, what+"/native", NewAnalyzer(par))
+		checkWindowTable(t, what+"/synthetic", NewAnalyzerFromPMF(par, randomPMF(rng, maxK), maxK))
+		checkWindowTable(t, what+"/plateau", NewAnalyzerFromPMF(par, plateauPMF(rng, maxK), maxK))
+	}
+	// A grid wider than the PMF support: every window reaches past it.
+	par := Params{Lo: 0, Hi: 40, Eps: 1, Bu: 8, By: 4, Delta: 0.25}
+	checkWindowTable(t, "wide grid", NewAnalyzer(par))
 }
 
 func TestKernelDifferentialLaplace(t *testing.T) {
@@ -149,30 +287,16 @@ func TestKernelDifferentialParallel(t *testing.T) {
 	diffCompare(t, "parallel/consttime", an.ConstantTimeLoss(th, 3), an.legacyConstantTimeLoss(th, 3))
 }
 
-// TestKernelProfileMatchesLossAt pins the profile/segments/interior
-// rewrites to the per-output reference on the native RNG.
+// TestKernelProfileMatchesLossAt pins the profile, the charging bands
+// and the interior loss to the per-output reference on the native RNG
+// at a certified threshold.
 func TestKernelProfileMatchesLossAt(t *testing.T) {
 	par := Params{Lo: 0, Hi: 10, Eps: 0.5, Bu: 14, By: 11, Delta: 10.0 / 64}
-	an := NewAnalyzer(par)
 	th, err := ThresholdingThreshold(par, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi := par.HiSteps()
-	for _, p := range an.ThresholdingLossProfile(th) {
-		if ref := an.LossAt(th, hi+p.Offset); p.Loss != ref {
-			t.Errorf("profile offset %d: %g != LossAt %g", p.Offset, p.Loss, ref)
-		}
-	}
-	worst := 0.0
-	for y := par.LoSteps(); y <= hi; y++ {
-		if l := an.LossAt(th, y); l > worst {
-			worst = l
-		}
-	}
-	if got := an.InteriorLoss(th); got != worst {
-		t.Errorf("InteriorLoss %g != per-output max %g", got, worst)
-	}
+	checkPerOutputLosses(t, "native", NewAnalyzer(par), th, []float64{1.25, 1.5, 1.75})
 }
 
 // plateauPMF builds a symmetric synthetic PMF shaped like the
@@ -336,7 +460,7 @@ func checkProbe(t *testing.T, what string, full LossReport, bound float64, verdi
 // serves a whole search, so stale per-input tables would show.
 func probeAll(t *testing.T, what string, rng *rand.Rand, an *Analyzer, ths []int64) {
 	t.Helper()
-	p := &probe{an: an}
+	p := &probe{an: an, ct: new(ctTables)}
 	for _, th := range ths {
 		k := 1 + rng.Intn(4)
 		full := an.ThresholdingLoss(th)
@@ -357,7 +481,7 @@ func probeAll(t *testing.T, what string, rng *rand.Rand, an *Analyzer, ths []int
 			checkProbe(t, fmt.Sprintf("%s/consttime(t=%d,k=%d)", what, th, k), full, b, p.constantTime(th, k, b),
 				func() LossReport {
 					p.floor.seed(b)
-					return an.constantTimeLoss(&p.ct, th, k, &p.floor, b+lossTol(b))
+					return an.constantTimeLoss(p.ct, th, k, &p.floor, b+lossTol(b))
 				})
 		}
 	}

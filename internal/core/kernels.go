@@ -8,8 +8,11 @@ package core
 // away from the boundary-atom columns the conditional is translation
 // invariant up to a per-input factor, P(y|x) = pmf[y−x]·f(x). The
 // per-output extrema of pmf[y−x] over x are then sliding-window
-// extrema over a fixed-width window of the PMF, which a
-// monotonic-deque pass computes in O(|Y|+|X|) total.
+// extrema over a fixed-width window of the PMF. They depend only on
+// y, the PMF and [Lo, Hi] — not on the threshold or the mechanism —
+// so the Analyzer tabulates them once, in one monotonic-deque pass
+// costing O(maxK+|X|) at construction, and every kernel, decision
+// probe and per-output loss reads them in O(1) (windowTable, window).
 //
 // The baseline and thresholding conditionals have f ≡ 1, so the
 // window extrema are the column extrema and those kernels are linear.
@@ -45,98 +48,108 @@ import (
 	"sync/atomic"
 )
 
-// kv is one sliding-window sample: the noise step k and its
-// probability mass.
-type kv struct {
-	k int64
-	v float64
+// winExt is one output's window extrema: the inputs attaining the
+// largest and the smallest pmf[y−x] over x ∈ [Lo, Hi], as offsets
+// from Lo.
+type winExt struct{ max, min int32 }
+
+// stepDeque is a fixed-capacity ring of noise steps, stored as int32
+// offsets from the first step windowTable pushes. A monotonic deque
+// holds at most one window's steps plus the one being pushed.
+type stepDeque struct {
+	buf     []int32
+	head, n int
 }
 
-// shiftWindow tracks the sliding-window extrema of the translation-
-// invariant conditional P(y|x) = pmf[y−x] for x ∈ [xLo, xHi] as y
-// advances, via a pair of monotonic deques. For output y the window
-// is k ∈ [y−xHi, y−xLo]; advancing y by one pushes one new k and
-// evicts at most one old k, so a full scan costs O(|Y|+|X|).
+func (d *stepDeque) front() int32 { return d.buf[d.head] }
+
+func (d *stepDeque) back() int32 {
+	i := d.head + d.n - 1
+	if i >= len(d.buf) {
+		i -= len(d.buf)
+	}
+	return d.buf[i]
+}
+
+func (d *stepDeque) pushBack(o int32) {
+	i := d.head + d.n
+	if i >= len(d.buf) {
+		i -= len(d.buf)
+	}
+	d.buf[i] = o
+	d.n++
+}
+
+func (d *stepDeque) popBack() { d.n-- }
+
+func (d *stepDeque) popFront() {
+	if d.head++; d.head == len(d.buf) {
+		d.head = 0
+	}
+	d.n--
+}
+
+// windowTable tabulates the window extrema of every output
+// y ∈ [Lo−maxK, Hi+maxK] in one monotonic-deque pass: for output y
+// the window is k ∈ [y−Hi, y−Lo], and advancing y by one pushes one
+// new k and evicts at most one old k, so the whole table costs
+// O(maxK+|X|). Outside that range every window is all-zero; see
+// window.
 //
 // Tie semantics match the legacy x-ascending strict-comparison scan:
 // pushes pop equal-valued older entries, so the front entry is always
 // the largest k (equivalently the smallest x) attaining the extremum.
-type shiftWindow struct {
-	a        *Analyzer
-	xLo, xHi int64
-	maxDq    []kv // values strictly decreasing front→back
-	minDq    []kv // values strictly increasing front→back
-	maxHead  int
-	minHead  int
+// Zero-mass steps (grid holes and out-of-range k) enter like any
+// other value so that pMin = 0 — the Infinite signal — is detected
+// exactly where the legacy scan detects it.
+func (a *Analyzer) windowTable() []winExt {
+	width := a.par.RangeSteps() + 1
+	// Offset o is noise step k0+o; k0 is the first step in output
+	// Lo−maxK's window, and output Lo−maxK+i's window is offsets
+	// [i, i+width−1].
+	k0 := -(width - 1) - a.maxK
+	buf := make([]int32, 2*(width+1))
+	maxDq := stepDeque{buf: buf[:width+1]} // values strictly decreasing front→back
+	minDq := stepDeque{buf: buf[width+1:]} // values strictly increasing front→back
+	tab := make([]winExt, width+2*a.maxK)
+	for o := int32(0); int(o) < len(tab)+int(width)-1; o++ {
+		p := a.probK(k0 + int64(o))
+		for maxDq.n > 0 && a.probK(k0+int64(maxDq.back())) <= p {
+			maxDq.popBack()
+		}
+		maxDq.pushBack(o)
+		for minDq.n > 0 && a.probK(k0+int64(minDq.back())) >= p {
+			minDq.popBack()
+		}
+		minDq.pushBack(o)
+		i := o - int32(width-1)
+		if i < 0 {
+			continue
+		}
+		for maxDq.front() < i {
+			maxDq.popFront()
+		}
+		for minDq.front() < i {
+			minDq.popFront()
+		}
+		// Input x = y−k, so x−Lo = o − (the front's offset).
+		tab[i] = winExt{max: o - maxDq.front(), min: o - minDq.front()}
+	}
+	return tab
 }
 
-// windowPool recycles shiftWindow deque buffers. Every certification
-// call and every DP-Box construction's Segments/InteriorLoss sweep
-// opens fresh windows, so pooling them keeps the deques off the
-// allocation path.
-var windowPool = sync.Pool{New: func() any { return new(shiftWindow) }}
-
-// newShiftWindow primes a pooled window so the first step call may be
-// for output yStart. Callers release it when the scan ends.
-func (a *Analyzer) newShiftWindow(yStart int64) *shiftWindow {
-	w := windowPool.Get().(*shiftWindow)
-	w.a, w.xLo, w.xHi = a, a.par.LoSteps(), a.par.HiSteps()
-	w.maxHead, w.minHead = 0, 0
-	if width := int(w.xHi - w.xLo + 1); cap(w.maxDq) < width+1 || cap(w.minDq) < width+1 {
-		w.maxDq = make([]kv, 0, width+1)
-		w.minDq = make([]kv, 0, width+1)
+// window returns output y's window extrema of pmf[y−x] over the input
+// range, with the inputs attaining them, in O(1) from the table.
+// Outside the table every window is all-zero and the smallest input
+// wins the tie, so the lookup returns (0, Lo, 0, Lo).
+func (a *Analyzer) window(y int64) (pMax float64, xMax int64, pMin float64, xMin int64) {
+	i := y - a.xLo + a.maxK
+	if uint64(i) >= uint64(len(a.win)) {
+		return 0, a.xLo, 0, a.xLo
 	}
-	w.maxDq, w.minDq = w.maxDq[:0], w.minDq[:0]
-	for k := yStart - w.xHi; k < yStart-w.xLo; k++ {
-		w.push(k)
-	}
-	return w
-}
-
-// release returns the window's buffers to the pool. The window must
-// not be used afterwards.
-func (w *shiftWindow) release() {
-	w.a = nil
-	windowPool.Put(w)
-}
-
-// push admits noise step k into both deques. Zero-mass steps (grid
-// holes and out-of-range k) enter like any other value so that
-// pMin = 0 — the Infinite signal — is detected exactly where the
-// legacy scan detects it.
-func (w *shiftWindow) push(k int64) {
-	v := w.a.probK(k)
-	for len(w.maxDq) > w.maxHead && w.maxDq[len(w.maxDq)-1].v <= v {
-		w.maxDq = w.maxDq[:len(w.maxDq)-1]
-	}
-	w.maxDq = append(w.maxDq, kv{k, v})
-	for len(w.minDq) > w.minHead && w.minDq[len(w.minDq)-1].v >= v {
-		w.minDq = w.minDq[:len(w.minDq)-1]
-	}
-	w.minDq = append(w.minDq, kv{k, v})
-}
-
-// step advances the window to output y and returns its extrema with
-// the inputs attaining them.
-func (w *shiftWindow) step(y int64) (pMax float64, xMax int64, pMin float64, xMin int64) {
-	w.push(y - w.xLo)
-	kLo := y - w.xHi
-	for w.maxDq[w.maxHead].k < kLo {
-		w.maxHead++
-	}
-	for w.minDq[w.minHead].k < kLo {
-		w.minHead++
-	}
-	if w.maxHead > 1024 {
-		n := copy(w.maxDq, w.maxDq[w.maxHead:])
-		w.maxDq, w.maxHead = w.maxDq[:n], 0
-	}
-	if w.minHead > 1024 {
-		n := copy(w.minDq, w.minDq[w.minHead:])
-		w.minDq, w.minHead = w.minDq[:n], 0
-	}
-	m, n := w.maxDq[w.maxHead], w.minDq[w.minHead]
-	return m.v, y - m.k, n.v, y - n.k
+	e := a.win[i]
+	xMax, xMin = a.xLo+int64(e.max), a.xLo+int64(e.min)
+	return a.probK(y - xMax), xMax, a.probK(y - xMin), xMin
 }
 
 // accumulate folds one output column's extrema into rep, replicating
@@ -182,10 +195,8 @@ func colExtrema(xLo, xHi int64, f func(x int64) float64) (pMax float64, xMax int
 // [lo, hi].
 func (a *Analyzer) scanShiftRange(lo, hi int64) LossReport {
 	rep := LossReport{}
-	w := a.newShiftWindow(lo)
-	defer w.release()
 	for y := lo; y <= hi; y++ {
-		pMax, xMax, pMin, xMin := w.step(y)
+		pMax, xMax, pMin, xMin := a.window(y)
 		if accumulate(&rep, y, pMax, xMax, pMin, xMin) {
 			return rep
 		}
@@ -196,7 +207,7 @@ func (a *Analyzer) scanShiftRange(lo, hi int64) LossReport {
 // scanThresholdingRange is the linear-time thresholding kernel over
 // the chunk [lo, hi] of the full output window [yLo, yHi]: the two
 // boundary-atom columns are evaluated directly from the prefix sums,
-// interior outputs ride the sliding window. It returns early once the
+// interior outputs read the window table. It returns early once the
 // chunk's MaxLoss passes stop.
 func (a *Analyzer) scanThresholdingRange(yLo, yHi int64, stop float64, lo, hi int64) LossReport {
 	rep := LossReport{}
@@ -214,16 +225,11 @@ func (a *Analyzer) scanThresholdingRange(yLo, yHi int64, stop float64, lo, hi in
 	if hi == yHi {
 		last--
 	}
-	if lo <= last {
-		w := a.newShiftWindow(lo)
-		for y := lo; y <= last; y++ {
-			pMax, xMax, pMin, xMin := w.step(y)
-			if accumulate(&rep, y, pMax, xMax, pMin, xMin) || rep.MaxLoss > stop {
-				w.release()
-				return rep
-			}
+	for y := lo; y <= last; y++ {
+		pMax, xMax, pMin, xMin := a.window(y)
+		if accumulate(&rep, y, pMax, xMax, pMin, xMin) || rep.MaxLoss > stop {
+			return rep
 		}
-		w.release()
 	}
 	if hi == yHi {
 		pMax, xMax, pMin, xMin := colExtrema(xLo, xHi, func(x int64) float64 {
@@ -362,10 +368,8 @@ func (a *Analyzer) scanResamplingRange(z []float64, zMin, zMax float64, floor *l
 	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
 	pmf := a.pmf
 	pr := newPruner(floor, stop)
-	w := a.newShiftWindow(lo)
-	defer w.release()
 	for y := lo; y <= hi; y++ {
-		wMax, _, wMin, _ := w.step(y)
+		wMax, _, wMin, _ := a.window(y)
 		if pr.skip(wMin/zMax, wMax/zMin) {
 			continue
 		}
@@ -404,10 +408,8 @@ func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, tb *ctTables, floor *lo
 	pmf := a.pmf
 	accept, aMin, aMax := tb.accept, tb.aMin, tb.aMax
 	pr := newPruner(floor, stop)
-	w := a.newShiftWindow(lo)
-	defer w.release()
 	for y := lo; y <= hi; y++ {
-		wMax, _, wMin, _ := w.step(y)
+		wMax, _, wMin, _ := a.window(y)
 		var atom []float64
 		if y == yLo {
 			atom = tb.atomLo
@@ -446,10 +448,10 @@ func (a *Analyzer) scanConstantTimeRange(yLo, yHi int64, tb *ctTables, floor *lo
 const parallelCutoff = 1 << 12
 
 // chunkSpan picks the per-chunk output count for a parallel scan: an
-// even split across the workers, capped so one chunk's PMF working
-// set — the sliding window's width plus the chunk's span, 16 bytes
-// per step counting the prefix sums the boundary columns read — stays
-// inside a per-core L2 budget. Oversubscribing the chunk count
+// even split across the workers, capped so one chunk's working set —
+// the chunk's window-table entries and the PMF over its span plus one
+// input window, 16 bytes per step — stays inside a per-core L2
+// budget. Oversubscribing the chunk count
 // beyond the worker count is deliberate: workers steal chunks off a
 // shared counter, so uneven chunk costs (an early-infinite chunk
 // returns immediately) still balance.
@@ -535,48 +537,4 @@ func (a *Analyzer) parallelScan(yLo, yHi int64, floor *lossFloor, scan func(lo, 
 		rep = mergeLoss(rep, p)
 	}
 	return rep
-}
-
-// lossSweep computes the thresholding mechanism's per-output loss for
-// every output y ∈ [yLo, yHi] in one boundary-aware sliding-window
-// pass — the batched counterpart of LossAt, costing O(|Y|+|X|) for
-// the whole profile instead of O(|X|) per output. Entry i of the
-// returned slice is the loss at output yLo+i, with the LossAt
-// conventions: 0 for unreachable outputs, +Inf for one-sided ones.
-func (a *Analyzer) lossSweep(t int64) (yLo int64, losses []float64) {
-	if t < 0 {
-		panic("core: negative threshold")
-	}
-	yLo = a.par.LoSteps() - t
-	yHi := a.par.HiSteps() + t
-	xLo, xHi := a.par.LoSteps(), a.par.HiSteps()
-	losses = make([]float64, yHi-yLo+1)
-	set := func(y int64, pMax, pMin float64) {
-		switch {
-		case pMax <= 0:
-			// unreachable output: no information, no loss
-		case pMin <= 0:
-			losses[y-yLo] = math.Inf(1)
-		default:
-			losses[y-yLo] = math.Log(pMax / pMin)
-		}
-	}
-	pMax, _, pMin, _ := colExtrema(xLo, xHi, func(x int64) float64 {
-		return a.tailAtMost(yLo - x)
-	})
-	set(yLo, pMax, pMin)
-	if yHi == yLo {
-		return yLo, losses
-	}
-	w := a.newShiftWindow(yLo + 1)
-	for y := yLo + 1; y < yHi; y++ {
-		pMax, _, pMin, _ := w.step(y)
-		set(y, pMax, pMin)
-	}
-	w.release()
-	pMax, _, pMin, _ = colExtrema(xLo, xHi, func(x int64) float64 {
-		return a.tailAtLeast(yHi - x)
-	})
-	set(yHi, pMax, pMin)
-	return yLo, losses
 }

@@ -180,7 +180,8 @@ func ExactConstantTimeThreshold(par Params, mult float64, k int) (int64, error) 
 	if k < 1 {
 		return 0, fmt.Errorf("core: need at least one candidate sample")
 	}
-	p := &probe{an: CachedAnalyzer(par)}
+	p := &probe{an: CachedAnalyzer(par), ct: ctPool.Get().(*ctTables)}
+	defer ctPool.Put(p.ct)
 	return searchThreshold(par, func(t int64) bool {
 		return p.constantTime(t, k, mult*par.Eps)
 	})
@@ -192,13 +193,13 @@ func ExactConstantTimeThreshold(par Params, mult float64, k int) (int64, error) 
 // floor seeded at the bound and a stop at bound + lossTol(bound). The
 // verdict always equals the full report's Bounded(bound). A probe
 // holds the per-input tables and the floor one search refills on
-// every bisection step, so a search allocates them once. It is not
-// safe for concurrent use.
+// every bisection step, so a search allocates them at most once. It
+// is not safe for concurrent use.
 type probe struct {
 	an    *Analyzer
 	floor lossFloor
 	z     []float64 // resampling normalizations
-	ct    ctTables
+	ct    *ctTables // constant-time tables; a search takes them from ctPool
 }
 
 func (p *probe) resampling(t int64, bound float64) bool {
@@ -216,7 +217,7 @@ func (p *probe) thresholding(t int64, bound float64) bool {
 
 func (p *probe) constantTime(t int64, k int, bound float64) bool {
 	p.floor.seed(bound)
-	return p.an.constantTimeLoss(&p.ct, t, k, &p.floor, bound+lossTol(bound)).Bounded(bound)
+	return p.an.constantTimeLoss(p.ct, t, k, &p.floor, bound+lossTol(bound)).Bounded(bound)
 }
 
 // searchThreshold bisects over [1, MaxK] for a threshold ok accepts.

@@ -146,13 +146,27 @@ func (d Dist) FirstZeroHole() (int64, bool) {
 }
 
 // PMF materializes the signed PMF over k = -MaxK..MaxK; index i is
-// k = i − MaxK.
+// k = i − MaxK. One walk down from MaxK evaluates floorAtLeast once
+// per step and takes each count as the difference of neighbours, the
+// same float operations as Prob, so every entry equals Prob(k) bit for
+// bit at a quarter of the Survival calls.
 func (d Dist) PMF() ([]float64, int64) {
 	maxK := d.MaxK()
 	pmf := make([]float64, 2*maxK+1)
-	for k := -maxK; k <= maxK; k++ {
-		pmf[k+maxK] = d.Prob(k)
+	scale := math.Ldexp(1, -d.geo.Bu)
+	// above is floorAtLeast(k+1), except at the saturation step, whose
+	// count is its whole floorAtLeast (CountMag): subtracting 0 is exact.
+	var above float64
+	if maxK < d.geo.KCap() {
+		above = d.floorAtLeast(maxK + 1)
 	}
+	for k := maxK; k > 0; k-- {
+		at := d.floorAtLeast(k)
+		p := (at - above) * scale
+		above = at
+		pmf[maxK+k], pmf[maxK-k] = p/2, p/2
+	}
+	pmf[maxK] = (d.floorAtLeast(0) - above) * scale
 	return pmf, maxK
 }
 

@@ -1,6 +1,7 @@
 package noisedist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -222,5 +223,63 @@ func TestSampleKSigns(t *testing.T) {
 	}
 	if r := float64(pos) / float64(pos+neg); r < 0.45 || r > 0.55 {
 		t.Errorf("sign ratio %g", r)
+	}
+}
+
+// shortQuantile is a Laplace family whose inverse CDF stops at half
+// the magnitude its survival function reaches, so MaxK starts the
+// walk below steps that still have draws: the top count then needs
+// the floor of the step above it, as Prob takes it.
+type shortQuantile struct{ Laplace }
+
+func (s shortQuantile) Quantile(u float64) float64 { return s.Laplace.Quantile(u) / 2 }
+
+// TestPMFMatchesProbBitwise pins the one-walk PMF to Prob(k), entry by
+// entry and bit for bit, on the fleet geometry, the corners of the
+// audit grid, a geometry whose support ends at the saturation step,
+// the Gaussian and staircase families, and a family whose survival
+// function reaches past its inverse CDF.
+func TestPMFMatchesProbBitwise(t *testing.T) {
+	type tc struct {
+		name string
+		fam  Family
+		geo  Geometry
+	}
+	cases := []tc{
+		{"fleet", Laplace{Lambda: 32}, Geometry{Bu: 12, By: 10, Delta: 1}},
+		{"saturated", Laplace{Lambda: 32}, Geometry{Bu: 20, By: 6, Delta: 1}},
+		{"gaussian", Gaussian{Sigma: 12}, geo},
+		{"staircase", Staircase{Eps: 0.5, D: 8, Gamma: OptimalGamma(0.5)}, geo},
+		{"short quantile", shortQuantile{Laplace{Lambda: 16}}, geo},
+	}
+	// Audit corners: range 10 over 32 and 256 steps.
+	for _, bu := range []int{14, 20} {
+		for _, by := range []int{10, 16} {
+			for _, eps := range []float64{0.25, 2} {
+				for _, steps := range []float64{32, 256} {
+					cases = append(cases, tc{fmt.Sprintf("audit Bu%d By%d eps%g steps%g", bu, by, eps, steps),
+						Laplace{Lambda: 10 / eps}, Geometry{Bu: bu, By: by, Delta: 10 / steps}})
+				}
+			}
+		}
+	}
+	for _, c := range cases {
+		d, err := NewDist(c.fam, c.geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pmf, maxK := d.PMF()
+		if maxK != d.MaxK() || int64(len(pmf)) != 2*maxK+1 {
+			t.Fatalf("%s: PMF length %d for maxK %d (MaxK %d)", c.name, len(pmf), maxK, d.MaxK())
+		}
+		if c.name == "saturated" && maxK != c.geo.KCap() {
+			t.Fatalf("saturated: maxK %d, want the saturation step %d", maxK, c.geo.KCap())
+		}
+		for i, p := range pmf {
+			k := int64(i) - maxK
+			if want := d.Prob(k); math.Float64bits(p) != math.Float64bits(want) {
+				t.Fatalf("%s: pmf[k=%d] = %v, Prob = %v", c.name, k, p, want)
+			}
+		}
 	}
 }
