@@ -26,45 +26,16 @@ type Trace struct {
 	RelErrs []float64
 }
 
-// Run issues n requests and records the averaging attack's progress
-// at each sample point. truth is the private value, rangeLen the
-// sensor range used for normalization; samplePoints selects which
-// request counts to record (nil = every request).
-func Run(req Requester, n int, truth, rangeLen float64, samplePoints []int) (Trace, error) {
-	if n < 1 {
-		return Trace{}, fmt.Errorf("attack: need at least one request")
-	}
-	if rangeLen <= 0 {
-		return Trace{}, fmt.Errorf("attack: non-positive range %g", rangeLen)
-	}
-	record := make(map[int]bool, len(samplePoints))
-	for _, p := range samplePoints {
-		record[p] = true
-	}
-	var tr Trace
-	var sum float64
-	for i := 1; i <= n; i++ {
-		v, err := req()
-		if err != nil {
-			return Trace{}, fmt.Errorf("attack: request %d: %w", i, err)
-		}
-		sum += v
-		if samplePoints == nil || record[i] {
-			est := sum / float64(i)
-			tr.Requests = append(tr.Requests, i)
-			tr.Estimates = append(tr.Estimates, est)
-			tr.RelErrs = append(tr.RelErrs, math.Abs(est-truth)/rangeLen)
-		}
-	}
-	return tr, nil
-}
-
-// RunDedup is Run for a cache-aware adversary: responses identical to
-// the previous one are treated as cache replays and excluded from the
-// average (they still count toward the request axis). Against a
-// budget-with-caching defense this is the strongest averaging
-// strategy — and its error still floors at the budget-limited sample
-// count, which is the guarantee the paper's Fig. 13 demonstrates.
+// RunDedup issues n requests and records a cache-aware averaging
+// attack's progress at each sample point. truth is the private value,
+// rangeLen the sensor range used for normalization; samplePoints
+// selects which request counts to record (nil = every request).
+// Responses identical to the previous one are treated as cache
+// replays and excluded from the average (they still count toward the
+// request axis). Against a budget-with-caching defense this is the
+// strongest averaging strategy — and its error still floors at the
+// budget-limited sample count, which is the guarantee the paper's
+// Fig. 13 demonstrates.
 func RunDedup(req Requester, n int, truth, rangeLen float64, samplePoints []int) (Trace, error) {
 	if n < 1 {
 		return Trace{}, fmt.Errorf("attack: need at least one request")
@@ -99,22 +70,4 @@ func RunDedup(req Requester, n int, truth, rangeLen float64, samplePoints []int)
 		}
 	}
 	return tr, nil
-}
-
-// FinalError returns the last recorded relative error.
-func (t Trace) FinalError() float64 {
-	if len(t.RelErrs) == 0 {
-		return math.NaN()
-	}
-	return t.RelErrs[len(t.RelErrs)-1]
-}
-
-// ErrorAt returns the relative error at the given request count.
-func (t Trace) ErrorAt(requests int) (float64, bool) {
-	for i, r := range t.Requests {
-		if r == requests {
-			return t.RelErrs[i], true
-		}
-	}
-	return 0, false
 }

@@ -21,7 +21,7 @@ func TestVirtualClockHeldThroughDrain(t *testing.T) {
 	if err := col.Attach(1, link.CollectorEnd()); err != nil {
 		t.Fatal(err)
 	}
-	agent := node.NewReportAgent(newFleetBox(t, 5, 1e6), link.NodeEnd(), node.AgentConfig{ID: 1, AckWait: 2 * time.Millisecond})
+	agent := node.NewReportAgent(newFleetBox(t, 5, 1e6), link.NodeEnd(), node.AgentConfig{ID: 1})
 	for r := 0; r < 3; r++ {
 		if err := agent.Begin(int64(r)); err != nil {
 			t.Fatal(err)

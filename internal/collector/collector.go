@@ -66,6 +66,10 @@ const (
 	BreakerHalfOpen
 )
 
+// openTicks is how many idle ticks an open breaker waits before
+// half-opening to probe.
+const openTicks = 4
+
 // String implements fmt.Stringer.
 func (s BreakerState) String() string {
 	switch s {
@@ -96,9 +100,6 @@ type Config struct {
 	// BreakerThreshold is the consecutive-failure count that trips a
 	// node's breaker (default 8).
 	BreakerThreshold int
-	// OpenTicks is how many idle ticks an open breaker waits before
-	// half-opening to probe (default 4).
-	OpenTicks int
 	// CompactEvery is how many journaled admissions a shard absorbs
 	// before compacting its checkpoint into a fresh snapshot (default
 	// 4096; only meaningful with a durable Store attached via
@@ -258,7 +259,7 @@ type nodeState struct {
 // or a silent tick while closed. A closed breaker opens at
 // BreakerThreshold consecutive failures, a failed half-open probe
 // reopens it at once, and opening arms the cooldown: the breaker
-// half-opens after OpenTicks silent ticks. fail reports whether it
+// half-opens after openTicks silent ticks. fail reports whether it
 // opened the breaker.
 func (ns *nodeState) fail(cfg *Config) bool {
 	if ns.breaker == BreakerClosed {
@@ -269,7 +270,7 @@ func (ns *nodeState) fail(cfg *Config) bool {
 	}
 	cfg.Obs.transition(ns.breaker, BreakerOpen)
 	ns.breaker = BreakerOpen
-	ns.openLeft = cfg.OpenTicks
+	ns.openLeft = openTicks
 	return true
 }
 
@@ -405,12 +406,7 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 	if cfg.PollTimeout <= 0 {
 		cfg.PollTimeout = 2 * time.Millisecond
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if cfg.Shards > 1024 {
-		cfg.Shards = 1024
-	}
+	cfg.Shards = clampShards(cfg.Shards)
 	if store != nil {
 		// The node→shard hash depends on the shard count, and each
 		// shard's journal holds exactly its own nodes: the store's
@@ -419,9 +415,6 @@ func build(cfg Config, store *Store, rec []map[transport.NodeID]*nodeState) *Col
 	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 8
-	}
-	if cfg.OpenTicks <= 0 {
-		cfg.OpenTicks = 4
 	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 4096

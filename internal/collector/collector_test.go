@@ -214,7 +214,7 @@ func TestDuplicateReorderScheduleProperty(t *testing.T) {
 // open window). Reports are drained on the sending goroutine, so each
 // probe's verdict is visible as soon as its Send returns.
 func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
-	col := New(Config{BreakerThreshold: 3, OpenTicks: 2})
+	col := New(Config{BreakerThreshold: 3})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	end := link.NodeEnd()
@@ -259,9 +259,11 @@ func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 		t.Fatalf("open view should serve cached seq 0 value 40: %+v", v)
 	}
 
-	// OpenTicks more silent ticks half-open it; an unhealthy probe
+	// openTicks more silent ticks half-open it; an unhealthy probe
 	// slams it shut again without being recorded.
-	step(BreakerOpen)
+	for k := 1; k < openTicks; k++ {
+		step(BreakerOpen)
+	}
 	step(BreakerHalfOpen)
 	end.Send(transport.Packet{
 		Kind: transport.KindReport, Node: 5, Seq: 1, Value: 41,
@@ -272,11 +274,12 @@ func TestBreakerTripsHalfOpensRecovers(t *testing.T) {
 	}
 
 	// The tick that saw the probe does not count down the cooldown;
-	// the next two do and half-open it again. A healthy probe closes
-	// the breaker and is recorded normally.
+	// the next openTicks do and half-open it again. A healthy probe
+	// closes the breaker and is recorded normally.
 	tick = 0
-	step(BreakerOpen)
-	step(BreakerOpen)
+	for k := 0; k < openTicks; k++ {
+		step(BreakerOpen)
+	}
 	step(BreakerHalfOpen)
 	end.Send(transport.Packet{Kind: transport.KindReport, Node: 5, Seq: 1, Value: 50})
 	v = state()
@@ -374,11 +377,13 @@ func TestExhaustedBudgetServedFromCache(t *testing.T) {
 // recovered, re-attached collector to serve every node's view, values
 // and breaker bookkeeping exactly as before the crash.
 func TestRecoverRestoresNodeViews(t *testing.T) {
+	// The threshold outlasts a cooldown's openTicks silent ticks, so
+	// only the unhealthy nodes' breakers trip.
+	const threshold = openTicks + 1
 	cfg := Config{
 		Shards:           1,
 		CompactEvery:     1,
-		BreakerThreshold: 3,
-		OpenTicks:        2,
+		BreakerThreshold: threshold,
 	}
 	store := NewStore(cfg.Shards)
 	col, err := NewDurable(cfg, store)
@@ -400,8 +405,8 @@ func TestRecoverRestoresNodeViews(t *testing.T) {
 		handled++
 	}
 	const far = denseLimit + 7
-	// Node 1: healthy, with a duplicate. Nodes 2 and 3: two admitted
-	// unhealthy reports, then a third that trips the breaker open.
+	// Node 1: healthy, with a duplicate. Nodes 2 and 3: threshold-1
+	// admitted unhealthy reports, then one that trips the breaker open.
 	// Node 4: a far-spill seq, delivered twice. Node 5: exhausted.
 	for s := uint64(0); s < 3; s++ {
 		send(1, s, 10+int64(s), 0)
@@ -409,7 +414,7 @@ func TestRecoverRestoresNodeViews(t *testing.T) {
 	send(1, 1, 11, 0)
 	for _, id := range []transport.NodeID{2, 3} {
 		send(id, 0, 10*int64(id), 0)
-		for s := uint64(1); s <= 3; s++ {
+		for s := uint64(1); s <= threshold; s++ {
 			send(id, s, -int64(s), transport.FlagUnhealthy)
 		}
 	}
@@ -419,12 +424,13 @@ func TestRecoverRestoresNodeViews(t *testing.T) {
 	send(5, 0, 50, transport.FlagFromCache)
 	quiesce(t, col, handled)
 
-	// Two silent ticks count one silence everywhere (the first only
-	// clears the reports' sawReport). Node 2 then reports into its open
-	// breaker, so the third tick half-opens node 3 alone.
-	col.Tick()
-	col.Tick()
-	send(2, 4, 0, transport.FlagUnhealthy)
+	// openTicks ticks count openTicks-1 silences everywhere (the first
+	// only clears the reports' sawReport). Node 2 then reports into its
+	// open breaker, so the next tick half-opens node 3 alone.
+	for k := 0; k < openTicks; k++ {
+		col.Tick()
+	}
+	send(2, threshold+1, 0, transport.FlagUnhealthy)
 	quiesce(t, col, handled)
 	col.Tick()
 	// One healthy admission compacts last, so the snapshot holds every
@@ -467,8 +473,10 @@ func TestRecoverRestoresNodeViews(t *testing.T) {
 	if v := before[4]; v.view.Reports != 2 || v.values[far] != -4 || v.view.Seq != far {
 		t.Fatalf("node 4 %+v, want the far seq recorded once and ACKed last", v)
 	}
-	if s := col.Stats(); s.Duplicates != 2 || s.Accepted != 13 {
-		t.Fatalf("stats %+v, want 13 accepted and 2 duplicates", s)
+	// Accepted: node 1's four, threshold each from nodes 2 and 3, node
+	// 4's two and node 5's one.
+	if s, want := col.Stats(), uint64(7+2*threshold); s.Duplicates != 2 || s.Accepted != want {
+		t.Fatalf("stats %+v, want %d accepted and 2 duplicates", s, want)
 	}
 
 	store.Kill()

@@ -354,7 +354,7 @@ type Store struct {
 	shards []*Journal
 }
 
-// clampShards mirrors Config.Shards' clamp.
+// clampShards applies Config.Shards' default and cap.
 func clampShards(shards int) int {
 	if shards <= 0 {
 		shards = 8

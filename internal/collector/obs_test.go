@@ -56,7 +56,7 @@ func checkArcs(t *testing.T, node int, got, want [][2]BreakerState) {
 func TestBreakerTransitionMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	col := New(Config{BreakerThreshold: 3, OpenTicks: 2, Obs: m})
+	col := New(Config{BreakerThreshold: 3, Obs: m})
 	defer col.Close()
 	link := transport.NewLink(transport.LinkConfig{})
 	if err := col.Attach(5, link.CollectorEnd()); err != nil {

@@ -37,16 +37,14 @@ type shardRunResult struct {
 // query views after every phase records each full arc sequence.
 func runScripted(t *testing.T, shards, nodes int) shardRunResult {
 	t.Helper()
-	const (
-		threshold = 3
-		openTicks = 2
-	)
+	// A closed breaker counts silent ticks as failures, so the
+	// threshold outlasts a cooldown window: odd nodes must not trip.
+	const threshold = openTicks + 1
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	col := New(Config{
 		Shards:           shards,
 		BreakerThreshold: threshold,
-		OpenTicks:        openTicks,
 		Obs:              m,
 	})
 	defer col.Close()

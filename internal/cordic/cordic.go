@@ -1,10 +1,8 @@
 // Package cordic implements the fixed-point natural-logarithm
-// datapaths available to an ultra-low-power RNG: a hyperbolic CORDIC
-// core (the option DP-Box uses, single-cycle when fully unrolled) and
-// a piecewise-polynomial approximation (the alternative the paper
-// mentions for energy-efficient fixed-point RNGs).
+// datapath of an ultra-low-power RNG: a hyperbolic CORDIC core (the
+// option DP-Box uses, single-cycle when fully unrolled).
 //
-// Both evaluate ln(x) for x > 0 by normalizing x = w·2^p with
+// It evaluates ln(x) for x > 0 by normalizing x = w·2^p with
 // w ∈ [1, 2) and computing ln(x) = ln(w) + p·ln 2. All internal
 // arithmetic is integer (two's-complement fixed point with guard
 // bits), so the result is bit-reproducible — exactly what the privacy

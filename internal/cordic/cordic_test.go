@@ -113,83 +113,9 @@ func TestQuickLnAgainstMath(t *testing.T) {
 	}
 }
 
-func TestPolyLogAccuracy(t *testing.T) {
-	p := NewPolyLog(6, 30)
-	const frac = 20
-	for _, x := range []float64{1, 1.1, 1.5, 1.99, 2, 3, 7.7, 100, 0.5, 0.01} {
-		v := int64(math.Round(math.Ldexp(x, frac)))
-		got := math.Ldexp(float64(p.LnRaw(v, frac)), -p.Frac())
-		want := math.Log(math.Ldexp(float64(v), -frac))
-		// Quadratic over 64 segments: error well below 1e-5.
-		if math.Abs(got-want) > 2e-5 {
-			t.Errorf("PolyLog(%g) = %.8f, want %.8f", x, got, want)
-		}
-	}
-}
-
-func TestPolyLogPanics(t *testing.T) {
-	cases := []func(){
-		func() { NewPolyLog(0, 20) },
-		func() { NewPolyLog(11, 20) },
-		func() { NewPolyLog(4, 7) },
-		func() { NewPolyLog(4, 41) },
-		func() { NewPolyLog(4, 20).LnRaw(0, 10) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d should panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestPolyVsCordicAgree(t *testing.T) {
-	c := New(DefaultConfig)
-	p := NewPolyLog(8, 36)
-	prop := func(raw uint32) bool {
-		v := int64(raw%0x3FFFF) + 1
-		a := math.Ldexp(float64(c.LnRaw(v, 17)), -c.Frac())
-		b := math.Ldexp(float64(p.LnRaw(v, 17)), -p.Frac())
-		return math.Abs(a-b) < 1e-6
-	}
-	if err := quick.Check(prop, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFxMul(t *testing.T) {
-	tests := []struct {
-		a, b float64
-		frac int
-	}{
-		{1.5, 2.25, 30}, {-1.5, 2.25, 30}, {1.5, -2.25, 30}, {-3, -4, 20},
-		{0.0001, 0.0001, 40}, {1000, 1000, 20},
-	}
-	for _, tt := range tests {
-		a := toFixed(tt.a, tt.frac)
-		b := toFixed(tt.b, tt.frac)
-		got := math.Ldexp(float64(fxMul(a, b, tt.frac)), -tt.frac)
-		want := tt.a * tt.b
-		if math.Abs(got-want) > math.Ldexp(2, -tt.frac)*math.Abs(want)+math.Ldexp(2, -tt.frac) {
-			t.Errorf("fxMul(%g,%g) = %g, want %g", tt.a, tt.b, got, want)
-		}
-	}
-}
-
 func BenchmarkCordicLn(b *testing.B) {
 	c := New(DefaultConfig)
 	for i := 0; i < b.N; i++ {
 		c.LnUnit(uint64(i%(1<<17))+1, 17)
-	}
-}
-
-func BenchmarkPolyLn(b *testing.B) {
-	p := NewPolyLog(6, 30)
-	for i := 0; i < b.N; i++ {
-		p.LnRaw(int64(i%(1<<17))+1, 17)
 	}
 }

@@ -146,12 +146,6 @@ func cachedAnalyzer(key cacheKey, build func() *Analyzer) *Analyzer {
 	return an
 }
 
-// AnalyzerCacheStats reports the cumulative cache hit and miss
-// counts since process start (or the last ResetAnalyzerCache).
-func AnalyzerCacheStats() (hits, misses uint64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
-
 // ResetAnalyzerCache empties the cache and zeroes the counters.
 // Intended for tests and long-lived processes that want a clean
 // measurement window.

@@ -61,7 +61,7 @@ func TestConstantTimeMechanismBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewConstantTime(small, th, 4, nil, urng.NewTaus88(3))
+	m, err := newExplicit(small, GuardSpec{Guard: GuardConstantTime, Threshold: th, Candidates: 4}, nil, urng.NewTaus88(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestConstantTimeMechanismBehaviour(t *testing.T) {
 func TestConstantTimeEmpiricalMatchesAnalysis(t *testing.T) {
 	const k = 3
 	th := int64(18)
-	m, err := NewConstantTime(small, th, k, laplace.FloatLog{FracBits: 50}, urng.NewTaus88(11))
+	m, err := newExplicit(small, GuardSpec{Guard: GuardConstantTime, Threshold: th, Candidates: k}, laplace.FloatLog{FracBits: 50}, urng.NewTaus88(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,8 @@ func TestConstantTimeEmpiricalMatchesAnalysis(t *testing.T) {
 }
 
 func TestConstantTimePanics(t *testing.T) {
-	if _, err := NewConstantTime(small, -1, 2, nil, urng.NewTaus88(1)); err == nil {
+	if _, err := newExplicit(small, GuardSpec{Guard: GuardConstantTime, Threshold: -1, Candidates: 2}, nil, urng.NewTaus88(1)); err == nil {
 		t.Error("negative threshold should be rejected")
-	}
-	if _, err := NewConstantTime(small, 5, 0, nil, urng.NewTaus88(1)); err == nil {
-		t.Error("k=0 should be rejected")
 	}
 	cases := []func(){
 		func() { NewAnalyzer(small).ConstantTimeLoss(-1, 2) },

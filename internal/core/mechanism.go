@@ -146,21 +146,6 @@ func NewThresholding(par Params, t int64, log laplace.LogUnit, src urng.Source) 
 	return newExplicit(par, GuardSpec{Guard: GuardThresholding, Threshold: t}, log, src)
 }
 
-// NewConstantTime builds the timing-channel-safe resampling variant of
-// Section IV-C: k candidate noise samples are drawn at once (one cycle
-// with k parallel RNG datapaths); the first candidate landing inside
-// the window is reported, and if all miss, the last candidate is
-// clamped to the window edge it fell beyond. Latency is constant: the
-// number of draws no longer depends on the sensor value.
-// GuardThreshold(par, GuardConstantTime, mult, k) gives the certified
-// threshold. k < 1 is a returned error.
-func NewConstantTime(par Params, t int64, k int, log laplace.LogUnit, src urng.Source) (*Guarded, error) {
-	if k < 1 {
-		return nil, errors.New("core: need at least one candidate sample")
-	}
-	return newExplicit(par, GuardSpec{Guard: GuardConstantTime, Threshold: t, Candidates: k}, log, src)
-}
-
 // Threshold returns the threshold in steps.
 func (m *Guarded) Threshold() int64 { return m.plan.Schedule.Threshold }
 

@@ -61,9 +61,6 @@ func NewBank(cfg Config, n int, seed uint64) (*Bank, error) {
 	return bank, nil
 }
 
-// Channels returns the number of sensor channels.
-func (bk *Bank) Channels() int { return len(bk.boxes) }
-
 // Box returns channel i's DP-Box.
 func (bk *Bank) Box(i int) *DPBox { return bk.boxes[i] }
 

@@ -129,8 +129,8 @@ func TestBankReplenishment(t *testing.T) {
 
 func TestBankChannelCount(t *testing.T) {
 	bank := newBank(t, 5, 10, 0)
-	if bank.Channels() != 5 {
-		t.Errorf("channels = %d", bank.Channels())
+	if len(bank.boxes) != 5 {
+		t.Errorf("channels = %d", len(bank.boxes))
 	}
 }
 

@@ -144,7 +144,7 @@ func TestChargeTableFingerprint(t *testing.T) {
 				if degOK {
 					put(1)
 				}
-				put(uint64(box.ResampleCap()))
+				put(uint64(box.plan.Cap))
 			}
 			for _, mode := range []budget.Mode{budget.Thresholding, budget.Resampling} {
 				hashController(put, par, budget.Config{Budget: 1e6, Mult: ms.mult,

@@ -237,7 +237,6 @@ type DPBox struct {
 	healthy       bool
 	healthChecked bool
 	healthAt      uint64
-	healthRes     []urng.BatteryResult
 
 	// Precomputed noise (waiting phase).
 	pendingK int64
@@ -622,7 +621,6 @@ func (b *DPBox) healthGate() bool {
 		res, err := urng.RunBattery(b.cfg.Source, healthWords)
 		b.healthChecked = true
 		b.healthAt = b.cycles
-		b.healthRes = res
 		b.healthy = err == nil && urng.Passed(res)
 		b.obs.BatteryRuns.Inc()
 		b.obs.BatteryWorstZ.Set(worstZ(res))
@@ -636,10 +634,6 @@ func (b *DPBox) healthGate() bool {
 // Healthy reports the online URNG battery verdict (true when health
 // gating is disabled or no check has run yet).
 func (b *DPBox) Healthy() bool { return b.cfg.HealthEvery == 0 || b.healthy }
-
-// HealthResults returns the most recent battery run (nil before the
-// first check).
-func (b *DPBox) HealthResults() []urng.BatteryResult { return b.healthRes }
 
 // params assembles the core parameters implied by the registers
 // (Δ = 1: port values are already in steps).
@@ -799,10 +793,6 @@ func (b *DPBox) replayCache() {
 	}
 	b.finish(y, 0, true)
 }
-
-// ResampleCap returns the watchdog's resample-cycle cap (0 when the
-// watchdog is inactive). Valid after the first noising transaction.
-func (b *DPBox) ResampleCap() int { return b.plan.Cap }
 
 // DegradeThreshold returns the certified thresholding clamp the
 // watchdog degrades to, and whether one is available.
@@ -1046,14 +1036,6 @@ func (b *DPBox) OverrideThreshold(t int64) error {
 		return errors.New("dpbox: negative threshold override")
 	}
 	return b.Command(CmdSetThreshold, t)
-}
-
-// ClearThresholdOverride returns to the internally computed certified
-// threshold. (A Go-level convenience: the 3-bit command port has no
-// spare encoding for it; real hardware would power cycle.)
-func (b *DPBox) ClearThresholdOverride() {
-	b.thOverride = -1
-	b.dirty = true
 }
 
 // LastFromCache reports whether the most recent output was served

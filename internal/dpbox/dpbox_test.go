@@ -502,7 +502,7 @@ func TestConcurrentDeriveSharesPlans(t *testing.T) {
 				return
 			}
 			degTh, degOK := box.DegradeThreshold()
-			plans[i] = plan{units: box.plan.Units, th: box.Threshold(), cap: box.ResampleCap(),
+			plans[i] = plan{units: box.plan.Units, th: box.Threshold(), cap: box.plan.Cap,
 				degTh: degTh, degOK: degOK}
 		}(i)
 	}

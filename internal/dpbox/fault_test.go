@@ -49,7 +49,7 @@ func TestWatchdogBoundsAdversarialResampling(t *testing.T) {
 	cfg, fp := faultCfg(21)
 	b := bootResampling(t, cfg)
 
-	cap := b.ResampleCap()
+	cap := b.plan.Cap
 	if cap < 4 || cap > 2048 {
 		t.Fatalf("resample cap %d outside [4, 2048]", cap)
 	}
@@ -412,9 +412,6 @@ func TestHealthGateRefusesFreshNoise(t *testing.T) {
 	}
 	if b.Healthy() {
 		t.Fatal("health gate did not record the failing battery")
-	}
-	if len(b.HealthResults()) == 0 {
-		t.Error("no battery results recorded")
 	}
 
 	// Clear the fault: the gate re-runs the battery and reopens.

@@ -237,9 +237,6 @@ func (j *Journal) FailAfterWrites(n int) { j.r.Power().FailAfterWrites(n) }
 // Kill drops NVM power immediately; all further writes fail.
 func (j *Journal) Kill() { j.r.Power().Kill() }
 
-// Alive reports whether the journal still accepts writes.
-func (j *Journal) Alive() bool { return !j.r.Power().Dead() }
-
 // revive restores power to the journal (secure boot).
 func (j *Journal) revive() { j.r.Power().Revive() }
 
@@ -479,7 +476,12 @@ func (b *DPBox) reboot(cfg Config, j *Journal) error {
 		return err
 	}
 	if !st.Configured {
-		j.r.Erase(0) // discard any torn pre-lock tail
+		// Discard any torn pre-lock tail. Records appended behind a
+		// tail that stays would be lost to the next Replay, which stops
+		// at the tail, so a failed erase leaves the box dead.
+		if !j.r.Erase(0) {
+			return errors.New("dpbox: journal erase failed")
+		}
 		j.r.SetSeq(0)
 		return nil
 	}

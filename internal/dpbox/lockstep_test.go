@@ -67,7 +67,8 @@ func TestCoreAndBoxLockstep(t *testing.T) {
 			case m.override == 0:
 				mech, err = core.NewRandomizedResponse(par, nil, src)
 			case m.constantTime:
-				mech, err = core.NewConstantTime(par, th, box.cfg.Candidates, nil, src)
+				mech, err = core.NewGuarded(par, core.GuardSpec{Guard: core.GuardConstantTime, Threshold: th,
+					Candidates: box.cfg.Candidates, Mult: core.DefaultMult}, nil, src)
 			case m.resampling:
 				mech, err = core.NewResampling(par, th, nil, src)
 			default:
@@ -166,8 +167,8 @@ func TestStuckURNGOneFaultRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.Cap != box.ResampleCap() || plan.DegradeOK == g.withheld {
-			t.Fatalf("%+v: plan cap %d, certified clamp %v; box cap %d", par, plan.Cap, plan.DegradeOK, box.ResampleCap())
+		if plan.Cap != box.plan.Cap || plan.DegradeOK == g.withheld {
+			t.Fatalf("%+v: plan cap %d, certified clamp %v; box cap %d", par, plan.Cap, plan.DegradeOK, box.plan.Cap)
 		}
 		if !got.Degraded || got.Resamples != plan.Cap || boxSrc.draws != 2*plan.Cap {
 			t.Errorf("%+v: box degraded %v after %d resamples, %d URNG words; cap %d",

@@ -218,7 +218,7 @@ func TestOdometerMatchesLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 		const initial = 8 * 16
-		for ch := 0; ch < bk.Channels(); ch++ {
+		for ch := range bk.boxes {
 			if err := bk.Box(ch).Configure(1, 0, 16); err != nil {
 				t.Fatal(err)
 			}

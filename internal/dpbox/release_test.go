@@ -1,6 +1,7 @@
 package dpbox
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -445,6 +446,47 @@ func TestCompactionCutKeepsOldLog(t *testing.T) {
 		if rel, ok := b2.ReleaseFor(seq); !ok || rel.Value != v {
 			t.Fatalf("release %d lost or changed: %+v", seq, rel)
 		}
+	}
+}
+
+// eraseFailMedium is an in-memory medium whose Erase always fails.
+type eraseFailMedium struct{ *nvm.MemMedium }
+
+func (eraseFailMedium) Erase(int) error { return errors.New("erase failed") }
+
+// TestRebootFailsClosedOnEraseFailure recovers an unconfigured journal
+// with a torn pre-lock tail over a medium that cannot erase it. The
+// reboot must fail and leave the box dead: a config record appended
+// behind the tail would be lost to the next recovery, which would then
+// see an unconfigured journal and accept a fresh budget.
+func TestRebootFailsClosedOnEraseFailure(t *testing.T) {
+	med := eraseFailMedium{nvm.NewMemMedium(1)}
+	j := newJournalWith(med, nil)
+	cfg := smallCfg(3)
+	cfg.Journal = j
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.FailAfterWrites(configWords / 2)
+	if err := b.Initialize(1e6, 0); err == nil {
+		t.Fatal("Initialize succeeded with power failing mid-record")
+	}
+	torn := j.Writes()
+	if torn == 0 || torn >= configWords {
+		t.Fatalf("journal holds %d words, want a torn config record", torn)
+	}
+	if err := b.Reboot(smallCfg(3), j); err == nil {
+		t.Fatal("Reboot succeeded although the torn tail could not be erased")
+	}
+	if b.Phase() != PhaseDead {
+		t.Fatalf("phase %v after the failed reboot, want dead", b.Phase())
+	}
+	if err := b.Initialize(1e6, 0); err == nil {
+		t.Fatal("the dead box accepted a fresh budget")
+	}
+	if got := j.Writes(); got != torn {
+		t.Fatalf("journal grew from %d to %d words after the failed erase", torn, got)
 	}
 }
 

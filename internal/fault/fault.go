@@ -150,9 +150,6 @@ func (p *Plane) SchedulePowerLoss(cycle uint64) {
 	p.powerCycle = cycle
 }
 
-// DisarmPowerLoss cancels a scheduled power loss.
-func (p *Plane) DisarmPowerLoss() { p.powerArmed = false }
-
 // PowerSink is a non-volatile store that must lose power with the
 // rail — in practice an internal/nvm supply cell. It is an interface
 // here only to keep the fault plane's dependency arrow pointing
@@ -329,65 +326,10 @@ func StuckWord(w uint32) URNGFault {
 	return func(uint64, uint32) uint32 { return w }
 }
 
-// BitFlip returns a URNG fault that XORs the given mask into every
-// draw (stuck-at / coupling faults on individual bit lines).
-func BitFlip(mask uint32) URNGFault {
-	return func(_ uint64, w uint32) uint32 { return w ^ mask }
-}
-
-// BiasOnes returns a URNG fault that ORs the mask into every draw,
-// biasing the masked bits toward 1.
-func BiasOnes(mask uint32) URNGFault {
-	return func(_ uint64, w uint32) uint32 { return w | mask }
-}
-
-// BiasZeros returns a URNG fault that ANDs the complement of the mask
-// into every draw, biasing the masked bits toward 0.
-func BiasZeros(mask uint32) URNGFault {
-	return func(_ uint64, w uint32) uint32 { return w &^ mask }
-}
-
-// Schedule returns a URNG fault that substitutes an adversarial word
-// sequence for the real stream. After the schedule is exhausted the
-// real stream passes through unperturbed.
-func Schedule(words []uint32) URNGFault {
-	seq := append([]uint32(nil), words...)
-	i := 0
-	return func(_ uint64, w uint32) uint32 {
-		if i < len(seq) {
-			w = seq[i]
-			i++
-		}
-		return w
-	}
-}
-
-// Intermittent returns a URNG fault that applies inner only on every
-// period-th draw (transient upset model).
-func Intermittent(period uint64, inner URNGFault) URNGFault {
-	if period == 0 {
-		period = 1
-	}
-	var n uint64
-	return func(cycle uint64, w uint32) uint32 {
-		n++
-		if n%period == 0 {
-			return inner(cycle, w)
-		}
-		return w
-	}
-}
-
 // LogOffset returns a log fault that adds a constant raw offset to
 // every CORDIC output (systematic datapath error).
 func LogOffset(delta int64) LogFault {
 	return func(_ uint64, r int64) int64 { return r + delta }
-}
-
-// LogStuck returns a log fault that replaces every CORDIC output with
-// a constant raw value.
-func LogStuck(raw int64) LogFault {
-	return func(uint64, int64) int64 { return raw }
 }
 
 // LinkProfile parameterizes the canned lossy-link packet injector.

@@ -38,14 +38,15 @@ import (
 	"ulpdp/internal/urng"
 )
 
+// nodeBudget is each node's privacy budget in nats.
+const nodeBudget = 1e6
+
 // Config parameterizes one fleet run.
 type Config struct {
 	// Nodes is the fleet size (default 4).
 	Nodes int
 	// Reports is the reports each node delivers (default 4).
 	Reports int
-	// Budget is each node's privacy budget in nats (default 1e6).
-	Budget float64
 	// Link is the chaos profile applied to every link (zero value =
 	// lossless).
 	Link fault.LinkProfile
@@ -363,9 +364,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Reports <= 0 {
 		cfg.Reports = 4
-	}
-	if cfg.Budget <= 0 {
-		cfg.Budget = 1e6
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Minute
@@ -908,7 +906,7 @@ func (f *fleetRun) boot(n *lifecycle, i int) bool {
 			f.violate("node %d: %v", i, err)
 			return false
 		}
-		if err := n.box.Initialize(cfg.Budget, 0); err != nil {
+		if err := n.box.Initialize(nodeBudget, 0); err != nil {
 			f.violate("node %d: %v", i, err)
 			return false
 		}
@@ -918,7 +916,7 @@ func (f *fleetRun) boot(n *lifecycle, i int) bool {
 		return false
 	}
 	// Spend is accounted from this process's baseline: on a fresh run
-	// that is cfg.Budget; on a resumed run the prior spend is already
+	// that is nodeBudget; on a resumed run the prior spend is already
 	// durable and belongs to the dead process's run.
 	n.units0 = n.box.BudgetUnits()
 	if f.boxM != nil {

@@ -193,11 +193,3 @@ func boolTo(b bool) float64 {
 	}
 	return 0
 }
-
-// EnergyPerOpNJ returns the energy of one noising transaction taking
-// the given number of cycles at the report's clock.
-func (r Report) EnergyPerOpNJ(cycles float64) float64 {
-	// power (µW) × time (cycles / (MHz·1e6) s) = µJ·1e-6 → nJ·1e-3.
-	seconds := cycles / (r.ClockMHz * 1e6)
-	return r.PowerUW * 1e-6 * seconds * 1e9
-}

@@ -194,15 +194,3 @@ func TestRNGCopiesCostArea(t *testing.T) {
 		t.Error("excessive copies accepted")
 	}
 }
-
-func TestEnergyPerOp(t *testing.T) {
-	rep, err := Synthesize(Baseline, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := rep.EnergyPerOpNJ(2)
-	// 158.3 µW × 125 ns = 19.8 pJ ≈ 0.0198 nJ.
-	if math.Abs(e-0.0198) > 0.001 {
-		t.Errorf("energy per 2-cycle op = %g nJ, want ~0.0198", e)
-	}
-}

@@ -76,9 +76,9 @@ func NewDist(par FxPParams) Dist {
 	return d
 }
 
-// LogUnit is the log datapath the sampler uses: the CORDIC core, the
-// polynomial approximation, or an exact float64 log (the idealized
-// datapath the closed-form analysis assumes).
+// LogUnit is the log datapath the sampler uses: the CORDIC core or an
+// exact float64 log (the idealized datapath the closed-form analysis
+// assumes).
 type LogUnit interface {
 	// LnRaw returns ln(v·2^-frac) with Frac() fractional bits.
 	LnRaw(v int64, frac int) int64

@@ -52,29 +52,10 @@ func (l *Ideal) Sample() float64 {
 	return mag
 }
 
-// Scale returns λ.
-func (l *Ideal) Scale() float64 { return l.lambda }
-
-// PDF evaluates the Laplace density with scale lambda at x.
-func PDF(x, lambda float64) float64 {
-	return math.Exp(-math.Abs(x)/lambda) / (2 * lambda)
-}
-
 // CDF evaluates the Laplace cumulative distribution at x.
 func CDF(x, lambda float64) float64 {
 	if x < 0 {
 		return 0.5 * math.Exp(x/lambda)
 	}
 	return 1 - 0.5*math.Exp(-x/lambda)
-}
-
-// Quantile is the inverse CDF for p in (0, 1).
-func Quantile(p, lambda float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic(fmt.Sprintf("laplace: quantile of p=%g", p))
-	}
-	if p < 0.5 {
-		return lambda * math.Log(2*p)
-	}
-	return -lambda * math.Log(2*(1-p))
 }

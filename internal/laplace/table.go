@@ -15,7 +15,7 @@ package laplace
 // Any other log unit keeps per-draw evaluation: a wrapped unit may
 // depend on more than the draw (the fault plane's injector depends on
 // the cycle) or count its evaluations (the DP-Box telemetry), and
-// custom units (FloatLog, poly, a caller's own CORDIC core) are not
+// custom units (FloatLog, a caller's own CORDIC core) are not
 // shared. So does any B_u above tableMaxBu.
 //
 // The memo is process-wide and safe for concurrent use: concurrent

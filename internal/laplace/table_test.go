@@ -76,7 +76,6 @@ func TestTableOnlyForSharedCore(t *testing.T) {
 		{"default", fleetParams, cordic.Default(), true},
 		{"unshared", fleetParams, cordic.New(cordic.DefaultConfig), false},
 		{"float", fleetParams, FloatLog{FracBits: 50}, false},
-		{"poly", fleetParams, cordic.NewPolyLog(6, 30), false},
 		{"above-cap", FxPParams{Bu: tableMaxBu + 1, By: 16, Delta: 1, Lambda: 32}, nil, false},
 	}
 	for _, c := range cases {

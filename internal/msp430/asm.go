@@ -175,12 +175,6 @@ func (p *Program) twoOp(opcode uint16, src, dst Operand, byteOp bool) {
 	}
 }
 
-// twoOpForTest exposes arbitrary byte-mode format-I emission to the
-// package's tests (the public surface names the common word forms).
-func (p *Program) twoOpForTest(opcode uint16, src, dst Operand, byteOp bool) {
-	p.twoOp(opcode, src, dst, byteOp)
-}
-
 // Mov emits MOV src, dst.
 func (p *Program) Mov(src, dst Operand) { p.twoOp(0x4, src, dst, false) }
 
@@ -201,9 +195,6 @@ func (p *Program) Sub(src, dst Operand) { p.twoOp(0x8, src, dst, false) }
 
 // Cmp emits CMP src, dst.
 func (p *Program) Cmp(src, dst Operand) { p.twoOp(0x9, src, dst, false) }
-
-// Dadd emits DADD src, dst.
-func (p *Program) Dadd(src, dst Operand) { p.twoOp(0xA, src, dst, false) }
 
 // Bit emits BIT src, dst.
 func (p *Program) Bit(src, dst Operand) { p.twoOp(0xB, src, dst, false) }
@@ -242,15 +233,6 @@ func (p *Program) oneOp(opcode uint16, o Operand, byteOp bool) {
 
 // Rrc emits RRC (rotate right through carry).
 func (p *Program) Rrc(o Operand) { p.oneOp(0, o, false) }
-
-// Swpb emits SWPB (swap bytes).
-func (p *Program) Swpb(o Operand) { p.oneOp(1, o, false) }
-
-// Rra emits RRA (arithmetic shift right).
-func (p *Program) Rra(o Operand) { p.oneOp(2, o, false) }
-
-// Sxt emits SXT (sign-extend byte).
-func (p *Program) Sxt(o Operand) { p.oneOp(3, o, false) }
 
 // Push emits PUSH.
 func (p *Program) Push(o Operand) { p.oneOp(4, o, false) }
@@ -296,15 +278,6 @@ func (p *Program) Jne(label string) { p.jump(0, label) }
 
 // Jeq jumps if the zero flag is set.
 func (p *Program) Jeq(label string) { p.jump(1, label) }
-
-// Jnc jumps if the carry flag is clear.
-func (p *Program) Jnc(label string) { p.jump(2, label) }
-
-// Jc jumps if the carry flag is set.
-func (p *Program) Jc(label string) { p.jump(3, label) }
-
-// Jn jumps if the negative flag is set.
-func (p *Program) Jn(label string) { p.jump(4, label) }
 
 // Jge jumps if N xor V is clear (signed >=).
 func (p *Program) Jge(label string) { p.jump(5, label) }

@@ -88,18 +88,6 @@ func New() *CPU {
 	return c
 }
 
-// Reset clears registers, cycle counters and pending interrupts but
-// preserves memory and attached peripherals.
-func (c *CPU) Reset() {
-	c.R = [16]uint16{}
-	c.R[SP] = 0xFF00
-	c.Cycles = 0
-	c.Instrs = 0
-	c.Halted = false
-	c.pending = [NumVectors]bool{}
-	c.idleCycles = 0
-}
-
 // LoadWords writes a word slice into memory at addr (little endian).
 func (c *CPU) LoadWords(addr uint16, words []uint16) {
 	for i, w := range words {

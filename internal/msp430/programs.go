@@ -148,10 +148,6 @@ func emitMul16(p *Program) {
 	p.Ret()
 }
 
-// buBits is the URNG magnitude width both routines implement: the
-// 17-bit draw of the paper's synthesized DP-Box.
-const buBits = 17
-
 // ln2Q26 is ln 2 in Q6.26.
 var ln2Q26 = uint32(math.Round(math.Ln2 * (1 << 26)))
 
@@ -578,7 +574,6 @@ func (pr Precision) String() string {
 type SoftNoiser struct {
 	cpu   *CPU
 	entry uint16
-	prec  Precision
 }
 
 // NewSoftNoiser assembles and loads the routine for the given
@@ -629,7 +624,7 @@ func NewSoftNoiser(prec Precision, seed uint64) (*SoftNoiser, error) {
 	c.WriteWord(AddrSeed+6, uint16(s1>>16))
 	c.WriteWord(AddrSeed+8, uint16(s2))
 	c.WriteWord(AddrSeed+10, uint16(s2>>16))
-	return &SoftNoiser{cpu: c, entry: entry, prec: prec}, nil
+	return &SoftNoiser{cpu: c, entry: entry}, nil
 }
 
 func entryLabel(prec Precision) string {
@@ -654,6 +649,3 @@ func (s *SoftNoiser) Noise(x int16, lambda uint16, lo, hi int16) (int16, uint64,
 	}
 	return int16(s.cpu.ReadWord(AddrOut)), cycles, nil
 }
-
-// Precision returns the routine flavour.
-func (s *SoftNoiser) Precision() Precision { return s.prec }

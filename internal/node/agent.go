@@ -18,27 +18,31 @@ import (
 // collector's recovered dedup state absorbs any copies that did land.
 var ErrAbandoned = errors.New("node: report abandoned (total attempt cap)")
 
-// AgentConfig parameterizes a ReportAgent's retry policy. The zero
-// value gets simulation-friendly defaults (sub-millisecond backoff);
+// The retry timing is simulation-friendly (sub-millisecond backoff);
 // a real radio stack would scale every duration up.
+const (
+	// ackTimeout is the per-attempt ACK wait.
+	ackTimeout = 2 * time.Millisecond
+	// backoffBase seeds the capped exponential backoff.
+	backoffBase = 200 * time.Microsecond
+	// backoffCap caps the backoff.
+	backoffCap = 4 * time.Millisecond
+	// totalAttemptsPerLease caps a report's cumulative transmissions
+	// across its first delivery and every in-place retry at this many
+	// MaxAttempts leases, after which the outcome turns terminally
+	// abandoned (ErrAbandoned). BeginResume is exempt: it grants the
+	// parked report a fresh lease, so a report abandoned during a
+	// collector outage is still re-deliverable after the collector
+	// recovers.
+	totalAttemptsPerLease = 4
+)
+
+// AgentConfig parameterizes a ReportAgent's retry policy.
 type AgentConfig struct {
 	// ID is this node's fleet identity.
 	ID transport.NodeID
 	// MaxAttempts bounds transmissions per delivery call (default 24).
 	MaxAttempts int
-	// MaxTotalAttempts caps a report's cumulative transmissions across
-	// its first delivery and every in-place retry before the outcome
-	// turns terminally abandoned (ErrAbandoned). BeginResume is exempt:
-	// it grants the parked report a fresh lease, so a report abandoned
-	// during a collector outage is still re-deliverable after the
-	// collector recovers. Default 4×MaxAttempts.
-	MaxTotalAttempts int
-	// AckWait is the per-attempt ACK wait (default 2ms).
-	AckWait time.Duration
-	// BackoffBase seeds the capped exponential backoff (default 200µs).
-	BackoffBase time.Duration
-	// BackoffCap caps the backoff (default 4ms).
-	BackoffCap time.Duration
 	// JitterSeed seeds the deterministic backoff jitter.
 	JitterSeed uint64
 	// Obs is an optional telemetry plane, usually shared across every
@@ -132,18 +136,6 @@ func NewReportAgent(box *dpbox.DPBox, end *transport.Endpoint, cfg AgentConfig) 
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 24
 	}
-	if cfg.MaxTotalAttempts <= 0 {
-		cfg.MaxTotalAttempts = 4 * cfg.MaxAttempts
-	}
-	if cfg.AckWait <= 0 {
-		cfg.AckWait = 2 * time.Millisecond
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 200 * time.Microsecond
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = 4 * time.Millisecond
-	}
 	if cfg.JitterSeed == 0 {
 		cfg.JitterSeed = uint64(cfg.ID)*0x9E3779B97F4A7C15 + 1
 	}
@@ -182,9 +174,9 @@ func (a *ReportAgent) rand() uint64 {
 // backoff returns the pause before attempt k (k ≥ 1): capped
 // exponential with full jitter, so colliding nodes desynchronize.
 func (a *ReportAgent) backoff(k int) time.Duration {
-	d := a.cfg.BackoffBase << uint(k-1)
-	if d > a.cfg.BackoffCap || d <= 0 {
-		d = a.cfg.BackoffCap
+	d := backoffBase << uint(k-1)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
 	// Full jitter in [d/2, d].
 	half := d / 2
@@ -226,7 +218,7 @@ func (a *ReportAgent) Begin(x int64) error {
 	// A report rides out a collector outage up to the total cap, then
 	// abandons terminally (ErrAbandoned); the journaled binding keeps
 	// it re-deliverable through BeginResume once the collector is back.
-	a.arm(res.Degraded, res.FromCache, a.cfg.MaxTotalAttempts)
+	a.arm(res.Degraded, res.FromCache, totalAttemptsPerLease*a.cfg.MaxAttempts)
 	return nil
 }
 
@@ -303,7 +295,7 @@ func (a *ReportAgent) Step(now time.Duration) (next time.Duration, done bool) {
 				Value: d.out.Value,
 				Flags: d.flags,
 			})
-			d.phase, d.deadline = ackWait, now+a.cfg.AckWait
+			d.phase, d.deadline = ackWait, now+ackTimeout
 		case ackWait:
 			if a.awaitAck(now) {
 				return a.finish(nil)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"ulpdp/internal/collector"
 	"ulpdp/internal/dpbox"
@@ -119,7 +118,7 @@ func TestCrashMidRetryReplaysSameValue(t *testing.T) {
 	box, j := newAgentBox(t, 7, 1e6)
 	var s sim
 	agent := NewReportAgent(box, deadLink.NodeEnd(), AgentConfig{
-		ID: 9, MaxAttempts: 3, AckWait: time.Millisecond,
+		ID: 9, MaxAttempts: 3,
 	})
 	out, err := s.report(agent, 11)
 	if err == nil {
@@ -206,7 +205,7 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 
 	box, _ := newAgentBox(t, 21, 1e6)
 	agent := NewReportAgent(box, link.NodeEnd(), AgentConfig{
-		ID: id, MaxAttempts: 3, MaxTotalAttempts: 6, AckWait: time.Millisecond,
+		ID: id, MaxAttempts: 3,
 	})
 
 	// Seq 0 lands normally and its admission is checkpointed.
@@ -223,8 +222,8 @@ func TestAbandonedReportRedeliveredAfterCollectorRecovery(t *testing.T) {
 	if !errors.Is(err, ErrAbandoned) {
 		t.Fatalf("outage report error = %v, want ErrAbandoned", err)
 	}
-	if out1.Attempts != 6 {
-		t.Fatalf("abandoned after %d attempts, want the total cap 6", out1.Attempts)
+	if want := totalAttemptsPerLease * 3; out1.Attempts != want {
+		t.Fatalf("abandoned after %d attempts, want the total cap %d", out1.Attempts, want)
 	}
 	if st := col.Stats(); st.FailClosed == 0 {
 		t.Fatalf("dead store but no fail-closed drops: %+v", st)
@@ -278,7 +277,7 @@ func TestRebindMatchesFreshAgent(t *testing.T) {
 	})
 	link := transport.NewLink(transport.LinkConfig{Plane: fp})
 	box, j := newAgentBox(t, 7, 1e6)
-	cfg := AgentConfig{ID: 5, AckWait: time.Millisecond}
+	cfg := AgentConfig{ID: 5}
 	var s sim
 	agent := NewReportAgent(box, link.NodeEnd(), cfg)
 

@@ -136,14 +136,6 @@ func (d *Driver) Configure() error {
 	return d.node.Port.LastErr()
 }
 
-// ToggleResampling runs the mode-toggle routine.
-func (d *Driver) ToggleResampling() error {
-	if _, err := d.node.CPU.Call(d.resample, 10_000); err != nil {
-		return err
-	}
-	return d.node.Port.LastErr()
-}
-
 // Noise runs one firmware noising transaction and returns the noised
 // value and the CPU cycles spent (including MMIO polling). When the
 // firmware's poll watchdog expires — the DP-Box is wedged, dead, or

@@ -36,12 +36,11 @@ const (
 	regSpan   = 10
 )
 
-// Status bits. The two-bit phase field reports dpbox.PhaseDead (3)
-// after a power-rail failure; firmware can distinguish "busy" from
-// "gone" without a side channel.
+// Status bits. Bits 1-2 are the two-bit phase field; it reports
+// dpbox.PhaseDead (3) after a power-rail failure, so firmware can
+// distinguish "busy" from "gone" without a side channel.
 const (
 	StatusReady     = 1 << 0
-	StatusPhaseLo   = 1 << 1 // two-bit phase field
 	StatusCache     = 1 << 3
 	StatusUnhealthy = 1 << 4 // URNG health gate tripped: box serves cache only
 	StatusDegraded  = 1 << 5 // resample watchdog tripped: output is the certified clamp

@@ -96,6 +96,7 @@ func TestStepDeliveryPinned(t *testing.T) {
 		name  string
 		plane *fault.Plane
 		cfg   AgentConfig
+		poll  time.Duration // the collector's tick period (0: its default)
 		want  []pinned
 		link  transport.Stats
 		col   collector.Stats
@@ -163,11 +164,11 @@ func TestStepDeliveryPinned(t *testing.T) {
 		},
 		{
 			// The only report frame is held back on the uplink until
-			// the collector's idle tick at 2 ms flushes it; its ACK
-			// lands during the backoff pause that began when the 1 ms
-			// window closed. The pause must run to its end, and the
-			// queued ACK then settles the report with no
-			// retransmission.
+			// the collector's idle tick flushes it. The tick comes
+			// 50 µs after the ACK window closed, inside the backoff
+			// pause (at least 100 µs), so the ACK lands during the
+			// pause. The pause must run to its end, and the queued ACK
+			// then settles the report with no retransmission.
 			name: "ack-during-backoff",
 			plane: seqFate(func(kind transport.Kind, seq uint64, k int) fault.PacketFate {
 				if kind == transport.KindAck {
@@ -175,9 +176,10 @@ func TestStepDeliveryPinned(t *testing.T) {
 				}
 				return fault.PacketFate{Delay: 5}
 			}),
-			cfg: AgentConfig{ID: 3, AckWait: time.Millisecond, BackoffBase: 4 * time.Millisecond, BackoffCap: 4 * time.Millisecond},
+			cfg:  AgentConfig{ID: 3},
+			poll: ackTimeout + 50*time.Microsecond,
 			want: []pinned{
-				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 4918175},
+				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 2143755},
 			},
 			link: transport.Stats{Sent: 2, Delivered: 2, Reordered: 1},
 			col:  collector.Stats{Accepted: 1, Timeouts: 1},
@@ -202,10 +204,11 @@ func TestStepDeliveryPinned(t *testing.T) {
 		},
 		{
 			// Report 0 lands as a duplicate now and as a held-back
-			// original later; report 1's first frame is lost. The 4 ms
-			// tick flushes report 0's original, whose stale ACK lands
-			// inside report 1's 5 ms window. The window must stay open
-			// to its deadline before the retransmission.
+			// original later; report 1's first frame is lost. The
+			// collector's second tick (the first one still sees the
+			// traffic) flushes report 0's original, whose stale ACK
+			// lands inside report 1's ACK window. The window must stay
+			// open to its deadline before the retransmission.
 			name: "stale-ack-in-window",
 			plane: seqFate(func(kind transport.Kind, seq uint64, k int) fault.PacketFate {
 				switch {
@@ -217,10 +220,11 @@ func TestStepDeliveryPinned(t *testing.T) {
 				}
 				return fault.PacketFate{}
 			}),
-			cfg: AgentConfig{ID: 3, AckWait: 5 * time.Millisecond},
+			cfg:  AgentConfig{ID: 3},
+			poll: ackTimeout * 2 / 5,
 			want: []pinned{
 				{ReportOutcome{Seq: 0, Value: 37, Attempts: 1, Charged: 0.625}, 0},
-				{ReportOutcome{Seq: 1, Value: 75, Attempts: 2, Charged: 0.625}, 5143755},
+				{ReportOutcome{Seq: 1, Value: 75, Attempts: 2, Charged: 0.625}, 2143755},
 			},
 			link: transport.Stats{Sent: 6, Delivered: 6, Dropped: 1, Duplicated: 1, Reordered: 1},
 			col:  collector.Stats{Accepted: 2, Duplicates: 1, Timeouts: 1},
@@ -230,7 +234,7 @@ func TestStepDeliveryPinned(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			link := transport.NewLink(transport.LinkConfig{Plane: c.plane})
-			col := collector.New(collector.Config{BreakerThreshold: 1 << 20})
+			col := collector.New(collector.Config{BreakerThreshold: 1 << 20, PollTimeout: c.poll})
 			if err := col.Attach(c.cfg.ID, link.CollectorEnd()); err != nil {
 				t.Fatal(err)
 			}

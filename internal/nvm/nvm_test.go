@@ -1,6 +1,7 @@
 package nvm
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -129,6 +130,31 @@ func TestPowerScheduledFailure(t *testing.T) {
 	pw.Revive()
 	if !r.Append(0, 2, nil) {
 		t.Fatal("revived cell refused a write")
+	}
+}
+
+// eraseFailMedium is an in-memory medium whose Erase always fails.
+type eraseFailMedium struct{ *MemMedium }
+
+func (eraseFailMedium) Erase(int) error { return errors.New("erase failed") }
+
+// TestEraseFailureKillsPower: a medium that cannot erase fails closed
+// like one that cannot append, so nothing lands behind the words the
+// erase left in place.
+func TestEraseFailureKillsPower(t *testing.T) {
+	pw := NewPower()
+	r := NewRegion(eraseFailMedium{NewMemMedium(1)}, pw, testLayout())
+	if !r.Append(0, 2, nil) {
+		t.Fatal("append failed with live power")
+	}
+	if r.Erase(0) {
+		t.Fatal("Erase reported success on a failing medium")
+	}
+	if !pw.Dead() {
+		t.Fatal("a failed erase left the cell powered")
+	}
+	if r.Append(0, 2, nil) || r.Len(0) != 2 {
+		t.Fatalf("a record landed after the failed erase: len %d", r.Len(0))
 	}
 }
 

@@ -122,8 +122,15 @@ func (r *Region) Len(b int) int { return r.med.Len(r.base + b) }
 // Medium.Words).
 func (r *Region) Words(b int) []uint16 { return r.med.Words(r.base + b) }
 
-// Erase clears bank b.
-func (r *Region) Erase(b int) { _ = r.med.Erase(r.base + b) }
+// Erase clears bank b. False means the medium failed: like Append
+// and Rewrite, a medium failure kills the cell (fail closed).
+func (r *Region) Erase(b int) bool {
+	if r.med.Erase(r.base+b) != nil {
+		r.pw.Kill()
+		return false
+	}
+	return true
+}
 
 // Rewrite replaces bank b with the records fn appends, in one step:
 // fn's records pass the power cell as usual but collect in a staging

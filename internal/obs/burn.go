@@ -5,6 +5,17 @@ import (
 	"sync"
 )
 
+// The burn-rate alerter's windows and thresholds. Windows are measured
+// in charge events, not wall time, so the alerter is deterministic for
+// a deterministic charge stream.
+const (
+	// fastWindow and slowWindow are window lengths in charges.
+	fastWindow, slowWindow = 8, 64
+	// fastBurn and slowBurn are the trip thresholds as multiples of
+	// the planned rate.
+	fastBurn, slowBurn = 4, 2
+)
+
 // BurnConfig parameterises the burn-rate alerter. The planned spend
 // rate is EnvelopeUnits / HorizonCharges: the certified n·ε
 // envelope amortised over the expected charge count. Burn is the
@@ -12,9 +23,6 @@ import (
 // the fast AND slow window burns both exceed their thresholds —
 // the SRE multi-window pattern, which rejects single-charge spikes but
 // catches sustained overspend long before the envelope is exhausted.
-//
-// Windows are measured in charge events, not wall time, so the alerter
-// is deterministic for a deterministic charge stream.
 type BurnConfig struct {
 	// EnvelopeUnits is the certified cumulative spend ceiling (n·ε in
 	// the odometer's charge units). Must be positive.
@@ -22,12 +30,6 @@ type BurnConfig struct {
 	// HorizonCharges is the number of charges the envelope is planned
 	// to last. Must be positive.
 	HorizonCharges uint64
-	// FastWindow and SlowWindow are window lengths in charges
-	// (defaults 8 and 64; fast must be shorter than slow).
-	FastWindow, SlowWindow int
-	// FastBurn and SlowBurn are the trip thresholds as multiples of
-	// the planned rate (defaults 4 and 2).
-	FastBurn, SlowBurn float64
 }
 
 // BurnAlerter watches the odometer's charge stream and trips when the
@@ -40,8 +42,8 @@ type BurnAlerter struct {
 	cfg BurnConfig
 
 	mu        sync.Mutex
-	ring      []int64 // last SlowWindow charges, units
-	n         uint64  // charges observed
+	ring      [slowWindow]int64 // last slowWindow charges, units
+	n         uint64            // charges observed
 	fastSum   int64
 	slowSum   int64
 	active    bool
@@ -52,8 +54,7 @@ type BurnAlerter struct {
 	metrics *BurnMetrics
 }
 
-// NewBurnAlerter validates the config (applying defaults) and builds
-// an alerter.
+// NewBurnAlerter validates the config and builds an alerter.
 func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
 	if cfg.EnvelopeUnits <= 0 {
 		return nil, fmt.Errorf("obs: burn alerter needs a positive envelope, got %d units", cfg.EnvelopeUnits)
@@ -61,25 +62,7 @@ func NewBurnAlerter(cfg BurnConfig) (*BurnAlerter, error) {
 	if cfg.HorizonCharges == 0 {
 		return nil, fmt.Errorf("obs: burn alerter needs a positive charge horizon")
 	}
-	if cfg.FastWindow == 0 {
-		cfg.FastWindow = 8
-	}
-	if cfg.SlowWindow == 0 {
-		cfg.SlowWindow = 64
-	}
-	if cfg.FastBurn == 0 {
-		cfg.FastBurn = 4
-	}
-	if cfg.SlowBurn == 0 {
-		cfg.SlowBurn = 2
-	}
-	if cfg.FastWindow < 1 || cfg.FastWindow >= cfg.SlowWindow {
-		return nil, fmt.Errorf("obs: burn windows must satisfy 1 <= fast (%d) < slow (%d)", cfg.FastWindow, cfg.SlowWindow)
-	}
-	if cfg.FastBurn <= 0 || cfg.SlowBurn <= 0 {
-		return nil, fmt.Errorf("obs: burn thresholds must be positive")
-	}
-	return &BurnAlerter{cfg: cfg, ring: make([]int64, cfg.SlowWindow), metrics: &noBurnMetrics}, nil
+	return &BurnAlerter{cfg: cfg, metrics: &noBurnMetrics}, nil
 }
 
 // noBurnMetrics is the detached mirror: all instruments nil.
@@ -98,7 +81,7 @@ func (b *BurnAlerter) Bind(m *BurnMetrics) {
 	b.mu.Unlock()
 }
 
-// Config returns the validated configuration (defaults applied).
+// Config returns the validated configuration.
 func (b *BurnAlerter) Config() BurnConfig { return b.cfg }
 
 // observe folds one charge into the windows; called by the Odometer
@@ -111,8 +94,8 @@ func (b *BurnAlerter) observe(units, total int64) {
 	if b.n >= uint64(len(b.ring)) {
 		b.slowSum -= b.ring[i]
 	}
-	if b.n >= uint64(b.cfg.FastWindow) {
-		j := int((b.n - uint64(b.cfg.FastWindow)) % uint64(len(b.ring)))
+	if b.n >= fastWindow {
+		j := int((b.n - fastWindow) % uint64(len(b.ring)))
 		b.fastSum -= b.ring[j]
 	}
 	b.ring[i] = units
@@ -120,15 +103,15 @@ func (b *BurnAlerter) observe(units, total int64) {
 	b.fastSum += units
 	b.n++
 
-	fastBurn, slowBurn := b.burns()
+	fast, slow := b.burns()
 	m := b.metrics
-	m.FastBurnMilli.Set(int64(fastBurn * 1000))
-	m.SlowBurnMilli.Set(int64(slowBurn * 1000))
+	m.FastBurnMilli.Set(int64(fast * 1000))
+	m.SlowBurnMilli.Set(int64(slow * 1000))
 
 	// Both windows must be hot; the fast window must be full so a
 	// single early charge cannot trip the alert on a cold start.
-	active := b.n >= uint64(b.cfg.FastWindow) &&
-		fastBurn >= b.cfg.FastBurn && slowBurn >= b.cfg.SlowBurn
+	active := b.n >= fastWindow &&
+		fast >= fastBurn && slow >= slowBurn
 	if active && !b.active {
 		b.alerts++
 		if !b.tripped {
@@ -201,7 +184,7 @@ func (b *BurnAlerter) Snapshot() *BurnSnapshot {
 // over the charges it has.
 func (b *BurnAlerter) burns() (fast, slow float64) {
 	plan := float64(b.cfg.EnvelopeUnits) / float64(b.cfg.HorizonCharges)
-	fastN := min(b.n, uint64(b.cfg.FastWindow))
+	fastN := min(b.n, fastWindow)
 	slowN := min(b.n, uint64(len(b.ring)))
 	return float64(b.fastSum) / float64(fastN) / plan, float64(b.slowSum) / float64(slowN) / plan
 }

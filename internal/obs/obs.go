@@ -177,9 +177,6 @@ func (o *Odometer) Replenish() {
 	}
 }
 
-// Channels returns the registered channel count.
-func (o *Odometer) Channels() int { return len(o.channels) }
-
 // SpentUnits returns a channel's cumulative spend in charge units.
 func (o *Odometer) SpentUnits(ch int) int64 {
 	if ch < 0 || ch >= len(o.channels) {

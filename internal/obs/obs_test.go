@@ -187,14 +187,16 @@ func TestDetachedInstrumentsAreNoOps(t *testing.T) {
 		t.Fatalf("detached-metrics recorder lost the span: ack hits %d", got)
 	}
 
-	ba, err := NewBurnAlerter(BurnConfig{EnvelopeUnits: 1, HorizonCharges: 1, FastWindow: 1, SlowWindow: 2})
+	ba, err := NewBurnAlerter(BurnConfig{EnvelopeUnits: 1, HorizonCharges: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ba.Bind(nil)
 	odo := NewRegistry().Odometer("o", 1)
 	odo.SetBurn(ba)
-	odo.Charge(0, 16)
+	for i := 0; i < fastWindow; i++ {
+		odo.Charge(0, 16)
+	}
 	if !ba.Tripped() {
 		t.Fatal("unbound alerter did not trip on a 16x overspend")
 	}

@@ -29,9 +29,6 @@ const (
 	Count
 )
 
-// Kinds lists all queries in Table order (II, III, IV, V).
-var Kinds = []Kind{Mean, Median, Variance, Count}
-
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {

@@ -6,10 +6,7 @@ package sensor
 
 import (
 	"errors"
-	"fmt"
 	"math"
-
-	"ulpdp/internal/urng"
 )
 
 // Sensor produces scalar readings.
@@ -62,56 +59,6 @@ func (r *Replay) Read() (float64, error) {
 // Range implements Sensor.
 func (r *Replay) Range() (float64, float64) { return r.lo, r.hi }
 
-// Remaining returns the number of unread samples (0 when cycling).
-func (r *Replay) Remaining() int {
-	if r.cycle {
-		return 0
-	}
-	return len(r.data) - r.pos
-}
-
-// Synthetic produces a sinusoid plus Gaussian jitter quantized to an
-// ADC resolution — a stand-in for a live physical sensor.
-type Synthetic struct {
-	lo, hi    float64
-	period    float64
-	jitter    float64
-	adcLevels int
-	t         float64
-	rng       *urng.SplitMix64
-}
-
-// NewSynthetic builds a synthetic sensor with the given range,
-// period (in samples), jitter standard deviation (fraction of range)
-// and ADC bit depth. It panics on invalid parameters.
-func NewSynthetic(lo, hi, period, jitterFrac float64, adcBits int, seed uint64) *Synthetic {
-	if hi <= lo {
-		panic("sensor: empty range")
-	}
-	if period <= 0 || adcBits < 1 || adcBits > 24 || jitterFrac < 0 {
-		panic(fmt.Sprintf("sensor: bad parameters period=%g bits=%d jitter=%g", period, adcBits, jitterFrac))
-	}
-	return &Synthetic{
-		lo: lo, hi: hi, period: period, jitter: jitterFrac * (hi - lo),
-		adcLevels: 1 << adcBits, rng: urng.NewSplitMix64(seed),
-	}
-}
-
-// Read implements Sensor.
-func (s *Synthetic) Read() (float64, error) {
-	mid := (s.lo + s.hi) / 2
-	amp := (s.hi - s.lo) / 2 * 0.9
-	v := mid + amp*math.Sin(2*math.Pi*s.t/s.period) + s.jitter*s.rng.NormFloat64()
-	s.t++
-	v = math.Max(s.lo, math.Min(s.hi, v))
-	// ADC quantization.
-	step := (s.hi - s.lo) / float64(s.adcLevels-1)
-	return s.lo + math.Round((v-s.lo)/step)*step, nil
-}
-
-// Range implements Sensor.
-func (s *Synthetic) Range() (float64, float64) { return s.lo, s.hi }
-
 // Bus models a serial peripheral bus (I²C-like) clocked slower than
 // the core: each transaction costs start/stop overhead plus 9 bus
 // clocks per byte (8 data + ACK), expressed in core cycles.
@@ -119,8 +66,6 @@ type Bus struct {
 	// CoreClocksPerBusClock is the clock ratio (e.g. 16 MHz core,
 	// 400 kHz bus -> 40).
 	CoreClocksPerBusClock int
-	// cycles accumulates total bus occupancy in core cycles.
-	cycles uint64
 }
 
 // NewBus returns a bus with the given clock ratio. It panics if the
@@ -141,17 +86,6 @@ func (b *Bus) TransferCycles(n int) uint64 {
 	busClocks := 2 + 9*(n+1) // start+stop + (addr + payload) bytes with ACKs
 	return uint64(busClocks * b.CoreClocksPerBusClock)
 }
-
-// Transfer records a transaction of n payload bytes and returns its
-// core-cycle cost.
-func (b *Bus) Transfer(n int) uint64 {
-	c := b.TransferCycles(n)
-	b.cycles += c
-	return c
-}
-
-// TotalCycles returns the accumulated bus occupancy.
-func (b *Bus) TotalCycles() uint64 { return b.cycles }
 
 // Reading is one sampled, bus-transferred sensor value.
 type Reading struct {
@@ -175,6 +109,6 @@ func (n *Node) Sample() (Reading, error) {
 	if err != nil {
 		return Reading{}, err
 	}
-	c := n.Bus.Transfer(2)
+	c := n.Bus.TransferCycles(2)
 	return Reading{Value: v, BusCycles: c}, nil
 }

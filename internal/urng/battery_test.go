@@ -15,7 +15,6 @@ func mustBattery(t *testing.T, src Source, n int) []BatteryResult {
 func TestBatteryPassesGoodGenerators(t *testing.T) {
 	for name, src := range map[string]Source{
 		"taus88":   NewTaus88(2026),
-		"lfsr113":  NewLFSR113(2026),
 		"splitmix": NewSplitMix64(2026),
 	} {
 		results := mustBattery(t, src, 1<<16)

@@ -1,10 +1,9 @@
 // Package urng provides the uniform random number generators used by
 // the DP-Box datapath and by the simulation harness.
 //
-// The hardware-faithful generators are combined Tausworthe generators:
-// Taus88 (three-component, the generator cited by the paper's RNG
-// reference) and LFSR113 (four-component, longer period). Both emit
-// 32-bit words from which the FxP RNG draws its B_u-bit uniform
+// The hardware-faithful generator is Taus88, the three-component
+// combined Tausworthe generator cited by the paper's RNG reference. It
+// emits 32-bit words from which the FxP RNG draws its B_u-bit uniform
 // input u = m·2^-B_u with m ∈ {1, …, 2^B_u} (the value 0 is excluded
 // because log(0) is undefined in the inverse-CDF map).
 //
@@ -37,12 +36,6 @@ func Bits(src Source, b int) uint64 {
 		m = 1 << uint(b)
 	}
 	return m
-}
-
-// Unit draws u = m·2^-B ∈ (0, 1] exactly as the hardware URNG block
-// presents it to the inverse-CDF stage.
-func Unit(src Source, b int) float64 {
-	return math.Ldexp(float64(Bits(src, b)), -b)
 }
 
 // Taus88 is the three-component combined Tausworthe generator of
@@ -87,54 +80,6 @@ func (t *Taus88) Uint32() uint32 {
 	b = ((t.s2 << 3) ^ t.s2) >> 11
 	t.s2 = ((t.s2 & 0xFFFFFFF0) << 17) ^ b
 	return t.s0 ^ t.s1 ^ t.s2
-}
-
-// LFSR113 is the four-component combined Tausworthe generator of
-// L'Ecuyer (1999) with period ≈ 2^113.
-type LFSR113 struct {
-	z0, z1, z2, z3 uint32
-}
-
-// NewLFSR113 returns a seeded LFSR113 generator.
-func NewLFSR113(seed uint64) *LFSR113 {
-	g := &LFSR113{}
-	g.Seed(seed)
-	return g
-}
-
-// Seed initializes the state, enforcing the per-component minimums
-// (z0 ≥ 2, z1 ≥ 8, z2 ≥ 16, z3 ≥ 128).
-func (g *LFSR113) Seed(seed uint64) {
-	sm := NewSplitMix64(seed)
-	g.z0 = uint32(sm.Uint64())
-	g.z1 = uint32(sm.Uint64())
-	g.z2 = uint32(sm.Uint64())
-	g.z3 = uint32(sm.Uint64())
-	if g.z0 < 2 {
-		g.z0 += 2
-	}
-	if g.z1 < 8 {
-		g.z1 += 8
-	}
-	if g.z2 < 16 {
-		g.z2 += 16
-	}
-	if g.z3 < 128 {
-		g.z3 += 128
-	}
-}
-
-// Uint32 advances the generator and returns the next word.
-func (g *LFSR113) Uint32() uint32 {
-	b := ((g.z0 << 6) ^ g.z0) >> 13
-	g.z0 = ((g.z0 & 0xFFFFFFFE) << 18) ^ b
-	b = ((g.z1 << 2) ^ g.z1) >> 27
-	g.z1 = ((g.z1 & 0xFFFFFFF8) << 2) ^ b
-	b = ((g.z2 << 13) ^ g.z2) >> 21
-	g.z2 = ((g.z2 & 0xFFFFFFF0) << 7) ^ b
-	b = ((g.z3 << 3) ^ g.z3) >> 12
-	g.z3 = ((g.z3 & 0xFFFFFF80) << 13) ^ b
-	return g.z0 ^ g.z1 ^ g.z2 ^ g.z3
 }
 
 // SplitMix64 is Steele, Lea & Flood's 64-bit mixer. It is used for

@@ -33,7 +33,7 @@ func TestBitsPanicsOutOfRange(t *testing.T) {
 }
 
 func TestUnitRange(t *testing.T) {
-	src := NewLFSR113(7)
+	src := NewTaus88(7)
 	for i := 0; i < 5000; i++ {
 		u := Unit(src, 17)
 		if u <= 0 || u > 1 {
@@ -82,15 +82,6 @@ func TestTaus88Deterministic(t *testing.T) {
 	}
 }
 
-func TestLFSR113Deterministic(t *testing.T) {
-	a, b := NewLFSR113(99), NewLFSR113(99)
-	for i := 0; i < 100; i++ {
-		if a.Uint32() != b.Uint32() {
-			t.Fatal("same seed should give same stream")
-		}
-	}
-}
-
 func TestSeedLowComponentsRecover(t *testing.T) {
 	// Even a seed that produces tiny state components must yield a
 	// non-degenerate stream (the component minimums are enforced).
@@ -102,15 +93,6 @@ func TestSeedLowComponentsRecover(t *testing.T) {
 	}
 	if len(seen) < 32 {
 		t.Errorf("stream looks degenerate: %d distinct in 64 draws", len(seen))
-	}
-	var l LFSR113
-	l.Seed(0)
-	seen = make(map[uint32]bool)
-	for i := 0; i < 64; i++ {
-		seen[l.Uint32()] = true
-	}
-	if len(seen) < 32 {
-		t.Errorf("lfsr stream looks degenerate: %d distinct in 64 draws", len(seen))
 	}
 }
 
